@@ -74,7 +74,7 @@ pub mod vfs;
 pub use cancel::CancelToken;
 pub use chain::{MarkovChain, Trajectory};
 pub use checkpoint::{
-    Auditable, AuxCodec, Checkpoint, CheckpointError, CheckpointStore, CheckpointedRun,
+    fnv1a64, Auditable, AuxCodec, Checkpoint, CheckpointError, CheckpointStore, CheckpointedRun,
     MarkovChainCheckpointExt, Recovery, SnapshotRng, StateCodec,
 };
 pub use convergence::{

@@ -35,11 +35,8 @@
 //!   [`StopReason::Converged`] once the stopping rules hold, and
 //!   serializes the monitor's decision state into the checkpoint sidecar
 //!   so resumed runs replay to bit-identical stop decisions;
-//! * [`resume_from_store`] / [`ResumePoint`] — the `StdRng`-specialized
-//!   resume seam: recovers the newest valid snapshot and rebuilds the
-//!   production RNG from its 32-byte state, for callers (the job
-//!   service's session table, checkpoint inspection tools) that need a
-//!   concrete resume point rather than a generic `R: Rng`.
+//! * [`last_durable_step`] — the newest snapshot step a store names,
+//!   read from filenames alone, for telemetry and session manifests.
 //!
 //! The recovery ladder itself ([`run_supervised`], [`Heartbeat`],
 //! [`Repairable`]) lives in `sops-chains`; this crate re-exports it so
@@ -68,7 +65,7 @@ pub use events::RuntimeEvent;
 pub use monitor::{MonitorState, StallPolicy};
 pub use options::{sanitize, SweepOptions};
 pub use report::{render_cell_report, write_cell_report};
-pub use resume::{last_durable_step, resume_from_store, ResumePoint};
+pub use resume::last_durable_step;
 pub use runner::{run_cells, CellOutcome, CellStatus, JobContext, Runtime};
 pub use seeds::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
 

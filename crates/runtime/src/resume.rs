@@ -1,96 +1,20 @@
-//! The `StdRng`-specialized resume seam.
+//! How far a session durably got, without recovering it.
 //!
-//! The chain-running entry points ([`crate::run_chain`],
-//! [`sops_chains::run_supervised`]) are generic over `R: Rng +
-//! SnapshotRng`, which is right for execution but awkward for callers
-//! that need a *concrete* resume point before deciding what to run —
-//! the job service's session table, the parallel-engine wiring that
-//! ROADMAP item 3 calls out, and any tool that inspects checkpoints
-//! without executing. This module recovers the newest valid snapshot
-//! from a [`CheckpointStore`] and rebuilds the production RNG
-//! ([`rand::rngs::StdRng`], xoshiro256++) directly from its 32-byte
-//! state, so resumption is bit-identical by construction: same state
-//! bytes, same RNG stream.
+//! Recovery itself — reading, checksumming and decoding the newest valid
+//! snapshot, then positioning state and RNG — happens once per run inside
+//! [`sops_chains::run_supervised`]. Callers that only need the resume
+//! step for telemetry or a session manifest read it from snapshot
+//! filenames here.
 
-use rand::rngs::StdRng;
-use sops_chains::checkpoint::{CheckpointStore, Recovery, StateCodec};
+use sops_chains::checkpoint::CheckpointStore;
 
 use crate::error::JobError;
-
-/// A concrete resume point: the newest durable snapshot of a session,
-/// with the RNG already rebuilt as the production [`StdRng`].
-#[derive(Clone, Debug)]
-pub struct ResumePoint<S> {
-    /// Steps completed when the snapshot was taken.
-    pub step: u64,
-    /// Accepted (state-changing) steps at the snapshot.
-    pub accepted: u64,
-    /// The recovered chain state.
-    pub state: S,
-    /// The RNG positioned exactly where the snapshot left it.
-    pub rng: StdRng,
-    /// Observable log `(time, value)` recorded up to the snapshot.
-    pub log: Vec<(u64, f64)>,
-    /// Opaque sidecar payload (convergence-monitor decision state in
-    /// adaptive runs, empty otherwise).
-    pub aux: Vec<u8>,
-    /// Corrupt snapshot files skipped during recovery.
-    pub rejected: Vec<std::path::PathBuf>,
-    /// Orphaned temp files reaped during recovery.
-    pub reaped: Vec<std::path::PathBuf>,
-}
-
-/// Recovers the newest valid snapshot from `store` and rebuilds its RNG
-/// as a concrete [`StdRng`]. Returns `Ok(None)` when the store holds no
-/// recoverable snapshot (fresh session). Corrupt snapshots are skipped
-/// (newest-first) and reported on the resume point, exactly as the
-/// generic recovery path does.
-///
-/// # Errors
-///
-/// Returns [`JobError::Io`] for directory-level failures,
-/// [`JobError::CorruptCheckpoint`] when the newest valid snapshot
-/// carries an RNG state that is not the 32 bytes `StdRng` serializes,
-/// and [`JobError::Cancelled`] when the store's cancel token fired.
-pub fn resume_from_store<S: StateCodec>(
-    store: &CheckpointStore,
-) -> Result<Option<ResumePoint<S>>, JobError> {
-    let Recovery {
-        checkpoint,
-        rejected,
-        reaped,
-    } = store.recover::<S>()?;
-    let Some(ckpt) = checkpoint else {
-        return Ok(None);
-    };
-    let bytes: [u8; 32] =
-        ckpt.rng_state
-            .as_slice()
-            .try_into()
-            .map_err(|_| JobError::CorruptCheckpoint {
-                path: store.dir().display().to_string(),
-                reason: format!(
-                    "RNG state must be 32 bytes for StdRng, got {}",
-                    ckpt.rng_state.len()
-                ),
-            })?;
-    Ok(Some(ResumePoint {
-        step: ckpt.step,
-        accepted: ckpt.accepted,
-        state: ckpt.state,
-        rng: StdRng::from_state_bytes(bytes),
-        log: ckpt.log,
-        aux: ckpt.aux,
-        rejected,
-        reaped,
-    }))
-}
 
 /// The step count of the newest snapshot *named* in `store`, read from
 /// filenames alone — no payload is decoded or validated, so this is the
 /// cheap telemetry-grade answer ("how far did this session durably
-/// get?"), not a recovery decision. Use [`resume_from_store`] when the
-/// snapshot must actually be loadable.
+/// get?"), not a recovery decision. [`sops_chains::run_supervised`]
+/// performs the actual recovery, falling back past corrupt snapshots.
 ///
 /// # Errors
 ///
@@ -115,79 +39,23 @@ pub fn last_durable_step(store: &CheckpointStore) -> Result<Option<u64>, JobErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng as _, SeedableRng as _};
-
-    #[derive(Debug)]
-    struct U64State(u64);
-
-    impl StateCodec for U64State {
-        fn encode_state(&self) -> Vec<u8> {
-            self.0.to_le_bytes().to_vec()
-        }
-
-        fn decode_state(bytes: &[u8]) -> Result<Self, String> {
-            let arr: [u8; 8] = bytes.try_into().map_err(|_| "want 8 bytes".to_string())?;
-            Ok(U64State(u64::from_le_bytes(arr)))
-        }
-    }
 
     fn scratch(label: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sops-resume-{label}-{}", std::process::id()))
     }
 
     #[test]
-    fn resume_point_rebuilds_identical_rng_stream() {
-        let dir = scratch("stream");
+    fn last_durable_step_names_the_newest_snapshot() {
+        let dir = scratch("newest");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::open(&dir, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(42);
-        // Burn some of the stream so the snapshot is mid-sequence.
-        for _ in 0..17 {
-            let _: u64 = rng.next_u64();
-        }
-        store
-            .save_parts(
-                1_000,
-                250,
-                &rng.to_state_bytes(),
-                &[(0, 0.0), (1_000, 0.5)],
-                &U64State(7),
-            )
-            .unwrap();
-        let expected: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
-
-        let point = resume_from_store::<U64State>(&store).unwrap().unwrap();
-        assert_eq!(point.step, 1_000);
-        assert_eq!(point.accepted, 250);
-        assert_eq!(point.state.0, 7);
-        assert_eq!(point.log.len(), 2);
-        let mut resumed = point.rng;
-        let got: Vec<u64> = (0..8).map(|_| resumed.next_u64()).collect();
-        assert_eq!(got, expected, "resumed RNG must continue the same stream");
-        assert_eq!(last_durable_step(&store).unwrap(), Some(1_000));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fresh_store_resumes_to_none() {
-        let dir = scratch("fresh");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::open(&dir, 2).unwrap();
-        assert!(resume_from_store::<U64State>(&store).unwrap().is_none());
+        let store = CheckpointStore::open(&dir, 3).unwrap();
         assert_eq!(last_durable_step(&store).unwrap(), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_width_rng_state_is_a_corrupt_checkpoint() {
-        let dir = scratch("badrng");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::open(&dir, 2).unwrap();
-        store
-            .save_parts(5, 1, &[0u8; 16], &[], &U64State(1))
-            .unwrap();
-        let err = resume_from_store::<U64State>(&store).unwrap_err();
-        assert_eq!(err.kind(), "corrupt_checkpoint");
+        for step in [1_000u64, 3_000, 2_000] {
+            store
+                .save_parts(step, step / 4, &[0u8; 32], &[(0, 0.0)], &step)
+                .unwrap();
+        }
+        assert_eq!(last_durable_step(&store).unwrap(), Some(3_000));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

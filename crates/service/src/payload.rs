@@ -4,11 +4,10 @@
 //! after a crash or eviction.
 //!
 //! Determinism contract: the RNG is seeded once per *session* (not per
-//! dispatch). On resume the runtime's [`resume_from_store`] seam
-//! rebuilds the exact [`StdRng`] stream from the snapshot's 32-byte
-//! state, so an interrupted-and-resumed run and an uninterrupted run of
-//! the same session produce byte-identical final states — the property
-//! the chaos suite checks.
+//! dispatch). On resume [`run_supervised`] restores the exact [`StdRng`]
+//! stream from the snapshot's 32-byte state, so an interrupted-and-resumed
+//! run and an uninterrupted run of the same session produce
+//! byte-identical final states — the property the chaos suite checks.
 
 use std::ops::ControlFlow;
 
@@ -17,7 +16,7 @@ use rand::SeedableRng as _;
 use sops_chains::checkpoint::StateCodec;
 use sops_chains::recovery::{run_supervised, SupervisedOptions};
 use sops_chains::{Auditable, MarkovChain, Repairable};
-use sops_runtime::{resume_from_store, DegradeReason, JobError};
+use sops_runtime::{DegradeReason, JobError};
 
 use crate::service::{ExecCtx, JobOutcome, JobPayload};
 
@@ -27,9 +26,11 @@ use crate::service::{ExecCtx, JobOutcome, JobPayload};
 /// bit-identity witness for tests and result collection.
 ///
 /// The payload is resume-aware: dispatched into a session with durable
-/// checkpoints, it continues from the newest valid snapshot (emitting
-/// [`sops_runtime::RuntimeEvent::Resumed`]) instead of starting over,
-/// and `initial`/the seed are ignored in favor of the recovered state.
+/// checkpoints, it continues from the newest valid snapshot instead of
+/// starting over, and `initial`/the seed are ignored in favor of the
+/// recovered state. The store is recovered once per dispatch, by the
+/// supervised runner; [`sops_runtime::RuntimeEvent::Resumed`] is emitted
+/// from its report when the run returns.
 pub fn chain_payload<C, F>(
     chain: C,
     initial: C::State,
@@ -47,14 +48,6 @@ where
         let steps = ctx.budget().clamp_steps(steps);
         let mut state = initial;
         let mut rng = StdRng::seed_from_u64(seed);
-        // Surface the resume explicitly (telemetry + the Resumed event)
-        // before handing control to the supervised runner, which performs
-        // the same recovery internally to position state and RNG.
-        match resume_from_store::<C::State>(ctx.store()) {
-            Ok(Some(point)) => ctx.note_resumed(point.step),
-            Ok(None) => {}
-            Err(e) => return Err(e),
-        }
         let opts = SupervisedOptions {
             steps,
             every: every.max(1),
@@ -77,6 +70,9 @@ where
             },
             other => other.into(),
         })?;
+        if let Some(step) = run.resumed_from {
+            ctx.note_resumed(step);
+        }
         if run.completed {
             on_done(&state, &rng);
             Ok(JobOutcome::Completed { steps: run.steps })
@@ -88,4 +84,132 @@ where
             })
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    use rand::{Rng, RngExt as _};
+    use sops_chains::{FaultyVfs, Vfs};
+
+    use super::*;
+    use crate::{Admission, JobService, JobSpec, ServiceConfig, TerminalStatus};
+
+    /// The in-memory filesystem, counting reads of snapshot files.
+    struct CountingVfs {
+        inner: FaultyVfs,
+        snapshot_reads: AtomicU64,
+    }
+
+    impl Vfs for CountingVfs {
+        fn create(&self, path: &Path) -> io::Result<()> {
+            self.inner.create(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.inner.write(path, data)
+        }
+        fn sync(&self, path: &Path) -> io::Result<()> {
+            self.inner.sync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.inner.sync_dir(dir)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            if path.extension().is_some_and(|e| e == "ckpt") {
+                self.snapshot_reads.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.read(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            self.inner.list(dir)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+    }
+
+    struct Counter(u64);
+
+    impl StateCodec for Counter {
+        fn encode_state(&self) -> Vec<u8> {
+            self.0.encode_state()
+        }
+        fn decode_state(bytes: &[u8]) -> Result<Self, String> {
+            u64::decode_state(bytes).map(Counter)
+        }
+    }
+
+    impl Auditable for Counter {
+        fn audit_violations(&self) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    impl Repairable for Counter {
+        fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>> {
+            Ok(Vec::new())
+        }
+    }
+
+    struct Walk;
+
+    impl MarkovChain for Walk {
+        type State = Counter;
+        fn step<R: Rng + ?Sized>(&self, s: &mut Counter, rng: &mut R) -> bool {
+            s.0 = s.0.wrapping_add(u64::from(rng.random_range(0..3u8)));
+            true
+        }
+    }
+
+    fn run(svc: &JobService, steps: u64) -> TerminalStatus {
+        let payload = chain_payload(Walk, Counter(0), 5, steps, 1_000, |_, _| {});
+        let Admission::Admitted(ticket) = svc.submit(JobSpec::new("t", "t/s", payload)) else {
+            panic!("rejected")
+        };
+        ticket.wait()
+    }
+
+    #[test]
+    fn resumed_dispatch_recovers_once_and_reports_one_resume() {
+        let vfs = Arc::new(CountingVfs {
+            inner: FaultyVfs::new(),
+            snapshot_reads: AtomicU64::new(0),
+        });
+        let svc = JobService::open_with(
+            Path::new("/svc"),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&vfs) as _,
+        )
+        .unwrap();
+        assert_eq!(run(&svc, 3_000), TerminalStatus::Completed { steps: 3_000 });
+
+        let lines = Arc::new(Mutex::new(Vec::<String>::new()));
+        let sink = Arc::clone(&lines);
+        svc.set_telemetry(move |line| sink.lock().unwrap().push(line.to_string()));
+        vfs.snapshot_reads.store(0, Ordering::SeqCst);
+        assert_eq!(run(&svc, 6_000), TerminalStatus::Completed { steps: 6_000 });
+        svc.shutdown(std::time::Duration::from_secs(5));
+
+        let lines = lines.lock().unwrap();
+        let resumed: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains("\"event\": \"resumed\""))
+            .collect();
+        assert_eq!(resumed.len(), 1, "{lines:?}");
+        assert!(resumed[0].contains("\"from_step\": 3000"), "{}", resumed[0]);
+        assert_eq!(vfs.snapshot_reads.load(Ordering::SeqCst), 1);
+    }
 }

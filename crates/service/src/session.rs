@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sops_chains::checkpoint::{CheckpointError, CheckpointStore};
-use sops_chains::{reap_tmp_files, write_atomic, CancelToken, RealVfs, Vfs};
+use sops_chains::{fnv1a64, reap_tmp_files, write_atomic, CancelToken, RealVfs, Vfs};
 
 /// Where a session is in its lifecycle, as recorded durably.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,15 +96,6 @@ pub struct SessionManifest {
 }
 
 const MANIFEST_MAGIC: &str = "sops-session v1";
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 impl SessionManifest {
     /// A fresh manifest for a session that has never run.
@@ -503,6 +494,19 @@ mod tests {
         let a = session_stem("a/b");
         let b = session_stem("a-b");
         assert_ne!(a, b, "sanitization must not collide distinct sessions");
+        // Stems name directories on disk: a hash drift would orphan every
+        // existing session.
+        assert_eq!(a, "a-b-0468cf61");
+        assert_eq!(b, "a-b-04644883");
+    }
+
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        assert_eq!(
+            manifest().to_text(),
+            "sops-session v1\nchecksum 8254af2eefbcbf7b\nsession acme/s-1\ntenant acme\n\
+             priority 3\nstatus evicted\nlast_durable_step 4096\nruns 2\nerror_kind none\n"
+        );
     }
 
     #[test]

@@ -14,6 +14,132 @@ fn random_config(n: usize, n1: usize, seed: u64) -> Configuration {
     Configuration::new(construct::bicolor_random(nodes, n1, &mut rng)).unwrap()
 }
 
+/// The `format!`-based v1 snapshot renderer that `Checkpoint::to_text`
+/// replaced, kept verbatim as the byte-layout oracle: every snapshot
+/// already on disk was written by it.
+mod v1_oracle {
+    use sops::chains::StateCodec;
+
+    const MAGIC: &str = "sops-checkpoint v1";
+
+    /// FNV-1a 64-bit hash, the snapshot content checksum.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    fn hex_encode(bytes: &[u8]) -> String {
+        let mut s = String::with_capacity(bytes.len() * 2);
+        for b in bytes {
+            s.push_str(&format!("{b:02x}"));
+        }
+        s
+    }
+
+    /// Renders the snapshot payload (everything the checksum covers) from
+    /// borrowed parts, so the runner can serialize without moving the state.
+    fn render_payload<S: StateCodec>(
+        step: u64,
+        accepted: u64,
+        rng_state: &[u8],
+        log: &[(u64, f64)],
+        state: &S,
+        aux: &[u8],
+    ) -> String {
+        let mut out = String::new();
+        out.push_str(MAGIC);
+        out.push('\n');
+        out.push_str(&format!("step {step}\n"));
+        out.push_str(&format!("accepted {accepted}\n"));
+        out.push_str(&format!("rng {}\n", hex_encode(rng_state)));
+        out.push_str(&format!("log {}\n", log.len()));
+        for (t, v) in log {
+            // Exact bits, so the resumed log is bitwise-identical.
+            out.push_str(&format!("{t} {:016x}\n", v.to_bits()));
+        }
+        out.push_str(&format!("state {}\n", hex_encode(&state.encode_state())));
+        if !aux.is_empty() {
+            // Omitted entirely when empty so non-adaptive snapshots keep the
+            // exact pre-sidecar byte layout.
+            out.push_str(&format!("aux {}\n", hex_encode(aux)));
+        }
+        out
+    }
+
+    /// Serializes snapshot parts, checksum line included.
+    pub fn render_text<S: StateCodec>(
+        step: u64,
+        accepted: u64,
+        rng_state: &[u8],
+        log: &[(u64, f64)],
+        state: &S,
+        aux: &[u8],
+    ) -> String {
+        let payload = render_payload(step, accepted, rng_state, log, state, aux);
+        format!("{payload}checksum {:016x}\n", fnv1a(payload.as_bytes()))
+    }
+}
+
+/// `Checkpoint::to_text` as the v1 oracle renders the same parts.
+fn oracle_text<S: StateCodec>(ckpt: &Checkpoint<S>) -> String {
+    v1_oracle::render_text(
+        ckpt.step,
+        ckpt.accepted,
+        &ckpt.rng_state,
+        &ckpt.log,
+        &ckpt.state,
+        &ckpt.aux,
+    )
+}
+
+/// The v1 byte layout, pinned by one literal snapshot and by the oracle
+/// at the extremes of every field: `u64::MAX` counters, non-finite and
+/// signed-zero log values, empty and non-empty sidecars.
+#[test]
+fn checkpoint_v1_layout_is_pinned() {
+    let ckpt = Checkpoint {
+        step: 42,
+        accepted: 17,
+        rng_state: vec![1, 2, 3, 4],
+        log: vec![(0, 0.5), (21, -1.25)],
+        state: 7u64,
+        aux: vec![0xff, 0],
+    };
+    assert_eq!(
+        ckpt.to_text(),
+        "sops-checkpoint v1\nstep 42\naccepted 17\nrng 01020304\nlog 2\n\
+         0 3fe0000000000000\n21 bff4000000000000\nstate 0700000000000000\n\
+         aux ff00\nchecksum ec1f403da28deaa7\n"
+    );
+    assert_eq!(ckpt.to_text(), oracle_text(&ckpt));
+
+    let extremes = Checkpoint {
+        step: u64::MAX,
+        accepted: u64::MAX,
+        rng_state: Vec::new(),
+        log: vec![
+            (0, f64::NAN),
+            (u64::MAX, f64::INFINITY),
+            (10, f64::NEG_INFINITY),
+            (100, -0.0),
+            (1, f64::MIN_POSITIVE),
+        ],
+        state: u64::MAX,
+        aux: Vec::new(),
+    };
+    assert_eq!(extremes.to_text(), oracle_text(&extremes));
+    let empty = Checkpoint {
+        log: Vec::new(),
+        aux: vec![0],
+        ..extremes
+    };
+    assert_eq!(empty.to_text(), oracle_text(&empty));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -150,7 +276,8 @@ proptest! {
 
     /// Checkpoint text serialization is lossless for arbitrary
     /// configurations, RNG snapshots, step counters, and observable logs
-    /// (including non-finite observable values, compared bit-for-bit).
+    /// (including non-finite observable values, compared bit-for-bit),
+    /// and byte-identical to the v1 oracle.
     #[test]
     fn checkpoint_text_roundtrip_is_lossless(
         seed in 0u64..10_000,
@@ -164,6 +291,7 @@ proptest! {
         let state = random_config(n, n / 2, seed);
         let ckpt = Checkpoint { step, accepted, rng_state, log, state, aux };
         let text = ckpt.to_text();
+        prop_assert_eq!(&text, &oracle_text(&ckpt), "v1 byte layout changed");
         let back = Checkpoint::<Configuration>::from_text(&text).unwrap();
         prop_assert_eq!(back.step, ckpt.step);
         prop_assert_eq!(back.accepted, ckpt.accepted);
