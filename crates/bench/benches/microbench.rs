@@ -361,6 +361,16 @@ fn bench_properties() {
     });
 }
 
+/// A random blob of `n` particles after 5×10⁴ steps at λ = γ = 4 — the
+/// state `service-resume` audits when it resumes a session.
+fn resumed_blob(n: usize) -> Configuration {
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let nodes = construct::random_blob(n, &mut rng);
+    let mut config = Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng)).unwrap();
+    SeparationChain::new(Bias::new(4.0, 4.0).unwrap()).run(&mut config, 50_000, &mut rng);
+    config
+}
+
 fn bench_observables() {
     let config = seeded_config(100);
     bench("boundary_walk_n100", || {
@@ -373,6 +383,16 @@ fn bench_observables() {
         black_box(config.hole_count());
     });
     bench("audit_n100", || {
+        black_box(config.audit().is_consistent());
+    });
+    let config = resumed_blob(1000);
+    bench("boundary_walk_n1000", || {
+        black_box(config.boundary_walk_length());
+    });
+    bench("hole_count_n1000", || {
+        black_box(config.hole_count());
+    });
+    bench("audit_n1000", || {
         black_box(config.audit().is_consistent());
     });
 }

@@ -246,10 +246,10 @@ const DEFAULT_WINDOW: u64 = 10_000;
 /// [`MarkovChain`] and [`ClassifiedChain`], so it drops into `run`,
 /// `trajectory`, and `run_checkpointed` unchanged.
 ///
-/// When constructed [`Instrumented::disabled`], `step` forwards directly to
-/// the inner chain — no counter updates, no clock reads — so the cost is a
-/// single predictable branch (measured <2% on the step microbenchmark;
-/// see `BENCH_chain.json`).
+/// When constructed [`Instrumented::disabled`], `step` and `run` forward
+/// directly to the inner chain — no counter updates, no clock reads — so
+/// the cost is a single predictable branch per call, and a `run` keeps
+/// whatever the inner chain's own `run` saves over its step loop.
 ///
 /// # Example
 ///
@@ -485,6 +485,19 @@ impl<C: ClassifiedChain> MarkovChain for Instrumented<C> {
             return self.inner.step(state, rng);
         }
         self.step_classified(state, rng).accepted()
+    }
+
+    /// Disabled, this is the inner chain's own `run` (which may be faster
+    /// than its step loop); enabled, every step is classified and recorded.
+    fn run<R: Rng + ?Sized>(&self, state: &mut Self::State, steps: u64, rng: &mut R) -> u64 {
+        if !self.enabled {
+            return self.inner.run(state, steps, rng);
+        }
+        let mut accepted = 0;
+        for _ in 0..steps {
+            accepted += u64::from(self.step_classified(state, rng).accepted());
+        }
+        accepted
     }
 }
 
@@ -914,20 +927,55 @@ mod tests {
         assert!(report.steps_per_sec.unwrap_or(0.0) > 0.0);
     }
 
+    /// [`Biased`] with a `run` of its own that counts its calls, so a test
+    /// can tell forwarding from the default step loop.
+    #[derive(Default)]
+    struct OwnRun(std::cell::Cell<u64>);
+
+    impl MarkovChain for OwnRun {
+        type State = u64;
+        fn step<R: Rng + ?Sized>(&self, s: &mut u64, rng: &mut R) -> bool {
+            Biased.step(s, rng)
+        }
+        fn run<R: Rng + ?Sized>(&self, s: &mut u64, steps: u64, rng: &mut R) -> u64 {
+            self.0.set(self.0.get() + 1);
+            Biased.run(s, steps, rng)
+        }
+    }
+
+    impl ClassifiedChain for OwnRun {
+        type Outcome = Out;
+        fn step_classified<R: Rng + ?Sized>(&self, s: &mut u64, rng: &mut R) -> Out {
+            Biased.step_classified(s, rng)
+        }
+    }
+
     #[test]
     fn disabled_wrapper_records_nothing_and_matches_bare() {
         let mut rng_bare = StdRng::seed_from_u64(4);
         let mut rng_inst = StdRng::seed_from_u64(4);
         let mut s_bare = 0u64;
         let mut s_inst = 0u64;
-        Biased.run(&mut s_bare, 5_000, &mut rng_bare);
-        let inst = Instrumented::disabled(Biased);
+        let accepted_bare = Biased.run(&mut s_bare, 5_000, &mut rng_bare);
+        let inst = Instrumented::disabled(OwnRun::default());
         assert!(!inst.is_enabled());
-        inst.run(&mut s_inst, 5_000, &mut rng_inst);
+        let accepted_inst = inst.run(&mut s_inst, 5_000, &mut rng_inst);
         assert_eq!(s_bare, s_inst);
+        assert_eq!(accepted_bare, accepted_inst);
+        assert_eq!(rng_bare, rng_inst);
+        // Disabled, `run` is the inner chain's own `run`, called once.
+        assert_eq!(inst.inner().0.get(), 1);
         let report = inst.report();
         assert_eq!(report.steps, 0);
         assert!(report.steps_per_sec.is_none());
+
+        // Enabled, every step goes through the recorder instead.
+        let inst = Instrumented::new(OwnRun::default());
+        let mut s = 0u64;
+        let mut rng = StdRng::seed_from_u64(4);
+        assert_eq!(inst.run(&mut s, 5_000, &mut rng), accepted_bare);
+        assert_eq!(inst.inner().0.get(), 0);
+        assert_eq!(inst.report().steps, 5_000);
     }
 
     #[test]

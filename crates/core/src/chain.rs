@@ -1,6 +1,6 @@
 //! Markov chain `M` for separation and integration (Algorithm 1).
 
-use rand::{Rng, RngExt as _};
+use rand::{PreparedRange, Rng, RngExt as _};
 
 use sops_chains::metropolis::{self, PowerRatio, PowerTable};
 use sops_chains::telemetry::ClassifiedChain;
@@ -419,6 +419,22 @@ impl MarkovChain for SeparationChain {
     fn step<R: Rng + ?Sized>(&self, config: &mut Configuration, rng: &mut R) -> bool {
         self.step_detailed(config, rng).accepted()
     }
+
+    /// `steps` calls of [`MarkovChain::step`], with the particle draw
+    /// prepared once: `n` cannot change during a run, so
+    /// [`PreparedRange`] hoists `random_range(0..n)`'s two divisions out
+    /// of the loop while drawing exactly the same indices from exactly the
+    /// same words.
+    fn run<R: Rng + ?Sized>(&self, config: &mut Configuration, steps: u64, rng: &mut R) -> u64 {
+        let particle = PreparedRange::new(config.len() as u64);
+        let mut accepted = 0;
+        for _ in 0..steps {
+            let p = particle.sample(rng) as usize;
+            let dir = DIRECTIONS[rng.random_range(0..6usize)];
+            accepted += u64::from(self.propose(config, p, dir, rng).accepted());
+        }
+        accepted
+    }
 }
 
 impl ClassifiedChain for SeparationChain {
@@ -486,6 +502,10 @@ impl MarkovChain for CompressionChain {
 
     fn step<R: Rng + ?Sized>(&self, config: &mut Configuration, rng: &mut R) -> bool {
         self.inner.step(config, rng)
+    }
+
+    fn run<R: Rng + ?Sized>(&self, config: &mut Configuration, steps: u64, rng: &mut R) -> u64 {
+        self.inner.run(config, steps, rng)
     }
 }
 

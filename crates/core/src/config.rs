@@ -5,6 +5,7 @@ use core::fmt;
 use sops_lattice::{ring_offsets, Direction, Node, NodeMap, NodeSet, DIRECTIONS};
 
 use crate::error::{AuditReport, AuditViolation, ChainStateError, RepairOutcome};
+use crate::flood::FloodGrid;
 use crate::grid::{self, ColorGrid};
 use crate::{Color, ConfigError};
 
@@ -343,14 +344,17 @@ impl Configuration {
             Some(g) => RingGather::from_codes(g.ring_codes(from, dir)),
             None => {
                 let mut occupancy = 0u8;
-                let mut colors = [Color::C1; 8];
+                let mut lanes = [0u8; 8];
                 for (k, &off) in ring_offsets(dir).iter().enumerate() {
                     if let Some(s) = self.occupancy.get(from + off) {
                         occupancy |= 1 << k;
-                        colors[k] = s.color;
+                        lanes[k] = s.color.index();
                     }
                 }
-                RingGather { occupancy, colors }
+                RingGather {
+                    occupancy,
+                    lanes: u64::from_le_bytes(lanes),
+                }
             }
         }
     }
@@ -727,70 +731,16 @@ impl Configuration {
     /// Number of holes: maximal finite connected components of unoccupied
     /// nodes.
     ///
-    /// Computed by flood-filling the complement from outside the bounding
-    /// box; unoccupied in-box nodes not reached belong to holes.
+    /// Computed by flood-filling the complement from the one-node margin
+    /// around the bounding box, on a dense byte grid of the box (O(box
+    /// area)); unoccupied in-box nodes not reached belong to holes.
     #[must_use]
     pub fn hole_count(&self) -> usize {
-        let (min_x, max_x, min_y, max_y) = self.bounding_box();
-        // Expand by one so the outside margin forms a connected ring.
-        let (lo_x, hi_x) = (min_x - 1, max_x + 1);
-        let (lo_y, hi_y) = (min_y - 1, max_y + 1);
-
-        let in_box = |n: Node| n.x >= lo_x && n.x <= hi_x && n.y >= lo_y && n.y <= hi_y;
-
-        // Flood the exterior starting from the whole margin ring.
-        let mut outside = NodeSet::new();
-        let mut stack = Vec::new();
-        for x in lo_x..=hi_x {
-            for y in [lo_y, hi_y] {
-                let n = Node::new(x, y);
-                if !self.occupancy.contains(n) && outside.insert(n) {
-                    stack.push(n);
-                }
-            }
+        let mut grid = FloodGrid::new(self.bounding_box());
+        for (node, slot) in self.occupancy.iter() {
+            grid.put(node, slot.color);
         }
-        for y in lo_y..=hi_y {
-            for x in [lo_x, hi_x] {
-                let n = Node::new(x, y);
-                if !self.occupancy.contains(n) && outside.insert(n) {
-                    stack.push(n);
-                }
-            }
-        }
-        while let Some(n) = stack.pop() {
-            for m in n.neighbors() {
-                if in_box(m) && !self.occupancy.contains(m) && outside.insert(m) {
-                    stack.push(m);
-                }
-            }
-        }
-
-        // Remaining unoccupied in-box nodes are hole nodes; count components.
-        let mut hole_seen = NodeSet::new();
-        let mut holes = 0;
-        for x in lo_x..=hi_x {
-            for y in lo_y..=hi_y {
-                let n = Node::new(x, y);
-                if self.occupancy.contains(n) || outside.contains(n) || hole_seen.contains(n) {
-                    continue;
-                }
-                holes += 1;
-                hole_seen.insert(n);
-                let mut stack = vec![n];
-                while let Some(u) = stack.pop() {
-                    for m in u.neighbors() {
-                        if in_box(m)
-                            && !self.occupancy.contains(m)
-                            && !outside.contains(m)
-                            && hole_seen.insert(m)
-                        {
-                            stack.push(m);
-                        }
-                    }
-                }
-            }
-        }
-        holes
+        grid.hole_count()
     }
 
     /// Whether the configuration has at least one hole.
@@ -802,17 +752,7 @@ impl Configuration {
     /// Axial bounding box `(min_x, max_x, min_y, max_y)` of the particles.
     #[must_use]
     pub fn bounding_box(&self) -> (i32, i32, i32, i32) {
-        let mut min_x = i32::MAX;
-        let mut max_x = i32::MIN;
-        let mut min_y = i32::MAX;
-        let mut max_y = i32::MIN;
-        for &n in &self.positions {
-            min_x = min_x.min(n.x);
-            max_x = max_x.max(n.x);
-            min_y = min_y.min(n.y);
-            max_y = max_y.max(n.y);
-        }
-        (min_x, max_x, min_y, max_y)
+        bounding_box(self.positions.iter().copied())
     }
 
     /// Length of the outer boundary walk `P`: the closed walk on
@@ -894,16 +834,47 @@ impl Configuration {
     /// eventually close) — but disconnection is, since every transition
     /// preserves connectivity.
     ///
-    /// Cost is O(n + area of bounding box); intended for checkpoint
+    /// The pass over the occupancy map that checks it against the table
+    /// and the raster also copies it into one dense byte grid of the
+    /// bounding box (of the map's nodes and the particles). The recount,
+    /// one connectivity flood, the hole flood and the boundary walk then
+    /// run on that grid with no hash probe, each giving exactly what
+    /// [`Configuration::recount`], [`Configuration::is_connected`],
+    /// [`Configuration::hole_count`] and
+    /// [`Configuration::boundary_walk_length`] give. Cost is O(n + area of
+    /// the bounding box), one byte per cell; intended for checkpoint
     /// boundaries and debugging, not the chain's hot path.
     #[must_use]
     pub fn audit(&self) -> AuditReport {
         let mut violations = Vec::new();
+        let particle_box = self.bounding_box();
+        let scan_box = bounding_box(
+            self.positions
+                .iter()
+                .copied()
+                .chain(self.occupancy.iter().map(|(node, _)| node)),
+        );
+        let mut scan = FloodGrid::new(scan_box);
+        // Raster findings are reported after the table's, as they always were.
+        let mut raster_violations = Vec::new();
 
-        // Occupancy map ↔ particle table correspondence, both directions.
+        // Occupancy map ↔ particle table and ↔ raster correspondence.
         let mut entries = 0usize;
         for (node, slot) in self.occupancy.iter() {
             entries += 1;
+            scan.put(node, slot.color);
+            if let Some(g) = &self.grid {
+                let cell = g.code(node);
+                if cell != grid::encode(slot.color) {
+                    raster_violations.push(AuditViolation::OccupancyDesync {
+                        node,
+                        detail: format!(
+                            "raster cell {cell} disagrees with occupancy color {:?}",
+                            slot.color
+                        ),
+                    });
+                }
+            }
             let idx = slot.index as usize;
             if idx >= self.positions.len() {
                 violations.push(AuditViolation::OccupancyDesync {
@@ -946,23 +917,12 @@ impl Configuration {
         }
 
         // Raster cache ↔ occupancy map correspondence: every map entry's
-        // cell holds its encoded color, and no stale cell survives (the
-        // cell count matches the map). The raster is what the hot-path
-        // probes actually read, so a desync here is as corrupting as a
-        // map/table desync.
+        // cell holds its encoded color (checked in the pass above), and no
+        // stale cell survives (the cell count matches the map). The raster
+        // is what the hot-path probes actually read, so a desync here is as
+        // corrupting as a map/table desync.
+        violations.append(&mut raster_violations);
         if let Some(g) = &self.grid {
-            for (node, slot) in self.occupancy.iter() {
-                let cell = g.code(node);
-                if cell != grid::encode(slot.color) {
-                    violations.push(AuditViolation::OccupancyDesync {
-                        node,
-                        detail: format!(
-                            "raster cell {cell} disagrees with occupancy color {:?}",
-                            slot.color
-                        ),
-                    });
-                }
-            }
             let cells = g.occupied_cells();
             if cells != entries {
                 violations.push(AuditViolation::OccupancyDesync {
@@ -974,7 +934,7 @@ impl Configuration {
             }
         }
 
-        let (edges, hetero) = self.recount();
+        let (edges, hetero) = scan.recount().unwrap_or_else(|| self.recount());
         if edges != self.edges {
             violations.push(AuditViolation::EdgeCountDrift {
                 tracked: self.edges,
@@ -1002,19 +962,34 @@ impl Configuration {
             });
         }
 
-        let connected = self.is_connected();
+        let connected = scan.linked_count(self.positions[0]) == self.len();
         if !connected {
             violations.push(AuditViolation::Disconnected);
         }
-        let holes = self.hole_count();
+        // The hole flood's box is the particles' alone; a map node outside
+        // it (a desync, reported above) would widen the scan grid's.
+        let holes = if scan_box == particle_box {
+            scan.hole_count()
+        } else {
+            self.hole_count()
+        };
         if connected && holes == 0 && self.len() > 1 {
             // Derive the identity from the *recomputed* edge count so this
             // check stays meaningful even when the tracked count drifted
             // (drift is already reported separately).
             let identity = (3 * self.positions.len() as u64).saturating_sub(edges + 3);
-            let walk = self.boundary_walk_length();
-            if identity != walk {
-                violations.push(AuditViolation::PerimeterMismatch { identity, walk });
+            let start = self
+                .positions
+                .iter()
+                .copied()
+                .min_by_key(|n| (n.x, n.y))
+                .expect("configuration is nonempty");
+            // `None` only when the map lacks `start` (a desync reported
+            // above), where `boundary_walk_length` would never return.
+            if let Some(walk) = scan.boundary_walk(start) {
+                if identity != walk {
+                    violations.push(AuditViolation::PerimeterMismatch { identity, walk });
+                }
             }
         }
 
@@ -1050,6 +1025,21 @@ impl Configuration {
     }
 }
 
+/// Axial bounding box `(min_x, max_x, min_y, max_y)` of `nodes`.
+fn bounding_box(nodes: impl Iterator<Item = Node>) -> (i32, i32, i32, i32) {
+    nodes.fold(
+        (i32::MAX, i32::MIN, i32::MAX, i32::MIN),
+        |(min_x, max_x, min_y, max_y), n| {
+            (
+                min_x.min(n.x),
+                max_x.max(n.x),
+                min_y.min(n.y),
+                max_y.max(n.y),
+            )
+        },
+    )
+}
+
 /// The result of [`Configuration::ring_gather`]: one proposal's combined
 /// neighborhood, gathered in a single pass.
 ///
@@ -1063,7 +1053,16 @@ pub struct RingGather {
     /// Bit `k` set iff ring position `k` is occupied — the index into
     /// [`crate::properties::MOVEMENT_ALLOWED`].
     pub occupancy: u8,
-    colors: [Color; 8],
+    /// The color index at ring position `k` in byte `k` (`0` where
+    /// unoccupied), so one SWAR compare tests all eight lanes.
+    lanes: u64,
+}
+
+/// Packs bit 7 of byte `k` into bit `k`: each byte's bit lands at
+/// `56 + k` of the product, with no two partial products overlapping.
+#[inline]
+fn pack_high_bits(high: u64) -> u8 {
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
 }
 
 impl RingGather {
@@ -1073,13 +1072,14 @@ impl RingGather {
     /// consumers stay bit-for-bit interchangeable.
     #[inline]
     pub(crate) fn from_codes(codes: [u8; 8]) -> Self {
-        let mut occupancy = 0u8;
-        let mut colors = [Color::C1; 8];
-        for (k, &code) in codes.iter().enumerate() {
-            occupancy |= u8::from(code != 0) << k;
-            colors[k] = grid::decode(code);
+        let codes = u64::from_le_bytes(codes);
+        let occupied = grid::nonzero_bytes(codes);
+        // Occupied codes are ≥ 1, so subtracting 1 from exactly those
+        // bytes (`grid::decode`) borrows across no byte boundary.
+        RingGather {
+            occupancy: pack_high_bits(occupied),
+            lanes: codes - (occupied >> 7),
         }
-        RingGather { occupancy, colors }
     }
 
     /// Number of occupied ring positions selected by `mask`.
@@ -1094,38 +1094,30 @@ impl RingGather {
     #[inline]
     #[must_use]
     pub fn colored_in(&self, mask: u8, color: Color) -> i32 {
-        let mut count = 0;
-        let mut bits = self.occupancy & mask;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            count += i32::from(self.colors[k] == color);
-            bits &= bits - 1;
-        }
-        count
+        (self.color_mask(color) & mask).count_ones() as i32
     }
 
     /// The color at ring position `k`, if occupied.
     #[inline]
     #[must_use]
     pub fn color_at(&self, k: usize) -> Option<Color> {
-        (self.occupancy & (1 << k) != 0).then(|| self.colors[k])
+        (self.occupancy & (1 << k) != 0).then(|| Color::new((self.lanes >> (8 * k)) as u8))
     }
 
     /// Bitmask of the occupied ring positions holding `color` — the packed
     /// form the batched kernel stores per lane so every colored-neighbor
     /// count becomes a masked popcount over a byte array
     /// (`colored_in(mask, c) ≡ (color_mask(c) & mask).count_ones()`).
+    ///
+    /// One XOR against `color` broadcast to every byte zeroes exactly the
+    /// matching lanes; unoccupied lanes also hold 0, so the occupancy mask
+    /// drops them when `color` is `C1`.
     #[inline]
     #[must_use]
     pub fn color_mask(&self, color: Color) -> u8 {
-        let mut out = 0u8;
-        let mut bits = self.occupancy;
-        while bits != 0 {
-            let k = bits.trailing_zeros();
-            out |= u8::from(self.colors[k as usize] == color) << k;
-            bits &= bits - 1;
-        }
-        out
+        let differs =
+            grid::nonzero_bytes(self.lanes ^ (u64::from(color.index()) * 0x0101_0101_0101_0101));
+        !pack_high_bits(differs) & self.occupancy
     }
 }
 
@@ -1536,6 +1528,277 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, AuditViolation::OccupancyDesync { .. })));
+        assert_desync_audit(&c, &[]);
+    }
+
+    /// The occupancy checks as the audit ran them before it fused them
+    /// into one pass: map ↔ table, then map ↔ raster, each in map order.
+    fn desync_reference(c: &Configuration) -> Vec<AuditViolation> {
+        let mut violations = Vec::new();
+        let desync = |node, detail| AuditViolation::OccupancyDesync { node, detail };
+        for (node, slot) in c.occupancy.iter() {
+            let idx = slot.index as usize;
+            if idx >= c.positions.len() {
+                violations.push(desync(
+                    node,
+                    format!(
+                        "slot index {idx} out of range for {} particles",
+                        c.positions.len()
+                    ),
+                ));
+                continue;
+            }
+            if c.positions[idx] != node {
+                violations.push(desync(
+                    node,
+                    format!(
+                        "slot index {idx} maps back to {}, not this node",
+                        c.positions[idx]
+                    ),
+                ));
+            }
+            if c.colors[idx] != slot.color {
+                violations.push(desync(
+                    node,
+                    format!(
+                        "slot color {:?} disagrees with color table {:?}",
+                        slot.color, c.colors[idx]
+                    ),
+                ));
+            }
+        }
+        let entries = c.occupancy.iter().count();
+        if entries != c.positions.len() {
+            for (i, &n) in c.positions.iter().enumerate() {
+                if c.occupancy.get(n).is_none() {
+                    violations.push(desync(
+                        n,
+                        format!("particle {i} is missing from the occupancy map"),
+                    ));
+                }
+            }
+        }
+        if let Some(g) = &c.grid {
+            for (node, slot) in c.occupancy.iter() {
+                let cell = g.code(node);
+                if cell != grid::encode(slot.color) {
+                    violations.push(desync(
+                        node,
+                        format!(
+                            "raster cell {cell} disagrees with occupancy color {:?}",
+                            slot.color
+                        ),
+                    ));
+                }
+            }
+            let cells = g.occupied_cells();
+            if cells != entries {
+                violations.push(desync(
+                    c.positions[0],
+                    format!("raster holds {cells} occupied cells for {entries} map entries"),
+                ));
+            }
+        }
+        violations
+    }
+
+    /// A corrupt state's audit: the reference's desync findings, then
+    /// `rest`, with the counts from the kept O(n) oracles.
+    fn assert_desync_audit(c: &Configuration, rest: &[AuditViolation]) -> AuditReport {
+        let report = c.audit();
+        let mut expected = desync_reference(c);
+        assert!(!expected.is_empty(), "the state is not corrupt");
+        expected.extend_from_slice(rest);
+        assert_eq!(report.violations, expected);
+        let (edges, hetero) = c.recount();
+        assert_eq!((report.edges, report.hetero_edges), (edges, hetero));
+        assert_eq!(report.connected, c.is_connected());
+        report
+    }
+
+    #[test]
+    fn audit_reports_raster_desyncs_after_table_desyncs() {
+        fn raster(c: &mut Configuration) -> &mut ColorGrid {
+            c.grid.as_mut().expect("tri rasterizes")
+        }
+
+        // A stale cell: one occupied cell more than the map has entries.
+        let mut c = tri();
+        assert!(raster(&mut c).set(Node::new(1, 1), grid::encode(Color::C2)));
+        assert_desync_audit(&c, &[]);
+
+        // A wrong color and a cleared cell: two disagreements, then the
+        // cell count.
+        let mut c = tri();
+        assert!(raster(&mut c).set(Node::new(1, 0), grid::encode(Color::C3)));
+        raster(&mut c).clear(Node::new(0, 1));
+        assert_eq!(assert_desync_audit(&c, &[]).violations.len(), 3);
+
+        // Both kinds at once: the table's findings come first.
+        let mut c = tri();
+        c.positions.swap(0, 1);
+        raster(&mut c).clear(Node::new(0, 1));
+        assert_eq!(assert_desync_audit(&c, &[]).violations.len(), 4);
+    }
+
+    #[test]
+    fn audit_of_a_particle_missing_from_the_map() {
+        let mut c = tri();
+        c.occupancy.remove(Node::new(0, 1));
+        let report = assert_desync_audit(
+            &c,
+            &[
+                AuditViolation::EdgeCountDrift {
+                    tracked: 3,
+                    recomputed: 1,
+                },
+                AuditViolation::HeteroCountDrift {
+                    tracked: 2,
+                    recomputed: 0,
+                },
+                AuditViolation::Disconnected,
+            ],
+        );
+        assert_eq!(report.holes, 0);
+
+        // With the walk's start node missing, `is_connected` still counts
+        // n nodes, but the contour never returns to the start: the audit
+        // skips the walk rather than loop.
+        let mut line = Configuration::new((-1..=1).map(|x| (Node::new(x, 0), Color::C1))).unwrap();
+        line.occupancy.remove(Node::new(-1, 0));
+        assert!(line.is_connected());
+        let report = assert_desync_audit(
+            &line,
+            &[AuditViolation::EdgeCountDrift {
+                tracked: 2,
+                recomputed: 1,
+            }],
+        );
+        assert!(report.connected);
+    }
+
+    #[test]
+    fn audit_counts_holes_in_the_particles_box_only() {
+        // Map nodes no particle owns, ringed around the corners (1, 1) and
+        // (−1, −1): the rings enclose both in the map's box, but both lie
+        // on the margin of the particles' box, where the hole flood
+        // starts — each cut off from the rest of the margin, so each must
+        // seed it.
+        let mut c = Configuration::new([(Node::ORIGIN, Color::C1)]).unwrap();
+        for corner in [Node::new(1, 1), Node::new(-1, -1)] {
+            for m in corner.neighbors() {
+                c.occupancy.insert(
+                    m,
+                    Slot {
+                        index: 0,
+                        color: Color::C1,
+                    },
+                );
+            }
+        }
+        let report = assert_desync_audit(
+            &c,
+            &[
+                AuditViolation::EdgeCountDrift {
+                    tracked: 0,
+                    recomputed: 16,
+                },
+                AuditViolation::Disconnected,
+            ],
+        );
+        assert_eq!(report.holes, 0);
+        assert_eq!(c.hole_count(), 0);
+    }
+
+    /// The loop `colored_in` ran over eight decoded lane colors.
+    fn colored_in_loop(occupancy: u8, colors: &[Color; 8], mask: u8, color: Color) -> i32 {
+        let mut count = 0;
+        let mut bits = occupancy & mask;
+        while bits != 0 {
+            let k = bits.trailing_zeros() as usize;
+            count += i32::from(colors[k] == color);
+            bits &= bits - 1;
+        }
+        count
+    }
+
+    /// The loop `color_mask` ran over eight decoded lane colors.
+    fn color_mask_loop(occupancy: u8, colors: &[Color; 8], color: Color) -> u8 {
+        let mut out = 0u8;
+        let mut bits = occupancy;
+        while bits != 0 {
+            let k = bits.trailing_zeros();
+            out |= u8::from(colors[k as usize] == color) << k;
+            bits &= bits - 1;
+        }
+        out
+    }
+
+    #[test]
+    fn ring_gather_masks_match_the_lane_loops_exhaustively() {
+        use sops_lattice::{RING_FROM_SIDE, RING_TO_SIDE};
+        let palette = [Color::C1, Color::C2, Color::C3];
+        for occupancy in 0..=u8::MAX {
+            for assignment in 0..3usize.pow(8) {
+                let colors: [Color; 8] =
+                    core::array::from_fn(|k| palette[assignment / 3usize.pow(k as u32) % 3]);
+                let occupied = |k: usize| occupancy & (1 << k) != 0;
+                let codes = core::array::from_fn(|k| {
+                    if occupied(k) {
+                        grid::encode(colors[k])
+                    } else {
+                        0
+                    }
+                });
+                let ring = RingGather::from_codes(codes);
+                assert_eq!(ring.occupancy, occupancy);
+                for (k, &color) in colors.iter().enumerate() {
+                    assert_eq!(ring.color_at(k), occupied(k).then_some(color));
+                }
+                for color in [Color::C1, Color::C2, Color::C3, Color::C4] {
+                    assert_eq!(
+                        ring.color_mask(color),
+                        color_mask_loop(occupancy, &colors, color)
+                    );
+                    for mask in [RING_FROM_SIDE, RING_TO_SIDE, u8::MAX] {
+                        assert_eq!(
+                            ring.colored_in(mask, color),
+                            colored_in_loop(occupancy, &colors, mask, color)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_gather_is_the_same_with_and_without_the_raster() {
+        let particles: Vec<(Node, Color)> = sops_lattice::region::Region::hexagon(3)
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 5 != 0)
+            .map(|(i, n)| (n, Color::new((i % 4) as u8)))
+            .collect();
+        let rasterized = Configuration::new(particles).unwrap();
+        let mut probed = rasterized.clone();
+        probed.grid = None;
+        for x in -5..=5 {
+            for y in -5..=5 {
+                for dir in DIRECTIONS {
+                    let (a, b) = (
+                        rasterized.ring_gather(Node::new(x, y), dir),
+                        probed.ring_gather(Node::new(x, y), dir),
+                    );
+                    assert_eq!(a.occupancy, b.occupancy);
+                    for k in 0..8 {
+                        assert_eq!(a.color_at(k), b.color_at(k));
+                    }
+                    for c in 0..5 {
+                        assert_eq!(a.color_mask(Color::new(c)), b.color_mask(Color::new(c)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

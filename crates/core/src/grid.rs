@@ -66,6 +66,17 @@ pub(crate) fn decode(code: u8) -> Color {
     Color::new(code.saturating_sub(1))
 }
 
+/// The low seven bits of every byte.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// Bit 7 of each byte of `x` set iff that byte is non-zero: adding `0x7f`
+/// to a byte's low seven bits carries into bit 7 iff they are non-zero,
+/// and no byte's sum carries into the next.
+#[inline]
+pub(crate) fn nonzero_bytes(x: u64) -> u64 {
+    (((x & LOW7) + LOW7) | x) & !LOW7
+}
+
 impl ColorGrid {
     /// Rasterizes `particles`, or returns `None` when the system cannot be
     /// cached: an empty list, a color index of `u8::MAX` (unencodable), a
@@ -217,9 +228,18 @@ impl ColorGrid {
     }
 
     /// Number of occupied cells — the audit's cheap "no stale particle
-    /// left behind" cross-check against the occupancy map's length.
+    /// left behind" cross-check against the occupancy map's length —
+    /// counted eight cells at a time.
     pub(crate) fn occupied_cells(&self) -> usize {
-        self.cells.iter().filter(|&&c| c != 0).count()
+        let words = self.cells.chunks_exact(8);
+        let tail = words.remainder().iter().filter(|&&c| c != 0).count();
+        words
+            .map(|w| {
+                let word = u64::from_le_bytes(w.try_into().expect("chunks are 8 bytes"));
+                nonzero_bytes(word).count_ones() as usize
+            })
+            .sum::<usize>()
+            + tail
     }
 
     /// Smallest in-raster x coordinate.

@@ -65,6 +65,7 @@ mod config;
 pub mod construct;
 pub mod enumerate;
 mod error;
+mod flood;
 mod grid;
 mod outcome;
 mod params;

@@ -15,6 +15,9 @@
 //!    always-accepting and an always-rejecting Metropolis draw, with swaps
 //!    on and off.
 //!
+//! `run`, which prepares the particle draw once per call, must equal the
+//! `step` loop it replaces in state, accepted count and RNG state.
+//!
 //! The batched engine ([`SeparationChain::run_batched_with`]) gets the same
 //! two forms of evidence against *its* oracle — sequentially replaying each
 //! block's proposal stream through the scalar fused kernel under the
@@ -25,7 +28,10 @@
 
 use rand::rngs::StdRng;
 use rand::{PreparedUniform, Rng, RngExt, SeedableRng};
-use sops_core::{construct, enumerate, Bias, Configuration, SeparationChain, StepOutcome};
+use sops_chains::MarkovChain;
+use sops_core::{
+    construct, enumerate, Bias, CompressionChain, Configuration, SeparationChain, StepOutcome,
+};
 use sops_lattice::{Direction, Node, DIRECTIONS};
 
 /// An RNG whose `next_u64` is a fixed constant: `0` accepts any positive
@@ -183,6 +189,66 @@ fn fused_kernel_equivalence_exhaustive_on_small_configurations() {
         assert!(seen.contains(&outcome), "{outcome} never produced");
     }
     assert!(proposals > 10_000, "enumeration too small: {proposals}");
+}
+
+/// `chain.run(config, k)` must equal `k` calls of `chain.step`: same state,
+/// same accepted count, same RNG state.
+fn assert_run_matches_step_loop<C>(chain: &C, config: &Configuration, seed: u64, steps: u64)
+where
+    C: MarkovChain<State = Configuration>,
+{
+    let mut run_config = config.clone();
+    let mut step_config = config.clone();
+    let mut run_rng = StdRng::seed_from_u64(seed);
+    let mut step_rng = StdRng::seed_from_u64(seed);
+    let accepted_run = chain.run(&mut run_config, steps, &mut run_rng);
+    let accepted_step = (0..steps)
+        .filter(|_| chain.step(&mut step_config, &mut step_rng))
+        .count() as u64;
+    let n = config.len();
+    assert_eq!(
+        accepted_run, accepted_step,
+        "accepted counts differ at n={n}"
+    );
+    assert_eq!(
+        run_config.canonical_form(),
+        step_config.canonical_form(),
+        "states differ at n={n}"
+    );
+    assert_eq!(
+        (run_config.edge_count(), run_config.hetero_edge_count()),
+        (step_config.edge_count(), step_config.hetero_edge_count())
+    );
+    assert_eq!(
+        run_rng.to_state_bytes(),
+        step_rng.to_state_bytes(),
+        "RNG streams differ at n={n}"
+    );
+}
+
+#[test]
+fn run_is_the_step_loop_with_a_prepared_particle_draw() {
+    // n = 1, 2 and 64 include the power-of-two (mask) draws; 100 and
+    // 1000 the Barrett reductions, including the benchmark's size.
+    for (i, n) in [1usize, 2, 64, 100, 1000].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let nodes = construct::random_blob(n, &mut rng);
+        let config = Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng)).unwrap();
+        let steps = if n == 1000 { 200_000 } else { 50_000 };
+        let bias = Bias::new(4.0, 4.0).unwrap();
+        let seed = 40 + i as u64;
+        assert_run_matches_step_loop(&SeparationChain::new(bias), &config, seed, steps);
+        assert_run_matches_step_loop(&SeparationChain::without_swaps(bias), &config, seed, steps);
+    }
+}
+
+#[test]
+fn compression_run_is_its_step_loop() {
+    let chain = CompressionChain::new(4.0).unwrap();
+    for n in [1usize, 24, 100] {
+        let config = construct::line_monochromatic(n).unwrap();
+        assert_run_matches_step_loop(&chain, &config, 7 + n as u64, 50_000);
+    }
 }
 
 /// The batched engine's oracle: consume the RNG exactly per the batched
