@@ -42,7 +42,13 @@ fn smoke() -> bool {
 }
 
 /// Times `f`, printing and returning the median ns/iteration.
-fn bench(name: &str, mut f: impl FnMut()) -> f64 {
+fn bench(name: &str, f: impl FnMut()) -> f64 {
+    bench_per(name, 1, "iter", f)
+}
+
+/// Times `f`, which does `units` units of work per call, printing and
+/// returning the median ns per `unit`.
+fn bench_per(name: &str, units: u64, unit: &str, mut f: impl FnMut()) -> f64 {
     let (warmup, budget, samples) = if smoke() {
         (Duration::from_millis(20), Duration::from_millis(60), 5)
     } else {
@@ -65,13 +71,13 @@ fn bench(name: &str, mut f: impl FnMut()) -> f64 {
             for _ in 0..batch {
                 f();
             }
-            t.elapsed().as_nanos() as f64 / batch as f64
+            t.elapsed().as_nanos() as f64 / (batch * units) as f64
         })
         .collect();
     timings.sort_by(f64::total_cmp);
     let median = timings[samples / 2];
     let spread = (timings[samples - 2] - timings[1]).max(0.0);
-    println!("{name:<44} {median:>12.1} ns/iter  (±{spread:.1}, batch {batch})");
+    println!("{name:<44} {median:>12.1} ns/{unit}  (±{spread:.1}, batch {batch})");
     median
 }
 
@@ -394,6 +400,15 @@ fn bench_observables() {
     });
     bench("audit_n1000", || {
         black_box(config.audit().is_consistent());
+    });
+    // The kernel on the same still-mixing state: ring-gathering proposals
+    // are about twice as common here as on a compressed one.
+    const RESUMED_STEPS: u64 = 50_000;
+    let chain = SeparationChain::new(Bias::new(4.0, 4.0).unwrap());
+    let mut rng = StdRng::seed_from_u64(1000);
+    bench_per("kernel_run_resumed_n1000", RESUMED_STEPS, "step", || {
+        let mut resumed = config.clone();
+        black_box(chain.run(&mut resumed, RESUMED_STEPS, &mut rng));
     });
 }
 

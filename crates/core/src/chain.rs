@@ -5,9 +5,11 @@ use rand::{PreparedRange, Rng, RngExt as _};
 use sops_chains::metropolis::{self, PowerRatio, PowerTable};
 use sops_chains::telemetry::ClassifiedChain;
 use sops_chains::MarkovChain;
-use sops_lattice::{Direction, Node, DIRECTIONS, RING_FROM_SIDE, RING_TO_SIDE};
+use sops_lattice::{Direction, Node, DIRECTIONS, RING_FROM_SIDE};
 
-use crate::{properties, Bias, ChainStateError, Configuration, StepOutcome};
+use crate::config::SIDE_GAIN;
+use crate::grid;
+use crate::{properties, Bias, ChainStateError, Color, Configuration, RingGather, StepOutcome};
 
 /// The stochastic, local, distributed separation algorithm as a centralized
 /// Markov chain (Algorithm 1 of the paper).
@@ -257,17 +259,27 @@ impl SeparationChain {
     /// the two 1-probe holds (same color, swaps disabled) — the bulk of all
     /// proposals on a compressed configuration — return immediately. Every
     /// proposal that reaches a filter then makes one pass over the 8-node
-    /// combined neighborhood ([`Configuration::ring_gather`], eight
-    /// occupancy probes, no heap allocation), which yields the
-    /// `|N(ℓ)| = 5` guard, the Property-4/5 check (a
-    /// [`properties::MOVEMENT_ALLOWED`] table load), and every Metropolis
-    /// exponent as a masked popcount — at most 9 probes per proposal where
-    /// the unfused path re-probes overlapping neighborhoods ~39 times. The
-    /// acceptance ratio itself comes from the chain's precomputed λ/γ power
-    /// tables ([`sops_chains::metropolis::PowerTable`]) instead of per-accept
+    /// combined neighborhood (a [`RingGather`]: eight occupancy probes, no
+    /// heap allocation), which yields the `|N(ℓ)| = 5` guard (a mask
+    /// compare), the Property-4/5 check (a [`properties::MOVEMENT_ALLOWED`]
+    /// table load), and every Metropolis exponent as a [`SIDE_GAIN`] table
+    /// load — at most 9 probes per proposal where the unfused path
+    /// re-probes overlapping neighborhoods ~39 times. The acceptance ratio
+    /// itself comes from the chain's precomputed λ/γ power tables
+    /// ([`sops_chains::metropolis::PowerTable`]) instead of per-accept
     /// `powi`, with lookups bit-identical to `PowerRatio::value()` over the
-    /// kernel's entire exponent range. It is
-    /// RNG-stream- and state-identical to
+    /// kernel's entire exponent range. An accepted proposal commits with
+    /// the counter deltas the gather already yielded
+    /// ([`Configuration::commit_move`] / [`Configuration::commit_swap`])
+    /// rather than recounting them.
+    ///
+    /// A particle at least two cells inside every edge of the raster (see
+    /// [`crate::grid`]) takes the fast path: one range check on its own
+    /// node, then the nine probes as loads at the raster's precomputed flat
+    /// offsets. A particle in the edge band, or a configuration without a
+    /// raster, takes the same decisions over per-node probes (out of line).
+    ///
+    /// It is RNG-stream- and state-identical to
     /// [`SeparationChain::propose_reference`], the unfused slow path kept as
     /// the testing oracle; the equivalence is pinned bit-for-bit by the
     /// `kernel_equivalence` test suite.
@@ -278,6 +290,7 @@ impl SeparationChain {
     /// # Panics
     ///
     /// Panics if `particle ≥ config.len()`.
+    #[inline(always)]
     pub fn propose<R: Rng + ?Sized>(
         &self,
         config: &mut Configuration,
@@ -286,59 +299,131 @@ impl SeparationChain {
         rng: &mut R,
     ) -> StepOutcome {
         let from = config.position_of(particle);
-        let to = from.neighbor(dir);
+        let interior = config
+            .raster()
+            .and_then(|g| g.interior_index(from).map(|i| (g, i)));
+        let Some((g, i)) = interior else {
+            return self.propose_per_node(config, particle, dir, rng);
+        };
+        let target = g.target_code(i, dir);
+        let verdict = self.decide(
+            config.color_of(particle),
+            (target != 0).then(|| grid::decode(target)),
+            #[inline(always)]
+            || RingGather::from_codes(g.ring_codes_at(i, dir)),
+            rng,
+        );
+        Self::commit(config, particle, from, from.neighbor(dir), verdict)
+    }
 
-        match config.color_at(to) {
+    /// [`SeparationChain::propose`] for a particle in the raster's edge
+    /// band or a configuration without a raster: the same decisions, with
+    /// the target and the ring probed node by node
+    /// ([`Configuration::color_at`], [`Configuration::ring_gather`]).
+    #[inline(never)]
+    fn propose_per_node<R: Rng + ?Sized>(
+        &self,
+        config: &mut Configuration,
+        particle: usize,
+        dir: Direction,
+        rng: &mut R,
+    ) -> StepOutcome {
+        let from = config.position_of(particle);
+        let to = from.neighbor(dir);
+        let verdict = self.decide(
+            config.color_of(particle),
+            config.color_at(to),
+            #[inline(always)]
+            || config.ring_gather(from, dir),
+            rng,
+        );
+        Self::commit(config, particle, from, to, verdict)
+    }
+
+    /// Algorithm 1's decision for particle color `ci` proposing into a
+    /// target holding `target`, with the ring gathered only once a filter
+    /// needs it.
+    #[inline(always)]
+    fn decide<R: Rng + ?Sized>(
+        &self,
+        ci: Color,
+        target: Option<Color>,
+        gather: impl FnOnce() -> RingGather,
+        rng: &mut R,
+    ) -> Verdict {
+        // Steps 9–10, swap move: both holds return on the target probe
+        // alone — no ring gather, no RNG stream consumption.
+        if let Some(cj) = target {
+            if cj == ci {
+                return Verdict::Hold(StepOutcome::SameColorHold);
+            }
+            if !self.swaps {
+                return Verdict::Hold(StepOutcome::TargetOccupiedHold);
+            }
+        }
+        // Every other proposal reaches a filter through one gather.
+        let ring = gather();
+        let gain = |mask: u8| i32::from(SIDE_GAIN[mask as usize]);
+        match target {
             None => {
                 // Steps 3–8: expansion move. With the target unoccupied, the
                 // source's occupied neighbors are exactly the FROM-side ring
                 // positions and the vacated-source neighbor counts at the
-                // target are exactly the TO-side positions.
-                let ring = config.ring_gather(from, dir);
-                let e = ring.occupied_in(RING_FROM_SIDE);
-                if e == 5 {
-                    return StepOutcome::MoveRejectedFiveNeighbors; // condition (i)
+                // target are exactly the TO-side positions, so
+                // Δe = e′ − e and Δe_i = e′_i − e_i are side gains.
+                let occupancy = ring.occupancy;
+                if occupancy & RING_FROM_SIDE == RING_FROM_SIDE {
+                    // Condition (i): |N(ℓ)| = 5.
+                    return Verdict::Hold(StepOutcome::MoveRejectedFiveNeighbors);
                 }
-                if !properties::MOVEMENT_ALLOWED[ring.occupancy as usize] {
-                    return StepOutcome::MoveRejectedProperty; // condition (ii)
+                if !properties::MOVEMENT_ALLOWED[occupancy as usize] {
+                    return Verdict::Hold(StepOutcome::MoveRejectedProperty); // condition (ii)
                 }
-                let color = config.color_of(particle);
-                let e_new = ring.occupied_in(RING_TO_SIDE);
-                let ei = ring.colored_in(RING_FROM_SIDE, color);
-                let ei_new = ring.colored_in(RING_TO_SIDE, color);
-                if !self.metropolis_move(e_new - e, ei_new - ei, rng) {
-                    return StepOutcome::MoveRejectedMetropolis;
+                let de = gain(occupancy);
+                let dei = gain(ring.color_mask(ci));
+                if !self.metropolis_move(de, dei, rng) {
+                    return Verdict::Hold(StepOutcome::MoveRejectedMetropolis);
                 }
-                match config.try_move_particle(particle, to) {
+                Verdict::Move {
+                    d_edges: de,
+                    d_hetero: de - dei,
+                }
+            }
+            Some(cj) => {
+                // |N_i(ℓ′)∖{P}| − |N_i(ℓ)| + |N_j(ℓ)∖{Q}| − |N_j(ℓ′)|; the
+                // pair's own (heterogeneous) edge never enters either term.
+                let swap_gain = gain(ring.color_mask(ci)) - gain(ring.color_mask(cj));
+                if !self.metropolis_swap(swap_gain, rng) {
+                    return Verdict::Hold(StepOutcome::SwapRejectedMetropolis);
+                }
+                Verdict::Swap {
+                    d_hetero: -swap_gain,
+                }
+            }
+        }
+    }
+
+    /// Executes a [`Verdict`] for `particle`, at `from`, and its target `to`.
+    #[inline(always)]
+    fn commit(
+        config: &mut Configuration,
+        particle: usize,
+        from: Node,
+        to: Node,
+        verdict: Verdict,
+    ) -> StepOutcome {
+        match verdict {
+            Verdict::Hold(outcome) => outcome,
+            Verdict::Move { d_edges, d_hetero } => {
+                match config.commit_move(particle, to, d_edges, d_hetero) {
                     Ok(()) => StepOutcome::MoveAccepted,
                     Err(_) => StepOutcome::InvalidStateHold,
                 }
             }
-            Some(qcolor) => {
-                // Steps 9–10: swap move. Both holds return on the target
-                // probe alone — no ring gather, no RNG stream consumption.
-                let ci = config.color_of(particle);
-                if qcolor == ci {
-                    return StepOutcome::SameColorHold;
-                }
-                if !self.swaps {
-                    return StepOutcome::TargetOccupiedHold;
-                }
-                // |N_i(ℓ′)∖{P}| − |N_i(ℓ)| + |N_j(ℓ)∖{Q}| − |N_j(ℓ′)|; the
-                // pair's own (heterogeneous) edge never enters either term.
-                let ring = config.ring_gather(from, dir);
-                let gain_i =
-                    ring.colored_in(RING_TO_SIDE, ci) - ring.colored_in(RING_FROM_SIDE, ci);
-                let gain_j =
-                    ring.colored_in(RING_FROM_SIDE, qcolor) - ring.colored_in(RING_TO_SIDE, qcolor);
-                if !self.metropolis_swap(gain_i + gain_j, rng) {
-                    return StepOutcome::SwapRejectedMetropolis;
-                }
-                match config.try_swap(from, to) {
-                    Ok(()) => StepOutcome::SwapAccepted,
-                    Err(_) => StepOutcome::InvalidStateHold,
-                }
-            }
+            Verdict::Swap { d_hetero } => match config.commit_swap(from, to, d_hetero) {
+                Ok(()) => StepOutcome::SwapAccepted,
+                Err(_) => StepOutcome::InvalidStateHold,
+            },
         }
     }
 
@@ -411,6 +496,16 @@ impl SeparationChain {
             }
         }
     }
+}
+
+/// What [`SeparationChain::propose`] decided before touching the state: a
+/// classified hold, or an accepted transition with the counter deltas its
+/// ring gather yielded.
+#[derive(Clone, Copy, Debug)]
+enum Verdict {
+    Hold(StepOutcome),
+    Move { d_edges: i32, d_hetero: i32 },
+    Swap { d_hetero: i32 },
 }
 
 impl MarkovChain for SeparationChain {
@@ -1051,6 +1146,13 @@ mod tests {
                 ref_config.canonical_form(),
                 "state diverged on {expected}"
             );
+            // The audit also sees the occupancy map and the raster, which
+            // a failed commit must leave as the reference leaves them.
+            assert_eq!(
+                fused_config.audit().violations,
+                ref_config.audit().violations,
+                "audits diverged on {expected}"
+            );
             assert_eq!(
                 fused_rng.0.len(),
                 ref_rng.0.len(),
@@ -1087,6 +1189,69 @@ mod tests {
         // The failed swap left both states untouched.
         assert_eq!(config.color_at(Node::new(1, 0)), Some(Color::C2));
         assert_eq!(ref_config.color_at(Node::new(1, 0)), Some(Color::C2));
+    }
+
+    #[test]
+    fn fused_kernel_matches_reference_in_the_edge_band_and_without_a_raster() {
+        // Every other equivalence state sits a full margin inside its
+        // raster, where only the flat-offset path runs. Here the border is
+        // 0–3 cells, so particles on the bounding box sit in the 2-cell
+        // edge band (per-node probes; outward moves rebuild the raster)
+        // next to particles on the flat path, or there is no raster at all.
+        // Every proposal, under forced-accept and forced-reject draws.
+        let mut rng = StdRng::seed_from_u64(8);
+        let nodes = construct::random_blob(40, &mut rng);
+        let base = Configuration::new(construct::bicolor_random(nodes, 20, &mut rng)).unwrap();
+        let chains = [
+            SeparationChain::new(Bias::new(4.0, 3.0).unwrap()),
+            SeparationChain::without_swaps(Bias::new(4.0, 3.0).unwrap()),
+            SeparationChain::new(Bias::new(0.5, 2.0).unwrap()),
+        ];
+        let (mut flat, mut per_node) = (0, 0);
+        for margin in [Some(0), Some(1), Some(2), Some(3), None] {
+            let mut config = base.clone();
+            config.reraster_for_test(margin);
+            assert_eq!(config.raster().is_some(), margin.is_some());
+            for p in 0..config.len() {
+                let from = config.position_of(p);
+                match config.raster().and_then(|g| g.interior_index(from)) {
+                    Some(_) => flat += 1,
+                    None => per_node += 1,
+                }
+                for dir in DIRECTIONS {
+                    for draw in [0, u64::MAX] {
+                        for chain in &chains {
+                            let mut fused = config.clone();
+                            let mut reference = config.clone();
+                            let mut fused_rng = ScriptedRng(vec![draw]);
+                            let mut ref_rng = ScriptedRng(vec![draw]);
+                            let at = format!("margin {margin:?}, particle {p}, {dir}, draw {draw}");
+                            let outcome = chain.propose(&mut fused, p, dir, &mut fused_rng);
+                            let expected =
+                                chain.propose_reference(&mut reference, p, dir, &mut ref_rng);
+                            assert_eq!(outcome, expected, "{at}");
+                            assert!(
+                                fused.particles().eq(reference.particles()),
+                                "state diverged: {at}"
+                            );
+                            assert_eq!(
+                                (fused.edge_count(), fused.hetero_edge_count()),
+                                (reference.edge_count(), reference.hetero_edge_count()),
+                                "counters diverged: {at}"
+                            );
+                            assert_eq!(fused_rng.0.len(), ref_rng.0.len(), "draws: {at}");
+                            assert_eq!(
+                                fused.raster_rebuild_count(),
+                                reference.raster_rebuild_count(),
+                                "rebuilds: {at}"
+                            );
+                            assert!(fused.audit().is_consistent(), "audit: {at}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(flat > 0 && per_node > 0, "flat {flat}, per-node {per_node}");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use core::fmt;
 
-use sops_lattice::{ring_offsets, Direction, Node, NodeMap, NodeSet, DIRECTIONS};
+use sops_lattice::{
+    ring_offsets, Direction, Node, NodeMap, NodeSet, DIRECTIONS, RING_FROM_SIDE, RING_TO_SIDE,
+};
 
 use crate::error::{AuditReport, AuditViolation, ChainStateError, RepairOutcome};
 use crate::flood::FloodGrid;
@@ -336,11 +338,10 @@ impl Configuration {
     #[must_use]
     pub fn ring_gather(&self, from: Node, dir: Direction) -> RingGather {
         match &self.grid {
-            // Raster path: eight direct byte probes by default, or the
-            // `ring-windows` row-window gather (see [`crate::grid`]'s
-            // `ring_codes`). `decode(0)` is `C1`, exactly the placeholder
-            // the map path leaves in unoccupied lanes, so both paths
-            // return identical values bit for bit.
+            // Raster path: eight per-node byte probes. `decode(0)` is
+            // `C1`, exactly the placeholder the map path leaves in
+            // unoccupied lanes, so both paths return identical values bit
+            // for bit.
             Some(g) => RingGather::from_codes(g.ring_codes(from, dir)),
             None => {
                 let mut occupancy = 0u8;
@@ -535,6 +536,98 @@ impl Configuration {
         self.positions[sa.index as usize] = b;
         self.positions[sb.index as usize] = a;
         // Both nodes were occupied, hence in-raster; only the codes change.
+        self.grid_occupy(a, grid::encode(sb.color));
+        self.grid_occupy(b, grid::encode(sa.color));
+        Ok(())
+    }
+
+    /// Commits a move the proposal kernel has already decided, applying the
+    /// counter deltas its ring gather yielded instead of re-deriving them:
+    /// `d_edges = Δe` and `d_hetero = Δe − Δe_i`, exactly what
+    /// [`Configuration::try_move_particle`] recounts from `from` and `to`.
+    ///
+    /// Every check `try_move_particle` makes stays, in the same order and
+    /// with the same occupancy-map operations: the occupied-target
+    /// assertion, [`ChainStateError::UnoccupiedSource`], checked counters
+    /// that leave the state untouched on [`ChainStateError::CounterCorruption`],
+    /// and the raster rebuild when `to` crosses the margin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is occupied.
+    #[inline(never)]
+    pub(crate) fn commit_move(
+        &mut self,
+        index: usize,
+        to: Node,
+        d_edges: i32,
+        d_hetero: i32,
+    ) -> Result<(), ChainStateError> {
+        let from = self.positions[index];
+        debug_assert!(
+            from.is_adjacent(to),
+            "move target {to} is not adjacent to {from}"
+        );
+        assert!(!self.occupancy.contains(to), "move target {to} is occupied");
+        let slot = self
+            .occupancy
+            .remove(from)
+            .ok_or(ChainStateError::UnoccupiedSource(from))?;
+        debug_assert_eq!(slot.index as usize, index);
+        let outcome =
+            Self::checked_counter("edges", self.edges, d_edges.into()).and_then(|edges| {
+                Self::checked_counter("hetero", self.hetero, d_hetero.into())
+                    .map(|hetero| (edges, hetero))
+            });
+        match outcome {
+            Ok((edges, hetero)) => {
+                self.edges = edges;
+                self.hetero = hetero;
+                self.occupancy.insert(to, slot);
+                self.positions[index] = to;
+                if let Some(g) = &mut self.grid {
+                    g.clear(from);
+                }
+                self.grid_occupy(to, grid::encode(slot.color));
+                Ok(())
+            }
+            Err(e) => {
+                self.occupancy.insert(from, slot);
+                Err(e)
+            }
+        }
+    }
+
+    /// Commits a swap the proposal kernel has already decided, applying
+    /// `d_hetero = −gain` from its ring gather where
+    /// [`Configuration::try_swap`] recounts it with ten more map probes. Every
+    /// check `try_swap` makes stays: [`ChainStateError::UnoccupiedSource`],
+    /// [`ChainStateError::UnoccupiedTarget`], and a checked hetero counter
+    /// (applied only when the map's two colors differ) that leaves the
+    /// state untouched on [`ChainStateError::CounterCorruption`].
+    #[inline(never)]
+    pub(crate) fn commit_swap(
+        &mut self,
+        a: Node,
+        b: Node,
+        d_hetero: i32,
+    ) -> Result<(), ChainStateError> {
+        debug_assert!(a.is_adjacent(b), "swap nodes {a} and {b} are not adjacent");
+        let sa = *self
+            .occupancy
+            .get(a)
+            .ok_or(ChainStateError::UnoccupiedSource(a))?;
+        let sb = *self
+            .occupancy
+            .get(b)
+            .ok_or(ChainStateError::UnoccupiedTarget(b))?;
+        if sa.color != sb.color {
+            self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero.into())?;
+        }
+        self.occupancy.insert(a, sb);
+        self.occupancy.insert(b, sa);
+        self.positions[sa.index as usize] = b;
+        self.positions[sb.index as usize] = a;
         self.grid_occupy(a, grid::encode(sb.color));
         self.grid_occupy(b, grid::encode(sa.color));
         Ok(())
@@ -1058,6 +1151,26 @@ pub struct RingGather {
     lanes: u64,
 }
 
+/// `SIDE_GAIN[m] = popcount(m & RING_TO_SIDE) − popcount(m & RING_FROM_SIDE)`:
+/// for a ring mask `m`, how many more of its positions neighbor the target
+/// `ℓ′` than the source `ℓ`. Every Metropolis exponent of a proposal is one
+/// lookup: a move's `Δe` is `SIDE_GAIN[occupancy]` and its `Δe_i` is
+/// `SIDE_GAIN[color_mask(c_i)]`; a swap's gain is
+/// `SIDE_GAIN[color_mask(c_i)] − SIDE_GAIN[color_mask(c_j)]`. The table
+/// replaces four popcounts per proposal, each a multiply sequence on
+/// baseline x86-64, which has no `popcnt`.
+pub(crate) const SIDE_GAIN: [i8; 256] = {
+    let mut table = [0i8; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mask = m as u8;
+        table[m] =
+            (mask & RING_TO_SIDE).count_ones() as i8 - (mask & RING_FROM_SIDE).count_ones() as i8;
+        m += 1;
+    }
+    table
+};
+
 /// Packs bit 7 of byte `k` into bit `k`: each byte's bit lands at
 /// `56 + k` of the product, with no two partial products overlapping.
 #[inline]
@@ -1132,6 +1245,14 @@ impl Configuration {
     /// Test-only: overwrites the tracked heterogeneous-edge counter.
     pub(crate) fn corrupt_hetero_for_test(&mut self, hetero: u64) {
         self.hetero = hetero;
+    }
+
+    /// Test-only: re-rasterizes with a `margin`-cell border (particles on
+    /// the bounding box then sit in the raster's edge band), or drops the
+    /// raster for `None`, so the kernel's per-node and map fallbacks run.
+    pub(crate) fn reraster_for_test(&mut self, margin: Option<i64>) {
+        let particles: Vec<(Node, Color)> = self.particles().collect();
+        self.grid = margin.and_then(|m| ColorGrid::build_with_margin(&particles, m));
     }
 }
 
@@ -1768,6 +1889,18 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn side_gain_is_the_to_side_minus_the_from_side_popcount() {
+        for m in 0..=u8::MAX {
+            let count = |side: u8| (0..8).filter(|k| m & side & (1 << k) != 0).count() as i32;
+            assert_eq!(
+                i32::from(SIDE_GAIN[m as usize]),
+                count(RING_TO_SIDE) - count(RING_FROM_SIDE),
+                "mask {m:#010b}"
+            );
         }
     }
 

@@ -1,12 +1,17 @@
 //! Dense occupancy/color raster backing the proposal hot path.
 //!
 //! The chain's inner loop is dominated by *"what, if anything, occupies
-//! node `ℓ`?"* probes: one per activation for the hold outcomes, eight per
-//! [`crate::Configuration::ring_gather`]. Against the open-addressing
+//! node `ℓ`?"* probes: one per activation for the hold outcomes, eight more
+//! for every proposal that gathers its ring. Against the open-addressing
 //! [`sops_lattice::NodeMap`] each probe is a hash, a masked index, and a
 //! tag-plus-key compare with a data-dependent branch; against this raster
 //! it is two subtractions, two unsigned range checks, and a byte load from
-//! a few-KiB array that lives in L1 for realistic system sizes.
+//! a few-KiB array that lives in L1 for realistic system sizes. For a
+//! particle at least two cells inside every edge (nearly all of them, with
+//! the default margin) even that is hoisted: [`ColorGrid::interior_index`]
+//! range-checks the source once, and the target and ring probes become
+//! loads at flat offsets `dy·width + dx` the raster precomputes per
+//! direction whenever it is built.
 //!
 //! The raster is a pure cache of the occupancy map: cell `0` means
 //! unoccupied, cell `c > 0` means a particle of color index `c − 1`. It
@@ -17,7 +22,7 @@
 //! map-probing fallback, and [`crate::Configuration::audit`] cross-checks
 //! the raster against the map whenever one is present).
 
-use sops_lattice::{ring_offsets, Direction, Node, RING_OFFSETS};
+use sops_lattice::{ring_offsets, Direction, Node};
 
 use crate::Color;
 
@@ -47,6 +52,14 @@ pub(crate) struct ColorGrid {
     /// double it (up to [`MAX_GROWN_MARGIN`]) so oscillation across the
     /// bounding-box edge cannot thrash rebuilds.
     margin: i64,
+    /// The flat offsets `dy·width + dx` of the six neighbors, in
+    /// `Direction` order and written twice over, so the six rotations of
+    /// direction `d` are `neighbor_offsets[d..d + 6]`. Every probe of an
+    /// interior proposal is one of them or the sum of two (see
+    /// [`ColorGrid::ring_codes_at`]). Every configuration carries a
+    /// raster, so this stays at 48 bytes rather than tabulating all nine
+    /// probes of each direction (216).
+    neighbor_offsets: [i32; 12],
     cells: Vec<u8>,
 }
 
@@ -140,6 +153,7 @@ impl ColorGrid {
             width: width as u32,
             height: height as u32,
             margin,
+            neighbor_offsets: neighbor_offsets(width as u32),
             cells: vec![0; (width * height) as usize],
         };
         for &(node, color) in particles {
@@ -147,6 +161,13 @@ impl ColorGrid {
             debug_assert!(ok, "bounding-box cell {node} out of its own raster");
         }
         Some(grid)
+    }
+
+    /// [`ColorGrid::build`] with a `margin`-cell border instead of
+    /// [`MARGIN`], so tests can put particles in the raster's edge band.
+    #[cfg(test)]
+    pub(crate) fn build_with_margin(particles: &[(Node, Color)], margin: i64) -> Option<Self> {
+        Self::build_with(particles, margin, None)
     }
 
     /// Rebuilds after a particle stepped outside this raster, applying the
@@ -282,158 +303,86 @@ impl ColorGrid {
     }
 
     /// The eight ring cell codes of the pair `{from, from + dir}`, in ring
-    /// order — the raster-native gather behind
-    /// [`crate::Configuration::ring_gather`].
-    ///
-    /// Dispatches between two bit-for-bit identical implementations:
-    /// per-node probes (the default) and the row-window gather behind the
-    /// off-by-default `ring-windows` feature (see
-    /// [`ColorGrid::ring_codes_windowed`] for why it lost the benchmark).
-    /// Both are always compiled and cross-tested.
+    /// order, as eight independent [`ColorGrid::code`] probes — the
+    /// raster-native gather behind [`crate::Configuration::ring_gather`]
+    /// for rings that may reach past the raster's edge (see
+    /// [`ColorGrid::interior_index`] for the flat-offset path).
     #[inline]
     pub(crate) fn ring_codes(&self, from: Node, dir: Direction) -> [u8; 8] {
-        if cfg!(feature = "ring-windows") {
-            self.ring_codes_windowed(from, dir)
-        } else {
-            self.ring_codes_probed(from, dir)
-        }
-    }
-
-    /// [`ColorGrid::ring_codes`] as eight independent [`ColorGrid::code`]
-    /// probes (each a multiply, two range checks, and a byte load). The
-    /// measured-faster default: the probes hit 3–4 adjacent raster rows
-    /// already in cache, and each is branch-predictable straight-line
-    /// code.
-    #[inline]
-    pub(crate) fn ring_codes_probed(&self, from: Node, dir: Direction) -> [u8; 8] {
         let offsets = ring_offsets(dir);
         core::array::from_fn(|k| self.code(from + offsets[k]))
     }
 
-    /// [`ColorGrid::ring_codes`] as 3–4 short row windows: one 4-byte load
-    /// per raster row the ring touches, with each ring lane extracted by a
-    /// constant shift from its row's window (see [`RING_ROW_WINDOWS`]).
-    /// Rings too close to the raster edge for whole-window loads fall back
-    /// to per-node probes, so the result is bit-for-bit identical to the
-    /// probe path everywhere.
+    /// The cell index of `node` when it lies at least [`FLAT_REACH`] cells
+    /// inside every raster edge, so that the target and all eight ring
+    /// nodes of any proposal from it are in-raster at the fixed flat
+    /// offsets of [`ColorGrid::target_code`] and [`ColorGrid::ring_codes_at`].
+    /// `None` for nodes in the edge band or outside the raster, which take
+    /// the per-node probes of [`ColorGrid::code`] instead.
     ///
-    /// Kept behind the off-by-default `ring-windows` feature: paired
-    /// benchmarks (see EXPERIMENTS.md) measured it *slower* than the probe
-    /// path on the bench host — the per-row bounds checks, window
-    /// assembly, and lane-extraction table reads cost more than the five
-    /// byte probes they replace. Retained compiled and cross-tested in
-    /// case wider-vector hosts tip the balance.
+    /// As in [`ColorGrid::index`], wrapping subtraction folds both bounds
+    /// of each axis into one unsigned compare.
     #[inline]
-    pub(crate) fn ring_codes_windowed(&self, from: Node, dir: Direction) -> [u8; 8] {
-        let rw = &RING_ROW_WINDOWS[dir.index()];
-        let mut windows = [0u32; 4];
-        let stride = self.width as usize;
-        for (r, window) in windows.iter_mut().enumerate().take(rw.nrows as usize) {
-            let dy = from.y.wrapping_add(rw.row_dy[r]).wrapping_sub(self.min_y) as u32;
-            let dx = from
-                .x
-                .wrapping_add(rw.row_min_dx[r])
-                .wrapping_sub(self.min_x) as u32;
-            if dy < self.height && dx < self.width && self.width - dx >= WINDOW_BYTES {
-                let base = dy as usize * stride + dx as usize;
-                let win: [u8; WINDOW_BYTES as usize] = self.cells
-                    [base..base + WINDOW_BYTES as usize]
-                    .try_into()
-                    .expect("window length is fixed");
-                *window = u32::from_le_bytes(win);
-            } else {
-                // Raster-edge ring: per-node probes handle out-of-raster
-                // nodes (unoccupied by construction) exactly.
-                return self.ring_codes_probed(from, dir);
-            }
+    pub(crate) fn interior_index(&self, node: Node) -> Option<usize> {
+        let reach = FLAT_REACH as i32;
+        let dx = node.x.wrapping_sub(self.min_x).wrapping_sub(reach) as u32;
+        let dy = node.y.wrapping_sub(self.min_y).wrapping_sub(reach) as u32;
+        let span = 2 * FLAT_REACH;
+        if dx < self.width.saturating_sub(span) && dy < self.height.saturating_sub(span) {
+            Some((dy + FLAT_REACH) as usize * self.width as usize + (dx + FLAT_REACH) as usize)
+        } else {
+            None
         }
-        core::array::from_fn(|k| (windows[rw.lane_row[k] as usize] >> rw.lane_shift[k]) as u8)
+    }
+
+    /// The cell of `from + dir`, where `i` is [`ColorGrid::interior_index`]
+    /// of `from`.
+    #[inline]
+    pub(crate) fn target_code(&self, i: usize, dir: Direction) -> u8 {
+        self.cells[i.wrapping_add_signed(self.neighbor_offsets[dir.index()] as isize)]
+    }
+
+    /// [`ColorGrid::ring_codes`] for an interior `from` with cell index
+    /// `i` (see [`ColorGrid::interior_index`]): eight byte loads at flat
+    /// offsets, with no coordinate arithmetic and no range check beyond
+    /// the slice's own.
+    #[inline]
+    pub(crate) fn ring_codes_at(&self, i: usize, dir: Direction) -> [u8; 8] {
+        let d = dir.index();
+        // `n[k]` is the offset of `ℓ + dᵏ`, `d` rotated k times.
+        let n: &[i32; 6] = self.neighbor_offsets[d..d + 6]
+            .try_into()
+            .expect("a range of six");
+        // The ring layout of `sops_lattice::ring`: `d⁰ + d¹`, then
+        // `d¹ … d⁵`, then `d⁰ + d⁵` and `d⁰ + d⁰`.
+        let offsets = [
+            n[0] + n[1],
+            n[1],
+            n[2],
+            n[3],
+            n[4],
+            n[5],
+            n[0] + n[5],
+            2 * n[0],
+        ];
+        offsets.map(|offset| self.cells[i.wrapping_add_signed(offset as isize)])
     }
 }
 
-/// Bytes loaded per ring row window. Every ring row spans at most 4
-/// consecutive cells (asserted by the table builder), and the raster's
-/// ≥ [`MARGIN`]-cell border means a whole window around any in-raster
-/// particle is almost always in-raster too.
-const WINDOW_BYTES: u32 = 4;
+/// How far any probe of a proposal `(ℓ, d)` reaches from `ℓ` along either
+/// axis: the target and ring offsets all have `|dx|, |dy| ≤ 2`
+/// (`sops_lattice::FOOTPRINT_REACH`).
+const FLAT_REACH: u32 = sops_lattice::FOOTPRINT_REACH as u32;
 
-/// Row-window descriptor for one pair orientation: which raster rows the
-/// ring touches, where each row's 4-byte load starts, and which (row,
-/// shift) extracts each of the eight ring lanes.
-struct RowWindows {
-    nrows: u8,
-    row_dy: [i32; 4],
-    row_min_dx: [i32; 4],
-    lane_row: [u8; 8],
-    /// Bit shift of the lane's byte within its row window: `8 · (dx − row_min_dx)`.
-    lane_shift: [u8; 8],
+/// [`ColorGrid`]'s `neighbor_offsets` for a raster of row stride `width`.
+fn neighbor_offsets(width: u32) -> [i32; 12] {
+    // `width ≤ MAX_CELLS`, so even `2·width + 2` fits an `i32`.
+    let stride = width as i32;
+    core::array::from_fn(|k| {
+        let neighbor = Node::ORIGIN.neighbor(Direction::from_index(k));
+        neighbor.y * stride + neighbor.x
+    })
 }
-
-const fn build_row_windows() -> [RowWindows; 6] {
-    let mut table = [const {
-        RowWindows {
-            nrows: 0,
-            row_dy: [0; 4],
-            row_min_dx: [0; 4],
-            lane_row: [0; 8],
-            lane_shift: [0; 8],
-        }
-    }; 6];
-    let mut d = 0;
-    while d < 6 {
-        let ring = RING_OFFSETS[d];
-        let mut rw = RowWindows {
-            nrows: 0,
-            row_dy: [0; 4],
-            row_min_dx: [0; 4],
-            lane_row: [0; 8],
-            lane_shift: [0; 8],
-        };
-        let mut k = 0;
-        while k < 8 {
-            let node = ring[k];
-            // Find or append the row for this dy.
-            let mut r = 0;
-            while r < rw.nrows as usize {
-                if rw.row_dy[r] == node.y {
-                    break;
-                }
-                r += 1;
-            }
-            if r == rw.nrows as usize {
-                assert!(r < 4, "a ring spans at most 4 rows");
-                rw.row_dy[r] = node.y;
-                rw.row_min_dx[r] = node.x;
-                rw.nrows += 1;
-            } else if node.x < rw.row_min_dx[r] {
-                rw.row_min_dx[r] = node.x;
-            }
-            k += 1;
-        }
-        k = 0;
-        while k < 8 {
-            let node = ring[k];
-            let mut r = 0;
-            while rw.row_dy[r] != node.y {
-                r += 1;
-            }
-            let off = node.x - rw.row_min_dx[r];
-            assert!(
-                off >= 0 && (off as u32) < WINDOW_BYTES,
-                "ring row wider than its window"
-            );
-            rw.lane_row[k] = r as u8;
-            rw.lane_shift[k] = (off * 8) as u8;
-            k += 1;
-        }
-        table[d] = rw;
-        d += 1;
-    }
-    table
-}
-
-/// Per-direction ring row windows, indexed by `Direction::index()`.
-static RING_ROW_WINDOWS: [RowWindows; 6] = build_row_windows();
 
 #[cfg(test)]
 mod tests {
@@ -543,11 +492,12 @@ mod tests {
     #[test]
     fn ring_codes_match_per_node_probes_everywhere() {
         use sops_lattice::DIRECTIONS;
-        // A raster with a dense random-ish pattern, probed at interior
-        // nodes, near every edge, and fully outside: the row-window path,
-        // the per-node probe path, and the dispatching `ring_codes` must
-        // all agree bit-for-bit, regardless of which one the
-        // `ring-windows` feature selects.
+        // A dense random-ish pattern rasterized with borders from none at
+        // all (particles on the raster's edge) to the default, probed at
+        // every node in and 3 cells around the raster: `interior_index` is
+        // `Some` exactly at least 2 cells inside every edge, and there the
+        // flat target and ring probes equal per-node `code` probes; the
+        // per-node `ring_codes` agree everywhere.
         let mut particles = Vec::new();
         for x in 0..9i32 {
             for y in 0..7i32 {
@@ -561,33 +511,60 @@ mod tests {
                 }
             }
         }
-        let grid = ColorGrid::build(&particles).expect("rasterizes");
-        let m = MARGIN as i32;
-        for y in -(m + 3)..(7 + m + 3) {
-            for x in -(m + 3)..(9 + m + 3) {
-                let from = Node::new(x, y);
-                for dir in DIRECTIONS {
-                    let expect: Vec<u8> = ring_offsets(dir)
-                        .iter()
-                        .map(|&off| grid.code(from + off))
-                        .collect();
+        for margin in [0, 1, 2, 3, MARGIN] {
+            let grid = ColorGrid::build_with(&particles, margin, None).expect("rasterizes");
+            let (w, h) = (grid.width() as i32, grid.height() as i32);
+            let mut interior = 0;
+            for y in grid.min_y() - 3..grid.min_y() + h + 3 {
+                for x in grid.min_x() - 3..grid.min_x() + w + 3 {
+                    let from = Node::new(x, y);
+                    let (dx, dy) = (x - grid.min_x(), y - grid.min_y());
+                    let inside = (2..w - 2).contains(&dx) && (2..h - 2).contains(&dy);
+                    let index = grid.interior_index(from);
                     assert_eq!(
-                        grid.ring_codes_windowed(from, dir).as_slice(),
-                        expect,
-                        "windowed at {from} dir {dir}"
+                        index.is_some(),
+                        inside,
+                        "interior_index at {from}, margin {margin}"
                     );
-                    assert_eq!(
-                        grid.ring_codes_probed(from, dir).as_slice(),
-                        expect,
-                        "probed at {from} dir {dir}"
-                    );
-                    assert_eq!(
-                        grid.ring_codes(from, dir).as_slice(),
-                        expect,
-                        "dispatch at {from} dir {dir}"
-                    );
+                    if let Some(i) = index {
+                        interior += 1;
+                        assert_eq!(i, grid.index(from).unwrap(), "flat index at {from}");
+                    }
+                    for dir in DIRECTIONS {
+                        let expect: [u8; 8] =
+                            core::array::from_fn(|k| grid.code(from + ring_offsets(dir)[k]));
+                        assert_eq!(grid.ring_codes(from, dir), expect, "ring at {from} {dir}");
+                        if let Some(i) = index {
+                            assert_eq!(
+                                grid.target_code(i, dir),
+                                grid.code(from.neighbor(dir)),
+                                "flat target at {from} {dir}, margin {margin}"
+                            );
+                            assert_eq!(
+                                grid.ring_codes_at(i, dir),
+                                expect,
+                                "flat ring at {from} {dir}, margin {margin}"
+                            );
+                        }
+                    }
                 }
             }
+            assert_eq!(interior, (w - 4).max(0) * (h - 4).max(0), "margin {margin}");
         }
+    }
+
+    #[test]
+    fn narrow_rasters_have_no_interior() {
+        // A single particle with no border: a 1×1 raster, nothing 2 cells
+        // inside its edges, and no flat offset may be taken from it.
+        let lone = [(Node::new(5, -5), Color::C2)];
+        let grid = ColorGrid::build_with(&lone, 0, None).unwrap();
+        assert_eq!((grid.width(), grid.height()), (1, 1));
+        assert_eq!(grid.interior_index(Node::new(5, -5)), None);
+        // A 5×5 raster has exactly one interior cell, its center.
+        let grid = ColorGrid::build_with(&lone, 2, None).unwrap();
+        assert_eq!(grid.interior_index(Node::new(5, -5)), Some(12));
+        assert_eq!(grid.interior_index(Node::new(6, -5)), None);
+        assert_eq!(grid.interior_index(Node::new(5, -4)), None);
     }
 }
