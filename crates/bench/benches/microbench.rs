@@ -16,10 +16,15 @@
 //! Pass `--smoke` (or set `SOPS_BENCH_SMOKE=1`) to shrink the warmup and
 //! time budgets ~10×; CI uses this to validate the emission paths without
 //! paying for stable medians.
+//!
+//! The binary runs on a counting allocator, so the `config_heap_bytes_*`
+//! rows can report what one `Configuration` holds on the heap.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -27,7 +32,7 @@ use sops_amoebot::AmoebotSystem;
 use sops_analysis::{is_separated, separation_profile};
 use sops_bench::{instrument_chain, logs_dir, save_at_root, seed_hash};
 use sops_chains::telemetry::{json_f64, series_record_json};
-use sops_chains::{Instrumented, JsonlSink, MarkovChain, RunManifest};
+use sops_chains::{Instrumented, JsonlSink, MarkovChain, RunManifest, StateCodec};
 use sops_core::{construct, enumerate, properties, Bias, Color, Configuration, SeparationChain};
 use sops_lattice::region::Region;
 use sops_lattice::{Edge, Node, DIRECTIONS};
@@ -35,6 +40,52 @@ use sops_polymer::partition::even_partition_function;
 use sops_polymer::{CutLoopModel, EvenSubgraphModel};
 
 static SMOKE: OnceLock<bool> = OnceLock::new();
+
+/// The system allocator, keeping a count of the bytes live on the heap.
+struct CountingAlloc;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; the count is
+// bookkeeping beside it.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc` is `System`'s.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`, with `realloc`'s size contract.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Whether this run is a smoke pass (CI): tiny budgets, same code paths.
 fn smoke() -> bool {
@@ -412,6 +463,42 @@ fn bench_observables() {
     });
 }
 
+/// A random blob of `n` particles, half of each color: at n = 100, the
+/// shape of every `service-small` job's input.
+fn random_blob_particles(n: usize) -> Vec<(Node, Color)> {
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let nodes = construct::random_blob(n, &mut rng);
+    construct::bicolor_random(nodes, n / 2, &mut rng)
+}
+
+/// What one configuration holds on the heap, and what building one costs:
+/// from its particles, from its snapshot bytes, and its O(n) recount.
+fn bench_configuration_memory() {
+    for n in [100usize, 1000] {
+        let particles = random_blob_particles(n);
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let config = Configuration::new(particles.iter().copied()).unwrap();
+        let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        black_box(&config);
+        println!(
+            "{:<44} {bytes:>12} bytes",
+            format!("config_heap_bytes_n{n}")
+        );
+    }
+    let particles = random_blob_particles(1000);
+    bench("configuration_new_n1000", || {
+        black_box(Configuration::new(particles.iter().copied()).unwrap());
+    });
+    let config = Configuration::new(particles.iter().copied()).unwrap();
+    let state = config.encode_state();
+    bench("decode_state_n1000", || {
+        black_box(Configuration::decode_state(&state).unwrap());
+    });
+    bench("recount_n1000", || {
+        black_box(config.recount());
+    });
+}
+
 fn bench_separation_certificate() {
     // A partially separated configuration: the interesting (non-trivial
     // cut) case for the flow solver.
@@ -527,6 +614,7 @@ fn main() {
     let overhead = bench_instrumented_overhead();
     bench_properties();
     bench_observables();
+    bench_configuration_memory();
     bench_separation_certificate();
     bench_enumeration();
     bench_polymer();

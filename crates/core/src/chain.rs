@@ -1146,7 +1146,7 @@ mod tests {
                 ref_config.canonical_form(),
                 "state diverged on {expected}"
             );
-            // The audit also sees the occupancy map and the raster, which
+            // The audit also sees both planes of the raster, which
             // a failed commit must leave as the reference leaves them.
             assert_eq!(
                 fused_config.audit().violations,

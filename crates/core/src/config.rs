@@ -1,4 +1,10 @@
 //! Particle-system configurations on the triangular lattice.
+//!
+//! A configuration is its particle table — each particle's node and color,
+//! in particle-index order — plus two tracked counters and one node index
+//! over the table. The index is the two-plane raster of [`crate::grid`]
+//! for every system whose bounding box fits it, and a [`NodeMap`] only for
+//! systems too spread out to rasterize; a configuration never holds both.
 
 use core::fmt;
 
@@ -11,14 +17,102 @@ use crate::flood::FloodGrid;
 use crate::grid::{self, ColorGrid};
 use crate::{Color, ConfigError};
 
-/// Map payload: which particle sits on a node, and its color.
+/// Which particle sits on a node, and its color: a map entry, or the two
+/// raster planes' cells at the node.
 ///
-/// The color is duplicated here (it also lives in `Configuration::colors`)
-/// so the chain's hot path resolves *color at node* with a single probe.
+/// The map duplicates the color (it also lives in `Configuration::colors`)
+/// so *color at node* is a single probe, as it is in the raster.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     index: u32,
     color: Color,
+}
+
+/// A configuration's node index: exactly one of the raster and the map.
+#[derive(Clone)]
+enum NodeIndex {
+    /// The two-plane raster of [`crate::grid`].
+    Raster(ColorGrid),
+    /// The index of a system whose raster would exceed the cell cap, or
+    /// that holds the unencodable color index `u8::MAX`.
+    Map(NodeMap<Slot>),
+}
+
+impl NodeIndex {
+    /// The raster of the particle table, or its map when it cannot be
+    /// rasterized; `Err` names the first node in table order that an
+    /// earlier particle already occupies.
+    fn build(positions: &[Node], colors: &[Color]) -> Result<Self, Node> {
+        match ColorGrid::build(positions, colors)? {
+            Some(grid) => Ok(NodeIndex::Raster(grid)),
+            None => {
+                let (map, duplicate) = map_index(positions, colors);
+                duplicate.map_or(Ok(NodeIndex::Map(map)), Err)
+            }
+        }
+    }
+
+    /// The particle at `node`.
+    #[inline]
+    fn slot(&self, node: Node) -> Option<Slot> {
+        match self {
+            NodeIndex::Raster(g) => g.particle(node).map(|(index, code)| Slot {
+                index,
+                color: grid::decode(code),
+            }),
+            NodeIndex::Map(map) => map.get(node).copied(),
+        }
+    }
+
+    /// Writes `slot` at `node`; `false` means the node lies outside the
+    /// raster.
+    #[inline]
+    fn put(&mut self, node: Node, slot: Slot) -> bool {
+        match self {
+            NodeIndex::Raster(g) => g.put(node, slot.index, grid::encode(slot.color)),
+            NodeIndex::Map(map) => {
+                map.insert(node, slot);
+                true
+            }
+        }
+    }
+
+    /// Empties `node`.
+    #[inline]
+    fn vacate(&mut self, node: Node) {
+        match self {
+            NodeIndex::Raster(g) => g.vacate(node),
+            NodeIndex::Map(map) => {
+                map.remove(node);
+            }
+        }
+    }
+
+    /// Exchanges the particles `sa` at `a` and `sb` at `b`. Both nodes were
+    /// occupied, so both lie in the raster.
+    #[inline]
+    fn exchange(&mut self, a: Node, sa: Slot, b: Node, sb: Slot) {
+        let placed = self.put(a, sb) & self.put(b, sa);
+        debug_assert!(placed, "occupied nodes lie in the raster");
+    }
+}
+
+/// The map index of the particle table, and the first node in table order
+/// that an earlier particle already occupies. A duplicate exists only in a
+/// corrupt table; the map then holds the later particle.
+fn map_index(positions: &[Node], colors: &[Color]) -> (NodeMap<Slot>, Option<Node>) {
+    let mut map = NodeMap::with_capacity(positions.len());
+    let mut duplicate = None;
+    for (i, (&node, &color)) in positions.iter().zip(colors).enumerate() {
+        let slot = Slot {
+            index: i as u32,
+            color,
+        };
+        if map.insert(node, slot).is_some() {
+            duplicate.get_or_insert(node);
+        }
+    }
+    (map, duplicate)
 }
 
 /// A 2-heterogeneous (or k-heterogeneous) particle-system configuration: a
@@ -55,19 +149,16 @@ struct Slot {
 /// ```
 #[derive(Clone)]
 pub struct Configuration {
-    occupancy: NodeMap<Slot>,
-    /// Dense raster cache of `occupancy` (see [`crate::grid`]); `None` when
-    /// the system is too spread out to rasterize, in which case every read
-    /// path probes the map instead.
-    grid: Option<ColorGrid>,
     positions: Vec<Node>,
     colors: Vec<Color>,
     edges: u64,
     hetero: u64,
-    /// Number of raster rebuilds forced by a particle crossing the margin
+    /// Number of raster rebuilds forced by a particle crossing the border
     /// (see [`crate::grid`]'s anti-thrash policy); cheap drift telemetry
     /// and the regression hook for the rebuild-hysteresis tests.
     raster_rebuilds: u64,
+    /// The one node index over `positions` and `colors`.
+    index: NodeIndex,
 }
 
 impl Configuration {
@@ -81,37 +172,24 @@ impl Configuration {
     /// # Errors
     ///
     /// * [`ConfigError::Empty`] if no particles are given;
-    /// * [`ConfigError::DuplicateNode`] if two particles share a node.
+    /// * [`ConfigError::DuplicateNode`] if two particles share a node (the
+    ///   first node, in input order, that an earlier particle holds).
     pub fn new<I>(particles: I) -> Result<Self, ConfigError>
     where
         I: IntoIterator<Item = (Node, Color)>,
     {
-        let particles: Vec<(Node, Color)> = particles.into_iter().collect();
-        if particles.is_empty() {
+        let (positions, colors): (Vec<Node>, Vec<Color>) = particles.into_iter().unzip();
+        if positions.is_empty() {
             return Err(ConfigError::Empty);
         }
-        let mut occupancy = NodeMap::with_capacity(particles.len());
-        let mut positions = Vec::with_capacity(particles.len());
-        let mut colors = Vec::with_capacity(particles.len());
-        for (i, &(node, color)) in particles.iter().enumerate() {
-            let slot = Slot {
-                index: i as u32,
-                color,
-            };
-            if occupancy.insert(node, slot).is_some() {
-                return Err(ConfigError::DuplicateNode(node));
-            }
-            positions.push(node);
-            colors.push(color);
-        }
+        let index = NodeIndex::build(&positions, &colors).map_err(ConfigError::DuplicateNode)?;
         let mut config = Configuration {
-            grid: ColorGrid::build(&particles),
-            occupancy,
             positions,
             colors,
             edges: 0,
             hetero: 0,
             raster_rebuilds: 0,
+            index,
         };
         let (e, h) = config.recount();
         config.edges = e;
@@ -169,12 +247,12 @@ impl Configuration {
     #[inline]
     #[must_use]
     pub fn color_at(&self, node: Node) -> Option<Color> {
-        match &self.grid {
-            Some(g) => {
+        match &self.index {
+            NodeIndex::Raster(g) => {
                 let code = g.code(node);
                 (code != 0).then(|| grid::decode(code))
             }
-            None => self.occupancy.get(node).map(|s| s.color),
+            NodeIndex::Map(map) => map.get(node).map(|s| s.color),
         }
     }
 
@@ -182,16 +260,19 @@ impl Configuration {
     #[inline]
     #[must_use]
     pub fn index_at(&self, node: Node) -> Option<usize> {
-        self.occupancy.get(node).map(|s| s.index as usize)
+        match &self.index {
+            NodeIndex::Raster(g) => g.owner(node).map(|i| i as usize),
+            NodeIndex::Map(map) => map.get(node).map(|s| s.index as usize),
+        }
     }
 
     /// Whether `node` is occupied.
     #[inline]
     #[must_use]
     pub fn is_occupied(&self, node: Node) -> bool {
-        match &self.grid {
-            Some(g) => g.code(node) != 0,
-            None => self.occupancy.contains(node),
+        match &self.index {
+            NodeIndex::Raster(g) => g.code(node) != 0,
+            NodeIndex::Map(map) => map.contains(node),
         }
     }
 
@@ -337,17 +418,17 @@ impl Configuration {
     #[inline]
     #[must_use]
     pub fn ring_gather(&self, from: Node, dir: Direction) -> RingGather {
-        match &self.grid {
+        match &self.index {
             // Raster path: eight per-node byte probes. `decode(0)` is
             // `C1`, exactly the placeholder the map path leaves in
             // unoccupied lanes, so both paths return identical values bit
             // for bit.
-            Some(g) => RingGather::from_codes(g.ring_codes(from, dir)),
-            None => {
+            NodeIndex::Raster(g) => RingGather::from_codes(g.ring_codes(from, dir)),
+            NodeIndex::Map(map) => {
                 let mut occupancy = 0u8;
                 let mut lanes = [0u8; 8];
                 for (k, &off) in ring_offsets(dir).iter().enumerate() {
-                    if let Some(s) = self.occupancy.get(from + off) {
+                    if let Some(s) = map.get(from + off) {
                         occupancy |= 1 << k;
                         lanes[k] = s.color.index();
                     }
@@ -405,7 +486,7 @@ impl Configuration {
     /// # Errors
     ///
     /// * [`ChainStateError::UnoccupiedSource`] — the particle table points
-    ///   at a node the occupancy map does not contain (corrupt state);
+    ///   at a node the index holds empty (corrupt state);
     /// * [`ChainStateError::CounterCorruption`] — applying the move's local
     ///   edge/hetero delta would wrap a tracked counter.
     ///
@@ -420,18 +501,15 @@ impl Configuration {
             from.is_adjacent(to),
             "move target {to} is not adjacent to {from}"
         );
-        assert!(!self.occupancy.contains(to), "move target {to} is occupied");
+        assert!(!self.is_occupied(to), "move target {to} is occupied");
         let slot = self
-            .occupancy
-            .remove(from)
+            .index
+            .slot(from)
             .ok_or(ChainStateError::UnoccupiedSource(from))?;
         debug_assert_eq!(slot.index as usize, index);
         let color = slot.color;
-        // The raster must mirror the map while the particle is lifted: the
-        // neighbor counts below read through it.
-        if let Some(g) = &mut self.grid {
-            g.clear(from);
-        }
+        // Lift the particle: the neighbor counts below read the index.
+        self.index.vacate(from);
 
         // With the particle lifted off the board, plain neighbor counts at
         // `from` and `to` are exactly the edges removed and added.
@@ -450,17 +528,16 @@ impl Configuration {
             Ok((edges, hetero)) => {
                 self.edges = edges;
                 self.hetero = hetero;
-                self.occupancy.insert(to, slot);
                 self.positions[index] = to;
-                self.grid_occupy(to, grid::encode(color));
+                self.place(to, slot);
                 Ok(())
             }
             Err(e) => {
                 // Put the lifted particle back so the failed transition
                 // leaves the (already corrupt, but unchanged) state intact
-                // for the auditor.
-                self.occupancy.insert(from, slot);
-                self.grid_occupy(from, grid::encode(color));
+                // for the auditor. Its node was indexed, so this cannot
+                // rebuild.
+                self.place(from, slot);
                 Err(e)
             }
         }
@@ -499,13 +576,13 @@ impl Configuration {
     /// Panics if `a` and `b` are not adjacent (caller API misuse).
     pub fn try_swap(&mut self, a: Node, b: Node) -> Result<(), ChainStateError> {
         assert!(a.is_adjacent(b), "swap nodes {a} and {b} are not adjacent");
-        let sa = *self
-            .occupancy
-            .get(a)
+        let sa = self
+            .index
+            .slot(a)
             .ok_or(ChainStateError::UnoccupiedSource(a))?;
-        let sb = *self
-            .occupancy
-            .get(b)
+        let sb = self
+            .index
+            .slot(b)
             .ok_or(ChainStateError::UnoccupiedTarget(b))?;
         if sa.color != sb.color {
             // Recount heterogeneous edges in the two neighborhoods. The edge
@@ -515,29 +592,25 @@ impl Configuration {
             for d in DIRECTIONS {
                 let u = a.neighbor(d);
                 if u != b {
-                    if let Some(su) = self.occupancy.get(u) {
-                        delta -= i64::from(su.color != sa.color);
-                        delta += i64::from(su.color != sb.color);
+                    if let Some(cu) = self.color_at(u) {
+                        delta -= i64::from(cu != sa.color);
+                        delta += i64::from(cu != sb.color);
                     }
                 }
                 let v = b.neighbor(d);
                 if v != a {
-                    if let Some(sv) = self.occupancy.get(v) {
-                        delta -= i64::from(sv.color != sb.color);
-                        delta += i64::from(sv.color != sa.color);
+                    if let Some(cv) = self.color_at(v) {
+                        delta -= i64::from(cv != sb.color);
+                        delta += i64::from(cv != sa.color);
                     }
                 }
             }
             self.hetero = Self::checked_counter("hetero", self.hetero, delta)?;
         }
         // Physically exchange the particles.
-        self.occupancy.insert(a, sb);
-        self.occupancy.insert(b, sa);
+        self.index.exchange(a, sa, b, sb);
         self.positions[sa.index as usize] = b;
         self.positions[sb.index as usize] = a;
-        // Both nodes were occupied, hence in-raster; only the codes change.
-        self.grid_occupy(a, grid::encode(sb.color));
-        self.grid_occupy(b, grid::encode(sa.color));
         Ok(())
     }
 
@@ -546,11 +619,11 @@ impl Configuration {
     /// `d_edges = Δe` and `d_hetero = Δe − Δe_i`, exactly what
     /// [`Configuration::try_move_particle`] recounts from `from` and `to`.
     ///
-    /// Every check `try_move_particle` makes stays, in the same order and
-    /// with the same occupancy-map operations: the occupied-target
-    /// assertion, [`ChainStateError::UnoccupiedSource`], checked counters
-    /// that leave the state untouched on [`ChainStateError::CounterCorruption`],
-    /// and the raster rebuild when `to` crosses the margin.
+    /// Every check `try_move_particle` makes stays, in the same order,
+    /// against the same index: the occupied-target assertion,
+    /// [`ChainStateError::UnoccupiedSource`], checked counters that leave
+    /// the state untouched on [`ChainStateError::CounterCorruption`], and
+    /// the raster rebuild when `to` crosses the border.
     ///
     /// # Panics
     ///
@@ -568,42 +641,27 @@ impl Configuration {
             from.is_adjacent(to),
             "move target {to} is not adjacent to {from}"
         );
-        assert!(!self.occupancy.contains(to), "move target {to} is occupied");
+        assert!(!self.is_occupied(to), "move target {to} is occupied");
         let slot = self
-            .occupancy
-            .remove(from)
+            .index
+            .slot(from)
             .ok_or(ChainStateError::UnoccupiedSource(from))?;
         debug_assert_eq!(slot.index as usize, index);
-        let outcome =
-            Self::checked_counter("edges", self.edges, d_edges.into()).and_then(|edges| {
-                Self::checked_counter("hetero", self.hetero, d_hetero.into())
-                    .map(|hetero| (edges, hetero))
-            });
-        match outcome {
-            Ok((edges, hetero)) => {
-                self.edges = edges;
-                self.hetero = hetero;
-                self.occupancy.insert(to, slot);
-                self.positions[index] = to;
-                if let Some(g) = &mut self.grid {
-                    g.clear(from);
-                }
-                self.grid_occupy(to, grid::encode(slot.color));
-                Ok(())
-            }
-            Err(e) => {
-                self.occupancy.insert(from, slot);
-                Err(e)
-            }
-        }
+        let edges = Self::checked_counter("edges", self.edges, d_edges.into())?;
+        self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero.into())?;
+        self.edges = edges;
+        self.index.vacate(from);
+        self.positions[index] = to;
+        self.place(to, slot);
+        Ok(())
     }
 
     /// Commits a swap the proposal kernel has already decided, applying
     /// `d_hetero = −gain` from its ring gather where
-    /// [`Configuration::try_swap`] recounts it with ten more map probes. Every
+    /// [`Configuration::try_swap`] recounts it with ten more probes. Every
     /// check `try_swap` makes stays: [`ChainStateError::UnoccupiedSource`],
     /// [`ChainStateError::UnoccupiedTarget`], and a checked hetero counter
-    /// (applied only when the map's two colors differ) that leaves the
+    /// (applied only when the index's two colors differ) that leaves the
     /// state untouched on [`ChainStateError::CounterCorruption`].
     #[inline(never)]
     pub(crate) fn commit_swap(
@@ -613,104 +671,147 @@ impl Configuration {
         d_hetero: i32,
     ) -> Result<(), ChainStateError> {
         debug_assert!(a.is_adjacent(b), "swap nodes {a} and {b} are not adjacent");
-        let sa = *self
-            .occupancy
-            .get(a)
+        let sa = self
+            .index
+            .slot(a)
             .ok_or(ChainStateError::UnoccupiedSource(a))?;
-        let sb = *self
-            .occupancy
-            .get(b)
+        let sb = self
+            .index
+            .slot(b)
             .ok_or(ChainStateError::UnoccupiedTarget(b))?;
         if sa.color != sb.color {
             self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero.into())?;
         }
-        self.occupancy.insert(a, sb);
-        self.occupancy.insert(b, sa);
+        self.index.exchange(a, sa, b, sb);
         self.positions[sa.index as usize] = b;
         self.positions[sb.index as usize] = a;
-        self.grid_occupy(a, grid::encode(sb.color));
-        self.grid_occupy(b, grid::encode(sa.color));
         Ok(())
     }
 
-    /// Applies a move the sharded engine already committed to the raster:
-    /// updates the occupancy map, the position table, and the tracked
-    /// counters from the shard's precomputed deltas, deliberately *not*
-    /// touching the raster (the shard worker mutated its row band in
-    /// place, and recomputing the deltas against the post-round raster
-    /// would be wrong anyway — they were evaluated mid-round).
+    /// The raster of a configuration the sharded engine is merging.
+    fn merge_raster(&mut self) -> &mut ColorGrid {
+        match &mut self.index {
+            NodeIndex::Raster(g) => g,
+            NodeIndex::Map(_) => unreachable!("the sharded engine runs only on a raster"),
+        }
+    }
+
+    /// Applies a move the sharded engine already committed to the raster's
+    /// color plane: moves the particle in the index plane and the particle
+    /// table, and applies the shard's precomputed counter deltas,
+    /// deliberately *not* touching the color plane (the shard worker
+    /// mutated its row band in place, and recomputing the deltas against
+    /// the post-round raster would be wrong anyway — they were evaluated
+    /// mid-round).
     ///
     /// # Panics
     ///
-    /// Panics if `from` holds no particle or a delta would wrap a tracked
-    /// counter. Both prove pre-existing state corruption, and by this
-    /// point the raster half of the transition is already applied, so
-    /// unlike [`Configuration::try_move_particle`] there is no untouched
-    /// state to hand back — a loud stop is the only honest option.
+    /// Panics if the index plane holds no particle at `from` or a delta
+    /// would wrap a tracked counter. Both prove pre-existing state
+    /// corruption, and by this point the color half of the transition is
+    /// already applied, so unlike [`Configuration::try_move_particle`]
+    /// there is no untouched state to hand back — a loud stop is the only
+    /// honest option.
     pub(crate) fn apply_sharded_move(&mut self, from: Node, to: Node, d_edges: i64, d_hetero: i64) {
-        let slot = self
-            .occupancy
-            .remove(from)
+        let particle = self
+            .merge_raster()
+            .take_owner(from)
             .unwrap_or_else(|| panic!("sharded move: {}", ChainStateError::UnoccupiedSource(from)));
         self.edges = Self::checked_counter("edges", self.edges, d_edges)
             .unwrap_or_else(|e| panic!("sharded move: {e}"));
         self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero)
             .unwrap_or_else(|e| panic!("sharded move: {e}"));
-        self.occupancy.insert(to, slot);
-        self.positions[slot.index as usize] = to;
+        let placed = self.merge_raster().put_owner(to, particle);
+        debug_assert!(placed, "a stripe commit stays inside the raster");
+        self.positions[particle as usize] = to;
     }
 
-    /// Applies a swap the sharded engine already committed to the raster:
-    /// exchanges the two occupancy entries and applies the shard's
-    /// precomputed hetero delta. See [`Configuration::apply_sharded_move`]
-    /// for why corruption panics here.
+    /// Applies a swap the sharded engine already committed to the raster's
+    /// color plane: exchanges the two particles in the index plane and the
+    /// particle table, and applies the shard's precomputed hetero delta.
+    /// See [`Configuration::apply_sharded_move`] for why corruption panics
+    /// here.
     pub(crate) fn apply_sharded_swap(&mut self, a: Node, b: Node, d_hetero: i64) {
-        let sa = *self
-            .occupancy
-            .get(a)
+        let grid = self.merge_raster();
+        let pa = grid
+            .owner(a)
             .unwrap_or_else(|| panic!("sharded swap: {}", ChainStateError::UnoccupiedSource(a)));
-        let sb = *self
-            .occupancy
-            .get(b)
+        let pb = grid
+            .owner(b)
             .unwrap_or_else(|| panic!("sharded swap: {}", ChainStateError::UnoccupiedTarget(b)));
         self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero)
             .unwrap_or_else(|e| panic!("sharded swap: {e}"));
-        self.occupancy.insert(a, sb);
-        self.occupancy.insert(b, sa);
-        self.positions[sa.index as usize] = b;
-        self.positions[sb.index as usize] = a;
+        let grid = self.merge_raster();
+        grid.put_owner(a, pb);
+        grid.put_owner(b, pa);
+        self.positions[pa as usize] = b;
+        self.positions[pb as usize] = a;
     }
 
-    /// The raster cache, if the system is currently rasterized.
+    /// The raster, if the system is rasterized.
     #[inline]
     pub(crate) fn raster(&self) -> Option<&ColorGrid> {
-        self.grid.as_ref()
-    }
-
-    /// Mutable access to the raster cache for the sharded engine, which
-    /// hands disjoint row bands of it to worker threads.
-    #[inline]
-    pub(crate) fn raster_mut(&mut self) -> Option<&mut ColorGrid> {
-        self.grid.as_mut()
-    }
-
-    /// Marks `node` occupied with `code` in the raster cache, rebuilding the
-    /// raster when the node falls outside it (a particle crossed the margin)
-    /// and dropping the cache entirely if the grown system no longer
-    /// rasterizes.
-    fn grid_occupy(&mut self, node: Node, code: u8) {
-        if let Some(g) = &mut self.grid {
-            if !g.set(node, code) {
-                let particles: Vec<(Node, Color)> =
-                    self.occupancy.iter().map(|(n, s)| (n, s.color)).collect();
-                self.grid = g.rebuild_grown(&particles);
-                self.raster_rebuilds += 1;
-            }
+        match &self.index {
+            NodeIndex::Raster(g) => Some(g),
+            NodeIndex::Map(_) => None,
         }
     }
 
-    /// Number of raster rebuilds forced by margin crossings over this
-    /// configuration's lifetime. The rebuild policy doubles the margin each
+    /// Mutable access to the raster for the sharded engine, which hands
+    /// disjoint row bands of its color plane to worker threads.
+    #[inline]
+    pub(crate) fn raster_mut(&mut self) -> Option<&mut ColorGrid> {
+        match &mut self.index {
+            NodeIndex::Raster(g) => Some(g),
+            NodeIndex::Map(_) => None,
+        }
+    }
+
+    /// Widens the raster's border to the grown floor of [`crate::grid`]
+    /// before a sharded run, which defers every proposal whose footprint
+    /// reaches past the raster's edge. Not counted as a rebuild; a no-op
+    /// for a map, a raster with that border already, or a system whose
+    /// wider raster would not fit.
+    pub(crate) fn widen_raster(&mut self) {
+        let widened = match &self.index {
+            NodeIndex::Raster(g) => g.widened(&self.positions, &self.colors),
+            NodeIndex::Map(_) => None,
+        };
+        if let Some(grid) = widened {
+            self.index = NodeIndex::Raster(grid);
+        }
+    }
+
+    /// Whether the configuration is indexed by the raster rather than by a
+    /// map. A probe for tests that run across the raster-to-map switch.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn is_rasterized(&self) -> bool {
+        self.raster().is_some()
+    }
+
+    /// Writes `slot` at `node` in the index. A node outside the raster (a
+    /// particle crossed the border) rebuilds the raster from the particle
+    /// table, which must already hold the particle at `node`; when the
+    /// grown system no longer rasterizes, the configuration converts to a
+    /// map.
+    fn place(&mut self, node: Node, slot: Slot) {
+        if self.index.put(node, slot) {
+            return;
+        }
+        let rebuilt = match &self.index {
+            NodeIndex::Raster(g) => g.rebuild_grown(&self.positions, &self.colors),
+            NodeIndex::Map(_) => unreachable!("a map indexes every node"),
+        };
+        self.index = match rebuilt {
+            Some(grid) => NodeIndex::Raster(grid),
+            None => NodeIndex::Map(map_index(&self.positions, &self.colors).0),
+        };
+        self.raster_rebuilds += 1;
+    }
+
+    /// Number of raster rebuilds forced by border crossings over this
+    /// configuration's lifetime. The rebuild policy doubles the border each
     /// time (with hysteresis — see [`crate::grid`]), so under steady drift
     /// this grows logarithmically with distance, not linearly.
     #[inline]
@@ -719,17 +820,24 @@ impl Configuration {
         self.raster_rebuilds
     }
 
-    /// Recomputes `(e(σ), h(σ))` from scratch. Used by tests to validate the
-    /// incremental bookkeeping; O(n).
+    /// Recomputes `(e(σ), h(σ))` from scratch through the node index: the
+    /// raster's color plane probed from each particle's cell at flat
+    /// offsets, or every map entry's neighbours probed in the map. O(n);
+    /// construction's count, and the oracle tests validate the incremental
+    /// bookkeeping against.
     #[must_use]
     pub fn recount(&self) -> (u64, u64) {
+        let map = match &self.index {
+            NodeIndex::Raster(g) => return g.recount(&self.positions),
+            NodeIndex::Map(map) => map,
+        };
         let mut edges = 0;
         let mut hetero = 0;
         // Count each edge from its E / NE / NW side only.
         const HALF: [Direction; 3] = [Direction::E, Direction::NE, Direction::NW];
-        for (node, slot) in self.occupancy.iter() {
+        for (node, slot) in map.iter() {
             for d in HALF {
-                if let Some(other) = self.occupancy.get(node.neighbor(d)) {
+                if let Some(other) = map.get(node.neighbor(d)) {
                     edges += 1;
                     if other.color != slot.color {
                         hetero += 1;
@@ -741,20 +849,23 @@ impl Configuration {
     }
 
     /// Rebuilds the incrementally-maintained counter caches (`e(σ)`,
-    /// `h(σ)`) from the occupancy map alone, returning the previous
+    /// `h(σ)`) from the particle table alone, returning the previous
     /// `(edges, hetero)` values they replaced.
     ///
-    /// The counters are pure summaries of occupancy, so this is always
+    /// The counters are pure summaries of the table, so this is always
     /// sound: after a rebuild the counter-class audit checks
     /// ([`AuditViolation::EdgeCountDrift`],
     /// [`AuditViolation::HeteroCountDrift`],
     /// [`AuditViolation::PerimeterUnderflow`]) are guaranteed clean, and
     /// on an already-consistent configuration the call is a no-op
-    /// (round-trips bit for bit). O(n); intended for the recovery ladder,
-    /// not the proposal hot path.
+    /// (round-trips bit for bit). O(n + area of the bounding box), like the
+    /// audit; intended for the recovery ladder, not the proposal hot path.
     pub fn rebuild_counters(&mut self) -> (u64, u64) {
         let old = (self.edges, self.hetero);
-        let (edges, hetero) = self.recount();
+        // Counted exactly as the audit counts them.
+        let (edges, hetero) = FloodGrid::of(&self.positions, &self.colors)
+            .recount()
+            .unwrap_or_else(|| self.recount());
         self.edges = edges;
         self.hetero = hetero;
         old
@@ -813,7 +924,7 @@ impl Configuration {
         seen.insert(self.positions[0]);
         while let Some(n) = stack.pop() {
             for m in n.neighbors() {
-                if self.occupancy.contains(m) && seen.insert(m) {
+                if self.is_occupied(m) && seen.insert(m) {
                     stack.push(m);
                 }
             }
@@ -829,11 +940,7 @@ impl Configuration {
     /// area)); unoccupied in-box nodes not reached belong to holes.
     #[must_use]
     pub fn hole_count(&self) -> usize {
-        let mut grid = FloodGrid::new(self.bounding_box());
-        for (node, slot) in self.occupancy.iter() {
-            grid.put(node, slot.color);
-        }
-        grid.hole_count()
+        FloodGrid::of(&self.positions, &self.colors).hole_count()
     }
 
     /// Whether the configuration has at least one hole.
@@ -884,7 +991,7 @@ impl Configuration {
             // from; the last candidate is `back` itself (retreat from a leaf).
             for k in 1..=6 {
                 let d = back.rotated_by(k);
-                if self.occupancy.contains(cur.neighbor(d)) {
+                if self.is_occupied(cur.neighbor(d)) {
                     return d;
                 }
             }
@@ -913,7 +1020,7 @@ impl Configuration {
     /// The audit independently re-derives, without consulting the tracked
     /// counters:
     ///
-    /// * the occupancy map ↔ position/color table correspondence;
+    /// * the node index ↔ particle table correspondence (see below);
     /// * the edge count `e(σ)` and heterogeneous edge count `h(σ)`;
     /// * connectivity (which the chain provably preserves);
     /// * the hole count;
@@ -927,106 +1034,29 @@ impl Configuration {
     /// eventually close) — but disconnection is, since every transition
     /// preserves connectivity.
     ///
-    /// The pass over the occupancy map that checks it against the table
-    /// and the raster also copies it into one dense byte grid of the
-    /// bounding box (of the map's nodes and the particles). The recount,
-    /// one connectivity flood, the hole flood and the boundary walk then
-    /// run on that grid with no hash probe, each giving exactly what
+    /// For a rasterized configuration the index check is a bijection
+    /// check: each particle's cell holds its color code in the color plane
+    /// and its index in the index plane, and each plane holds exactly `n`
+    /// occupied cells — so a stale, cleared or wrong cell in either plane
+    /// is an [`AuditViolation::OccupancyDesync`]. A map-indexed
+    /// configuration checks every map entry against the table and every
+    /// particle against the map.
+    ///
+    /// The recount, one connectivity flood, the hole flood and the
+    /// boundary walk run on one dense byte grid of the particle table's
+    /// bounding box, with no index probe, each giving exactly what
     /// [`Configuration::recount`], [`Configuration::is_connected`],
     /// [`Configuration::hole_count`] and
-    /// [`Configuration::boundary_walk_length`] give. Cost is O(n + area of
-    /// the bounding box), one byte per cell; intended for checkpoint
+    /// [`Configuration::boundary_walk_length`] give on a consistent state.
+    /// Cost is O(n + area of the bounding box); intended for checkpoint
     /// boundaries and debugging, not the chain's hot path.
     #[must_use]
     pub fn audit(&self) -> AuditReport {
-        let mut violations = Vec::new();
-        let particle_box = self.bounding_box();
-        let scan_box = bounding_box(
-            self.positions
-                .iter()
-                .copied()
-                .chain(self.occupancy.iter().map(|(node, _)| node)),
-        );
-        let mut scan = FloodGrid::new(scan_box);
-        // Raster findings are reported after the table's, as they always were.
-        let mut raster_violations = Vec::new();
-
-        // Occupancy map ↔ particle table and ↔ raster correspondence.
-        let mut entries = 0usize;
-        for (node, slot) in self.occupancy.iter() {
-            entries += 1;
-            scan.put(node, slot.color);
-            if let Some(g) = &self.grid {
-                let cell = g.code(node);
-                if cell != grid::encode(slot.color) {
-                    raster_violations.push(AuditViolation::OccupancyDesync {
-                        node,
-                        detail: format!(
-                            "raster cell {cell} disagrees with occupancy color {:?}",
-                            slot.color
-                        ),
-                    });
-                }
-            }
-            let idx = slot.index as usize;
-            if idx >= self.positions.len() {
-                violations.push(AuditViolation::OccupancyDesync {
-                    node,
-                    detail: format!(
-                        "slot index {idx} out of range for {} particles",
-                        self.positions.len()
-                    ),
-                });
-                continue;
-            }
-            if self.positions[idx] != node {
-                violations.push(AuditViolation::OccupancyDesync {
-                    node,
-                    detail: format!(
-                        "slot index {idx} maps back to {}, not this node",
-                        self.positions[idx]
-                    ),
-                });
-            }
-            if self.colors[idx] != slot.color {
-                violations.push(AuditViolation::OccupancyDesync {
-                    node,
-                    detail: format!(
-                        "slot color {:?} disagrees with color table {:?}",
-                        slot.color, self.colors[idx]
-                    ),
-                });
-            }
-        }
-        if entries != self.positions.len() {
-            for (i, &n) in self.positions.iter().enumerate() {
-                if self.occupancy.get(n).is_none() {
-                    violations.push(AuditViolation::OccupancyDesync {
-                        node: n,
-                        detail: format!("particle {i} is missing from the occupancy map"),
-                    });
-                }
-            }
-        }
-
-        // Raster cache ↔ occupancy map correspondence: every map entry's
-        // cell holds its encoded color (checked in the pass above), and no
-        // stale cell survives (the cell count matches the map). The raster
-        // is what the hot-path probes actually read, so a desync here is as
-        // corrupting as a map/table desync.
-        violations.append(&mut raster_violations);
-        if let Some(g) = &self.grid {
-            let cells = g.occupied_cells();
-            if cells != entries {
-                violations.push(AuditViolation::OccupancyDesync {
-                    node: self.positions[0],
-                    detail: format!(
-                        "raster holds {cells} occupied cells for {entries} map entries"
-                    ),
-                });
-            }
-        }
-
+        let mut violations = match &self.index {
+            NodeIndex::Raster(grid) => self.raster_desyncs(grid),
+            NodeIndex::Map(map) => self.map_desyncs(map),
+        };
+        let mut scan = FloodGrid::of(&self.positions, &self.colors);
         let (edges, hetero) = scan.recount().unwrap_or_else(|| self.recount());
         if edges != self.edges {
             violations.push(AuditViolation::EdgeCountDrift {
@@ -1059,13 +1089,7 @@ impl Configuration {
         if !connected {
             violations.push(AuditViolation::Disconnected);
         }
-        // The hole flood's box is the particles' alone; a map node outside
-        // it (a desync, reported above) would widen the scan grid's.
-        let holes = if scan_box == particle_box {
-            scan.hole_count()
-        } else {
-            self.hole_count()
-        };
+        let holes = scan.hole_count();
         if connected && holes == 0 && self.len() > 1 {
             // Derive the identity from the *recomputed* edge count so this
             // check stays meaningful even when the tracked count drifted
@@ -1077,8 +1101,8 @@ impl Configuration {
                 .copied()
                 .min_by_key(|n| (n.x, n.y))
                 .expect("configuration is nonempty");
-            // `None` only when the map lacks `start` (a desync reported
-            // above), where `boundary_walk_length` would never return.
+            // `None` only when `start` has no occupied neighbour, which a
+            // connected table of n ≥ 2 particles rules out.
             if let Some(walk) = scan.boundary_walk(start) {
                 if identity != walk {
                     violations.push(AuditViolation::PerimeterMismatch { identity, walk });
@@ -1094,6 +1118,103 @@ impl Configuration {
             holes,
             violations,
         }
+    }
+
+    /// The raster half of [`Configuration::audit`]: every particle's cell
+    /// in table order, then the two planes' occupied-cell counts.
+    fn raster_desyncs(&self, grid: &ColorGrid) -> Vec<AuditViolation> {
+        let mut violations = Vec::new();
+        let n = self.len();
+        for (i, (&node, &color)) in self.positions.iter().zip(&self.colors).enumerate() {
+            let detail = match grid.planes(node) {
+                None => vec![format!("particle {i} lies outside the raster")],
+                Some((code, owner)) => {
+                    let mut found = Vec::new();
+                    if code != grid::encode(color) {
+                        found.push(format!(
+                            "color plane holds {code} for particle {i} of color {color:?}"
+                        ));
+                    }
+                    if owner != Some(i as u32) {
+                        found.push(match owner {
+                            Some(other) => {
+                                format!("index plane holds particle {other}, not particle {i}")
+                            }
+                            None => format!("index plane is empty under particle {i}"),
+                        });
+                    }
+                    found
+                }
+            };
+            violations.extend(
+                detail
+                    .into_iter()
+                    .map(|detail| AuditViolation::OccupancyDesync { node, detail }),
+            );
+        }
+        for (plane, cells) in [
+            ("color", grid.occupied_cells()),
+            ("index", grid.owned_cells()),
+        ] {
+            if cells != n {
+                violations.push(AuditViolation::OccupancyDesync {
+                    node: self.positions[0],
+                    detail: format!("{plane} plane holds {cells} occupied cells for {n} particles"),
+                });
+            }
+        }
+        violations
+    }
+
+    /// The map half of [`Configuration::audit`]: every map entry against
+    /// the table, in map order, then — when the counts differ — every
+    /// particle against the map.
+    fn map_desyncs(&self, map: &NodeMap<Slot>) -> Vec<AuditViolation> {
+        let mut violations = Vec::new();
+        let mut entries = 0usize;
+        for (node, slot) in map.iter() {
+            entries += 1;
+            let idx = slot.index as usize;
+            if idx >= self.positions.len() {
+                violations.push(AuditViolation::OccupancyDesync {
+                    node,
+                    detail: format!(
+                        "slot index {idx} out of range for {} particles",
+                        self.positions.len()
+                    ),
+                });
+                continue;
+            }
+            if self.positions[idx] != node {
+                violations.push(AuditViolation::OccupancyDesync {
+                    node,
+                    detail: format!(
+                        "slot index {idx} maps back to {}, not this node",
+                        self.positions[idx]
+                    ),
+                });
+            }
+            if self.colors[idx] != slot.color {
+                violations.push(AuditViolation::OccupancyDesync {
+                    node,
+                    detail: format!(
+                        "slot color {:?} disagrees with color table {:?}",
+                        slot.color, self.colors[idx]
+                    ),
+                });
+            }
+        }
+        if entries != self.positions.len() {
+            for (i, &n) in self.positions.iter().enumerate() {
+                if map.get(n).is_none() {
+                    violations.push(AuditViolation::OccupancyDesync {
+                        node: n,
+                        detail: format!("particle {i} is missing from the occupancy map"),
+                    });
+                }
+            }
+        }
+        violations
     }
 
     /// The canonical form of this configuration: particle set translated so
@@ -1119,7 +1240,7 @@ impl Configuration {
 }
 
 /// Axial bounding box `(min_x, max_x, min_y, max_y)` of `nodes`.
-fn bounding_box(nodes: impl Iterator<Item = Node>) -> (i32, i32, i32, i32) {
+pub(crate) fn bounding_box(nodes: impl Iterator<Item = Node>) -> (i32, i32, i32, i32) {
     nodes.fold(
         (i32::MAX, i32::MIN, i32::MAX, i32::MIN),
         |(min_x, max_x, min_y, max_y), n| {
@@ -1248,11 +1369,16 @@ impl Configuration {
     }
 
     /// Test-only: re-rasterizes with a `margin`-cell border (particles on
-    /// the bounding box then sit in the raster's edge band), or drops the
-    /// raster for `None`, so the kernel's per-node and map fallbacks run.
+    /// the bounding box then sit in the raster's edge band), or indexes the
+    /// configuration by a map for `None`, so the kernel's per-node and map
+    /// fallbacks run.
     pub(crate) fn reraster_for_test(&mut self, margin: Option<i64>) {
-        let particles: Vec<(Node, Color)> = self.particles().collect();
-        self.grid = margin.and_then(|m| ColorGrid::build_with_margin(&particles, m));
+        let grid =
+            margin.and_then(|m| ColorGrid::build_with_margin(&self.positions, &self.colors, m));
+        self.index = match grid {
+            Some(grid) => NodeIndex::Raster(grid),
+            None => NodeIndex::Map(map_index(&self.positions, &self.colors).0),
+        };
     }
 }
 
@@ -1321,6 +1447,9 @@ impl CanonicalForm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tri() -> Configuration {
         Configuration::new([
@@ -1638,135 +1767,266 @@ mod tests {
             }));
     }
 
-    #[test]
-    fn audit_detects_occupancy_desync() {
-        let mut c = tri();
-        // Corrupt the position table behind the occupancy map's back.
-        c.positions.swap(0, 1);
-        let report = c.audit();
-        assert!(!report.is_consistent());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| matches!(v, AuditViolation::OccupancyDesync { .. })));
-        assert_desync_audit(&c, &[]);
+    /// The configuration re-indexed by a map.
+    fn mapped(mut c: Configuration) -> Configuration {
+        c.reraster_for_test(None);
+        assert!(!c.is_rasterized());
+        c
     }
 
-    /// The occupancy checks as the audit ran them before it fused them
-    /// into one pass: map ↔ table, then map ↔ raster, each in map order.
+    fn raster(c: &mut Configuration) -> &mut ColorGrid {
+        c.raster_mut().expect("rasterized")
+    }
+
+    fn map(c: &mut Configuration) -> &mut NodeMap<Slot> {
+        match &mut c.index {
+            NodeIndex::Map(map) => map,
+            NodeIndex::Raster(_) => panic!("map-indexed"),
+        }
+    }
+
+    #[test]
+    fn duplicate_nodes_are_rejected_on_both_index_paths() {
+        // The first node, in input order, that an earlier particle holds.
+        let compact = [
+            (Node::new(0, 0), Color::C1),
+            (Node::new(1, 0), Color::C2),
+            (Node::new(0, 1), Color::C1),
+            (Node::new(0, 1), Color::C2),
+            (Node::new(1, 0), Color::C1),
+        ];
+        // Spread past the raster cap, and an unencodable color: both map.
+        let far = Node::new(1 << 20, 1 << 20);
+        let spread: Vec<_> = compact.iter().copied().chain([(far, Color::C1)]).collect();
+        let unencodable: Vec<_> = compact
+            .iter()
+            .copied()
+            .chain([(Node::new(2, 0), Color::new(u8::MAX))])
+            .collect();
+        for particles in [&compact[..], &spread, &unencodable] {
+            assert!(matches!(
+                Configuration::new(particles.iter().copied()),
+                Err(ConfigError::DuplicateNode(n)) if n == Node::new(0, 1)
+            ));
+            // Without the duplicates, the same systems build, on the index
+            // the first two and the last two have in common.
+            let distinct: Vec<_> = particles
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(i, _)| i != 3 && i != 4)
+                .map(|(_, p)| p)
+                .collect();
+            let config = Configuration::new(distinct).unwrap();
+            assert_eq!(config.is_rasterized(), particles.len() == compact.len());
+        }
+    }
+
+    #[test]
+    fn recount_is_the_same_on_raster_and_map() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1, 2, 7, 40, 300] {
+            let nodes = construct::random_blob(n, &mut rng);
+            let rasterized =
+                Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng)).unwrap();
+            let probed = mapped(rasterized.clone());
+            assert!(rasterized.is_rasterized());
+            assert_eq!(rasterized.recount(), probed.recount(), "n = {n}");
+            assert_eq!(
+                rasterized.recount(),
+                (rasterized.edge_count(), rasterized.hetero_edge_count())
+            );
+            for (i, (node, color)) in rasterized.particles().enumerate() {
+                assert_eq!(rasterized.index_at(node), Some(i));
+                assert_eq!(probed.index_at(node), Some(i));
+                assert_eq!(probed.color_at(node), Some(color));
+            }
+            assert!(rasterized.audit().is_consistent());
+            assert!(probed.audit().is_consistent());
+        }
+    }
+
+    #[test]
+    fn audit_detects_occupancy_desync() {
+        for mut c in [tri(), mapped(tri())] {
+            // Corrupt the position table behind the index's back.
+            c.positions.swap(0, 1);
+            let report = c.audit();
+            assert!(!report.is_consistent());
+            assert!(report
+                .violations
+                .iter()
+                .any(|v| matches!(v, AuditViolation::OccupancyDesync { .. })));
+            assert_eq!(assert_desync_audit(&c, &[]).violations.len(), 2);
+        }
+    }
+
+    /// The index checks of the audit, re-derived independently: for the
+    /// raster, every particle's two cells, then each plane's occupied cells
+    /// counted node by node over the whole raster; for the map, every entry
+    /// against the table, in map order, then every particle against the
+    /// map.
     fn desync_reference(c: &Configuration) -> Vec<AuditViolation> {
         let mut violations = Vec::new();
         let desync = |node, detail| AuditViolation::OccupancyDesync { node, detail };
-        for (node, slot) in c.occupancy.iter() {
-            let idx = slot.index as usize;
-            if idx >= c.positions.len() {
-                violations.push(desync(
-                    node,
-                    format!(
-                        "slot index {idx} out of range for {} particles",
-                        c.positions.len()
-                    ),
-                ));
-                continue;
-            }
-            if c.positions[idx] != node {
-                violations.push(desync(
-                    node,
-                    format!(
-                        "slot index {idx} maps back to {}, not this node",
-                        c.positions[idx]
-                    ),
-                ));
-            }
-            if c.colors[idx] != slot.color {
-                violations.push(desync(
-                    node,
-                    format!(
-                        "slot color {:?} disagrees with color table {:?}",
-                        slot.color, c.colors[idx]
-                    ),
-                ));
-            }
-        }
-        let entries = c.occupancy.iter().count();
-        if entries != c.positions.len() {
-            for (i, &n) in c.positions.iter().enumerate() {
-                if c.occupancy.get(n).is_none() {
-                    violations.push(desync(
-                        n,
-                        format!("particle {i} is missing from the occupancy map"),
-                    ));
+        let n = c.len();
+        match &c.index {
+            NodeIndex::Raster(g) => {
+                for (i, (node, color)) in c.particles().enumerate() {
+                    let Some((code, owner)) = g.planes(node) else {
+                        violations.push(desync(
+                            node,
+                            format!("particle {i} lies outside the raster"),
+                        ));
+                        continue;
+                    };
+                    if code != grid::encode(color) {
+                        violations.push(desync(
+                            node,
+                            format!("color plane holds {code} for particle {i} of color {color:?}"),
+                        ));
+                    }
+                    match owner {
+                        Some(o) if o as usize == i => {}
+                        Some(o) => violations.push(desync(
+                            node,
+                            format!("index plane holds particle {o}, not particle {i}"),
+                        )),
+                        None => violations.push(desync(
+                            node,
+                            format!("index plane is empty under particle {i}"),
+                        )),
+                    }
+                }
+                let (mut codes, mut owners) = (0, 0);
+                for y in g.min_y()..g.min_y() + g.height() as i32 {
+                    for x in g.min_x()..g.min_x() + g.width() as i32 {
+                        let (code, owner) = g.planes(Node::new(x, y)).expect("in the raster");
+                        codes += usize::from(code != 0);
+                        owners += usize::from(owner.is_some());
+                    }
+                }
+                for (plane, cells) in [("color", codes), ("index", owners)] {
+                    if cells != n {
+                        violations.push(desync(
+                            c.positions[0],
+                            format!("{plane} plane holds {cells} occupied cells for {n} particles"),
+                        ));
+                    }
                 }
             }
-        }
-        if let Some(g) = &c.grid {
-            for (node, slot) in c.occupancy.iter() {
-                let cell = g.code(node);
-                if cell != grid::encode(slot.color) {
-                    violations.push(desync(
-                        node,
-                        format!(
-                            "raster cell {cell} disagrees with occupancy color {:?}",
-                            slot.color
-                        ),
-                    ));
+            NodeIndex::Map(map) => {
+                for (node, slot) in map.iter() {
+                    let idx = slot.index as usize;
+                    if idx >= n {
+                        violations.push(desync(
+                            node,
+                            format!("slot index {idx} out of range for {n} particles"),
+                        ));
+                        continue;
+                    }
+                    if c.positions[idx] != node {
+                        violations.push(desync(
+                            node,
+                            format!(
+                                "slot index {idx} maps back to {}, not this node",
+                                c.positions[idx]
+                            ),
+                        ));
+                    }
+                    if c.colors[idx] != slot.color {
+                        violations.push(desync(
+                            node,
+                            format!(
+                                "slot color {:?} disagrees with color table {:?}",
+                                slot.color, c.colors[idx]
+                            ),
+                        ));
+                    }
                 }
-            }
-            let cells = g.occupied_cells();
-            if cells != entries {
-                violations.push(desync(
-                    c.positions[0],
-                    format!("raster holds {cells} occupied cells for {entries} map entries"),
-                ));
+                if map.iter().count() != n {
+                    for (i, &node) in c.positions.iter().enumerate() {
+                        if map.get(node).is_none() {
+                            violations.push(desync(
+                                node,
+                                format!("particle {i} is missing from the occupancy map"),
+                            ));
+                        }
+                    }
+                }
             }
         }
         violations
     }
 
     /// A corrupt state's audit: the reference's desync findings, then
-    /// `rest`, with the counts from the kept O(n) oracles.
+    /// `rest`, with the counts of the particle table — what a fresh
+    /// configuration of the table counts.
     fn assert_desync_audit(c: &Configuration, rest: &[AuditViolation]) -> AuditReport {
         let report = c.audit();
         let mut expected = desync_reference(c);
         assert!(!expected.is_empty(), "the state is not corrupt");
         expected.extend_from_slice(rest);
         assert_eq!(report.violations, expected);
-        let (edges, hetero) = c.recount();
-        assert_eq!((report.edges, report.hetero_edges), (edges, hetero));
-        assert_eq!(report.connected, c.is_connected());
+        let table = Configuration::new(c.particles()).expect("the table's nodes are distinct");
+        assert_eq!((report.edges, report.hetero_edges), table.recount());
+        assert_eq!(report.connected, table.is_connected());
+        assert_eq!(report.holes, table.hole_count());
         report
     }
 
     #[test]
     fn audit_reports_raster_desyncs_after_table_desyncs() {
-        fn raster(c: &mut Configuration) -> &mut ColorGrid {
-            c.grid.as_mut().expect("tri rasterizes")
+        // (particles on tri: (0,0) C1, (1,0) C1, (0,1) C2.)
+        type Corruption = fn(&mut ColorGrid);
+        let cases: [(&str, Corruption, usize); 8] = [
+            // Stale: one occupied cell more than there are particles.
+            (
+                "stale color",
+                |g| *g.code_mut(Node::new(1, 1)) = grid::encode(Color::C2),
+                1,
+            ),
+            ("stale index", |g| *g.owner_mut(Node::new(1, 1)) = 3, 1),
+            // Cleared: a particle's cell, and so the plane's count.
+            ("cleared color", |g| *g.code_mut(Node::new(0, 1)) = 0, 2),
+            ("cleared index", |g| *g.owner_mut(Node::new(0, 1)) = 0, 2),
+            // Wrong: another color, another particle.
+            (
+                "wrong color",
+                |g| *g.code_mut(Node::new(1, 0)) = grid::encode(Color::C3),
+                1,
+            ),
+            ("wrong index", |g| *g.owner_mut(Node::new(1, 0)) = 3, 1),
+            // Stale cells in the border, outside the particles' box: a
+            // whole phantom particle, in both planes.
+            (
+                "stale cell outside the box",
+                |g| assert!(g.put(Node::new(1 + MARGIN_CELLS, -MARGIN_CELLS), 0, 1)),
+                2,
+            ),
+            // A whole cell cleared: the particle drops out of both planes.
+            ("vacated cell", |g| g.vacate(Node::new(1, 0)), 4),
+        ];
+        for (what, corrupt, findings) in cases {
+            let mut c = tri();
+            corrupt(raster(&mut c));
+            let report = assert_desync_audit(&c, &[]);
+            assert_eq!(report.violations.len(), findings, "{what}");
+            assert_eq!(report.holes, 0, "{what}");
         }
 
-        // A stale cell: one occupied cell more than the map has entries.
-        let mut c = tri();
-        assert!(raster(&mut c).set(Node::new(1, 1), grid::encode(Color::C2)));
-        assert_desync_audit(&c, &[]);
-
-        // A wrong color and a cleared cell: two disagreements, then the
-        // cell count.
-        let mut c = tri();
-        assert!(raster(&mut c).set(Node::new(1, 0), grid::encode(Color::C3)));
-        raster(&mut c).clear(Node::new(0, 1));
-        assert_eq!(assert_desync_audit(&c, &[]).violations.len(), 3);
-
-        // Both kinds at once: the table's findings come first.
+        // Table findings and plane findings at once: the swapped table puts
+        // particles 0 and 1 on each other's index cells, and particle 2's
+        // cleared color cell adds its own two.
         let mut c = tri();
         c.positions.swap(0, 1);
-        raster(&mut c).clear(Node::new(0, 1));
+        *raster(&mut c).code_mut(Node::new(0, 1)) = 0;
         assert_eq!(assert_desync_audit(&c, &[]).violations.len(), 4);
-    }
 
-    #[test]
-    fn audit_of_a_particle_missing_from_the_map() {
+        // A table entry outside the raster, with the counts that follow.
         let mut c = tri();
-        c.occupancy.remove(Node::new(0, 1));
-        let report = assert_desync_audit(
+        c.positions[2] = Node::new(40, 40);
+        assert_desync_audit(
             &c,
             &[
                 AuditViolation::EdgeCountDrift {
@@ -1780,55 +2040,84 @@ mod tests {
                 AuditViolation::Disconnected,
             ],
         );
-        assert_eq!(report.holes, 0);
+    }
 
-        // With the walk's start node missing, `is_connected` still counts
-        // n nodes, but the contour never returns to the start: the audit
-        // skips the walk rather than loop.
-        let mut line = Configuration::new((-1..=1).map(|x| (Node::new(x, 0), Color::C1))).unwrap();
-        line.occupancy.remove(Node::new(-1, 0));
-        assert!(line.is_connected());
-        let report = assert_desync_audit(
-            &line,
-            &[AuditViolation::EdgeCountDrift {
-                tracked: 2,
-                recomputed: 1,
-            }],
+    /// Cells a new raster keeps around the bounding box.
+    const MARGIN_CELLS: i32 = 4;
+
+    #[test]
+    fn a_new_raster_has_a_four_cell_border() {
+        let c = tri();
+        let g = c.raster().unwrap();
+        assert_eq!((g.min_x(), g.min_y()), (-MARGIN_CELLS, -MARGIN_CELLS));
+        assert_eq!((g.width(), g.height()), (10, 10));
+    }
+
+    #[test]
+    fn a_sharded_run_starts_from_the_grown_floor_border() {
+        let mut c = tri();
+        c.widen_raster();
+        let g = c.raster().unwrap();
+        assert_eq!(g.margin(), 32);
+        assert_eq!(
+            (g.min_x(), g.min_y(), g.width(), g.height()),
+            (-32, -32, 66, 66)
         );
+        assert_eq!(c.raster_rebuild_count(), 0);
+        assert!(c.audit().is_consistent());
+        // Already that wide, or a map: nothing to do.
+        let before = c.clone();
+        c.widen_raster();
+        assert_eq!(
+            c.raster().unwrap().extent(),
+            before.raster().unwrap().extent()
+        );
+        let mut m = mapped(tri());
+        m.widen_raster();
+        assert!(!m.is_rasterized());
+    }
+
+    #[test]
+    fn audit_of_a_particle_missing_from_the_map() {
+        let mut c = mapped(tri());
+        map(&mut c).remove(Node::new(0, 1));
+        // The recount and the floods run on the table, which still holds
+        // the particle: the missing entry is the only finding.
+        let report = assert_desync_audit(&c, &[]);
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!((report.edges, report.holes), (3, 0));
+
+        // The walk's start node missing from the map: the walk still runs
+        // on the table.
+        let mut line =
+            mapped(Configuration::new((-1..=1).map(|x| (Node::new(x, 0), Color::C1))).unwrap());
+        map(&mut line).remove(Node::new(-1, 0));
+        assert!(line.is_connected());
+        let report = assert_desync_audit(&line, &[]);
         assert!(report.connected);
     }
 
     #[test]
     fn audit_counts_holes_in_the_particles_box_only() {
-        // Map nodes no particle owns, ringed around the corners (1, 1) and
-        // (−1, −1): the rings enclose both in the map's box, but both lie
-        // on the margin of the particles' box, where the hole flood
-        // starts — each cut off from the rest of the margin, so each must
-        // seed it.
-        let mut c = Configuration::new([(Node::ORIGIN, Color::C1)]).unwrap();
-        for corner in [Node::new(1, 1), Node::new(-1, -1)] {
-            for m in corner.neighbors() {
-                c.occupancy.insert(
-                    m,
-                    Slot {
-                        index: 0,
-                        color: Color::C1,
-                    },
-                );
+        // Index entries no particle owns, ringed around the corners (1, 1)
+        // and (−1, −1): the rings would enclose both in the entries' box,
+        // but the floods run on the particles' box alone.
+        let base = Configuration::new([(Node::ORIGIN, Color::C1)]).unwrap();
+        let phantom = Slot {
+            index: 0,
+            color: Color::C1,
+        };
+        for mut c in [base.clone(), mapped(base)] {
+            for corner in [Node::new(1, 1), Node::new(-1, -1)] {
+                for m in corner.neighbors() {
+                    assert!(c.index.put(m, phantom));
+                }
             }
+            let report = assert_desync_audit(&c, &[]);
+            assert_eq!(report.holes, 0);
+            assert_eq!(c.hole_count(), 0);
+            assert!(report.connected);
         }
-        let report = assert_desync_audit(
-            &c,
-            &[
-                AuditViolation::EdgeCountDrift {
-                    tracked: 0,
-                    recomputed: 16,
-                },
-                AuditViolation::Disconnected,
-            ],
-        );
-        assert_eq!(report.holes, 0);
-        assert_eq!(c.hole_count(), 0);
     }
 
     /// The loop `colored_in` ran over eight decoded lane colors.
@@ -1913,8 +2202,7 @@ mod tests {
             .map(|(i, n)| (n, Color::new((i % 4) as u8)))
             .collect();
         let rasterized = Configuration::new(particles).unwrap();
-        let mut probed = rasterized.clone();
-        probed.grid = None;
+        let probed = mapped(rasterized.clone());
         for x in -5..=5 {
             for y in -5..=5 {
                 for dir in DIRECTIONS {

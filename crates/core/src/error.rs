@@ -163,7 +163,8 @@ pub enum AuditViolation {
         /// The value recomputed from scratch.
         recomputed: u64,
     },
-    /// The occupancy map and the particle position/color tables disagree.
+    /// The node index (the raster's two planes, or the map) and the
+    /// particle position/color tables disagree.
     OccupancyDesync {
         /// The node where the disagreement was found.
         node: Node,
@@ -300,7 +301,7 @@ impl AuditReport {
 /// Repairable violations are exactly the counter-cache class —
 /// [`AuditViolation::EdgeCountDrift`], [`AuditViolation::HeteroCountDrift`],
 /// and [`AuditViolation::PerimeterUnderflow`] — since those caches are
-/// fully derivable from the occupancy map. Structural violations
+/// fully derivable from the particle table. Structural violations
 /// (occupancy desync, disconnection, perimeter/walk mismatch) mean the
 /// primary representation itself is damaged; no in-place fix is sound, and
 /// the caller must escalate to a rollback.

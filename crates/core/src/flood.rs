@@ -1,19 +1,20 @@
-//! The dense, one-byte-per-cell scratch behind [`crate::Configuration::audit`]
-//! and [`crate::Configuration::hole_count`].
+//! The dense, one-byte-per-cell scratch behind [`crate::Configuration::audit`],
+//! [`crate::Configuration::hole_count`] and
+//! [`crate::Configuration::rebuild_counters`].
 //!
 //! The audit re-derives the edge counts, connectivity, the hole count and
-//! the outer boundary walk. Over the occupancy map each of those is a
-//! sequence of hash probes; here every one is a byte load at a flat index,
-//! and each of the six lattice neighbours is a constant index delta.
+//! the outer boundary walk from the particle table alone, not from the
+//! configuration's node index it is checking. Here every one of those is a
+//! byte load at a flat index, and each of the six lattice neighbours is a
+//! constant index delta.
 //!
-//! The grid covers a bounding box plus a one-node *margin* — the box the
-//! hole flood has always used — inside one more ring of *fence* cells.
-//! Particles sit in the box or its margin, and the hole flood marks the
-//! fence [`OUTSIDE`] before it starts, so no flood or walk ever steps off
-//! the array and none needs a bounds check. Visit marks are written in
-//! place:
+//! The grid covers the table's bounding box plus a one-node *margin* — the
+//! box the hole flood has always used — inside one more ring of *fence*
+//! cells. The hole flood marks the fence [`OUTSIDE`] before it starts, so
+//! no flood or walk ever steps off the array and none needs a bounds
+//! check. Visit marks are written in place:
 //!
-//! 1. [`FloodGrid::put`] writes each particle's color code (index + 1);
+//! 1. [`FloodGrid::of`] writes each particle's color code (index + 1);
 //! 2. [`FloodGrid::recount`] counts edges from the codes and turns every
 //!    code into [`OCCUPIED`] — only it reads colors;
 //! 3. [`FloodGrid::linked_count`] marks one connected component
@@ -27,6 +28,7 @@
 
 use sops_lattice::Node;
 
+use crate::config::bounding_box;
 use crate::Color;
 
 /// An unoccupied cell no flood has reached.
@@ -62,14 +64,26 @@ pub(crate) struct FloodGrid {
 }
 
 impl FloodGrid {
-    /// An empty grid over the inclusive box `(min_x, max_x, min_y, max_y)`
-    /// (the format of [`crate::Configuration::bounding_box`]).
+    /// The grid of a particle table: its bounding box, with each
+    /// particle's color code put at its node.
     ///
     /// # Panics
     ///
-    /// Panics if the box has more cells than the address space can index
-    /// (a box that large could not be scanned anyway).
-    pub(crate) fn new((min_x, max_x, min_y, max_y): (i32, i32, i32, i32)) -> Self {
+    /// Panics if the table is empty, or if its box has more cells than the
+    /// address space can index (a box that large could not be scanned
+    /// anyway).
+    pub(crate) fn of(positions: &[Node], colors: &[Color]) -> Self {
+        assert!(!positions.is_empty(), "a particle table is nonempty");
+        let mut grid = Self::new(bounding_box(positions.iter().copied()));
+        for (&node, &color) in positions.iter().zip(colors) {
+            grid.put(node, color);
+        }
+        grid
+    }
+
+    /// An empty grid over the inclusive box `(min_x, max_x, min_y, max_y)`
+    /// (the format of [`crate::Configuration::bounding_box`]).
+    fn new((min_x, max_x, min_y, max_y): (i32, i32, i32, i32)) -> Self {
         let span = |lo: i32, hi: i32| {
             usize::try_from(i64::from(hi) - i64::from(lo) + 1 + 2 * BORDER)
                 .expect("box extent fits usize")
@@ -115,9 +129,9 @@ impl FloodGrid {
     }
 
     /// Places a particle of `color` at `node`. Nodes outside the box and
-    /// its margin are ignored, as the hole flood always ignored them.
+    /// its margin are ignored; [`FloodGrid::of`] puts none there.
     #[inline]
-    pub(crate) fn put(&mut self, node: Node, color: Color) {
+    fn put(&mut self, node: Node, color: Color) {
         if let Some(i) = self.index(node) {
             self.saturated |= color.index() == u8::MAX;
             self.cells[i] = color.index().saturating_add(1);

@@ -1,4 +1,5 @@
-//! Dense occupancy/color raster backing the proposal hot path.
+//! The dense two-plane raster: the node index of every configuration that
+//! rasterizes.
 //!
 //! The chain's inner loop is dominated by *"what, if anything, occupies
 //! node `ℓ`?"* probes: one per activation for the hold outcomes, eight more
@@ -8,40 +9,57 @@
 //! it is two subtractions, two unsigned range checks, and a byte load from
 //! a few-KiB array that lives in L1 for realistic system sizes. For a
 //! particle at least two cells inside every edge (nearly all of them, with
-//! the default margin) even that is hoisted: [`ColorGrid::interior_index`]
+//! the default border) even that is hoisted: [`ColorGrid::interior_index`]
 //! range-checks the source once, and the target and ring probes become
 //! loads at flat offsets `dy·width + dx` the raster precomputes per
 //! direction whenever it is built.
 //!
-//! The raster is a pure cache of the occupancy map: cell `0` means
-//! unoccupied, cell `c > 0` means a particle of color index `c − 1`. It
-//! covers the configuration's bounding box plus a [`MARGIN`]-cell border,
-//! so a drifting configuration only forces a rebuild after `MARGIN` net
-//! outward steps; a configuration too spread out to rasterize under
-//! [`MAX_CELLS`] simply runs without a grid (every read path keeps its
-//! map-probing fallback, and [`crate::Configuration::audit`] cross-checks
-//! the raster against the map whenever one is present).
+//! The raster has two planes over the same cells. The *color plane*
+//! (`u8`) is all the proposal kernel reads: cell `0` means unoccupied,
+//! cell `c > 0` a particle of color index `c − 1`. The *index plane*
+//! (`u32`) names the particle: `0` for unoccupied, `i + 1` for particle
+//! `i`. A cell is empty in both planes or occupied in both, and the
+//! occupied cells are in one-to-one correspondence with the particle table
+//! — the bijection [`crate::Configuration::audit`] checks. Colors get their
+//! own plane so that the probes keep one byte per cell: an expanded
+//! n = 1000 raster of packed `u32` cells would outgrow L1.
+//!
+//! A new raster covers the configuration's bounding box plus a
+//! [`MARGIN`]-cell border, so a particle must step `MARGIN + 1` cells
+//! outside the box it was built around before the raster is rebuilt. A
+//! rebuild (see [`ColorGrid::rebuild_grown`]) widens the border to at
+//! least [`MIN_GROWN_MARGIN`] and doubles it on every later one, so a
+//! drifting configuration pays a logarithmic number of them. A system whose
+//! raster would exceed [`MAX_CELLS`] is indexed by a `NodeMap` instead;
+//! a configuration holds exactly one of the two.
 
 use sops_lattice::{ring_offsets, Direction, Node};
 
+use crate::config::bounding_box;
 use crate::Color;
 
-/// Hard cap on raster cells (4 MiB of `u8`): beyond this the cache costs
-/// more in memory traffic and clone time than its probes save.
+/// Hard cap on raster cells (five bytes each across the two planes):
+/// beyond this the raster costs more in memory traffic and clone time than
+/// its probes save, and the configuration is indexed by a map.
 const MAX_CELLS: u64 = 1 << 22;
 
-/// Unoccupied border kept around the bounding box so boundary moves stay
-/// in-raster; a rebuild is needed only every `MARGIN` net outward steps.
-const MARGIN: i64 = 32;
+/// Unoccupied border a new raster keeps around the bounding box. With
+/// four cells, a particle takes the flat-offset path of
+/// [`ColorGrid::interior_index`] until it drifts three cells outward, and
+/// an n = 100 blob's raster stays at about 480 cells.
+const MARGIN: i64 = 4;
 
-/// Ceiling for the adaptive margin (see [`ColorGrid::rebuild_grown`]): a
-/// drifting configuration doubles its margin on every outgrow-rebuild, so
+/// The border an outgrown raster jumps to on its first rebuild, and the
+/// floor the rebuild policy backs off to (see [`ColorGrid::rebuild_grown`]).
+const MIN_GROWN_MARGIN: i64 = 32;
+
+/// Ceiling for the grown border: every outgrow-rebuild doubles it, so
 /// rebuild count grows logarithmically in drift distance, but the border
 /// never exceeds this many cells per side (a 2·512-cell border alone stays
 /// comfortably under [`MAX_CELLS`] for compact systems).
 const MAX_GROWN_MARGIN: i64 = 512;
 
-/// The dense raster. See the module docs for the cell encoding.
+/// The dense raster. See the module docs for the two planes.
 #[derive(Clone, Debug)]
 pub(crate) struct ColorGrid {
     min_x: i32,
@@ -49,8 +67,8 @@ pub(crate) struct ColorGrid {
     width: u32,
     height: u32,
     /// Border width this raster was built with; rebuilds after an outgrow
-    /// double it (up to [`MAX_GROWN_MARGIN`]) so oscillation across the
-    /// bounding-box edge cannot thrash rebuilds.
+    /// double it (from [`MIN_GROWN_MARGIN`] up to [`MAX_GROWN_MARGIN`]) so
+    /// oscillation across the bounding-box edge cannot thrash rebuilds.
     margin: i64,
     /// The flat offsets `dy·width + dx` of the six neighbors, in
     /// `Direction` order and written twice over, so the six rotations of
@@ -60,7 +78,10 @@ pub(crate) struct ColorGrid {
     /// raster, so this stays at 48 bytes rather than tabulating all nine
     /// probes of each direction (216).
     neighbor_offsets: [i32; 12],
+    /// The color plane: `0` or `color index + 1` per cell.
     cells: Vec<u8>,
+    /// The index plane: `0` or `particle index + 1` per cell.
+    owners: Vec<u32>,
 }
 
 /// The cell encoding of an occupying color.
@@ -90,45 +111,45 @@ pub(crate) fn nonzero_bytes(x: u64) -> u64 {
     (((x & LOW7) + LOW7) | x) & !LOW7
 }
 
+/// An inclusive raster extent `(min_x, min_y, max_x, max_y)`.
+pub(crate) type Extent = (i64, i64, i64, i64);
+
 impl ColorGrid {
-    /// Rasterizes `particles`, or returns `None` when the system cannot be
-    /// cached: an empty list, a color index of `u8::MAX` (unencodable), a
-    /// bounding box beyond [`MAX_CELLS`], or margins that would leave
-    /// `i32` coordinate range.
-    pub(crate) fn build(particles: &[(Node, Color)]) -> Option<Self> {
-        Self::build_with(particles, MARGIN, None)
+    /// Rasterizes the particle table, filling both planes in table order.
+    ///
+    /// `Ok(None)` when the system cannot be rasterized: an empty table, a
+    /// color index of `u8::MAX` (unencodable), a bounding box beyond
+    /// [`MAX_CELLS`], or a border that would leave `i32` coordinate range.
+    /// `Err(node)` names the first node in table order that an earlier
+    /// particle already owns.
+    pub(crate) fn build(positions: &[Node], colors: &[Color]) -> Result<Option<Self>, Node> {
+        match Self::covering(positions, colors, MARGIN, None) {
+            Some(mut grid) => grid.fill(positions, colors).map(|()| Some(grid)),
+            None => Ok(None),
+        }
     }
 
-    /// [`ColorGrid::build`] with an explicit margin and an optional prior
-    /// raster extent (inclusive `(min_x, min_y, max_x, max_y)`) that the
-    /// new raster must keep covering. The union is the hysteresis half of
-    /// the rebuild policy: a raster never shrinks on rebuild, so a
-    /// configuration oscillating across its old bounding-box edge cannot
-    /// re-trigger the rebuild it just paid for.
-    fn build_with(
-        particles: &[(Node, Color)],
+    /// An empty raster over the bounding box of `positions` plus a
+    /// `margin`-cell border, extended to keep covering `keep_covering` (a
+    /// prior raster's extent): the hysteresis half of the rebuild policy,
+    /// under which a raster never shrinks on rebuild, so a configuration
+    /// oscillating across its old bounding-box edge cannot re-trigger the
+    /// rebuild it just paid for. `None` when the system cannot be
+    /// rasterized (see [`ColorGrid::build`]).
+    fn covering(
+        positions: &[Node],
+        colors: &[Color],
         margin: i64,
-        keep_covering: Option<(i64, i64, i64, i64)>,
+        keep_covering: Option<Extent>,
     ) -> Option<Self> {
-        let (&(first, _), rest) = particles.split_first()?;
-        let mut min_x = i64::from(first.x);
-        let mut max_x = min_x;
-        let mut min_y = i64::from(first.y);
-        let mut max_y = min_y;
-        for &(node, color) in particles {
-            if color.index() == u8::MAX {
-                return None;
-            }
-            min_x = min_x.min(i64::from(node.x));
-            max_x = max_x.max(i64::from(node.x));
-            min_y = min_y.min(i64::from(node.y));
-            max_y = max_y.max(i64::from(node.y));
+        if positions.is_empty() || colors.iter().any(|c| c.index() == u8::MAX) {
+            return None;
         }
-        let _ = rest;
-        let mut min_x = min_x - margin;
-        let mut min_y = min_y - margin;
-        let mut max_x = max_x + margin;
-        let mut max_y = max_y + margin;
+        let (min_x, max_x, min_y, max_y) = bounding_box(positions.iter().copied());
+        let mut min_x = i64::from(min_x) - margin;
+        let mut min_y = i64::from(min_y) - margin;
+        let mut max_x = i64::from(max_x) + margin;
+        let mut max_y = i64::from(max_y) + margin;
         if let Some((kx0, ky0, kx1, ky1)) = keep_covering {
             min_x = min_x.min(kx0);
             min_y = min_y.min(ky0);
@@ -147,57 +168,101 @@ impl ColorGrid {
         {
             return None;
         }
-        let mut grid = ColorGrid {
+        let cells = (width * height) as usize;
+        Some(ColorGrid {
             min_x: min_x as i32,
             min_y: min_y as i32,
             width: width as u32,
             height: height as u32,
             margin,
             neighbor_offsets: neighbor_offsets(width as u32),
-            cells: vec![0; (width * height) as usize],
-        };
-        for &(node, color) in particles {
-            let ok = grid.set(node, encode(color));
-            debug_assert!(ok, "bounding-box cell {node} out of its own raster");
+            cells: vec![0; cells],
+            owners: vec![0; cells],
+        })
+    }
+
+    /// Writes every particle of the table into both planes, in table
+    /// order. Every particle is written; the result names the first node
+    /// that was already owned when its particle came to it.
+    fn fill(&mut self, positions: &[Node], colors: &[Color]) -> Result<(), Node> {
+        let mut duplicate = None;
+        for (i, (&node, &color)) in positions.iter().zip(colors).enumerate() {
+            let cell = self
+                .index(node)
+                .expect("the raster covers its particles' bounding box");
+            if self.owners[cell] != 0 {
+                duplicate.get_or_insert(node);
+            }
+            self.cells[cell] = encode(color);
+            self.owners[cell] = owner_entry(i as u32);
         }
-        Some(grid)
+        duplicate.map_or(Ok(()), Err)
     }
 
     /// [`ColorGrid::build`] with a `margin`-cell border instead of
     /// [`MARGIN`], so tests can put particles in the raster's edge band.
     #[cfg(test)]
-    pub(crate) fn build_with_margin(particles: &[(Node, Color)], margin: i64) -> Option<Self> {
-        Self::build_with(particles, margin, None)
+    pub(crate) fn build_with_margin(
+        positions: &[Node],
+        colors: &[Color],
+        margin: i64,
+    ) -> Option<Self> {
+        let mut grid = Self::covering(positions, colors, margin, None)?;
+        grid.fill(positions, colors).ok()?;
+        Some(grid)
     }
 
-    /// Rebuilds after a particle stepped outside this raster, applying the
-    /// anti-thrash policy: double the margin (capped at
-    /// [`MAX_GROWN_MARGIN`]) and keep covering the old raster's extent. If
-    /// the grown raster would exceed [`MAX_CELLS`], the margin is halved
-    /// back down (never below [`MARGIN`]); as a last resort the old extent
-    /// is dropped; and if even a fresh default-margin raster cannot fit,
-    /// the system runs without a grid, exactly as before.
-    pub(crate) fn rebuild_grown(&self, particles: &[(Node, Color)]) -> Option<Self> {
-        let old_extent = (
+    /// Rebuilds from the particle table after a particle stepped outside
+    /// this raster, applying the anti-thrash policy: double the border,
+    /// from at least [`MIN_GROWN_MARGIN`] up to [`MAX_GROWN_MARGIN`], and
+    /// keep covering the old raster's extent. If the grown raster would
+    /// exceed [`MAX_CELLS`], the border is halved back down (never below
+    /// [`MIN_GROWN_MARGIN`]); as a last resort the old extent is dropped;
+    /// and if even that raster cannot fit, `None` tells the configuration
+    /// to index itself by a map.
+    pub(crate) fn rebuild_grown(&self, positions: &[Node], colors: &[Color]) -> Option<Self> {
+        let old_extent = self.extent();
+        let mut margin = self
+            .margin
+            .saturating_mul(2)
+            .clamp(MIN_GROWN_MARGIN, MAX_GROWN_MARGIN);
+        let mut grid = loop {
+            if let Some(grid) = Self::covering(positions, colors, margin, Some(old_extent)) {
+                break grid;
+            }
+            if margin > MIN_GROWN_MARGIN {
+                margin = (margin / 2).max(MIN_GROWN_MARGIN);
+            } else {
+                break Self::covering(positions, colors, MIN_GROWN_MARGIN, None)?;
+            }
+        };
+        // Duplicate nodes exist only in a corrupt table, which the audit
+        // reports; the rebuild indexes whatever the table holds.
+        let _ = grid.fill(positions, colors);
+        Some(grid)
+    }
+
+    /// This raster rebuilt with at least the grown floor
+    /// [`MIN_GROWN_MARGIN`] as its border, keeping its extent: the border
+    /// the sharded engine starts from (see [`crate::shard`]). `None` when
+    /// the border is already that wide, or the wider raster would not fit.
+    pub(crate) fn widened(&self, positions: &[Node], colors: &[Color]) -> Option<Self> {
+        if self.margin >= MIN_GROWN_MARGIN {
+            return None;
+        }
+        let mut grid = Self::covering(positions, colors, MIN_GROWN_MARGIN, Some(self.extent()))?;
+        let _ = grid.fill(positions, colors);
+        Some(grid)
+    }
+
+    /// The raster's inclusive extent.
+    pub(crate) fn extent(&self) -> Extent {
+        (
             i64::from(self.min_x),
             i64::from(self.min_y),
             i64::from(self.min_x) + i64::from(self.width) - 1,
             i64::from(self.min_y) + i64::from(self.height) - 1,
-        );
-        let mut margin = self
-            .margin
-            .saturating_mul(2)
-            .clamp(MARGIN, MAX_GROWN_MARGIN);
-        loop {
-            if let Some(grid) = Self::build_with(particles, margin, Some(old_extent)) {
-                return Some(grid);
-            }
-            if margin > MARGIN {
-                margin = (margin / 2).max(MARGIN);
-            } else {
-                return Self::build_with(particles, MARGIN, None);
-            }
-        }
+        )
     }
 
     /// The cell index of `node`, when it lies inside the raster.
@@ -226,31 +291,78 @@ impl ColorGrid {
         }
     }
 
-    /// Writes `code` at `node`; `false` means the node lies outside the
-    /// raster and the caller must rebuild.
+    /// The particle at `node` and its color code, when both planes hold
+    /// one there.
     #[inline]
-    pub(crate) fn set(&mut self, node: Node, code: u8) -> bool {
+    pub(crate) fn particle(&self, node: Node) -> Option<(u32, u8)> {
+        let i = self.index(node)?;
+        let (owner, code) = (self.owners[i], self.cells[i]);
+        (owner != 0 && code != 0).then(|| (owner - 1, code))
+    }
+
+    /// The index plane at `node`: the particle there, if any.
+    #[inline]
+    pub(crate) fn owner(&self, node: Node) -> Option<u32> {
+        self.index(node).and_then(|i| self.owners[i].checked_sub(1))
+    }
+
+    /// Both planes at `node` — the color plane's raw code and the index
+    /// plane's particle — or `None` outside the raster.
+    #[inline]
+    pub(crate) fn planes(&self, node: Node) -> Option<(u8, Option<u32>)> {
+        self.index(node)
+            .map(|i| (self.cells[i], self.owners[i].checked_sub(1)))
+    }
+
+    /// Places `particle`, of color code `code`, at `node` in both planes;
+    /// `false` means the node lies outside the raster and the caller must
+    /// rebuild.
+    #[inline]
+    pub(crate) fn put(&mut self, node: Node, particle: u32, code: u8) -> bool {
         match self.index(node) {
             Some(i) => {
                 self.cells[i] = code;
+                self.owners[i] = owner_entry(particle);
                 true
             }
             None => false,
         }
     }
 
-    /// Clears the cell at `node` (a no-op outside the raster, where every
-    /// node is already unoccupied).
+    /// Empties the cell at `node` in both planes (a no-op outside the
+    /// raster, where every node is already unoccupied).
     #[inline]
-    pub(crate) fn clear(&mut self, node: Node) {
+    pub(crate) fn vacate(&mut self, node: Node) {
         if let Some(i) = self.index(node) {
             self.cells[i] = 0;
+            self.owners[i] = 0;
         }
     }
 
-    /// Number of occupied cells — the audit's cheap "no stale particle
-    /// left behind" cross-check against the occupancy map's length —
-    /// counted eight cells at a time.
+    /// Removes and returns the index plane's particle at `node`, leaving
+    /// the color plane alone: the sharded merge pass, whose stripe
+    /// workers already wrote the colors.
+    #[inline]
+    pub(crate) fn take_owner(&mut self, node: Node) -> Option<u32> {
+        let i = self.index(node)?;
+        core::mem::take(&mut self.owners[i]).checked_sub(1)
+    }
+
+    /// Writes `particle` into the index plane at `node`, leaving the color
+    /// plane alone; `false` outside the raster.
+    #[inline]
+    pub(crate) fn put_owner(&mut self, node: Node, particle: u32) -> bool {
+        match self.index(node) {
+            Some(i) => {
+                self.owners[i] = owner_entry(particle);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Number of occupied cells in the color plane, counted eight cells at
+    /// a time.
     pub(crate) fn occupied_cells(&self) -> usize {
         let words = self.cells.chunks_exact(8);
         let tail = words.remainder().iter().filter(|&&c| c != 0).count();
@@ -261,6 +373,39 @@ impl ColorGrid {
             })
             .sum::<usize>()
             + tail
+    }
+
+    /// Number of occupied cells in the index plane.
+    pub(crate) fn owned_cells(&self) -> usize {
+        self.owners.iter().filter(|&&o| o != 0).count()
+    }
+
+    /// `(e(σ), h(σ))` of the color plane, enumerated from the particles at
+    /// `positions` and counting each edge from its E / NE / NW end. A
+    /// particle at least two cells inside every edge probes those three
+    /// neighbours at flat offsets; one in the edge band probes them node by
+    /// node. A position whose cell is empty contributes nothing.
+    pub(crate) fn recount(&self, positions: &[Node]) -> (u64, u64) {
+        const FORWARD: [Direction; 3] = [Direction::E, Direction::NE, Direction::NW];
+        let (mut edges, mut hetero) = (0u64, 0u64);
+        for &node in positions {
+            let (own, forward) = match self.interior_index(node) {
+                Some(i) => (self.cells[i], FORWARD.map(|d| self.target_code(i, d))),
+                None => (
+                    self.code(node),
+                    FORWARD.map(|d| self.code(node.neighbor(d))),
+                ),
+            };
+            if own == 0 {
+                continue;
+            }
+            for code in forward {
+                let edge = u64::from(code != 0);
+                edges += edge;
+                hetero += edge & u64::from(code != own);
+            }
+        }
+        (edges, hetero)
     }
 
     /// Smallest in-raster x coordinate.
@@ -293,7 +438,29 @@ impl ColorGrid {
         self.margin
     }
 
-    /// The raw y-major cell array. Row `r` (lattice row `min_y + r`)
+    /// The raw color-plane cell at `node`, so tests can corrupt one plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` lies outside the raster.
+    #[cfg(test)]
+    pub(crate) fn code_mut(&mut self, node: Node) -> &mut u8 {
+        let i = self.index(node).expect("node inside the raster");
+        &mut self.cells[i]
+    }
+
+    /// The raw index-plane cell at `node` (`particle + 1`, or `0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` lies outside the raster.
+    #[cfg(test)]
+    pub(crate) fn owner_mut(&mut self, node: Node) -> &mut u32 {
+        let i = self.index(node).expect("node inside the raster");
+        &mut self.owners[i]
+    }
+
+    /// The raw y-major color plane. Row `r` (lattice row `min_y + r`)
     /// occupies `cells[r * width .. (r + 1) * width]`; rows being
     /// contiguous is what lets the sharded engine hand disjoint row bands
     /// to worker threads via `split_at_mut`.
@@ -374,6 +541,12 @@ impl ColorGrid {
 /// (`sops_lattice::FOOTPRINT_REACH`).
 const FLAT_REACH: u32 = sops_lattice::FOOTPRINT_REACH as u32;
 
+/// The index plane's entry for `particle`.
+#[inline]
+fn owner_entry(particle: u32) -> u32 {
+    particle + 1
+}
+
 /// [`ColorGrid`]'s `neighbor_offsets` for a raster of row stride `width`.
 fn neighbor_offsets(width: u32) -> [i32; 12] {
     // `width ≤ MAX_CELLS`, so even `2·width + 2` fits an `i32`.
@@ -388,6 +561,16 @@ fn neighbor_offsets(width: u32) -> [i32; 12] {
 mod tests {
     use super::*;
 
+    /// The particle table of `particles`.
+    fn table(particles: &[(Node, Color)]) -> (Vec<Node>, Vec<Color>) {
+        particles.iter().copied().unzip()
+    }
+
+    fn build(particles: &[(Node, Color)]) -> Option<ColorGrid> {
+        let (positions, colors) = table(particles);
+        ColorGrid::build(&positions, &colors).expect("distinct nodes")
+    }
+
     #[test]
     fn build_probes_and_mutation_roundtrip() {
         let particles = vec![
@@ -395,79 +578,147 @@ mod tests {
             (Node::new(3, -2), Color::C2),
             (Node::new(-1, 4), Color::C3),
         ];
-        let mut grid = ColorGrid::build(&particles).expect("small system rasterizes");
-        for &(node, color) in &particles {
+        let mut grid = build(&particles).expect("small system rasterizes");
+        for (i, &(node, color)) in particles.iter().enumerate() {
             assert_eq!(grid.code(node), encode(color));
             assert_eq!(decode(grid.code(node)), color);
+            assert_eq!(grid.owner(node), Some(i as u32));
+            assert_eq!(grid.particle(node), Some((i as u32, encode(color))));
         }
         assert_eq!(grid.code(Node::new(1, 1)), 0);
+        assert_eq!(grid.owner(Node::new(1, 1)), None);
+        assert_eq!(grid.planes(Node::new(1, 1)), Some((0, None)));
         // Far outside the raster: unoccupied, no panic.
         assert_eq!(grid.code(Node::new(1_000_000, -1_000_000)), 0);
-        assert_eq!(grid.occupied_cells(), 3);
+        assert_eq!(grid.owner(Node::new(1_000_000, -1_000_000)), None);
+        assert_eq!(grid.planes(Node::new(1_000_000, -1_000_000)), None);
+        assert_eq!((grid.occupied_cells(), grid.owned_cells()), (3, 3));
 
-        grid.clear(Node::new(0, 0));
-        assert!(grid.set(Node::new(1, 0), encode(Color::C1)));
-        assert_eq!(grid.code(Node::new(0, 0)), 0);
+        grid.vacate(Node::new(0, 0));
+        assert!(grid.put(Node::new(1, 0), 0, encode(Color::C1)));
+        assert_eq!(grid.planes(Node::new(0, 0)), Some((0, None)));
+        assert_eq!(grid.particle(Node::new(1, 0)), Some((0, encode(Color::C1))));
+        assert_eq!((grid.occupied_cells(), grid.owned_cells()), (3, 3));
+
+        // The index plane alone, as the sharded merge moves it.
+        assert_eq!(grid.take_owner(Node::new(1, 0)), Some(0));
+        assert_eq!(grid.take_owner(Node::new(1, 0)), None);
         assert_eq!(grid.code(Node::new(1, 0)), encode(Color::C1));
-        assert_eq!(grid.occupied_cells(), 3);
+        assert_eq!(grid.particle(Node::new(1, 0)), None);
+        assert!(grid.put_owner(Node::new(1, 0), 0));
+        assert_eq!((grid.occupied_cells(), grid.owned_cells()), (3, 3));
 
-        // Within the margin: settable; far past it: rejected.
-        assert!(grid.set(Node::new(3 + 10, 0), 1));
-        assert!(!grid.set(Node::new(3 + 1000, 0), 1));
+        // Within the border: writable; far past it: rejected.
+        let m = MARGIN as i32;
+        assert!(grid.put(Node::new(3 + m, 0), 0, 1));
+        assert!(!grid.put(Node::new(3 + 1000, 0), 0, 1));
+        assert!(!grid.put_owner(Node::new(3 + 1000, 0), 0));
+    }
+
+    #[test]
+    fn build_reports_the_first_duplicate_in_table_order() {
+        let particles = [
+            (Node::new(0, 0), Color::C1),
+            (Node::new(1, 0), Color::C2),
+            (Node::new(1, 0), Color::C1),
+            (Node::new(0, 0), Color::C2),
+        ];
+        let (positions, colors) = table(&particles);
+        assert_eq!(
+            ColorGrid::build(&positions, &colors).unwrap_err(),
+            Node::new(1, 0)
+        );
     }
 
     #[test]
     fn build_rejects_uncacheable_systems() {
-        assert!(ColorGrid::build(&[]).is_none());
+        assert!(build(&[]).is_none());
         // Unencodable color index.
-        assert!(ColorGrid::build(&[(Node::new(0, 0), Color::new(u8::MAX))]).is_none());
+        assert!(build(&[(Node::new(0, 0), Color::new(u8::MAX))]).is_none());
         // Bounding box past the cell cap.
         let sparse = vec![
             (Node::new(0, 0), Color::C1),
             (Node::new(1 << 20, 1 << 20), Color::C2),
         ];
-        assert!(ColorGrid::build(&sparse).is_none());
+        assert!(build(&sparse).is_none());
         // Margin would leave i32 range.
         let edge = vec![(Node::new(i32::MAX, 0), Color::C1)];
-        assert!(ColorGrid::build(&edge).is_none());
+        assert!(build(&edge).is_none());
         // Compact systems anywhere in range still rasterize.
         let shifted = vec![
             (Node::new(500_000_000, -500_000_000), Color::C1),
             (Node::new(500_000_001, -500_000_000), Color::C2),
         ];
-        assert!(ColorGrid::build(&shifted).is_some());
+        assert!(build(&shifted).is_some());
+        // A box of exactly MAX_CELLS cells with its border still fits.
+        let side = (1 << 11) - 2 * MARGIN as i32;
+        let diagonal = [
+            (Node::new(0, 0), Color::C1),
+            (Node::new(side - 1, side - 1), Color::C2),
+        ];
+        let grid = build(&diagonal).expect("a box of exactly MAX_CELLS rasterizes");
+        assert_eq!(
+            u64::from(grid.width()) * u64::from(grid.height()),
+            MAX_CELLS
+        );
+        let past = [diagonal[0], (Node::new(side, side - 1), Color::C2)];
+        assert!(build(&past).is_none());
     }
 
     #[test]
     fn margin_absorbs_drift_up_to_its_width() {
-        let mut grid = ColorGrid::build(&[(Node::new(0, 0), Color::C1)]).unwrap();
+        let mut grid = build(&[(Node::new(0, 0), Color::C1)]).unwrap();
+        assert_eq!(grid.margin(), MARGIN);
         // All nodes within MARGIN of the box are in-raster.
         let m = MARGIN as i32;
-        assert!(grid.set(Node::new(m, 0), 1));
-        assert!(grid.set(Node::new(0, -m), 1));
-        assert!(!grid.set(Node::new(m + 1, 0), 1));
+        assert!(grid.put(Node::new(m, 0), 0, 1));
+        assert!(grid.put(Node::new(0, -m), 0, 1));
+        assert!(!grid.put(Node::new(m + 1, 0), 0, 1));
     }
 
     #[test]
     fn rebuild_grown_doubles_margin_and_keeps_old_extent() {
-        let grid = ColorGrid::build(&[(Node::new(0, 0), Color::C1)]).unwrap();
+        let grid = build(&[(Node::new(0, 0), Color::C1)]).unwrap();
         assert_eq!(grid.margin(), MARGIN);
         let old_min_x = grid.min_x();
         // Particle drifted just past the border.
-        let drifted = vec![(Node::new(MARGIN as i32 + 1, 0), Color::C1)];
-        let mut grown = grid.rebuild_grown(&drifted).expect("still rasterizable");
-        assert_eq!(grown.margin(), 2 * MARGIN);
+        let (positions, colors) = table(&[(Node::new(MARGIN as i32 + 1, 0), Color::C1)]);
+        let mut grown = grid
+            .rebuild_grown(&positions, &colors)
+            .expect("still rasterizable");
+        assert_eq!(grown.margin(), MIN_GROWN_MARGIN);
+        assert_eq!(grown.owner(positions[0]), Some(0));
+        assert_eq!(grown.code(positions[0]), encode(Color::C1));
         // Hysteresis: the new raster still covers the old one entirely.
         assert!(grown.min_x() <= old_min_x);
-        assert!(grown.set(Node::new(0, -(MARGIN as i32)), 1));
+        assert!(grown.put(Node::new(0, -(MARGIN as i32)), 0, 1));
         // And the grown margin extends past the new bounding box.
-        assert!(grown.set(Node::new(MARGIN as i32 + 1 + 2 * MARGIN as i32, 0), 1));
+        let reach = MARGIN as i32 + 1 + MIN_GROWN_MARGIN as i32;
+        assert!(grown.put(Node::new(reach, 0), 0, 1));
+        assert!(!grown.put(Node::new(reach + 1, 0), 0, 1));
+        // The next rebuild doubles the border.
+        let again = grown.rebuild_grown(&positions, &colors).unwrap();
+        assert_eq!(again.margin(), 2 * MIN_GROWN_MARGIN);
         // Margin growth saturates at the cap.
         let mut g = grid;
         for _ in 0..20 {
-            g = g.rebuild_grown(&drifted).unwrap();
+            g = g.rebuild_grown(&positions, &colors).unwrap();
         }
         assert_eq!(g.margin(), MAX_GROWN_MARGIN);
+    }
+
+    #[test]
+    fn rebuild_grown_gives_up_only_when_the_floor_border_cannot_fit() {
+        // A diagonal whose border-4 raster is exactly MAX_CELLS: no grown
+        // raster fits, with or without the old extent.
+        let side = (1 << 11) - 2 * MARGIN as i32;
+        let particles = [
+            (Node::new(0, 0), Color::C1),
+            (Node::new(side - 1, side - 1), Color::C2),
+        ];
+        let grid = build(&particles).unwrap();
+        let (positions, colors) = table(&particles);
+        assert!(grid.rebuild_grown(&positions, &colors).is_none());
     }
 
     #[test]
@@ -479,9 +730,10 @@ mod tests {
         let wide: Vec<(Node, Color)> = (0..side)
             .flat_map(|x| (0..2).map(move |y| (Node::new(x, y), Color::C1)))
             .collect();
-        let mut grid = ColorGrid::build(&wide).unwrap();
+        let mut grid = build(&wide).unwrap();
+        let (positions, colors) = table(&wide);
         for _ in 0..12 {
-            match grid.rebuild_grown(&wide) {
+            match grid.rebuild_grown(&positions, &colors) {
                 Some(g) => grid = g,
                 None => panic!("policy must back off margin rather than drop the raster"),
             }
@@ -511,8 +763,10 @@ mod tests {
                 }
             }
         }
-        for margin in [0, 1, 2, 3, MARGIN] {
-            let grid = ColorGrid::build_with(&particles, margin, None).expect("rasterizes");
+        let (positions, colors) = table(&particles);
+        for margin in [0, 1, 2, 3, MARGIN, MIN_GROWN_MARGIN] {
+            let grid =
+                ColorGrid::build_with_margin(&positions, &colors, margin).expect("rasterizes");
             let (w, h) = (grid.width() as i32, grid.height() as i32);
             let mut interior = 0;
             for y in grid.min_y() - 3..grid.min_y() + h + 3 {
@@ -554,15 +808,45 @@ mod tests {
     }
 
     #[test]
+    fn recount_is_the_same_at_flat_offsets_and_in_the_edge_band() {
+        // Edges counted pair by pair over the particle list, against the
+        // raster's recount with borders that put the bounding box's
+        // particles in the edge band (per-node probes) or inside it (flat
+        // offsets).
+        let mut particles = Vec::new();
+        for x in 0..8i32 {
+            for y in 0..6i32 {
+                if (x * 13 + y * 7) % 4 != 1 {
+                    particles.push((Node::new(x, y), Color::new(((x + 2 * y) % 3) as u8)));
+                }
+            }
+        }
+        let (mut edges, mut hetero) = (0, 0);
+        for (i, &(a, ca)) in particles.iter().enumerate() {
+            for &(b, cb) in &particles[i + 1..] {
+                if a.is_adjacent(b) {
+                    edges += 1;
+                    hetero += u64::from(ca != cb);
+                }
+            }
+        }
+        let (positions, colors) = table(&particles);
+        for margin in [0, 1, 2, 3, MARGIN] {
+            let grid = ColorGrid::build_with_margin(&positions, &colors, margin).unwrap();
+            assert_eq!(grid.recount(&positions), (edges, hetero), "margin {margin}");
+        }
+    }
+
+    #[test]
     fn narrow_rasters_have_no_interior() {
         // A single particle with no border: a 1×1 raster, nothing 2 cells
         // inside its edges, and no flat offset may be taken from it.
-        let lone = [(Node::new(5, -5), Color::C2)];
-        let grid = ColorGrid::build_with(&lone, 0, None).unwrap();
+        let (positions, colors) = table(&[(Node::new(5, -5), Color::C2)]);
+        let grid = ColorGrid::build_with_margin(&positions, &colors, 0).unwrap();
         assert_eq!((grid.width(), grid.height()), (1, 1));
         assert_eq!(grid.interior_index(Node::new(5, -5)), None);
         // A 5×5 raster has exactly one interior cell, its center.
-        let grid = ColorGrid::build_with(&lone, 2, None).unwrap();
+        let grid = ColorGrid::build_with_margin(&positions, &colors, 2).unwrap();
         assert_eq!(grid.interior_index(Node::new(5, -5)), Some(12));
         assert_eq!(grid.interior_index(Node::new(6, -5)), None);
         assert_eq!(grid.interior_index(Node::new(5, -4)), None);

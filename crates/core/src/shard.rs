@@ -28,8 +28,8 @@
 //!    `S + 1` times, so no stream ever overlaps a later round's.
 //! 3. **Shard kernels.** All shards of a phase (`shard_index % colors`)
 //!    run concurrently. Each worker owns a disjoint `&mut` row band of the
-//!    raster (safe Rust: rows are contiguous, so bands come from
-//!    `split_at_mut`) plus its slot list, and repeatedly draws a slot
+//!    raster's color plane (safe Rust: rows are contiguous, so bands come
+//!    from `split_at_mut`) plus its slot list, and repeatedly draws a slot
 //!    (uniform occupied node) and a direction. Proposals whose footprint
 //!    lies fully inside the stripe *and* the raster commit directly to the
 //!    band and append a change-log entry carrying the precomputed
@@ -37,11 +37,11 @@
 //!    raster edge is **deferred** — recorded untouched and unevaluated, so
 //!    no cross-shard conflict can ever commit.
 //! 4. **Merge.** The main thread replays the change logs in shard order
-//!    through the existing checked-arithmetic paths (occupancy map,
-//!    position table, edge/hetero counters; the raster is already
-//!    current), then replays every deferred proposal sequentially through
-//!    the live [`SeparationChain::propose`] kernel with the reconciliation
-//!    stream.
+//!    through the existing checked-arithmetic paths (the raster's index
+//!    plane, the position table, the edge/hetero counters; the color plane
+//!    is already current), then replays every deferred proposal
+//!    sequentially through the live [`SeparationChain::propose`] kernel
+//!    with the reconciliation stream.
 //!
 //! # RNG draw-order contract (sharded mode)
 //!
@@ -76,15 +76,20 @@
 //! equally valid — trajectories, exactly as reseeding would.
 //! [`run_sharded_reference`] replays the identical schedule
 //! single-threaded and is the equivalence oracle for multi-shard runs.
+//! The plan is cut from the raster's rows and its deferral window is the
+//! raster's extent, so both depend on the raster's border as well as on
+//! the particles. A sharded run therefore starts by widening a new
+//! raster's 4-cell border to the 32 cells an outgrown raster gets, which
+//! keeps particles clear of the deferral window's edge.
 //!
 //! # What can go wrong
 //!
-//! * No raster (system too sparse to rasterize): the engine degrades to
-//!   sequential [`SeparationChain::step_detailed`] stepping, counted in
-//!   [`ParallelReport::fallback_steps`].
+//! * No raster (a system too spread out to rasterize, indexed by a map):
+//!   the engine degrades to sequential [`SeparationChain::step_detailed`]
+//!   stepping, counted in [`ParallelReport::fallback_steps`].
 //! * Corrupt tracked counters: shard workers never see them (they work on
 //!   raw raster bytes), so corruption surfaces in the merge pass — which
-//!   **panics**, because the raster half of the transition is already
+//!   **panics**, because the color half of the transition is already
 //!   applied and there is no untouched state to hold. The sequential
 //!   kernels' `InvalidStateHold` soft-fail is only reachable through the
 //!   reconciliation pass here.
@@ -302,6 +307,7 @@ impl SeparationChain {
     ) -> ParallelReport {
         let mut report = ParallelReport::default();
         let mut remaining = steps;
+        config.widen_raster();
         while remaining > 0 {
             if config.raster().is_none() {
                 // Too sparse to rasterize: sequential degradation.
@@ -434,6 +440,7 @@ pub fn run_sharded_reference(
 ) -> ParallelReport {
     let mut report = ParallelReport::default();
     let mut remaining = steps;
+    config.widen_raster();
     while remaining > 0 {
         if config.raster().is_none() {
             for _ in 0..remaining {

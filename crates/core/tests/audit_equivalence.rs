@@ -5,9 +5,10 @@
 //! `boundary_walk_length` — kept as the O(n) oracles — plus the hash-set
 //! hole flood, kept here verbatim.
 //!
-//! Occupancy desyncs (map against table or raster) need private hooks and
-//! are covered by `Configuration`'s unit tests; every state here has a
-//! consistent map, table and raster, and the reference asserts so.
+//! Occupancy desyncs (either raster plane, or the map, against the table)
+//! need private hooks and are covered by `Configuration`'s unit tests;
+//! every state here has a consistent index and table, and the reference
+//! asserts so.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,7 +20,7 @@ use sops_lattice::region::Region;
 use sops_lattice::{Node, NodeSet};
 
 /// The hole count as a `NodeSet` flood from the bounding box's margin,
-/// verbatim but for probing the occupancy map through `index_at`.
+/// verbatim but for probing the node index through `index_at`.
 fn hole_count_reference(config: &Configuration) -> usize {
     let occupied = |n: Node| config.index_at(n).is_some();
     let (min_x, max_x, min_y, max_y) = config.bounding_box();

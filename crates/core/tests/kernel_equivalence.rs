@@ -15,6 +15,10 @@
 //!    always-accepting and an always-rejecting Metropolis draw, with swaps
 //!    on and off.
 //!
+//! 3. **Across the raster-to-map switch** — a configuration whose bounding
+//!    box outgrows the raster cap mid-run continues bit-identically on its
+//!    map index and audits clean.
+//!
 //! `run`, which prepares the particle draw once per call, must equal the
 //! `step` loop it replaces in state, accepted count and RNG state.
 //!
@@ -32,6 +36,7 @@ use sops_chains::MarkovChain;
 use sops_core::{
     construct, enumerate, Bias, CompressionChain, Configuration, SeparationChain, StepOutcome,
 };
+use sops_lattice::region::Region;
 use sops_lattice::{Direction, Node, DIRECTIONS};
 
 /// An RNG whose `next_u64` is a fixed constant: `0` accepts any positive
@@ -189,6 +194,94 @@ fn fused_kernel_equivalence_exhaustive_on_small_configurations() {
         assert!(seen.contains(&outcome), "{outcome} never produced");
     }
     assert!(proposals > 10_000, "enumeration too small: {proposals}");
+}
+
+/// A north-west diagonal of `line` particles from the origin, with a
+/// radius-2 hexagonal blob hung off its south-east end. The diagonal makes
+/// the bounding box `line + 5` cells square; the blob is what can move.
+fn diagonal_with_blob(line: i32, rng: &mut StdRng) -> Configuration {
+    let diagonal = (0..line).map(|k| Node::new(-k, k));
+    let blob = Region::hexagon(2)
+        .iter()
+        .map(|n| Node::new(n.x + 3, n.y - 3))
+        .collect::<Vec<_>>();
+    let n1 = blob.len() / 2;
+    let colored = construct::bicolor_random(diagonal.chain(blob).collect(), n1, rng);
+    Configuration::new(colored).unwrap()
+}
+
+#[test]
+fn fused_kernel_continues_identically_across_the_raster_to_map_switch() {
+    // The new raster of a 2,040-cell-square box is 2,048 cells square with
+    // its 4-cell border: exactly the 2²²-cell cap. Once the blob carries a
+    // particle past that border, no grown raster fits, and the
+    // configuration is indexed by a map from then on. Fused and reference
+    // kernels must take the switch at the same step and stay identical in
+    // outcome, state and RNG stream on both sides of it.
+    let line = 2035;
+    let mut rng = StdRng::seed_from_u64(30);
+    let base = diagonal_with_blob(line, &mut rng);
+    assert!(base.is_rasterized());
+    assert!(base.audit().is_consistent());
+    let chain = SeparationChain::new(Bias::new(0.3, 1.0).unwrap());
+    // Proposals go to the blob's particles. For `PHASE` steps they draw
+    // their direction uniformly; then, until the switch, three in four
+    // lean away from the diagonal, out of the box's south-east corner;
+    // after it, `PHASE` more draw uniformly again.
+    const PHASE: u64 = 50_000;
+    const OUTWARD: [Direction; 3] = [Direction::E, Direction::SE, Direction::SW];
+    let movers: Vec<usize> = (line as usize..base.len()).collect();
+    let mut schedule = StdRng::seed_from_u64(31);
+    let mut fused = base.clone();
+    let mut reference = base;
+    let mut fused_rng = StdRng::seed_from_u64(32);
+    let mut ref_rng = fused_rng.clone();
+    let mut switched_at = None;
+    for step in 0..PHASE + 1_000_000 {
+        let lean = step >= PHASE && switched_at.is_none();
+        let p = movers[schedule.random_range(0..movers.len())];
+        let d = if lean && schedule.random_range(0..4u32) != 0 {
+            OUTWARD[schedule.random_range(0..3usize)]
+        } else {
+            DIRECTIONS[schedule.random_range(0..6usize)]
+        };
+        let outcome = chain.propose(&mut fused, p, d, &mut fused_rng);
+        let expected = chain.propose_reference(&mut reference, p, d, &mut ref_rng);
+        assert_eq!(outcome, expected, "outcome diverged at step {step}");
+        assert_eq!(
+            fused.is_rasterized(),
+            reference.is_rasterized(),
+            "index diverged at step {step}"
+        );
+        if switched_at.is_none() && !fused.is_rasterized() {
+            assert!(step >= PHASE, "the blob left the raster unprompted");
+            assert!(fused.particles().eq(reference.particles()));
+            assert!(fused.audit().is_consistent(), "audit at the switch");
+            switched_at = Some(step);
+        }
+        if switched_at.is_some_and(|at| step >= at + PHASE) {
+            break;
+        }
+    }
+    assert!(switched_at.is_some(), "the blob never left the raster");
+    assert!(
+        fused.particles().eq(reference.particles()),
+        "state diverged"
+    );
+    assert_eq!(
+        (fused.edge_count(), fused.hetero_edge_count()),
+        (reference.edge_count(), reference.hetero_edge_count())
+    );
+    assert_eq!(fused.raster_rebuild_count(), 1);
+    assert_eq!(reference.raster_rebuild_count(), 1);
+    assert_eq!(
+        fused_rng.next_u64(),
+        ref_rng.next_u64(),
+        "RNG streams diverged"
+    );
+    let report = fused.audit();
+    assert!(report.is_consistent(), "{report}");
+    assert_eq!(report, reference.audit());
 }
 
 /// `chain.run(config, k)` must equal `k` calls of `chain.step`: same state,

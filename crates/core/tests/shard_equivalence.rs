@@ -207,3 +207,19 @@ fn outcome_counts_conserve_proposals_and_audits_stay_clean() {
     assert_eq!(total.steps, 9_000);
     assert_eq!(config.len(), 54);
 }
+
+#[test]
+fn one_shard_defers_nothing_on_an_expanding_blob() {
+    // At λ < 1 the blob spreads past a new raster's 4-cell border within
+    // these steps, and a proposal whose footprint leaves the raster is
+    // deferred. A sharded run first widens the border to 32 cells, so one
+    // shard still defers nothing here.
+    let chain = SeparationChain::new(Bias::new(0.5, 1.0).unwrap());
+    let mut rng = StdRng::seed_from_u64(100);
+    let nodes = construct::random_blob(100, &mut rng);
+    let mut config = Configuration::new(construct::bicolor_random(nodes, 50, &mut rng)).unwrap();
+    let report = chain.run_parallel(&mut config, 500_000, 1, &mut rng);
+    assert_eq!(report.steps, 500_000);
+    assert_eq!(report.deferred, 0);
+    assert!(config.audit().is_consistent());
+}
