@@ -142,12 +142,11 @@ fn seeded_config(n: usize) -> Configuration {
 struct Throughput {
     n: usize,
     swaps: bool,
-    /// `"sequential"` ([`MarkovChain::step`]), `"batched"`
-    /// ([`SeparationChain::run_batched`]), or `"parallel"`
+    /// `"sequential"` ([`MarkovChain::run`]) or `"parallel"`
     /// ([`SeparationChain::run_parallel`]); consumers treating the field as
     /// optional (e.g. older `perf_guard` baselines) default to sequential.
     kernel: &'static str,
-    /// Worker threads (always 1 for the single-threaded kernels).
+    /// Worker threads (always 1 for the sequential kernel).
     threads: usize,
     ns_per_step: f64,
 }
@@ -165,12 +164,11 @@ fn bench_thread_counts() -> Vec<usize> {
 }
 
 fn bench_chain_step() -> Vec<Throughput> {
-    // The batched and parallel engines' per-step cost is only meaningful
-    // amortized over whole blocks/rounds, so their bench bodies run a
-    // fixed step count per iteration and divide. The count is large
-    // enough that the per-call setup (scratch allocation, sampler
-    // construction, round planning) vanishes into the per-step figure
-    // instead of inflating it.
+    // Both kernels run a fixed step count per iteration and divide, as the
+    // runtime, the service and every experiment bin call them. The count
+    // is large enough that the per-call setup (the sequential kernel's
+    // cell table; the parallel engine's round planning) vanishes into the
+    // per-step figure instead of inflating it.
     const BULK_STEPS: u64 = 4096;
     let mut rows = Vec::new();
     for n in [25usize, 100, 400] {
@@ -184,24 +182,12 @@ fn bench_chain_step() -> Vec<Throughput> {
             let mut config = seeded_config(n);
             let mut rng = StdRng::seed_from_u64(1);
             let ns = bench(&format!("chain_step/{label}/{n}"), || {
-                black_box(chain.step(&mut config, &mut rng));
-            });
-            rows.push(Throughput {
-                n,
-                swaps,
-                kernel: "sequential",
-                threads: 1,
-                ns_per_step: ns,
-            });
-            let mut config = seeded_config(n);
-            let mut rng = StdRng::seed_from_u64(1);
-            let ns = bench(&format!("chain_step_batched/{label}/{n}"), || {
-                black_box(chain.run_batched(&mut config, BULK_STEPS, &mut rng));
+                black_box(chain.run(&mut config, BULK_STEPS, &mut rng));
             }) / BULK_STEPS as f64;
             rows.push(Throughput {
                 n,
                 swaps,
-                kernel: "batched",
+                kernel: "sequential",
                 threads: 1,
                 ns_per_step: ns,
             });

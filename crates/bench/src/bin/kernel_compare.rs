@@ -1,17 +1,15 @@
-//! Head-to-head timing of the sharded parallel engine, the batched
-//! engine, the fused proposal kernel, and the unfused reference path,
-//! interleaved in one process.
+//! Head-to-head timing of the sharded parallel engine, the fused proposal
+//! kernel, and the unfused reference path, interleaved in one process.
 //!
 //! `BENCH_chain.json` numbers taken weeks apart compare different machine
 //! conditions as much as different code. This harness removes that
 //! confounder: each round times one batch of proposals through each kernel
 //! back-to-back on identically evolving states, so the reported speedups
 //! are paired within-round ratios that machine drift cannot fake. (The
-//! batched and parallel engines' *trajectories* differ from the
-//! sequential kernels' — their RNG schedules are block- and
-//! round-structured — but all of them sample the same chain from the same
-//! steady-state start, so per-proposal costs are drawn from the same
-//! distribution.) The parallel column runs the sharded engine with
+//! parallel engine's *trajectory* differs from the sequential kernels' —
+//! its RNG schedule is round-structured — but all of them sample the same
+//! chain from the same steady-state start, so per-proposal costs are drawn
+//! from the same distribution.) The parallel column runs the sharded engine with
 //! `--threads` worker threads (parsed via `SweepOptions`, default 1, so
 //! on a single-core host it measures the engine's overhead honestly
 //! instead of faking a speedup). Run with `cargo run --release -p
@@ -43,11 +41,9 @@ fn main() {
     let mut table = Table::new([
         "n",
         "parallel",
-        "batched",
         "fused",
         "reference",
         "fused/parallel",
-        "fused/batched",
         "ref/fused",
         "(ns/step, median of paired rounds)",
     ]);
@@ -57,16 +53,13 @@ fn main() {
         let config = steady_state(n, &chain);
         // Each kernel evolves its own state from the same start with the
         // same seed; the two sequential kernels' trajectories are provably
-        // identical, the batched and parallel ones sample the same chain.
+        // identical, the parallel one samples the same chain.
         let mut parallel_state = (config.clone(), StdRng::seed_from_u64(1));
-        let mut batched_state = (config.clone(), StdRng::seed_from_u64(1));
         let mut fused_state = (config.clone(), StdRng::seed_from_u64(1));
         let mut ref_state = (config, StdRng::seed_from_u64(1));
         let mut parallel_ratios = Vec::with_capacity(ROUNDS);
-        let mut batched_ratios = Vec::with_capacity(ROUNDS);
         let mut ref_ratios = Vec::with_capacity(ROUNDS);
         let mut parallel_ns = Vec::with_capacity(ROUNDS);
-        let mut batched_ns = Vec::with_capacity(ROUNDS);
         let mut fused_ns = Vec::with_capacity(ROUNDS);
         let mut ref_ns = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
@@ -74,11 +67,6 @@ fn main() {
             let t = Instant::now();
             black_box(chain.run_parallel(config, BATCH, threads, rng));
             let parallel = t.elapsed().as_nanos() as f64 / BATCH as f64;
-
-            let (config, rng) = &mut batched_state;
-            let t = Instant::now();
-            black_box(chain.run_batched(config, BATCH, rng));
-            let batched = t.elapsed().as_nanos() as f64 / BATCH as f64;
 
             let (config, rng) = &mut fused_state;
             let t = Instant::now();
@@ -98,11 +86,9 @@ fn main() {
             }
             let reference = t.elapsed().as_nanos() as f64 / BATCH as f64;
             parallel_ns.push(parallel);
-            batched_ns.push(batched);
             fused_ns.push(fused);
             ref_ns.push(reference);
             parallel_ratios.push(fused / parallel);
-            batched_ratios.push(fused / batched);
             ref_ratios.push(reference / fused);
         }
         let median = |mut v: Vec<f64>| -> f64 {
@@ -112,11 +98,9 @@ fn main() {
         table.row([
             n.to_string(),
             format!("{:.1}", median(parallel_ns)),
-            format!("{:.1}", median(batched_ns)),
             format!("{:.1}", median(fused_ns)),
             format!("{:.1}", median(ref_ns)),
             format!("{:.2}x", median(parallel_ratios)),
-            format!("{:.2}x", median(batched_ratios)),
             format!("{:.2}x", median(ref_ratios)),
             String::new(),
         ]);

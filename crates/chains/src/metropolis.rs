@@ -29,8 +29,8 @@ pub fn accept<R: Rng + ?Sized>(ratio: f64, rng: &mut R) -> bool {
 
 /// Whether the single factor `base^exponent` is ≥ 1 by sign inspection
 /// alone — the per-component test [`PowerRatio::certainly_accepts`] folds
-/// over, exposed so batched kernels evaluating factors in
-/// structure-of-arrays form share the exact same certainty rule.
+/// over, exposed so kernels that precompute their filters share the exact
+/// same certainty rule.
 #[inline]
 #[must_use]
 pub fn factor_certainly_ge_one(base: f64, exponent: i32) -> bool {

@@ -436,19 +436,6 @@ impl<C: ClassifiedChain> Instrumented<C> {
         }
     }
 
-    /// Records an outcome produced *outside* [`ClassifiedChain::step_classified`]
-    /// — the seam batched steppers use. A block stepper classifies many
-    /// proposals per call; feeding each outcome through here keeps counters,
-    /// windows, and observables identical to per-step instrumentation (the
-    /// observable sampling cadence sees every step, in order).
-    ///
-    /// No-op when telemetry is disabled.
-    pub fn record_outcome(&self, outcome: C::Outcome, state: &C::State) {
-        if self.enabled {
-            self.record(outcome, state);
-        }
-    }
-
     fn record(&self, outcome: C::Outcome, state: &C::State) {
         let mut acc = self.acc.borrow_mut();
         let acc = &mut *acc;

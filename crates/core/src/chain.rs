@@ -8,7 +8,7 @@ use sops_chains::MarkovChain;
 use sops_lattice::{Direction, Node, DIRECTIONS, RING_FROM_SIDE};
 
 use crate::config::SIDE_GAIN;
-use crate::grid;
+use crate::grid::{self, ColorGrid};
 use crate::{properties, Bias, ChainStateError, Color, Configuration, RingGather, StepOutcome};
 
 /// The stochastic, local, distributed separation algorithm as a centralized
@@ -54,40 +54,68 @@ pub struct SeparationChain {
     tables: KernelTables,
 }
 
-/// The chain's precomputed λ/γ [`PowerTable`]s — the kernels' replacement
-/// for per-accept `powi`. Every Metropolis exponent a proposal can produce
-/// lies inside the tables' exactly-covered range (move exponents in
-/// `[−5, 5]`, swap exponents in `[−10, 10]` vs. a ±12 table), so lookups are
-/// bit-identical to `PowerRatio::value()` and the table-driven kernels stay
-/// pinned to the `propose_reference` oracle.
+/// Every Metropolis filter a proposal can reach, as an integer threshold on
+/// the filter's draw. A move's exponents `(Δe, Δe_i)` and a swap's gain are
+/// [`SIDE_GAIN`] values and their differences, so they lie in `[−5, 5]` and
+/// `[−10, 10]`, and the tables cover exactly those ranges.
+///
+/// Each entry is built once from the [`PowerTable`] value `v` the filter
+/// accepts against — `λ^Δe·γ^Δe_i` for a move, `γ^gain` for a swap, the
+/// lookups that are bit-identical to `PowerRatio::value()`. Where the
+/// [`PowerRatio`] filter accepts without drawing (every factor certainly
+/// ≥ 1, or `v ≥ 1`) the entry is [`CERTAIN`]. Otherwise it is
+/// `T = ⌈v·2⁵³⌉ ≤ 2⁵³`, computed exactly: scaling by a power of two is
+/// exact in `f64`, and so is the ceiling. That filter draws one word `w`
+/// and accepts iff `(w >> 11)·2⁻⁵³ < v`; for an integer `k`,
+/// `k·2⁻⁵³ < v ⇔ k < ⌈v·2⁵³⌉`, so [`accepts`] draws exactly when it does
+/// and accepts exactly when it does.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct KernelTables {
-    lambda: PowerTable,
-    gamma: PowerTable,
+struct KernelTables {
+    /// Move thresholds, indexed by `(Δe + 5)·11 + (Δe_i + 5)`.
+    moves: [u64; 121],
+    /// Swap thresholds, indexed by `gain + 10`.
+    swaps: [u64; 21],
+}
+
+/// The threshold of a filter that accepts without drawing.
+const CERTAIN: u64 = u64::MAX;
+
+/// The threshold of a filter that accepts with probability `min(1, v)`, or
+/// [`CERTAIN`] when `certain` (see [`KernelTables`]).
+fn threshold(certain: bool, v: f64) -> u64 {
+    if certain || v >= 1.0 {
+        CERTAIN
+    } else {
+        (v * (1u64 << 53) as f64).ceil() as u64
+    }
+}
+
+/// The Metropolis filter with threshold `t`: accept without drawing, or
+/// draw one word and accept iff its top 53 bits fall below `t`.
+#[inline(always)]
+fn accepts<R: Rng + ?Sized>(t: u64, rng: &mut R) -> bool {
+    t == CERTAIN || (rng.next_u64() >> 11) < t
 }
 
 impl KernelTables {
     fn new(bias: Bias) -> Self {
-        let tables = KernelTables {
-            lambda: PowerTable::new(bias.lambda()),
-            gamma: PowerTable::new(bias.gamma()),
-        };
-        debug_assert!(tables.lambda.audit().is_ok() && tables.gamma.audit().is_ok());
-        tables
-    }
-
-    /// `λ^{Δe} · γ^{Δe_i}` — a move's acceptance ratio, bit-identical to
-    /// `PowerRatio::new([λ, γ], [Δe, Δe_i]).value()`.
-    #[inline]
-    pub(crate) fn move_value(&self, de: i32, dei: i32) -> f64 {
-        self.lambda.pow(de) * self.gamma.pow(dei)
-    }
-
-    /// `γ^{gain}` — a swap's acceptance ratio, bit-identical to
-    /// `PowerRatio::new([γ], [gain]).value()`.
-    #[inline]
-    pub(crate) fn swap_value(&self, gain: i32) -> f64 {
-        self.gamma.pow(gain)
+        let (l, g) = (bias.lambda(), bias.gamma());
+        let (lambda, gamma) = (PowerTable::new(l), PowerTable::new(g));
+        debug_assert!(lambda.audit().is_ok() && gamma.audit().is_ok());
+        let certain = metropolis::factor_certainly_ge_one;
+        KernelTables {
+            moves: core::array::from_fn(|k| {
+                let (de, dei) = (k as i32 / 11 - 5, k as i32 % 11 - 5);
+                threshold(
+                    certain(l, de) && certain(g, dei),
+                    lambda.pow(de) * gamma.pow(dei),
+                )
+            }),
+            swaps: core::array::from_fn(|k| {
+                let gain = k as i32 - 10;
+                threshold(certain(g, gain), gamma.pow(gain))
+            }),
+        }
     }
 }
 
@@ -116,31 +144,20 @@ impl SeparationChain {
         }
     }
 
-    /// The chain's power tables (for the batched engine in [`crate::batch`]).
-    #[inline]
-    pub(crate) fn tables(&self) -> &KernelTables {
-        &self.tables
-    }
-
-    /// Runs the Metropolis filter for a move with exponents `(Δe, Δe_i)`
-    /// through the power tables: certainty by sign inspection (no draw),
-    /// then `accept` on the table-evaluated ratio (draws only when the
-    /// ratio is < 1) — draw-for-draw and bit-for-bit what
-    /// `PowerRatio::new([λ, γ], [Δe, Δe_i]).accept(rng)` does, minus the
-    /// `powi` calls.
+    /// The Metropolis filter for a move with exponents `(Δe, Δe_i)`, each in
+    /// `[−5, 5]`: one threshold lookup (see [`KernelTables`]), draw-for-draw
+    /// and verdict-for-verdict what
+    /// `PowerRatio::new([λ, γ], [Δe, Δe_i]).accept(rng)` does.
     #[inline]
     pub(crate) fn metropolis_move<R: Rng + ?Sized>(&self, de: i32, dei: i32, rng: &mut R) -> bool {
-        (metropolis::factor_certainly_ge_one(self.bias.lambda(), de)
-            && metropolis::factor_certainly_ge_one(self.bias.gamma(), dei))
-            || metropolis::accept(self.tables.move_value(de, dei), rng)
+        accepts(self.tables.moves[((de + 5) * 11 + dei + 5) as usize], rng)
     }
 
-    /// The swap counterpart of [`SeparationChain::metropolis_move`]:
-    /// equivalent to `PowerRatio::new([γ], [gain]).accept(rng)`.
+    /// The swap counterpart of [`SeparationChain::metropolis_move`], for a
+    /// gain in `[−10, 10]`: `PowerRatio::new([γ], [gain]).accept(rng)`.
     #[inline]
     pub(crate) fn metropolis_swap<R: Rng + ?Sized>(&self, gain: i32, rng: &mut R) -> bool {
-        metropolis::factor_certainly_ge_one(self.bias.gamma(), gain)
-            || metropolis::accept(self.tables.swap_value(gain), rng)
+        accepts(self.tables.swaps[(gain + 10) as usize], rng)
     }
 
     /// The bias parameters `(λ, γ)`.
@@ -264,11 +281,10 @@ impl SeparationChain {
     /// compare), the Property-4/5 check (a [`properties::MOVEMENT_ALLOWED`]
     /// table load), and every Metropolis exponent as a [`SIDE_GAIN`] table
     /// load — at most 9 probes per proposal where the unfused path
-    /// re-probes overlapping neighborhoods ~39 times. The acceptance ratio
-    /// itself comes from the chain's precomputed λ/γ power tables
-    /// ([`sops_chains::metropolis::PowerTable`]) instead of per-accept
-    /// `powi`, with lookups bit-identical to `PowerRatio::value()` over the
-    /// kernel's entire exponent range. An accepted proposal commits with
+    /// re-probes overlapping neighborhoods ~39 times. The Metropolis filter
+    /// is one lookup of a precomputed integer threshold on the draw (see
+    /// [`KernelTables`]), verdict-for-verdict and draw-for-draw what
+    /// [`PowerRatio::accept`] decides. An accepted proposal commits with
     /// the counter deltas the gather already yielded
     /// ([`Configuration::commit_move`] / [`Configuration::commit_swap`])
     /// rather than recounting them.
@@ -299,45 +315,52 @@ impl SeparationChain {
         rng: &mut R,
     ) -> StepOutcome {
         let from = config.position_of(particle);
+        let ci = config.color_of(particle);
         let interior = config
             .raster()
             .and_then(|g| g.interior_index(from).map(|i| (g, i)));
-        let Some((g, i)) = interior else {
-            return self.propose_per_node(config, particle, dir, rng);
+        let verdict = match interior {
+            Some((g, i)) => {
+                let target = g.target_code(i, dir);
+                self.decide(
+                    ci,
+                    (target != 0).then(|| grid::decode(target)),
+                    #[inline(always)]
+                    || RingGather::from_codes(g.ring_codes_at(i, dir)),
+                    rng,
+                )
+            }
+            None => {
+                let (target, ring) = self.probe_per_node(config, particle, dir);
+                self.decide(ci, target, || ring, rng)
+            }
         };
-        let target = g.target_code(i, dir);
-        let verdict = self.decide(
-            config.color_of(particle),
-            (target != 0).then(|| grid::decode(target)),
-            #[inline(always)]
-            || RingGather::from_codes(g.ring_codes_at(i, dir)),
-            rng,
-        );
         Self::commit(config, particle, from, from.neighbor(dir), verdict)
     }
 
-    /// [`SeparationChain::propose`] for a particle in the raster's edge
-    /// band or a configuration without a raster: the same decisions, with
-    /// the target and the ring probed node by node
-    /// ([`Configuration::color_at`], [`Configuration::ring_gather`]).
+    /// What [`SeparationChain::decide`] reads for a particle in the
+    /// raster's edge band or a configuration without a raster, probed node
+    /// by node ([`Configuration::color_at`], [`Configuration::ring_gather`]):
+    /// the target's color, and the ring unless the target alone settles a
+    /// hold (then an empty ring that `decide` never reads). Out of line and
+    /// without the RNG, so that a caller's RNG state never has to leave
+    /// registers for it.
     #[inline(never)]
-    fn propose_per_node<R: Rng + ?Sized>(
+    fn probe_per_node(
         &self,
-        config: &mut Configuration,
+        config: &Configuration,
         particle: usize,
         dir: Direction,
-        rng: &mut R,
-    ) -> StepOutcome {
+    ) -> (Option<Color>, RingGather) {
         let from = config.position_of(particle);
-        let to = from.neighbor(dir);
-        let verdict = self.decide(
-            config.color_of(particle),
-            config.color_at(to),
-            #[inline(always)]
-            || config.ring_gather(from, dir),
-            rng,
-        );
-        Self::commit(config, particle, from, to, verdict)
+        let target = config.color_at(from.neighbor(dir));
+        let holds = target.is_some_and(|cj| cj == config.color_of(particle) || !self.swaps);
+        let ring = if holds {
+            RingGather::from_codes([0; 8])
+        } else {
+            config.ring_gather(from, dir)
+        };
+        (target, ring)
     }
 
     /// Algorithm 1's decision for particle color `ci` proposing into a
@@ -515,21 +538,121 @@ impl MarkovChain for SeparationChain {
         self.step_detailed(config, rng).accepted()
     }
 
-    /// `steps` calls of [`MarkovChain::step`], with the particle draw
-    /// prepared once: `n` cannot change during a run, so
-    /// [`PreparedRange`] hoists `random_range(0..n)`'s two divisions out
-    /// of the loop while drawing exactly the same indices from exactly the
-    /// same words.
+    /// `steps` calls of [`MarkovChain::step`], in a loop of its own around
+    /// the decision and commit that [`SeparationChain::propose`] makes.
+    ///
+    /// * `n` cannot change during a run, so [`PreparedRange`] hoists
+    ///   `random_range(0..n)`'s two divisions out of the loop while drawing
+    ///   exactly the same indices from exactly the same words.
+    /// * A run-local [`CellTable`] holds each particle's flat raster cell,
+    ///   so a step reads its cell from the table and probes the target at
+    ///   a flat offset. Both holds return on one predicate over that probe
+    ///   and the particle's own cell, without reading its position or its
+    ///   entry in the particle table: `run` reports only the accepted
+    ///   count, so it never tells the two holds apart. Every other
+    ///   proposal gathers its ring inline and goes through the shared
+    ///   decision and commit. A particle the table marks [`PER_NODE`] takes
+    ///   the RNG-free out-of-line probe instead, and the decision stays
+    ///   inline, so nothing out of line ever holds the RNG.
+    /// * After an accepted commit the table re-derives the entries of the
+    ///   particles it moved, or is rebuilt when the commit rebuilt the
+    ///   raster or switched the configuration to a map.
+    ///
+    /// The state, accepted count and RNG stream are exactly those of the
+    /// `step` loop (pinned by `kernel_equivalence` and this module's tests).
     fn run<R: Rng + ?Sized>(&self, config: &mut Configuration, steps: u64, rng: &mut R) -> u64 {
         let particle = PreparedRange::new(config.len() as u64);
+        let mut cells = CellTable::build(config);
+        let mut rebuilds = config.raster_rebuild_count();
         let mut accepted = 0;
         for _ in 0..steps {
             let p = particle.sample(rng) as usize;
             let dir = DIRECTIONS[rng.random_range(0..6usize)];
-            accepted += u64::from(self.propose(config, p, dir, rng).accepted());
+            let cell = cells.0[p];
+            let verdict = match config.raster() {
+                Some(g) if cell != PER_NODE => {
+                    let i = cell as usize;
+                    let (own, t) = (g.code_at(i), g.target_code(i, dir));
+                    debug_assert_eq!(own, grid::encode(config.color_of(p)));
+                    if t != 0 && (t == own || !self.swaps) {
+                        continue;
+                    }
+                    self.decide(
+                        config.color_of(p),
+                        (t != 0).then(|| grid::decode(t)),
+                        #[inline(always)]
+                        || RingGather::from_codes(g.ring_codes_at(i, dir)),
+                        rng,
+                    )
+                }
+                _ => {
+                    let (target, ring) = self.probe_per_node(config, p, dir);
+                    self.decide(config.color_of(p), target, || ring, rng)
+                }
+            };
+            if let Verdict::Hold(_) = verdict {
+                continue;
+            }
+            let from = config.position_of(p);
+            let to = from.neighbor(dir);
+            if !Self::commit(config, p, from, to, verdict).accepted() {
+                continue;
+            }
+            accepted += 1;
+            if config.raster_rebuild_count() != rebuilds {
+                // A rebuild, or the switch to a map, which counts as one.
+                rebuilds = config.raster_rebuild_count();
+                cells = CellTable::build(config);
+            } else if let Verdict::Swap { .. } = verdict {
+                cells.refresh(config, [from, to].map(|node| config.index_at(node)));
+            } else {
+                cells.refresh(config, [Some(p), None]);
+            }
         }
+        debug_assert_eq!(cells, CellTable::build(config), "stale cell table");
         accepted
     }
+}
+
+/// The [`CellTable`] entry of a particle that takes the per-node probes:
+/// one in the raster's edge band, or any particle of a configuration
+/// without a raster.
+const PER_NODE: u32 = u32::MAX;
+
+/// Each particle's flat raster cell ([`ColorGrid::interior_index`] of its
+/// position) or [`PER_NODE`], for the length of one
+/// [`SeparationChain`] `run` call. Four bytes a particle; a raster has at
+/// most 2²² cells, so every index fits below the sentinel.
+#[derive(Debug, PartialEq)]
+struct CellTable(Vec<u32>);
+
+impl CellTable {
+    fn build(config: &Configuration) -> Self {
+        let raster = config.raster();
+        CellTable(
+            config
+                .particles()
+                .map(|(node, _)| cell_of(raster, node))
+                .collect(),
+        )
+    }
+
+    /// Re-derives the entries of the particles a commit moved from their
+    /// new positions: a move's particle, or the two particles a swap left
+    /// at its ends.
+    fn refresh(&mut self, config: &Configuration, moved: [Option<usize>; 2]) {
+        let raster = config.raster();
+        for p in moved.into_iter().flatten() {
+            self.0[p] = cell_of(raster, config.position_of(p));
+        }
+    }
+}
+
+/// The [`CellTable`] entry of a particle at `node`.
+fn cell_of(raster: Option<&ColorGrid>, node: Node) -> u32 {
+    raster
+        .and_then(|g| g.interior_index(node))
+        .map_or(PER_NODE, |i| i as u32)
 }
 
 impl ClassifiedChain for SeparationChain {
@@ -1252,6 +1375,118 @@ mod tests {
             }
         }
         assert!(flat > 0 && per_node > 0, "flat {flat}, per-node {per_node}");
+    }
+
+    #[test]
+    fn thresholds_decide_and_draw_as_the_power_ratio_filter_does() {
+        // Every exponent the kernels can produce, on biases below, at and
+        // above 1 (and λγ ≈ 1), against `PowerRatio::accept` on the words
+        // at and around each threshold: same verdict, same words drawn.
+        let biases = [0.3, 0.9, 1.0, 1.1, 2.0, 4.0, 7.0];
+        let check = |t: u64,
+                     filter: &dyn Fn(&mut ScriptedRng) -> bool,
+                     oracle: &dyn Fn(&mut ScriptedRng) -> bool,
+                     at: &str| {
+            if t == CERTAIN {
+                // Both accept, and neither draws.
+                assert!(filter(&mut ScriptedRng::forbidden()), "{at}");
+                assert!(oracle(&mut ScriptedRng::forbidden()), "oracle: {at}");
+                return;
+            }
+            assert!((1..1 << 53).contains(&t), "threshold {t}: {at}");
+            for k in [0, t - 1, t, (1 << 53) - 1] {
+                let mut rng = ScriptedRng(vec![k << 11]);
+                let mut oracle_rng = ScriptedRng(vec![k << 11]);
+                assert_eq!(filter(&mut rng), k < t, "k = {k}: {at}");
+                assert_eq!(oracle(&mut oracle_rng), k < t, "oracle, k = {k}: {at}");
+                assert!(
+                    rng.0.is_empty() && oracle_rng.0.is_empty(),
+                    "one word each, k = {k}: {at}"
+                );
+            }
+        };
+        for lambda in biases {
+            for gamma in biases {
+                let chain = SeparationChain::new(Bias::new(lambda, gamma).unwrap());
+                for de in -5..=5 {
+                    for dei in -5..=5 {
+                        let ratio = PowerRatio::new([lambda, gamma], [de, dei]);
+                        check(
+                            chain.tables.moves[((de + 5) * 11 + dei + 5) as usize],
+                            &|rng| chain.metropolis_move(de, dei, rng),
+                            &|rng| ratio.accept(rng),
+                            &format!("λ = {lambda}, γ = {gamma}, move ({de}, {dei})"),
+                        );
+                    }
+                }
+                for gain in -10..=10 {
+                    let ratio = PowerRatio::new([gamma], [gain]);
+                    check(
+                        chain.tables.swaps[(gain + 10) as usize],
+                        &|rng| chain.metropolis_swap(gain, rng),
+                        &|rng| ratio.accept(rng),
+                        &format!("λ = {lambda}, γ = {gamma}, swap {gain}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_is_the_step_loop_in_the_edge_band_and_without_a_raster() {
+        // The cell table marks edge-band particles (borders of 0–3 cells)
+        // and every particle of a map-indexed configuration for the
+        // per-node probes, and is rebuilt whenever an outward move rebuilds
+        // the raster (λ < 1). `run` must still be the `step` loop: state,
+        // counters, accepted count, index and RNG state.
+        let mut rng = StdRng::seed_from_u64(8);
+        let nodes = construct::random_blob(40, &mut rng);
+        let base = Configuration::new(construct::bicolor_random(nodes, 20, &mut rng)).unwrap();
+        let chains = [
+            SeparationChain::new(Bias::new(4.0, 3.0).unwrap()),
+            SeparationChain::without_swaps(Bias::new(4.0, 3.0).unwrap()),
+            SeparationChain::new(Bias::new(0.5, 2.0).unwrap()),
+        ];
+        let mut rebuilt = 0;
+        for margin in [Some(0), Some(1), Some(2), Some(3), None] {
+            for (k, chain) in chains.iter().enumerate() {
+                let mut config = base.clone();
+                config.reraster_for_test(margin);
+                let at = format!("margin {margin:?}, chain {k}");
+                let mut step_config = config.clone();
+                let mut run_rng = StdRng::seed_from_u64(60 + k as u64);
+                let mut step_rng = run_rng.clone();
+                let accepted = chain.run(&mut config, 20_000, &mut run_rng);
+                let expected = (0..20_000)
+                    .filter(|_| chain.step(&mut step_config, &mut step_rng))
+                    .count() as u64;
+                assert_eq!(accepted, expected, "accepted: {at}");
+                assert!(
+                    config.particles().eq(step_config.particles()),
+                    "state: {at}"
+                );
+                assert_eq!(
+                    (config.edge_count(), config.hetero_edge_count()),
+                    (step_config.edge_count(), step_config.hetero_edge_count()),
+                    "counters: {at}"
+                );
+                assert_eq!(
+                    run_rng.to_state_bytes(),
+                    step_rng.to_state_bytes(),
+                    "RNG: {at}"
+                );
+                assert_eq!(
+                    (config.is_rasterized(), config.raster_rebuild_count()),
+                    (
+                        step_config.is_rasterized(),
+                        step_config.raster_rebuild_count()
+                    ),
+                    "index: {at}"
+                );
+                rebuilt += config.raster_rebuild_count();
+            }
+        }
+        assert!(rebuilt > 0, "no run crossed its raster's border");
     }
 
     #[test]

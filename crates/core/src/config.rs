@@ -1338,10 +1338,10 @@ impl RingGather {
         (self.occupancy & (1 << k) != 0).then(|| Color::new((self.lanes >> (8 * k)) as u8))
     }
 
-    /// Bitmask of the occupied ring positions holding `color` — the packed
-    /// form the batched kernel stores per lane so every colored-neighbor
-    /// count becomes a masked popcount over a byte array
-    /// (`colored_in(mask, c) ≡ (color_mask(c) & mask).count_ones()`).
+    /// Bitmask of the occupied ring positions holding `color`, so every
+    /// colored-neighbor count is a masked popcount
+    /// (`colored_in(mask, c) ≡ (color_mask(c) & mask).count_ones()`) and
+    /// every colored Metropolis exponent one [`SIDE_GAIN`] load.
     ///
     /// One XOR against `color` broadcast to every byte zeroes exactly the
     /// matching lanes; unoccupied lanes also hold 0, so the occupancy mask

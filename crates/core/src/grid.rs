@@ -502,6 +502,12 @@ impl ColorGrid {
         }
     }
 
+    /// The cell at flat index `i` (an [`ColorGrid::interior_index`] result).
+    #[inline]
+    pub(crate) fn code_at(&self, i: usize) -> u8 {
+        self.cells[i]
+    }
+
     /// The cell of `from + dir`, where `i` is [`ColorGrid::interior_index`]
     /// of `from`.
     #[inline]
@@ -512,27 +518,28 @@ impl ColorGrid {
     /// [`ColorGrid::ring_codes`] for an interior `from` with cell index
     /// `i` (see [`ColorGrid::interior_index`]): eight byte loads at flat
     /// offsets, with no coordinate arithmetic and no range check beyond
-    /// the slice's own.
-    #[inline]
+    /// the slice's own. Written as eight explicit loads, and always
+    /// inlined, so the gather compiles into the caller's loop.
+    #[inline(always)]
     pub(crate) fn ring_codes_at(&self, i: usize, dir: Direction) -> [u8; 8] {
         let d = dir.index();
         // `n[k]` is the offset of `ℓ + dᵏ`, `d` rotated k times.
         let n: &[i32; 6] = self.neighbor_offsets[d..d + 6]
             .try_into()
             .expect("a range of six");
+        let cell = |offset: i32| self.cells[i.wrapping_add_signed(offset as isize)];
         // The ring layout of `sops_lattice::ring`: `d⁰ + d¹`, then
         // `d¹ … d⁵`, then `d⁰ + d⁵` and `d⁰ + d⁰`.
-        let offsets = [
-            n[0] + n[1],
-            n[1],
-            n[2],
-            n[3],
-            n[4],
-            n[5],
-            n[0] + n[5],
-            2 * n[0],
-        ];
-        offsets.map(|offset| self.cells[i.wrapping_add_signed(offset as isize)])
+        [
+            cell(n[0] + n[1]),
+            cell(n[1]),
+            cell(n[2]),
+            cell(n[3]),
+            cell(n[4]),
+            cell(n[5]),
+            cell(n[0] + n[5]),
+            cell(2 * n[0]),
+        ]
     }
 }
 

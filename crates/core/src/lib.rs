@@ -58,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod chain;
 mod color;
 mod config;
@@ -74,7 +73,6 @@ pub mod reconfigure;
 pub mod shard;
 mod snapshot;
 
-pub use batch::{BatchReport, DEFAULT_BLOCK_PROPOSALS, MAX_BLOCK_PROPOSALS};
 pub use chain::{CompressionChain, SeparationChain};
 pub use color::Color;
 pub use config::{CanonicalForm, Configuration, RingGather};

@@ -214,32 +214,6 @@ const fn build_movement_lut() -> [bool; 256] {
 /// exhaustive 256-pattern tests pin the table to the predicate pair.
 pub static MOVEMENT_ALLOWED: [bool; 256] = build_movement_lut();
 
-const fn pack_movement_lut() -> [u64; 4] {
-    let lut = build_movement_lut();
-    let mut bits = [0u64; 4];
-    let mut i = 0;
-    while i < 256 {
-        if lut[i] {
-            bits[i >> 6] |= 1u64 << (i & 63);
-        }
-        i += 1;
-    }
-    bits
-}
-
-/// [`MOVEMENT_ALLOWED`] packed to one bit per pattern: bit `occ & 63` of
-/// word `occ >> 6`. The whole table is 32 bytes — half a cache line — so the
-/// batched kernel's verdict pass touches one resident line instead of
-/// scattering loads across the 256-byte `bool` table.
-pub static MOVEMENT_ALLOWED_BITS: [u64; 4] = pack_movement_lut();
-
-/// `MOVEMENT_ALLOWED[occ]` read from the packed bitset.
-#[inline]
-#[must_use]
-pub fn movement_allowed_packed(occ: u8) -> bool {
-    (MOVEMENT_ALLOWED_BITS[(occ >> 6) as usize] >> (occ & 63)) & 1 != 0
-}
-
 /// Maximal runs of consecutive occupied ring positions (cyclically).
 fn occupied_components(occ: [bool; 8]) -> Vec<Vec<usize>> {
     let occupied_count = occ.iter().filter(|&&b| b).count();
@@ -274,17 +248,6 @@ mod tests {
     use super::*;
     use crate::Color;
     use sops_lattice::DIRECTIONS;
-
-    #[test]
-    fn packed_bitset_matches_bool_table_on_all_patterns() {
-        for occ in 0..=255u8 {
-            assert_eq!(
-                movement_allowed_packed(occ),
-                MOVEMENT_ALLOWED[occ as usize],
-                "pattern {occ:#010b}"
-            );
-        }
-    }
 
     /// Literal reference implementation of Property 4: build the induced
     /// graph on occupied ring nodes (adjacency = cyclic neighbors) and check

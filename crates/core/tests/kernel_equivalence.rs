@@ -21,17 +21,9 @@
 //!
 //! `run`, which prepares the particle draw once per call, must equal the
 //! `step` loop it replaces in state, accepted count and RNG state.
-//!
-//! The batched engine ([`SeparationChain::run_batched_with`]) gets the same
-//! two forms of evidence against *its* oracle — sequentially replaying each
-//! block's proposal stream through the scalar fused kernel under the
-//! batched RNG draw-order contract (pair draws block-first via
-//! `PreparedUniform`, Metropolis draws lazy and commit-ordered). Identical
-//! outcome sequences, states, and RNG positions, including partial final
-//! blocks and degenerate block sizes.
 
 use rand::rngs::StdRng;
-use rand::{PreparedUniform, Rng, RngExt, SeedableRng};
+use rand::{Rng, RngExt, SeedableRng};
 use sops_chains::MarkovChain;
 use sops_core::{
     construct, enumerate, Bias, CompressionChain, Configuration, SeparationChain, StepOutcome,
@@ -285,8 +277,14 @@ fn fused_kernel_continues_identically_across_the_raster_to_map_switch() {
 }
 
 /// `chain.run(config, k)` must equal `k` calls of `chain.step`: same state,
-/// same accepted count, same RNG state.
-fn assert_run_matches_step_loop<C>(chain: &C, config: &Configuration, seed: u64, steps: u64)
+/// same accepted count, same index, same RNG state. Returns the run's
+/// final state.
+fn assert_run_matches_step_loop<C>(
+    chain: &C,
+    config: &Configuration,
+    seed: u64,
+    steps: u64,
+) -> Configuration
 where
     C: MarkovChain<State = Configuration>,
 {
@@ -308,15 +306,31 @@ where
         step_config.canonical_form(),
         "states differ at n={n}"
     );
+    assert!(
+        run_config.particles().eq(step_config.particles()),
+        "particle tables differ at n={n}"
+    );
     assert_eq!(
         (run_config.edge_count(), run_config.hetero_edge_count()),
         (step_config.edge_count(), step_config.hetero_edge_count())
+    );
+    assert_eq!(
+        (
+            run_config.is_rasterized(),
+            run_config.raster_rebuild_count()
+        ),
+        (
+            step_config.is_rasterized(),
+            step_config.raster_rebuild_count()
+        ),
+        "indexes differ at n={n}"
     );
     assert_eq!(
         run_rng.to_state_bytes(),
         step_rng.to_state_bytes(),
         "RNG streams differ at n={n}"
     );
+    run_config
 }
 
 #[test]
@@ -344,179 +358,60 @@ fn compression_run_is_its_step_loop() {
     }
 }
 
-/// The batched engine's oracle: consume the RNG exactly per the batched
-/// draw-order contract — each block's (particle, direction) pairs up front
-/// through `PreparedUniform`, then the proposals one at a time through the
-/// scalar fused kernel (whose Metropolis draws are lazy and in commit
-/// order by construction).
-fn sequential_replay<R: Rng + ?Sized>(
-    chain: &SeparationChain,
-    config: &mut Configuration,
-    steps: u64,
-    block: usize,
-    rng: &mut R,
-) -> Vec<StepOutcome> {
-    let particle_sampler = PreparedUniform::new(config.len() as u64);
-    let dir_sampler = PreparedUniform::new(DIRECTIONS.len() as u64);
-    let mut outcomes = Vec::with_capacity(steps as usize);
-    let mut remaining = steps;
-    while remaining > 0 {
-        let b = remaining.min(block as u64) as usize;
-        let pairs: Vec<(usize, Direction)> = (0..b)
-            .map(|_| {
-                let p = particle_sampler.sample_usize(rng);
-                let d = DIRECTIONS[dir_sampler.sample_usize(rng)];
-                (p, d)
-            })
-            .collect();
-        for (p, d) in pairs {
-            outcomes.push(chain.propose(config, p, d, rng));
-        }
-        remaining -= b as u64;
+#[test]
+fn run_continues_identically_across_a_raster_rebuild() {
+    // At λ < 1 a blob expands: particles step past the new raster's border
+    // and rebuild it inside one `run` call, after which `run` must rebuild
+    // its cell table from the new raster's cells.
+    let mut rng = StdRng::seed_from_u64(50);
+    let nodes = construct::random_blob(100, &mut rng);
+    let config = Configuration::new(construct::bicolor_random(nodes, 50, &mut rng)).unwrap();
+    for chain in [
+        SeparationChain::new(Bias::new(0.4, 1.5).unwrap()),
+        SeparationChain::without_swaps(Bias::new(0.4, 1.5).unwrap()),
+    ] {
+        let end = assert_run_matches_step_loop(&chain, &config, 51, 200_000);
+        assert!(end.is_rasterized());
+        assert!(end.raster_rebuild_count() >= 1, "the blob stayed inside");
     }
-    outcomes
 }
 
-fn assert_batched_matches_replay(
-    chain: SeparationChain,
-    n: usize,
-    n1: usize,
-    seed: u64,
-    steps: u64,
-    block: usize,
-) {
-    let mut batched_rng = StdRng::seed_from_u64(seed);
-    let mut oracle_rng = StdRng::seed_from_u64(seed);
-    let mut batched_config = construct::hexagonal_bicolored(n, n1).unwrap();
-    let mut oracle_config = batched_config.clone();
-
-    let mut batched_outcomes = Vec::with_capacity(steps as usize);
-    let report = chain.run_batched_with(&mut batched_config, steps, block, &mut batched_rng, |o| {
-        batched_outcomes.push(o);
-    });
-    let oracle_outcomes =
-        sequential_replay(&chain, &mut oracle_config, steps, block, &mut oracle_rng);
-
-    assert_eq!(report.steps, steps);
-    for (step, (b, o)) in batched_outcomes.iter().zip(&oracle_outcomes).enumerate() {
-        assert_eq!(b, o, "outcome diverged at step {step} (block={block})");
+#[test]
+fn run_continues_identically_across_the_raster_to_map_switch() {
+    // The diagonal-with-blob state of the fused kernel's switch test. Steer
+    // the blob through `propose` until a particle stands on the outermost
+    // column or row of its raster's 4-cell border, so the next outward step
+    // converts the configuration to a map. Then `run` in 20,000-step calls,
+    // each checked against the step loop, until that happens inside one.
+    let line = 2035;
+    let mut rng = StdRng::seed_from_u64(30);
+    let mut config = diagonal_with_blob(line, &mut rng);
+    let (_, max_x, min_y, _) = config.bounding_box();
+    let chain = SeparationChain::new(Bias::new(0.3, 1.0).unwrap());
+    const OUTWARD: [Direction; 3] = [Direction::E, Direction::SE, Direction::SW];
+    let movers: Vec<usize> = (line as usize..config.len()).collect();
+    let mut schedule = StdRng::seed_from_u64(31);
+    let at_border = |c: &Configuration| {
+        let (_, x, y, _) = c.bounding_box();
+        x == max_x + 4 || y == min_y - 4
+    };
+    while !at_border(&config) {
+        let p = movers[schedule.random_range(0..movers.len())];
+        let d = OUTWARD[schedule.random_range(0..3usize)];
+        chain.propose(&mut config, p, d, &mut rng);
+        assert!(
+            config.is_rasterized(),
+            "the blob left the raster while steered"
+        );
     }
-    assert_eq!(batched_outcomes.len(), oracle_outcomes.len());
-    assert_eq!(
-        batched_config.canonical_form(),
-        oracle_config.canonical_form(),
-        "state diverged (block={block})"
-    );
-    assert_eq!(
-        (
-            batched_config.edge_count(),
-            batched_config.hetero_edge_count()
-        ),
-        (
-            oracle_config.edge_count(),
-            oracle_config.hetero_edge_count()
-        )
-    );
-    assert_eq!(
-        batched_rng.next_u64(),
-        oracle_rng.next_u64(),
-        "RNG streams diverged over {steps} steps (block={block})"
-    );
-    assert_eq!(
-        report.accepted,
-        batched_outcomes.iter().filter(|o| o.accepted()).count() as u64
-    );
-}
-
-#[test]
-fn batched_kernel_matches_sequential_replay_over_100k_steps() {
-    // The headline run: separating regime with swaps, full blocks of 64
-    // plus a partial final block (100 000 = 1562·64 + 32).
-    let chain = SeparationChain::new(Bias::new(4.0, 4.0).unwrap());
-    assert_batched_matches_replay(chain, 48, 24, 2024, 100_000, 64);
-}
-
-#[test]
-fn batched_kernel_equivalence_without_swaps_and_in_weak_bias_regime() {
-    // Swap-ablated chain: TargetOccupiedHold lanes take the narrow 2-node
-    // conflict footprint, so this regime stresses that fast path.
-    let chain = SeparationChain::without_swaps(Bias::new(4.0, 4.0).unwrap());
-    assert_batched_matches_replay(chain, 30, 15, 7, 100_000, 64);
-    // λ, γ < 1 flips every certainty test, so the q-draw schedule (the part
-    // of the contract that is easiest to get subtly wrong) moves to the
-    // complementary set of proposals.
-    let chain = SeparationChain::new(Bias::new(0.8, 0.6).unwrap());
-    assert_batched_matches_replay(chain, 30, 10, 99, 100_000, 64);
-}
-
-#[test]
-fn batched_kernel_equivalence_at_degenerate_and_partial_block_sizes() {
-    let chain = SeparationChain::new(Bias::new(4.0, 4.0).unwrap());
-    // B = 1: every block is a single proposal — batching must degenerate to
-    // the sequential kernel with Lemire pair draws.
-    assert_batched_matches_replay(chain, 20, 10, 11, 5_000, 1);
-    // B = 7: steps not a multiple of the block, ending on a partial block
-    // of 3 (5000 = 714·7 + 2 → final block of 2).
-    assert_batched_matches_replay(chain, 20, 10, 13, 5_000, 7);
-    // Max block on a tiny system: in-block conflicts (and thus the
-    // sequential-fallback path) fire constantly.
-    assert_batched_matches_replay(chain, 8, 4, 17, 20_000, 64);
-}
-
-#[test]
-fn batched_kernel_equivalence_exhaustive_on_small_configurations() {
-    // Every connected shape with n ≤ 4 particles × every bicoloring ×
-    // swaps on/off, driven for 200 seeded steps at two block sizes and
-    // compared proposal-for-proposal against the sequential replay oracle.
-    // Small systems maximize conflict density, so the fallback path is
-    // exercised on every shape that can accept a move.
-    let chains = [
-        SeparationChain::new(Bias::new(4.0, 3.0).unwrap()),
-        SeparationChain::without_swaps(Bias::new(4.0, 3.0).unwrap()),
-    ];
-    let mut checked = 0u64;
-    for shape in (1..=4).flat_map(enumerate::shapes) {
-        let n = shape.len();
-        for n1 in 0..=n {
-            for coloring in enumerate::bicolorings(&shape, n1) {
-                let config = Configuration::new(coloring).unwrap();
-                for chain in &chains {
-                    for block in [3, 8] {
-                        let seed = 31 * checked + block as u64;
-                        let mut batched_rng = StdRng::seed_from_u64(seed);
-                        let mut oracle_rng = StdRng::seed_from_u64(seed);
-                        let mut batched_config = config.clone();
-                        let mut oracle_config = config.clone();
-                        let mut outcomes = Vec::new();
-                        chain.run_batched_with(
-                            &mut batched_config,
-                            200,
-                            block,
-                            &mut batched_rng,
-                            |o| outcomes.push(o),
-                        );
-                        let oracle = sequential_replay(
-                            chain,
-                            &mut oracle_config,
-                            200,
-                            block,
-                            &mut oracle_rng,
-                        );
-                        assert_eq!(
-                            outcomes, oracle,
-                            "outcomes diverged: n={n} n1={n1} block={block}"
-                        );
-                        assert_eq!(
-                            batched_config.canonical_form(),
-                            oracle_config.canonical_form(),
-                            "state diverged: n={n} n1={n1} block={block}"
-                        );
-                        assert_eq!(batched_rng.next_u64(), oracle_rng.next_u64());
-                        checked += 1;
-                    }
-                }
-            }
+    for call in 0..100 {
+        config = assert_run_matches_step_loop(&chain, &config, 70 + call, 20_000);
+        if !config.is_rasterized() {
+            assert_eq!(config.raster_rebuild_count(), 1);
+            let report = config.audit();
+            assert!(report.is_consistent(), "{report}");
+            return;
         }
     }
-    assert!(checked > 100, "enumeration too small: {checked} runs");
+    panic!("no run call crossed the raster's border");
 }

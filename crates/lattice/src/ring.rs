@@ -120,9 +120,9 @@ const fn build_pair_footprints() -> [[Node; 10]; 6] {
 /// exponents, counter updates) can read, and every node an accepted move or
 /// swap can change.
 ///
-/// The batched kernel's conflict check is built on this: a proposal
-/// evaluated against block-start state is still exact as long as no earlier
-/// in-block acceptance dirtied a node of its footprint.
+/// The sharded engine's deferral test is built on this, through its
+/// bounding box ([`pair_footprint_bounds`]): a proposal whose footprint
+/// stays inside its stripe cannot observe another stripe's proposals.
 pub static PAIR_FOOTPRINT_OFFSETS: [[Node; 10]; 6] = build_pair_footprints();
 
 /// The footprint offsets for pairs oriented along `dir` (ring nodes at
