@@ -138,37 +138,19 @@ fn seeded_config(n: usize) -> Configuration {
     Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng)).unwrap()
 }
 
-/// One row of the chain-step throughput baseline in `BENCH_chain.json`.
+/// One row of the chain-step throughput baseline in `BENCH_chain.json`,
+/// timed through [`MarkovChain::run`].
 struct Throughput {
     n: usize,
     swaps: bool,
-    /// `"sequential"` ([`MarkovChain::run`]) or `"parallel"`
-    /// ([`SeparationChain::run_parallel`]); consumers treating the field as
-    /// optional (e.g. older `perf_guard` baselines) default to sequential.
-    kernel: &'static str,
-    /// Worker threads (always 1 for the sequential kernel).
-    threads: usize,
     ns_per_step: f64,
 }
 
-/// The worker-thread counts benchmarked for the `parallel` kernel: 1
-/// (contract-equivalent to sequential, measures engine overhead), 2 (the
-/// smallest genuinely sharded schedule), and whatever parallelism the host
-/// actually offers, deduplicated.
-fn bench_thread_counts() -> Vec<usize> {
-    let avail = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut counts = vec![1, 2, avail];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
 fn bench_chain_step() -> Vec<Throughput> {
-    // Both kernels run a fixed step count per iteration and divide, as the
-    // runtime, the service and every experiment bin call them. The count
-    // is large enough that the per-call setup (the sequential kernel's
-    // cell table; the parallel engine's round planning) vanishes into the
-    // per-step figure instead of inflating it.
+    // The kernel runs a fixed step count per iteration and divides, as the
+    // runtime, the service and every experiment bin call it. The count is
+    // large enough that the per-call setup (the run's cell table) vanishes
+    // into the per-step figure instead of inflating it.
     const BULK_STEPS: u64 = 4096;
     let mut rows = Vec::new();
     for n in [25usize, 100, 400] {
@@ -187,27 +169,8 @@ fn bench_chain_step() -> Vec<Throughput> {
             rows.push(Throughput {
                 n,
                 swaps,
-                kernel: "sequential",
-                threads: 1,
                 ns_per_step: ns,
             });
-            for threads in bench_thread_counts() {
-                let mut config = seeded_config(n);
-                let mut rng = StdRng::seed_from_u64(1);
-                let ns = bench(
-                    &format!("chain_step_parallel/{label}/{n}/t{threads}"),
-                    || {
-                        black_box(chain.run_parallel(&mut config, BULK_STEPS, threads, &mut rng));
-                    },
-                ) / BULK_STEPS as f64;
-                rows.push(Throughput {
-                    n,
-                    swaps,
-                    kernel: "parallel",
-                    threads,
-                    ns_per_step: ns,
-                });
-            }
         }
     }
     rows
@@ -352,12 +315,10 @@ fn write_bench_chain_json(throughput: &[Throughput], overhead: &OverheadBaseline
     json.push_str("  \"throughput\": [\n");
     for (i, row) in throughput.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"swaps\": {}, \"kernel\": \"{}\", \"threads\": {}, \
+            "    {{\"n\": {}, \"swaps\": {}, \"kernel\": \"sequential\", \
              \"ns_per_step\": {}, \"steps_per_sec\": {}}}{}\n",
             row.n,
             row.swaps,
-            row.kernel,
-            row.threads,
             json_f64(row.ns_per_step),
             json_f64(1e9 / row.ns_per_step),
             if i + 1 < throughput.len() { "," } else { "" },

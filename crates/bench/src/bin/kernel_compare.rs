@@ -1,19 +1,12 @@
-//! Head-to-head timing of the sharded parallel engine, the fused proposal
-//! kernel, and the unfused reference path, interleaved in one process.
+//! Head-to-head timing of the fused proposal kernel and the unfused
+//! reference path, interleaved in one process.
 //!
 //! `BENCH_chain.json` numbers taken weeks apart compare different machine
 //! conditions as much as different code. This harness removes that
 //! confounder: each round times one batch of proposals through each kernel
-//! back-to-back on identically evolving states, so the reported speedups
-//! are paired within-round ratios that machine drift cannot fake. (The
-//! parallel engine's *trajectory* differs from the sequential kernels' —
-//! its RNG schedule is round-structured — but all of them sample the same
-//! chain from the same steady-state start, so per-proposal costs are drawn
-//! from the same distribution.) The parallel column runs the sharded engine with
-//! `--threads` worker threads (parsed via `SweepOptions`, default 1, so
-//! on a single-core host it measures the engine's overhead honestly
-//! instead of faking a speedup). Run with `cargo run --release -p
-//! sops-bench --bin kernel_compare -- [--threads T]`.
+//! back-to-back on identically evolving states, so the reported speedup is
+//! a paired within-round ratio that machine drift cannot fake. Run with
+//! `cargo run --release -p sops-bench --bin kernel_compare`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,7 +17,6 @@ use sops_bench::Table;
 use sops_chains::MarkovChain;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_lattice::DIRECTIONS;
-use sops_runtime::SweepOptions;
 
 const ROUNDS: usize = 21;
 const BATCH: u64 = 200_000;
@@ -37,37 +29,24 @@ fn steady_state(n: usize, chain: &SeparationChain) -> Configuration {
 }
 
 fn main() {
-    let threads = SweepOptions::from_args().threads;
     let mut table = Table::new([
         "n",
-        "parallel",
         "fused",
         "reference",
-        "fused/parallel",
         "ref/fused",
         "(ns/step, median of paired rounds)",
     ]);
-    println!("parallel kernel: {threads} worker thread(s)");
     for n in [25usize, 100, 400] {
         let chain = SeparationChain::new(Bias::new(4.0, 4.0).unwrap());
         let config = steady_state(n, &chain);
         // Each kernel evolves its own state from the same start with the
-        // same seed; the two sequential kernels' trajectories are provably
-        // identical, the parallel one samples the same chain.
-        let mut parallel_state = (config.clone(), StdRng::seed_from_u64(1));
+        // same seed; the two kernels' trajectories are provably identical.
         let mut fused_state = (config.clone(), StdRng::seed_from_u64(1));
         let mut ref_state = (config, StdRng::seed_from_u64(1));
-        let mut parallel_ratios = Vec::with_capacity(ROUNDS);
         let mut ref_ratios = Vec::with_capacity(ROUNDS);
-        let mut parallel_ns = Vec::with_capacity(ROUNDS);
         let mut fused_ns = Vec::with_capacity(ROUNDS);
         let mut ref_ns = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
-            let (config, rng) = &mut parallel_state;
-            let t = Instant::now();
-            black_box(chain.run_parallel(config, BATCH, threads, rng));
-            let parallel = t.elapsed().as_nanos() as f64 / BATCH as f64;
-
             let (config, rng) = &mut fused_state;
             let t = Instant::now();
             for _ in 0..BATCH {
@@ -85,10 +64,8 @@ fn main() {
                 black_box(chain.propose_reference(config, p, d, rng));
             }
             let reference = t.elapsed().as_nanos() as f64 / BATCH as f64;
-            parallel_ns.push(parallel);
             fused_ns.push(fused);
             ref_ns.push(reference);
-            parallel_ratios.push(fused / parallel);
             ref_ratios.push(reference / fused);
         }
         let median = |mut v: Vec<f64>| -> f64 {
@@ -97,10 +74,8 @@ fn main() {
         };
         table.row([
             n.to_string(),
-            format!("{:.1}", median(parallel_ns)),
             format!("{:.1}", median(fused_ns)),
             format!("{:.1}", median(ref_ns)),
-            format!("{:.2}x", median(parallel_ratios)),
             format!("{:.2}x", median(ref_ratios)),
             String::new(),
         ]);

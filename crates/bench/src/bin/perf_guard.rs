@@ -3,16 +3,12 @@
 //! Compares a freshly measured chain-step throughput against the committed
 //! baseline and fails (exit code 1) when a reference row — `n = 100` with
 //! swaps enabled, the paper's Figure 2 working point — regresses by more
-//! than the tolerance. The sequential, batched, and sharded-parallel
-//! kernel rows are all guarded: each kernel (and, for the parallel
-//! kernel, each thread count — rows are keyed `parallel[t=2]`) present in
-//! *both* files is compared independently, and any of them regressing
-//! fails the run. Baselines predating the batched engine carry no
-//! `"kernel"` field; such rows are treated as sequential, so old
-//! baselines keep guarding the sequential kernel and simply skip the
-//! newer comparisons (likewise for pre-parallel baselines without
-//! `"threads"`). Both numbers are printed either way, so every CI run
-//! logs the current and recorded throughput side by side.
+//! than the tolerance. Rows are keyed by their `"kernel"` field, and each
+//! kernel present in *both* files is compared independently, so a kernel
+//! only one file names is reported and skipped. A row without a
+//! `"kernel"` field is treated as sequential, so old baselines keep
+//! guarding the sequential kernel. Both numbers are printed either way,
+//! so every CI run logs the current and recorded throughput side by side.
 //!
 //! ```text
 //! perf_guard <baseline.json> <fresh.json> [--tolerance-pct <pct>]
@@ -31,10 +27,8 @@ const GUARD_N: u64 = 100;
 /// `BENCH_chain.json` text. The file is written line-per-row by the
 /// microbench harness, so a line-oriented scan is exact for its own output
 /// (and tolerant of reformatting, since it keys on the `"n"`/`"swaps"`/
-/// `"kernel"`/`"threads"` fields, not position). A row without a
-/// `"kernel"` field is a pre-batching sequential row; multi-thread rows
-/// are keyed `kernel[t=threads]` so each thread count is guarded as its
-/// own row.
+/// `"kernel"` fields, not position). A row without a `"kernel"` field is
+/// a sequential row.
 fn throughput_rows(json: &str) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for line in json.lines() {
@@ -47,14 +41,9 @@ fn throughput_rows(json: &str) -> Vec<(String, f64)> {
         if field(line, "\"swaps\":") != Some("true") {
             continue;
         }
-        let mut kernel = field(line, "\"kernel\":")
+        let kernel = field(line, "\"kernel\":")
             .map_or("sequential", |k| k.trim_matches('"'))
             .to_string();
-        if let Some(threads) = field(line, "\"threads\":") {
-            if threads != "1" {
-                kernel = format!("{kernel}[t={threads}]");
-            }
-        }
         if let Some(sps) = field(line, "\"steps_per_sec\":").and_then(|v| v.parse().ok()) {
             rows.push((kernel, sps));
         }

@@ -688,66 +688,6 @@ impl Configuration {
         Ok(())
     }
 
-    /// The raster of a configuration the sharded engine is merging.
-    fn merge_raster(&mut self) -> &mut ColorGrid {
-        match &mut self.index {
-            NodeIndex::Raster(g) => g,
-            NodeIndex::Map(_) => unreachable!("the sharded engine runs only on a raster"),
-        }
-    }
-
-    /// Applies a move the sharded engine already committed to the raster's
-    /// color plane: moves the particle in the index plane and the particle
-    /// table, and applies the shard's precomputed counter deltas,
-    /// deliberately *not* touching the color plane (the shard worker
-    /// mutated its row band in place, and recomputing the deltas against
-    /// the post-round raster would be wrong anyway — they were evaluated
-    /// mid-round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index plane holds no particle at `from` or a delta
-    /// would wrap a tracked counter. Both prove pre-existing state
-    /// corruption, and by this point the color half of the transition is
-    /// already applied, so unlike [`Configuration::try_move_particle`]
-    /// there is no untouched state to hand back — a loud stop is the only
-    /// honest option.
-    pub(crate) fn apply_sharded_move(&mut self, from: Node, to: Node, d_edges: i64, d_hetero: i64) {
-        let particle = self
-            .merge_raster()
-            .take_owner(from)
-            .unwrap_or_else(|| panic!("sharded move: {}", ChainStateError::UnoccupiedSource(from)));
-        self.edges = Self::checked_counter("edges", self.edges, d_edges)
-            .unwrap_or_else(|e| panic!("sharded move: {e}"));
-        self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero)
-            .unwrap_or_else(|e| panic!("sharded move: {e}"));
-        let placed = self.merge_raster().put_owner(to, particle);
-        debug_assert!(placed, "a stripe commit stays inside the raster");
-        self.positions[particle as usize] = to;
-    }
-
-    /// Applies a swap the sharded engine already committed to the raster's
-    /// color plane: exchanges the two particles in the index plane and the
-    /// particle table, and applies the shard's precomputed hetero delta.
-    /// See [`Configuration::apply_sharded_move`] for why corruption panics
-    /// here.
-    pub(crate) fn apply_sharded_swap(&mut self, a: Node, b: Node, d_hetero: i64) {
-        let grid = self.merge_raster();
-        let pa = grid
-            .owner(a)
-            .unwrap_or_else(|| panic!("sharded swap: {}", ChainStateError::UnoccupiedSource(a)));
-        let pb = grid
-            .owner(b)
-            .unwrap_or_else(|| panic!("sharded swap: {}", ChainStateError::UnoccupiedTarget(b)));
-        self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero)
-            .unwrap_or_else(|e| panic!("sharded swap: {e}"));
-        let grid = self.merge_raster();
-        grid.put_owner(a, pb);
-        grid.put_owner(b, pa);
-        self.positions[pa as usize] = b;
-        self.positions[pb as usize] = a;
-    }
-
     /// The raster, if the system is rasterized.
     #[inline]
     pub(crate) fn raster(&self) -> Option<&ColorGrid> {
@@ -757,28 +697,12 @@ impl Configuration {
         }
     }
 
-    /// Mutable access to the raster for the sharded engine, which hands
-    /// disjoint row bands of its color plane to worker threads.
-    #[inline]
+    /// Mutable access to the raster, so tests can corrupt one plane.
+    #[cfg(test)]
     pub(crate) fn raster_mut(&mut self) -> Option<&mut ColorGrid> {
         match &mut self.index {
             NodeIndex::Raster(g) => Some(g),
             NodeIndex::Map(_) => None,
-        }
-    }
-
-    /// Widens the raster's border to the grown floor of [`crate::grid`]
-    /// before a sharded run, which defers every proposal whose footprint
-    /// reaches past the raster's edge. Not counted as a rebuild; a no-op
-    /// for a map, a raster with that border already, or a system whose
-    /// wider raster would not fit.
-    pub(crate) fn widen_raster(&mut self) {
-        let widened = match &self.index {
-            NodeIndex::Raster(g) => g.widened(&self.positions, &self.colors),
-            NodeIndex::Map(_) => None,
-        };
-        if let Some(grid) = widened {
-            self.index = NodeIndex::Raster(grid);
         }
     }
 
@@ -1302,8 +1226,7 @@ fn pack_high_bits(high: u64) -> u8 {
 impl RingGather {
     /// Builds a gather from eight raster cell codes in ring order — the
     /// shared decode step of [`Configuration::ring_gather`]'s raster path
-    /// and the sharded engine's stripe-local gathers, so all raster
-    /// consumers stay bit-for-bit interchangeable.
+    /// and the fused kernel, so both stay bit-for-bit interchangeable.
     #[inline]
     pub(crate) fn from_codes(codes: [u8; 8]) -> Self {
         let codes = u64::from_le_bytes(codes);
@@ -2051,30 +1974,6 @@ mod tests {
         let g = c.raster().unwrap();
         assert_eq!((g.min_x(), g.min_y()), (-MARGIN_CELLS, -MARGIN_CELLS));
         assert_eq!((g.width(), g.height()), (10, 10));
-    }
-
-    #[test]
-    fn a_sharded_run_starts_from_the_grown_floor_border() {
-        let mut c = tri();
-        c.widen_raster();
-        let g = c.raster().unwrap();
-        assert_eq!(g.margin(), 32);
-        assert_eq!(
-            (g.min_x(), g.min_y(), g.width(), g.height()),
-            (-32, -32, 66, 66)
-        );
-        assert_eq!(c.raster_rebuild_count(), 0);
-        assert!(c.audit().is_consistent());
-        // Already that wide, or a map: nothing to do.
-        let before = c.clone();
-        c.widen_raster();
-        assert_eq!(
-            c.raster().unwrap().extent(),
-            before.raster().unwrap().extent()
-        );
-        let mut m = mapped(tri());
-        m.widen_raster();
-        assert!(!m.is_rasterized());
     }
 
     #[test]

@@ -242,19 +242,6 @@ impl ColorGrid {
         Some(grid)
     }
 
-    /// This raster rebuilt with at least the grown floor
-    /// [`MIN_GROWN_MARGIN`] as its border, keeping its extent: the border
-    /// the sharded engine starts from (see [`crate::shard`]). `None` when
-    /// the border is already that wide, or the wider raster would not fit.
-    pub(crate) fn widened(&self, positions: &[Node], colors: &[Color]) -> Option<Self> {
-        if self.margin >= MIN_GROWN_MARGIN {
-            return None;
-        }
-        let mut grid = Self::covering(positions, colors, MIN_GROWN_MARGIN, Some(self.extent()))?;
-        let _ = grid.fill(positions, colors);
-        Some(grid)
-    }
-
     /// The raster's inclusive extent.
     pub(crate) fn extent(&self) -> Extent {
         (
@@ -339,28 +326,6 @@ impl ColorGrid {
         }
     }
 
-    /// Removes and returns the index plane's particle at `node`, leaving
-    /// the color plane alone: the sharded merge pass, whose stripe
-    /// workers already wrote the colors.
-    #[inline]
-    pub(crate) fn take_owner(&mut self, node: Node) -> Option<u32> {
-        let i = self.index(node)?;
-        core::mem::take(&mut self.owners[i]).checked_sub(1)
-    }
-
-    /// Writes `particle` into the index plane at `node`, leaving the color
-    /// plane alone; `false` outside the raster.
-    #[inline]
-    pub(crate) fn put_owner(&mut self, node: Node, particle: u32) -> bool {
-        match self.index(node) {
-            Some(i) => {
-                self.owners[i] = owner_entry(particle);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of occupied cells in the color plane, counted eight cells at
     /// a time.
     pub(crate) fn occupied_cells(&self) -> usize {
@@ -409,25 +374,25 @@ impl ColorGrid {
     }
 
     /// Smallest in-raster x coordinate.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn min_x(&self) -> i32 {
         self.min_x
     }
 
     /// Smallest in-raster y coordinate.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn min_y(&self) -> i32 {
         self.min_y
     }
 
-    /// Raster width in cells (row stride of [`ColorGrid::cells_mut`]).
-    #[inline]
+    /// Raster width in cells (the row stride).
+    #[cfg(test)]
     pub(crate) fn width(&self) -> u32 {
         self.width
     }
 
     /// Raster height in cells (number of rows).
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn height(&self) -> u32 {
         self.height
     }
@@ -458,15 +423,6 @@ impl ColorGrid {
     pub(crate) fn owner_mut(&mut self, node: Node) -> &mut u32 {
         let i = self.index(node).expect("node inside the raster");
         &mut self.owners[i]
-    }
-
-    /// The raw y-major color plane. Row `r` (lattice row `min_y + r`)
-    /// occupies `cells[r * width .. (r + 1) * width]`; rows being
-    /// contiguous is what lets the sharded engine hand disjoint row bands
-    /// to worker threads via `split_at_mut`.
-    #[inline]
-    pub(crate) fn cells_mut(&mut self) -> &mut [u8] {
-        &mut self.cells
     }
 
     /// The eight ring cell codes of the pair `{from, from + dir}`, in ring
@@ -607,19 +563,10 @@ mod tests {
         assert_eq!(grid.particle(Node::new(1, 0)), Some((0, encode(Color::C1))));
         assert_eq!((grid.occupied_cells(), grid.owned_cells()), (3, 3));
 
-        // The index plane alone, as the sharded merge moves it.
-        assert_eq!(grid.take_owner(Node::new(1, 0)), Some(0));
-        assert_eq!(grid.take_owner(Node::new(1, 0)), None);
-        assert_eq!(grid.code(Node::new(1, 0)), encode(Color::C1));
-        assert_eq!(grid.particle(Node::new(1, 0)), None);
-        assert!(grid.put_owner(Node::new(1, 0), 0));
-        assert_eq!((grid.occupied_cells(), grid.owned_cells()), (3, 3));
-
         // Within the border: writable; far past it: rejected.
         let m = MARGIN as i32;
         assert!(grid.put(Node::new(3 + m, 0), 0, 1));
         assert!(!grid.put(Node::new(3 + 1000, 0), 0, 1));
-        assert!(!grid.put_owner(Node::new(3 + 1000, 0), 0));
     }
 
     #[test]

@@ -70,7 +70,6 @@ mod outcome;
 mod params;
 pub mod properties;
 pub mod reconfigure;
-pub mod shard;
 mod snapshot;
 
 pub use chain::{CompressionChain, SeparationChain};
@@ -79,4 +78,3 @@ pub use config::{CanonicalForm, Configuration, RingGather};
 pub use error::{AuditReport, AuditViolation, ChainStateError, ConfigError, RepairOutcome};
 pub use outcome::StepOutcome;
 pub use params::{thresholds, Bias};
-pub use shard::{run_sharded_reference, ParallelConfig, ParallelReport, MIN_STRIPE_ROWS};

@@ -18,27 +18,44 @@
 //! 3. **Across the raster-to-map switch** — a configuration whose bounding
 //!    box outgrows the raster cap mid-run continues bit-identically on its
 //!    map index and audits clean.
+//! 4. **Exact law** — on every bicolored space of `n ≤ 5` particles, the
+//!    transition matrix read off the public `propose` equals the one
+//!    `ExactSeparationChain` builds from the reference predicates, and
+//!    Lemma 9's closed form is in detailed balance with it.
 //!
 //! `run`, which prepares the particle draw once per call, must equal the
 //! `step` loop it replaces in state, accepted count and RNG state.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use sops_chains::MarkovChain;
+use sops_chains::{EnumerableChain, MarkovChain, TransitionMatrix};
+use sops_core::enumerate::ExactSeparationChain;
 use sops_core::{
-    construct, enumerate, Bias, CompressionChain, Configuration, SeparationChain, StepOutcome,
+    construct, enumerate, Bias, CanonicalForm, CompressionChain, Configuration, SeparationChain,
+    StepOutcome,
 };
 use sops_lattice::region::Region;
 use sops_lattice::{Direction, Node, DIRECTIONS};
 
-/// An RNG whose `next_u64` is a fixed constant: `0` accepts any positive
-/// Metropolis ratio, `u64::MAX` rejects any ratio below 1. Deterministic,
-/// so fused and reference paths see identical draws by construction.
-struct ConstRng(u64);
+/// An RNG whose `next_u64` is a fixed word, counting its draws: `0`
+/// accepts any positive Metropolis ratio, `u64::MAX` rejects any ratio
+/// below 1. Deterministic, so fused and reference paths see identical
+/// draws by construction.
+struct ConstRng {
+    word: u64,
+    draws: u32,
+}
+
+impl ConstRng {
+    fn new(word: u64) -> Self {
+        ConstRng { word, draws: 0 }
+    }
+}
 
 impl Rng for ConstRng {
     fn next_u64(&mut self) -> u64 {
-        self.0
+        self.draws += 1;
+        self.word
     }
 }
 
@@ -142,13 +159,13 @@ fn fused_kernel_equivalence_exhaustive_on_small_configurations() {
                                         &mut fused_config,
                                         particle,
                                         dir,
-                                        &mut ConstRng(draw),
+                                        &mut ConstRng::new(draw),
                                     );
                                     let reference = chain.propose_reference(
                                         &mut ref_config,
                                         particle,
                                         dir,
-                                        &mut ConstRng(draw),
+                                        &mut ConstRng::new(draw),
                                     );
                                     assert_eq!(
                                         fused, reference,
@@ -414,4 +431,116 @@ fn run_continues_identically_across_the_raster_to_map_switch() {
         }
     }
     panic!("no run call crossed the raster's border");
+}
+
+/// Chain `M` as the fused kernel implements it, on the state space of an
+/// [`ExactSeparationChain`]: every transition probability is read off the
+/// public [`SeparationChain::propose`] alone.
+struct KernelLaw(ExactSeparationChain);
+
+impl KernelLaw {
+    /// `propose(p, dir)` on a copy of `config`, every draw answered with
+    /// `word`: the state it leaves, its outcome and the words it drew.
+    fn probe(
+        &self,
+        config: &Configuration,
+        p: usize,
+        dir: Direction,
+        word: u64,
+    ) -> (Configuration, StepOutcome, u32) {
+        let mut next = config.clone();
+        let mut rng = ConstRng::new(word);
+        let outcome = self.0.chain().propose(&mut next, p, dir, &mut rng);
+        (next, outcome, rng.draws)
+    }
+
+    /// The probability that `propose(p, dir)` accepts on `config`, given
+    /// that word 0 accepts. A proposal that draws no word accepts surely.
+    /// Otherwise the filter accepts iff `(word >> 11) < T`, so bisecting
+    /// over the words `k << 11` finds the least rejected `k`, which is `T`,
+    /// and the probability is `T / 2⁵³`.
+    fn acceptance(&self, config: &Configuration, p: usize, dir: Direction, draws: u32) -> f64 {
+        if draws == 0 {
+            return 1.0;
+        }
+        let (mut lo, mut hi) = (1u64, 1u64 << 53);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.probe(config, p, dir, mid << 11).1.accepted() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo as f64 / (1u64 << 53) as f64
+    }
+}
+
+impl EnumerableChain for KernelLaw {
+    type State = CanonicalForm;
+
+    fn states(&self) -> Vec<CanonicalForm> {
+        self.0.states()
+    }
+
+    fn transitions(&self, state: &CanonicalForm) -> Vec<(CanonicalForm, f64)> {
+        let config = state.to_configuration();
+        // `run` draws the particle and the direction uniformly.
+        let per_proposal = 1.0 / (6.0 * config.len() as f64);
+        let mut out = Vec::new();
+        for p in 0..config.len() {
+            for dir in DIRECTIONS {
+                // Word 0 passes every filter that can pass: a proposal it
+                // does not accept has probability 0.
+                let (next, outcome, draws) = self.probe(&config, p, dir, 0);
+                if outcome.accepted() {
+                    let probability = self.acceptance(&config, p, dir, draws);
+                    out.push((next.canonical_form(), per_proposal * probability));
+                }
+            }
+        }
+        out
+    }
+}
+
+#[test]
+fn fused_kernel_law_is_the_exact_chain_on_every_small_bicolored_space() {
+    // Release builds cover n ≤ 5; debug builds, which also run the
+    // kernel's internal assertions, stop at n ≤ 4.
+    let max_n = if cfg!(debug_assertions) { 4 } else { 5 };
+    for (lambda, gamma) in [(2.0, 3.0), (4.0, 0.7), (1.1, 0.9)] {
+        let bias = Bias::new(lambda, gamma).unwrap();
+        for chain in [
+            SeparationChain::new(bias),
+            SeparationChain::without_swaps(bias),
+        ] {
+            let swaps = chain.swaps_enabled();
+            for n in 2..=max_n {
+                for n1 in 1..n {
+                    let exact = ExactSeparationChain::new(chain, n, n1);
+                    let reference = TransitionMatrix::build(&exact);
+                    let kernel = TransitionMatrix::build(&KernelLaw(exact.clone()));
+                    assert_eq!(kernel.states(), reference.states());
+                    let size = kernel.len();
+                    for i in 0..size {
+                        for j in 0..size {
+                            let (got, want) = (kernel.prob(i, j), reference.prob(i, j));
+                            assert!(
+                                (got - want).abs() <= 1e-15,
+                                "λ={lambda} γ={gamma} swaps={swaps} n={n} n1={n1}: \
+                                 P({i}→{j}) is {got} from the kernel, {want} exactly"
+                            );
+                        }
+                    }
+                    let pi = exact.lemma9_distribution(kernel.states());
+                    let residual = kernel.detailed_balance_violation(&pi);
+                    assert!(
+                        residual <= 1e-15,
+                        "λ={lambda} γ={gamma} swaps={swaps} n={n} n1={n1}: \
+                         detailed-balance residual {residual}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -56,9 +56,7 @@ pub use edge::Edge;
 pub use map::{NodeMap, NodeSet};
 pub use node::Node;
 pub use ring::{
-    pair_footprint_bounds, pair_footprint_offsets, ring_offsets, FootprintBounds, FOOTPRINT_REACH,
-    PAIR_FOOTPRINT_BOUNDS, PAIR_FOOTPRINT_OFFSETS, RING_COMMON, RING_FROM_SIDE, RING_OFFSETS,
-    RING_TO_SIDE,
+    ring_offsets, FOOTPRINT_REACH, RING_COMMON, RING_FROM_SIDE, RING_OFFSETS, RING_TO_SIDE,
 };
 
 /// All six lattice directions in counterclockwise order starting from `E`.

@@ -97,115 +97,13 @@ pub fn ring_offsets(dir: Direction) -> &'static [Node; 8] {
     &RING_OFFSETS[dir.index()]
 }
 
-const fn build_pair_footprints() -> [[Node; 10]; 6] {
-    let mut table = [[Node::ORIGIN; 10]; 6];
-    let mut d = 0;
-    while d < 6 {
-        let ring = RING_OFFSETS[d];
-        let mut k = 0;
-        while k < 8 {
-            table[d][k] = ring[k];
-            k += 1;
-        }
-        table[d][8] = Node::ORIGIN;
-        table[d][9] = Node::ORIGIN.neighbor(Direction::from_index(d));
-        d += 1;
-    }
-    table
-}
-
-/// Offsets (from `ℓ`) of the full *footprint* of a proposal `(ℓ, d)`: the
-/// eight ring nodes plus the pair `ℓ, ℓ′` themselves — every lattice node
-/// whose occupancy or color any part of the proposal (guards, Metropolis
-/// exponents, counter updates) can read, and every node an accepted move or
-/// swap can change.
-///
-/// The sharded engine's deferral test is built on this, through its
-/// bounding box ([`pair_footprint_bounds`]): a proposal whose footprint
-/// stays inside its stripe cannot observe another stripe's proposals.
-pub static PAIR_FOOTPRINT_OFFSETS: [[Node; 10]; 6] = build_pair_footprints();
-
-/// The footprint offsets for pairs oriented along `dir` (ring nodes at
-/// indices 0–7, then `ℓ` itself, then `ℓ′`).
-#[inline]
-#[must_use]
-pub fn pair_footprint_offsets(dir: Direction) -> &'static [Node; 10] {
-    &PAIR_FOOTPRINT_OFFSETS[dir.index()]
-}
-
-/// Axis-aligned bounding box of a proposal footprint, as offsets from `ℓ`.
-///
-/// A sharded scheduler can test "does the whole footprint of `(ℓ, d)` lie
-/// inside my region?" with four comparisons instead of ten point lookups:
-/// the footprint of `(ℓ, d)` is contained in `x ∈ [x0, x1], y ∈ [y0, y1]`
-/// iff `ℓ.x + min_dx ≥ x0 && ℓ.x + max_dx ≤ x1` and likewise in `y`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FootprintBounds {
-    /// Smallest `dx` over the ten footprint offsets.
-    pub min_dx: i32,
-    /// Largest `dx` over the ten footprint offsets.
-    pub max_dx: i32,
-    /// Smallest `dy` over the ten footprint offsets.
-    pub min_dy: i32,
-    /// Largest `dy` over the ten footprint offsets.
-    pub max_dy: i32,
-}
-
-/// Maximum half-extent of any footprint in either axis: every offset in
-/// [`PAIR_FOOTPRINT_OFFSETS`] satisfies `|dx| ≤ 2` and `|dy| ≤ 2`, so a
-/// region must be at least `2 · FOOTPRINT_REACH + 1 = 5` rows (or columns)
-/// tall for its interior to be non-empty.
+/// Maximum half-extent, in either axis, of a proposal's *footprint*: the
+/// eight ring nodes plus the pair `ℓ, ℓ′` themselves, which hold every
+/// lattice node whose occupancy or color any part of the proposal
+/// `(ℓ, d)` (guards, Metropolis exponents, counter updates) can read, and
+/// every node an accepted move or swap can change. Every footprint offset
+/// satisfies `|dx| ≤ 2` and `|dy| ≤ 2`.
 pub const FOOTPRINT_REACH: i32 = 2;
-
-const fn build_footprint_bounds() -> [FootprintBounds; 6] {
-    let mut table = [FootprintBounds {
-        min_dx: 0,
-        max_dx: 0,
-        min_dy: 0,
-        max_dy: 0,
-    }; 6];
-    let mut d = 0;
-    while d < 6 {
-        let fp = PAIR_FOOTPRINT_OFFSETS[d];
-        let mut b = FootprintBounds {
-            min_dx: 0,
-            max_dx: 0,
-            min_dy: 0,
-            max_dy: 0,
-        };
-        let mut k = 0;
-        while k < 10 {
-            let n = fp[k];
-            if n.x < b.min_dx {
-                b.min_dx = n.x;
-            }
-            if n.x > b.max_dx {
-                b.max_dx = n.x;
-            }
-            if n.y < b.min_dy {
-                b.min_dy = n.y;
-            }
-            if n.y > b.max_dy {
-                b.max_dy = n.y;
-            }
-            k += 1;
-        }
-        table[d] = b;
-        d += 1;
-    }
-    table
-}
-
-/// Per-direction bounding boxes of the proposal footprints, indexed by
-/// `dir.index()`.
-pub static PAIR_FOOTPRINT_BOUNDS: [FootprintBounds; 6] = build_footprint_bounds();
-
-/// The footprint bounding box for pairs oriented along `dir`.
-#[inline]
-#[must_use]
-pub fn pair_footprint_bounds(dir: Direction) -> FootprintBounds {
-    PAIR_FOOTPRINT_BOUNDS[dir.index()]
-}
 
 #[cfg(test)]
 mod tests {
@@ -247,58 +145,44 @@ mod tests {
     }
 
     #[test]
-    fn pair_footprint_is_ring_plus_pair_and_covers_both_neighborhoods() {
+    fn ring_plus_pair_covers_both_neighborhoods_within_reach() {
+        let (mut lo, mut hi) = (Node::ORIGIN, Node::ORIGIN);
         for dir in DIRECTIONS {
-            let fp = pair_footprint_offsets(dir);
             let to = Node::ORIGIN.neighbor(dir);
-            assert_eq!(&fp[..8], ring_offsets(dir).as_slice());
-            assert_eq!(fp[8], Node::ORIGIN);
-            assert_eq!(fp[9], to);
+            let mut footprint = ring_offsets(dir).to_vec();
+            footprint.extend([Node::ORIGIN, to]);
             // All ten nodes distinct.
             for i in 0..10 {
                 for j in (i + 1)..10 {
-                    assert_ne!(fp[i], fp[j], "{dir}: duplicate at {i},{j}");
+                    assert_ne!(footprint[i], footprint[j], "{dir}: duplicate at {i},{j}");
                 }
             }
-            // Every lattice neighbor of ℓ and of ℓ′ is in the footprint —
-            // nothing a proposal can probe escapes the conflict check.
+            // Every lattice neighbor of ℓ and of ℓ′ is on the ring or the
+            // pair — nothing a proposal can probe lies outside them.
             for d in DIRECTIONS {
                 assert!(
-                    fp.contains(&Node::ORIGIN.neighbor(d)),
+                    footprint.contains(&Node::ORIGIN.neighbor(d)),
                     "{dir}: N(ℓ) via {d}"
                 );
-                assert!(fp.contains(&to.neighbor(d)), "{dir}: N(ℓ′) via {d}");
+                assert!(footprint.contains(&to.neighbor(d)), "{dir}: N(ℓ′) via {d}");
+            }
+            for n in footprint {
+                assert!(
+                    n.x.abs() <= FOOTPRINT_REACH && n.y.abs() <= FOOTPRINT_REACH,
+                    "{dir}: {n:?} beyond reach"
+                );
+                lo = Node::new(lo.x.min(n.x), lo.y.min(n.y));
+                hi = Node::new(hi.x.max(n.x), hi.y.max(n.y));
             }
         }
-    }
-
-    #[test]
-    fn footprint_bounds_are_tight_and_within_reach() {
-        for dir in DIRECTIONS {
-            let fp = pair_footprint_offsets(dir);
-            let b = pair_footprint_bounds(dir);
-            assert_eq!(b.min_dx, fp.iter().map(|n| n.x).min().unwrap(), "{dir}");
-            assert_eq!(b.max_dx, fp.iter().map(|n| n.x).max().unwrap(), "{dir}");
-            assert_eq!(b.min_dy, fp.iter().map(|n| n.y).min().unwrap(), "{dir}");
-            assert_eq!(b.max_dy, fp.iter().map(|n| n.y).max().unwrap(), "{dir}");
-            for v in [b.min_dx, b.max_dx, b.min_dy, b.max_dy] {
-                assert!(v.abs() <= FOOTPRINT_REACH, "{dir}: {v} beyond reach");
-            }
-        }
-        // Across all orientations the reach is attained on both sides, so a
-        // row admitting proposals in *every* direction needs FOOTPRINT_REACH
-        // clearance above and below — 5-row stripes are the true minimum.
-        let min_dy = DIRECTIONS
-            .iter()
-            .map(|&d| pair_footprint_bounds(d).min_dy)
-            .min()
-            .unwrap();
-        let max_dy = DIRECTIONS
-            .iter()
-            .map(|&d| pair_footprint_bounds(d).max_dy)
-            .max()
-            .unwrap();
-        assert_eq!((min_dy, max_dy), (-FOOTPRINT_REACH, FOOTPRINT_REACH));
+        // Across all orientations the reach is attained on both sides of
+        // both axes, so it is the least clearance around ℓ that admits
+        // proposals in every direction.
+        let reach = FOOTPRINT_REACH;
+        assert_eq!(
+            (lo, hi),
+            (Node::new(-reach, -reach), Node::new(reach, reach))
+        );
     }
 
     #[test]

@@ -10,15 +10,11 @@
 //! suppresses the per-cell JSONL metric streams, `--adaptive` runs cells
 //! under the streaming convergence engine (stop when mixed instead of
 //! burning the full budget), `--smoke` (or env `SOPS_BENCH_SMOKE=1`)
-//! shrinks grids and budgets for CI, `--threads T` selects
-//! the sharded parallel proposal engine (`sops-core`'s
-//! `SeparationChain::run_parallel`) with `T` worker threads per cell
-//! (`1`, the default, keeps the sequential kernel), and the
-//! [`crate::ResourceBudget`] flags: `--deadline-ms D` caps the sweep's
-//! wall-clock time, `--max-steps N` caps chain steps per cell,
-//! `--max-rollbacks R` bounds the recovery ladder, `--memory-mb M` sets
-//! the approximate memory ceiling that sizes checkpoint retention and
-//! telemetry rings.
+//! shrinks grids and budgets for CI, and the [`crate::ResourceBudget`]
+//! flags: `--deadline-ms D` caps the sweep's wall-clock time,
+//! `--max-steps N` caps chain steps per cell, `--max-rollbacks R` bounds
+//! the recovery ladder, `--memory-mb M` sets the approximate memory
+//! ceiling that sizes checkpoint retention and telemetry rings.
 
 use std::path::{Path, PathBuf};
 
@@ -50,10 +46,6 @@ pub struct SweepOptions {
     pub stall: Option<StallPolicy>,
     /// The resource envelope every cell runs within.
     pub budget: ResourceBudget,
-    /// Worker threads for the sharded parallel proposal engine; `1` keeps
-    /// the sequential kernel. Changing this changes the proposal schedule,
-    /// so trajectories are only reproducible for a fixed thread count.
-    pub threads: usize,
     /// Whether to run cells under the adaptive convergence engine
     /// (`--adaptive`): streaming stopping rules end a cell as soon as its
     /// observable has demonstrably settled instead of burning the full
@@ -75,7 +67,6 @@ impl Default for SweepOptions {
             backoff: BackoffPolicy::default(),
             stall: None,
             budget: ResourceBudget::default(),
-            threads: 1,
             adaptive: false,
             smoke: false,
         }
@@ -171,17 +162,6 @@ impl SweepOptions {
                     let v = take_value("--memory-mb")?;
                     let mb: u64 = parsed("--memory-mb", &v)?;
                     opts.budget.memory_ceiling_bytes = Some(mb * 1024 * 1024);
-                }
-                "--threads" => {
-                    let v = take_value("--threads")?;
-                    let threads: usize = parsed("--threads", &v)?;
-                    if threads == 0 {
-                        return Err(ConfigError::InvalidValue {
-                            flag: "--threads".to_string(),
-                            value: v,
-                        });
-                    }
-                    opts.threads = threads;
                 }
                 "--adaptive" => opts.adaptive = true,
                 "--smoke" => opts.smoke = true,
@@ -299,8 +279,6 @@ mod tests {
                 "5",
                 "--memory-mb",
                 "64",
-                "--threads",
-                "4",
                 "--adaptive",
                 "--smoke",
                 "--no-telemetry",
@@ -324,7 +302,6 @@ mod tests {
         assert_eq!(opts.budget.max_steps, Some(1_000_000));
         assert_eq!(opts.budget.max_rollbacks, 5);
         assert_eq!(opts.budget.memory_ceiling_bytes, Some(64 * 1024 * 1024));
-        assert_eq!(opts.threads, 4);
         assert!(opts.adaptive);
         assert!(opts.smoke);
         assert!(!opts.telemetry);
@@ -383,13 +360,6 @@ mod tests {
             })
         );
         assert_eq!(
-            try_parse(&["--threads", "0"]),
-            Err(ConfigError::InvalidValue {
-                flag: "--threads".to_string(),
-                value: "0".to_string(),
-            })
-        );
-        assert_eq!(
             try_parse(&["--max-steps"]),
             Err(ConfigError::MissingValue {
                 flag: "--max-steps".to_string(),
@@ -402,7 +372,6 @@ mod tests {
         let opts = SweepOptions::parse(std::iter::empty());
         assert_eq!(opts, SweepOptions::default());
         assert!(opts.stall.is_none());
-        assert_eq!(opts.threads, 1);
         assert_eq!(opts.budget, ResourceBudget::default());
     }
 
