@@ -4,21 +4,23 @@
 //! a crash (OOM kill, preemption, power loss) hours into a sweep should
 //! not discard the run. This module provides:
 //!
-//! * [`Checkpoint`] — a snapshot bundling the chain state, the RNG state,
-//!   the step/acceptance counters, and the observable log recorded so far;
+//! * [`Checkpoint`] — a snapshot bundling the chain state, the RNG state
+//!   and the step/acceptance counters: everything a resumed run of the
+//!   memoryless chain needs, so its size does not grow with the run;
 //! * [`CheckpointStore`] — a directory of snapshots with atomic writes
-//!   (temp file + rename), content checksums, and bounded retention;
-//! * [`MarkovChain::run_checkpointed`] — a drop-in variant of
-//!   [`MarkovChain::trajectory`] that persists a snapshot every sampling
-//!   interval and resumes from the newest *valid* snapshot on restart.
+//!   (temp file + rename), content checksums, and bounded retention.
+//!
+//! [`run_supervised`](crate::recovery::run_supervised) persists a snapshot
+//! at every chunk boundary and resumes from the newest *valid* one on
+//! restart.
 //!
 //! # Determinism contract
 //!
 //! A resumed run is bitwise-identical to an uninterrupted run with the
 //! same seed: the RNG stream depends only on the number of
-//! [`MarkovChain::step`] calls, observables are recorded only at sample
-//! boundaries, and the full RNG state travels inside the snapshot. The
-//! cross-layer test suite asserts this equivalence end to end.
+//! [`MarkovChain::step`](crate::MarkovChain::step) calls, and the full
+//! RNG state travels inside the snapshot. The cross-layer test suite
+//! asserts this equivalence end to end.
 //!
 //! # Corruption handling
 //!
@@ -46,9 +48,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
-use crate::chain::MarkovChain;
+use crate::recovery::Repairable;
 use crate::vfs::{RealVfs, Vfs};
 
 /// Errors from checkpoint persistence and recovery.
@@ -165,14 +166,17 @@ impl SnapshotRng for StdRng {
 
 /// A state that can recompute its own invariants from scratch.
 ///
-/// [`MarkovChain::run_checkpointed`] audits the state before persisting
-/// every snapshot and refuses to write one whose audit reports violations,
-/// so on-disk snapshots are always internally consistent.
+/// [`run_supervised`](crate::recovery::run_supervised) audits the state
+/// before persisting every snapshot and never writes one whose audit
+/// reports violations, so on-disk snapshots are always internally
+/// consistent.
 pub trait Auditable {
     /// Returns a list of invariant violations; empty means consistent.
     fn audit_violations(&self) -> Vec<String>;
 }
 
+// Integer states (the test walks' states) derive nothing from anything:
+// their audit is empty and repair has nothing to rebuild.
 macro_rules! trivial_state_impls {
     ($($t:ty),*) => {$(
         impl StateCodec for $t {
@@ -188,6 +192,11 @@ macro_rules! trivial_state_impls {
         impl Auditable for $t {
             fn audit_violations(&self) -> Vec<String> {
                 Vec::new()
+            }
+        }
+        impl Repairable for $t {
+            fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>> {
+                Ok(Vec::new())
             }
         }
     )*};
@@ -228,8 +237,10 @@ pub struct Checkpoint<S> {
     pub accepted: u64,
     /// Full RNG state at the snapshot point.
     pub rng_state: Vec<u8>,
-    /// Observable samples `(time, value)` recorded so far, including the
-    /// time-0 sample.
+    /// Observable samples `(time, value)`. Snapshots written by
+    /// [`run_supervised`](crate::recovery::run_supervised) carry none
+    /// (`log 0`); logs in older snapshots still parse, and resume ignores
+    /// them.
     pub log: Vec<(u64, f64)>,
     /// The chain state.
     pub state: S,
@@ -481,7 +492,10 @@ impl<S: StateCodec> Checkpoint<S> {
         let count: usize = field(&mut lines, "log")?
             .parse()
             .map_err(|_| "bad log count".to_string())?;
-        let mut log = Vec::with_capacity(count);
+        // The count is untrusted: reserve no more entries than the payload
+        // has bytes for (a log line is at least `0 0\n`), so a forged count
+        // fails as a truncated log instead of aborting on allocation.
+        let mut log = Vec::with_capacity(count.min(payload.len() / 4));
         for _ in 0..count {
             let line = lines.next().ok_or("truncated log")?;
             let (t, bits) = line.split_once(' ').ok_or("malformed log entry")?;
@@ -832,141 +846,15 @@ fn step_from_filename(path: &Path) -> Option<u64> {
         .and_then(|s| s.parse().ok())
 }
 
-/// The result of a checkpointed run.
-#[derive(Clone, Debug)]
-pub struct CheckpointedRun {
-    /// Total steps completed (equals the requested step count).
-    pub steps: u64,
-    /// Accepted (state-changing) steps across the whole run, including
-    /// any portion replayed from a snapshot.
-    pub accepted: u64,
-    /// Observable log `(time, value)`, sampled every checkpoint interval
-    /// starting at time 0.
-    pub log: Vec<(u64, f64)>,
-    /// The step count of the snapshot the run resumed from, if any.
-    pub resumed_from: Option<u64>,
-    /// Corrupt snapshot files skipped during recovery.
-    pub rejected: Vec<PathBuf>,
-    /// Orphaned temp files reaped during recovery.
-    pub reaped: Vec<PathBuf>,
-    /// Number of snapshots written during this invocation.
-    pub snapshots_written: usize,
-}
-
-impl<C: MarkovChain> MarkovChainCheckpointExt for C {}
-
-/// Checkpointed execution for chains whose state supports snapshotting.
-///
-/// Blanket-implemented for every [`MarkovChain`]; kept as an extension
-/// trait so the core trait stays object-safe-agnostic and dependency-free.
-pub trait MarkovChainCheckpointExt: MarkovChain {
-    /// Runs `steps` transitions, persisting a snapshot (state + RNG +
-    /// counters + observable log) every `every` steps, and resuming from
-    /// the newest valid snapshot already in `store` if one exists.
-    ///
-    /// The observable is sampled at time 0, every `every` steps, and at
-    /// the final step. Before each snapshot is persisted the state is
-    /// audited ([`Auditable::audit_violations`]); a failed audit aborts
-    /// the run with [`CheckpointError::AuditFailed`] *without* writing
-    /// the snapshot, so the store never contains an inconsistent state.
-    ///
-    /// With identical seed, step count, and interval, a run interrupted
-    /// at any point and resumed through this method produces a state,
-    /// log, and acceptance count bitwise-identical to an uninterrupted
-    /// run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on persistence failures and
-    /// [`CheckpointError::AuditFailed`] when the state fails its audit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is 0.
-    fn run_checkpointed<R, F>(
-        &self,
-        state: &mut Self::State,
-        steps: u64,
-        every: u64,
-        rng: &mut R,
-        store: &CheckpointStore,
-        mut observe: F,
-    ) -> Result<CheckpointedRun, CheckpointError>
-    where
-        Self::State: StateCodec + Auditable,
-        R: Rng + SnapshotRng + ?Sized,
-        F: FnMut(&Self::State) -> f64,
-    {
-        assert!(every > 0, "checkpoint interval must be positive");
-
-        let Recovery {
-            checkpoint,
-            rejected,
-            reaped,
-        } = store.recover::<Self::State>()?;
-
-        let mut t;
-        let mut accepted;
-        let mut log;
-        let resumed_from;
-        match checkpoint {
-            Some(ckpt) if ckpt.step <= steps => {
-                *state = ckpt.state;
-                rng.restore_rng_state(&ckpt.rng_state).map_err(|reason| {
-                    CheckpointError::Corrupt {
-                        path: store.dir.clone(),
-                        reason,
-                    }
-                })?;
-                t = ckpt.step;
-                accepted = ckpt.accepted;
-                log = ckpt.log;
-                resumed_from = Some(t);
-            }
-            _ => {
-                t = 0;
-                accepted = 0;
-                log = vec![(0, observe(state))];
-                resumed_from = None;
-            }
-        }
-
-        let mut snapshots_written = 0;
-        while t < steps {
-            let burst = every.min(steps - t);
-            accepted += self.run(state, burst, rng);
-            t += burst;
-            log.push((t, observe(state)));
-
-            let violations = state.audit_violations();
-            if !violations.is_empty() {
-                return Err(CheckpointError::AuditFailed {
-                    step: t,
-                    violations,
-                });
-            }
-            store.save_parts(t, accepted, &rng.rng_state(), &log, state)?;
-            snapshots_written += 1;
-        }
-
-        Ok(CheckpointedRun {
-            steps,
-            accepted,
-            log,
-            resumed_from,
-            rejected,
-            reaped,
-            snapshots_written,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::MarkovChain;
+    use crate::recovery::{run_supervised, Heartbeat, SupervisedOptions};
     use rand::rngs::StdRng;
-    use rand::{RngExt as _, SeedableRng};
+    use rand::{Rng, RngExt as _, SeedableRng};
     use std::fs;
+    use std::ops::ControlFlow;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A fresh scratch directory per test, removed on drop.
@@ -1140,6 +1028,28 @@ mod tests {
     }
 
     #[test]
+    fn forged_log_counts_under_a_valid_checksum_are_rejected_not_panicked() {
+        let snapshot = |count: &str| {
+            with_checksum(&format!(
+                "{MAGIC}\nstep 1\naccepted 0\nrng 0102\nlog {count}\n0 0000000000000000\n\
+                 state 0300000000000000\n"
+            ))
+        };
+        assert_eq!(
+            Checkpoint::<u64>::from_text(&snapshot("1")).unwrap().log,
+            vec![(0, 0.0)]
+        );
+        // A count the payload cannot hold must fail as malformed, not
+        // reserve memory for it: 10¹² entries would abort the process.
+        for count in ["1000000000000", &u64::MAX.to_string(), "2"] {
+            assert!(
+                Checkpoint::<u64>::from_text(&snapshot(count)).is_err(),
+                "log {count}"
+            );
+        }
+    }
+
+    #[test]
     fn store_retains_bounded_history() {
         let scratch = Scratch::new("retain");
         let store = CheckpointStore::open(&scratch.0, 3).unwrap();
@@ -1307,18 +1217,31 @@ mod tests {
     fn resumed_run_matches_uninterrupted_run() {
         const STEPS: u64 = 10_000;
         const EVERY: u64 = 1_000;
-        let chain = Walk(97);
+        let run = |steps, state: &mut u64, rng: &mut StdRng, store: &CheckpointStore| {
+            let opts = SupervisedOptions {
+                steps,
+                every: EVERY,
+                max_rollbacks: 0,
+            };
+            run_supervised(
+                &Walk(97),
+                state,
+                rng,
+                store,
+                &opts,
+                &Heartbeat::new(),
+                |s| *s as f64,
+                |_, _| ControlFlow::Continue(()),
+            )
+            .unwrap()
+        };
 
         // Uninterrupted reference run.
         let scratch_a = Scratch::new("ref");
         let store_a = CheckpointStore::open(&scratch_a.0, 2).unwrap();
         let mut state_a = 0u64;
         let mut rng_a = StdRng::seed_from_u64(123);
-        let run_a = chain
-            .run_checkpointed(&mut state_a, STEPS, EVERY, &mut rng_a, &store_a, |s| {
-                *s as f64
-            })
-            .unwrap();
+        let run_a = run(STEPS, &mut state_a, &mut rng_a, &store_a);
         assert!(run_a.resumed_from.is_none());
 
         // Interrupted run: stop at 40%, then re-invoke for the full length
@@ -1327,23 +1250,17 @@ mod tests {
         let store_b = CheckpointStore::open(&scratch_b.0, 2).unwrap();
         let mut state_b = 0u64;
         let mut rng_b = StdRng::seed_from_u64(123);
-        chain
-            .run_checkpointed(&mut state_b, 4 * EVERY, EVERY, &mut rng_b, &store_b, |s| {
-                *s as f64
-            })
-            .unwrap();
+        run(4 * EVERY, &mut state_b, &mut rng_b, &store_b);
         let mut state_c = 0u64;
         let mut rng_c = StdRng::seed_from_u64(999); // wrong seed: must be overwritten
-        let run_c = chain
-            .run_checkpointed(&mut state_c, STEPS, EVERY, &mut rng_c, &store_b, |s| {
-                *s as f64
-            })
-            .unwrap();
+        let run_c = run(STEPS, &mut state_c, &mut rng_c, &store_b);
 
         assert_eq!(run_c.resumed_from, Some(4 * EVERY));
         assert_eq!(state_c, state_a);
         assert_eq!(run_c.accepted, run_a.accepted);
-        assert_eq!(run_c.log, run_a.log);
+        // Snapshots carry no log: the resumed invocation samples from its
+        // resume step on, exactly as the uninterrupted run did.
+        assert_eq!(run_c.log, run_a.log[4..]);
         assert_eq!(rng_c.to_state_bytes(), rng_a.to_state_bytes());
     }
 
@@ -1371,14 +1288,32 @@ mod tests {
                 vec!["deliberately inconsistent".into()]
             }
         }
+        impl Repairable for BadState {
+            fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>> {
+                Err(vec!["deliberately unrepairable".into()])
+            }
+        }
 
         let scratch = Scratch::new("audit");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
         let mut state = BadState(0);
         let mut rng = StdRng::seed_from_u64(5);
-        let err = Poisoned
-            .run_checkpointed(&mut state, 10, 5, &mut rng, &store, |s| s.0 as f64)
-            .unwrap_err();
+        let opts = SupervisedOptions {
+            steps: 10,
+            every: 5,
+            max_rollbacks: 0,
+        };
+        let err = run_supervised(
+            &Poisoned,
+            &mut state,
+            &mut rng,
+            &store,
+            &opts,
+            &Heartbeat::new(),
+            |s| s.0 as f64,
+            |_, _| ControlFlow::Continue(()),
+        )
+        .unwrap_err();
         assert!(matches!(err, CheckpointError::AuditFailed { step: 5, .. }));
         // Nothing was persisted.
         assert!(store.list().unwrap().is_empty());

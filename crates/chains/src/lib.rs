@@ -11,7 +11,7 @@
 //!   (power iteration), detailed-balance verification, irreducibility and
 //!   aperiodicity checks, and t-step distributions;
 //! * [`checkpoint`] — crash-tolerant checkpoint/resume for long runs:
-//!   atomic snapshots of state + RNG + observable log, checksum-verified
+//!   atomic snapshots of state + RNG + counters, checksum-verified
 //!   recovery, and invariant auditing before every persist;
 //! * [`vfs`] — the storage seam under the checkpoint store: a [`Vfs`]
 //!   trait with a real backend and a deterministic [`FaultyVfs`] that
@@ -74,8 +74,8 @@ pub mod vfs;
 pub use cancel::CancelToken;
 pub use chain::{MarkovChain, Trajectory};
 pub use checkpoint::{
-    fnv1a64, Auditable, AuxCodec, Checkpoint, CheckpointError, CheckpointStore, CheckpointedRun,
-    MarkovChainCheckpointExt, Recovery, SnapshotRng, StateCodec,
+    fnv1a64, Auditable, AuxCodec, Checkpoint, CheckpointError, CheckpointStore, Recovery,
+    SnapshotRng, StateCodec,
 };
 pub use convergence::{
     r_hat, split_r_hat, CertificateRule, ConvergenceMonitor, Diagnostics, EssRule, PlateauRule,

@@ -1,9 +1,8 @@
 //! The self-healing escalation ladder for supervised chain runs.
 //!
-//! [`MarkovChainCheckpointExt::run_checkpointed`](crate::checkpoint::MarkovChainCheckpointExt::run_checkpointed)
-//! treats a failed invariant audit as fatal: the run aborts and the cell
-//! dies. For multi-hour sweeps that policy throws away enormous amounts of
-//! work over recoverable faults (a drifted cached counter is fully
+//! Treating a failed invariant audit as fatal would abort the run and kill
+//! the cell. For multi-hour sweeps that policy throws away enormous amounts
+//! of work over recoverable faults (a drifted cached counter is fully
 //! reconstructible from the occupancy it summarizes). [`run_supervised`]
 //! instead walks an escalation ladder at every chunk boundary:
 //!
@@ -302,7 +301,11 @@ pub struct SupervisedRun {
     pub steps: u64,
     /// Accepted (state-changing) steps, including replayed spans.
     pub accepted: u64,
-    /// Observable log `(time, value)`.
+    /// Observable samples `(time, value)` taken by this invocation: one at
+    /// its entry step (0, or the step it resumed from) and one at every
+    /// chunk boundary since. A rollback drops the samples past the
+    /// restored step. Snapshots do not carry the log, so a resumed run's
+    /// log starts at the resume step.
     pub log: Vec<(u64, f64)>,
     /// Step count of the snapshot the run resumed from, if any.
     pub resumed_from: Option<u64>,
@@ -340,15 +343,20 @@ impl SupervisedRun {
 /// heartbeats, audit → repair → rollback on invariant violations, and
 /// checkpoint persistence after every clean chunk.
 ///
-/// `observe` samples the observable at every chunk boundary (and at time
-/// 0 on a fresh start). `on_chunk` runs after each chunk *before* the
+/// `observe` samples the observable at the entry step and at every chunk
+/// boundary, into [`SupervisedRun::log`]; when it is a pure function of
+/// the state, a resumed run's log equals an uninterrupted run's from the
+/// resume step on. `on_chunk` runs after each chunk *before* the
 /// audit — it is the hook for separation checks (return
 /// [`ControlFlow::Break`] to stop early, e.g. on hitting a target),
 /// telemetry emission, and fault injection in tests; state mutations it
 /// makes are subject to the same audit as chain steps.
 ///
-/// Resumes from the newest valid snapshot in `store` when one exists,
-/// with the same bitwise-determinism contract as `run_checkpointed`.
+/// Resumes from the newest valid snapshot in `store` when one exists: the
+/// state, RNG stream and acceptance count then match an uninterrupted run
+/// bit for bit. Snapshots hold the state, the RNG state, the counters and
+/// the sidecar, not the log, so each one costs O(state) to write however
+/// long the run.
 ///
 /// # Errors
 ///
@@ -449,36 +457,31 @@ where
         Err(e) => return Err(e),
     };
 
+    let corrupt = |reason| CheckpointError::Corrupt {
+        path: store.dir().to_path_buf(),
+        reason,
+    };
     let mut t;
     let mut accepted;
-    let mut log;
     let resumed_from;
     match checkpoint {
         Some(ckpt) if ckpt.step <= opts.steps => {
             *state = ckpt.state;
-            rng.restore_rng_state(&ckpt.rng_state)
-                .map_err(|reason| CheckpointError::Corrupt {
-                    path: store.dir().to_path_buf(),
-                    reason,
-                })?;
-            hooks
-                .restore_aux(ckpt.step, &ckpt.aux)
-                .map_err(|reason| CheckpointError::Corrupt {
-                    path: store.dir().to_path_buf(),
-                    reason,
-                })?;
+            rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
+            hooks.restore_aux(ckpt.step, &ckpt.aux).map_err(corrupt)?;
             t = ckpt.step;
             accepted = ckpt.accepted;
-            log = ckpt.log;
             resumed_from = Some(t);
         }
         _ => {
             t = 0;
             accepted = 0;
-            log = vec![(0, observe(state))];
             resumed_from = None;
         }
     }
+    // A restored state is bit-identical to the state at step `t`, so the
+    // log from here on equals an uninterrupted run's.
+    let mut log = vec![(t, observe(state))];
 
     // The rollback anchor of last resort: when no checkpoint has been
     // written yet, the ladder restores this entry-point snapshot.
@@ -487,28 +490,18 @@ where
     let initial_aux = hooks.encode_aux();
     let initial_t = t;
     let initial_accepted = accepted;
-    let initial_log = log.clone();
 
     let mut events = Vec::new();
     let mut rollbacks = 0u32;
     let mut snapshots_written = 0;
     let mut last_durable_step = resumed_from;
+    let mut completed = true;
 
     while t < opts.steps {
         if heartbeat.is_cancelled() {
             events.push(RecoveryEvent::Cancelled { step: t });
-            return Ok(SupervisedRun {
-                steps: t,
-                accepted,
-                log,
-                resumed_from,
-                rejected,
-                reaped,
-                snapshots_written,
-                events,
-                completed: false,
-                last_durable_step,
-            });
+            completed = false;
+            break;
         }
 
         let burst = opts.every.min(opts.steps - t);
@@ -542,18 +535,8 @@ where
                     Ok(rec) => rec,
                     Err(CheckpointError::Cancelled) => {
                         events.push(RecoveryEvent::Cancelled { step: t });
-                        return Ok(SupervisedRun {
-                            steps: t,
-                            accepted,
-                            log,
-                            resumed_from,
-                            rejected,
-                            reaped,
-                            snapshots_written,
-                            events,
-                            completed: false,
-                            last_durable_step,
-                        });
+                        completed = false;
+                        break;
                     }
                     Err(e) => return Err(e),
                 };
@@ -561,50 +544,28 @@ where
                     Some(ckpt) => {
                         let to = ckpt.step;
                         *state = ckpt.state;
-                        rng.restore_rng_state(&ckpt.rng_state).map_err(|reason| {
-                            CheckpointError::Corrupt {
-                                path: store.dir().to_path_buf(),
-                                reason,
-                            }
-                        })?;
+                        rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
                         // The sidecar rolls back with the state, so the
                         // replayed span feeds the hooks the same stream a
                         // fault-free run would have.
-                        hooks.restore_aux(to, &ckpt.aux).map_err(|reason| {
-                            CheckpointError::Corrupt {
-                                path: store.dir().to_path_buf(),
-                                reason,
-                            }
-                        })?;
+                        hooks.restore_aux(to, &ckpt.aux).map_err(corrupt)?;
                         accepted = ckpt.accepted;
-                        log = ckpt.log;
                         last_durable_step = Some(to);
                         to
                     }
                     None => {
-                        *state = C::State::decode_state(&initial_state).map_err(|reason| {
-                            CheckpointError::Corrupt {
-                                path: store.dir().to_path_buf(),
-                                reason,
-                            }
-                        })?;
-                        rng.restore_rng_state(&initial_rng).map_err(|reason| {
-                            CheckpointError::Corrupt {
-                                path: store.dir().to_path_buf(),
-                                reason,
-                            }
-                        })?;
+                        *state = C::State::decode_state(&initial_state).map_err(corrupt)?;
+                        rng.restore_rng_state(&initial_rng).map_err(corrupt)?;
                         hooks
                             .restore_aux(initial_t, &initial_aux)
-                            .map_err(|reason| CheckpointError::Corrupt {
-                                path: store.dir().to_path_buf(),
-                                reason,
-                            })?;
+                            .map_err(corrupt)?;
                         accepted = initial_accepted;
-                        log = initial_log.clone();
                         initial_t
                     }
                 };
+                // The samples past the restored step are replayed, so they
+                // are dropped here and logged again.
+                log.retain(|&(step, _)| step <= to_step);
                 events.push(RecoveryEvent::RolledBack {
                     from_step: t,
                     to_step,
@@ -621,7 +582,7 @@ where
             t,
             accepted,
             &rng.rng_state(),
-            &log,
+            &[],
             state,
             &hooks.encode_aux(),
         ) {
@@ -635,18 +596,8 @@ where
             // durable snapshot still stands. Exit cleanly.
             Err(CheckpointError::Cancelled) => {
                 events.push(RecoveryEvent::Cancelled { step: t });
-                return Ok(SupervisedRun {
-                    steps: t,
-                    accepted,
-                    log,
-                    resumed_from,
-                    rejected,
-                    reaped,
-                    snapshots_written,
-                    events,
-                    completed: false,
-                    last_durable_step,
-                });
+                completed = false;
+                break;
             }
             Err(e) => return Err(e),
         }
@@ -665,7 +616,7 @@ where
         reaped,
         snapshots_written,
         events,
-        completed: true,
+        completed,
         last_durable_step,
     })
 }
@@ -673,7 +624,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::MarkovChainCheckpointExt as _;
+    use crate::checkpoint::Checkpoint;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
     use std::path::PathBuf;
@@ -782,24 +733,29 @@ mod tests {
         max_rollbacks: 3,
     };
 
-    /// Reference: an uninterrupted, fault-free run of the same chain.
-    fn reference() -> (Cached, Vec<u8>, u64) {
-        let scratch = Scratch::new("ref");
-        let store = CheckpointStore::open(&scratch.0, 2).unwrap();
+    /// Reference: an uninterrupted, fault-free run of the same chain in
+    /// memory, with the observable sampled at every chunk boundary.
+    fn reference() -> (Cached, Vec<u8>, u64, Vec<(u64, f64)>) {
         let chain = CachedWalk(97);
         let mut state = Cached::new(0);
         let mut rng = StdRng::seed_from_u64(42);
-        let run = chain
-            .run_checkpointed(&mut state, OPTS.steps, OPTS.every, &mut rng, &store, |s| {
-                s.x as f64
-            })
-            .unwrap();
-        (state, rng.to_state_bytes().to_vec(), run.accepted)
+        let mut accepted = 0;
+        let mut log = vec![(0, state.x as f64)];
+        for t in (OPTS.every..=OPTS.steps).step_by(OPTS.every as usize) {
+            accepted += chain.run(&mut state, OPTS.every, &mut rng);
+            log.push((t, state.x as f64));
+        }
+        (state, rng.to_state_bytes().to_vec(), accepted, log)
+    }
+
+    /// A log's values as their exact bits, so equality is bit for bit.
+    fn bits(log: &[(u64, f64)]) -> Vec<(u64, u64)> {
+        log.iter().map(|&(t, v)| (t, v.to_bits())).collect()
     }
 
     #[test]
-    fn clean_supervised_run_matches_run_checkpointed() {
-        let (ref_state, ref_rng, ref_accepted) = reference();
+    fn clean_supervised_run_matches_plain_run() {
+        let (ref_state, ref_rng, ref_accepted, ref_log) = reference();
         let scratch = Scratch::new("clean");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
         let mut state = Cached::new(0);
@@ -820,11 +776,12 @@ mod tests {
         assert_eq!(state, ref_state);
         assert_eq!(rng.to_state_bytes().to_vec(), ref_rng);
         assert_eq!(run.accepted, ref_accepted);
+        assert_eq!(bits(&run.log), bits(&ref_log));
     }
 
     #[test]
     fn counter_corruption_is_repaired_in_place() {
-        let (ref_state, ref_rng, ref_accepted) = reference();
+        let (ref_state, ref_rng, ref_accepted, _) = reference();
         let scratch = Scratch::new("repair");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
         let mut state = Cached::new(0);
@@ -865,7 +822,7 @@ mod tests {
 
     #[test]
     fn unrepairable_corruption_rolls_back_to_checkpoint() {
-        let (ref_state, ref_rng, ref_accepted) = reference();
+        let (ref_state, ref_rng, ref_accepted, ref_log) = reference();
         let scratch = Scratch::new("rollback");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
         let mut state = Cached::new(0);
@@ -906,11 +863,60 @@ mod tests {
         assert_eq!(state, ref_state);
         assert_eq!(rng.to_state_bytes().to_vec(), ref_rng);
         assert_eq!(run.accepted, ref_accepted);
+        assert_eq!(bits(&run.log), bits(&ref_log));
+    }
+
+    #[test]
+    fn rollback_past_a_torn_snapshot_truncates_the_log() {
+        let (ref_state, ref_rng, ref_accepted, ref_log) = reference();
+        let scratch = Scratch::new("rollback-torn");
+        let store = CheckpointStore::open(&scratch.0, 2).unwrap();
+        let mut state = Cached::new(0);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut injected = false;
+        let run = run_supervised(
+            &CachedWalk(97),
+            &mut state,
+            &mut rng,
+            &store,
+            &OPTS,
+            &Heartbeat::new(),
+            |s| s.x as f64,
+            |t, s: &mut Cached| {
+                if t == 4_000 && !injected {
+                    injected = true;
+                    s.poisoned = true;
+                    // Tear the step-3000 snapshot too: the rollback then
+                    // lands on step 2000, behind the logged step 3000.
+                    let newest = store.list().unwrap().pop().unwrap();
+                    std::fs::write(newest, "torn").unwrap();
+                }
+                ControlFlow::Continue(())
+            },
+        )
+        .unwrap();
+        assert!(
+            matches!(
+                run.events.as_slice(),
+                [RecoveryEvent::RolledBack {
+                    from_step: 4_000,
+                    to_step: 2_000,
+                    ..
+                }]
+            ),
+            "{:?}",
+            run.events
+        );
+        assert_eq!(state, ref_state);
+        assert_eq!(rng.to_state_bytes().to_vec(), ref_rng);
+        assert_eq!(run.accepted, ref_accepted);
+        // Step 3000 is replayed, so it must be logged once, not twice.
+        assert_eq!(bits(&run.log), bits(&ref_log));
     }
 
     #[test]
     fn rollback_before_first_checkpoint_restores_entry_state() {
-        let (ref_state, ..) = reference();
+        let (ref_state, _, _, ref_log) = reference();
         let scratch = Scratch::new("rollback0");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
         let mut state = Cached::new(0);
@@ -947,6 +953,59 @@ mod tests {
             run.events
         );
         assert_eq!(state, ref_state);
+        assert_eq!(bits(&run.log), bits(&ref_log));
+    }
+
+    #[test]
+    fn snapshot_size_does_not_grow_with_the_chunk_count() {
+        let scratch = Scratch::new("size");
+        // Keep all 64 snapshots the run writes; the seed snapshot below is
+        // the 65th and is pruned.
+        let store = CheckpointStore::open(&scratch.0, 64).unwrap();
+        // Resume at step 10⁶ with 10⁶ accepted steps, so neither counter
+        // gains a digit over the run and only a log could grow a snapshot.
+        // The seed carries a log of its own, which must not be re-written.
+        let mut rng = StdRng::seed_from_u64(42);
+        store
+            .save(&Checkpoint {
+                step: 1_000_000,
+                accepted: 1_000_000,
+                rng_state: rng.rng_state(),
+                log: vec![(0, 0.0), (1_000_000, 5.0)],
+                state: Cached::new(5),
+                aux: Vec::new(),
+            })
+            .unwrap();
+        let opts = SupervisedOptions {
+            steps: 1_000_000 + 64 * 100,
+            every: 100,
+            max_rollbacks: 0,
+        };
+        let mut state = Cached::new(0);
+        let run = run_supervised(
+            &CachedWalk(97),
+            &mut state,
+            &mut rng,
+            &store,
+            &opts,
+            &Heartbeat::new(),
+            |s| s.x as f64,
+            |_, _| ControlFlow::Continue(()),
+        )
+        .unwrap();
+        assert_eq!(run.resumed_from, Some(1_000_000));
+        assert_eq!(run.snapshots_written, 64);
+        let snapshots: Vec<Vec<u8>> = store
+            .list()
+            .unwrap()
+            .iter()
+            .map(|p| std::fs::read(p).unwrap())
+            .collect();
+        assert_eq!(snapshots.len(), 64);
+        let (first, last) = (&snapshots[0], &snapshots[63]);
+        assert_eq!(last.len(), first.len());
+        let last = std::str::from_utf8(last).unwrap();
+        assert!(last.contains("\nlog 0\n"), "{last}");
     }
 
     #[test]

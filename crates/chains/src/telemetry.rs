@@ -244,7 +244,7 @@ const DEFAULT_WINDOW: u64 = 10_000;
 /// tracks windowed acceptance rates and wall-clock throughput, and samples
 /// configured observables into bounded rings. The wrapper implements both
 /// [`MarkovChain`] and [`ClassifiedChain`], so it drops into `run`,
-/// `trajectory`, and `run_checkpointed` unchanged.
+/// `trajectory`, and `run_supervised` unchanged.
 ///
 /// When constructed [`Instrumented::disabled`], `step` and `run` forward
 /// directly to the inner chain — no counter updates, no clock reads — so

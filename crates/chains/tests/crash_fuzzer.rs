@@ -11,22 +11,24 @@
 //!    returns is bitwise-identical to a snapshot the fault-free run wrote;
 //! 2. no data is lost past the last *durable* save: every `save_parts`
 //!    call that returned `Ok` is still recoverable after the crash;
-//! 3. resuming from the recovered snapshot reproduces the uninterrupted
-//!    run exactly — final state, RNG stream, acceptance count, and
-//!    observable log all bitwise-identical.
+//! 3. resuming from the recovered snapshot under `run_supervised`
+//!    reproduces the uninterrupted run exactly — final state, RNG stream
+//!    and acceptance count bitwise-identical, and the observable log
+//!    equal to the uninterrupted one from the resume step on.
 //!
 //! This is the test that fails if the store forgets to fsync the parent
 //! directory after rename (the entry vanishes, violating 2) or trusts a
 //! torn file (violating 1).
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt as _, SeedableRng};
 use sops_chains::{
-    Checkpoint, CheckpointStore, CrashStyle, FaultyVfs, MarkovChain, MarkovChainCheckpointExt as _,
-    SnapshotRng as _,
+    run_supervised, Checkpoint, CheckpointStore, CrashStyle, FaultyVfs, Heartbeat, MarkovChain,
+    SnapshotRng as _, SupervisedOptions,
 };
 
 const SEED: u64 = 20_260_806;
@@ -207,12 +209,25 @@ fn every_kill_point_recovers_a_bitwise_correct_prior_snapshot() {
             }
 
             // Claim 3: resuming reproduces the uninterrupted run exactly.
-            let chain = Walk(97);
+            // The walk's audit is empty, so the ladder never fires.
             let mut state = 0u64;
             let mut rng = StdRng::seed_from_u64(SEED);
-            let run = chain
-                .run_checkpointed(&mut state, STEPS, EVERY, &mut rng, &store, observe)
-                .unwrap();
+            let opts = SupervisedOptions {
+                steps: STEPS,
+                every: EVERY,
+                max_rollbacks: 0,
+            };
+            let run = run_supervised(
+                &Walk(97),
+                &mut state,
+                &mut rng,
+                &store,
+                &opts,
+                &Heartbeat::new(),
+                observe,
+                |_, _| ControlFlow::Continue(()),
+            )
+            .unwrap();
             assert_eq!(state, reference.state, "k={k} {style:?}: state diverged");
             assert_eq!(
                 rng.to_state_bytes().to_vec(),
@@ -220,7 +235,18 @@ fn every_kill_point_recovers_a_bitwise_correct_prior_snapshot() {
                 "k={k} {style:?}: RNG stream diverged"
             );
             assert_eq!(run.accepted, reference.accepted, "k={k} {style:?}");
-            assert_eq!(run.log, reference.log, "k={k} {style:?}: log diverged");
+            // Snapshots carry no log, so the resumed run logs from its
+            // resume step on; those samples match the reference's exactly.
+            let from = run.resumed_from.unwrap_or(0);
+            let expected: Vec<_> = reference.log.iter().filter(|(t, _)| *t >= from).collect();
+            assert_eq!(run.log.len(), expected.len(), "k={k} {style:?}");
+            for (x, y) in run.log.iter().zip(expected) {
+                assert_eq!(
+                    (x.0, x.1.to_bits()),
+                    (y.0, y.1.to_bits()),
+                    "k={k} {style:?}: log diverged"
+                );
+            }
         }
     }
     assert!(crashed > 50, "fuzzer barely crashed anything: {crashed}");

@@ -46,7 +46,7 @@ impl Default for ResourceBudget {
     }
 }
 
-/// Rough size of one durable snapshot (state + RNG + observable log) for
+/// Rough size of one durable snapshot (state + RNG + counters) for
 /// the experiment scales this repo runs; used only to convert a memory
 /// ceiling into a retention count, so precision is not required.
 const APPROX_SNAPSHOT_BYTES: u64 = 64 * 1024;

@@ -137,16 +137,19 @@ fn enumerated_minimum_perimeter_matches_spiral() {
     }
 }
 
-/// Kill-and-resume smoke test across the stack: a checkpointed separation
+/// Kill-and-resume smoke test across the stack: a supervised separation
 /// run that is interrupted mid-flight — with its newest snapshot then
 /// *corrupted* on disk, as a crash mid-write would leave it — resumes from
 /// the next-newest valid snapshot and finishes bitwise-identical to an
-/// uninterrupted run: same serialized state, same acceptance count, same
-/// observable log.
+/// uninterrupted run: same serialized state, same acceptance count, and
+/// the same observable samples from the resume step on.
 #[test]
 fn checkpointed_run_survives_kill_and_corrupt_resume() {
-    use sops::chains::{CheckpointStore, MarkovChainCheckpointExt as _, StateCodec as _};
+    use sops::chains::{
+        run_supervised, CheckpointStore, Heartbeat, StateCodec as _, SupervisedOptions,
+    };
     use std::io::Write as _;
+    use std::ops::ControlFlow;
 
     let scratch = std::env::temp_dir().join(format!("sops-cross-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -160,30 +163,36 @@ fn checkpointed_run_survives_kill_and_corrupt_resume() {
         let nodes = construct::hexagonal_spiral(n);
         Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng)).unwrap()
     };
-    let observe = sops::analysis::metrics::hetero_fraction;
+    let run = |steps, state: &mut Configuration, rng: &mut StdRng, store: &CheckpointStore| {
+        let opts = SupervisedOptions {
+            steps,
+            every,
+            max_rollbacks: 0,
+        };
+        run_supervised(
+            &chain,
+            state,
+            rng,
+            store,
+            &opts,
+            &Heartbeat::new(),
+            sops::analysis::metrics::hetero_fraction,
+            |_, _| ControlFlow::Continue(()),
+        )
+        .unwrap()
+    };
 
     // Reference: uninterrupted run.
     let store_a = CheckpointStore::open(scratch.join("a"), 3).unwrap();
     let mut state_a = seed_config.clone();
     let mut rng_a = StdRng::seed_from_u64(7);
-    let run_a = chain
-        .run_checkpointed(&mut state_a, steps, every, &mut rng_a, &store_a, observe)
-        .unwrap();
+    let run_a = run(steps, &mut state_a, &mut rng_a, &store_a);
 
     // "Killed" run: stops at 60%, and the snapshot written last is torn.
     let store_b = CheckpointStore::open(scratch.join("b"), 3).unwrap();
     let mut state_b = seed_config.clone();
     let mut rng_b = StdRng::seed_from_u64(7);
-    chain
-        .run_checkpointed(
-            &mut state_b,
-            steps * 3 / 5,
-            every,
-            &mut rng_b,
-            &store_b,
-            observe,
-        )
-        .unwrap();
+    run(steps * 3 / 5, &mut state_b, &mut rng_b, &store_b);
     let newest = store_b.list().unwrap().pop().unwrap();
     let torn = std::fs::read_to_string(&newest).unwrap();
     let mut f = std::fs::File::create(&newest).unwrap();
@@ -194,20 +203,23 @@ fn checkpointed_run_survives_kill_and_corrupt_resume() {
     // restored from the newest valid snapshot, not reused.
     let mut state_c = seed_config.clone();
     let mut rng_c = StdRng::seed_from_u64(999_999);
-    let run_c = chain
-        .run_checkpointed(&mut state_c, steps, every, &mut rng_c, &store_b, observe)
-        .unwrap();
+    let run_c = run(steps, &mut state_c, &mut rng_c, &store_b);
 
     assert_eq!(
         run_c.rejected,
         vec![newest],
         "torn snapshot must be skipped"
     );
-    assert!(run_c.resumed_from.is_some());
+    let from = run_c
+        .resumed_from
+        .expect("resumed from the surviving snapshot");
     assert_eq!(state_c.encode_state(), state_a.encode_state());
     assert_eq!(run_c.accepted, run_a.accepted);
-    assert_eq!(run_c.log.len(), run_a.log.len());
-    for (x, y) in run_c.log.iter().zip(&run_a.log) {
+    // Snapshots carry no log: the resumed run samples from its resume step
+    // on, bit for bit as the uninterrupted run did.
+    let expected: Vec<_> = run_a.log.iter().filter(|(t, _)| *t >= from).collect();
+    assert_eq!(run_c.log.len(), expected.len());
+    for (x, y) in run_c.log.iter().zip(expected) {
         assert_eq!(x.0, y.0);
         assert_eq!(x.1.to_bits(), y.1.to_bits());
     }
