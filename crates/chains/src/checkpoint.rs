@@ -10,6 +10,28 @@
 //! * [`CheckpointStore`] — a directory of snapshots with atomic writes
 //!   (temp file + rename), content checksums, and bounded retention.
 //!
+//! # Layout
+//!
+//! The store writes the v2 layout: ASCII header lines, then the
+//! [`StateCodec`] bytes and the [`AuxCodec`] sidecar as raw,
+//! length-prefixed sections, then a fixed 26-byte checksum line over
+//! everything before it:
+//!
+//! ```text
+//! sops-checkpoint v2
+//! step <decimal>
+//! accepted <decimal>
+//! rng <hex>
+//! log <count>                       then <count> lines `<t> <16 hex bits>`
+//! state <len>\n<len raw bytes>\n
+//! aux <len>\n<len raw bytes>\n       only when the sidecar is non-empty
+//! checksum <16 lower-case hex>
+//! ```
+//!
+//! [`Checkpoint::from_bytes`] also reads v1, the earlier all-text layout
+//! (hex state under an FNV-1a checksum), so snapshots written before v2
+//! still resume bit-identically.
+//!
 //! [`run_supervised`](crate::recovery::run_supervised) persists a snapshot
 //! at every chunk boundary and resumes from the newest *valid* one on
 //! restart.
@@ -24,11 +46,12 @@
 //!
 //! # Corruption handling
 //!
-//! Every snapshot carries an FNV-1a checksum over its payload. On resume
-//! the store walks snapshots newest-first and silently falls back past any
-//! snapshot whose checksum, header, or state decoding fails, reporting the
-//! rejected paths in [`Recovery::rejected`]. Recovery never panics; a
-//! store with no readable snapshot simply starts from scratch.
+//! Every v2 snapshot carries a [`snapshot_checksum`] over its payload, and
+//! every v1 snapshot an [`fnv1a64`]. On resume the store walks snapshots
+//! newest-first and silently falls back past any snapshot whose checksum,
+//! header, or state decoding fails, reporting the rejected paths in
+//! [`Recovery::rejected`]. Recovery never panics; a store with no
+//! readable snapshot simply starts from scratch.
 //!
 //! # Durability contract
 //!
@@ -50,7 +73,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use crate::recovery::Repairable;
-use crate::vfs::{RealVfs, Vfs};
+use crate::vfs::{is_cancelled, write_atomic, RealVfs, Vfs};
 
 /// Errors from checkpoint persistence and recovery.
 #[derive(Debug)]
@@ -246,17 +269,24 @@ pub struct Checkpoint<S> {
     pub state: S,
     /// Opaque sidecar payload ([`AuxCodec`]): convergence-monitor decision
     /// state in adaptive runs, empty otherwise. An empty sidecar is
-    /// serialized as *no* `aux` line, so non-adaptive snapshots are
-    /// byte-identical to the pre-sidecar format.
+    /// serialized as *no* `aux` section.
     pub aux: Vec<u8>,
 }
 
-const MAGIC: &str = "sops-checkpoint v1";
+/// First line of a v1 snapshot: hex text under an FNV-1a checksum. Read,
+/// never written.
+const MAGIC_V1: &str = "sops-checkpoint v1";
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// First line of a v2 snapshot: raw state bytes under [`snapshot_checksum`].
+const MAGIC_V2: &str = "sops-checkpoint v2";
 
-/// Folds `bytes` into a running FNV-1a 64-bit hash.
-fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash: the checksum of v1 snapshots and of session
+/// manifests, and the hash in session directory names. Byte-serial by
+/// construction (each step multiplies the previous hash), which is why
+/// v2 snapshots use [`snapshot_checksum`].
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -264,12 +294,88 @@ fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit hash: the content checksum of checkpoint snapshots and
-/// session manifests. Byte-serial by construction (each step multiplies
-/// the previous hash), so it is the floor of a snapshot's render cost.
+// XXH64's five primes.
+const PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const PRIME_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One lane step: multiply, rotate, multiply. The rotate carries the high
+/// bits of each product down, so two flips of the same bit in one lane
+/// cannot cancel as they would under a bare `(h ^ w)·P`.
+fn lane_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME_1)
+}
+
+/// The little-endian word in an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
+}
+
+/// The content checksum of v2 snapshots: XXH64 with seed 0. Four
+/// independent lanes each take one little-endian word of every 32-byte
+/// stripe, so the hash runs at memory speed instead of one dependent
+/// multiply per byte as [`fnv1a64`] does. The lanes are then merged, the
+/// length and the tail bytes folded in, and the result avalanched.
 #[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET_BASIS, bytes)
+pub fn snapshot_checksum(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [
+            PRIME_1.wrapping_add(PRIME_2),
+            PRIME_2,
+            0,
+            PRIME_1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = lane_round(*lane, le_word(word));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in lanes {
+            h = (h ^ lane_round(0, lane))
+                .wrapping_mul(PRIME_1)
+                .wrapping_add(PRIME_4);
+        }
+        h
+    } else {
+        PRIME_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ lane_round(0, le_word(word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME_1)
+            .wrapping_add(PRIME_4);
+    }
+    let mut tail = words.remainder();
+    if let Some((half, rest)) = tail.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME_2)
+            .wrapping_add(PRIME_3);
+        tail = rest;
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME_3);
+    h ^ (h >> 32)
 }
 
 /// Lower-case hex digit of each nibble value.
@@ -302,6 +408,9 @@ const MAX_DECIMAL: usize = 20;
 /// The longest `t bits` log line: decimal time, space, 16 hex digits,
 /// newline.
 const LOG_LINE: usize = MAX_DECIMAL + 1 + 16 + 1;
+
+/// The v2 trailer: `checksum `, 16 hex digits, newline.
+const TRAILER: usize = "checksum ".len() + 16 + 1;
 
 /// Appends `bytes` as lower-case hex, two digits per byte.
 fn push_hex(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -356,8 +465,16 @@ fn push_log_line(out: &mut Vec<u8>, t: u64, v: f64) {
     out.extend_from_slice(&line[first..]);
 }
 
-fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    let s = s.as_bytes();
+/// Appends a `name <len>\n<raw bytes>\n` section.
+fn push_section(out: &mut Vec<u8>, name: &[u8], bytes: &[u8]) {
+    out.extend_from_slice(name);
+    push_decimal(out, bytes.len() as u64);
+    out.push(b'\n');
+    out.extend_from_slice(bytes);
+    out.push(b'\n');
+}
+
+fn hex_decode(s: &[u8]) -> Result<Vec<u8>, String> {
     if s.len() % 2 != 0 {
         return Err("odd-length hex string".into());
     }
@@ -372,11 +489,36 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     Ok(bytes)
 }
 
-/// Serializes snapshot parts in the v1 text layout, checksum line
-/// included, from borrowed parts so the runner can serialize without
-/// moving the state. Everything is written straight into one buffer sized
-/// up front, and the checksum is computed over that buffer in place.
-fn render_text<S: StateCodec>(
+/// A decimal `u64` as [`push_decimal`] writes it: 1 to 20 ASCII digits,
+/// no sign, no overflow.
+fn parse_decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || digits.len() > MAX_DECIMAL {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &d| {
+        let d = d.checked_sub(b'0').filter(|d| *d < 10)?;
+        v.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// A `u64` as [`hex_u64`] writes it: exactly 16 hex digits.
+fn parse_hex_u64(digits: &[u8]) -> Option<u64> {
+    if digits.len() != 16 {
+        return None;
+    }
+    digits
+        .iter()
+        .try_fold(0u64, |v, &d| match NIBBLE[usize::from(d)] {
+            NOT_HEX => None,
+            nibble => Some(v << 4 | u64::from(nibble)),
+        })
+}
+
+/// Serializes snapshot parts in the v2 layout, checksum line included,
+/// from borrowed parts so the runner can serialize without moving the
+/// state. The ASCII header, then the `encode_state` bytes as they are,
+/// go into one buffer sized up front; one checksum pass covers it.
+fn render<S: StateCodec>(
     step: u64,
     accepted: u64,
     rng_state: &[u8],
@@ -385,14 +527,16 @@ fn render_text<S: StateCodec>(
     aux: &[u8],
 ) -> Vec<u8> {
     let state = state.encode_state();
-    let capacity = MAGIC.len()
-        + "\nstep \naccepted \nrng \nlog \nstate \naux \nchecksum \n".len()
-        + 3 * MAX_DECIMAL
-        + 16
-        + 2 * (rng_state.len() + state.len() + aux.len())
-        + LOG_LINE * log.len();
+    let capacity = MAGIC_V2.len()
+        + "\nstep \naccepted \nrng \nlog \nstate \n\naux \n\n".len()
+        + 5 * MAX_DECIMAL
+        + 2 * rng_state.len()
+        + LOG_LINE * log.len()
+        + state.len()
+        + aux.len()
+        + TRAILER;
     let mut out = Vec::with_capacity(capacity);
-    out.extend_from_slice(MAGIC.as_bytes());
+    out.extend_from_slice(MAGIC_V2.as_bytes());
     out.extend_from_slice(b"\nstep ");
     push_decimal(&mut out, step);
     out.extend_from_slice(b"\naccepted ");
@@ -402,131 +546,243 @@ fn render_text<S: StateCodec>(
     out.extend_from_slice(b"\nlog ");
     push_decimal(&mut out, log.len() as u64);
     out.push(b'\n');
-    let mut hash = FNV_OFFSET_BASIS;
-    let mut hashed = 0;
     for &(t, v) in log {
-        // The checksum trails the writer by one line: after each line is
-        // written, everything before it is folded in. The byte-serial
-        // hash then overlaps with rendering instead of running as a second
-        // pass, and never reads bytes whose stores are still in flight.
-        // On a 43 KB snapshot (2-vCPU x86-64 guest) this took rendering
-        // from ~100 µs with a second pass to ~70 µs, the hash's own cost.
-        let line = out.len();
         push_log_line(&mut out, t, v);
-        hash = fnv1a64_extend(hash, &out[hashed..line]);
-        hashed = line;
     }
-    out.extend_from_slice(b"state ");
-    push_hex(&mut out, &state);
-    out.push(b'\n');
+    push_section(&mut out, b"state ", &state);
     if !aux.is_empty() {
-        // Omitted entirely when empty so non-adaptive snapshots keep the
-        // exact pre-sidecar byte layout.
-        out.extend_from_slice(b"aux ");
-        push_hex(&mut out, aux);
-        out.push(b'\n');
+        push_section(&mut out, b"aux ", aux);
     }
-    let checksum = fnv1a64_extend(hash, &out[hashed..]);
+    let checksum = snapshot_checksum(&out);
     out.extend_from_slice(b"checksum ");
     out.extend_from_slice(&hex_u64(checksum));
     out.push(b'\n');
     out
 }
 
+/// A cursor over a v2 payload: header lines, then length-prefixed raw
+/// sections. Lines are searched for their newline only inside a window
+/// as long as the longest valid line, and a section's bytes are sliced
+/// by its declared length, never searched.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// The next line without its newline, if one ends within `max` bytes.
+    fn line(&mut self, max: usize) -> Option<&'a [u8]> {
+        let window = &self.0[..self.0.len().min(max)];
+        let end = window.iter().position(|&b| b == b'\n')?;
+        let line = &self.0[..end];
+        self.0 = &self.0[end + 1..];
+        Some(line)
+    }
+
+    /// The value of a `name value` line at most `max` bytes long.
+    fn field(&mut self, name: &str, max: usize) -> Result<&'a [u8], String> {
+        let line = self
+            .line(name.len() + 1 + max + 1)
+            .ok_or_else(|| format!("missing field {name}"))?;
+        line.strip_prefix(name.as_bytes())
+            .and_then(|rest| rest.strip_prefix(b" "))
+            .ok_or_else(|| {
+                format!(
+                    "expected field {name}, got {:?}",
+                    String::from_utf8_lossy(line)
+                )
+            })
+    }
+
+    /// The value of a `name <decimal>` line.
+    fn decimal(&mut self, name: &str) -> Result<u64, String> {
+        parse_decimal(self.field(name, MAX_DECIMAL)?).ok_or_else(|| format!("bad {name}"))
+    }
+
+    /// One `t bits` log line.
+    fn log_entry(&mut self) -> Result<(u64, f64), String> {
+        let line = self.line(LOG_LINE).ok_or("truncated log")?;
+        let space = line
+            .iter()
+            .position(|&b| b == b' ')
+            .ok_or("malformed log entry")?;
+        let t = parse_decimal(&line[..space]).ok_or("bad log time")?;
+        let bits = parse_hex_u64(&line[space + 1..]).ok_or("bad log value")?;
+        Ok((t, f64::from_bits(bits)))
+    }
+
+    /// The raw bytes of a `name <len>\n<len bytes>\n` section, borrowed.
+    /// The declared length is checked against the bytes left before
+    /// anything is sliced.
+    fn section(&mut self, name: &str) -> Result<&'a [u8], String> {
+        let len = self.decimal(name)?;
+        let left = self.0.len();
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|&len| len < left)
+            .ok_or_else(|| format!("{name} length {len} overruns the {left} bytes left"))?;
+        let (bytes, rest) = self.0.split_at(len);
+        self.0 = rest
+            .strip_prefix(b"\n")
+            .ok_or_else(|| format!("{name} section does not end in a newline"))?;
+        Ok(bytes)
+    }
+}
+
+/// Parses and validates a v2 snapshot.
+fn parse_v2<S: StateCodec>(bytes: &[u8]) -> Result<Checkpoint<S>, String> {
+    let split = bytes
+        .len()
+        .checked_sub(TRAILER)
+        .ok_or("missing checksum line")?;
+    let (payload, trailer) = bytes.split_at(split);
+    let recorded = trailer
+        .strip_prefix(b"checksum ")
+        .and_then(|rest| rest.strip_suffix(b"\n"))
+        .ok_or("missing checksum line")?;
+    let actual = snapshot_checksum(payload);
+    if recorded != hex_u64(actual) {
+        return Err(format!(
+            "checksum mismatch: recorded {}, computed {actual:016x}",
+            String::from_utf8_lossy(recorded)
+        ));
+    }
+
+    let mut fields = Fields(payload);
+    if fields.line(MAGIC_V2.len() + 1) != Some(MAGIC_V2.as_bytes()) {
+        return Err("bad magic header".into());
+    }
+    let step = fields.decimal("step")?;
+    let accepted = fields.decimal("accepted")?;
+    let rng_state = hex_decode(fields.field("rng", payload.len())?)?;
+    let count = fields.decimal("log")?;
+    // The count is untrusted: reserve no more entries than the payload
+    // has bytes for (a log line is at least `0 ` and 16 digits).
+    let mut log = Vec::with_capacity(count.min(payload.len() as u64 / 19) as usize);
+    for _ in 0..count {
+        log.push(fields.log_entry()?);
+    }
+    let state = S::decode_state(fields.section("state")?)?;
+    let aux = if fields.0.is_empty() {
+        Vec::new()
+    } else {
+        fields.section("aux")?.to_vec()
+    };
+    if !fields.0.is_empty() {
+        return Err("trailing data after the last section".into());
+    }
+    Ok(Checkpoint {
+        step,
+        accepted,
+        rng_state,
+        log,
+        state,
+        aux,
+    })
+}
+
+/// Parses and validates a v1 snapshot. v1 snapshots on disk were written
+/// for this parser, so it must keep accepting exactly what it accepts for
+/// them to resume bit-identically.
+fn parse_v1<S: StateCodec>(text: &str) -> Result<Checkpoint<S>, String> {
+    let (payload, checksum_line) = text
+        .rsplit_once("checksum ")
+        .ok_or("missing checksum line")?;
+    let recorded = u64::from_str_radix(checksum_line.trim(), 16)
+        .map_err(|_| "malformed checksum".to_string())?;
+    let actual = fnv1a64(payload.as_bytes());
+    if recorded != actual {
+        return Err(format!(
+            "checksum mismatch: recorded {recorded:016x}, computed {actual:016x}"
+        ));
+    }
+
+    let mut lines = payload.lines();
+    if lines.next() != Some(MAGIC_V1) {
+        return Err("bad magic header".into());
+    }
+    fn field<'a>(lines: &mut impl Iterator<Item = &'a str>, name: &str) -> Result<&'a str, String> {
+        let line = lines
+            .next()
+            .ok_or_else(|| format!("missing field {name}"))?;
+        line.strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .ok_or_else(|| format!("expected field {name}, got {line:?}"))
+    }
+    let step: u64 = field(&mut lines, "step")?
+        .parse()
+        .map_err(|_| "bad step".to_string())?;
+    let accepted: u64 = field(&mut lines, "accepted")?
+        .parse()
+        .map_err(|_| "bad accepted".to_string())?;
+    let rng_state = hex_decode(field(&mut lines, "rng")?.as_bytes())?;
+    let count: usize = field(&mut lines, "log")?
+        .parse()
+        .map_err(|_| "bad log count".to_string())?;
+    // The count is untrusted: reserve no more entries than the payload
+    // has bytes for (a log line is at least `0 0\n`), so a forged count
+    // fails as a truncated log instead of aborting on allocation.
+    let mut log = Vec::with_capacity(count.min(payload.len() / 4));
+    for _ in 0..count {
+        let line = lines.next().ok_or("truncated log")?;
+        let (t, bits) = line.split_once(' ').ok_or("malformed log entry")?;
+        let t: u64 = t.parse().map_err(|_| "bad log time".to_string())?;
+        let bits = u64::from_str_radix(bits, 16).map_err(|_| "bad log value".to_string())?;
+        log.push((t, f64::from_bits(bits)));
+    }
+    let state = S::decode_state(&hex_decode(field(&mut lines, "state")?.as_bytes())?)?;
+    // Optional trailing sidecar; absent in pre-sidecar and non-adaptive
+    // snapshots.
+    let aux = match lines.next() {
+        None => Vec::new(),
+        Some(line) => {
+            let hex = line
+                .strip_prefix("aux ")
+                .ok_or_else(|| format!("unexpected trailing line {line:?}"))?;
+            let bytes = hex_decode(hex.as_bytes())?;
+            if lines.next().is_some() {
+                return Err("trailing data after aux field".into());
+            }
+            bytes
+        }
+    };
+    Ok(Checkpoint {
+        step,
+        accepted,
+        rng_state,
+        log,
+        state,
+        aux,
+    })
+}
+
 impl<S: StateCodec> Checkpoint<S> {
-    /// Serializes the snapshot, checksum line included.
+    /// Serializes the snapshot in the v2 layout, checksum line included.
     #[must_use]
-    pub fn to_text(&self) -> String {
-        let bytes = render_text(
+    pub fn to_bytes(&self) -> Vec<u8> {
+        render(
             self.step,
             self.accepted,
             &self.rng_state,
             &self.log,
             &self.state,
             &self.aux,
-        );
-        String::from_utf8(bytes).expect("snapshot text is ASCII")
+        )
     }
 
-    /// Parses and validates a serialized snapshot.
+    /// Parses and validates a serialized snapshot of either version,
+    /// chosen by its first line.
     ///
     /// # Errors
     ///
     /// Returns a description of the first validation failure: bad magic,
     /// checksum mismatch, malformed field, or state decode error.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let (payload, checksum_line) = text
-            .rsplit_once("checksum ")
-            .ok_or("missing checksum line")?;
-        let recorded = u64::from_str_radix(checksum_line.trim(), 16)
-            .map_err(|_| "malformed checksum".to_string())?;
-        let actual = fnv1a64(payload.as_bytes());
-        if recorded != actual {
-            return Err(format!(
-                "checksum mismatch: recorded {recorded:016x}, computed {actual:016x}"
-            ));
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+        let magic = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+        if magic == MAGIC_V2.as_bytes() {
+            parse_v2(bytes)
+        } else if magic == MAGIC_V1.as_bytes() {
+            parse_v1(std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?)
+        } else {
+            Err("bad magic header".into())
         }
-
-        let mut lines = payload.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err("bad magic header".into());
-        }
-        fn field<'a>(
-            lines: &mut impl Iterator<Item = &'a str>,
-            name: &str,
-        ) -> Result<&'a str, String> {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("missing field {name}"))?;
-            line.strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .ok_or_else(|| format!("expected field {name}, got {line:?}"))
-        }
-        let step: u64 = field(&mut lines, "step")?
-            .parse()
-            .map_err(|_| "bad step".to_string())?;
-        let accepted: u64 = field(&mut lines, "accepted")?
-            .parse()
-            .map_err(|_| "bad accepted".to_string())?;
-        let rng_state = hex_decode(field(&mut lines, "rng")?)?;
-        let count: usize = field(&mut lines, "log")?
-            .parse()
-            .map_err(|_| "bad log count".to_string())?;
-        // The count is untrusted: reserve no more entries than the payload
-        // has bytes for (a log line is at least `0 0\n`), so a forged count
-        // fails as a truncated log instead of aborting on allocation.
-        let mut log = Vec::with_capacity(count.min(payload.len() / 4));
-        for _ in 0..count {
-            let line = lines.next().ok_or("truncated log")?;
-            let (t, bits) = line.split_once(' ').ok_or("malformed log entry")?;
-            let t: u64 = t.parse().map_err(|_| "bad log time".to_string())?;
-            let bits = u64::from_str_radix(bits, 16).map_err(|_| "bad log value".to_string())?;
-            log.push((t, f64::from_bits(bits)));
-        }
-        let state = S::decode_state(&hex_decode(field(&mut lines, "state")?)?)?;
-        // Optional trailing sidecar; absent in pre-sidecar and non-adaptive
-        // snapshots.
-        let aux = match lines.next() {
-            None => Vec::new(),
-            Some(line) => {
-                let hex = line
-                    .strip_prefix("aux ")
-                    .ok_or_else(|| format!("unexpected trailing line {line:?}"))?;
-                let bytes = hex_decode(hex)?;
-                if lines.next().is_some() {
-                    return Err("trailing data after aux field".into());
-                }
-                bytes
-            }
-        };
-        Ok(Checkpoint {
-            step,
-            accepted,
-            rng_state,
-            log,
-            state,
-            aux,
-        })
     }
 }
 
@@ -728,7 +984,7 @@ impl CheckpointStore {
     }
 
     /// [`CheckpointStore::save_parts`] with an [`AuxCodec`] sidecar
-    /// payload. Empty `aux` writes the exact pre-sidecar snapshot format.
+    /// payload. Empty `aux` writes no `aux` section.
     ///
     /// # Errors
     ///
@@ -743,25 +999,19 @@ impl CheckpointStore {
         aux: &[u8],
     ) -> Result<PathBuf, CheckpointError> {
         self.check_cancel()?;
-        let final_path = self.dir.join(format!("step-{step:020}.ckpt"));
-        let tmp_path = self.dir.join(format!("step-{step:020}.ckpt.tmp"));
-        self.vfs.create(&tmp_path)?;
-        self.vfs.write(
-            &tmp_path,
-            &render_text(step, accepted, rng_state, log, state, aux),
-        )?;
-        self.vfs.sync(&tmp_path)?;
-        // Last safe point to abandon the save: past the rename the
-        // snapshot must be made durable (sync_dir) unconditionally, or a
-        // cancel could strand a visible-but-volatile directory entry.
-        self.check_cancel()?;
-        self.vfs.rename(&tmp_path, &final_path)?;
-        // The rename only becomes durable once the directory entry is
-        // flushed; without this a crash can silently drop a snapshot the
-        // caller was told is safe.
-        self.vfs.sync_dir(&self.dir)?;
+        let path = self.dir.join(format!("step-{step:020}.ckpt"));
+        let bytes = render(step, accepted, rng_state, log, state, aux);
+        // Each snapshot has a name of its own, so the rename never
+        // replaces a durable file.
+        write_atomic(self.vfs.as_ref(), &path, &bytes, self.cancel.as_ref()).map_err(|e| {
+            if is_cancelled(&e) {
+                CheckpointError::Cancelled
+            } else {
+                CheckpointError::Io(e)
+            }
+        })?;
         self.prune()?;
-        Ok(final_path)
+        Ok(path)
     }
 
     fn prune(&self) -> Result<(), CheckpointError> {
@@ -790,9 +1040,7 @@ impl CheckpointStore {
             path: path.to_path_buf(),
             reason,
         };
-        let bytes = self.vfs.read(path)?;
-        let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
-        let ckpt = Checkpoint::from_text(text).map_err(corrupt)?;
+        let ckpt = Checkpoint::from_bytes(&self.vfs.read(path)?).map_err(corrupt)?;
         if let Some(name_step) = step_from_filename(path) {
             if name_step != ckpt.step {
                 return Err(corrupt(format!(
@@ -910,12 +1158,17 @@ mod tests {
             state: 7u64,
             aux: Vec::new(),
         };
-        let back = Checkpoint::<u64>::from_text(&ckpt.to_text()).unwrap();
+        let back = Checkpoint::<u64>::from_bytes(&ckpt.to_bytes()).unwrap();
         assert_eq!(back, ckpt);
     }
 
+    /// Whether `needle` occurs in `haystack`.
+    fn contains(haystack: &[u8], needle: &[u8]) -> bool {
+        haystack.windows(needle.len()).any(|w| w == needle)
+    }
+
     #[test]
-    fn aux_sidecar_round_trips_and_preserves_legacy_format() {
+    fn aux_sidecar_round_trips_and_is_omitted_when_empty() {
         let base = Checkpoint {
             step: 5,
             accepted: 2,
@@ -924,23 +1177,30 @@ mod tests {
             state: 9u64,
             aux: Vec::new(),
         };
-        let legacy_text = base.to_text();
+        let bytes = base.to_bytes();
         assert!(
-            !legacy_text.contains("\naux "),
-            "empty sidecar must keep the pre-sidecar byte layout"
+            !contains(&bytes, b"\naux "),
+            "an empty sidecar writes no aux section"
         );
-        // Legacy text (no aux line) parses to an empty sidecar.
-        assert_eq!(Checkpoint::<u64>::from_text(&legacy_text).unwrap(), base);
+        // No aux section parses to an empty sidecar.
+        assert_eq!(Checkpoint::<u64>::from_bytes(&bytes).unwrap(), base);
 
         let with_aux = Checkpoint {
             aux: vec![0, 1, 2, 0xfe, 0xff],
             ..base
         };
-        let text = with_aux.to_text();
-        assert!(text.contains("\naux 000102feff\n"));
-        assert_eq!(Checkpoint::<u64>::from_text(&text).unwrap(), with_aux);
-        // A tampered aux line breaks the checksum like any other field.
-        assert!(Checkpoint::<u64>::from_text(&text.replace("0001", "0002")).is_err());
+        let bytes = with_aux.to_bytes();
+        assert!(contains(
+            &bytes,
+            b"\naux 5\n\x00\x01\x02\xfe\xff\nchecksum "
+        ));
+        assert_eq!(Checkpoint::<u64>::from_bytes(&bytes).unwrap(), with_aux);
+        // A tampered aux byte breaks the checksum like any other field.
+        let mut tampered = bytes;
+        let last_aux = tampered.len() - TRAILER - 2;
+        tampered[last_aux] ^= 0x01;
+        let err = Checkpoint::<u64>::from_bytes(&tampered).unwrap_err();
+        assert!(err.contains("checksum"), "{err}");
     }
 
     #[test]
@@ -953,15 +1213,15 @@ mod tests {
             state: 3u64,
             aux: Vec::new(),
         };
-        let good = ckpt.to_text();
+        let good = ckpt.to_bytes();
         // Flip one payload byte: checksum must catch it.
-        let mut bad = good.clone().into_bytes();
-        bad[MAGIC.len() + 6] ^= 0x01;
-        let err = Checkpoint::<u64>::from_text(std::str::from_utf8(&bad).unwrap()).unwrap_err();
+        let mut bad = good.clone();
+        bad[MAGIC_V2.len() + 6] ^= 0x01;
+        let err = Checkpoint::<u64>::from_bytes(&bad).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
         // Truncation must also fail cleanly.
-        assert!(Checkpoint::<u64>::from_text(&good[..good.len() / 2]).is_err());
-        assert!(Checkpoint::<u64>::from_text("").is_err());
+        assert!(Checkpoint::<u64>::from_bytes(&good[..good.len() / 2]).is_err());
+        assert!(Checkpoint::<u64>::from_bytes(b"").is_err());
     }
 
     #[test]
@@ -981,7 +1241,9 @@ mod tests {
             let mut out = Vec::new();
             push_decimal(&mut out, v);
             assert_eq!(out, format!("{v}").into_bytes());
+            assert_eq!(parse_decimal(&out), Some(v));
             assert_eq!(hex_u64(v), format!("{v:016x}").as_bytes());
+            assert_eq!(parse_hex_u64(&hex_u64(v)), Some(v));
             let x = f64::from_bits(v);
             out.clear();
             push_log_line(&mut out, v, x);
@@ -992,38 +1254,90 @@ mod tests {
         push_hex(&mut out, &all);
         let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(out, expected.as_bytes());
-        assert_eq!(hex_decode(&expected).unwrap(), all);
-        assert_eq!(hex_decode("0A0b").unwrap(), vec![0x0a, 0x0b]);
+        assert_eq!(hex_decode(expected.as_bytes()).unwrap(), all);
+        assert_eq!(hex_decode(b"0A0b").unwrap(), vec![0x0a, 0x0b]);
+        // The v2 readers take only what the writers write.
+        for bad in ["", "+1", "-0", " 1", "1 ", "0x1", "18446744073709551616"] {
+            assert_eq!(parse_decimal(bad.as_bytes()), None, "{bad:?}");
+        }
+        for bad in [
+            "",
+            "000000000000000",
+            "0000000000000000 ",
+            "+000000000000000",
+        ] {
+            assert_eq!(parse_hex_u64(bad.as_bytes()), None, "{bad:?}");
+        }
     }
 
-    /// Snapshot text around `payload` with a correct checksum line, so
+    #[test]
+    fn snapshot_checksum_is_xxh64_and_keeps_paired_flips_apart() {
+        // Published XXH64 digests (seed 0): the empty input, the sub-word
+        // tails, and one 32-byte stripe plus a 4-byte and a 3-byte tail.
+        for (input, digest) in [
+            (&b""[..], 0xef46_db37_51d8_e999),
+            (b"a", 0xd24e_c4f1_a98c_6e5b),
+            (b"abc", 0x44bc_2cf5_ad77_0999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xfbce_a83c_8a37_8bf1,
+            ),
+        ] {
+            assert_eq!(snapshot_checksum(input), digest, "{input:?}");
+        }
+        // Bit 63 of words 0 and 4 feeds the same lane twice. Without the
+        // rotate the two flips would cancel.
+        let zeros = [0u8; 64];
+        let mut flipped = zeros;
+        flipped[7] ^= 0x80;
+        flipped[39] ^= 0x80;
+        assert_ne!(snapshot_checksum(&zeros), snapshot_checksum(&flipped));
+    }
+
+    /// Snapshot text around `payload` with a correct v1 checksum line, so
     /// parsing gets past the checksum to the field decoders.
     fn with_checksum(payload: &str) -> String {
         format!("{payload}checksum {:016x}\n", fnv1a64(payload.as_bytes()))
     }
 
+    /// `payload` with a correct v2 checksum line appended.
+    fn with_v2_checksum(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = payload.to_vec();
+        bytes.extend_from_slice(b"checksum ");
+        bytes.extend_from_slice(&hex_u64(snapshot_checksum(payload)));
+        bytes.push(b'\n');
+        bytes
+    }
+
+    /// A v2 payload up to and including `log 0`.
+    fn v2_header(rng: &str) -> Vec<u8> {
+        format!("{MAGIC_V2}\nstep 1\naccepted 0\nrng {rng}\nlog 0\n").into_bytes()
+    }
+
+    /// A v2 `state` section holding the `u64` 3.
+    const V2_STATE: &[u8] = b"state 8\n\x03\0\0\0\0\0\0\0\n";
+
     #[test]
     fn non_hex_bytes_under_a_valid_checksum_are_rejected_not_panicked() {
         let snapshot = |rng: &str, state: &str| {
             with_checksum(&format!(
-                "{MAGIC}\nstep 1\naccepted 0\nrng {rng}\nlog 0\nstate {state}\n"
+                "{MAGIC_V1}\nstep 1\naccepted 0\nrng {rng}\nlog 0\nstate {state}\n"
             ))
         };
+        let v2 = |rng: &str| with_v2_checksum(&[&v2_header(rng)[..], V2_STATE].concat());
         let good = "0300000000000000";
-        assert_eq!(
-            Checkpoint::<u64>::from_text(&snapshot("0102", good))
-                .unwrap()
-                .state,
-            3
-        );
+        let parse = |bytes: &[u8]| Checkpoint::<u64>::from_bytes(bytes);
+        assert_eq!(parse(snapshot("0102", good).as_bytes()).unwrap().state, 3);
+        assert_eq!(parse(&v2("0102")).unwrap().state, 3);
         // A multi-byte character splits a hex pair mid-character, and
         // `+f` is what `u8::from_str_radix` would accept as 0x0f.
         for bad in ["a\u{e9}a", "+f", "0g", " 1", "\u{e9}"] {
-            let err = Checkpoint::<u64>::from_text(&snapshot(bad, good)).unwrap_err();
+            let err = parse(snapshot(bad, good).as_bytes()).unwrap_err();
             assert!(err.contains("hex"), "rng {bad:?}: {err}");
-            let err = Checkpoint::<u64>::from_text(&snapshot("0102", &format!("{bad}000000")))
-                .unwrap_err();
+            let err = parse(snapshot("0102", &format!("{bad}000000")).as_bytes()).unwrap_err();
             assert!(err.contains("hex"), "state {bad:?}: {err}");
+            let err = parse(&v2(bad)).unwrap_err();
+            assert!(err.contains("hex"), "v2 rng {bad:?}: {err}");
         }
     }
 
@@ -1031,21 +1345,149 @@ mod tests {
     fn forged_log_counts_under_a_valid_checksum_are_rejected_not_panicked() {
         let snapshot = |count: &str| {
             with_checksum(&format!(
-                "{MAGIC}\nstep 1\naccepted 0\nrng 0102\nlog {count}\n0 0000000000000000\n\
+                "{MAGIC_V1}\nstep 1\naccepted 0\nrng 0102\nlog {count}\n0 0000000000000000\n\
                  state 0300000000000000\n"
             ))
         };
-        assert_eq!(
-            Checkpoint::<u64>::from_text(&snapshot("1")).unwrap().log,
-            vec![(0, 0.0)]
-        );
+        let v2 = |count: &str| {
+            let header = format!(
+                "{MAGIC_V2}\nstep 1\naccepted 0\nrng 0102\nlog {count}\n0 0000000000000000\n"
+            );
+            with_v2_checksum(&[header.as_bytes(), V2_STATE].concat())
+        };
+        let parse = |bytes: &[u8]| Checkpoint::<u64>::from_bytes(bytes);
+        assert_eq!(parse(snapshot("1").as_bytes()).unwrap().log, vec![(0, 0.0)]);
+        assert_eq!(parse(&v2("1")).unwrap().log, vec![(0, 0.0)]);
         // A count the payload cannot hold must fail as malformed, not
         // reserve memory for it: 10¹² entries would abort the process.
         for count in ["1000000000000", &u64::MAX.to_string(), "2"] {
+            assert!(parse(snapshot(count).as_bytes()).is_err(), "log {count}");
+            assert!(parse(&v2(count)).is_err(), "v2 log {count}");
+        }
+    }
+
+    /// Raw state bytes that decode to themselves: whatever reaches
+    /// `decode_state` is accepted, so only the codec can reject.
+    #[derive(Debug)]
+    struct Raw(Vec<u8>);
+
+    impl StateCodec for Raw {
+        fn encode_state(&self) -> Vec<u8> {
+            self.0.clone()
+        }
+        fn decode_state(bytes: &[u8]) -> Result<Self, String> {
+            Ok(Raw(bytes.to_vec()))
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_v2_snapshot_is_rejected_not_panicked() {
+        // An n = 100 configuration's encoding is a u32 count and 9 bytes
+        // per particle. Raw sections may hold newlines and `checksum `, so
+        // a few particles are overwritten with a forged trailer.
+        let mut state = 100u32.to_le_bytes().to_vec();
+        for i in 0..100i32 {
+            state.extend_from_slice(&(i % 10 - 5).to_le_bytes());
+            state.extend_from_slice(&(i / 10 - 5).to_le_bytes());
+            state.push((i % 2) as u8);
+        }
+        state[100..126].copy_from_slice(b"checksum 0123456789abcdef\n");
+        let ckpt = Checkpoint {
+            step: 25_000,
+            accepted: 1_234,
+            rng_state: (0..32).collect(),
+            log: Vec::new(),
+            state: Raw(state),
+            aux: b"\nchecksum \n".to_vec(),
+        };
+        let good = ckpt.to_bytes();
+        assert!((1_000..1_100).contains(&good.len()), "{}", good.len());
+        let back = Checkpoint::<Raw>::from_bytes(&good).unwrap();
+        assert_eq!((back.state.0, back.aux), (ckpt.state.0, ckpt.aux));
+
+        let mut bad = good.clone();
+        for at in 0..bad.len() {
+            for bit in 0..8 {
+                bad[at] ^= 1 << bit;
+                assert!(
+                    Checkpoint::<Raw>::from_bytes(&bad).is_err(),
+                    "bit {bit} of byte {at}"
+                );
+                bad[at] ^= 1 << bit;
+            }
+        }
+        for len in 0..good.len() {
             assert!(
-                Checkpoint::<u64>::from_text(&snapshot(count)).is_err(),
-                "log {count}"
+                Checkpoint::<Raw>::from_bytes(&good[..len]).is_err(),
+                "truncated to {len}"
             );
+        }
+        bad.push(b'\n');
+        assert!(
+            Checkpoint::<Raw>::from_bytes(&bad).is_err(),
+            "trailing byte"
+        );
+    }
+
+    #[test]
+    fn forged_section_lengths_under_a_valid_checksum_are_rejected_not_panicked() {
+        let snapshot = |state_len: &str, aux_len: &str| {
+            let mut payload = v2_header("0102");
+            payload.extend_from_slice(format!("state {state_len}\n").as_bytes());
+            payload.extend_from_slice(b"\x03\0\0\0\0\0\0\0\n");
+            payload.extend_from_slice(format!("aux {aux_len}\n").as_bytes());
+            payload.extend_from_slice(b"\x07\n");
+            with_v2_checksum(&payload)
+        };
+        let parse = |bytes: &[u8]| Checkpoint::<u64>::from_bytes(bytes);
+        let ckpt = parse(&snapshot("8", "1")).unwrap();
+        assert_eq!((ckpt.state, ckpt.aux), (3, vec![7]));
+
+        // Bytes after each length line: the state, its newline and the
+        // aux section; then the aux byte and its newline.
+        let state_left = 9 + "aux 1\n".len() + 2;
+        let aux_left = 2;
+        let non_decimal = [
+            "",
+            "-1",
+            "+8",
+            " 8",
+            "8 ",
+            "0x8",
+            "eight",
+            "99999999999999999999",
+        ];
+        let usize_max = usize::MAX.to_string();
+        for len in [
+            usize_max.clone(),
+            state_left.to_string(),
+            (state_left + 1).to_string(),
+        ]
+        .iter()
+        .map(String::as_str)
+        .chain(non_decimal)
+        {
+            assert!(parse(&snapshot(len, "1")).is_err(), "state {len:?}");
+        }
+        for len in [
+            usize_max.clone(),
+            aux_left.to_string(),
+            (aux_left + 1).to_string(),
+        ]
+        .iter()
+        .map(String::as_str)
+        .chain(non_decimal)
+        {
+            assert!(parse(&snapshot("8", len)).is_err(), "aux {len:?}");
+        }
+        // Shorter lengths misalign the sections and fail too.
+        assert!(parse(&snapshot("7", "1")).is_err());
+        assert!(parse(&snapshot("8", "0")).is_err());
+        // So does anything after the last section.
+        let header = v2_header("0102");
+        for tail in [&b"x"[..], b"\n", b"aux 1\n\x07\nx"] {
+            let bytes = with_v2_checksum(&[&header[..], V2_STATE, tail].concat());
+            assert!(parse(&bytes).is_err(), "{}", tail.escape_ascii());
         }
     }
 

@@ -60,10 +60,10 @@ fn observe(s: &u64) -> f64 {
     *s as f64
 }
 
-/// What the fault-free run produces: per-chunk snapshot texts plus the
+/// What the fault-free run produces: per-chunk snapshot bytes plus the
 /// final state/RNG/counters, computed purely in memory.
 struct Reference {
-    texts: Vec<(u64, String)>,
+    texts: Vec<(u64, Vec<u8>)>,
     state: u64,
     rng_bytes: Vec<u8>,
     accepted: u64,
@@ -90,7 +90,7 @@ fn reference() -> Reference {
             state,
             aux: Vec::new(),
         }
-        .to_text();
+        .to_bytes();
         texts.push((t, text));
     }
     Reference {
@@ -194,7 +194,7 @@ fn every_kill_point_recovers_a_bitwise_correct_prior_snapshot() {
                             panic!("k={k} {style:?}: recovered unknown step {}", ckpt.step)
                         });
                     assert_eq!(
-                        &ckpt.to_text(),
+                        &ckpt.to_bytes(),
                         expected,
                         "k={k} {style:?}: recovered snapshot differs from reference"
                     );

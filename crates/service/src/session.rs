@@ -340,6 +340,7 @@ impl SessionStore {
             self.vfs.as_ref(),
             &self.manifest_path(&manifest.session),
             manifest.to_text().as_bytes(),
+            None,
         )
     }
 

@@ -194,9 +194,9 @@ fn checkpointed_run_survives_kill_and_corrupt_resume() {
     let mut rng_b = StdRng::seed_from_u64(7);
     run(steps * 3 / 5, &mut state_b, &mut rng_b, &store_b);
     let newest = store_b.list().unwrap().pop().unwrap();
-    let torn = std::fs::read_to_string(&newest).unwrap();
+    let torn = std::fs::read(&newest).unwrap();
     let mut f = std::fs::File::create(&newest).unwrap();
-    f.write_all(&torn.as_bytes()[..torn.len() / 2]).unwrap();
+    f.write_all(&torn[..torn.len() / 2]).unwrap();
     drop(f);
 
     // Resume with a *wrong-seed* RNG and a fresh state: both must be fully

@@ -1,10 +1,16 @@
 //! Property-based invariant tests for the chain and its substrates
 //! (proptest over random seeds, parameters, and system sizes).
 
+use std::ops::ControlFlow;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sops::chains::{Checkpoint, MarkovChain, StateCodec};
+use sops::chains::checkpoint::snapshot_checksum;
+use sops::chains::{
+    run_supervised, Checkpoint, CheckpointStore, Heartbeat, MarkovChain, SnapshotRng as _,
+    StateCodec, SupervisedOptions,
+};
 use sops::core::{construct, properties, Bias, Color, Configuration, SeparationChain};
 use sops::lattice::{Node, DIRECTIONS};
 
@@ -14,9 +20,10 @@ fn random_config(n: usize, n1: usize, seed: u64) -> Configuration {
     Configuration::new(construct::bicolor_random(nodes, n1, &mut rng)).unwrap()
 }
 
-/// The `format!`-based v1 snapshot renderer that `Checkpoint::to_text`
-/// replaced, kept verbatim as the byte-layout oracle: every snapshot
-/// already on disk was written by it.
+/// The `format!`-based v1 snapshot renderer, kept verbatim as the oracle
+/// of the v1 layout: every v1 snapshot on disk was written by it or by a
+/// byte-identical successor, so `Checkpoint::from_bytes` must read all
+/// of its output.
 mod v1_oracle {
     use sops::chains::StateCodec;
 
@@ -84,7 +91,7 @@ mod v1_oracle {
     }
 }
 
-/// `Checkpoint::to_text` as the v1 oracle renders the same parts.
+/// The v1 text the oracle renders for `ckpt`.
 fn oracle_text<S: StateCodec>(ckpt: &Checkpoint<S>) -> String {
     v1_oracle::render_text(
         ckpt.step,
@@ -96,27 +103,36 @@ fn oracle_text<S: StateCodec>(ckpt: &Checkpoint<S>) -> String {
     )
 }
 
-/// The v1 byte layout, pinned by one literal snapshot and by the oracle
-/// at the extremes of every field: `u64::MAX` counters, non-finite and
-/// signed-zero log values, empty and non-empty sidecars.
-#[test]
-fn checkpoint_v1_layout_is_pinned() {
-    let ckpt = Checkpoint {
+/// Every field of a snapshot, with log values as their bits and the state
+/// as its encoding, so NaNs and signed zeros compare exactly.
+type Fields = (u64, u64, Vec<u8>, Vec<(u64, u64)>, Vec<u8>, Vec<u8>);
+
+fn fields<S: StateCodec>(ckpt: &Checkpoint<S>) -> Fields {
+    (
+        ckpt.step,
+        ckpt.accepted,
+        ckpt.rng_state.clone(),
+        ckpt.log.iter().map(|&(t, v)| (t, v.to_bits())).collect(),
+        ckpt.state.encode_state(),
+        ckpt.aux.clone(),
+    )
+}
+
+/// The pinned snapshot: every header field, two log lines and a sidecar.
+fn pinned() -> Checkpoint<u64> {
+    Checkpoint {
         step: 42,
         accepted: 17,
         rng_state: vec![1, 2, 3, 4],
         log: vec![(0, 0.5), (21, -1.25)],
         state: 7u64,
         aux: vec![0xff, 0],
-    };
-    assert_eq!(
-        ckpt.to_text(),
-        "sops-checkpoint v1\nstep 42\naccepted 17\nrng 01020304\nlog 2\n\
-         0 3fe0000000000000\n21 bff4000000000000\nstate 0700000000000000\n\
-         aux ff00\nchecksum ec1f403da28deaa7\n"
-    );
-    assert_eq!(ckpt.to_text(), oracle_text(&ckpt));
+    }
+}
 
+/// Snapshots at the extremes of every field: `u64::MAX` counters,
+/// non-finite and signed-zero log values, empty and non-empty sidecars.
+fn extremes() -> [Checkpoint<u64>; 2] {
     let extremes = Checkpoint {
         step: u64::MAX,
         accepted: u64::MAX,
@@ -131,13 +147,130 @@ fn checkpoint_v1_layout_is_pinned() {
         state: u64::MAX,
         aux: Vec::new(),
     };
-    assert_eq!(extremes.to_text(), oracle_text(&extremes));
     let empty = Checkpoint {
         log: Vec::new(),
         aux: vec![0],
-        ..extremes
+        ..extremes.clone()
     };
-    assert_eq!(empty.to_text(), oracle_text(&empty));
+    [extremes, empty]
+}
+
+/// The v1 layout is pinned as reader input: one literal snapshot, and the
+/// oracle's output at the extremes of every field, parse bit-exactly.
+#[test]
+fn checkpoint_v1_layout_is_pinned() {
+    let ckpt = pinned();
+    let literal = "sops-checkpoint v1\nstep 42\naccepted 17\nrng 01020304\nlog 2\n\
+                   0 3fe0000000000000\n21 bff4000000000000\nstate 0700000000000000\n\
+                   aux ff00\nchecksum ec1f403da28deaa7\n";
+    assert_eq!(oracle_text(&ckpt), literal);
+    assert_eq!(
+        Checkpoint::<u64>::from_bytes(literal.as_bytes()).unwrap(),
+        ckpt
+    );
+    for ckpt in extremes() {
+        let parsed = Checkpoint::<u64>::from_bytes(oracle_text(&ckpt).as_bytes()).unwrap();
+        assert_eq!(fields(&parsed), fields(&ckpt));
+    }
+}
+
+/// The v2 layout is pinned as writer output: one literal snapshot, whose
+/// checksum is `snapshot_checksum` of everything before its line, and
+/// round-trips at the extremes of every field.
+#[test]
+fn checkpoint_v2_layout_is_pinned() {
+    let ckpt = pinned();
+    let literal: &[u8] = b"sops-checkpoint v2\nstep 42\naccepted 17\nrng 01020304\nlog 2\n\
+                           0 3fe0000000000000\n21 bff4000000000000\n\
+                           state 8\n\x07\0\0\0\0\0\0\0\naux 2\n\xff\0\n\
+                           checksum 0bc5e2071c3d3073\n";
+    let bytes = ckpt.to_bytes();
+    assert_eq!(
+        bytes.escape_ascii().to_string(),
+        literal.escape_ascii().to_string()
+    );
+    let (payload, trailer) = bytes.split_at(bytes.len() - 26);
+    assert_eq!(
+        trailer,
+        format!("checksum {:016x}\n", snapshot_checksum(payload)).as_bytes()
+    );
+    assert_eq!(Checkpoint::<u64>::from_bytes(literal).unwrap(), ckpt);
+    for ckpt in extremes() {
+        let parsed = Checkpoint::<u64>::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert_eq!(fields(&parsed), fields(&ckpt));
+    }
+}
+
+/// Upgrading keeps resumes bit-identical: a store holding a v1 snapshot
+/// of a mid-run configuration resumes from it exactly as an uninterrupted
+/// run continues, and the first snapshot written after it is v2.
+#[test]
+fn v1_snapshot_resumes_bit_identically_and_is_followed_by_v2() {
+    const EVERY: u64 = 5_000;
+    const STEPS: u64 = 6 * EVERY;
+    const RESUME_AT: u64 = 3 * EVERY;
+    let chain = SeparationChain::new(Bias::new(4.0, 4.0).unwrap());
+    let start = random_config(100, 50, 11);
+    let scratch = std::env::temp_dir().join(format!("sops-v1-upgrade-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let opts = SupervisedOptions {
+        steps: STEPS,
+        every: EVERY,
+        max_rollbacks: 0,
+    };
+    let run = |state: &mut Configuration, rng: &mut StdRng, store: &CheckpointStore| {
+        run_supervised(
+            &chain,
+            state,
+            rng,
+            store,
+            &opts,
+            &Heartbeat::new(),
+            |_| 0.0,
+            |_, _| ControlFlow::Continue(()),
+        )
+        .unwrap()
+    };
+
+    let store_a = CheckpointStore::open(scratch.join("a"), 2).unwrap();
+    let mut state_a = start.clone();
+    let mut rng_a = StdRng::seed_from_u64(7);
+    let run_a = run(&mut state_a, &mut rng_a, &store_a);
+
+    // The same chain to the resume step, chunk by chunk, then persisted as
+    // the v1 renderer wrote it.
+    let mut mid = start.clone();
+    let mut rng_mid = StdRng::seed_from_u64(7);
+    let accepted: u64 = (0..RESUME_AT / EVERY)
+        .map(|_| chain.run(&mut mid, EVERY, &mut rng_mid))
+        .sum();
+    let store_b = CheckpointStore::open(scratch.join("b"), 8).unwrap();
+    let v1 = v1_oracle::render_text(RESUME_AT, accepted, &rng_mid.rng_state(), &[], &mid, &[]);
+    let v1_path = store_b.dir().join(format!("step-{RESUME_AT:020}.ckpt"));
+    std::fs::write(&v1_path, &v1).unwrap();
+
+    // Resume with a fresh state and a wrong-seed RNG: both come from the
+    // v1 snapshot.
+    let mut state_b = start.clone();
+    let mut rng_b = StdRng::seed_from_u64(999);
+    let run_b = run(&mut state_b, &mut rng_b, &store_b);
+    assert_eq!(run_b.resumed_from, Some(RESUME_AT));
+    assert_eq!(state_b.encode_state(), state_a.encode_state());
+    assert_eq!(rng_b.to_state_bytes(), rng_a.to_state_bytes());
+    assert_eq!(run_b.accepted, run_a.accepted);
+
+    let paths = store_b.list().unwrap();
+    assert_eq!(paths.len(), 4);
+    assert_eq!(std::fs::read(&paths[0]).unwrap(), v1.as_bytes());
+    for path in &paths[1..] {
+        let bytes = std::fs::read(path).unwrap();
+        assert!(
+            bytes.starts_with(b"sops-checkpoint v2\n"),
+            "{}",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 proptest! {
@@ -274,10 +407,10 @@ proptest! {
         prop_assert!(!(properties::property4(occ) && properties::property5(occ)));
     }
 
-    /// Checkpoint text serialization is lossless for arbitrary
-    /// configurations, RNG snapshots, step counters, and observable logs
-    /// (including non-finite observable values, compared bit-for-bit),
-    /// and byte-identical to the v1 oracle.
+    /// Checkpoint serialization is lossless for arbitrary configurations,
+    /// RNG snapshots, step counters, and observable logs (including
+    /// non-finite observable values, compared bit-for-bit): the v2 bytes
+    /// round-trip, and the v1 oracle's text parses to the same fields.
     #[test]
     fn checkpoint_text_roundtrip_is_lossless(
         seed in 0u64..10_000,
@@ -290,30 +423,25 @@ proptest! {
     ) {
         let state = random_config(n, n / 2, seed);
         let ckpt = Checkpoint { step, accepted, rng_state, log, state, aux };
-        let text = ckpt.to_text();
-        prop_assert_eq!(&text, &oracle_text(&ckpt), "v1 byte layout changed");
-        let back = Checkpoint::<Configuration>::from_text(&text).unwrap();
-        prop_assert_eq!(back.step, ckpt.step);
-        prop_assert_eq!(back.accepted, ckpt.accepted);
-        prop_assert_eq!(&back.rng_state, &ckpt.rng_state);
-        prop_assert_eq!(&back.aux, &ckpt.aux);
-        prop_assert_eq!(back.log.len(), ckpt.log.len());
-        for (a, b) in back.log.iter().zip(&ckpt.log) {
-            prop_assert_eq!(a.0, b.0);
-            prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        prop_assert_eq!(back.state.encode_state(), ckpt.state.encode_state());
+        let bytes = ckpt.to_bytes();
+        prop_assert!(bytes.starts_with(b"sops-checkpoint v2\n"));
+        let back = Checkpoint::<Configuration>::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(fields(&back), fields(&ckpt));
+        let v1 = Checkpoint::<Configuration>::from_bytes(oracle_text(&ckpt).as_bytes()).unwrap();
+        prop_assert_eq!(fields(&v1), fields(&ckpt));
     }
 
-    /// Any single-character corruption of a checkpoint snapshot is caught:
-    /// the checksum (or the line structure it protects) rejects the text.
-    /// The replacement character `z` never occurs in valid snapshots, so
-    /// every corruption is a genuine change.
+    /// Any single-byte corruption of a checkpoint snapshot is caught: the
+    /// checksum (or the structure it protects) rejects it. A v2 byte is
+    /// XORed with a nonzero mask, since raw state bytes may hold any
+    /// value; in v1 text the character `z` never occurs, so writing one is
+    /// always a genuine change.
     #[test]
     fn corrupted_checkpoint_text_is_rejected(
         seed in 0u64..10_000,
         n in 2usize..20,
         position in any::<prop::sample::Index>(),
+        mask in 0u8..255,
     ) {
         let state = random_config(n, n / 2, seed);
         let ckpt = Checkpoint {
@@ -324,12 +452,15 @@ proptest! {
             state,
             aux: vec![9, 8, 7],
         };
-        let text = ckpt.to_text();
+        let mut bytes = ckpt.to_bytes();
+        let idx = position.index(bytes.len());
+        bytes[idx] ^= mask + 1;
+        prop_assert!(Checkpoint::<Configuration>::from_bytes(&bytes).is_err());
+
+        let mut text = oracle_text(&ckpt).into_bytes();
         let idx = position.index(text.len());
-        let mut corrupted: Vec<char> = text.chars().collect();
-        corrupted[idx] = 'z';
-        let corrupted: String = corrupted.into_iter().collect();
-        prop_assert!(Checkpoint::<Configuration>::from_text(&corrupted).is_err());
+        text[idx] = b'z';
+        prop_assert!(Checkpoint::<Configuration>::from_bytes(&text).is_err());
     }
 
     /// Canonical forms are invariant under arbitrary translations.
