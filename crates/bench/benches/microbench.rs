@@ -446,6 +446,23 @@ fn bench_configuration_memory() {
     });
 }
 
+/// What building an input costs: the blob alone, and at n = 100 all that
+/// `service-small` builds per job (blob, colors, `Configuration::new`).
+/// One stream runs on, so every iteration builds a different input.
+fn bench_construction() {
+    let mut rng = StdRng::seed_from_u64(7);
+    for n in [100usize, 1000] {
+        bench(&format!("random_blob_n{n}"), || {
+            black_box(construct::random_blob(n, &mut rng));
+        });
+    }
+    bench("job_input_n100", || {
+        let nodes = construct::random_blob(100, &mut rng);
+        let particles = construct::bicolor_random(nodes, 50, &mut rng);
+        black_box(Configuration::new(particles).unwrap());
+    });
+}
+
 fn bench_separation_certificate() {
     // A partially separated configuration: the interesting (non-trivial
     // cut) case for the flow solver.
@@ -562,6 +579,7 @@ fn main() {
     bench_properties();
     bench_observables();
     bench_configuration_memory();
+    bench_construction();
     bench_separation_certificate();
     bench_enumeration();
     bench_polymer();

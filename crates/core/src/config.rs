@@ -308,13 +308,6 @@ impl Configuration {
         self.hetero
     }
 
-    /// Number of homogeneous edges `a(σ) = e(σ) − h(σ)`.
-    #[inline]
-    #[must_use]
-    pub fn homo_edge_count(&self) -> u64 {
-        self.edges - self.hetero
-    }
-
     /// The perimeter `p(σ) = 3n − e(σ) − 3` of the configuration.
     ///
     /// The identity holds exactly for connected hole-free configurations
@@ -1239,21 +1232,6 @@ impl RingGather {
         }
     }
 
-    /// Number of occupied ring positions selected by `mask`.
-    #[inline]
-    #[must_use]
-    pub fn occupied_in(&self, mask: u8) -> i32 {
-        (self.occupancy & mask).count_ones() as i32
-    }
-
-    /// Number of ring positions selected by `mask` holding a particle of
-    /// `color`.
-    #[inline]
-    #[must_use]
-    pub fn colored_in(&self, mask: u8, color: Color) -> i32 {
-        (self.color_mask(color) & mask).count_ones() as i32
-    }
-
     /// The color at ring position `k`, if occupied.
     #[inline]
     #[must_use]
@@ -1263,8 +1241,8 @@ impl RingGather {
 
     /// Bitmask of the occupied ring positions holding `color`, so every
     /// colored-neighbor count is a masked popcount
-    /// (`colored_in(mask, c) ≡ (color_mask(c) & mask).count_ones()`) and
-    /// every colored Metropolis exponent one [`SIDE_GAIN`] load.
+    /// (`(color_mask(c) & mask).count_ones()`) and every colored
+    /// Metropolis exponent one [`SIDE_GAIN`] load.
     ///
     /// One XOR against `color` broadcast to every byte zeroes exactly the
     /// matching lanes; unoccupied lanes also hold 0, so the occupancy mask
@@ -1398,7 +1376,6 @@ mod tests {
         let c = tri();
         assert_eq!(c.edge_count(), 3);
         assert_eq!(c.hetero_edge_count(), 2);
-        assert_eq!(c.homo_edge_count(), 1);
         assert_eq!(c.perimeter(), 3);
         assert_eq!(c.recount(), (3, 2));
         assert_eq!(c.color_counts(), vec![2, 1]);
@@ -2019,18 +1996,6 @@ mod tests {
         }
     }
 
-    /// The loop `colored_in` ran over eight decoded lane colors.
-    fn colored_in_loop(occupancy: u8, colors: &[Color; 8], mask: u8, color: Color) -> i32 {
-        let mut count = 0;
-        let mut bits = occupancy & mask;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            count += i32::from(colors[k] == color);
-            bits &= bits - 1;
-        }
-        count
-    }
-
     /// The loop `color_mask` ran over eight decoded lane colors.
     fn color_mask_loop(occupancy: u8, colors: &[Color; 8], color: Color) -> u8 {
         let mut out = 0u8;
@@ -2045,7 +2010,6 @@ mod tests {
 
     #[test]
     fn ring_gather_masks_match_the_lane_loops_exhaustively() {
-        use sops_lattice::{RING_FROM_SIDE, RING_TO_SIDE};
         let palette = [Color::C1, Color::C2, Color::C3];
         for occupancy in 0..=u8::MAX {
             for assignment in 0..3usize.pow(8) {
@@ -2069,12 +2033,6 @@ mod tests {
                         ring.color_mask(color),
                         color_mask_loop(occupancy, &colors, color)
                     );
-                    for mask in [RING_FROM_SIDE, RING_TO_SIDE, u8::MAX] {
-                        assert_eq!(
-                            ring.colored_in(mask, color),
-                            colored_in_loop(occupancy, &colors, mask, color)
-                        );
-                    }
                 }
             }
         }

@@ -41,7 +41,9 @@ use crate::Color;
 /// Hard cap on raster cells (five bytes each across the two planes):
 /// beyond this the raster costs more in memory traffic and clone time than
 /// its probes save, and the configuration is indexed by a map.
-const MAX_CELLS: u64 = 1 << 22;
+/// [`crate::construct::random_blob`]'s membership window (one bit a cell)
+/// is capped by it too.
+pub(crate) const MAX_CELLS: u64 = 1 << 22;
 
 /// Unoccupied border a new raster keeps around the bounding box. With
 /// four cells, a particle takes the flat-offset path of

@@ -89,27 +89,6 @@ impl StepOutcome {
         matches!(self, StepOutcome::MoveAccepted | StepOutcome::SwapAccepted)
     }
 
-    /// Whether this outcome was a move proposal (target unoccupied).
-    #[must_use]
-    pub fn is_move(self) -> bool {
-        matches!(
-            self,
-            StepOutcome::MoveAccepted
-                | StepOutcome::MoveRejectedFiveNeighbors
-                | StepOutcome::MoveRejectedProperty
-                | StepOutcome::MoveRejectedMetropolis
-        )
-    }
-
-    /// Whether this outcome was a swap proposal that reached the filter.
-    #[must_use]
-    pub fn is_swap(self) -> bool {
-        matches!(
-            self,
-            StepOutcome::SwapAccepted | StepOutcome::SwapRejectedMetropolis
-        )
-    }
-
     /// The stable snake_case label of this outcome.
     #[must_use]
     pub fn label_of(self) -> &'static str {
@@ -167,16 +146,5 @@ mod tests {
             assert_eq!(outcome.accepted(), expect);
             assert_eq!(OutcomeClass::accepted(outcome), expect);
         }
-    }
-
-    #[test]
-    fn move_swap_partition() {
-        for outcome in StepOutcome::ALL {
-            assert!(!(outcome.is_move() && outcome.is_swap()));
-        }
-        assert!(StepOutcome::MoveRejectedProperty.is_move());
-        assert!(StepOutcome::SwapRejectedMetropolis.is_swap());
-        assert!(!StepOutcome::SameColorHold.is_move());
-        assert!(!StepOutcome::InvalidStateHold.is_swap());
     }
 }

@@ -19,7 +19,6 @@ use crate::ConfigError;
 /// use sops_core::{thresholds, Bias};
 ///
 /// let bias = Bias::new(4.0, 4.0)?;
-/// assert!(bias.favors_compression());
 /// // λγ = 16 clears the compression threshold ≈ 6.83, but γ = 4 < 4^{5/4}
 /// // sits outside the *proven* separation regime (simulations separate anyway).
 /// assert!(!thresholds::separation_theorem_applies(bias));
@@ -66,18 +65,6 @@ impl Bias {
     #[must_use]
     pub const fn gamma(&self) -> f64 {
         self.gamma
-    }
-
-    /// Whether particles favor gaining neighbors (`λ > 1`).
-    #[must_use]
-    pub fn favors_compression(&self) -> bool {
-        self.lambda > 1.0
-    }
-
-    /// Whether particles favor like-colored neighbors (`γ > 1`).
-    #[must_use]
-    pub fn favors_homogeneity(&self) -> bool {
-        self.gamma > 1.0
     }
 }
 
@@ -195,8 +182,6 @@ mod tests {
     #[test]
     fn regime_predicates() {
         let b = Bias::new(4.0, 0.5).unwrap();
-        assert!(b.favors_compression());
-        assert!(!b.favors_homogeneity());
         assert_eq!(b.to_string(), "λ = 4, γ = 0.5");
     }
 }
