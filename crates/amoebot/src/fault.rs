@@ -17,7 +17,7 @@
 //!   scheduled activation is lost with fixed probability.
 //! * **Aborted expansions** ([`FaultPlan::abort_expansions`]): an expanded
 //!   particle's completion is replaced, with fixed probability, by a
-//!   forced contract-back ([`AmoebotSystem::abort_expansion`]).
+//!   forced contract-back.
 //!
 //! None of these faults can corrupt the configuration: crash-stop and
 //! starvation only *remove* activations (a legal, if unfair, schedule),
@@ -30,7 +30,8 @@
 use rand::{Rng, RngExt as _};
 
 use crate::schedule::Scheduler;
-use crate::{Action, AmoebotSystem};
+use crate::system::Action;
+use crate::AmoebotSystem;
 
 /// A deterministic description of which faults to inject when.
 ///

@@ -12,8 +12,9 @@
 //! * [`Amoebot`] — one particle: tail/head nodes, immutable color, local
 //!   state;
 //! * [`AmoebotSystem`] — the shared lattice plus the local rule. A single
-//!   [`AmoebotSystem::activate`] call is one atomic action: bounded local
-//!   computation, at most one expansion or contraction;
+//!   activation ([`AmoebotSystem::activate_random`], or a scheduler's) is
+//!   one atomic action: bounded local computation, at most one expansion
+//!   or contraction;
 //! * [`schedule`] — asynchronous activation schedulers (uniform random and
 //!   shuffled round-robin);
 //! * [`fault`] — fault injection over any scheduler: crash-stop particles,
@@ -77,9 +78,9 @@ pub mod fault;
 mod particle;
 pub mod schedule;
 mod system;
-pub mod view;
+#[cfg(test)]
+mod view;
 
 pub use fault::{FaultPlan, FaultStats, FaultySchedule};
-pub use particle::{Amoebot, ParticleState};
+pub use particle::Amoebot;
 pub use system::{Action, AmoebotSystem};
-pub use view::{LocalView, PortView};

@@ -3,15 +3,6 @@
 use sops_core::Color;
 use sops_lattice::{Direction, Node};
 
-/// The shape state of a particle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParticleState {
-    /// Occupies a single node (its tail).
-    Contracted,
-    /// Occupies its tail (origin) and head (expansion target).
-    Expanded,
-}
-
 /// One particle of the amoebot system.
 ///
 /// Particles are anonymous in the model; the `usize` ids used by
@@ -46,8 +37,9 @@ impl Amoebot {
     }
 
     /// Creates a contracted particle with an explicit private frame.
+    #[cfg(test)]
     #[must_use]
-    pub fn contracted_with_frame(
+    pub(crate) fn contracted_with_frame(
         node: Node,
         color: Color,
         orientation: Direction,
@@ -60,20 +52,6 @@ impl Amoebot {
             orientation,
             chirality_flipped,
         }
-    }
-
-    /// The particle's private port-0 direction.
-    #[inline]
-    #[must_use]
-    pub fn orientation(&self) -> Direction {
-        self.orientation
-    }
-
-    /// Whether the particle numbers its ports clockwise.
-    #[inline]
-    #[must_use]
-    pub fn chirality_flipped(&self) -> bool {
-        self.chirality_flipped
     }
 
     /// The particle's immutable color.
@@ -98,21 +76,24 @@ impl Amoebot {
         self.head
     }
 
+    /// The global direction of local port `port`, using the particle's
+    /// private orientation and chirality.
+    #[must_use]
+    pub(crate) fn port_direction(&self, port: usize) -> Direction {
+        let steps = port % 6;
+        if self.chirality_flipped {
+            // Reflected particles number their ports clockwise.
+            self.orientation.rotated_by(6 - steps)
+        } else {
+            self.orientation.rotated_by(steps)
+        }
+    }
+
     /// Whether the particle is expanded.
     #[inline]
     #[must_use]
-    pub fn is_expanded(&self) -> bool {
+    pub(crate) fn is_expanded(&self) -> bool {
         self.tail != self.head
-    }
-
-    /// The particle's shape state.
-    #[must_use]
-    pub fn state(&self) -> ParticleState {
-        if self.is_expanded() {
-            ParticleState::Expanded
-        } else {
-            ParticleState::Contracted
-        }
     }
 
     pub(crate) fn expand_to(&mut self, head: Node) {
@@ -145,17 +126,16 @@ mod tests {
     #[test]
     fn lifecycle() {
         let mut p = Amoebot::contracted(Node::new(0, 0), Color::C1);
-        assert_eq!(p.state(), ParticleState::Contracted);
+        assert!(!p.is_expanded());
         assert_eq!(p.tail(), p.head());
 
         p.expand_to(Node::new(1, 0));
-        assert_eq!(p.state(), ParticleState::Expanded);
         assert!(p.is_expanded());
         assert_eq!(p.tail(), Node::new(0, 0));
         assert_eq!(p.head(), Node::new(1, 0));
 
         p.contract_forward();
-        assert_eq!(p.state(), ParticleState::Contracted);
+        assert!(!p.is_expanded());
         assert_eq!(p.tail(), Node::new(1, 0));
     }
 

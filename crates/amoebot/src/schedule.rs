@@ -8,7 +8,8 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt as _};
 
-use crate::{Action, AmoebotSystem};
+use crate::system::Action;
+use crate::AmoebotSystem;
 
 /// A source of particle activations.
 pub trait Scheduler {

@@ -54,7 +54,8 @@ impl AmoebotSystem {
     /// private orientation and chirality — demonstrating the §2.1 claim
     /// that the algorithm needs no shared compass (port choices are
     /// uniform, so the dynamics are invariant; see `view::tests`).
-    pub fn with_random_orientations<R: Rng + ?Sized>(
+    #[cfg(test)]
+    pub(crate) fn with_random_orientations<R: Rng + ?Sized>(
         config: &Configuration,
         bias: Bias,
         swaps: bool,
@@ -106,15 +107,10 @@ impl AmoebotSystem {
     }
 
     /// The id of the particle occupying `node` (head or tail), if any.
+    #[cfg(test)]
     #[must_use]
-    pub fn id_at(&self, node: Node) -> Option<usize> {
+    pub(crate) fn id_at(&self, node: Node) -> Option<usize> {
         self.occupancy.get(node).map(|&id| id as usize)
-    }
-
-    /// Whether every particle is contracted.
-    #[must_use]
-    pub fn all_contracted(&self) -> bool {
-        self.particles.iter().all(|p| !p.is_expanded())
     }
 
     /// The serialized configuration: every particle at its **tail**.
@@ -140,7 +136,7 @@ impl AmoebotSystem {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn activate<R: Rng + ?Sized>(&mut self, id: usize, rng: &mut R) -> Action {
+    pub(crate) fn activate<R: Rng + ?Sized>(&mut self, id: usize, rng: &mut R) -> Action {
         if self.particles[id].is_expanded() {
             self.complete_move(id, rng)
         } else {
@@ -154,7 +150,7 @@ impl AmoebotSystem {
     fn initiate<R: Rng + ?Sized>(&mut self, id: usize, rng: &mut R) -> Action {
         let tail = self.particles[id].tail();
         let port = rng.random_range(0..6usize);
-        let dir = crate::view::port_to_direction(&self.particles[id], port);
+        let dir = self.particles[id].port_direction(port);
         let target = tail.neighbor(dir);
         match self.occupancy.get(target).copied() {
             None => {
@@ -242,7 +238,7 @@ impl AmoebotSystem {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn abort_expansion(&mut self, id: usize) -> bool {
+    pub(crate) fn abort_expansion(&mut self, id: usize) -> bool {
         if !self.particles[id].is_expanded() {
             return false;
         }
@@ -419,7 +415,7 @@ mod tests {
         let mut contracted_hits = 0;
         for _ in 0..10_000 {
             sys.activate_random(&mut rng);
-            contracted_hits += u32::from(sys.all_contracted());
+            contracted_hits += u32::from((0..sys.len()).all(|id| !sys.particle(id).is_expanded()));
         }
         assert!(
             contracted_hits > 100,

@@ -19,6 +19,10 @@
 //! rule selects ports uniformly at random, the executed dynamics are
 //! invariant under orientation reassignment: the algorithm genuinely needs
 //! no compass.
+//!
+//! The module is compiled for tests only: the simulator itself reads the
+//! lattice directly, and this view exists to audit that it reads nothing a
+//! particle could not see.
 
 use sops_core::Color;
 use sops_lattice::{Direction, DIRECTIONS};
@@ -27,7 +31,7 @@ use crate::{Amoebot, AmoebotSystem};
 
 /// What one port (local direction) of a particle sees.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PortView {
+pub(crate) struct PortView {
     /// Whether the adjacent node on this port is occupied.
     pub occupied: bool,
     /// The neighbor's color (readable from its public memory), if occupied.
@@ -39,7 +43,7 @@ pub struct PortView {
 /// The complete local view of a contracted particle: its own color plus
 /// the six port views, indexed by the particle's **private** port labels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LocalView {
+pub(crate) struct LocalView {
     /// The particle's own color (in its own memory).
     pub color: Color,
     /// Port views in local order: port `p` looks along the particle's
@@ -51,14 +55,14 @@ impl LocalView {
     /// Number of occupied neighbors — the `e = |N(ℓ)|` of Algorithm 1,
     /// computable without any global information.
     #[must_use]
-    pub fn occupied_count(&self) -> i32 {
+    pub(crate) fn occupied_count(&self) -> i32 {
         self.ports.iter().filter(|p| p.occupied).count() as i32
     }
 
     /// Number of occupied neighbors sharing the particle's color — the
     /// `e_i = |N_i(ℓ)|` of Algorithm 1.
     #[must_use]
-    pub fn same_color_count(&self) -> i32 {
+    pub(crate) fn same_color_count(&self) -> i32 {
         self.ports
             .iter()
             .filter(|p| p.color == Some(self.color))
@@ -68,22 +72,8 @@ impl LocalView {
     /// Whether any visible neighbor is expanded (the neighborhood-lock
     /// signal of the distributed translation).
     #[must_use]
-    pub fn sees_expanded_neighbor(&self) -> bool {
+    pub(crate) fn sees_expanded_neighbor(&self) -> bool {
         self.ports.iter().any(|p| p.expanded)
-    }
-}
-
-/// Translates a particle's local port number into a global direction using
-/// its private orientation and chirality. Exposed for tests; the rule
-/// itself only ever hands ports back to the system.
-#[must_use]
-pub fn port_to_direction(particle: &Amoebot, port: usize) -> Direction {
-    let steps = port % 6;
-    if particle.chirality_flipped() {
-        // Reflected particles number their ports clockwise.
-        particle.orientation().rotated_by(6 - steps)
-    } else {
-        particle.orientation().rotated_by(steps)
     }
 }
 
@@ -97,7 +87,7 @@ impl AmoebotSystem {
     /// expanded particle's view spans two nodes; the separation rule only
     /// consults the contracted view before initiating).
     #[must_use]
-    pub fn local_view(&self, id: usize) -> LocalView {
+    pub(crate) fn local_view(&self, id: usize) -> LocalView {
         let particle = self.particle(id);
         assert!(
             !particle.is_expanded(),
@@ -105,7 +95,7 @@ impl AmoebotSystem {
         );
         let mut ports = [PortView::default(); 6];
         for (p, port) in ports.iter_mut().enumerate() {
-            let dir = port_to_direction(particle, p);
+            let dir = particle.port_direction(p);
             let node = particle.tail().neighbor(dir);
             if let Some(other) = self.particle_at(node) {
                 *port = PortView {
@@ -124,27 +114,27 @@ impl AmoebotSystem {
     /// The particle occupying `node`, if any (simulator-level helper; the
     /// particles themselves only see [`LocalView`]s).
     #[must_use]
-    pub fn particle_at(&self, node: sops_lattice::Node) -> Option<&Amoebot> {
+    pub(crate) fn particle_at(&self, node: sops_lattice::Node) -> Option<&Amoebot> {
         self.id_at(node).map(|id| self.particle(id))
     }
 }
 
 /// All six global directions expressed as the given particle's local ports
-/// — the inverse of [`port_to_direction`], for tests.
+/// — the inverse of [`Amoebot::port_direction`].
 #[must_use]
-pub fn direction_to_port(particle: &Amoebot, dir: Direction) -> usize {
+pub(crate) fn direction_to_port(particle: &Amoebot, dir: Direction) -> usize {
     (0..6)
-        .find(|&p| port_to_direction(particle, p) == dir)
+        .find(|&p| particle.port_direction(p) == dir)
         .expect("every direction is some port")
 }
 
 /// Sanity constant: local port labels cover all six lattice directions for
 /// any orientation/chirality.
 #[must_use]
-pub fn ports_cover_all_directions(particle: &Amoebot) -> bool {
+pub(crate) fn ports_cover_all_directions(particle: &Amoebot) -> bool {
     let mut seen = [false; 6];
     for p in 0..6 {
-        seen[port_to_direction(particle, p).index()] = true;
+        seen[particle.port_direction(p).index()] = true;
     }
     seen.iter().all(|&b| b) && DIRECTIONS.len() == 6
 }
@@ -175,7 +165,7 @@ mod tests {
             let p = sys.particle(id);
             assert!(ports_cover_all_directions(p));
             for port in 0..6 {
-                assert_eq!(direction_to_port(p, port_to_direction(p, port)), port);
+                assert_eq!(direction_to_port(p, p.port_direction(port)), port);
             }
         }
     }
@@ -187,7 +177,7 @@ mod tests {
             let particle = sys.particle(id);
             let view = sys.local_view(id);
             for port in 0..6 {
-                let dir = port_to_direction(particle, port);
+                let dir = particle.port_direction(port);
                 let node = particle.tail().neighbor(dir);
                 let expect = sys.particle_at(node);
                 assert_eq!(view.ports[port].occupied, expect.is_some());

@@ -7,25 +7,8 @@
 //! multipliers accordingly.
 
 /// A directed flow network with integer capacities.
-///
-/// # Example
-///
-/// ```
-/// use sops_analysis::flow::FlowNetwork;
-///
-/// // s → a → t with bottleneck 3, plus a parallel s → t arc of 2.
-/// let mut net = FlowNetwork::new(3);
-/// let (s, a, t) = (0, 1, 2);
-/// net.add_edge(s, a, 5);
-/// net.add_edge(a, t, 3);
-/// net.add_edge(s, t, 2);
-/// let (cut_value, source_side) = net.min_cut(s, t);
-/// assert_eq!(cut_value, 5);
-/// assert!(source_side[s]);
-/// assert!(!source_side[t]);
-/// ```
 #[derive(Clone, Debug)]
-pub struct FlowNetwork {
+pub(crate) struct FlowNetwork {
     // Edge arrays (forward and reverse arcs interleaved: arc i's reverse is i ^ 1).
     to: Vec<usize>,
     cap: Vec<u64>,
@@ -36,7 +19,7 @@ pub struct FlowNetwork {
 impl FlowNetwork {
     /// Creates a network with `n` nodes and no arcs.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FlowNetwork {
             to: Vec::new(),
             cap: Vec::new(),
@@ -45,25 +28,13 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the network has no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Adds a directed arc `u → v` with capacity `capacity` (and a zero-
     /// capacity residual reverse arc).
     ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
-    pub fn add_edge(&mut self, u: usize, v: usize, capacity: u64) {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize, capacity: u64) {
         assert!(u < self.n && v < self.n, "arc endpoints out of range");
         let idx = self.to.len();
         self.to.push(v);
@@ -75,7 +46,7 @@ impl FlowNetwork {
     }
 
     /// Adds an undirected edge (capacity in both directions).
-    pub fn add_undirected_edge(&mut self, u: usize, v: usize, capacity: u64) {
+    pub(crate) fn add_undirected_edge(&mut self, u: usize, v: usize, capacity: u64) {
         assert!(u < self.n && v < self.n, "edge endpoints out of range");
         let idx = self.to.len();
         self.to.push(v);
@@ -91,7 +62,7 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `s == t`.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> u64 {
+    pub(crate) fn max_flow(&mut self, s: usize, t: usize) -> u64 {
         assert_ne!(s, t, "source and sink must differ");
         let mut flow = 0;
         loop {
@@ -149,7 +120,7 @@ impl FlowNetwork {
     ///
     /// Call this on a fresh network: it saturates residual capacities, and
     /// the reported value is the flow pushed *by this call*.
-    pub fn min_cut(&mut self, s: usize, t: usize) -> (u64, Vec<bool>) {
+    pub(crate) fn min_cut(&mut self, s: usize, t: usize) -> (u64, Vec<bool>) {
         let value = self.max_flow(s, t);
         let mut side = vec![false; self.n];
         side[s] = true;

@@ -12,7 +12,7 @@ use sops_lattice::{Direction, Edge, Node};
 
 /// All heterogeneous edges of the configuration (each once).
 #[must_use]
-pub fn hetero_edges(config: &Configuration) -> Vec<Edge> {
+pub(crate) fn hetero_edges(config: &Configuration) -> Vec<Edge> {
     let mut out = Vec::new();
     for (node, color) in config.particles() {
         for d in [Direction::E, Direction::NE, Direction::NW] {
@@ -35,7 +35,7 @@ pub fn hetero_edges(config: &Configuration) -> Vec<Edge> {
 /// A well-separated configuration has **one** dominant interface; an
 /// integrated one shatters into many short ones.
 #[must_use]
-pub fn interface_components(config: &Configuration) -> Vec<usize> {
+pub(crate) fn interface_components(config: &Configuration) -> Vec<usize> {
     let edges = hetero_edges(config);
     let n = edges.len();
     let mut parent: Vec<usize> = (0..n).collect();
@@ -74,7 +74,7 @@ pub fn interface_components(config: &Configuration) -> Vec<usize> {
 /// single clean interface; → 0 for shattered interfaces; 1.0 by convention
 /// when there is no heterogeneous edge at all).
 #[must_use]
-pub fn interface_coherence(config: &Configuration) -> f64 {
+pub(crate) fn interface_coherence(config: &Configuration) -> f64 {
     let comps = interface_components(config);
     let total: usize = comps.iter().sum();
     if total == 0 {
@@ -92,7 +92,7 @@ pub fn interface_coherence(config: &Configuration) -> f64 {
 ///
 /// Panics if the configuration is disconnected.
 #[must_use]
-pub fn boundary_walk(config: &Configuration) -> Vec<Node> {
+pub(crate) fn boundary_walk(config: &Configuration) -> Vec<Node> {
     assert!(config.is_connected(), "boundary walk requires connectivity");
     if config.len() == 1 {
         let (node, _) = config.particles().next().expect("nonempty");
@@ -128,20 +128,12 @@ pub fn boundary_walk(config: &Configuration) -> Vec<Node> {
     walk
 }
 
-/// How many distinct particles appear on the outer boundary walk.
-#[must_use]
-pub fn boundary_particle_count(config: &Configuration) -> usize {
-    let walk = boundary_walk(config);
-    let set: std::collections::HashSet<Node> = walk.into_iter().collect();
-    set.len()
-}
-
 /// Number of color changes encountered along the outer boundary walk — the
 /// number of interface endpoints on the boundary, a direct bridging
 /// statistic (a `(β, δ)`-separated configuration crosses colors O(1) times
 /// on its boundary; an integrated one Θ(boundary length) times).
 #[must_use]
-pub fn boundary_color_changes(config: &Configuration) -> usize {
+pub(crate) fn boundary_color_changes(config: &Configuration) -> usize {
     let walk = boundary_walk(config);
     if walk.len() < 2 {
         return 0;
@@ -156,7 +148,8 @@ pub fn boundary_color_changes(config: &Configuration) -> usize {
     changes
 }
 
-/// Summary of the interface structure of a configuration.
+/// Summary of the interface structure of a configuration, as [`summarize`]
+/// returns it to the `interface` bin.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InterfaceSummary {
     /// Total heterogeneous edges `h(σ)`.
@@ -268,14 +261,6 @@ mod tests {
                 assert!(walk[i].is_adjacent(walk[(i + 1) % walk.len()]));
             }
         }
-    }
-
-    #[test]
-    fn boundary_particle_count_bounded_by_walk() {
-        let config = halfplane_hexagon(37);
-        let count = boundary_particle_count(&config);
-        assert!(count as u64 <= config.boundary_walk_length());
-        assert!(count >= 6);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Definition 3 is existential over subsets, so naive checking is
 //! infeasible. We *certify* it: for a sweep of trade-off multipliers `m`,
 //! the minimizer of `(boundary edges) + m · (misplaced particles)` is an
-//! s-t minimum cut ([`flow`] implements Dinic's algorithm from scratch);
+//! s-t minimum cut (a private module implements Dinic's algorithm from scratch);
 //! each cut yields a concrete region `R` whose boundary and densities are
 //! checked literally against Definition 3. A positive answer is therefore
 //! always sound; the parametric sweep recovers every vertex of the lower
@@ -28,7 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod compression;
-pub mod flow;
+mod flow;
 pub mod interface;
 pub mod metrics;
 pub mod moments;

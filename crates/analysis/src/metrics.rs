@@ -8,7 +8,7 @@ use sops_lattice::NodeSet;
 /// A well-separated system has one dominant component per color; an
 /// integrated system fragments into many small ones.
 #[must_use]
-pub fn monochromatic_components(config: &Configuration, color: Color) -> Vec<usize> {
+pub(crate) fn monochromatic_components(config: &Configuration, color: Color) -> Vec<usize> {
     let mut seen = NodeSet::new();
     let mut sizes = Vec::new();
     for (node, c) in config.particles() {
@@ -84,7 +84,7 @@ pub fn mean_same_color_neighbor_fraction(config: &Configuration) -> f64 {
 /// `None` if the color is absent. Distances between per-color centroids give
 /// a crude separation signal that needs no subset search.
 #[must_use]
-pub fn color_centroid(config: &Configuration, color: Color) -> Option<(f64, f64)> {
+pub(crate) fn color_centroid(config: &Configuration, color: Color) -> Option<(f64, f64)> {
     let mut sum = (0.0, 0.0);
     let mut count = 0;
     for (node, c) in config.particles() {

@@ -10,7 +10,7 @@ use sops_core::{Color, Configuration};
 
 /// The centroid of all particles in Cartesian coordinates.
 #[must_use]
-pub fn centroid(config: &Configuration) -> (f64, f64) {
+pub(crate) fn centroid(config: &Configuration) -> (f64, f64) {
     let mut sum = (0.0, 0.0);
     for (node, _) in config.particles() {
         let (x, y) = node.to_cartesian();
@@ -23,7 +23,7 @@ pub fn centroid(config: &Configuration) -> (f64, f64) {
 
 /// The radius of gyration: √(Σ ‖r_i − r̄‖² / n).
 #[must_use]
-pub fn radius_of_gyration(config: &Configuration) -> f64 {
+pub(crate) fn radius_of_gyration(config: &Configuration) -> f64 {
     let (cx, cy) = centroid(config);
     let sum: f64 = config
         .particles()
@@ -33,28 +33,6 @@ pub fn radius_of_gyration(config: &Configuration) -> f64 {
         })
         .sum();
     (sum / config.len() as f64).sqrt()
-}
-
-/// The radius of gyration of one color class about its own centroid
-/// (`None` when the color is absent).
-#[must_use]
-pub fn color_radius_of_gyration(config: &Configuration, color: Color) -> Option<f64> {
-    let points: Vec<(f64, f64)> = config
-        .particles()
-        .filter(|(_, c)| *c == color)
-        .map(|(node, _)| node.to_cartesian())
-        .collect();
-    if points.is_empty() {
-        return None;
-    }
-    let n = points.len() as f64;
-    let cx = points.iter().map(|p| p.0).sum::<f64>() / n;
-    let cy = points.iter().map(|p| p.1).sum::<f64>() / n;
-    let sum: f64 = points
-        .iter()
-        .map(|(x, y)| (x - cx).powi(2) + (y - cy).powi(2))
-        .sum();
-    Some((sum / n).sqrt())
 }
 
 /// Distance between the two color centroids normalized by the overall
@@ -125,8 +103,6 @@ mod tests {
     #[test]
     fn color_radius_handles_absent_colors() {
         let config = construct::line_monochromatic(5).unwrap();
-        assert!(color_radius_of_gyration(&config, Color::C1).is_some());
-        assert_eq!(color_radius_of_gyration(&config, Color::C2), None);
         assert_eq!(centroid_separation(&config, Color::C1, Color::C2), None);
     }
 
@@ -134,7 +110,6 @@ mod tests {
     fn single_particle_moments() {
         let config = Configuration::new([(sops_lattice::Node::new(3, 3), Color::C1)]).unwrap();
         assert_eq!(radius_of_gyration(&config), 0.0);
-        assert_eq!(color_radius_of_gyration(&config, Color::C1), Some(0.0));
     }
 
     use sops_core::Configuration;

@@ -24,22 +24,7 @@ pub enum Phase {
     ExpandedIntegrated,
 }
 
-impl Phase {
-    /// Whether the phase is compressed.
-    #[must_use]
-    pub fn is_compressed(self) -> bool {
-        matches!(
-            self,
-            Phase::CompressedSeparated | Phase::CompressedIntegrated
-        )
-    }
-
-    /// Whether the phase is separated.
-    #[must_use]
-    pub fn is_separated(self) -> bool {
-        matches!(self, Phase::CompressedSeparated | Phase::ExpandedSeparated)
-    }
-}
+impl Phase {}
 
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -122,7 +107,6 @@ mod tests {
         .unwrap();
         let phase = classify(&config, PhaseThresholds::default());
         assert_eq!(phase, Phase::CompressedSeparated);
-        assert!(phase.is_compressed() && phase.is_separated());
     }
 
     #[test]
@@ -159,7 +143,6 @@ mod tests {
         let config = Configuration::new(particles).unwrap();
         let phase = classify(&config, PhaseThresholds::default());
         assert_eq!(phase, Phase::ExpandedSeparated);
-        assert!(!phase.is_compressed() && phase.is_separated());
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl SeparationCertificate {
     /// Whether this region witnesses (β, δ)-separation for a system of
     /// `n = region_size + outside_size` particles.
     #[must_use]
-    pub fn satisfies(&self, beta: f64, delta: f64) -> bool {
+    pub(crate) fn satisfies(&self, beta: f64, delta: f64) -> bool {
         let n = (self.region_size + self.outside_size) as f64;
         (self.boundary_edges as f64) <= beta * n.sqrt()
             && self.density_inside() >= 1.0 - delta
@@ -75,7 +75,7 @@ impl SeparationCertificate {
 ///
 /// The `reference` color plays the role of `c₁` in Definition 3.
 #[must_use]
-pub fn region_certificate(
+pub(crate) fn region_certificate(
     config: &Configuration,
     region: &NodeSet,
     reference: Color,
@@ -114,7 +114,7 @@ pub fn region_certificate(
 /// minimum cut, where misplaced counts `c₁` particles outside `R` plus
 /// non-`c₁` particles inside `R` (with the `reference` color as `c₁`).
 #[must_use]
-pub fn min_cut_region(
+pub(crate) fn min_cut_region(
     config: &Configuration,
     reference: Color,
     num: u64,

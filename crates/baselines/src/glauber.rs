@@ -53,27 +53,10 @@ impl SpinState {
         }
     }
 
-    /// Number of spins.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the state is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The spin at a node, or `None` outside the region.
-    #[must_use]
-    pub fn spin_at(&self, node: Node) -> Option<i8> {
-        self.index.get(node).map(|&i| self.spins[i as usize])
-    }
-
     /// Net magnetization `Σ σ_v / n ∈ [−1, 1]`.
+    #[cfg(test)]
     #[must_use]
-    pub fn magnetization(&self) -> f64 {
+    pub(crate) fn magnetization(&self) -> f64 {
         self.spins.iter().map(|&s| f64::from(s)).sum::<f64>() / self.spins.len() as f64
     }
 
@@ -126,12 +109,6 @@ impl GlauberDynamics {
         assert!(gamma >= 1.0, "γ must be ≥ 1 for a ferromagnetic coupling");
         GlauberDynamics::new(gamma.ln() / 2.0)
     }
-
-    /// The inverse temperature.
-    #[must_use]
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
 }
 
 impl MarkovChain for GlauberDynamics {
@@ -163,10 +140,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let region = Region::hexagon(2);
         let state = SpinState::random(&region, &mut rng);
-        assert_eq!(state.len(), 19);
         assert_eq!(state.edge_count(), 42);
-        assert!(state.spin_at(Node::ORIGIN).is_some());
-        assert_eq!(state.spin_at(Node::new(50, 50)), None);
     }
 
     #[test]
@@ -200,8 +174,8 @@ mod tests {
     #[test]
     fn gamma_mapping_matches_beta() {
         let d = GlauberDynamics::for_gamma(4.0);
-        assert!((d.beta() - 4.0f64.ln() / 2.0).abs() < 1e-15);
-        assert!((GlauberDynamics::for_gamma(1.0).beta()).abs() < 1e-15);
+        assert!((d.beta - 4.0f64.ln() / 2.0).abs() < 1e-15);
+        assert!((GlauberDynamics::for_gamma(1.0).beta).abs() < 1e-15);
     }
 
     #[test]

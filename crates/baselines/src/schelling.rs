@@ -13,7 +13,7 @@ use sops_chains::MarkovChain;
 
 /// Cell contents of the Schelling grid.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Cell {
+pub(crate) enum Cell {
     /// No agent.
     #[default]
     Vacant,
@@ -68,18 +68,6 @@ impl SchellingState {
             cells,
             vacancies,
         }
-    }
-
-    /// Grid side length.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The cell at `(row, col)` (torus coordinates).
-    #[must_use]
-    pub fn cell(&self, row: usize, col: usize) -> Cell {
-        self.cells[(row % self.size) * self.size + (col % self.size)]
     }
 
     fn neighbors(&self, idx: usize) -> [usize; 8] {
@@ -144,8 +132,9 @@ impl SchellingState {
     }
 
     /// Number of agents currently unhappy under tolerance `tau`.
+    #[cfg(test)]
     #[must_use]
-    pub fn unhappy_count(&self, tau: f64) -> usize {
+    pub(crate) fn unhappy_count(&self, tau: f64) -> usize {
         (0..self.cells.len())
             .filter(|&i| self.cells[i] != Cell::Vacant && self.same_type_fraction(i) < tau)
             .count()
@@ -173,12 +162,6 @@ impl SchellingModel {
             "tolerance must be in [0, 1]"
         );
         SchellingModel { tolerance }
-    }
-
-    /// The tolerance threshold.
-    #[must_use]
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
     }
 }
 

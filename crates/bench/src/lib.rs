@@ -21,11 +21,11 @@ pub use sops_runtime::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
 
 /// How often the instrumented experiment chains sample their observable
 /// series (perimeter, heterogeneous edges), in steps.
-pub const OBSERVABLE_EVERY: u64 = 25_000;
+const OBSERVABLE_EVERY: u64 = 25_000;
 
 /// Wraps a separation chain in the standard experiment instrument: outcome
 /// counters, acceptance-rate windows, and perimeter / heterogeneous-edge
-/// observable series sampled every [`OBSERVABLE_EVERY`] steps. With
+/// observable series sampled every `OBSERVABLE_EVERY` (25,000) steps. With
 /// `enabled = false` the wrapper records nothing and forwards steps at
 /// (measured) near-zero overhead — see `BENCH_chain.json`.
 #[must_use]
@@ -134,7 +134,7 @@ pub fn logs_dir() -> PathBuf {
 /// The workspace root directory (where `Cargo.toml`, `BENCH_chain.json`,
 /// and the top-level docs live).
 #[must_use]
-pub fn repo_root() -> PathBuf {
+pub(crate) fn repo_root() -> PathBuf {
     workspace_root()
 }
 

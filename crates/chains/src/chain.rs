@@ -1,4 +1,4 @@
-//! The simulable-chain trait and trajectory recording.
+//! The simulable-chain trait.
 
 use rand::Rng;
 
@@ -55,108 +55,6 @@ pub trait MarkovChain {
         }
         accepted
     }
-
-    /// Runs the chain while recording an observable every `every` steps
-    /// (including one sample of the initial state at time 0).
-    ///
-    /// # Sample spacing
-    ///
-    /// When `every` does not divide `steps`, the final sample is recorded
-    /// at time `steps` — a *shorter* gap than the others — so the run never
-    /// under-reports its endpoint. Consumers that assume uniform spacing
-    /// (autocorrelation estimates, mixing-time binning) must check
-    /// [`Trajectory::is_uniformly_spaced`] or drop the final sample when
-    /// [`Trajectory::final_gap`] differs from [`Trajectory::every`].
-    fn trajectory<R, F, T>(
-        &self,
-        state: &mut Self::State,
-        steps: u64,
-        every: u64,
-        rng: &mut R,
-        mut observe: F,
-    ) -> Trajectory<T>
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&Self::State) -> T,
-    {
-        assert!(every > 0, "sampling interval must be positive");
-        let mut samples = vec![(0, observe(state))];
-        let mut accepted = 0;
-        let mut t = 0;
-        while t < steps {
-            let burst = every.min(steps - t);
-            accepted += self.run(state, burst, rng);
-            t += burst;
-            samples.push((t, observe(state)));
-        }
-        Trajectory {
-            samples,
-            steps,
-            every,
-            accepted,
-        }
-    }
-}
-
-/// A recorded trajectory of observable samples from a chain run.
-///
-/// Samples are spaced `every` steps apart, except possibly the final one:
-/// when `every` does not divide `steps`, the last sample sits at time
-/// `steps`, a gap of `steps % every`. [`Trajectory::is_uniformly_spaced`]
-/// and [`Trajectory::final_gap`] expose this so consumers never misbin.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Trajectory<T> {
-    /// `(time, observable)` samples; the first entry is always time 0.
-    pub samples: Vec<(u64, T)>,
-    /// Total number of steps run.
-    pub steps: u64,
-    /// The requested sampling interval; all gaps equal this except possibly
-    /// the final one (see [`Trajectory::final_gap`]).
-    pub every: u64,
-    /// Number of accepted (state-changing) steps.
-    pub accepted: u64,
-}
-
-impl<T> Trajectory<T> {
-    /// Fraction of steps that changed the state.
-    #[must_use]
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.steps as f64
-        }
-    }
-
-    /// The final sample.
-    #[must_use]
-    pub fn last(&self) -> &T {
-        &self
-            .samples
-            .last()
-            .expect("trajectory always holds the time-0 sample")
-            .1
-    }
-
-    /// The gap in steps between the last two samples (0 when fewer than two
-    /// samples exist). Equals [`Trajectory::every`] exactly when the
-    /// requested interval divides the total step count.
-    #[must_use]
-    pub fn final_gap(&self) -> u64 {
-        match self.samples.as_slice() {
-            [.., (a, _), (b, _)] => b - a,
-            _ => 0,
-        }
-    }
-
-    /// Whether every inter-sample gap equals [`Trajectory::every`] — i.e.
-    /// no irregular final sample was recorded. Uniform-spacing consumers
-    /// (autocorrelation, mixing-time binning) should check this before
-    /// treating the sample index as a time axis.
-    #[must_use]
-    pub fn is_uniformly_spaced(&self) -> bool {
-        self.samples.len() < 2 || self.final_gap() == self.every
-    }
 }
 
 #[cfg(test)]
@@ -186,63 +84,5 @@ mod tests {
         let acc = Cycle(5).run(&mut s, 10_000, &mut rng);
         // Lazy step accepts with probability 1/2.
         assert!((4_000..6_000).contains(&acc), "accepted {acc}");
-    }
-
-    #[test]
-    fn trajectory_samples_at_interval() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut s = 0;
-        let tr = Cycle(7).trajectory(&mut s, 100, 10, &mut rng, |s| *s);
-        assert_eq!(tr.samples.len(), 11);
-        assert_eq!(tr.samples[0].0, 0);
-        assert_eq!(tr.samples[10].0, 100);
-        assert_eq!(*tr.last(), s);
-        assert!(tr.acceptance_rate() > 0.0 && tr.acceptance_rate() < 1.0);
-    }
-
-    #[test]
-    fn trajectory_handles_uneven_final_burst() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut s = 0;
-        let tr = Cycle(7).trajectory(&mut s, 25, 10, &mut rng, |s| *s);
-        let times: Vec<u64> = tr.samples.iter().map(|(t, _)| *t).collect();
-        assert_eq!(times, vec![0, 10, 20, 25]);
-        // Regression: the irregular final sample is no longer silent — the
-        // trajectory carries the requested interval and flags the short gap.
-        assert_eq!(tr.every, 10);
-        assert_eq!(tr.final_gap(), 5);
-        assert!(!tr.is_uniformly_spaced());
-    }
-
-    #[test]
-    fn trajectory_spacing_uniform_when_interval_divides_steps() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut s = 0;
-        let tr = Cycle(7).trajectory(&mut s, 100, 10, &mut rng, |s| *s);
-        assert_eq!(tr.every, 10);
-        assert_eq!(tr.final_gap(), 10);
-        assert!(tr.is_uniformly_spaced());
-
-        // Degenerate cases: zero or one sample counts as uniform.
-        let tr0 = Cycle(7).trajectory(&mut s, 0, 10, &mut rng, |s| *s);
-        assert_eq!(tr0.final_gap(), 0);
-        assert!(tr0.is_uniformly_spaced());
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling interval")]
-    fn zero_interval_panics() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut s = 0;
-        let _ = Cycle(7).trajectory(&mut s, 10, 0, &mut rng, |s| *s);
-    }
-
-    #[test]
-    fn zero_steps_trajectory_has_initial_sample() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut s = 3;
-        let tr = Cycle(7).trajectory(&mut s, 0, 10, &mut rng, |s| *s);
-        assert_eq!(tr.samples, vec![(0, 3)]);
-        assert_eq!(tr.acceptance_rate(), 0.0);
     }
 }

@@ -55,7 +55,7 @@
 //!
 //! # Durability contract
 //!
-//! All I/O goes through the [`Vfs`](crate::vfs::Vfs) seam. A snapshot is
+//! All I/O goes through the [`Vfs`] seam. A snapshot is
 //! durable — guaranteed to survive a crash — once [`CheckpointStore::save`]
 //! returns: the temp file is written and fsynced, renamed into place, and
 //! the parent directory is fsynced so the rename itself persists. A crash
@@ -989,7 +989,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns an error on I/O failure.
-    pub fn save_parts_aux<S: StateCodec>(
+    pub(crate) fn save_parts_aux<S: StateCodec>(
         &self,
         step: u64,
         accepted: u64,

@@ -6,14 +6,14 @@
 //! a fixed step budget per cell whether or not the observable had settled.
 //! This module provides the machinery to stop when mixed instead:
 //!
-//! * [`Welford`] — numerically stable streaming moments (count, mean,
+//! * `Welford` — numerically stable streaming moments (count, mean,
 //!   variance, min/max) in O(1) per sample;
 //! * [`StreamingAcf`] — an incremental Geyer initial-positive-sequence
 //!   estimator of the integrated autocorrelation time `τ_int` and effective
 //!   sample size, O(max_lag) per sample, equal to the batch estimator
 //!   ([`crate::stats::integrated_autocorrelation_time`]) on non-degenerate
 //!   series whose truncation lag fits the window;
-//! * [`split_r_hat`] / [`r_hat`] — the Gelman–Rubin potential scale
+//! * `split_r_hat` / [`r_hat`] — the Gelman–Rubin potential scale
 //!   reduction factor, over window halves or across replica chains (the
 //!   per-attempt RNG streams `seeded_attempt` provides);
 //! * [`StoppingRule`] — the composable rule trait, with the concrete
@@ -105,7 +105,7 @@ impl<'a> Reader<'a> {
 /// Welford's streaming moment accumulator: count, mean, variance, min, max
 /// in one pass, O(1) per sample, without catastrophic cancellation.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Welford {
+pub(crate) struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
@@ -116,7 +116,7 @@ pub struct Welford {
 impl Welford {
     /// Creates an empty accumulator.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Welford {
             count: 0,
             mean: 0.0,
@@ -127,7 +127,7 @@ impl Welford {
     }
 
     /// Folds one sample in.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
@@ -136,15 +136,9 @@ impl Welford {
         self.max = self.max.max(x);
     }
 
-    /// Samples folded in so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Running mean (0 when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -154,7 +148,7 @@ impl Welford {
 
     /// Sample variance (n − 1 denominator; 0 for fewer than 2 samples).
     #[must_use]
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -164,7 +158,7 @@ impl Welford {
 
     /// Sample standard deviation.
     #[must_use]
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -172,7 +166,7 @@ impl Welford {
     /// the convergence engine reaches [`Summary::ci95_half_width_ess`]
     /// without materializing the series.
     #[must_use]
-    pub fn summary(&self) -> Option<Summary> {
+    pub(crate) fn summary(&self) -> Option<Summary> {
         if self.count == 0 {
             return None;
         }
@@ -272,25 +266,9 @@ impl StreamingAcf {
         self.count += 1;
     }
 
-    /// Samples folded in so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// The lag cap the estimator was built with.
     #[must_use]
-    pub fn max_lag(&self) -> usize {
+    pub(crate) fn max_lag(&self) -> usize {
         self.max_lag
     }
 
@@ -450,7 +428,7 @@ pub fn r_hat(chains: &[&[f64]]) -> f64 {
 /// compared as two chains, so a trending (unconverged) stream shows up as
 /// between-half variance. Same degenerate-input conventions as [`r_hat`].
 #[must_use]
-pub fn split_r_hat(series: &[f64]) -> f64 {
+pub(crate) fn split_r_hat(series: &[f64]) -> f64 {
     let n = series.len() / 2;
     if n < 2 {
         return f64::INFINITY;
@@ -663,7 +641,7 @@ impl StoppingRule for PlateauRule {
 }
 
 /// Effective-sample-size threshold over a recent window, with full-stream
-/// moments ([`Welford`]) and an incremental full-stream `τ_int`
+/// moments (`Welford`) and an incremental full-stream `τ_int`
 /// ([`StreamingAcf`]) carried for diagnostics.
 ///
 /// The *gate* evaluates the batch ESS of the last `window` samples, so an
@@ -922,12 +900,6 @@ impl CertificateRule {
             first_certified_step: None,
         }
     }
-
-    /// First step at which the certificate held, if it ever did.
-    #[must_use]
-    pub fn first_certified_step(&self) -> Option<u64> {
-        self.first_certified_step
-    }
 }
 
 impl StoppingRule for CertificateRule {
@@ -1065,17 +1037,14 @@ impl ConvergenceMonitor {
     }
 
     /// Adds a tracker: observed and serialized like a rule, but excluded
-    /// from the stop conjunction (builder style).
+    /// from the stop conjunction (builder style). No production monitor
+    /// has a tracker; the monitor's persisted state keeps the tracker
+    /// group, and tests use this to fill it.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_tracker(mut self, rule: Box<dyn StoppingRule + Send>) -> Self {
+    pub(crate) fn with_tracker(mut self, rule: Box<dyn StoppingRule + Send>) -> Self {
         self.trackers.push(rule);
         self
-    }
-
-    /// Observable samples folded in so far.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 
     /// Folds in the observable sample (and certificate flag) taken at
@@ -1262,7 +1231,6 @@ mod tests {
             w.push(x);
         }
         let s = stats::Summary::of(&series);
-        assert_eq!(w.count(), 500);
         assert!((w.mean() - s.mean).abs() < 1e-9);
         assert!((w.std_dev() - s.std_dev).abs() < 1e-9);
         let ws = w.summary().unwrap();
@@ -1354,7 +1322,7 @@ mod tests {
     fn constant_windows_pass_the_full_stopping_path_without_panicking() {
         // Regression: a frozen (fully converged) chain feeds constant
         // windows through plateau + ESS + R-hat; this used to panic inside
-        // stats::autocorrelation and must now converge cleanly.
+        // the autocorrelation estimator and must now converge cleanly.
         let mut monitor = test_monitor();
         for i in 0..64u64 {
             monitor.observe(i + 1, 42.0, false);
@@ -1429,7 +1397,7 @@ mod tests {
         monitor.observe(10, 1.0, false);
         monitor.observe(10, 2.0, false); // rollback replay: ignored
         monitor.observe(5, 3.0, false); // regression: ignored
-        assert_eq!(monitor.samples(), 1);
+        assert_eq!(monitor.samples, 1);
     }
 
     #[test]
@@ -1447,7 +1415,7 @@ mod tests {
         let mut fresh = test_monitor();
         fresh.observe(1, 1.0, false);
         fresh.restore_aux(0, &[]).unwrap();
-        assert_eq!(fresh.samples(), 0);
+        assert_eq!(fresh.samples, 0);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub trait EnumerableChain {
 #[derive(Clone, Debug)]
 pub struct TransitionMatrix<S> {
     states: Vec<S>,
-    index: HashMap<S, usize>,
     /// Row-major `n × n` matrix; `rows[i * n + j] = P(i → j)`.
     rows: Vec<f64>,
 }
@@ -78,11 +77,7 @@ impl<S: Clone + Eq + Hash> TransitionMatrix<S> {
             );
             rows[i * n + i] += (1.0 - mass).max(0.0);
         }
-        TransitionMatrix {
-            states,
-            index,
-            rows,
-        }
+        TransitionMatrix { states, rows }
     }
 
     /// Number of states.
@@ -105,12 +100,6 @@ impl<S: Clone + Eq + Hash> TransitionMatrix<S> {
         &self.states
     }
 
-    /// The index of `state`, if it is in the space.
-    #[must_use]
-    pub fn index_of(&self, state: &S) -> Option<usize> {
-        self.index.get(state).copied()
-    }
-
     /// The one-step probability `P(i → j)`.
     #[inline]
     #[must_use]
@@ -120,7 +109,7 @@ impl<S: Clone + Eq + Hash> TransitionMatrix<S> {
 
     /// Applies one step to a distribution: returns `dist · P`.
     #[must_use]
-    pub fn step_distribution(&self, dist: &[f64]) -> Vec<f64> {
+    pub(crate) fn step_distribution(&self, dist: &[f64]) -> Vec<f64> {
         let n = self.states.len();
         assert_eq!(dist.len(), n, "distribution has wrong dimension");
         let mut out = vec![0.0; n];
@@ -328,7 +317,12 @@ impl<S: Clone + Eq + Hash> TransitionMatrix<S> {
     /// detailed balance by more than 1e-8 (the symmetrization is only
     /// valid for reversible chains).
     #[must_use]
-    pub fn second_eigenvalue_modulus(&self, pi: &[f64], tol: f64, max_iters: u64) -> Option<f64> {
+    pub(crate) fn second_eigenvalue_modulus(
+        &self,
+        pi: &[f64],
+        tol: f64,
+        max_iters: u64,
+    ) -> Option<f64> {
         let n = self.states.len();
         assert_eq!(pi.len(), n, "distribution has wrong dimension");
         assert!(
@@ -394,7 +388,7 @@ impl<S: Clone + Eq + Hash> TransitionMatrix<S> {
     }
 
     /// The relaxation time `1/(1 − |λ₂|)` of a reversible chain (see
-    /// [`TransitionMatrix::second_eigenvalue_modulus`]); `None` when the
+    /// `TransitionMatrix::second_eigenvalue_modulus`); `None` when the
     /// eigenvalue estimate does not converge or equals 1.
     #[must_use]
     pub fn relaxation_time(&self, pi: &[f64], tol: f64, max_iters: u64) -> Option<f64> {

@@ -72,14 +72,14 @@ pub mod telemetry;
 pub mod vfs;
 
 pub use cancel::CancelToken;
-pub use chain::{MarkovChain, Trajectory};
+pub use chain::MarkovChain;
 pub use checkpoint::{
     fnv1a64, Auditable, AuxCodec, Checkpoint, CheckpointError, CheckpointStore, Recovery,
     SnapshotRng, StateCodec,
 };
 pub use convergence::{
-    r_hat, split_r_hat, CertificateRule, ConvergenceMonitor, Diagnostics, EssRule, PlateauRule,
-    RHatRule, StoppingRule, StreamingAcf, Welford,
+    r_hat, CertificateRule, ConvergenceMonitor, Diagnostics, EssRule, PlateauRule, RHatRule,
+    StoppingRule, StreamingAcf,
 };
 pub use exact::{EnumerableChain, TransitionMatrix};
 pub use metropolis::{
@@ -90,7 +90,6 @@ pub use recovery::{
     SupervisedHooks, SupervisedOptions, SupervisedRun,
 };
 pub use telemetry::{
-    ClassifiedChain, Instrumented, JsonlSink, OutcomeClass, RingBuffer, RunManifest,
-    TelemetryReport,
+    ClassifiedChain, Instrumented, JsonlSink, OutcomeClass, RunManifest, TelemetryReport,
 };
 pub use vfs::{reap_tmp_files, write_atomic, CrashStyle, FaultyVfs, RealVfs, Vfs};

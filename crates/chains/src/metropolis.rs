@@ -13,22 +13,13 @@ use rand::{Rng, RngExt as _};
 ///
 /// This is the textbook Metropolis filter: drawing `q ~ U(0,1)` and accepting
 /// when `q < ratio` (the comparison in Step 6(iii) / Step 10 of Algorithm 1).
-///
-/// # Example
-///
-/// ```
-/// use rand::{rngs::StdRng, SeedableRng};
-/// let mut rng = StdRng::seed_from_u64(0);
-/// // A ratio ≥ 1 is always accepted.
-/// assert!(sops_chains::metropolis::accept(2.5, &mut rng));
-/// ```
 #[inline]
-pub fn accept<R: Rng + ?Sized>(ratio: f64, rng: &mut R) -> bool {
+pub(crate) fn accept<R: Rng + ?Sized>(ratio: f64, rng: &mut R) -> bool {
     ratio >= 1.0 || rng.random::<f64>() < ratio
 }
 
 /// Whether the single factor `base^exponent` is ≥ 1 by sign inspection
-/// alone — the per-component test [`PowerRatio::certainly_accepts`] folds
+/// alone — the per-component test `PowerRatio::certainly_accepts` folds
 /// over, exposed so kernels that precompute their filters share the exact
 /// same certainty rule.
 #[inline]
@@ -82,7 +73,7 @@ impl<const K: usize> PowerRatio<K> {
     /// accepts without sampling.
     #[inline]
     #[must_use]
-    pub fn certainly_accepts(&self) -> bool {
+    pub(crate) fn certainly_accepts(&self) -> bool {
         (0..K).all(|k| factor_certainly_ge_one(self.bases[k], self.exponents[k]))
     }
 
@@ -164,13 +155,6 @@ impl PowerTable {
             e += 1;
         }
         PowerTable { base, pow }
-    }
-
-    /// The base this table was built from.
-    #[inline]
-    #[must_use]
-    pub fn base(&self) -> f64 {
-        self.base
     }
 
     /// `base^e`, with the exponent saturated into the covered range and the
@@ -292,12 +276,6 @@ impl<const K: usize> WeightAccumulator<K> {
         acc
     }
 
-    /// The bases.
-    #[must_use]
-    pub fn bases(&self) -> [f64; K] {
-        self.bases
-    }
-
     /// The accumulated exponents.
     #[must_use]
     pub fn exponents(&self) -> [i64; K] {
@@ -325,23 +303,6 @@ impl<const K: usize> WeightAccumulator<K> {
         }
         self.exponents = updated;
         Ok(())
-    }
-
-    /// Adds a [`PowerRatio`]'s exponents (the bases must match).
-    ///
-    /// # Errors
-    ///
-    /// As [`WeightAccumulator::record`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ratio's bases differ from the accumulator's.
-    pub fn record_ratio(&mut self, ratio: &PowerRatio<K>) -> Result<(), ExponentOverflow> {
-        assert_eq!(
-            ratio.bases, self.bases,
-            "accumulating a ratio over different bases"
-        );
-        self.record(ratio.exponents)
     }
 
     /// The natural log of the accumulated weight, `Σ E_k · ln(base_k)` —
@@ -465,7 +426,7 @@ mod tests {
         for t in [tiny, huge] {
             for e in -POWER_TABLE_EXPONENT_MAX..=POWER_TABLE_EXPONENT_MAX {
                 let v = t.pow(e);
-                assert!(v > 0.0 && v.is_finite(), "base {} e {e} → {v}", t.base());
+                assert!(v > 0.0 && v.is_finite(), "base {} e {e} → {v}", t.base);
             }
         }
     }
@@ -494,10 +455,8 @@ mod tests {
     #[test]
     fn weight_accumulator_tracks_ratio_exponents() {
         let mut acc = WeightAccumulator::new([4.0, 2.0]);
-        acc.record_ratio(&PowerRatio::new([4.0, 2.0], [1, -2]))
-            .unwrap();
-        acc.record_ratio(&PowerRatio::new([4.0, 2.0], [3, 5]))
-            .unwrap();
+        acc.record([1, -2]).unwrap();
+        acc.record([3, 5]).unwrap();
         assert_eq!(acc.exponents(), [4, 3]);
         let expected = 4.0 * 4.0f64.ln() + 3.0 * 2.0f64.ln();
         assert!((acc.ln_weight() - expected).abs() < 1e-12);

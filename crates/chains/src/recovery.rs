@@ -204,12 +204,6 @@ impl Heartbeat {
         self.steps.load(Ordering::Relaxed)
     }
 
-    /// Requests unconditional cooperative cancellation; the runner returns
-    /// with `completed: false` at its next chunk boundary.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
     /// Places a stall mark at `expected`, but only if the counter still
     /// reads `expected`. Returns whether the mark stuck: `false` means the
     /// cell advanced between the watchdog's poll and this call, so the
@@ -1053,7 +1047,7 @@ mod tests {
             |s| s.x as f64,
             |t, _| {
                 if t == 2_000 {
-                    heartbeat.cancel();
+                    heartbeat.token.cancel();
                 }
                 ControlFlow::Continue(())
             },

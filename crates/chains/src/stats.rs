@@ -1,7 +1,6 @@
 //! Empirical distributions and time-series statistics for simulation output.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::Hash;
 
 /// Typed failure modes of the time-series estimators.
@@ -10,7 +9,7 @@ use std::hash::Hash;
 /// so supervised sweep cells can classify a degenerate series (a frozen or
 /// fully-converged chain emits a *constant* observable) instead of aborting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StatsError {
+pub(crate) enum StatsError {
     /// The series holds fewer samples than the estimator needs.
     TooShort {
         /// Minimum sample count the estimator requires.
@@ -22,24 +21,6 @@ pub enum StatsError {
     /// (autocorrelations and everything built on them) are undefined.
     ConstantSeries,
 }
-
-impl fmt::Display for StatsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StatsError::TooShort { needed, got } => {
-                write!(f, "series too short: need {needed} samples, got {got}")
-            }
-            StatsError::ConstantSeries => {
-                write!(
-                    f,
-                    "series is constant; variance-normalized statistics undefined"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StatsError {}
 
 /// An empirical distribution over observed states.
 ///
@@ -55,7 +36,7 @@ impl std::error::Error for StatsError {}
 /// for s in ["a", "a", "b", "a"] {
 ///     emp.record(s);
 /// }
-/// assert_eq!(emp.total(), 4);
+/// assert_eq!(emp.count(&"a"), 3);
 /// assert!((emp.frequency(&"a") - 0.75).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -78,13 +59,6 @@ impl<S: Eq + Hash + Clone> EmpiricalDistribution<S> {
     pub fn record(&mut self, state: S) {
         *self.counts.entry(state).or_insert(0) += 1;
         self.total += 1;
-    }
-
-    /// Total number of observations.
-    #[inline]
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Number of distinct states observed.
@@ -150,11 +124,6 @@ impl<S: Eq + Hash + Clone> EmpiricalDistribution<S> {
         tv += (1.0 - seen).max(0.0);
         tv / 2.0
     }
-
-    /// Iterates over `(state, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&S, u64)> + '_ {
-        self.counts.iter().map(|(s, c)| (s, *c))
-    }
 }
 
 /// Summary statistics of a numeric time series.
@@ -197,21 +166,6 @@ impl Summary {
         }
     }
 
-    /// Half-width of a ~95% normal confidence interval for the mean.
-    ///
-    /// **Assumes i.i.d. samples.** Chain observables are autocorrelated, so
-    /// `n` overstates the information content of the series and this
-    /// half-width is too narrow — for Markov-chain output use
-    /// [`Summary::ci95_half_width_ess`] with the effective sample size
-    /// ([`effective_sample_size`]) instead.
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            return f64::INFINITY;
-        }
-        1.96 * self.std_dev / (self.n as f64).sqrt()
-    }
-
     /// Half-width of a ~95% normal confidence interval for the mean,
     /// adjusted for autocorrelation: divides by `√ESS` instead of `√n`.
     ///
@@ -228,52 +182,6 @@ impl Summary {
         }
         let ess = ess.min(self.n as f64);
         1.96 * self.std_dev / ess.sqrt()
-    }
-}
-
-/// Lag-`k` sample autocorrelation of a series, with typed errors for
-/// degenerate input.
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooShort`] when `series.len() <= k` and
-/// [`StatsError::ConstantSeries`] when the series has zero variance.
-pub fn try_autocorrelation(series: &[f64], k: usize) -> Result<f64, StatsError> {
-    if series.len() <= k {
-        return Err(StatsError::TooShort {
-            needed: k + 1,
-            got: series.len(),
-        });
-    }
-    let n = series.len();
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let var: f64 = series.iter().map(|x| (x - mean).powi(2)).sum();
-    if var <= 0.0 {
-        return Err(StatsError::ConstantSeries);
-    }
-    let cov: f64 = (0..n - k)
-        .map(|i| (series[i] - mean) * (series[i + k] - mean))
-        .sum();
-    Ok(cov / var)
-}
-
-/// Lag-`k` sample autocorrelation of a series.
-///
-/// Chain observables (perimeter, heterogeneous edges) are heavily
-/// autocorrelated; the harness uses this to pick subsampling intervals.
-///
-/// Total on degenerate input (a frozen or fully-converged chain emits
-/// exactly these series, so they must never abort a supervised cell):
-/// a *constant* series is treated as perfectly correlated (`ρ(k) = 1`),
-/// and a series with at most `k` samples carries no lag-`k` evidence
-/// (`ρ(k) = 0`). Use [`try_autocorrelation`] to distinguish these cases
-/// as typed errors instead.
-#[must_use]
-pub fn autocorrelation(series: &[f64], k: usize) -> f64 {
-    match try_autocorrelation(series, k) {
-        Ok(rho) => rho,
-        Err(StatsError::ConstantSeries) => 1.0,
-        Err(StatsError::TooShort { .. }) => 0.0,
     }
 }
 
@@ -295,7 +203,7 @@ pub fn autocorrelation(series: &[f64], k: usize) -> f64 {
 ///
 /// Returns [`StatsError::TooShort`] for fewer than 2 samples and
 /// [`StatsError::ConstantSeries`] for a zero-variance series.
-pub fn try_integrated_autocorrelation_time(series: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn try_integrated_autocorrelation_time(series: &[f64]) -> Result<f64, StatsError> {
     let n = series.len();
     if n < 2 {
         return Err(StatsError::TooShort { needed: 2, got: n });
@@ -322,7 +230,7 @@ pub fn try_integrated_autocorrelation_time(series: &[f64]) -> Result<f64, StatsE
     Ok(tau)
 }
 
-/// Total-function form of [`try_integrated_autocorrelation_time`], with
+/// Total-function form of `try_integrated_autocorrelation_time`, with
 /// the degenerate cases given their natural limits: a series shorter than
 /// 2 samples has `τ_int = 1` (nothing to correlate), and a *constant*
 /// series of `n` samples is fully correlated — `τ_int = n`, so its
@@ -341,24 +249,13 @@ pub fn integrated_autocorrelation_time(series: &[f64]) -> f64 {
 ///
 /// Total on degenerate input: an empty series has 0 effective samples, a
 /// single sample counts as 1, and a constant series of any length counts
-/// as exactly 1 (its `τ_int` is `n`). Use
-/// [`try_effective_sample_size`] for typed errors instead.
+/// as exactly 1 (its `τ_int` is `n`).
 #[must_use]
 pub fn effective_sample_size(series: &[f64]) -> f64 {
     if series.is_empty() {
         return 0.0;
     }
     series.len() as f64 / integrated_autocorrelation_time(series)
-}
-
-/// Strict form of [`effective_sample_size`].
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooShort`] for fewer than 2 samples and
-/// [`StatsError::ConstantSeries`] for a zero-variance series.
-pub fn try_effective_sample_size(series: &[f64]) -> Result<f64, StatsError> {
-    try_integrated_autocorrelation_time(series).map(|tau| series.len() as f64 / tau)
 }
 
 #[cfg(test)]
@@ -399,7 +296,7 @@ mod tests {
         for x in [1, 1, 2, 3, 1] {
             e.record(x);
         }
-        assert_eq!(e.total(), 5);
+        assert_eq!(e.total, 5);
         assert_eq!(e.support_size(), 3);
         assert_eq!(e.count(&1), 3);
         assert_eq!(e.count(&9), 0);
@@ -469,7 +366,6 @@ mod tests {
         assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]
@@ -479,55 +375,24 @@ mod tests {
     }
 
     #[test]
-    fn autocorrelation_of_alternating_series_is_negative() {
-        let series: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&series, 1) < -0.9);
-        assert!(autocorrelation(&series, 2) > 0.9);
-    }
-
-    #[test]
-    fn autocorrelation_lag_zero_is_one() {
-        let series: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
-        assert!((autocorrelation(&series, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn constant_series_never_panics_and_has_defined_values() {
         // A frozen (fully converged) chain emits exactly this.
         let series = vec![42.0; 100];
-        assert_eq!(autocorrelation(&series, 1), 1.0);
-        assert_eq!(autocorrelation(&series, 99), 1.0);
         assert_eq!(integrated_autocorrelation_time(&series), 100.0);
         assert_eq!(effective_sample_size(&series), 1.0);
         // The strict variants classify the degeneracy instead.
         assert_eq!(
-            try_autocorrelation(&series, 1),
-            Err(StatsError::ConstantSeries)
-        );
-        assert_eq!(
             try_integrated_autocorrelation_time(&series),
-            Err(StatsError::ConstantSeries)
-        );
-        assert_eq!(
-            try_effective_sample_size(&series),
             Err(StatsError::ConstantSeries)
         );
     }
 
     #[test]
     fn short_series_never_panics_and_has_defined_values() {
-        assert_eq!(autocorrelation(&[], 0), 0.0);
-        assert_eq!(autocorrelation(&[1.0], 1), 0.0);
         assert_eq!(integrated_autocorrelation_time(&[]), 1.0);
         assert_eq!(integrated_autocorrelation_time(&[3.0]), 1.0);
         assert_eq!(effective_sample_size(&[]), 0.0);
         assert_eq!(effective_sample_size(&[3.0]), 1.0);
-        assert_eq!(
-            try_autocorrelation(&[1.0], 1),
-            Err(StatsError::TooShort { needed: 2, got: 1 })
-        );
         assert_eq!(
             try_integrated_autocorrelation_time(&[1.0]),
             Err(StatsError::TooShort { needed: 2, got: 1 })
@@ -583,7 +448,7 @@ mod tests {
             .collect();
         let s = Summary::of(&series);
         let ess = effective_sample_size(&series);
-        let iid = s.ci95_half_width();
+        let iid = s.ci95_half_width_ess(s.n as f64);
         let adjusted = s.ci95_half_width_ess(ess);
         assert!(adjusted > iid, "adjusted {adjusted} <= iid {iid}");
         // ESS above n is clamped back to the i.i.d. width, never narrower.

@@ -105,21 +105,8 @@ pub trait ClassifiedChain: MarkovChain {
 /// Pushing beyond capacity evicts the oldest entry, so memory stays O(cap)
 /// over arbitrarily long runs while [`RingBuffer::total_pushed`] still
 /// reports the unbounded count.
-///
-/// # Example
-///
-/// ```
-/// use sops_chains::telemetry::RingBuffer;
-///
-/// let mut ring = RingBuffer::new(3);
-/// for v in 0..5 {
-///     ring.push(v);
-/// }
-/// assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
-/// assert_eq!(ring.total_pushed(), 5);
-/// ```
 #[derive(Clone, Debug)]
-pub struct RingBuffer<T> {
+pub(crate) struct RingBuffer<T> {
     buf: Vec<T>,
     cap: usize,
     start: usize,
@@ -129,7 +116,7 @@ pub struct RingBuffer<T> {
 impl<T> RingBuffer<T> {
     /// Creates a buffer retaining at most `cap` entries (`cap ≥ 1`).
     #[must_use]
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         RingBuffer {
             buf: Vec::new(),
             cap: cap.max(1),
@@ -139,7 +126,7 @@ impl<T> RingBuffer<T> {
     }
 
     /// Appends a sample, evicting the oldest if the buffer is full.
-    pub fn push(&mut self, value: T) {
+    pub(crate) fn push(&mut self, value: T) {
         if self.buf.len() < self.cap {
             self.buf.push(value);
         } else {
@@ -149,46 +136,16 @@ impl<T> RingBuffer<T> {
         self.pushed += 1;
     }
 
-    /// Number of retained entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The retention capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Total entries ever pushed, including evicted ones.
     #[must_use]
-    pub fn total_pushed(&self) -> u64 {
+    pub(crate) fn total_pushed(&self) -> u64 {
         self.pushed
     }
 
     /// Iterates oldest-to-newest over the retained entries.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         let (tail, head) = self.buf.split_at(self.start);
         head.iter().chain(tail.iter())
-    }
-
-    /// The newest retained entry.
-    #[must_use]
-    pub fn last(&self) -> Option<&T> {
-        if self.buf.is_empty() {
-            None
-        } else if self.buf.len() < self.cap {
-            self.buf.last()
-        } else {
-            Some(&self.buf[(self.start + self.cap - 1) % self.cap])
-        }
     }
 }
 
@@ -243,8 +200,8 @@ const DEFAULT_WINDOW: u64 = 10_000;
 /// Wraps any [`ClassifiedChain`] and counts every step's typed outcome,
 /// tracks windowed acceptance rates and wall-clock throughput, and samples
 /// configured observables into bounded rings. The wrapper implements both
-/// [`MarkovChain`] and [`ClassifiedChain`], so it drops into `run`,
-/// `trajectory`, and `run_supervised` unchanged.
+/// [`MarkovChain`] and [`ClassifiedChain`], so it drops into `run` and
+/// `run_supervised` unchanged.
 ///
 /// When constructed [`Instrumented::disabled`], `step` and `run` forward
 /// directly to the inner chain — no counter updates, no clock reads — so
@@ -318,12 +275,6 @@ impl<C: ClassifiedChain> Instrumented<C> {
         this
     }
 
-    /// Whether telemetry is being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Sets the acceptance-rate window width in steps (default 10 000).
     #[must_use]
     pub fn with_window(self, window: u64) -> Self {
@@ -378,18 +329,6 @@ impl<C: ClassifiedChain> Instrumented<C> {
         self
     }
 
-    /// The wrapped chain.
-    #[must_use]
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwraps into the inner chain, discarding accumulated telemetry.
-    #[must_use]
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-
     /// Snapshots the accumulated telemetry.
     #[must_use]
     pub fn report(&self) -> TelemetryReport {
@@ -416,23 +355,6 @@ impl<C: ClassifiedChain> Instrumented<C> {
                     total_samples: o.ring.total_pushed(),
                 })
                 .collect(),
-        }
-    }
-
-    /// Clears all accumulated telemetry (counters, windows, series) while
-    /// keeping the configuration (window width, observables).
-    pub fn reset(&self) {
-        let mut acc = self.acc.borrow_mut();
-        acc.counts.fill(0);
-        acc.steps = 0;
-        acc.accepted = 0;
-        acc.window_steps = 0;
-        acc.window_accepted = 0;
-        acc.window_rates = RingBuffer::new(acc.ring_capacity);
-        acc.started = None;
-        let cap = acc.ring_capacity;
-        for o in &mut acc.observers {
-            o.ring = RingBuffer::new(cap);
         }
     }
 
@@ -505,7 +427,8 @@ impl<C: ClassifiedChain> ClassifiedChain for Instrumented<C> {
     }
 }
 
-/// One observable's recorded time series.
+/// One observable's recorded time series, as [`TelemetryReport::series`]
+/// holds it for the instrumented experiment bins.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObservableSeries {
     /// The observable's name (e.g. `"perimeter"`).
@@ -641,7 +564,6 @@ impl RunManifest {
 #[derive(Debug)]
 pub struct JsonlSink {
     file: File,
-    path: PathBuf,
 }
 
 impl JsonlSink {
@@ -656,7 +578,7 @@ impl JsonlSink {
             std::fs::create_dir_all(parent)?;
         }
         let file = File::create(&path)?;
-        let mut sink = JsonlSink { file, path };
+        let mut sink = JsonlSink { file };
         sink.record_line(&manifest.to_json())?;
         Ok(sink)
     }
@@ -677,7 +599,7 @@ impl JsonlSink {
         let path = path.into();
         if Self::has_manifest(&path) {
             let file = OpenOptions::new().append(true).open(&path)?;
-            let mut sink = JsonlSink { file, path };
+            let mut sink = JsonlSink { file };
             sink.record_line(&format!("{{\"kind\":\"resumed\",\"step\":{at_step}}}"))?;
             return Ok(sink);
         }
@@ -686,7 +608,7 @@ impl JsonlSink {
 
     /// Whether `path` exists and starts with a manifest record.
     #[must_use]
-    pub fn has_manifest(path: &Path) -> bool {
+    pub(crate) fn has_manifest(path: &Path) -> bool {
         let Ok(file) = File::open(path) else {
             return false;
         };
@@ -695,12 +617,6 @@ impl JsonlSink {
             return false;
         }
         first.trim_start().starts_with("{\"kind\":\"manifest\"")
-    }
-
-    /// The file this sink writes to.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one pre-rendered JSON line.
@@ -733,7 +649,7 @@ impl JsonlSink {
 /// Renders one `{"kind":"metrics",…}` line for `report`, offsetting every
 /// step coordinate by `base_step`.
 #[must_use]
-pub fn metrics_record_json(base_step: u64, report: &TelemetryReport) -> String {
+pub(crate) fn metrics_record_json(base_step: u64, report: &TelemetryReport) -> String {
     let mut out = String::with_capacity(256);
     out.push_str(&format!(
         "{{\"kind\":\"metrics\",\"step\":{},\"steps_recorded\":{},\"accepted\":{},\"acceptance_rate\":{}",
@@ -863,16 +779,11 @@ mod tests {
     #[test]
     fn ring_buffer_retains_newest() {
         let mut ring = RingBuffer::new(4);
-        assert!(ring.is_empty());
-        assert!(ring.last().is_none());
         for v in 0..10 {
             ring.push(v);
         }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.capacity(), 4);
         assert_eq!(ring.total_pushed(), 10);
         assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![6, 7, 8, 9]);
-        assert_eq!(ring.last(), Some(&9));
     }
 
     #[test]
@@ -881,7 +792,6 @@ mod tests {
         ring.push(1);
         ring.push(2);
         assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(ring.last(), Some(&2));
     }
 
     #[test]
@@ -945,13 +855,12 @@ mod tests {
         let mut s_inst = 0u64;
         let accepted_bare = Biased.run(&mut s_bare, 5_000, &mut rng_bare);
         let inst = Instrumented::disabled(OwnRun::default());
-        assert!(!inst.is_enabled());
         let accepted_inst = inst.run(&mut s_inst, 5_000, &mut rng_inst);
         assert_eq!(s_bare, s_inst);
         assert_eq!(accepted_bare, accepted_inst);
         assert_eq!(rng_bare, rng_inst);
         // Disabled, `run` is the inner chain's own `run`, called once.
-        assert_eq!(inst.inner().0.get(), 1);
+        assert_eq!(inst.inner.0.get(), 1);
         let report = inst.report();
         assert_eq!(report.steps, 0);
         assert!(report.steps_per_sec.is_none());
@@ -961,7 +870,7 @@ mod tests {
         let mut s = 0u64;
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(inst.run(&mut s, 5_000, &mut rng), accepted_bare);
-        assert_eq!(inst.inner().0.get(), 0);
+        assert_eq!(inst.inner.0.get(), 0);
         assert_eq!(inst.report().steps, 5_000);
     }
 
@@ -979,24 +888,6 @@ mod tests {
         assert_eq!(series.total_samples, 10);
         assert!(series.samples.windows(2).all(|w| w[1].0 - w[0].0 == 100));
         assert_eq!(series.samples.last().unwrap().1, s as f64);
-    }
-
-    #[test]
-    fn reset_clears_accumulation_but_keeps_configuration() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut s = 0u64;
-        let inst = Instrumented::new(Biased)
-            .with_window(10)
-            .with_observable("state", 5, |s| *s as f64);
-        inst.run(&mut s, 100, &mut rng);
-        assert_eq!(inst.report().steps, 100);
-        inst.reset();
-        let report = inst.report();
-        assert_eq!(report.steps, 0);
-        assert!(report.window_rates.is_empty());
-        assert!(report.series[0].samples.is_empty());
-        inst.run(&mut s, 20, &mut rng);
-        assert_eq!(inst.report().series[0].samples.len(), 4);
     }
 
     #[test]
@@ -1056,7 +947,7 @@ mod tests {
 
         // Resume appends (manifest already present), new process offset 100.
         let mut sink = JsonlSink::resume(&path, &manifest, 100).unwrap();
-        inst.reset();
+        let inst = Instrumented::new(Biased).with_window(50);
         inst.run(&mut s, 50, &mut rng);
         sink.record_metrics(100, &inst.report()).unwrap();
         sink.record_line(&series_record_json(100, &inst.report()))

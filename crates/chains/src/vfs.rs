@@ -210,7 +210,7 @@ impl fmt::Debug for FaultyVfs {
 
 /// The error message carried by a simulated kill, so tests can tell a
 /// planned crash from a genuine failure.
-pub const SIMULATED_CRASH: &str = "simulated crash (FaultyVfs kill-point)";
+pub(crate) const SIMULATED_CRASH: &str = "simulated crash (FaultyVfs kill-point)";
 
 impl FaultyVfs {
     /// A fresh, fault-free in-memory filesystem.
@@ -232,7 +232,7 @@ impl FaultyVfs {
     }
 
     /// Arms the kill-point: every operation with index ≥ `n` (0-based)
-    /// fails with [`SIMULATED_CRASH`], as if the process died mid-run.
+    /// fails with `SIMULATED_CRASH`, as if the process died mid-run.
     pub fn kill_after(&self, n: u64) {
         self.kill_after.store(n, Ordering::SeqCst);
     }
@@ -310,21 +310,6 @@ impl FaultyVfs {
         self.kill_after.store(u64::MAX, Ordering::SeqCst);
         self.enospc_at.store(u64::MAX, Ordering::SeqCst);
         self.ops.store(0, Ordering::SeqCst);
-    }
-
-    /// Directly overwrites a file's live *and* durable content — a
-    /// post-hoc corruption injector for tests that don't need the full
-    /// crash model.
-    pub fn clobber(&self, path: &Path, data: &[u8]) {
-        let mut st = self.state.lock().expect("vfs mutex");
-        st.files.insert(
-            path.to_path_buf(),
-            MemFile {
-                data: data.to_vec(),
-                synced: Some(data.to_vec()),
-                name_durable: true,
-            },
-        );
     }
 
     /// The live content of `path`, if it exists (test inspection).

@@ -7,9 +7,11 @@ use sops_chains::telemetry::ClassifiedChain;
 use sops_chains::MarkovChain;
 use sops_lattice::{Direction, Node, DIRECTIONS, RING_FROM_SIDE};
 
+use crate::config::RingGather;
 use crate::config::SIDE_GAIN;
+use crate::error::ChainStateError;
 use crate::grid::{self, ColorGrid};
-use crate::{properties, Bias, ChainStateError, Color, Configuration, RingGather, StepOutcome};
+use crate::{properties, Bias, Color, Configuration, StepOutcome};
 
 /// The stochastic, local, distributed separation algorithm as a centralized
 /// Markov chain (Algorithm 1 of the paper).
@@ -185,7 +187,7 @@ impl SeparationChain {
     /// particle — a caller logic error (or corrupted state), surfaced as a
     /// typed error rather than a panic so experiment drivers can skip the
     /// proposal, audit the state, and degrade gracefully.
-    pub fn move_ratio(
+    pub(crate) fn move_ratio(
         &self,
         config: &Configuration,
         from: Node,
@@ -212,7 +214,7 @@ impl SeparationChain {
     /// Returns [`ChainStateError::UnoccupiedSource`] when `a` holds no
     /// particle and [`ChainStateError::UnoccupiedTarget`] when `b` holds
     /// none.
-    pub fn swap_ratio(
+    pub(crate) fn swap_ratio(
         &self,
         config: &Configuration,
         a: Node,
@@ -254,7 +256,7 @@ impl SeparationChain {
     /// wrapper returning [`StepOutcome::accepted`]. Both consume the exact
     /// same RNG stream (particle index, direction, then lazily the filter's
     /// uniform draw), so instrumenting a run cannot perturb it.
-    pub fn step_detailed<R: Rng + ?Sized>(
+    pub(crate) fn step_detailed<R: Rng + ?Sized>(
         &self,
         config: &mut Configuration,
         rng: &mut R,
@@ -268,7 +270,7 @@ impl SeparationChain {
 
     /// Evaluates (and, if accepted, executes) the specific proposal
     /// "particle `particle` attempts direction `dir`", classifying the
-    /// result. [`SeparationChain::step_detailed`] is this with the particle
+    /// result. `SeparationChain::step_detailed` is this with the particle
     /// and direction drawn uniformly; exposing the deterministic part lets
     /// tests pin a proposal and assert its exact rejection reason.
     ///
@@ -276,21 +278,21 @@ impl SeparationChain {
     /// the two 1-probe holds (same color, swaps disabled) — the bulk of all
     /// proposals on a compressed configuration — return immediately. Every
     /// proposal that reaches a filter then makes one pass over the 8-node
-    /// combined neighborhood (a [`RingGather`]: eight occupancy probes, no
+    /// combined neighborhood (a `RingGather`: eight occupancy probes, no
     /// heap allocation), which yields the `|N(ℓ)| = 5` guard (a mask
-    /// compare), the Property-4/5 check (a [`properties::MOVEMENT_ALLOWED`]
-    /// table load), and every Metropolis exponent as a [`SIDE_GAIN`] table
+    /// compare), the Property-4/5 check (a `properties::MOVEMENT_ALLOWED`
+    /// table load), and every Metropolis exponent as a `SIDE_GAIN` table
     /// load — at most 9 probes per proposal where the unfused path
     /// re-probes overlapping neighborhoods ~39 times. The Metropolis filter
     /// is one lookup of a precomputed integer threshold on the draw (see
-    /// [`KernelTables`]), verdict-for-verdict and draw-for-draw what
+    /// `KernelTables`), verdict-for-verdict and draw-for-draw what
     /// [`PowerRatio::accept`] decides. An accepted proposal commits with
     /// the counter deltas the gather already yielded
-    /// ([`Configuration::commit_move`] / [`Configuration::commit_swap`])
+    /// (`Configuration::commit_move` / `Configuration::commit_swap`)
     /// rather than recounting them.
     ///
     /// A particle at least two cells inside every edge of the raster (see
-    /// [`crate::grid`]) takes the fast path: one range check on its own
+    /// `crate::grid`) takes the fast path: one range check on its own
     /// node, then the nine probes as loads at the raster's precomputed flat
     /// offsets. A particle in the edge band, or a configuration without a
     /// raster, takes the same decisions over per-node probes (out of line).
@@ -452,8 +454,8 @@ impl SeparationChain {
 
     /// The unfused reference implementation of [`SeparationChain::propose`]:
     /// independent [`Configuration`] probe sweeps plus
-    /// [`properties::movement_allowed`], [`SeparationChain::move_ratio`] and
-    /// [`SeparationChain::swap_ratio`].
+    /// [`properties::movement_allowed`], `SeparationChain::move_ratio` and
+    /// `SeparationChain::swap_ratio`.
     ///
     /// This is the slow path the fused kernel is proven against — it must
     /// produce the same [`StepOutcome`], the same state mutation, and
@@ -544,14 +546,14 @@ impl MarkovChain for SeparationChain {
     /// * `n` cannot change during a run, so [`PreparedRange`] hoists
     ///   `random_range(0..n)`'s two divisions out of the loop while drawing
     ///   exactly the same indices from exactly the same words.
-    /// * A run-local [`CellTable`] holds each particle's flat raster cell,
+    /// * A run-local `CellTable` holds each particle's flat raster cell,
     ///   so a step reads its cell from the table and probes the target at
     ///   a flat offset. Both holds return on one predicate over that probe
     ///   and the particle's own cell, without reading its position or its
     ///   entry in the particle table: `run` reports only the accepted
     ///   count, so it never tells the two holds apart. Every other
     ///   proposal gathers its ring inline and goes through the shared
-    ///   decision and commit. A particle the table marks [`PER_NODE`] takes
+    ///   decision and commit. A particle the table marks `PER_NODE` takes
     ///   the RNG-free out-of-line probe instead, and the decision stays
     ///   inline, so nothing out of line ever holds the RNG.
     /// * After an accepted commit the table re-derives the entries of the
@@ -707,12 +709,6 @@ impl CompressionChain {
             inner: SeparationChain::new(Bias::new(lambda, 1.0)?),
         })
     }
-
-    /// The compression bias `λ`.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.inner.bias().lambda()
-    }
 }
 
 impl MarkovChain for CompressionChain {
@@ -860,7 +856,7 @@ mod tests {
 
     #[test]
     fn ratios_return_typed_errors_on_unoccupied_nodes() {
-        use crate::ChainStateError;
+        use crate::error::ChainStateError;
         let config = Configuration::new([
             (sops_lattice::Node::new(0, 0), Color::C1),
             (sops_lattice::Node::new(1, 0), Color::C2),
@@ -957,7 +953,7 @@ mod tests {
     #[test]
     fn compression_chain_is_gamma_one() {
         let c = CompressionChain::new(6.0).unwrap();
-        assert_eq!(c.lambda(), 6.0);
+        assert_eq!(c.inner.bias().lambda(), 6.0);
         assert!(CompressionChain::new(-1.0).is_err());
     }
 

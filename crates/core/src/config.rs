@@ -358,7 +358,7 @@ impl Configuration {
     /// Number of occupied neighbors of `node`, not counting `exclude`.
     #[inline]
     #[must_use]
-    pub fn occupied_neighbors_excluding(&self, node: Node, exclude: Node) -> i32 {
+    pub(crate) fn occupied_neighbors_excluding(&self, node: Node, exclude: Node) -> i32 {
         let mut count = 0;
         for d in DIRECTIONS {
             let m = node.neighbor(d);
@@ -385,7 +385,12 @@ impl Configuration {
     /// particle at `exclude` (`|N_i(ℓ′) ∖ {P}|` in the paper's notation).
     #[inline]
     #[must_use]
-    pub fn colored_neighbors_excluding(&self, node: Node, color: Color, exclude: Node) -> i32 {
+    pub(crate) fn colored_neighbors_excluding(
+        &self,
+        node: Node,
+        color: Color,
+        exclude: Node,
+    ) -> i32 {
         let mut count = 0;
         for d in DIRECTIONS {
             let m = node.neighbor(d);
@@ -410,7 +415,7 @@ impl Configuration {
     /// probes total instead of ~39, and no heap allocation.
     #[inline]
     #[must_use]
-    pub fn ring_gather(&self, from: Node, dir: Direction) -> RingGather {
+    pub(crate) fn ring_gather(&self, from: Node, dir: Direction) -> RingGather {
         match &self.index {
             // Raster path: eight per-node byte probes. `decode(0)` is
             // `C1`, exactly the placeholder the map path leaves in
@@ -463,8 +468,7 @@ impl Configuration {
     /// # Panics
     ///
     /// Panics if `to` is occupied, equals the particle's current node, is
-    /// not adjacent to it, or the tracked counters are corrupt — see
-    /// [`Configuration::try_move_particle`] for the non-panicking form.
+    /// not adjacent to it, or the tracked counters are corrupt.
     pub fn move_particle(&mut self, index: usize, to: Node) {
         self.try_move_particle(index, to)
             .unwrap_or_else(|e| panic!("move_particle({index}, {to}): {e}"));
@@ -488,7 +492,11 @@ impl Configuration {
     /// Panics if `to` is occupied, equals the particle's current node, or
     /// is not adjacent to it — those are caller API misuse, not state
     /// corruption.
-    pub fn try_move_particle(&mut self, index: usize, to: Node) -> Result<(), ChainStateError> {
+    pub(crate) fn try_move_particle(
+        &mut self,
+        index: usize,
+        to: Node,
+    ) -> Result<(), ChainStateError> {
         let from = self.positions[index];
         assert!(
             from.is_adjacent(to),
@@ -541,8 +549,7 @@ impl Configuration {
     /// # Panics
     ///
     /// Panics if `a` and `b` are not adjacent, either is unoccupied, or the
-    /// tracked hetero counter is corrupt — see [`Configuration::try_swap`]
-    /// for the non-panicking form.
+    /// tracked hetero counter is corrupt.
     pub fn swap(&mut self, a: Node, b: Node) {
         self.try_swap(a, b)
             .unwrap_or_else(|e| panic!("swap({a}, {b}): {e}"));
@@ -567,7 +574,7 @@ impl Configuration {
     /// # Panics
     ///
     /// Panics if `a` and `b` are not adjacent (caller API misuse).
-    pub fn try_swap(&mut self, a: Node, b: Node) -> Result<(), ChainStateError> {
+    pub(crate) fn try_swap(&mut self, a: Node, b: Node) -> Result<(), ChainStateError> {
         assert!(a.is_adjacent(b), "swap nodes {a} and {b} are not adjacent");
         let sa = self
             .index
@@ -729,7 +736,7 @@ impl Configuration {
 
     /// Number of raster rebuilds forced by border crossings over this
     /// configuration's lifetime. The rebuild policy doubles the border each
-    /// time (with hysteresis — see [`crate::grid`]), so under steady drift
+    /// time (with hysteresis — see `crate::grid`), so under steady drift
     /// this grows logarithmically with distance, not linearly.
     #[inline]
     #[must_use]
@@ -1180,7 +1187,7 @@ pub(crate) fn bounding_box(nodes: impl Iterator<Item = Node>) -> (i32, i32, i32,
 /// every neighbor count the Metropolis exponents need is a masked popcount
 /// over this gather.
 #[derive(Clone, Copy, Debug)]
-pub struct RingGather {
+pub(crate) struct RingGather {
     /// Bit `k` set iff ring position `k` is occupied — the index into
     /// [`crate::properties::MOVEMENT_ALLOWED`].
     pub occupancy: u8,
@@ -1232,13 +1239,6 @@ impl RingGather {
         }
     }
 
-    /// The color at ring position `k`, if occupied.
-    #[inline]
-    #[must_use]
-    pub fn color_at(&self, k: usize) -> Option<Color> {
-        (self.occupancy & (1 << k) != 0).then(|| Color::new((self.lanes >> (8 * k)) as u8))
-    }
-
     /// Bitmask of the occupied ring positions holding `color`, so every
     /// colored-neighbor count is a masked popcount
     /// (`(color_mask(c) & mask).count_ones()`) and every colored
@@ -1249,7 +1249,7 @@ impl RingGather {
     /// drops them when `color` is `C1`.
     #[inline]
     #[must_use]
-    pub fn color_mask(&self, color: Color) -> u8 {
+    pub(crate) fn color_mask(&self, color: Color) -> u8 {
         let differs =
             grid::nonzero_bytes(self.lanes ^ (u64::from(color.index()) * 0x0101_0101_0101_0101));
         !pack_high_bits(differs) & self.occupancy
@@ -1318,19 +1318,6 @@ impl CanonicalForm {
     #[must_use]
     pub fn cells(&self) -> &[(i32, i32, u8)] {
         &self.cells
-    }
-
-    /// Number of particles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the form is empty (never true for forms produced by
-    /// [`Configuration::canonical_form`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Reconstructs a configuration from this form.
@@ -2025,9 +2012,6 @@ mod tests {
                 });
                 let ring = RingGather::from_codes(codes);
                 assert_eq!(ring.occupancy, occupancy);
-                for (k, &color) in colors.iter().enumerate() {
-                    assert_eq!(ring.color_at(k), occupied(k).then_some(color));
-                }
                 for color in [Color::C1, Color::C2, Color::C3, Color::C4] {
                     assert_eq!(
                         ring.color_mask(color),
@@ -2068,9 +2052,6 @@ mod tests {
                         probed.ring_gather(Node::new(x, y), dir),
                     );
                     assert_eq!(a.occupancy, b.occupancy);
-                    for k in 0..8 {
-                        assert_eq!(a.color_at(k), b.color_at(k));
-                    }
                     for c in 0..5 {
                         assert_eq!(a.color_mask(Color::new(c)), b.color_mask(Color::new(c)));
                     }

@@ -82,8 +82,9 @@ pub fn shapes(n: usize) -> Vec<Vec<Node>> {
 /// The counts match the free polyhex numbers (OEIS A000228):
 /// 1, 1, 3, 7, 22, 82, 333, 1448, … — a strong cross-check of both the
 /// enumeration and the symmetry-group implementation.
+#[cfg(test)]
 #[must_use]
-pub fn free_shapes(n: usize) -> Vec<Vec<Node>> {
+pub(crate) fn free_shapes(n: usize) -> Vec<Vec<Node>> {
     let mut seen: HashSet<Vec<Node>> = HashSet::new();
     let mut out = Vec::new();
     for shape in shapes(n) {
@@ -156,7 +157,7 @@ pub fn bicolorings(shape: &[Node], n1: usize) -> Vec<Vec<(Node, Color)>> {
 ///
 /// Panics if the counts do not sum to the shape size.
 #[must_use]
-pub fn multicolorings(shape: &[Node], counts: &[usize]) -> Vec<Vec<(Node, Color)>> {
+pub(crate) fn multicolorings(shape: &[Node], counts: &[usize]) -> Vec<Vec<(Node, Color)>> {
     assert_eq!(
         counts.iter().sum::<usize>(),
         shape.len(),
@@ -235,7 +236,7 @@ fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
 /// overflow to `∞`. Use it whenever weights are compared or normalized
 /// across configurations (see [`ExactSeparationChain::lemma9_distribution`]).
 #[must_use]
-pub fn stationary_log_weight(config: &Configuration, bias: Bias) -> f64 {
+pub(crate) fn stationary_log_weight(config: &Configuration, bias: Bias) -> f64 {
     let lg = bias.lambda() * bias.gamma();
     -(config.perimeter() as f64) * lg.ln() - (config.hetero_edge_count() as f64) * bias.gamma().ln()
 }
@@ -250,8 +251,9 @@ pub fn stationary_log_weight(config: &Configuration, bias: Bias) -> f64 {
 /// astronomically large systems) and it never produces `NaN`. Prefer
 /// [`stationary_log_weight`] for ratio or normalization arithmetic, where
 /// saturation would still lose the answer.
+#[cfg(test)]
 #[must_use]
-pub fn stationary_weight(config: &Configuration, bias: Bias) -> f64 {
+pub(crate) fn stationary_weight(config: &Configuration, bias: Bias) -> f64 {
     stationary_log_weight(config, bias).exp()
 }
 
@@ -298,7 +300,7 @@ impl ExactSeparationChain {
     ///
     /// Panics if the counts sum to 0.
     #[must_use]
-    pub fn with_counts(chain: SeparationChain, counts: &[usize]) -> Self {
+    pub(crate) fn with_counts(chain: SeparationChain, counts: &[usize]) -> Self {
         assert!(
             counts.iter().sum::<usize>() >= 1,
             "need at least one particle"

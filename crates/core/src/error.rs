@@ -31,22 +31,6 @@ pub enum ConfigError {
     },
 }
 
-impl ConfigError {
-    /// A stable machine-readable code for this error class, suitable for
-    /// serialization into reports (the human-readable `Display` text may
-    /// change; these codes may not).
-    #[must_use]
-    pub fn code(&self) -> &'static str {
-        match self {
-            ConfigError::DuplicateNode(_) => "duplicate_node",
-            ConfigError::Empty => "empty",
-            ConfigError::Disconnected => "disconnected",
-            ConfigError::InvalidBias { .. } => "invalid_bias",
-            ConfigError::BadColorCounts { .. } => "bad_color_counts",
-        }
-    }
-}
-
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -81,8 +65,7 @@ impl std::error::Error for ConfigError {}
 /// long-running experiment drivers can degrade gracefully: skip the
 /// transition, audit the state, and continue or abort deliberately.
 #[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum ChainStateError {
+pub(crate) enum ChainStateError {
     /// A transition's source node holds no particle.
     UnoccupiedSource(Node),
     /// A swap's partner node holds no particle.
@@ -101,19 +84,6 @@ pub enum ChainStateError {
         /// The local delta the transition computed.
         delta: i64,
     },
-}
-
-impl ChainStateError {
-    /// A stable machine-readable code for this error class (see
-    /// [`ConfigError::code`] for the stability contract).
-    #[must_use]
-    pub fn code(&self) -> &'static str {
-        match self {
-            ChainStateError::UnoccupiedSource(_) => "unoccupied_source",
-            ChainStateError::UnoccupiedTarget(_) => "unoccupied_target",
-            ChainStateError::CounterCorruption { .. } => "counter_corruption",
-        }
-    }
 }
 
 impl fmt::Display for ChainStateError {
@@ -198,22 +168,6 @@ pub enum AuditViolation {
     },
 }
 
-impl AuditViolation {
-    /// A stable machine-readable code for this violation class (see
-    /// [`ConfigError::code`] for the stability contract).
-    #[must_use]
-    pub fn code(&self) -> &'static str {
-        match self {
-            AuditViolation::EdgeCountDrift { .. } => "edge_count_drift",
-            AuditViolation::HeteroCountDrift { .. } => "hetero_count_drift",
-            AuditViolation::OccupancyDesync { .. } => "occupancy_desync",
-            AuditViolation::Disconnected => "disconnected",
-            AuditViolation::PerimeterMismatch { .. } => "perimeter_mismatch",
-            AuditViolation::PerimeterUnderflow { .. } => "perimeter_underflow",
-        }
-    }
-}
-
 impl fmt::Display for AuditViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -283,15 +237,8 @@ impl AuditReport {
     /// The violations rendered as human-readable strings (the format the
     /// checkpoint layer's audit hook consumes).
     #[must_use]
-    pub fn violation_messages(&self) -> Vec<String> {
+    pub(crate) fn violation_messages(&self) -> Vec<String> {
         self.violations.iter().map(ToString::to_string).collect()
-    }
-
-    /// The stable machine-readable codes of every violation found, in
-    /// report order — what the runtime serializes into cells reports.
-    #[must_use]
-    pub fn violation_codes(&self) -> Vec<&'static str> {
-        self.violations.iter().map(AuditViolation::code).collect()
     }
 }
 
@@ -365,49 +312,5 @@ mod tests {
     fn error_trait_object_works() {
         let e: Box<dyn std::error::Error> = Box::new(ConfigError::Disconnected);
         assert!(e.to_string().contains("not connected"));
-    }
-
-    #[test]
-    fn codes_are_stable_snake_case() {
-        assert_eq!(ConfigError::Empty.code(), "empty");
-        assert_eq!(
-            ConfigError::BadColorCounts { n: 5, sum: 7 }.code(),
-            "bad_color_counts"
-        );
-        assert_eq!(
-            ChainStateError::CounterCorruption {
-                counter: "edges",
-                tracked: 1,
-                delta: -9,
-            }
-            .code(),
-            "counter_corruption"
-        );
-        assert_eq!(AuditViolation::Disconnected.code(), "disconnected");
-        let report = AuditReport {
-            particles: 3,
-            edges: 2,
-            hetero_edges: 1,
-            connected: true,
-            holes: 0,
-            violations: vec![
-                AuditViolation::EdgeCountDrift {
-                    tracked: 9,
-                    recomputed: 2,
-                },
-                AuditViolation::PerimeterUnderflow {
-                    particles: 3,
-                    tracked_edges: 99,
-                },
-            ],
-        };
-        assert_eq!(
-            report.violation_codes(),
-            vec!["edge_count_drift", "perimeter_underflow"]
-        );
-        // Codes stay snake_case-machine-safe.
-        for code in report.violation_codes() {
-            assert!(code.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
     }
 }

@@ -74,7 +74,7 @@ mod snapshot;
 
 pub use chain::{CompressionChain, SeparationChain};
 pub use color::Color;
-pub use config::{CanonicalForm, Configuration, RingGather};
-pub use error::{AuditReport, AuditViolation, ChainStateError, ConfigError, RepairOutcome};
+pub use config::{CanonicalForm, Configuration};
+pub use error::{AuditReport, AuditViolation, ConfigError, RepairOutcome};
 pub use outcome::StepOutcome;
 pub use params::{thresholds, Bias};

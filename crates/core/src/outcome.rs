@@ -71,7 +71,7 @@ impl StepOutcome {
 
     /// Stable snake_case labels, indexed by [`OutcomeClass::index`]; used
     /// as JSON keys in telemetry records.
-    pub const LABELS: [&'static str; 9] = [
+    pub(crate) const LABELS: [&'static str; 9] = [
         "move_accepted",
         "move_rejected_five_neighbors",
         "move_rejected_property",

@@ -84,17 +84,17 @@ pub mod thresholds {
 
     /// `4^{5/4} ≈ 5.657`: Theorem 13 requires `γ` above this for the
     /// loop-polymer cluster expansion to converge.
-    pub const GAMMA_SEPARATION: f64 = 5.656_854_249_492_381;
+    pub(crate) const GAMMA_SEPARATION: f64 = 5.656_854_249_492_381;
 
     /// `2(2 + √2)·e^{0.0003} ≈ 6.830`: the compression threshold on `λγ`
     /// (Theorem 13) and on `λ(γ + 1)` (Theorem 15).
-    pub const COMPRESSION_PRODUCT: f64 = 6.830_475_960_193_564_5;
+    pub(crate) const COMPRESSION_PRODUCT: f64 = 6.830_475_960_193_564_5;
 
     /// Lower end of the integration window, `79/81` (Theorems 15–16).
-    pub const GAMMA_INTEGRATION_LO: f64 = 79.0 / 81.0;
+    pub(crate) const GAMMA_INTEGRATION_LO: f64 = 79.0 / 81.0;
 
     /// Upper end of the integration window, `81/79` (Theorems 15–16).
-    pub const GAMMA_INTEGRATION_HI: f64 = 81.0 / 79.0;
+    pub(crate) const GAMMA_INTEGRATION_HI: f64 = 81.0 / 79.0;
 
     /// Whether `(λ, γ)` lies in the regime where Theorems 13 + 14 prove
     /// compression and `(β, δ)`-separation w.h.p.: `λ > 1`, `γ > 4^{5/4}`,

@@ -33,7 +33,7 @@ use sops_lattice::{ring_offsets, Direction, Node};
 use crate::Configuration;
 
 /// Ring positions of the two common neighbors `S = N(ℓ) ∩ N(ℓ′)`.
-pub const S_POSITIONS: [usize; 2] = [1, 5];
+pub(crate) const S_POSITIONS: [usize; 2] = [1, 5];
 
 /// The eight nodes of the combined neighborhood of `ℓ` and `ℓ′ = ℓ + d`, in
 /// the cyclic order documented at the module level.
@@ -49,8 +49,9 @@ pub fn ring(from: Node, dir: Direction) -> [Node; 8] {
 }
 
 /// Occupancy of the combined neighborhood ring in a configuration.
+#[cfg(test)]
 #[must_use]
-pub fn ring_occupancy(config: &Configuration, from: Node, dir: Direction) -> [bool; 8] {
+pub(crate) fn ring_occupancy(config: &Configuration, from: Node, dir: Direction) -> [bool; 8] {
     let ring = ring(from, dir);
     let mut occ = [false; 8];
     for (o, node) in occ.iter_mut().zip(ring) {
@@ -110,7 +111,7 @@ fn side_nonempty_and_connected(a: bool, b: bool, c: bool) -> bool {
 ///
 /// This is condition (ii) of Step 6 in Algorithm 1; the caller separately
 /// enforces condition (i), `|N(ℓ)| ≠ 5`. Evaluated through
-/// [`MOVEMENT_ALLOWED`], so the check is one gather plus one table load —
+/// `MOVEMENT_ALLOWED`, so the check is one gather plus one table load —
 /// no allocation, no component scan.
 #[must_use]
 pub fn movement_allowed(config: &Configuration, from: Node, dir: Direction) -> bool {
@@ -119,18 +120,6 @@ pub fn movement_allowed(config: &Configuration, from: Node, dir: Direction) -> b
         bits |= u8::from(config.is_occupied(from + off)) << k;
     }
     MOVEMENT_ALLOWED[bits as usize]
-}
-
-/// Packs a ring-occupancy pattern into the bit layout [`MOVEMENT_ALLOWED`]
-/// is indexed by: bit `k` set iff ring position `k` is occupied.
-#[inline]
-#[must_use]
-pub fn pack_ring(occ: [bool; 8]) -> u8 {
-    let mut bits = 0u8;
-    for (k, &o) in occ.iter().enumerate() {
-        bits |= u8::from(o) << k;
-    }
-    bits
 }
 
 /// Property 4 on a packed ring pattern, evaluable at compile time.
@@ -212,7 +201,7 @@ const fn build_movement_lut() -> [bool; 256] {
 /// the run-decomposition of [`property4`] (which allocates per call) runs
 /// once per pattern inside a `const fn` instead of once per proposal. The
 /// exhaustive 256-pattern tests pin the table to the predicate pair.
-pub static MOVEMENT_ALLOWED: [bool; 256] = build_movement_lut();
+pub(crate) static MOVEMENT_ALLOWED: [bool; 256] = build_movement_lut();
 
 /// Maximal runs of consecutive occupied ring positions (cyclically).
 fn occupied_components(occ: [bool; 8]) -> Vec<Vec<usize>> {
@@ -396,7 +385,6 @@ mod tests {
         // proves MOVEMENT_ALLOWED ≡ property4 ∨ property5 exhaustively.
         for bits in 0u16..256 {
             let occ = core::array::from_fn(|i| bits & (1 << i) != 0);
-            assert_eq!(pack_ring(occ), bits as u8);
             assert_eq!(
                 MOVEMENT_ALLOWED[bits as usize],
                 property4(occ) || property5(occ),

@@ -48,7 +48,8 @@ pub enum Step {
     },
 }
 
-/// Errors from witness construction.
+/// Errors from witness construction ([`line_witness`], which the `lemma8`
+/// bin and the `irreducibility` example call).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ReconfigureError {

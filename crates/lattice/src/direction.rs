@@ -22,7 +22,7 @@ use core::fmt;
 /// use sops_lattice::Direction;
 ///
 /// assert_eq!(Direction::E.opposite(), Direction::W);
-/// assert_eq!(Direction::E.rotated_ccw(), Direction::NE);
+/// assert_eq!(Direction::E.rotated_by(1), Direction::NE);
 /// assert_eq!(Direction::from_index(4), Direction::SW);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,20 +91,6 @@ impl Direction {
         Self::from_index(self.index() + 3)
     }
 
-    /// This direction rotated 60° counterclockwise.
-    #[inline]
-    #[must_use]
-    pub const fn rotated_ccw(self) -> Self {
-        Self::from_index(self.index() + 1)
-    }
-
-    /// This direction rotated 60° clockwise.
-    #[inline]
-    #[must_use]
-    pub const fn rotated_cw(self) -> Self {
-        Self::from_index(self.index() + 5)
-    }
-
     /// This direction rotated `k` times 60° counterclockwise.
     #[inline]
     #[must_use]
@@ -151,31 +137,13 @@ mod tests {
     }
 
     #[test]
-    fn six_ccw_rotations_are_identity() {
-        for d in DIRECTIONS {
-            let mut r = d;
-            for _ in 0..6 {
-                r = r.rotated_ccw();
-            }
-            assert_eq!(r, d);
-        }
-    }
-
-    #[test]
-    fn cw_undoes_ccw() {
-        for d in DIRECTIONS {
-            assert_eq!(d.rotated_ccw().rotated_cw(), d);
-        }
-    }
-
-    #[test]
     fn rotation_matches_linear_map() {
         // Rotating the unit vector by the axial 60° CCW map (x, y) -> (-y, x + y)
-        // must agree with rotated_ccw.
+        // must agree with rotated_by(1).
         for d in DIRECTIONS {
             let (x, y) = d.offset();
             let rotated = (-y, x + y);
-            assert_eq!(d.rotated_ccw().offset(), rotated);
+            assert_eq!(d.rotated_by(1).offset(), rotated);
         }
     }
 
@@ -197,7 +165,7 @@ mod tests {
     #[test]
     fn rotated_by_composes() {
         for d in DIRECTIONS {
-            assert_eq!(d.rotated_by(2), d.rotated_ccw().rotated_ccw());
+            assert_eq!(d.rotated_by(2), d.rotated_by(1).rotated_by(1));
             assert_eq!(d.rotated_by(6), d);
         }
     }

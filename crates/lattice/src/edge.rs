@@ -84,40 +84,6 @@ impl Edge {
             None
         }
     }
-
-    /// Whether `node` is an endpoint of this edge.
-    #[inline]
-    #[must_use]
-    pub fn touches(self, node: Node) -> bool {
-        node == self.u || node == self.v
-    }
-
-    /// Whether this edge shares an endpoint with `other`.
-    #[must_use]
-    pub fn is_incident_to(self, other: Edge) -> bool {
-        self.touches(other.u) || self.touches(other.v)
-    }
-
-    /// This edge translated by the vector `(dx, dy)`.
-    #[must_use]
-    pub fn translated(self, dx: i32, dy: i32) -> Self {
-        // Translation preserves adjacency and canonical order is re-derived.
-        Edge::new(self.u.translated(dx, dy), self.v.translated(dx, dy))
-    }
-
-    /// This edge rotated 60° counterclockwise about the origin.
-    #[must_use]
-    pub fn rotated_ccw(self) -> Self {
-        Edge::new(self.u.rotated_ccw(), self.v.rotated_ccw())
-    }
-
-    /// The midpoint of the edge in the Cartesian embedding (for rendering).
-    #[must_use]
-    pub fn midpoint_cartesian(self) -> (f64, f64) {
-        let (ux, uy) = self.u.to_cartesian();
-        let (vx, vy) = self.v.to_cartesian();
-        ((ux + vx) / 2.0, (uy + vy) / 2.0)
-    }
 }
 
 impl fmt::Display for Edge {
@@ -157,29 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn incidence() {
-        let a = Node::new(0, 0);
-        let e1 = Edge::from_node_dir(a, Direction::E);
-        let e2 = Edge::from_node_dir(a, Direction::NE);
-        let far = Edge::from_node_dir(Node::new(10, 10), Direction::E);
-        assert!(e1.is_incident_to(e2));
-        assert!(e1.is_incident_to(e1));
-        assert!(!e1.is_incident_to(far));
-    }
-
-    #[test]
-    fn translation_and_rotation_preserve_edge_structure() {
-        let e = Edge::from_node_dir(Node::new(1, 2), Direction::SW);
-        let t = e.translated(-3, 7);
-        assert!(t.u().is_adjacent(t.v()));
-        let mut r = e;
-        for _ in 0..6 {
-            r = r.rotated_ccw();
-        }
-        assert_eq!(r, e);
-    }
-
-    #[test]
     fn each_node_has_six_distinct_incident_edges() {
         let n = Node::new(-2, 5);
         let mut set = std::collections::HashSet::new();
@@ -187,6 +130,6 @@ mod tests {
             set.insert(Edge::from_node_dir(n, d));
         }
         assert_eq!(set.len(), 6);
-        assert!(set.iter().all(|e| e.touches(n)));
+        assert!(set.iter().all(|e| e.other(n).is_some()));
     }
 }

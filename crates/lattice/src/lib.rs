@@ -55,13 +55,11 @@ pub use direction::Direction;
 pub use edge::Edge;
 pub use map::{NodeMap, NodeSet};
 pub use node::Node;
-pub use ring::{
-    ring_offsets, FOOTPRINT_REACH, RING_COMMON, RING_FROM_SIDE, RING_OFFSETS, RING_TO_SIDE,
-};
+pub use ring::{ring_offsets, FOOTPRINT_REACH, RING_FROM_SIDE, RING_TO_SIDE};
 
 /// All six lattice directions in counterclockwise order starting from `E`.
 ///
-/// The ordering is load-bearing: `DIRECTIONS[i].rotated_ccw() == DIRECTIONS[(i + 1) % 6]`.
+/// The ordering is load-bearing: `DIRECTIONS[i].rotated_by(1) == DIRECTIONS[(i + 1) % 6]`.
 pub const DIRECTIONS: [Direction; 6] = [
     Direction::E,
     Direction::NE,

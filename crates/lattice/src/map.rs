@@ -136,19 +136,6 @@ impl<V> NodeMap<V> {
         }
     }
 
-    /// A mutable reference to the value stored at `node`, if any.
-    #[inline]
-    #[must_use]
-    pub fn get_mut(&mut self, node: Node) -> Option<&mut V> {
-        match self.probe(node.pack()) {
-            Ok(i) => match &mut self.slots[i] {
-                Slot::Occupied { value, .. } => Some(value),
-                Slot::Empty => unreachable!("probe returned Ok on empty slot"),
-            },
-            Err(_) => None,
-        }
-    }
-
     /// Inserts `value` at `node`, returning the previous value if present.
     pub fn insert(&mut self, node: Node, value: V) -> Option<V> {
         if (self.len + 1) * 2 > self.slots.len() {
@@ -211,14 +198,6 @@ impl<V> NodeMap<V> {
             Slot::Occupied { value, .. } => Some(value),
             Slot::Empty => unreachable!("probe returned Ok on empty slot"),
         }
-    }
-
-    /// Removes all entries, keeping the allocated table.
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = Slot::Empty;
-        }
-        self.len = 0;
     }
 
     fn grow(&mut self) {
@@ -356,11 +335,6 @@ impl NodeSet {
     /// Removes `node`; returns `true` if it was present.
     pub fn remove(&mut self, node: Node) -> bool {
         self.map.remove(node).is_some()
-    }
-
-    /// Removes all nodes.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 
     /// Iterates over the nodes in unspecified order.
@@ -570,19 +544,6 @@ mod tests {
             m.iter().map(|(n, v)| (n, *v)).collect();
         assert_eq!(collected.len(), 100);
         assert_eq!(collected[&Node::new(-3, 2)], -1);
-    }
-
-    #[test]
-    fn clear_retains_capacity_and_empties() {
-        let mut m = NodeMap::new();
-        for x in 0..100 {
-            m.insert(Node::new(x, 0), x);
-        }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(Node::new(5, 0)), None);
-        m.insert(Node::new(5, 0), 7);
-        assert_eq!(m.get(Node::new(5, 0)), Some(&7));
     }
 
     #[test]

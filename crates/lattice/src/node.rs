@@ -117,7 +117,7 @@ impl Node {
     /// rotation-invariance requirements of the polymer machinery.
     #[inline]
     #[must_use]
-    pub const fn rotated_ccw(self) -> Self {
+    pub(crate) const fn rotated_ccw(self) -> Self {
         Node {
             x: -self.y,
             y: self.x + self.y,

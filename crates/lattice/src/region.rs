@@ -6,7 +6,7 @@
 //! provides both: node regions (hexagons, parallelograms, lines) and the
 //! derived edge sets.
 
-use crate::{Direction, Edge, Node, NodeSet, DIRECTIONS};
+use crate::{Edge, Node, NodeSet, DIRECTIONS};
 
 /// A finite set of lattice nodes with convenience constructors for the shapes
 /// used throughout the paper: hexagons (Lemma 2's minimal-perimeter shapes),
@@ -66,18 +66,6 @@ impl Region {
             for x in 0..width as i32 {
                 nodes.push(Node::new(x, y));
             }
-        }
-        Region::from_nodes(nodes)
-    }
-
-    /// A straight line of `len` nodes starting at the origin heading `dir`.
-    #[must_use]
-    pub fn line(len: u32, dir: Direction) -> Self {
-        let mut nodes = Vec::with_capacity(len as usize);
-        let mut n = Node::ORIGIN;
-        for _ in 0..len {
-            nodes.push(n);
-            n = n.neighbor(dir);
         }
         Region::from_nodes(nodes)
     }
@@ -149,16 +137,6 @@ impl Region {
         edges
     }
 
-    /// Nodes of the region adjacent to at least one node outside it.
-    #[must_use]
-    pub fn boundary_nodes(&self) -> Vec<Node> {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|n| n.neighbors().iter().any(|m| !self.set.contains(*m)))
-            .collect()
-    }
-
     /// Whether the region is connected in `G_Δ`.
     #[must_use]
     pub fn is_connected(&self) -> bool {
@@ -225,19 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn line_regions() {
-        let l = Region::line(5, Direction::NE);
-        assert_eq!(l.len(), 5);
-        assert!(l.is_connected());
-        assert_eq!(l.interior_edges().len(), 4);
-    }
-
-    #[test]
     fn boundary_edges_count_for_single_node() {
         let r = Region::from_nodes([Node::ORIGIN]);
         assert_eq!(r.boundary_edges().len(), 6);
         assert_eq!(r.interior_edges().len(), 0);
-        assert_eq!(r.boundary_nodes(), vec![Node::ORIGIN]);
     }
 
     #[test]

@@ -38,9 +38,6 @@ pub const RING_FROM_SIDE: u8 = 0b0011_1110;
 /// Ring positions adjacent to `ℓ′` (the move target): indices 0, 1, 5, 6, 7.
 pub const RING_TO_SIDE: u8 = 0b1110_0011;
 
-/// Ring positions of the two common neighbors `S = N(ℓ) ∩ N(ℓ′)`: 1 and 5.
-pub const RING_COMMON: u8 = RING_FROM_SIDE & RING_TO_SIDE;
-
 const fn ring_for(dir: Direction) -> [Node; 8] {
     let origin = Node::ORIGIN;
     let to = origin.neighbor(dir);
@@ -69,7 +66,7 @@ const fn build_ring_offsets() -> [[Node; 8]; 6] {
 /// Offsets (from `ℓ`) of the eight combined-neighborhood ring nodes of the
 /// pair `{ℓ, ℓ + d}`, indexed by `d.index()`, in the module-level cyclic
 /// order.
-pub static RING_OFFSETS: [[Node; 8]; 6] = build_ring_offsets();
+pub(crate) static RING_OFFSETS: [[Node; 8]; 6] = build_ring_offsets();
 
 /// The ring offsets for pairs oriented along `dir`.
 ///
@@ -198,7 +195,8 @@ mod tests {
                 assert_eq!(to_bit, node.is_adjacent(to), "{dir} at {i}");
             }
         }
-        assert_eq!(RING_COMMON, 0b0010_0010);
+        // The two common neighbors S = N(ℓ) ∩ N(ℓ′) sit at positions 1 and 5.
+        assert_eq!(RING_FROM_SIDE & RING_TO_SIDE, 0b0010_0010);
         assert_eq!(RING_FROM_SIDE.count_ones(), 5);
         assert_eq!(RING_TO_SIDE.count_ones(), 5);
     }

@@ -22,7 +22,6 @@ use sops_lattice::{Edge, Node};
 /// ]);
 /// assert_eq!(tri.len(), 3);
 /// assert!(tri.is_connected());
-/// assert!(tri.is_even());
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeSet {
@@ -53,20 +52,22 @@ impl EdgeSet {
     }
 
     /// The edges in sorted order.
+    #[cfg(test)]
     #[must_use]
-    pub fn edges(&self) -> &[Edge] {
+    pub(crate) fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
     /// Whether `edge` is in the set (binary search).
+    #[cfg(test)]
     #[must_use]
-    pub fn contains(&self, edge: Edge) -> bool {
+    pub(crate) fn contains(&self, edge: Edge) -> bool {
         self.edges.binary_search(&edge).is_ok()
     }
 
     /// The distinct endpoints of the edges.
     #[must_use]
-    pub fn vertices(&self) -> Vec<Node> {
+    pub(crate) fn vertices(&self) -> Vec<Node> {
         let mut vs: Vec<Node> = self.edges.iter().flat_map(|e| e.endpoints()).collect();
         vs.sort_unstable();
         vs.dedup();
@@ -75,7 +76,7 @@ impl EdgeSet {
 
     /// Whether the two sets share an edge.
     #[must_use]
-    pub fn shares_edge_with(&self, other: &EdgeSet) -> bool {
+    pub(crate) fn shares_edge_with(&self, other: &EdgeSet) -> bool {
         // Merge-scan over the sorted edge lists.
         let (mut i, mut j) = (0, 0);
         while i < self.edges.len() && j < other.edges.len() {
@@ -90,7 +91,7 @@ impl EdgeSet {
 
     /// Whether the two sets share a vertex.
     #[must_use]
-    pub fn shares_vertex_with(&self, other: &EdgeSet) -> bool {
+    pub(crate) fn shares_vertex_with(&self, other: &EdgeSet) -> bool {
         let vs = self.vertices();
         other
             .edges
@@ -131,8 +132,9 @@ impl EdgeSet {
 
     /// Whether every vertex has even degree — the defining property of the
     /// high-temperature polymers.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         let vs = self.vertices();
         let mut deg = vec![0u32; vs.len()];
         for e in &self.edges {
@@ -146,7 +148,7 @@ impl EdgeSet {
     /// The set of edges sharing at least one endpoint with this set — the
     /// closure `[ξ]` of the even-polymer model.
     #[must_use]
-    pub fn vertex_closure(&self) -> EdgeSet {
+    pub(crate) fn vertex_closure(&self) -> EdgeSet {
         let mut out = Vec::new();
         for v in self.vertices() {
             for d in sops_lattice::DIRECTIONS {

@@ -24,7 +24,7 @@ use sops_lattice::{region::Region, Node};
 ///
 /// Panics for regions of more than 64 nodes.
 #[must_use]
-pub fn hardcore_partition_function(region: &Region, fugacity: f64) -> f64 {
+pub(crate) fn hardcore_partition_function(region: &Region, fugacity: f64) -> f64 {
     let nodes = region.nodes();
     let n = nodes.len();
     assert!(
@@ -65,17 +65,6 @@ pub fn hardcore_partition_function(region: &Region, fugacity: f64) -> f64 {
 #[must_use]
 pub fn independent_set_count(region: &Region) -> u64 {
     hardcore_partition_function(region, 1.0).round() as u64
-}
-
-/// The mean occupied-site density at fugacity `λ`:
-/// `⟨|I|⟩ / |V| = λ Z′(λ) / (|V| Z(λ))`, evaluated by central difference
-/// on `ln Z`.
-#[must_use]
-pub fn mean_density(region: &Region, fugacity: f64) -> f64 {
-    let h = fugacity * 1e-6;
-    let up = hardcore_partition_function(region, fugacity + h).ln();
-    let down = hardcore_partition_function(region, fugacity - h).ln();
-    fugacity * (up - down) / (2.0 * h) / region.len() as f64
 }
 
 #[cfg(test)]
@@ -124,19 +113,6 @@ mod tests {
                 assert!((z - fast).abs() < 1e-9 * z, "λ = {fugacity}: {z} vs {fast}");
             }
         }
-    }
-
-    #[test]
-    fn density_saturates_at_one_third() {
-        // On the triangular lattice the maximum independent set takes one
-        // of every three sites; high fugacity pushes density toward it.
-        let region = Region::hexagon(2);
-        let low = mean_density(&region, 0.1);
-        let high = mean_density(&region, 1e6);
-        assert!(low < 0.2, "low-fugacity density {low}");
-        // Finite hexagons slightly exceed 1/3 thanks to boundary sites.
-        assert!((0.3..=0.45).contains(&high), "saturation density {high}");
-        assert!(high > low);
     }
 
     #[test]

@@ -24,8 +24,9 @@ use crate::model::even_subgraphs;
 /// # Panics
 ///
 /// Panics for regions of more than 24 nodes.
+#[cfg(test)]
 #[must_use]
-pub fn ising_partition_brute(region: &Region, beta: f64) -> f64 {
+pub(crate) fn ising_partition_brute(region: &Region, beta: f64) -> f64 {
     let nodes = region.nodes();
     let n = nodes.len();
     assert!(n <= 24, "brute-force Ising limited to 24 spins, got {n}");
@@ -54,8 +55,9 @@ pub fn ising_partition_brute(region: &Region, beta: f64) -> f64 {
 ///
 /// Panics if the region's cycle space is too large to enumerate (see
 /// [`crate::model::even_subgraphs`]).
+#[cfg(test)]
 #[must_use]
-pub fn ising_partition_ht(region: &Region, beta: f64) -> f64 {
+pub(crate) fn ising_partition_ht(region: &Region, beta: f64) -> f64 {
     let e = region.interior_edges().len() as i32;
     let v = region.len() as u32;
     let t = beta.tanh();

@@ -48,7 +48,7 @@ impl CutLoopModel {
     /// The boundary `∂S` of a vertex set: edges with exactly one endpoint
     /// in `S`.
     #[must_use]
-    pub fn boundary_of(source: &[Node]) -> EdgeSet {
+    pub(crate) fn boundary_of(source: &[Node]) -> EdgeSet {
         let set: NodeSet = source.iter().copied().collect();
         let mut edges = Vec::new();
         for &v in source {
@@ -64,8 +64,9 @@ impl CutLoopModel {
 
     /// All loop polymers `∂S` for connected, simply connected `S` with
     /// `|S| ≤ max_source` and `S` contained in `region`. Deduplicated.
+    #[cfg(test)]
     #[must_use]
-    pub fn polymers_in(&self, region: &Region, max_source: usize) -> Vec<EdgeSet> {
+    pub(crate) fn polymers_in(&self, region: &Region, max_source: usize) -> Vec<EdgeSet> {
         let sources = connected_subsets(region, max_source);
         let mut out: Vec<EdgeSet> = sources
             .into_iter()
@@ -236,7 +237,7 @@ impl PolymerModel for EvenSubgraphModel {
 ///
 /// Panics if the cycle-space dimension exceeds 20.
 #[must_use]
-pub fn even_subgraphs(region: &Region) -> Vec<EdgeSet> {
+pub(crate) fn even_subgraphs(region: &Region) -> Vec<EdgeSet> {
     let edges = region.interior_edges();
     let vertices = region.nodes();
     let vindex = |n: Node| -> usize {
@@ -331,6 +332,7 @@ pub fn even_subgraphs(region: &Region) -> Vec<EdgeSet> {
 }
 
 /// All connected subsets of the region's nodes with size ≤ `max_size`.
+#[cfg(test)]
 fn connected_subsets(region: &Region, max_size: usize) -> Vec<Vec<Node>> {
     let mut out: std::collections::HashSet<Vec<Node>> = std::collections::HashSet::new();
     let mut level: std::collections::HashSet<Vec<Node>> = region.iter().map(|n| vec![n]).collect();

@@ -70,8 +70,7 @@ pub fn exact_partition_function<M: PolymerModel>(polymers: &[EdgeSet], model: &M
 ///
 /// # Panics
 ///
-/// Panics if the region's cycle space is too large (see
-/// [`crate::model::even_subgraphs`]).
+/// Panics if the region's cycle space has dimension above 20.
 #[must_use]
 pub fn even_partition_function(region: &sops_lattice::region::Region, x: f64) -> f64 {
     crate::model::even_subgraphs(region)
@@ -83,8 +82,9 @@ pub fn even_partition_function(region: &sops_lattice::region::Region, x: f64) ->
 /// The number of compatible collections (including the empty one): the
 /// partition function at all weights 1. Useful as a combinatorial
 /// cross-check.
+#[cfg(test)]
 #[must_use]
-pub fn compatible_collection_count<M: PolymerModel>(polymers: &[EdgeSet], model: &M) -> u64 {
+pub(crate) fn compatible_collection_count<M: PolymerModel>(polymers: &[EdgeSet], model: &M) -> u64 {
     struct UnitWeights<'a, M>(&'a M);
     impl<M: PolymerModel> PolymerModel for UnitWeights<'_, M> {
         fn weight(&self, _: &EdgeSet) -> f64 {

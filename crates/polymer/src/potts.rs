@@ -71,8 +71,9 @@ pub fn potts_partition_function_direct(region: &Region, gamma: f64, q: u32) -> f
 ///
 /// Panics if the region has more than 20 interior edges (2^|E| subsets) or
 /// `γ < 1` (the FK measure needs `v ≥ 0`).
+#[cfg(test)]
 #[must_use]
-pub fn potts_partition_function_fk(region: &Region, gamma: f64, q: u32) -> f64 {
+pub(crate) fn potts_partition_function_fk(region: &Region, gamma: f64, q: u32) -> f64 {
     assert!(gamma >= 1.0, "FK representation needs γ ≥ 1");
     let nodes = region.nodes();
     let n = nodes.len();

@@ -69,7 +69,7 @@ impl ResourceBudget {
 
     /// How many checkpoint snapshots a cell may retain: the caller's
     /// `default_retain`, reduced when the memory ceiling cannot hold that
-    /// many ~[`APPROX_SNAPSHOT_BYTES`] snapshots. Always at least 1 —
+    /// many ~`APPROX_SNAPSHOT_BYTES` snapshots. Always at least 1 —
     /// resumability is never traded away entirely.
     #[must_use]
     pub fn checkpoint_retention(&self, default_retain: usize) -> usize {
@@ -112,7 +112,7 @@ impl ResourceBudget {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] the budget violates.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.deadline == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroDeadline);
         }

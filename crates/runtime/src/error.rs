@@ -180,8 +180,8 @@ impl std::error::Error for JobError {}
 /// a run silently meaningless (zero budgets, retries that can never
 /// replay, ceilings too small to hold one snapshot).
 ///
-/// Returned by [`crate::SweepOptions::try_parse`] and
-/// [`crate::ResourceBudget::validate`] so bins fail loudly at parse time
+/// Returned by `crate::SweepOptions::try_parse` and
+/// `crate::ResourceBudget::validate` so bins fail loudly at parse time
 /// instead of spending hours on a run that was never viable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {

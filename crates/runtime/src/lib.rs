@@ -63,8 +63,8 @@ pub use chain_job::{run_chain, run_chain_monitored, ChainJob, StopReason};
 pub use error::{ConfigError, DegradeReason, JobError};
 pub use events::RuntimeEvent;
 pub use monitor::{MonitorState, StallPolicy};
-pub use options::{sanitize, SweepOptions};
-pub use report::{render_cell_report, write_cell_report};
+pub use options::SweepOptions;
+pub use report::write_cell_report;
 pub use resume::last_durable_step;
 pub use runner::{run_cells, CellOutcome, CellStatus, JobContext, Runtime};
 pub use seeds::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};

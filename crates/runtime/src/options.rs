@@ -77,7 +77,7 @@ impl SweepOptions {
     /// Parses the process arguments. Unknown flags are reported to stderr
     /// and ignored, so binaries stay usable from wrapper scripts that pass
     /// extra context. A rejected value or combination (see
-    /// [`SweepOptions::try_parse`]) prints the typed error and exits with
+    /// `SweepOptions::try_parse`) prints the typed error and exits with
     /// status 2 — a sweep that could never produce a result must not start.
     #[must_use]
     pub fn from_args() -> Self {
@@ -108,7 +108,7 @@ impl SweepOptions {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] encountered.
-    pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, ConfigError> {
+    pub(crate) fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, ConfigError> {
         fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ConfigError> {
             value.parse().map_err(|_| ConfigError::InvalidValue {
                 flag: flag.to_string(),
@@ -239,7 +239,7 @@ impl SweepOptions {
 
 /// Makes a cell label safe as a directory or file name.
 #[must_use]
-pub fn sanitize(cell: &str) -> String {
+pub(crate) fn sanitize(cell: &str) -> String {
     cell.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '.' || c == '-' {

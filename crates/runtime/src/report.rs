@@ -40,7 +40,7 @@ pub fn write_cell_report<T: fmt::Debug>(
 
 /// Renders the per-cell outcome JSON without touching the filesystem.
 #[must_use]
-pub fn render_cell_report<T: fmt::Debug>(bin: &str, outcomes: &[CellOutcome<T>]) -> String {
+pub(crate) fn render_cell_report<T: fmt::Debug>(bin: &str, outcomes: &[CellOutcome<T>]) -> String {
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"bin\": \"{}\",\n", json_escape(bin)));
     json.push_str(&format!(

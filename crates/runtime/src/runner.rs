@@ -140,7 +140,7 @@ impl<'a> JobContext<'a> {
 
     /// Marks the cell as having recovered from a fault (repair or
     /// rollback); a successful cell then reports `recovered`, not `ok`.
-    pub fn note_recovered(&self) {
+    pub(crate) fn note_recovered(&self) {
         self.recovered.store(true, Ordering::Relaxed);
     }
 

@@ -18,6 +18,10 @@
 //! - **Isolation.** Payload panics are caught per job, classified as
 //!   [`sops_runtime::JobError::Panic`], and the poisoned worker slot is
 //!   respawned — never leaked, never fatal to the pool.
+//! - **One job per session.** A job whose session already has a job
+//!   running waits in the queue until that job classifies, then resumes
+//!   from the session's checkpoints; each session has one manifest
+//!   writer at a time.
 //! - **Exactly-once classification.** Every admitted job terminates in
 //!   exactly one [`TerminalStatus`] (`Completed`, `Failed`, `Evicted`,
 //!   `Shed`); [`JobTicket::finish_count`] makes the invariant countable.
@@ -39,9 +43,7 @@ mod service;
 mod session;
 
 pub use payload::chain_payload;
-pub use queue::{
-    Admission, AdmissionWait, JobTicket, QueueConfig, RejectReason, TerminalStatus, WaitVerdict,
-};
+pub use queue::{Admission, JobTicket, QueueConfig, RejectReason, TerminalStatus};
 pub use service::{
     DrainReport, ExecCtx, JobOutcome, JobPayload, JobService, JobSpec, ServiceConfig, ServiceStats,
 };

@@ -88,9 +88,9 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::io;
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     use rand::{Rng, RngExt as _};
@@ -99,41 +99,76 @@ mod tests {
     use super::*;
     use crate::{Admission, JobService, JobSpec, ServiceConfig, TerminalStatus};
 
-    /// The in-memory filesystem, counting reads of snapshot files.
+    /// The in-memory filesystem, counting operations by kind and by the
+    /// class of file or directory they touch.
     struct CountingVfs {
         inner: FaultyVfs,
-        snapshot_reads: AtomicU64,
+        counts: Mutex<BTreeMap<(&'static str, &'static str), u64>>,
+    }
+
+    impl CountingVfs {
+        fn new() -> Self {
+            CountingVfs {
+                inner: FaultyVfs::new(),
+                counts: Mutex::new(BTreeMap::new()),
+            }
+        }
+
+        /// Counts `op` on `path`: a manifest, anything in a session's
+        /// checkpoint directory, or the store root.
+        fn count(&self, op: &'static str, path: &Path) {
+            let under = |dir: &str| path.components().any(|c| c.as_os_str() == dir);
+            let class = if under("manifests") {
+                "manifest"
+            } else if under("sessions") {
+                "checkpoint"
+            } else {
+                "root"
+            };
+            *self.counts.lock().unwrap().entry((op, class)).or_default() += 1;
+        }
+
+        /// The counts since the last call, resetting them.
+        fn take(&self) -> BTreeMap<(&'static str, &'static str), u64> {
+            std::mem::take(&mut *self.counts.lock().unwrap())
+        }
     }
 
     impl Vfs for CountingVfs {
         fn create(&self, path: &Path) -> io::Result<()> {
+            self.count("create", path);
             self.inner.create(path)
         }
         fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.count("write", path);
             self.inner.write(path, data)
         }
         fn sync(&self, path: &Path) -> io::Result<()> {
+            self.count("sync", path);
             self.inner.sync(path)
         }
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.count("rename", to);
             self.inner.rename(from, to)
         }
         fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.count("sync_dir", dir);
             self.inner.sync_dir(dir)
         }
         fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            if path.extension().is_some_and(|e| e == "ckpt") {
-                self.snapshot_reads.fetch_add(1, Ordering::SeqCst);
-            }
+            self.count("read", path);
             self.inner.read(path)
         }
         fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            self.count("list", dir);
             self.inner.list(dir)
         }
         fn remove(&self, path: &Path) -> io::Result<()> {
+            self.count("remove", path);
             self.inner.remove(path)
         }
         fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.count("create_dir_all", dir);
             self.inner.create_dir_all(dir)
         }
     }
@@ -179,27 +214,28 @@ mod tests {
         ticket.wait()
     }
 
-    #[test]
-    fn resumed_dispatch_recovers_once_and_reports_one_resume() {
-        let vfs = Arc::new(CountingVfs {
-            inner: FaultyVfs::new(),
-            snapshot_reads: AtomicU64::new(0),
-        });
-        let svc = JobService::open_with(
+    fn service(vfs: &Arc<CountingVfs>) -> JobService {
+        JobService::open_with(
             Path::new("/svc"),
             ServiceConfig {
                 workers: 1,
                 ..ServiceConfig::default()
             },
-            Arc::clone(&vfs) as _,
+            Arc::clone(vfs) as _,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn resumed_dispatch_recovers_once_and_reports_one_resume() {
+        let vfs = Arc::new(CountingVfs::new());
+        let svc = service(&vfs);
         assert_eq!(run(&svc, 3_000), TerminalStatus::Completed { steps: 3_000 });
 
         let lines = Arc::new(Mutex::new(Vec::<String>::new()));
         let sink = Arc::clone(&lines);
         svc.set_telemetry(move |line| sink.lock().unwrap().push(line.to_string()));
-        vfs.snapshot_reads.store(0, Ordering::SeqCst);
+        vfs.take();
         assert_eq!(run(&svc, 6_000), TerminalStatus::Completed { steps: 6_000 });
         svc.shutdown(std::time::Duration::from_secs(5));
 
@@ -210,6 +246,31 @@ mod tests {
             .collect();
         assert_eq!(resumed.len(), 1, "{lines:?}");
         assert!(resumed[0].contains("\"from_step\": 3000"), "{}", resumed[0]);
-        assert_eq!(vfs.snapshot_reads.load(Ordering::SeqCst), 1);
+        let snapshot_reads = vfs.take().get(&("read", "checkpoint")).copied();
+        assert_eq!(snapshot_reads, Some(1));
+    }
+
+    /// Every storage operation of a fresh job with one snapshot, by kind
+    /// and class: one manifest read, two atomic manifest writes (`Running`
+    /// before the payload, the terminal status after), one atomic
+    /// snapshot write, and the checkpoint store's listings.
+    #[test]
+    fn a_fresh_job_makes_a_pinned_set_of_storage_operations() {
+        let vfs = Arc::new(CountingVfs::new());
+        let svc = service(&vfs);
+        vfs.take();
+        assert_eq!(run(&svc, 1_000), TerminalStatus::Completed { steps: 1_000 });
+        svc.shutdown(std::time::Duration::from_secs(5));
+        let mut expected = BTreeMap::from([
+            (("read", "manifest"), 1),
+            (("create_dir_all", "checkpoint"), 1),
+            (("list", "checkpoint"), 5),
+        ]);
+        for (class, atomic_writes) in [("manifest", 2), ("checkpoint", 1)] {
+            for op in ["create", "write", "sync", "rename", "sync_dir"] {
+                expected.insert((op, class), atomic_writes);
+            }
+        }
+        assert_eq!(vfs.take(), expected);
     }
 }

@@ -9,7 +9,7 @@
 //! condvar when idle (never spin), blocked submitters park on `space`,
 //! and drain waiters park on `idle`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -289,6 +289,11 @@ struct SchedState {
     /// these. Registration happens under this same mutex as the drain
     /// flag, so a job can never slip past a drain's cancel sweep.
     inflight: HashMap<u64, CancelToken>,
+    /// Sessions with a manifest writer: a dispatched job, or a shed or
+    /// drained job whose terminal manifest write is pending. A queued job
+    /// of a session in here is skipped by the scheduler, so each session
+    /// runs one job at a time and has one writer.
+    busy: HashSet<String>,
     draining: bool,
     stopped: bool,
     round: u64,
@@ -298,7 +303,18 @@ struct SchedState {
 #[derive(Debug)]
 pub(crate) struct Admitted {
     pub(crate) depth: usize,
-    pub(crate) shed: Option<QueuedJob>,
+    pub(crate) shed: Option<Removed>,
+}
+
+/// A job taken off the queue without dispatch (shed or drained), for the
+/// caller to classify. `writes_manifest` is true when the queue reserved
+/// the job's session for its terminal manifest write, to be released with
+/// [`JobQueue::release_session`]; it is false when the session already
+/// has a writer, which then owns the manifest.
+#[derive(Debug)]
+pub(crate) struct Removed {
+    pub(crate) job: QueuedJob,
+    pub(crate) writes_manifest: bool,
 }
 
 pub(crate) enum Popped {
@@ -319,7 +335,7 @@ pub(crate) enum WaitError {
 /// before space**, so a cancelled submitter unblocks with a cancel
 /// verdict even on the exact poll where a slot opened.
 #[derive(Clone, Copy, Debug)]
-pub struct AdmissionWait {
+pub(crate) struct AdmissionWait {
     /// Upper bound on each park, in milliseconds. Because
     /// [`CancelToken`] is a bare atomic flag with no wakeup channel,
     /// this bound *is* the worst-case cancellation latency.
@@ -328,7 +344,7 @@ pub struct AdmissionWait {
 
 /// What one poll of a blocked admission decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitVerdict {
+pub(crate) enum WaitVerdict {
     /// Space exists; admit now.
     Admit,
     /// The submitter's cancel token fired; unblock with `Cancelled`.
@@ -345,7 +361,7 @@ pub enum WaitVerdict {
 impl AdmissionWait {
     /// Decides what a blocked submission does this poll.
     #[must_use]
-    pub fn verdict(&self, cancelled: bool, draining: bool, would_fit: bool) -> WaitVerdict {
+    pub(crate) fn verdict(&self, cancelled: bool, draining: bool, would_fit: bool) -> WaitVerdict {
         if cancelled {
             WaitVerdict::Cancelled
         } else if draining {
@@ -361,7 +377,7 @@ impl AdmissionWait {
 /// The bounded, multi-tenant job queue. See the module docs for the
 /// concurrency layout; the public service API lives on
 /// [`crate::JobService`], which owns one of these.
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     cfg: QueueConfig,
     state: Mutex<SchedState>,
     /// Workers park here when the queue is empty.
@@ -385,6 +401,7 @@ impl JobQueue {
                 active: VecDeque::new(),
                 depth: 0,
                 inflight: HashMap::new(),
+                busy: HashSet::new(),
                 draining: false,
                 stopped: false,
                 round: 0,
@@ -470,7 +487,7 @@ impl JobQueue {
         let mut shed = None;
         if st.depth >= self.cfg.capacity {
             match Self::shed_victim_locked(st, &self.cfg, job.priority) {
-                Some(victim) => shed = Some(victim),
+                Some(victim) => shed = Some(Self::remove_locked(st, victim)),
                 None => return Err((job, RejectReason::QueueFull)),
             }
         }
@@ -523,13 +540,29 @@ impl JobQueue {
         }
     }
 
+    /// Reserves a removed job's session for its terminal manifest write,
+    /// unless the session already has a writer.
+    fn remove_locked(st: &mut SchedState, job: QueuedJob) -> Removed {
+        let writes_manifest = st.busy.insert(job.session.clone());
+        Removed {
+            job,
+            writes_manifest,
+        }
+    }
+
     /// Deficit-round-robin pop under the lock. Each visit adds the
     /// quantum to the lane's deficit and pops the lane's best affordable
-    /// job (highest effective priority, oldest among ties). Costs are
-    /// clamped to [`MAX_COST`] quanta, so the rotation pops within a
-    /// bounded number of visits whenever any job is queued.
+    /// job (highest effective priority, oldest among ties) whose session
+    /// is not busy. Costs are clamped to [`MAX_COST`] quanta, so the
+    /// rotation pops within a bounded number of visits whenever any
+    /// queued job's session is free.
     fn pop_locked(st: &mut SchedState, cfg: &QueueConfig) -> Option<QueuedJob> {
-        if st.depth == 0 {
+        let free = st
+            .lanes
+            .values()
+            .flat_map(|lane| &lane.pending)
+            .any(|job| !st.busy.contains(&job.session));
+        if !free {
             return None;
         }
         st.round += 1;
@@ -541,7 +574,7 @@ impl JobQueue {
             );
             let mut best: Option<(usize, u64, u64)> = None;
             for (idx, job) in lane.pending.iter().enumerate() {
-                if job.cost > lane.deficit {
+                if job.cost > lane.deficit || st.busy.contains(&job.session) {
                     continue;
                 }
                 let eff = effective_priority(job, st.round, cfg);
@@ -564,14 +597,15 @@ impl JobQueue {
                     st.active.push_back(tenant);
                 }
                 st.depth -= 1;
+                st.busy.insert(job.session.clone());
                 return Some(job);
             }
             st.active.push_back(tenant);
         }
     }
 
-    /// Worker-side blocking pop. Parks on the `work` condvar while the
-    /// queue is empty (idle workers never spin); returns [`Popped::Exit`]
+    /// Worker-side blocking pop. Parks on the `work` condvar while no
+    /// queued job can dispatch (idle workers never spin); returns [`Popped::Exit`]
     /// once the service is draining or stopped with nothing left to pop.
     /// A popped job's cancel token is registered in the in-flight table
     /// under the same lock as the drain flag.
@@ -601,10 +635,13 @@ impl JobQueue {
         }
     }
 
-    /// Deregisters a dispatched job once it has classified.
-    pub(crate) fn finish_inflight(&self, seq: u64) {
+    /// Deregisters a dispatched job once it has classified, and frees its
+    /// session for the next queued job of that session. No worker needs
+    /// waking: the caller pops next (or its replacement does).
+    pub(crate) fn finish_inflight(&self, seq: u64, session: &str) {
         let mut st = self.state.lock().expect("queue mutex");
         st.inflight.remove(&seq);
+        st.busy.remove(session);
         let empty = st.inflight.is_empty();
         drop(st);
         if empty {
@@ -612,20 +649,36 @@ impl JobQueue {
         }
     }
 
+    /// Frees a session reserved for a [`Removed`] job's manifest write,
+    /// waking a worker if jobs are queued (one may be of this session).
+    pub(crate) fn release_session(&self, session: &str) {
+        let mut st = self.state.lock().expect("queue mutex");
+        st.busy.remove(session);
+        let queued = st.depth > 0;
+        drop(st);
+        if queued {
+            self.work.notify_one();
+        }
+    }
+
     /// Closes admissions, empties the queue, and snapshots the in-flight
     /// cancel tokens. Returns the never-dispatched jobs (in submission
     /// order) for the caller to classify as evicted, and the tokens for
     /// the caller to cancel.
-    pub(crate) fn drain(&self) -> (Vec<QueuedJob>, Vec<CancelToken>) {
+    pub(crate) fn drain(&self) -> (Vec<Removed>, Vec<CancelToken>) {
         let mut guard = self.state.lock().expect("queue mutex");
         let st = &mut *guard;
         st.draining = true;
-        let mut evicted = Vec::new();
+        let mut queued = Vec::new();
         for lane in st.lanes.values_mut() {
-            evicted.extend(lane.pending.drain(..));
+            queued.extend(lane.pending.drain(..));
             lane.deficit = 0;
         }
-        evicted.sort_by_key(|job| job.seq);
+        queued.sort_by_key(|job| job.seq);
+        let evicted = queued
+            .into_iter()
+            .map(|job| Self::remove_locked(st, job))
+            .collect();
         st.active.clear();
         st.depth = 0;
         let tokens: Vec<CancelToken> = st.inflight.values().cloned().collect();
@@ -744,6 +797,23 @@ mod tests {
     }
 
     #[test]
+    fn a_busy_sessions_jobs_wait_for_it_to_finish() {
+        let queue = JobQueue::new(QueueConfig::default());
+        queue.try_admit(job("a", "s", 0)).unwrap();
+        queue.try_admit(job("a", "s", 0)).unwrap();
+        queue.try_admit(job("b", "other", 0)).unwrap();
+        let first = pop(&queue);
+        assert_eq!(first.session, "s");
+        // The second job of `s` is skipped while the first runs.
+        assert_eq!(pop(&queue).session, "other");
+        let mut st = queue.state.lock().unwrap();
+        assert!(JobQueue::pop_locked(&mut st, &queue.cfg).is_none());
+        drop(st);
+        queue.finish_inflight(first.seq, &first.session);
+        assert_eq!(pop(&queue).session, "s");
+    }
+
+    #[test]
     fn priority_aging_prevents_livelock() {
         let cfg = QueueConfig {
             capacity: 64,
@@ -785,11 +855,12 @@ mod tests {
         // jobs.
         let admitted = queue.try_admit(job("t", "t/urgent", 5)).unwrap();
         let victim = admitted.shed.expect("displacement under overload");
-        assert_eq!(victim.session, "t/new-low");
+        assert_eq!(victim.job.session, "t/new-low");
+        assert!(victim.writes_manifest);
         // A second urgent job displaces the remaining low-priority one.
         let admitted = queue.try_admit(job("t", "t/urgent2", 5)).unwrap();
         assert_eq!(
-            admitted.shed.expect("second displacement").session,
+            admitted.shed.expect("second displacement").job.session,
             "t/old-low"
         );
         // Once only equals remain, equal priority does not displace.

@@ -25,7 +25,8 @@ use sops_runtime::{
 };
 
 use crate::queue::{
-    Admission, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, TerminalStatus, WaitError,
+    Admission, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, Removed, TerminalStatus,
+    WaitError,
 };
 use crate::session::{SessionManifest, SessionRecovery, SessionStatus, SessionStore};
 
@@ -54,7 +55,6 @@ pub struct ExecCtx<'a> {
     pub(crate) store: &'a CheckpointStore,
     pub(crate) budget: &'a ResourceBudget,
     pub(crate) session: &'a str,
-    pub(crate) attempt: u32,
     pub(crate) events: &'a dyn Fn(RuntimeEvent),
 }
 
@@ -79,18 +79,6 @@ impl ExecCtx<'_> {
         self.budget
     }
 
-    /// The session id.
-    #[must_use]
-    pub fn session(&self) -> &str {
-        self.session
-    }
-
-    /// Which dispatch of this session this is (1 on first run).
-    #[must_use]
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// Whether eviction has been signalled (drain, shutdown, or per-job
     /// cancel). Payloads should stop at the next durable point and
     /// return [`JobOutcome::Yielded`].
@@ -101,7 +89,7 @@ impl ExecCtx<'_> {
 
     /// Records that this job resumed its session from a durable
     /// checkpoint (emits [`RuntimeEvent::Resumed`]).
-    pub fn note_resumed(&self, from_step: u64) {
+    pub(crate) fn note_resumed(&self, from_step: u64) {
         self.emit(RuntimeEvent::Resumed {
             session: self.session.to_string(),
             from_step,
@@ -289,6 +277,23 @@ impl Shared {
     /// on the ticket is authoritative; a failed write leaves the durable
     /// status at `running`, which recovery treats as interrupted — the
     /// conservative (resumable) reading.
+    fn save_terminal(
+        &self,
+        manifest: &mut SessionManifest,
+        status: SessionStatus,
+        durable: Option<u64>,
+        error_kind: Option<String>,
+    ) {
+        manifest.status = status;
+        if durable.is_some() {
+            manifest.last_durable_step = durable;
+        }
+        manifest.error_kind = error_kind;
+        let _ = self.sessions.save(manifest);
+    }
+
+    /// [`Shared::save_terminal`] for a job that holds no manifest copy of
+    /// its own: one that never dispatched, or whose store failed to open.
     fn save_terminal_manifest(
         &self,
         session: &str,
@@ -304,12 +309,36 @@ impl Shared {
             .unwrap_or_else(|_| SessionManifest::new(session, tenant, priority));
         manifest.tenant = tenant.to_string();
         manifest.priority = priority;
-        manifest.status = status;
-        if durable.is_some() {
-            manifest.last_durable_step = durable;
+        self.save_terminal(&mut manifest, status, durable, error_kind);
+    }
+
+    /// Classifies a job taken off the queue before dispatch. Its terminal
+    /// manifest is written only when the queue reserved the session for
+    /// it; otherwise a job of that session is running, and that job's
+    /// worker owns the manifest.
+    fn classify_removed(
+        &self,
+        removed: Removed,
+        status: TerminalStatus,
+        session_status: SessionStatus,
+        durable: Option<u64>,
+    ) {
+        let Removed {
+            job,
+            writes_manifest,
+        } = removed;
+        if writes_manifest {
+            self.save_terminal_manifest(
+                &job.session,
+                &job.tenant,
+                job.priority,
+                session_status,
+                durable,
+                None,
+            );
+            self.queue.release_session(&job.session);
         }
-        manifest.error_kind = error_kind;
-        let _ = self.sessions.save(&manifest);
+        self.finish(&job.ticket, status, durable);
     }
 }
 
@@ -346,8 +375,9 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
             Popped::Exit => break,
             Popped::Job(job, token) => {
                 let seq = job.seq;
+                let session = job.session.clone();
                 let poisoned = run_job(shared, job, &token);
-                shared.queue.finish_inflight(seq);
+                shared.queue.finish_inflight(seq, &session);
                 if poisoned {
                     // The panic was caught and classified (and counted in
                     // `respawns` before the ticket resolved), but a payload
@@ -403,7 +433,6 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
     manifest.priority = priority;
     manifest.status = SessionStatus::Running;
     manifest.runs += 1;
-    let attempt = manifest.runs;
     if let Err(e) = shared.sessions.save(&manifest) {
         shared.finish(&ticket, TerminalStatus::Failed { error: e.into() }, None);
         return false;
@@ -415,7 +444,6 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
         store: &store,
         budget: &shared.cfg.budget,
         session: &session,
-        attempt,
         events: &emit,
     };
     let result = catch_unwind(AssertUnwindSafe(|| payload(&ctx)));
@@ -466,14 +494,9 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
             )
         }
     };
-    shared.save_terminal_manifest(
-        &session,
-        &tenant,
-        priority,
-        session_status,
-        durable,
-        error_kind,
-    );
+    // The session has no other writer while this job runs, so the copy
+    // written as `Running` above is the durable manifest: no reload.
+    shared.save_terminal(&mut manifest, session_status, durable, error_kind);
     shared.finish(&ticket, status, durable);
     poisoned
 }
@@ -569,7 +592,11 @@ impl JobService {
                     queue_depth: admitted.depth as u64,
                 });
                 if let Some(victim) = admitted.shed {
-                    self.classify_shed(victim);
+                    let status = TerminalStatus::Shed {
+                        priority: victim.job.priority,
+                    };
+                    self.shared
+                        .classify_removed(victim, status, SessionStatus::Shed, None);
                 }
                 Admission::Admitted(ticket)
             }
@@ -648,24 +675,6 @@ impl JobService {
         }
     }
 
-    fn classify_shed(&self, victim: QueuedJob) {
-        self.shared.save_terminal_manifest(
-            &victim.session,
-            &victim.tenant,
-            victim.priority,
-            SessionStatus::Shed,
-            None,
-            None,
-        );
-        self.shared.finish(
-            &victim.ticket,
-            TerminalStatus::Shed {
-                priority: victim.priority,
-            },
-            None,
-        );
-    }
-
     /// Graceful drain: closes admissions, evicts every queued job as
     /// resumable, signals eviction to every in-flight job, and waits up
     /// to `deadline` for them to checkpoint and classify. In-flight work
@@ -678,24 +687,17 @@ impl JobService {
             token.cancel();
         }
         let evicted_queued = queued.len();
-        for job in queued {
+        for removed in queued {
             let durable = self
                 .shared
                 .sessions
-                .load(&job.session)
+                .load(&removed.job.session)
                 .ok()
                 .and_then(|m| m.last_durable_step);
-            self.shared.save_terminal_manifest(
-                &job.session,
-                &job.tenant,
-                job.priority,
-                SessionStatus::Evicted,
-                durable,
-                None,
-            );
-            self.shared.finish(
-                &job.ticket,
+            self.shared.classify_removed(
+                removed,
                 TerminalStatus::Evicted { resumable: true },
+                SessionStatus::Evicted,
                 durable,
             );
         }
@@ -886,6 +888,59 @@ mod tests {
         }
         assert_eq!(slow.wait(), TerminalStatus::Evicted { resumable: true });
         release.store(true, Ordering::SeqCst);
+        svc.shutdown(Duration::from_secs(5));
+    }
+
+    #[test]
+    fn shedding_a_waiting_job_leaves_its_running_sessions_manifest_alone() {
+        let svc = JobService::open_with(
+            Path::new("/svc"),
+            ServiceConfig {
+                workers: 1,
+                queue: QueueConfig {
+                    capacity: 1,
+                    ..QueueConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+            Arc::new(FaultyVfs::new()),
+        )
+        .unwrap();
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&release);
+        let Admission::Admitted(running) = svc.submit(JobSpec::new(
+            "t",
+            "t/s",
+            Box::new(move |_ctx| {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(JobOutcome::Completed { steps: 3 })
+            }),
+        )) else {
+            panic!("rejected")
+        };
+        while svc.inflight() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let Admission::Admitted(waiting) = svc.submit(JobSpec::new("t", "t/s", ok_payload(1)))
+        else {
+            panic!("rejected")
+        };
+        let mut urgent = JobSpec::new("u", "u/s", ok_payload(1));
+        urgent.priority = 5;
+        let Admission::Admitted(urgent) = svc.submit(urgent) else {
+            panic!("rejected")
+        };
+        assert_eq!(waiting.wait(), TerminalStatus::Shed { priority: 0 });
+        let manifest = svc.session_store().load("t/s").unwrap();
+        assert_eq!(manifest.status, SessionStatus::Running);
+        release.store(true, Ordering::SeqCst);
+        assert_eq!(running.wait(), TerminalStatus::Completed { steps: 3 });
+        assert_eq!(urgent.wait(), TerminalStatus::Completed { steps: 1 });
+        let manifest = svc.session_store().load("t/s").unwrap();
+        assert_eq!(manifest.status, SessionStatus::Completed);
+        assert_eq!(manifest.runs, 1);
         svc.shutdown(Duration::from_secs(5));
     }
 

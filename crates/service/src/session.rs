@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sops_chains::checkpoint::{CheckpointError, CheckpointStore};
-use sops_chains::{fnv1a64, reap_tmp_files, write_atomic, CancelToken, RealVfs, Vfs};
+use sops_chains::{fnv1a64, reap_tmp_files, write_atomic, CancelToken, Vfs};
 
 /// Where a session is in its lifecycle, as recorded durably.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +67,7 @@ impl SessionStatus {
     /// resumption. `Running` counts: it means the previous process died
     /// mid-job, which is precisely the crash-recovery case.
     #[must_use]
-    pub fn is_resumable(self) -> bool {
+    pub(crate) fn is_resumable(self) -> bool {
         matches!(
             self,
             SessionStatus::Pending | SessionStatus::Running | SessionStatus::Evicted
@@ -118,7 +118,7 @@ impl SessionManifest {
     /// their lines, so they may contain spaces but not newlines (rejected
     /// at save).
     #[must_use]
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut body = String::new();
         body.push_str(&format!("session {}\n", self.session));
         body.push_str(&format!("tenant {}\n", self.tenant));
@@ -146,7 +146,7 @@ impl SessionManifest {
     /// # Errors
     ///
     /// A human-readable description of the first validation failure.
-    pub fn from_text(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_text(text: &str) -> Result<Self, String> {
         let Some((magic, rest)) = text.split_once('\n') else {
             return Err("manifest is a single line".to_string());
         };
@@ -272,18 +272,9 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Opens (creating if needed) a session store rooted at `root` on the
-    /// real filesystem.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the directory layout.
-    pub fn open(root: &Path, retain: usize) -> io::Result<Self> {
-        Self::open_with(root, retain, Arc::new(RealVfs))
-    }
-
-    /// [`SessionStore::open`] against an explicit [`Vfs`] — the seam the
-    /// chaos suite uses to crash the store at every I/O operation.
+    /// Opens (creating if needed) a session store rooted at `root` on
+    /// `vfs` — the real filesystem, or the seam the chaos suite uses to
+    /// crash the store at every I/O operation.
     ///
     /// # Errors
     ///
@@ -299,19 +290,13 @@ impl SessionStore {
         Ok(store)
     }
 
-    /// The store's root directory.
-    #[must_use]
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn manifest_dir(&self) -> PathBuf {
         self.root.join("manifests")
     }
 
     /// The manifest file for `session`.
     #[must_use]
-    pub fn manifest_path(&self, session: &str) -> PathBuf {
+    pub(crate) fn manifest_path(&self, session: &str) -> PathBuf {
         self.manifest_dir()
             .join(format!("{}.session", session_stem(session)))
     }

@@ -745,3 +745,43 @@ fn restart_reaps_orphans_and_rejects_torn_manifests() {
     assert!(svc.recover_sessions().unwrap().reaped.is_empty());
     svc.shutdown(Duration::from_secs(5));
 }
+
+/// Two jobs of one session, submitted back to back to two workers: the
+/// second waits for the first to classify, then resumes from its final
+/// checkpoint instead of racing it on the session's checkpoint directory
+/// and manifest. Both complete, the second finishes in the first's exact
+/// state and RNG stream, and the manifest counts both dispatches.
+#[test]
+fn a_session_runs_one_job_at_a_time() {
+    let scratch = Scratch::new("same-session");
+    let svc = JobService::open(
+        &scratch.0,
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let first: DoneWitness = Arc::new(Mutex::new(None));
+    let second: DoneWitness = Arc::new(Mutex::new(None));
+    let tickets = [&first, &second].map(|witness| {
+        admit(
+            &svc,
+            JobSpec::new("t", "t/same", walk_payload(31, 400, 20, 20, witness)),
+        )
+    });
+    for ticket in &tickets {
+        let status = ticket
+            .wait_timeout(Duration::from_secs(60))
+            .expect("job never classified");
+        assert_eq!(status, TerminalStatus::Completed { steps: 400 });
+        assert_eq!(ticket.finish_count(), 1);
+    }
+    let manifest = svc.session_store().load("t/same").unwrap();
+    svc.shutdown(Duration::from_secs(10));
+    let first = first.lock().unwrap().clone().expect("first job finished");
+    let second = second.lock().unwrap().clone().expect("second job finished");
+    assert_eq!(second, first, "the second job did not resume the first");
+    assert_eq!(manifest.status, SessionStatus::Completed);
+    assert_eq!(manifest.runs, 2);
+}
