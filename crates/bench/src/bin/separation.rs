@@ -55,9 +55,9 @@ fn sweep_cell(
 
     // Burn-in. With a checkpoint store the run goes through the full
     // escalation ladder (audit → in-place repair → rollback) and reports
-    // any recovery rungs taken back to the runtime; without one it is a
-    // plain chunked loop that still heartbeats, audits, and honors the
-    // budget.
+    // any recovery rungs taken back to the runtime; without one the same
+    // loop writes no snapshot and has no rollback rung, but still
+    // heartbeats, audits and repairs, and honors the budget.
     let store = opts.store_for(&format!("gamma={gamma:.4}"))?;
     let job = ChainJob {
         steps: BURN_IN,

@@ -80,6 +80,7 @@ fn chain_cell(
         steps: STEPS,
         every: EVERY,
         max_rollbacks: 3,
+        audit_every: None,
     };
     let run = run_supervised(
         &chain,
@@ -155,6 +156,7 @@ fn repeated_corruption_is_healed_every_chunk() {
             steps: STEPS,
             every: EVERY,
             max_rollbacks: 3,
+            audit_every: None,
         };
         let run = run_supervised(
             &chain,

@@ -912,6 +912,23 @@ impl CheckpointStore {
         Ok(paths)
     }
 
+    /// The step of the newest snapshot the store *names*, read from file
+    /// names alone: no payload is read or validated, so this answers "how
+    /// far did this run durably get?" for telemetry or a session manifest,
+    /// not which snapshot a resume would load ([`CheckpointStore::recover`]
+    /// falls back past corrupt ones).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the directory cannot be read.
+    pub fn newest_step(&self) -> Result<Option<u64>, CheckpointError> {
+        Ok(self
+            .list()?
+            .iter()
+            .filter_map(|p| step_from_filename(p))
+            .max())
+    }
+
     /// Orphaned `step-*.ckpt.tmp` files in the store directory — debris
     /// of a save interrupted between temp-file creation and rename.
     fn list_tmp(&self) -> Result<Vec<PathBuf>, CheckpointError> {
@@ -1599,6 +1616,19 @@ mod tests {
     }
 
     #[test]
+    fn newest_step_names_the_newest_snapshot() {
+        let scratch = Scratch::new("newest");
+        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        assert_eq!(store.newest_step().unwrap(), None);
+        for step in [1_000u64, 3_000, 2_000] {
+            store
+                .save_parts(step, step / 4, &[0u8; 32], &[(0, 0.0)], &step)
+                .unwrap();
+        }
+        assert_eq!(store.newest_step().unwrap(), Some(3_000));
+    }
+
+    #[test]
     fn duplicate_step_snapshots_resolve_without_rejection() {
         let scratch = Scratch::new("dup");
         let store = CheckpointStore::open(&scratch.0, 5).unwrap();
@@ -1664,6 +1694,7 @@ mod tests {
                 steps,
                 every: EVERY,
                 max_rollbacks: 0,
+                audit_every: None,
             };
             run_supervised(
                 &Walk(97),
@@ -1744,6 +1775,7 @@ mod tests {
             steps: 10,
             every: 5,
             max_rollbacks: 0,
+            audit_every: None,
         };
         let err = run_supervised(
             &Poisoned,

@@ -979,15 +979,12 @@ const MONITOR_CODEC_VERSION: u8 = 1;
 /// boundaries.
 ///
 /// Gating rules must *all* be satisfied (after `min_samples` observations)
-/// for the monitor to latch a convergence decision; tracker rules are fed
-/// and serialized the same way but only contribute diagnostics (e.g. a
-/// [`CertificateRule`] recording the first separation step without gating
-/// the stop). Once latched, the decision — step and diagnostics snapshot —
-/// is immutable and rides in the serialized state, so a resumed run
-/// reports the identical `converged_at_step`.
+/// for the monitor to latch a convergence decision. Once latched, the
+/// decision — step and diagnostics snapshot — is immutable and rides in
+/// the serialized state, so a resumed run reports the identical
+/// `converged_at_step`.
 pub struct ConvergenceMonitor {
     rules: Vec<Box<dyn StoppingRule + Send>>,
-    trackers: Vec<Box<dyn StoppingRule + Send>>,
     min_samples: u64,
     samples: u64,
     last_step: Option<u64>,
@@ -1000,10 +997,6 @@ impl std::fmt::Debug for ConvergenceMonitor {
             .field(
                 "rules",
                 &self.rules.iter().map(|r| r.name()).collect::<Vec<_>>(),
-            )
-            .field(
-                "trackers",
-                &self.trackers.iter().map(|r| r.name()).collect::<Vec<_>>(),
             )
             .field("min_samples", &self.min_samples)
             .field("samples", &self.samples)
@@ -1021,7 +1014,6 @@ impl ConvergenceMonitor {
     pub fn new(min_samples: u64) -> Self {
         ConvergenceMonitor {
             rules: Vec::new(),
-            trackers: Vec::new(),
             min_samples,
             samples: 0,
             last_step: None,
@@ -1033,17 +1025,6 @@ impl ConvergenceMonitor {
     #[must_use]
     pub fn with_rule(mut self, rule: Box<dyn StoppingRule + Send>) -> Self {
         self.rules.push(rule);
-        self
-    }
-
-    /// Adds a tracker: observed and serialized like a rule, but excluded
-    /// from the stop conjunction (builder style). No production monitor
-    /// has a tracker; the monitor's persisted state keeps the tracker
-    /// group, and tests use this to fill it.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_tracker(mut self, rule: Box<dyn StoppingRule + Send>) -> Self {
-        self.trackers.push(rule);
         self
     }
 
@@ -1060,7 +1041,7 @@ impl ConvergenceMonitor {
             return;
         }
         self.last_step = Some(step);
-        for rule in self.rules.iter_mut().chain(self.trackers.iter_mut()) {
+        for rule in &mut self.rules {
             rule.observe(step, value, certified);
         }
         self.samples += 1;
@@ -1085,7 +1066,7 @@ impl ConvergenceMonitor {
     #[must_use]
     pub fn diagnostics(&self) -> Diagnostics {
         let mut entries = Vec::new();
-        for rule in self.rules.iter().chain(self.trackers.iter()) {
+        for rule in &self.rules {
             rule.diagnostics(&mut entries);
         }
         Diagnostics {
@@ -1098,7 +1079,7 @@ impl ConvergenceMonitor {
         self.samples = 0;
         self.last_step = None;
         self.converged = None;
-        for rule in self.rules.iter_mut().chain(self.trackers.iter_mut()) {
+        for rule in &mut self.rules {
             rule.reset();
         }
     }
@@ -1124,13 +1105,14 @@ impl AuxCodec for ConvergenceMonitor {
             }
             None => out.push(0),
         }
-        for group in [&self.rules, &self.trackers] {
-            put_u64(&mut out, group.len() as u64);
-            for rule in group {
-                put_bytes(&mut out, rule.name().as_bytes());
-                put_bytes(&mut out, &rule.encode_state());
-            }
+        put_u64(&mut out, self.rules.len() as u64);
+        for rule in &self.rules {
+            put_bytes(&mut out, rule.name().as_bytes());
+            put_bytes(&mut out, &rule.encode_state());
         }
+        // Codec version 1's second rule group, for rules that were fed but
+        // did not gate; no monitor has any, so it is always empty.
+        put_u64(&mut out, 0);
         out
     }
 
@@ -1173,7 +1155,9 @@ impl AuxCodec for ConvergenceMonitor {
         // monitor built with a different rule set fails loudly instead of
         // silently misapplying state.
         let mut restored: Vec<(String, Vec<u8>)> = Vec::new();
-        for group_len in [self.rules.len(), self.trackers.len()] {
+        // The second group is codec version 1's always-empty one (see
+        // `encode_aux`).
+        for group_len in [self.rules.len(), 0] {
             let len = r.take_usize()?;
             if len != group_len {
                 return Err(format!(
@@ -1189,7 +1173,7 @@ impl AuxCodec for ConvergenceMonitor {
         }
         r.finish()?;
         let mut it = restored.into_iter();
-        for rule in self.rules.iter_mut().chain(self.trackers.iter_mut()) {
+        for rule in &mut self.rules {
             let (name, state) = it.next().expect("counts verified above");
             if name != rule.name() {
                 return Err(format!(
@@ -1315,7 +1299,6 @@ mod tests {
             .with_rule(Box::new(PlateauRule::new(8, 0.05)))
             .with_rule(Box::new(EssRule::new(4.0, 16, 32)))
             .with_rule(Box::new(RHatRule::new(1.1, 8)))
-            .with_tracker(Box::new(CertificateRule::new(1)))
     }
 
     #[test]
@@ -1408,8 +1391,7 @@ mod tests {
         let mut different_window = ConvergenceMonitor::new(16)
             .with_rule(Box::new(PlateauRule::new(9, 0.05)))
             .with_rule(Box::new(EssRule::new(4.0, 16, 32)))
-            .with_rule(Box::new(RHatRule::new(1.1, 8)))
-            .with_tracker(Box::new(CertificateRule::new(1)));
+            .with_rule(Box::new(RHatRule::new(1.1, 8)));
         assert!(different_window.restore_aux(0, &bytes).is_err());
         // Empty payload (legacy snapshot): resets to fresh.
         let mut fresh = test_monitor();
@@ -1421,11 +1403,11 @@ mod tests {
     #[test]
     fn certificate_tracker_records_first_hit_across_resume() {
         // min_samples above the sample count keeps the gate from latching,
-        // so the tracker keeps observing through all ten samples.
+        // so the certificate rule keeps observing through all ten samples.
         let make = || {
             ConvergenceMonitor::new(100)
                 .with_rule(Box::new(PlateauRule::new(2, 0.5)))
-                .with_tracker(Box::new(CertificateRule::new(2)))
+                .with_rule(Box::new(CertificateRule::new(2)))
         };
         let mut monitor = make();
         for i in 0..10u64 {

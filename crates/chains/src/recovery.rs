@@ -17,6 +17,12 @@
 //!    deterministic corruption source cannot loop forever;
 //! 4. **fail** — only when the ladder is exhausted does the run abort.
 //!
+//! [`run_supervised_hooked`] is the one chunk loop behind every chunked
+//! chain run, checkpointed or not. Without a checkpoint store it recovers
+//! nothing, writes no snapshot and has no rollback rung (there is nothing
+//! to roll back to), and it audits at [`SupervisedOptions::audit_every`]'s
+//! cadence instead of before every snapshot.
+//!
 //! The driver also feeds a [`Heartbeat`] — a shared step counter a
 //! watchdog thread can poll to detect stalled cells and cancel them
 //! cooperatively (the run notices at the next chunk boundary and returns
@@ -34,11 +40,11 @@ use rand::Rng;
 use crate::cancel::CancelToken;
 use crate::chain::MarkovChain;
 use crate::checkpoint::{
-    Auditable, CheckpointError, CheckpointStore, Recovery, SnapshotRng, StateCodec,
+    Auditable, Checkpoint, CheckpointError, CheckpointStore, SnapshotRng, StateCodec,
 };
 
-/// Chunk-boundary hooks for [`run_supervised_hooked`]: the per-chunk
-/// callback plus optional sidecar persistence.
+/// Chunk-boundary hooks for [`run_supervised_hooked`]: a stop check before
+/// each chunk, the per-chunk callback, and optional sidecar persistence.
 ///
 /// The sidecar methods let decision state that lives *outside* the chain
 /// state — e.g. a [`crate::convergence::ConvergenceMonitor`] — ride inside
@@ -53,6 +59,14 @@ use crate::checkpoint::{
 /// this trait internally (with no sidecar); implement it directly when
 /// the run carries decision state that must survive kills and rollbacks.
 pub trait SupervisedHooks<S> {
+    /// Runs before each chunk, right after the cancellation check; return
+    /// [`ControlFlow::Break`] to stop without running it (a budget trip,
+    /// such as a passed deadline). The run then ends with
+    /// `completed: false`. The default never stops.
+    fn before_chunk(&mut self) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
     /// Runs after each chunk, before the audit; return
     /// [`ControlFlow::Break`] to stop early.
     fn on_chunk(&mut self, step: u64, state: &mut S) -> ControlFlow<()>;
@@ -275,7 +289,7 @@ pub enum RecoveryEvent {
     },
 }
 
-/// Tuning for [`run_supervised`].
+/// Tuning for [`run_supervised`] and [`run_supervised_hooked`].
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisedOptions {
     /// Total steps to run.
@@ -285,10 +299,14 @@ pub struct SupervisedOptions {
     /// Maximum rollbacks before the run gives up. Repairs are not
     /// counted — only full rollbacks consume budget.
     pub max_rollbacks: u32,
+    /// Audit interval, in steps, of a run without a store (`None`: never
+    /// audit). A run with a store audits every chunk before persisting it
+    /// and ignores this.
+    pub audit_every: Option<u64>,
 }
 
 /// The result of a supervised run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SupervisedRun {
     /// Steps actually completed (may be short of the request when the
     /// run was cancelled or the `on_chunk` hook broke out early).
@@ -311,7 +329,8 @@ pub struct SupervisedRun {
     pub snapshots_written: usize,
     /// Ladder rungs taken, in order.
     pub events: Vec<RecoveryEvent>,
-    /// `false` when the run was cancelled before finishing.
+    /// `false` when the run was cancelled, or stopped by
+    /// [`SupervisedHooks::before_chunk`], before finishing.
     pub completed: bool,
     /// Step count of the newest snapshot known durable when the run
     /// returned: the resume point (or the last write) — `None` when
@@ -384,7 +403,7 @@ where
         chain,
         state,
         rng,
-        store,
+        Some(store),
         opts,
         heartbeat,
         observe,
@@ -392,15 +411,28 @@ where
     )
 }
 
-/// [`run_supervised`] with full [`SupervisedHooks`]: identical ladder and
-/// determinism contract, plus sidecar ([`SupervisedHooks::encode_aux`])
-/// persistence inside every snapshot and restoration on resume and
-/// rollback.
+/// The one chunk loop: [`run_supervised`] with full [`SupervisedHooks`]
+/// and an optional store.
+///
+/// Each chunk goes: cancellation check, [`SupervisedHooks::before_chunk`],
+/// the chunk, heartbeat, [`SupervisedHooks::on_chunk`], audit (and ladder),
+/// `observe`, snapshot.
+///
+/// With a store, the ladder and the determinism contract are
+/// [`run_supervised`]'s, and the sidecar ([`SupervisedHooks::encode_aux`])
+/// is persisted inside every snapshot and restored on resume and rollback.
+///
+/// Without a store, the run starts at step 0 and writes no snapshot, and
+/// the ladder has no rollback rung: repair still runs, and an audit that
+/// repair cannot fix ends the run. Chunks are audited at
+/// [`SupervisedOptions::audit_every`]'s cadence.
 ///
 /// # Errors
 ///
 /// As [`run_supervised`]; additionally surfaces a sidecar that fails to
-/// restore as [`CheckpointError::Corrupt`].
+/// restore as [`CheckpointError::Corrupt`]. Without a store,
+/// [`CheckpointError::AuditFailed`] means repair failed, with no rollback
+/// tried.
 ///
 /// # Panics
 ///
@@ -411,7 +443,7 @@ pub fn run_supervised_hooked<C, R, F, H>(
     chain: &C,
     state: &mut C::State,
     rng: &mut R,
-    store: &CheckpointStore,
+    store: Option<&CheckpointStore>,
     opts: &SupervisedOptions,
     heartbeat: &Heartbeat,
     mut observe: F,
@@ -425,102 +457,101 @@ where
     H: SupervisedHooks<C::State> + ?Sized,
 {
     assert!(opts.every > 0, "supervised chunk length must be positive");
-
-    let Recovery {
-        checkpoint,
-        rejected,
-        reaped,
-    } = match store.recover::<C::State>() {
-        Ok(rec) => rec,
-        // The store's cancel token fired before the run even started:
-        // nothing was touched, report a clean zero-step cancellation.
-        Err(CheckpointError::Cancelled) => {
-            return Ok(SupervisedRun {
-                steps: 0,
-                accepted: 0,
-                log: Vec::new(),
-                resumed_from: None,
-                rejected: Vec::new(),
-                reaped: Vec::new(),
-                snapshots_written: 0,
-                events: vec![RecoveryEvent::Cancelled { step: 0 }],
-                completed: false,
-                last_durable_step: None,
-            });
-        }
-        Err(e) => return Err(e),
+    let mut run = SupervisedRun {
+        completed: true,
+        ..SupervisedRun::default()
     };
-
     let corrupt = |reason| CheckpointError::Corrupt {
-        path: store.dir().to_path_buf(),
+        path: store.map_or_else(PathBuf::new, |s| s.dir().to_path_buf()),
         reason,
     };
-    let mut t;
-    let mut accepted;
-    let resumed_from;
-    match checkpoint {
-        Some(ckpt) if ckpt.step <= opts.steps => {
+    if let Some(store) = store {
+        let rec = match store.recover::<C::State>() {
+            Ok(rec) => rec,
+            // The store's cancel token fired before the run even started:
+            // nothing was touched, report a clean zero-step cancellation.
+            Err(CheckpointError::Cancelled) => {
+                run.events.push(RecoveryEvent::Cancelled { step: 0 });
+                run.completed = false;
+                return Ok(run);
+            }
+            Err(e) => return Err(e),
+        };
+        (run.rejected, run.reaped) = (rec.rejected, rec.reaped);
+        if let Some(ckpt) = rec.checkpoint.filter(|c| c.step <= opts.steps) {
             *state = ckpt.state;
             rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
             hooks.restore_aux(ckpt.step, &ckpt.aux).map_err(corrupt)?;
-            t = ckpt.step;
-            accepted = ckpt.accepted;
-            resumed_from = Some(t);
-        }
-        _ => {
-            t = 0;
-            accepted = 0;
-            resumed_from = None;
+            (run.steps, run.accepted) = (ckpt.step, ckpt.accepted);
+            run.resumed_from = Some(ckpt.step);
+            run.last_durable_step = run.resumed_from;
         }
     }
-    // A restored state is bit-identical to the state at step `t`, so the
+    // A restored state is bit-identical to the state at its step, so the
     // log from here on equals an uninterrupted run's.
-    let mut log = vec![(t, observe(state))];
+    run.log.push((run.steps, observe(state)));
 
     // The rollback anchor of last resort: when no checkpoint has been
     // written yet, the ladder restores this entry-point snapshot.
-    let initial_state = state.encode_state();
-    let initial_rng = rng.rng_state();
-    let initial_aux = hooks.encode_aux();
-    let initial_t = t;
-    let initial_accepted = accepted;
+    let entry = store.map(|_| Checkpoint {
+        step: run.steps,
+        accepted: run.accepted,
+        rng_state: rng.rng_state(),
+        log: Vec::new(),
+        state: state.encode_state(),
+        aux: hooks.encode_aux(),
+    });
 
-    let mut events = Vec::new();
     let mut rollbacks = 0u32;
-    let mut snapshots_written = 0;
-    let mut last_durable_step = resumed_from;
-    let mut completed = true;
-
-    while t < opts.steps {
+    let mut since_audit = 0u64;
+    while run.steps < opts.steps {
         if heartbeat.is_cancelled() {
-            events.push(RecoveryEvent::Cancelled { step: t });
-            completed = false;
+            run.events
+                .push(RecoveryEvent::Cancelled { step: run.steps });
+            run.completed = false;
+            break;
+        }
+        if hooks.before_chunk().is_break() {
+            run.completed = false;
             break;
         }
 
-        let burst = opts.every.min(opts.steps - t);
-        accepted += chain.run(state, burst, rng);
-        t += burst;
+        let burst = opts.every.min(opts.steps - run.steps);
+        run.accepted += chain.run(state, burst, rng);
+        run.steps += burst;
+        let t = run.steps;
         heartbeat.beat(t);
         let flow = hooks.on_chunk(t, state);
 
-        // The escalation ladder.
-        let violations = state.audit_violations();
+        // The escalation ladder. A chunk about to be persisted is always
+        // audited, so no snapshot holds an invariant-violating state.
+        since_audit += burst;
+        let audit_due =
+            store.is_some() || opts.audit_every.is_some_and(|every| since_audit >= every);
+        let violations = if audit_due {
+            since_audit = 0;
+            state.audit_violations()
+        } else {
+            Vec::new()
+        };
         if !violations.is_empty() {
             let repaired = match state.repair_state() {
                 Ok(actions) if state.audit_violations().is_empty() => Some(actions),
                 _ => None,
             };
             if let Some(actions) = repaired {
-                events.push(RecoveryEvent::Repaired { step: t, actions });
+                run.events
+                    .push(RecoveryEvent::Repaired { step: t, actions });
             } else {
                 rollbacks += 1;
-                if rollbacks > opts.max_rollbacks {
+                let (Some(store), Some(entry)) =
+                    (store.filter(|_| rollbacks <= opts.max_rollbacks), &entry)
+                else {
                     return Err(CheckpointError::AuditFailed {
                         step: t,
                         violations,
                     });
-                }
+                };
                 // Restore the newest durable snapshot; an invariant-
                 // violating state is never persisted, so anything on disk
                 // is trustworthy. Fall back to the entry-point snapshot
@@ -528,91 +559,72 @@ where
                 let rec = match store.recover::<C::State>() {
                     Ok(rec) => rec,
                     Err(CheckpointError::Cancelled) => {
-                        events.push(RecoveryEvent::Cancelled { step: t });
-                        completed = false;
+                        run.events.push(RecoveryEvent::Cancelled { step: t });
+                        run.completed = false;
                         break;
                     }
                     Err(e) => return Err(e),
                 };
                 let to_step = match rec.checkpoint {
                     Some(ckpt) => {
-                        let to = ckpt.step;
                         *state = ckpt.state;
                         rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
                         // The sidecar rolls back with the state, so the
                         // replayed span feeds the hooks the same stream a
                         // fault-free run would have.
-                        hooks.restore_aux(to, &ckpt.aux).map_err(corrupt)?;
-                        accepted = ckpt.accepted;
-                        last_durable_step = Some(to);
-                        to
+                        hooks.restore_aux(ckpt.step, &ckpt.aux).map_err(corrupt)?;
+                        run.accepted = ckpt.accepted;
+                        run.last_durable_step = Some(ckpt.step);
+                        ckpt.step
                     }
                     None => {
-                        *state = C::State::decode_state(&initial_state).map_err(corrupt)?;
-                        rng.restore_rng_state(&initial_rng).map_err(corrupt)?;
-                        hooks
-                            .restore_aux(initial_t, &initial_aux)
-                            .map_err(corrupt)?;
-                        accepted = initial_accepted;
-                        initial_t
+                        *state = C::State::decode_state(&entry.state).map_err(corrupt)?;
+                        rng.restore_rng_state(&entry.rng_state).map_err(corrupt)?;
+                        hooks.restore_aux(entry.step, &entry.aux).map_err(corrupt)?;
+                        run.accepted = entry.accepted;
+                        entry.step
                     }
                 };
+                run.steps = to_step;
                 // The samples past the restored step are replayed, so they
                 // are dropped here and logged again.
-                log.retain(|&(step, _)| step <= to_step);
-                events.push(RecoveryEvent::RolledBack {
+                run.log.retain(|&(step, _)| step <= to_step);
+                run.events.push(RecoveryEvent::RolledBack {
                     from_step: t,
                     to_step,
                     violations,
                 });
-                t = to_step;
-                heartbeat.beat(t);
+                heartbeat.beat(to_step);
                 continue;
             }
         }
 
-        log.push((t, observe(state)));
-        match store.save_parts_aux(
-            t,
-            accepted,
-            &rng.rng_state(),
-            &[],
-            state,
-            &hooks.encode_aux(),
-        ) {
-            Ok(_) => {
-                snapshots_written += 1;
-                last_durable_step = Some(t);
+        run.log.push((t, observe(state)));
+        if let Some(store) = store {
+            let aux = hooks.encode_aux();
+            match store.save_parts_aux(t, run.accepted, &rng.rng_state(), &[], state, &aux) {
+                Ok(_) => {
+                    run.snapshots_written += 1;
+                    run.last_durable_step = Some(t);
+                }
+                // Cancellation observed inside checkpoint I/O: the save was
+                // abandoned before the atomic rename (at worst a tmp orphan
+                // remains, reaped on the next recovery), so the previous
+                // durable snapshot still stands. Exit cleanly.
+                Err(CheckpointError::Cancelled) => {
+                    run.events.push(RecoveryEvent::Cancelled { step: t });
+                    run.completed = false;
+                    break;
+                }
+                Err(e) => return Err(e),
             }
-            // Cancellation observed inside checkpoint I/O: the save was
-            // abandoned before the atomic rename (at worst a tmp orphan
-            // remains, reaped on the next recovery), so the previous
-            // durable snapshot still stands. Exit cleanly.
-            Err(CheckpointError::Cancelled) => {
-                events.push(RecoveryEvent::Cancelled { step: t });
-                completed = false;
-                break;
-            }
-            Err(e) => return Err(e),
         }
 
         if flow.is_break() {
             break;
         }
     }
-
-    Ok(SupervisedRun {
-        steps: t,
-        accepted,
-        log,
-        resumed_from,
-        rejected,
-        reaped,
-        snapshots_written,
-        events,
-        completed,
-        last_durable_step,
-    })
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -725,6 +737,7 @@ mod tests {
         steps: 8_000,
         every: 1_000,
         max_rollbacks: 3,
+        audit_every: None,
     };
 
     /// Reference: an uninterrupted, fault-free run of the same chain in
@@ -974,6 +987,7 @@ mod tests {
             steps: 1_000_000 + 64 * 100,
             every: 100,
             max_rollbacks: 0,
+            audit_every: None,
         };
         let mut state = Cached::new(0);
         let run = run_supervised(

@@ -216,6 +216,7 @@ fn every_kill_point_recovers_a_bitwise_correct_prior_snapshot() {
                 steps: STEPS,
                 every: EVERY,
                 max_rollbacks: 0,
+                audit_every: None,
             };
             let run = run_supervised(
                 &Walk(97),

@@ -1,23 +1,27 @@
-//! [`run_chain`] — the one chunk loop every chain-driving bin shares.
+//! [`run_chain`] and [`run_chain_monitored`] — how every chain-driving
+//! bin runs a chain under its cell's budget.
 //!
-//! Before this existed, each sweep binary duplicated a two-branch block:
-//! a supervised (checkpointed, self-healing) run when `--checkpoint-dir`
-//! was set, and a hand-rolled chunk loop with heartbeats and audits
-//! otherwise. [`run_chain`] folds both branches behind one call and adds
-//! the budget enforcement of the [`crate::ResourceBudget`]: requested
-//! steps are clamped to the step cap, the wall-clock deadline is checked
-//! at every chunk boundary (and inside checkpoint I/O via the store's
+//! Both are thin wrappers over one private driver that runs
+//! `sops-chains`' one chunk loop, [`run_supervised_hooked`], with one
+//! [`SupervisedHooks`] impl. With a checkpoint store the loop resumes from
+//! it, walks the full escalation ladder (audit → repair → rollback) and
+//! persists every chunk; without one it writes nothing and has no
+//! rollback rung, but still beats the heartbeat, honors cancellation, and
+//! audits and repairs at the job's `audit_every` cadence. The driver adds
+//! the budget of the [`crate::ResourceBudget`]: requested steps are
+//! clamped to the step cap, the wall-clock deadline is checked before
+//! every chunk (cancellation also inside checkpoint I/O, via the store's
 //! cancel token), and any budget trip ends the job degraded — with its
 //! last durable checkpoint step on record — instead of wedged or failed.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::ops::ControlFlow;
 
 use rand::Rng;
 use sops_chains::{
-    run_supervised, run_supervised_hooked, Auditable, AuxCodec, CancelKind, CheckpointError,
-    CheckpointStore, ConvergenceMonitor, Diagnostics, MarkovChain, Repairable, SnapshotRng,
-    StateCodec, SupervisedHooks, SupervisedOptions, SupervisedRun,
+    run_supervised_hooked, Auditable, AuxCodec, CheckpointError, CheckpointStore,
+    ConvergenceMonitor, Diagnostics, MarkovChain, Repairable, SnapshotRng, StateCodec,
+    SupervisedHooks, SupervisedOptions, SupervisedRun,
 };
 
 use crate::error::{DegradeReason, JobError};
@@ -31,35 +35,37 @@ pub struct ChainJob<'a> {
     pub steps: u64,
     /// Chunk length: audit/checkpoint/heartbeat/cancellation interval.
     pub every: u64,
-    /// Checkpoint store for the supervised path; `None` runs the plain
-    /// chunk loop (no rollback ladder, but still heartbeats, audits, and
-    /// budget checks).
+    /// Checkpoint store to resume from and persist into; `None` runs
+    /// storeless (no snapshot and no rollback rung, but still heartbeats,
+    /// audits, repairs, and budget checks).
     pub store: Option<&'a CheckpointStore>,
-    /// Storeless-path audit interval (the supervised path audits every
-    /// chunk regardless).
+    /// Storeless audit interval (a job with a store audits every chunk
+    /// regardless).
     pub audit_every: Option<u64>,
 }
 
-/// Runs a chain job under the cell's [`JobContext`]: supervised when the
-/// job has a checkpoint store, plain chunked execution otherwise.
+/// Runs a chain job under the cell's [`JobContext`]: checkpointed when
+/// the job has a store, storeless otherwise.
 ///
-/// Both paths beat the heartbeat per chunk, honor cooperative
-/// cancellation at chunk boundaries (the supervised path also inside
-/// checkpoint I/O, through the store's cancel token), clamp the step
-/// request to the budget's cap, and stop at the wall-clock deadline. Any
-/// budget trip or cancellation marks the cell degraded on `ctx` with the
-/// last durable checkpoint step; the partial [`SupervisedRun`] is still
-/// returned so the caller can report partial results.
+/// Every chunk beats the heartbeat and honors cooperative cancellation
+/// (a job with a store also inside checkpoint I/O, through the store's
+/// cancel token); the step request is clamped to the budget's cap, and
+/// no chunk starts past the wall-clock deadline. Any budget trip or
+/// cancellation marks the cell degraded on `ctx` with the last durable
+/// checkpoint step; the partial [`SupervisedRun`] is still returned so
+/// the caller can report partial results. A repair or rollback marks the
+/// cell recovered.
 ///
 /// The `on_chunk` hook is the caller's early-exit and side-channel seam
-/// (telemetry flushes, hitting-time checks); breaking out of it is a
-/// *successful* early exit, not a degradation.
+/// (telemetry flushes, hitting-time checks). It runs after each chunk,
+/// before the audit, and breaking out of it is a *successful* early
+/// exit, not a degradation.
 ///
 /// # Errors
 ///
 /// Returns a typed [`JobError`] on storage failure, corrupt checkpoints,
-/// a failed audit (storeless path), or an exhausted rollback ladder
-/// (supervised path).
+/// an audit that repair could not fix (`AuditFailed` without a store), or
+/// an exhausted rollback ladder (`RollbackBudgetExhausted` with one).
 pub fn run_chain<C, R, F, G>(
     ctx: &JobContext<'_>,
     chain: &C,
@@ -67,7 +73,7 @@ pub fn run_chain<C, R, F, G>(
     rng: &mut R,
     job: ChainJob<'_>,
     observe: F,
-    mut on_chunk: G,
+    on_chunk: G,
 ) -> Result<SupervisedRun, JobError>
 where
     C: MarkovChain,
@@ -76,62 +82,19 @@ where
     F: FnMut(&C::State) -> f64,
     G: FnMut(u64, &mut C::State) -> ControlFlow<()>,
 {
-    let steps = ctx.budget().clamp_steps(job.steps);
-    let step_capped = steps < job.steps;
-    match job.store {
-        Some(store) => {
-            // Thread the cell's cancel token into the store so
-            // cancellation is honored inside checkpoint I/O too.
-            let store = store.clone().with_cancel(ctx.cancel_token());
-            let opts = SupervisedOptions {
-                steps,
-                every: job.every,
-                max_rollbacks: ctx.budget().max_rollbacks,
-            };
-            let mut deadline_tripped = false;
-            let run = run_supervised(
-                chain,
-                state,
-                rng,
-                &store,
-                &opts,
-                ctx.heartbeat,
-                observe,
-                |t, s| {
-                    if ctx.deadline_exceeded() {
-                        deadline_tripped = true;
-                        return ControlFlow::Break(());
-                    }
-                    on_chunk(t, s)
-                },
-            )
-            .map_err(|e| match e {
-                CheckpointError::Cancelled => JobError::Cancelled {
-                    reason: ctx.cancel_reason(),
-                    step: ctx.heartbeat.steps(),
-                },
-                other => JobError::from(other),
-            })?;
-            ctx.absorb(&run);
-            if deadline_tripped {
-                ctx.note_degraded(DegradeReason::DeadlineExceeded, run.last_durable_step);
-            } else if step_capped && run.completed && run.steps >= steps {
-                ctx.note_degraded(DegradeReason::StepBudgetExhausted, run.last_durable_step);
-            }
-            Ok(run)
-        }
-        None => run_plain(
-            ctx,
-            chain,
-            state,
-            rng,
-            &job,
-            steps,
-            step_capped,
-            observe,
-            on_chunk,
-        ),
-    }
+    let no_certificate = |_: &C::State| false;
+    drive(
+        ctx,
+        chain,
+        state,
+        rng,
+        job,
+        None,
+        observe,
+        no_certificate,
+        on_chunk,
+    )
+    .map(|(run, _)| run)
 }
 
 /// Why a monitored chain job stopped short of its step request for a
@@ -150,68 +113,23 @@ pub enum StopReason {
     },
 }
 
-/// [`SupervisedHooks`] adapter that feeds every chunk-boundary sample to
-/// a [`ConvergenceMonitor`] and serializes the monitor's decision state
-/// into the checkpoint sidecar, so a killed-and-resumed run replays to
-/// the bit-identical stop decision.
-struct MonitorHooks<'a, 'm, 'ctx, F, P, G> {
-    ctx: &'a JobContext<'ctx>,
-    monitor: &'a RefCell<&'m mut ConvergenceMonitor>,
-    sample: &'a RefCell<F>,
-    certify: P,
-    on_chunk: G,
-    deadline_tripped: &'a Cell<bool>,
-}
-
-impl<S, F, P, G> SupervisedHooks<S> for MonitorHooks<'_, '_, '_, F, P, G>
-where
-    F: FnMut(&S) -> f64,
-    P: FnMut(&S) -> bool,
-    G: FnMut(u64, &mut S) -> ControlFlow<()>,
-{
-    fn on_chunk(&mut self, step: u64, state: &mut S) -> ControlFlow<()> {
-        // Deadline before monitor: a tripped deadline must not be
-        // mistaken for (or masked by) a convergence stop.
-        if self.ctx.deadline_exceeded() {
-            self.deadline_tripped.set(true);
-            return ControlFlow::Break(());
-        }
-        let value = (self.sample.borrow_mut())(state);
-        let certified = (self.certify)(state);
-        let mut monitor = self.monitor.borrow_mut();
-        monitor.observe(step, value, certified);
-        if monitor.converged().is_some() {
-            return ControlFlow::Break(());
-        }
-        drop(monitor);
-        (self.on_chunk)(step, state)
-    }
-
-    fn encode_aux(&self) -> Vec<u8> {
-        self.monitor.borrow().encode_aux()
-    }
-
-    fn restore_aux(&mut self, step: u64, bytes: &[u8]) -> Result<(), String> {
-        self.monitor.borrow_mut().restore_aux(step, bytes)
-    }
-}
-
 /// Runs a chain job like [`run_chain`], but under a
-/// [`ConvergenceMonitor`]: at every chunk boundary the monitor observes
-/// `sample(state)` and `certify(state)`, and once its stopping rules all
-/// hold the job ends early with `Ok` status, a
-/// [`RuntimeEvent::Converged`] on the context, and
-/// [`StopReason::Converged`] in the returned pair.
+/// [`ConvergenceMonitor`]: after every chunk, before the caller's
+/// `on_chunk`, the monitor observes `sample(state)` and `certify(state)`,
+/// and once its stopping rules all hold the job ends early with `Ok`
+/// status, a [`RuntimeEvent::Converged`] on the context, and
+/// [`StopReason::Converged`] in the returned pair. `sample` is also the
+/// run's observable.
 ///
-/// On the supervised path the monitor's decision state rides the
-/// checkpoint aux sidecar: a killed run resumed against the same store
-/// replays to the *bit-identical* stop decision (same step, same
-/// diagnostics), and rollback restores the monitor alongside the chain
-/// state so replayed spans are not double-counted.
+/// With a store, the monitor's decision state rides the checkpoint aux
+/// sidecar: a killed run resumed against the same store replays to the
+/// *bit-identical* stop decision (same step, same diagnostics), and
+/// rollback restores the monitor alongside the chain state so replayed
+/// spans are not double-counted.
 ///
 /// The monitor is borrowed rather than constructed here so callers
 /// choose the rule stack; build a fresh monitor per attempt — retries
-/// resume it from the store's sidecar (supervised) or must start clean
+/// resume it from the store's sidecar (with a store) or must start clean
 /// (storeless).
 ///
 /// # Errors
@@ -226,8 +144,97 @@ pub fn run_chain_monitored<C, R, F, P, G>(
     job: ChainJob<'_>,
     monitor: &mut ConvergenceMonitor,
     sample: F,
-    mut certify: P,
-    mut on_chunk: G,
+    certify: P,
+    on_chunk: G,
+) -> Result<(SupervisedRun, Option<StopReason>), JobError>
+where
+    C: MarkovChain,
+    C::State: StateCodec + Auditable + Repairable,
+    R: Rng + SnapshotRng + ?Sized,
+    F: FnMut(&C::State) -> f64,
+    P: FnMut(&C::State) -> bool,
+    G: FnMut(u64, &mut C::State) -> ControlFlow<()>,
+{
+    drive(
+        ctx,
+        chain,
+        state,
+        rng,
+        job,
+        Some(monitor),
+        sample,
+        certify,
+        on_chunk,
+    )
+}
+
+/// The one [`SupervisedHooks`] impl behind both entry points: it stops
+/// the run before a chunk once the deadline has passed, feeds the
+/// optional [`ConvergenceMonitor`] (whose decision state is the
+/// checkpoint sidecar), then calls the caller's `on_chunk`.
+struct JobHooks<'a, 'ctx, F, P, G> {
+    ctx: &'a JobContext<'ctx>,
+    monitor: Option<&'a mut ConvergenceMonitor>,
+    sample: &'a RefCell<F>,
+    certify: P,
+    on_chunk: G,
+    deadline_tripped: bool,
+}
+
+impl<S, F, P, G> SupervisedHooks<S> for JobHooks<'_, '_, F, P, G>
+where
+    F: FnMut(&S) -> f64,
+    P: FnMut(&S) -> bool,
+    G: FnMut(u64, &mut S) -> ControlFlow<()>,
+{
+    fn before_chunk(&mut self) -> ControlFlow<()> {
+        self.deadline_tripped = self.ctx.deadline_exceeded();
+        if self.deadline_tripped {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn on_chunk(&mut self, step: u64, state: &mut S) -> ControlFlow<()> {
+        if let Some(monitor) = self.monitor.as_deref_mut() {
+            let value = (self.sample.borrow_mut())(state);
+            monitor.observe(step, value, (self.certify)(state));
+            if monitor.converged().is_some() {
+                return ControlFlow::Break(());
+            }
+        }
+        (self.on_chunk)(step, state)
+    }
+
+    fn encode_aux(&self) -> Vec<u8> {
+        self.monitor
+            .as_deref()
+            .map_or_else(Vec::new, AuxCodec::encode_aux)
+    }
+
+    fn restore_aux(&mut self, step: u64, bytes: &[u8]) -> Result<(), String> {
+        match self.monitor.as_deref_mut() {
+            Some(monitor) => monitor.restore_aux(step, bytes),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The driver of [`run_chain`] and [`run_chain_monitored`]: budget clamp,
+/// the chunk loop, error mapping, and the cell's recovery, degradation
+/// and convergence records.
+#[allow(clippy::too_many_arguments)]
+fn drive<C, R, F, P, G>(
+    ctx: &JobContext<'_>,
+    chain: &C,
+    state: &mut C::State,
+    rng: &mut R,
+    job: ChainJob<'_>,
+    monitor: Option<&mut ConvergenceMonitor>,
+    sample: F,
+    certify: P,
+    on_chunk: G,
 ) -> Result<(SupervisedRun, Option<StopReason>), JobError>
 where
     C: MarkovChain,
@@ -238,96 +245,59 @@ where
     G: FnMut(u64, &mut C::State) -> ControlFlow<()>,
 {
     let steps = ctx.budget().clamp_steps(job.steps);
-    let step_capped = steps < job.steps;
-    // The sample closure doubles as the run's `observe` and the monitor's
-    // feed; `RefCell` lets both seams share one `FnMut`. Same for the
-    // monitor, which the hooks need during the run and this function
-    // needs afterwards.
-    let sample = RefCell::new(sample);
-    let shared = RefCell::new(monitor);
-    let run = match job.store {
-        Some(store) => {
-            let store = store.clone().with_cancel(ctx.cancel_token());
-            let opts = SupervisedOptions {
-                steps,
-                every: job.every,
-                max_rollbacks: ctx.budget().max_rollbacks,
-            };
-            let deadline_tripped = Cell::new(false);
-            let mut hooks = MonitorHooks {
-                ctx,
-                monitor: &shared,
-                sample: &sample,
-                certify,
-                on_chunk,
-                deadline_tripped: &deadline_tripped,
-            };
-            let run = run_supervised_hooked(
-                chain,
-                state,
-                rng,
-                &store,
-                &opts,
-                ctx.heartbeat,
-                |s| (sample.borrow_mut())(s),
-                &mut hooks,
-            )
-            .map_err(|e| match e {
-                CheckpointError::Cancelled => JobError::Cancelled {
-                    reason: ctx.cancel_reason(),
-                    step: ctx.heartbeat.steps(),
-                },
-                other => JobError::from(other),
-            })?;
-            ctx.absorb(&run);
-            if deadline_tripped.get() {
-                ctx.note_degraded(DegradeReason::DeadlineExceeded, run.last_durable_step);
-            } else if step_capped
-                && run.completed
-                && run.steps >= steps
-                && shared.borrow().converged().is_none()
-            {
-                ctx.note_degraded(DegradeReason::StepBudgetExhausted, run.last_durable_step);
-            }
-            run
-        }
-        None => {
-            // The plain loop would report `StepBudgetExhausted` itself
-            // without knowing about convergence; suppress its check
-            // (`step_capped: false`) and re-run it monitor-aware below.
-            let run = run_plain(
-                ctx,
-                chain,
-                state,
-                rng,
-                &job,
-                steps,
-                false,
-                |s| (sample.borrow_mut())(s),
-                |t, s: &mut C::State| {
-                    let value = (sample.borrow_mut())(s);
-                    let certified = certify(s);
-                    let mut monitor = shared.borrow_mut();
-                    monitor.observe(t, value, certified);
-                    if monitor.converged().is_some() {
-                        return ControlFlow::Break(());
-                    }
-                    drop(monitor);
-                    on_chunk(t, s)
-                },
-            )?;
-            if step_capped
-                && run.completed
-                && run.steps >= steps
-                && shared.borrow().converged().is_none()
-            {
-                ctx.note_degraded(DegradeReason::StepBudgetExhausted, None);
-            }
-            run
-        }
+    // Thread the cell's cancel token into the store so cancellation is
+    // honored inside checkpoint I/O too.
+    let store = job.store.map(|s| s.clone().with_cancel(ctx.cancel_token()));
+    let opts = SupervisedOptions {
+        steps,
+        every: job.every,
+        max_rollbacks: ctx.budget().max_rollbacks,
+        audit_every: job.audit_every,
     };
-    let monitor = shared.into_inner();
-    let stop = monitor.converged().map(|(step, diagnostics)| {
+    // `sample` is both the run's observable and the monitor's feed; the
+    // `RefCell` lets the two seams share one `FnMut`.
+    let sample = RefCell::new(sample);
+    let mut hooks = JobHooks {
+        ctx,
+        monitor,
+        sample: &sample,
+        certify,
+        on_chunk,
+        deadline_tripped: false,
+    };
+    let run = run_supervised_hooked(
+        chain,
+        state,
+        rng,
+        store.as_ref(),
+        &opts,
+        ctx.heartbeat,
+        |s| (sample.borrow_mut())(s),
+        &mut hooks,
+    )
+    .map_err(|e| match e {
+        CheckpointError::Cancelled => JobError::Cancelled {
+            reason: ctx.cancel_reason(),
+            step: ctx.heartbeat.steps(),
+        },
+        // Without a store there is no rollback rung, so no rollback
+        // budget was spent: the audit itself failed.
+        CheckpointError::AuditFailed { step, violations } if store.is_none() => {
+            JobError::AuditFailed { step, violations }
+        }
+        other => JobError::from(other),
+    })?;
+    ctx.absorb(&run);
+    let converged = hooks
+        .monitor
+        .as_deref()
+        .and_then(ConvergenceMonitor::converged);
+    if hooks.deadline_tripped {
+        ctx.note_degraded(DegradeReason::DeadlineExceeded, run.last_durable_step);
+    } else if steps < job.steps && run.completed && run.steps >= steps && converged.is_none() {
+        ctx.note_degraded(DegradeReason::StepBudgetExhausted, run.last_durable_step);
+    }
+    let stop = converged.map(|(step, diagnostics)| {
         ctx.emit(RuntimeEvent::Converged {
             step,
             diagnostics: diagnostics.to_json(),
@@ -340,90 +310,12 @@ where
     Ok((run, stop))
 }
 
-/// The storeless chunk loop: no rollback ladder (there is nothing to roll
-/// back to), but the same heartbeats, cancellation points, budget checks,
-/// and from-scratch audits as the supervised path.
-#[allow(clippy::too_many_arguments)]
-fn run_plain<C, R, F, G>(
-    ctx: &JobContext<'_>,
-    chain: &C,
-    state: &mut C::State,
-    rng: &mut R,
-    job: &ChainJob<'_>,
-    steps: u64,
-    step_capped: bool,
-    mut observe: F,
-    mut on_chunk: G,
-) -> Result<SupervisedRun, JobError>
-where
-    C: MarkovChain,
-    C::State: Auditable,
-    R: Rng + ?Sized,
-    F: FnMut(&C::State) -> f64,
-    G: FnMut(u64, &mut C::State) -> ControlFlow<()>,
-{
-    assert!(job.every > 0, "chain job chunk length must be positive");
-    let mut t = 0u64;
-    let mut accepted = 0u64;
-    let mut log = vec![(0, observe(state))];
-    let mut since_audit = 0u64;
-    let mut completed = true;
-    while t < steps {
-        if ctx.heartbeat.is_cancelled() {
-            let kind = ctx.heartbeat.cancel_kind().unwrap_or(CancelKind::External);
-            ctx.emit(RuntimeEvent::Cancelled { step: t, kind });
-            ctx.note_degraded(ctx.cancel_reason(), None);
-            completed = false;
-            break;
-        }
-        if ctx.deadline_exceeded() {
-            ctx.note_degraded(DegradeReason::DeadlineExceeded, None);
-            completed = false;
-            break;
-        }
-        let burst = job.every.min(steps - t);
-        accepted += chain.run(state, burst, rng);
-        t += burst;
-        ctx.heartbeat.beat(t);
-        if let Some(every) = job.audit_every {
-            since_audit += burst;
-            if since_audit >= every {
-                since_audit = 0;
-                let violations = state.audit_violations();
-                if !violations.is_empty() {
-                    return Err(JobError::AuditFailed {
-                        step: t,
-                        violations,
-                    });
-                }
-            }
-        }
-        log.push((t, observe(state)));
-        if on_chunk(t, state).is_break() {
-            break;
-        }
-    }
-    if completed && step_capped && t >= steps {
-        ctx.note_degraded(DegradeReason::StepBudgetExhausted, None);
-    }
-    Ok(SupervisedRun {
-        steps: t,
-        accepted,
-        log,
-        resumed_from: None,
-        rejected: Vec::new(),
-        reaped: Vec::new(),
-        snapshots_written: 0,
-        events: Vec::new(),
-        completed,
-        last_durable_step: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_cells, BackoffPolicy, CellStatus, ResourceBudget, SweepOptions};
+    use crate::{
+        run_cells, BackoffPolicy, CellStatus, RecoveryEvent, ResourceBudget, SweepOptions,
+    };
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
     use std::path::PathBuf;
@@ -450,10 +342,14 @@ mod tests {
         }
     }
 
-    /// Minimal checkpointable state: a counter with a trivial audit.
-    #[derive(Clone, Debug, PartialEq)]
+    /// Minimal checkpointable state: a counter whose audit fails while a
+    /// fault is injected — `drift` (repairable) or `poisoned` (not).
+    /// Neither is encoded, so a decoded counter is clean.
+    #[derive(Clone, Debug, Default, PartialEq)]
     struct Counter {
         x: u64,
+        drift: u64,
+        poisoned: bool,
     }
 
     impl StateCodec for Counter {
@@ -464,19 +360,31 @@ mod tests {
             let arr: [u8; 8] = bytes.try_into().map_err(|_| "bad length".to_string())?;
             Ok(Counter {
                 x: u64::from_le_bytes(arr),
+                ..Counter::default()
             })
         }
     }
 
     impl Auditable for Counter {
         fn audit_violations(&self) -> Vec<String> {
-            Vec::new()
+            let mut violations = Vec::new();
+            if self.drift != 0 {
+                violations.push(format!("cache drift {}", self.drift));
+            }
+            if self.poisoned {
+                violations.push("structural poison".to_string());
+            }
+            violations
         }
     }
 
     impl Repairable for Counter {
         fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>> {
-            Ok(Vec::new())
+            if self.poisoned {
+                return Err(vec!["structural poison is not repairable".into()]);
+            }
+            self.drift = 0;
+            Ok(vec!["rebuilt cache".into()])
         }
     }
 
@@ -515,7 +423,7 @@ mod tests {
             ..fast_opts()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
-            let mut state = Counter { x: 0 };
+            let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(7);
             let job = ChainJob {
                 steps: 12_000,
@@ -547,7 +455,7 @@ mod tests {
     #[test]
     fn early_exit_via_on_chunk_is_not_degraded() {
         let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
-            let mut state = Counter { x: 0 };
+            let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(7);
             let job = ChainJob {
                 steps: 100_000,
@@ -588,7 +496,7 @@ mod tests {
             ..fast_opts()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
-            let mut state = Counter { x: 0 };
+            let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(9);
             let job = ChainJob {
                 steps: 50_000,
@@ -654,7 +562,7 @@ mod tests {
             ..fast_opts()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
-            let mut state = Counter { x: 0 };
+            let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(11);
             let job = ChainJob {
                 steps: 1_000_000,
@@ -693,7 +601,7 @@ mod tests {
         let scratch = Scratch::new("monitored");
         let store = CheckpointStore::open(&scratch.0, 3).unwrap();
         let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
-            let mut state = Counter { x: 0 };
+            let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(11);
             let job = ChainJob {
                 steps: 1_000_000,
@@ -747,33 +655,197 @@ mod tests {
             },
             ..fast_opts()
         };
-        let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
-            let mut state = Counter { x: 0 };
-            let mut rng = StdRng::seed_from_u64(3);
-            let job = ChainJob {
-                steps: 10_000,
-                every: 1_000,
-                store: None,
-                audit_every: None,
-            };
-            let run = run_chain(
-                ctx,
-                &Walk,
-                &mut state,
-                &mut rng,
-                job,
-                |s| s.x as f64,
-                |_, _| ControlFlow::Continue(()),
-            )?;
-            Ok(run.steps)
+        for with_store in [false, true] {
+            let scratch = Scratch::new("deadline");
+            let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+            let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
+                let mut state = Counter::default();
+                let mut rng = StdRng::seed_from_u64(3);
+                let job = ChainJob {
+                    steps: 10_000,
+                    every: 1_000,
+                    store: with_store.then_some(&store),
+                    audit_every: None,
+                };
+                let run = run_chain(
+                    ctx,
+                    &Walk,
+                    &mut state,
+                    &mut rng,
+                    job,
+                    |s| s.x as f64,
+                    |_, _| ControlFlow::Continue(()),
+                )?;
+                Ok(run.steps)
+            });
+            assert_eq!(outcomes[0].result, Some(0), "with store: {with_store}");
+            assert!(
+                matches!(
+                    outcomes[0].status,
+                    CellStatus::Degraded {
+                        reason: crate::DegradeReason::DeadlineExceeded,
+                        ..
+                    }
+                ),
+                "with store: {with_store}: {:?}",
+                outcomes[0].status
+            );
+            // No chunk ran, so none was persisted.
+            assert_eq!(store.newest_step().unwrap(), None);
+        }
+    }
+
+    /// Runs 6,000 steps of the walk in chunks of 1,000, storeless with an
+    /// audit every 2,000 steps or with `store`, letting `inject` corrupt
+    /// the state after each chunk. Returns the run's ladder events.
+    fn faulted_cell(
+        ctx: &JobContext<'_>,
+        store: Option<&CheckpointStore>,
+        inject: impl Fn(u64, &mut Counter),
+    ) -> Result<Vec<RecoveryEvent>, JobError> {
+        let mut state = Counter::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let job = ChainJob {
+            steps: 6_000,
+            every: 1_000,
+            store,
+            audit_every: Some(2_000),
+        };
+        let run = run_chain(
+            ctx,
+            &Walk,
+            &mut state,
+            &mut rng,
+            job,
+            |s| s.x as f64,
+            |t, s| {
+                inject(t, s);
+                ControlFlow::Continue(())
+            },
+        )?;
+        Ok(run.events)
+    }
+
+    #[test]
+    fn storeless_repairable_fault_is_repaired_at_the_audit_cadence() {
+        let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+            faulted_cell(ctx, None, |t, s| {
+                if t == 3_000 {
+                    s.drift = 7;
+                }
+            })
         });
-        assert_eq!(outcomes[0].result, Some(0));
-        assert!(matches!(
-            outcomes[0].status,
-            CellStatus::Degraded {
-                reason: crate::DegradeReason::DeadlineExceeded,
-                ..
-            }
-        ));
+        assert_eq!(outcomes[0].status, CellStatus::Recovered);
+        assert!(
+            outcomes[0].events.iter().any(|e| e.kind() == "repaired"),
+            "{:?}",
+            outcomes[0].events
+        );
+        // Injected after step 3000, found by the next audit at step 4000.
+        let events = outcomes[0].result.as_ref().expect("cell result");
+        assert!(
+            matches!(
+                events.as_slice(),
+                [RecoveryEvent::Repaired { step: 4_000, .. }]
+            ),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn unrepairable_fault_fails_as_audit_failed_only_without_a_store() {
+        // Poisoned after every chunk: repair never helps, and with a store
+        // each rollback replays into the poison again.
+        let poison = |_: u64, s: &mut Counter| s.poisoned = true;
+        let storeless = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+            faulted_cell(ctx, None, poison)
+        });
+        assert_eq!(storeless[0].status, CellStatus::Failed);
+        assert_eq!(storeless[0].error.as_ref().unwrap().kind(), "audit_failed");
+
+        let scratch = Scratch::new("poison");
+        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        let stored = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+            faulted_cell(ctx, Some(&store), poison)
+        });
+        assert_eq!(stored[0].status, CellStatus::Failed);
+        assert_eq!(
+            stored[0].error.as_ref().unwrap().kind(),
+            "rollback_budget_exhausted"
+        );
+    }
+
+    /// What a parity run ends with: state bytes, RNG bytes, steps,
+    /// accepted steps, the log as exact bits, and the stop decision.
+    type Ending = (
+        Vec<u8>,
+        Vec<u8>,
+        u64,
+        u64,
+        Vec<(u64, u64)>,
+        Option<StopReason>,
+    );
+
+    fn parity_run(store: Option<&CheckpointStore>, monitored: bool) -> Ending {
+        let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+            let mut state = Counter::default();
+            let mut rng = StdRng::seed_from_u64(13);
+            let job = ChainJob {
+                steps: 40_000,
+                every: 1_000,
+                store,
+                audit_every: Some(1_000),
+            };
+            let (run, stop) = if monitored {
+                run_chain_monitored(
+                    ctx,
+                    &Freezes,
+                    &mut state,
+                    &mut rng,
+                    job,
+                    &mut tight_monitor(),
+                    |s| s.x as f64,
+                    |s| s.x >= 5_000,
+                    |_, _| ControlFlow::Continue(()),
+                )?
+            } else {
+                let run = run_chain(
+                    ctx,
+                    &Freezes,
+                    &mut state,
+                    &mut rng,
+                    job,
+                    |s| s.x as f64,
+                    |_, _| ControlFlow::Continue(()),
+                )?;
+                (run, None)
+            };
+            let log = run.log.iter().map(|&(t, v)| (t, v.to_bits())).collect();
+            Ok((
+                state.encode_state(),
+                rng.rng_state(),
+                run.steps,
+                run.accepted,
+                log,
+                stop,
+            ))
+        });
+        assert_eq!(outcomes[0].status, CellStatus::Ok);
+        outcomes.into_iter().next().unwrap().result.unwrap()
+    }
+
+    #[test]
+    fn storeless_and_store_backed_jobs_end_identically() {
+        for monitored in [false, true] {
+            let scratch = Scratch::new("parity");
+            let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+            let storeless = parity_run(None, monitored);
+            let stored = parity_run(Some(&store), monitored);
+            assert_eq!(storeless, stored, "monitored: {monitored}");
+            // The monitored job stops on convergence, the plain one runs
+            // its whole budget.
+            assert_eq!(storeless.5.is_some(), monitored);
+            assert_eq!(storeless.2 < 40_000, monitored);
+        }
     }
 }

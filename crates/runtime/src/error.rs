@@ -70,9 +70,8 @@ pub enum JobError {
         /// What failed to validate.
         reason: String,
     },
-    /// The state failed its invariant audit outside the supervised
-    /// ladder (e.g. the storeless chunk loop, where rollback is
-    /// impossible).
+    /// The state failed an invariant audit that repair could not fix,
+    /// in a job with no checkpoint store to roll back to.
     AuditFailed {
         /// Step count at which the audit fired.
         step: u64,

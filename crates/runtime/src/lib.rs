@@ -27,20 +27,21 @@
 //!   plumbing shared by every sweep binary;
 //! * [`Runtime`] / [`run_cells`] — parallel cell execution with
 //!   `catch_unwind` isolation, retries, the watchdog, and typed outcomes;
-//! * [`run_chain`] — the one chunk-loop every chain-driving bin shares:
-//!   supervised (checkpointed, self-healing) when a store is configured,
-//!   plain chunked execution otherwise, with budget checks either way;
+//! * [`run_chain`] — how every chain-driving bin runs a chain under its
+//!   budget: through `sops-chains`' one chunk loop, checkpointed and
+//!   self-healing (audit → repair → rollback) when a store is configured,
+//!   storeless otherwise (audit → repair, no rollback rung), with budget
+//!   checks either way;
 //! * [`run_chain_monitored`] — the same loop under a
 //!   [`ConvergenceMonitor`]: stops early with
 //!   [`StopReason::Converged`] once the stopping rules hold, and
 //!   serializes the monitor's decision state into the checkpoint sidecar
-//!   so resumed runs replay to bit-identical stop decisions;
-//! * [`last_durable_step`] — the newest snapshot step a store names,
-//!   read from filenames alone, for telemetry and session manifests.
+//!   so resumed runs replay to bit-identical stop decisions.
 //!
 //! The recovery ladder itself ([`run_supervised`], [`Heartbeat`],
 //! [`Repairable`]) lives in `sops-chains`; this crate re-exports it so
-//! sweep code needs only one runtime dependency.
+//! sweep code needs only one runtime dependency. How far a store durably
+//! got, from file names alone, is [`CheckpointStore::newest_step`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +54,6 @@ mod events;
 mod monitor;
 mod options;
 mod report;
-mod resume;
 mod runner;
 mod seeds;
 
@@ -65,7 +65,6 @@ pub use events::RuntimeEvent;
 pub use monitor::{MonitorState, StallPolicy};
 pub use options::SweepOptions;
 pub use report::write_cell_report;
-pub use resume::last_durable_step;
 pub use runner::{run_cells, CellOutcome, CellStatus, JobContext, Runtime};
 pub use seeds::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
 

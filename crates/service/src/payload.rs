@@ -52,6 +52,7 @@ where
             steps,
             every: every.max(1),
             max_rollbacks: ctx.budget().max_rollbacks,
+            audit_every: None,
         };
         let run = run_supervised(
             &chain,

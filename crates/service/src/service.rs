@@ -20,9 +20,7 @@ use std::time::Duration;
 
 use sops_chains::checkpoint::CheckpointStore;
 use sops_chains::{CancelToken, RealVfs, Vfs};
-use sops_runtime::{
-    last_durable_step, DegradeReason, Heartbeat, JobError, ResourceBudget, RuntimeEvent,
-};
+use sops_runtime::{DegradeReason, Heartbeat, JobError, ResourceBudget, RuntimeEvent};
 
 use crate::queue::{
     Admission, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, Removed, TerminalStatus,
@@ -447,7 +445,7 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
         events: &emit,
     };
     let result = catch_unwind(AssertUnwindSafe(|| payload(&ctx)));
-    let durable = last_durable_step(&store).unwrap_or(None);
+    let durable = store.newest_step().unwrap_or(None);
     let (status, session_status, error_kind, poisoned) = match result {
         Err(panic) => {
             // Count the poisoning before the ticket resolves, so a waiter

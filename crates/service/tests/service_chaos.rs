@@ -499,7 +499,7 @@ fn drain_evicts_inflight_resumable_and_resume_is_bit_identical() {
     // Wait for at least one durable checkpoint, then pull the plug.
     let store = svc.session_store().checkpoint_store("t/s", None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
-    while sops_runtime::last_durable_step(&store).unwrap().is_none() {
+    while store.newest_step().unwrap().is_none() {
         assert!(
             Instant::now() < deadline,
             "no checkpoint ever became durable"
@@ -597,7 +597,7 @@ fn poison_after_checkpoints_fails_classified_then_resumes_bit_identically() {
     assert_eq!(svc.stats().respawns, 1);
     // The durable prefix survived the panic.
     let store = svc.session_store().checkpoint_store("t/p", None).unwrap();
-    let durable = sops_runtime::last_durable_step(&store).unwrap();
+    let durable = store.newest_step().unwrap();
     assert_eq!(durable, Some(3_000), "prefix checkpoints lost to the panic");
     // Resubmit for the full run: resumes at 3k, finishes bit-identically.
     let ticket = admit(

@@ -168,6 +168,7 @@ fn checkpointed_run_survives_kill_and_corrupt_resume() {
             steps,
             every,
             max_rollbacks: 0,
+            audit_every: None,
         };
         run_supervised(
             &chain,

@@ -217,6 +217,7 @@ fn v1_snapshot_resumes_bit_identically_and_is_followed_by_v2() {
         steps: STEPS,
         every: EVERY,
         max_rollbacks: 0,
+        audit_every: None,
     };
     let run = |state: &mut Configuration, rng: &mut StdRng, store: &CheckpointStore| {
         run_supervised(
