@@ -21,7 +21,7 @@ use std::ops::ControlFlow;
 use sops_analysis::is_separated;
 use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, Table};
 use sops_chains::telemetry::series_record_json;
-use sops_chains::{Recovery, RunManifest};
+use sops_chains::RunManifest;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
     run_chain, write_cell_report, ChainJob, JobContext, JobError, Runtime, SweepOptions,
@@ -56,43 +56,15 @@ fn time_to_separation(
         SeparationChain::without_swaps(bias)
     };
 
-    let store = opts.store_for(&format!("swaps={swaps}-r{replicate}"))?;
-
-    // Peek at the newest snapshot before running: snapshots are written at
-    // the chunk that hit separation, so a resumed cell whose snapshot is
-    // already separated must report that step, not one chunk later.
-    let mut t0 = 0u64;
-    let mut hit = None;
-    if let Some(store) = &store {
-        let Recovery {
-            checkpoint,
-            rejected,
-            reaped,
-        } = store.recover::<Configuration>()?;
-        for path in &rejected {
-            eprintln!(
-                "swaps={swaps} r{replicate}: skipped corrupt snapshot {}",
-                path.display()
-            );
-        }
-        for path in &reaped {
-            eprintln!(
-                "swaps={swaps} r{replicate}: reaped orphaned temp file {}",
-                path.display()
-            );
-        }
-        if let Some(ckpt) = checkpoint {
-            t0 = ckpt.step;
-            eprintln!("swaps={swaps} r{replicate}: resuming at step {t0}");
-            if is_separated(&ckpt.state, 4.0, 0.2).is_some() {
-                hit = Some(ckpt.step);
-            }
-        }
-    }
-
-    // Telemetry counts only this process's steps, so the resume offset t0
-    // anchors every metrics record and the stream stays contiguous.
     let cell = format!("swaps={swaps}-r{replicate}");
+    let store = opts.store_for(&cell)?;
+    // Telemetry counts only this process's steps, so the newest snapshot's
+    // step, where a resume picks up, anchors every metrics record and the
+    // stream stays contiguous.
+    let t0 = match &store {
+        Some(store) => store.newest_step()?.unwrap_or(0),
+        None => 0,
+    };
     let mut chain = instrument_chain(chain, opts.telemetry);
     if let Some(cap) = opts.ring_capacity() {
         chain = chain.with_ring_capacity(cap);
@@ -117,46 +89,45 @@ fn time_to_separation(
         (t0 > 0).then_some(t0),
     )?;
 
-    if hit.is_none() {
-        let job = ChainJob {
-            steps: CAP,
-            every: CHECK_EVERY,
-            store: store.as_ref(),
-            audit_every: opts.audit_every,
-        };
-        let mut sink_err = None;
-        let run = run_chain(
-            ctx,
-            &chain,
-            &mut config,
-            &mut rng,
-            job,
-            |c| c.perimeter() as f64,
-            |t, c| {
-                if let Some(sink) = &mut sink {
-                    if (t - t0) % METRICS_EVERY == 0 {
-                        if let Err(e) = sink.record_metrics(t0, &chain.report()) {
-                            sink_err = Some(e);
-                            return ControlFlow::Break(());
-                        }
+    let job = ChainJob {
+        steps: CAP,
+        every: CHECK_EVERY,
+        store: store.as_ref(),
+        audit_every: opts.audit_every,
+    };
+    let mut sink_err = None;
+    let mut hit = None;
+    let run = run_chain(
+        ctx,
+        &chain,
+        &mut config,
+        &mut rng,
+        job,
+        |c| c.perimeter() as f64,
+        |t, c| {
+            if let Some(sink) = &mut sink {
+                // `abs_diff`: behind a corrupt newest snapshot the run
+                // resumes before `t0`.
+                if t.abs_diff(t0) % METRICS_EVERY == 0 {
+                    if let Err(e) = sink.record_metrics(t0, &chain.report()) {
+                        sink_err = Some(e);
+                        return ControlFlow::Break(());
                     }
                 }
-                if is_separated(c, 4.0, 0.2).is_some() {
-                    hit = Some(t);
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            },
-        )?;
-        for event in &run.events {
-            eprintln!("swaps={swaps} r{replicate}: {event:?}");
-        }
-        if let Some(e) = sink_err {
-            return Err(e.into());
-        }
-        // A cancelled or budget-tripped run is already marked degraded on
-        // `ctx`; report the partial result (no hit yet) below.
+            }
+            if is_separated(c, 4.0, 0.2).is_some() {
+                hit = Some(t);
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        },
+    )?;
+    sops_bench::log_recovery(&cell, &run);
+    if let Some(e) = sink_err {
+        return Err(e.into());
     }
+    // A cancelled or budget-tripped run is already marked degraded on
+    // `ctx`; report the partial result (no hit yet) below.
 
     if let Some(sink) = &mut sink {
         let report = chain.report();

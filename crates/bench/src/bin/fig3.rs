@@ -113,10 +113,12 @@ fn phase_cell(
     };
 
     let mut converged_at = None;
-    if opts.adaptive {
+    let run = if opts.adaptive {
         let mut monitor = fig3_monitor();
         // The certificate: this chunk's classification matches the
-        // previous chunk's (a phase-label stability streak).
+        // previous chunk's (a phase-label stability streak). On resume the
+        // restored state is certified once first, so `prev_phase` starts
+        // where the snapshot left it.
         let mut prev_phase: Option<Phase> = None;
         let (run, stop) = run_chain_monitored(
             ctx,
@@ -134,9 +136,6 @@ fn phase_cell(
             },
             |_, _| ControlFlow::Continue(()),
         )?;
-        for event in &run.events {
-            eprintln!("{cell}: {event:?}");
-        }
         if let Some(StopReason::Converged { step, diagnostics }) = stop {
             eprintln!(
                 "{cell}: converged at step {step}: {}",
@@ -144,8 +143,9 @@ fn phase_cell(
             );
             converged_at = Some(step);
         }
+        run
     } else {
-        let run = run_chain(
+        run_chain(
             ctx,
             &chain,
             &mut config,
@@ -153,11 +153,9 @@ fn phase_cell(
             job,
             |c| c.perimeter() as f64,
             |_, _| ControlFlow::Continue(()),
-        )?;
-        for event in &run.events {
-            eprintln!("{cell}: {event:?}");
-        }
-    }
+        )?
+    };
+    sops_bench::log_recovery(&cell.to_string(), &run);
 
     if svg {
         sops_bench::save(

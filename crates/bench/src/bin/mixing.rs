@@ -37,7 +37,7 @@ use std::ops::ControlFlow;
 use sops_analysis::is_separated;
 use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, Table};
 use sops_chains::telemetry::series_record_json;
-use sops_chains::{Recovery, RunManifest, TransitionMatrix};
+use sops_chains::{RunManifest, TransitionMatrix};
 use sops_core::enumerate::ExactSeparationChain;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
@@ -86,48 +86,23 @@ fn hitting_cell(
         .map_err(|e| JobError::app(e.to_string()))?;
     let chain = SeparationChain::new(Bias::new(4.0, 4.0).expect("valid bias"));
 
-    let store = opts.store_for(&format!("n={n}"))?;
-
-    // Peek at the newest snapshot before running: snapshots are written at
-    // the chunk that hit separation, so a resumed cell whose snapshot is
-    // already separated must report that step, not one chunk later.
-    let mut t0 = 0u64;
-    let mut hit = None;
-    if let Some(store) = &store {
-        let Recovery {
-            checkpoint,
-            rejected,
-            reaped,
-        } = store.recover::<Configuration>()?;
-        for path in &rejected {
-            eprintln!("n={n}: skipped corrupt snapshot {}", path.display());
-        }
-        for path in &reaped {
-            eprintln!("n={n}: reaped orphaned temp file {}", path.display());
-        }
-        if let Some(ckpt) = checkpoint {
-            t0 = ckpt.step;
-            eprintln!("n={n}: resuming hitting loop at step {t0}");
-            // Only the first-hit loop can shortcut on an already-separated
-            // snapshot; the adaptive path must re-enter the run so the
-            // monitor (restored from the checkpoint sidecar) makes — or
-            // replays — the stop decision.
-            if !opts.adaptive && is_separated(&ckpt.state, 4.0, 0.2).is_some() {
-                hit = Some(ckpt.step);
-            }
-        }
-    }
-
+    let cell = format!("n={n}");
+    let store = opts.store_for(&cell)?;
     // Telemetry: the report counts steps taken by *this* process, so the
-    // resume offset t0 becomes the base step of every metrics record and
-    // the stream stays contiguous across restarts. The budget's memory
-    // ceiling sizes the instrument's ring buffers.
+    // newest snapshot's step, where a resume picks up, becomes the base
+    // step of every metrics record and the stream stays contiguous across
+    // restarts. The budget's memory ceiling sizes the instrument's ring
+    // buffers.
+    let t0 = match &store {
+        Some(store) => store.newest_step()?.unwrap_or(0),
+        None => 0,
+    };
     let mut chain = instrument_chain(chain, opts.telemetry);
     if let Some(cap) = opts.ring_capacity() {
         chain = chain.with_ring_capacity(cap);
     }
     let manifest = RunManifest {
-        run: format!("mixing/n={n}"),
+        run: format!("mixing/{cell}"),
         seed: seed_hash_attempt("mixing-hit", n as u64, ctx.attempt),
         lambda: 4.0,
         gamma: 4.0,
@@ -137,98 +112,86 @@ fn hitting_cell(
     let mut sink = opts.telemetry_sink(
         &sops_bench::logs_dir(),
         "mixing",
-        &format!("n={n}"),
+        &cell,
         &manifest,
         (t0 > 0).then_some(t0),
     )?;
 
-    if hit.is_none() {
-        let job = ChainJob {
-            steps: cap,
-            every: chunk,
-            store: store.as_ref(),
-            audit_every: opts.audit_every,
-        };
-        // Sink failures inside the chunk hook can't propagate through the
-        // ControlFlow seam; stash and rethrow after the run.
-        let mut sink_err = None;
-        if opts.adaptive {
-            // Adaptive: no first-hit break — the convergence monitor owns
-            // the stop decision, and the hitting time is read back from
-            // the certificate rule's serialized first-hit record.
-            let mut monitor = mixing_monitor();
-            let (run, stop) = run_chain_monitored(
-                ctx,
-                &chain,
-                &mut config,
-                &mut rng,
-                job,
-                &mut monitor,
-                |c| c.perimeter() as f64,
-                |c| is_separated(c, 4.0, 0.2).is_some(),
-                |t, _| {
-                    if let Some(sink) = &mut sink {
-                        if (t - t0) % metrics_every == 0 {
-                            if let Err(e) = sink.record_metrics(t0, &chain.report()) {
-                                sink_err = Some(e);
-                                return ControlFlow::Break(());
-                            }
-                        }
-                    }
-                    ControlFlow::Continue(())
-                },
-            )?;
-            for event in &run.events {
-                eprintln!("n={n}: {event:?}");
-            }
-            if let Some(e) = sink_err {
-                return Err(e.into());
-            }
-            if let Some(StopReason::Converged { step, diagnostics }) = stop {
-                eprintln!(
-                    "n={n}: converged at step {step} with budget to spare: {}",
-                    diagnostics.to_json()
-                );
-                hit = diagnostics
-                    .get("first_certified_step")
-                    .map(|s| s.round() as u64);
-            }
-            // Not converged → budget ran out; `hit` stays `None` and the
-            // degrade reason is already on `ctx`.
-        } else {
-            let run = run_chain(
-                ctx,
-                &chain,
-                &mut config,
-                &mut rng,
-                job,
-                |c| c.perimeter() as f64,
-                |t, c| {
-                    if let Some(sink) = &mut sink {
-                        if (t - t0) % metrics_every == 0 {
-                            if let Err(e) = sink.record_metrics(t0, &chain.report()) {
-                                sink_err = Some(e);
-                                return ControlFlow::Break(());
-                            }
-                        }
-                    }
-                    if is_separated(c, 4.0, 0.2).is_some() {
-                        hit = Some(t);
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                },
-            )?;
-            for event in &run.events {
-                eprintln!("n={n}: {event:?}");
-            }
-            if let Some(e) = sink_err {
-                return Err(e.into());
+    let job = ChainJob {
+        steps: cap,
+        every: chunk,
+        store: store.as_ref(),
+        audit_every: opts.audit_every,
+    };
+    // Sink failures inside the chunk hook can't propagate through the
+    // ControlFlow seam; stash and rethrow after the run.
+    let mut sink_err = None;
+    let mut metrics = |t: u64| {
+        if let Some(sink) = &mut sink {
+            // `abs_diff`: behind a corrupt newest snapshot the run resumes
+            // before `t0`.
+            if t.abs_diff(t0) % metrics_every == 0 {
+                if let Err(e) = sink.record_metrics(t0, &chain.report()) {
+                    sink_err = Some(e);
+                    return ControlFlow::Break(());
+                }
             }
         }
-        // A cancelled or budget-tripped run is already marked degraded on
-        // `ctx`; fall through and report the partial result (no hit yet).
+        ControlFlow::Continue(())
+    };
+    let mut hit = None;
+    let run = if opts.adaptive {
+        // Adaptive: no first-hit break — the convergence monitor owns the
+        // stop decision, and the hitting time is read back from the
+        // certificate rule's serialized first-hit record.
+        let mut monitor = mixing_monitor();
+        let (run, stop) = run_chain_monitored(
+            ctx,
+            &chain,
+            &mut config,
+            &mut rng,
+            job,
+            &mut monitor,
+            |c| c.perimeter() as f64,
+            |c| is_separated(c, 4.0, 0.2).is_some(),
+            |t, _| metrics(t),
+        )?;
+        if let Some(StopReason::Converged { step, diagnostics }) = stop {
+            eprintln!(
+                "{cell}: converged at step {step} with budget to spare: {}",
+                diagnostics.to_json()
+            );
+            hit = diagnostics
+                .get("first_certified_step")
+                .map(|s| s.round() as u64);
+        }
+        // Not converged → budget ran out; `hit` stays `None` and the
+        // degrade reason is already on `ctx`.
+        run
+    } else {
+        run_chain(
+            ctx,
+            &chain,
+            &mut config,
+            &mut rng,
+            job,
+            |c| c.perimeter() as f64,
+            |t, c| {
+                metrics(t)?;
+                if is_separated(c, 4.0, 0.2).is_some() {
+                    hit = Some(t);
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            },
+        )?
+    };
+    sops_bench::log_recovery(&cell, &run);
+    if let Some(e) = sink_err {
+        return Err(e.into());
     }
+    // A cancelled or budget-tripped run is already marked degraded on
+    // `ctx`; report the partial result (no hit yet).
     if let Some(sink) = &mut sink {
         let report = chain.report();
         sink.record_metrics(t0, &report)?;

@@ -1,14 +1,10 @@
 //! CI perf-regression guard over the `BENCH_chain.json` baseline.
 //!
 //! Compares a freshly measured chain-step throughput against the committed
-//! baseline and fails (exit code 1) when a reference row — `n = 100` with
+//! baseline and fails (exit code 1) when the reference row — `n = 100` with
 //! swaps enabled, the paper's Figure 2 working point — regresses by more
-//! than the tolerance. Rows are keyed by their `"kernel"` field, and each
-//! kernel present in *both* files is compared independently, so a kernel
-//! only one file names is reported and skipped. A row without a
-//! `"kernel"` field is treated as sequential, so old baselines keep
-//! guarding the sequential kernel. Both numbers are printed either way,
-//! so every CI run logs the current and recorded throughput side by side.
+//! than the tolerance. Both numbers are printed either way, so every CI run
+//! logs the current and recorded throughput side by side.
 //!
 //! ```text
 //! perf_guard <baseline.json> <fresh.json> [--tolerance-pct <pct>]
@@ -20,35 +16,21 @@
 
 use std::process::ExitCode;
 
-/// The guarded rows: `n = 100`, swaps enabled, one per kernel.
+/// The guarded row: `n = 100`, swaps enabled.
 const GUARD_N: u64 = 100;
 
-/// Extracts `kernel → steps_per_sec` for the guarded rows from
-/// `BENCH_chain.json` text. The file is written line-per-row by the
-/// microbench harness, so a line-oriented scan is exact for its own output
-/// (and tolerant of reformatting, since it keys on the `"n"`/`"swaps"`/
-/// `"kernel"` fields, not position). A row without a `"kernel"` field is
-/// a sequential row.
-fn throughput_rows(json: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let Some(n) = field(line, "\"n\":") else {
-            continue;
-        };
-        if n != GUARD_N.to_string() {
-            continue;
-        }
-        if field(line, "\"swaps\":") != Some("true") {
-            continue;
-        }
-        let kernel = field(line, "\"kernel\":")
-            .map_or("sequential", |k| k.trim_matches('"'))
-            .to_string();
-        if let Some(sps) = field(line, "\"steps_per_sec\":").and_then(|v| v.parse().ok()) {
-            rows.push((kernel, sps));
-        }
-    }
-    rows
+/// Extracts `steps_per_sec` of the guarded row from `BENCH_chain.json`
+/// text. The file is written line-per-row by the microbench harness, so a
+/// line-oriented scan is exact for its own output (and tolerant of
+/// reformatting, since it keys on the `"n"`/`"swaps"` fields, not
+/// position).
+fn guarded_throughput(json: &str) -> Option<f64> {
+    json.lines()
+        .filter(|line| {
+            field(line, "\"n\":").and_then(|n| n.parse().ok()) == Some(GUARD_N)
+                && field(line, "\"swaps\":") == Some("true")
+        })
+        .find_map(|line| field(line, "\"steps_per_sec\":")?.parse().ok())
 }
 
 /// The trimmed text after `key` up to the next comma or closing brace.
@@ -59,15 +41,10 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim())
 }
 
-fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
+fn load(path: &str) -> Result<f64, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let rows = throughput_rows(&text);
-    if rows.is_empty() {
-        return Err(format!(
-            "{path}: no throughput row with n={GUARD_N}, swaps=true"
-        ));
-    }
-    Ok(rows)
+    guarded_throughput(&text)
+        .ok_or_else(|| format!("{path}: no throughput row with n={GUARD_N}, swaps=true"))
 }
 
 fn main() -> ExitCode {
@@ -93,7 +70,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let (baseline_rows, fresh_rows) = match (load(&baseline_path), load(&fresh_path)) {
+    let (baseline, fresh) = match (load(&baseline_path), load(&fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),
         (b, f) => {
             for err in [b.err(), f.err()].into_iter().flatten() {
@@ -103,35 +80,18 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut compared = 0usize;
-    let mut failed = false;
-    for (kernel, baseline) in &baseline_rows {
-        let Some((_, fresh)) = fresh_rows.iter().find(|(k, _)| k == kernel) else {
-            println!("perf guard: {kernel} kernel absent from fresh run, skipping");
-            continue;
-        };
-        compared += 1;
-        let change_pct = (fresh / baseline - 1.0) * 100.0;
-        println!("perf guard: chain_step n={GUARD_N} swaps=true kernel={kernel}");
-        println!("  baseline  {baseline:>14.0} steps/sec  ({baseline_path})");
-        println!("  fresh     {fresh:>14.0} steps/sec  ({fresh_path})");
-        println!("  change    {change_pct:>+13.1}%   (tolerance −{tolerance_pct}%)");
-        if *fresh < baseline * (1.0 - tolerance_pct / 100.0) {
-            eprintln!(
-                "perf_guard: FAIL — {kernel} throughput regressed {:.1}% \
-                 (> {tolerance_pct}% allowed)",
-                -change_pct
-            );
-            failed = true;
-        }
-    }
-    if compared == 0 {
-        eprintln!("perf_guard: FAIL — no kernel present in both baseline and fresh run");
+    let change_pct = (fresh / baseline - 1.0) * 100.0;
+    println!("perf guard: chain_step n={GUARD_N} swaps=true");
+    println!("  baseline  {baseline:>14.0} steps/sec  ({baseline_path})");
+    println!("  fresh     {fresh:>14.0} steps/sec  ({fresh_path})");
+    println!("  change    {change_pct:>+13.1}%   (tolerance −{tolerance_pct}%)");
+    if fresh < baseline * (1.0 - tolerance_pct / 100.0) {
+        eprintln!(
+            "perf_guard: FAIL — throughput regressed {:.1}% (> {tolerance_pct}% allowed)",
+            -change_pct
+        );
         return ExitCode::FAILURE;
     }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("perf guard: OK ({compared} kernel(s) within tolerance)");
+    println!("perf guard: OK (within tolerance)");
     ExitCode::SUCCESS
 }

@@ -23,11 +23,10 @@ use sops_analysis::{is_separated, metrics};
 use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, Table};
 use sops_chains::stats::{effective_sample_size, Summary};
 use sops_chains::telemetry::series_record_json;
-use sops_chains::{Auditable as _, MarkovChain, RunManifest};
+use sops_chains::RunManifest;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
-    run_chain, write_cell_report, ChainJob, DegradeReason, JobContext, JobError, Runtime,
-    SweepOptions,
+    run_chain, write_cell_report, ChainJob, JobContext, JobError, Runtime, SweepOptions,
 };
 
 const N: usize = 100;
@@ -58,7 +57,8 @@ fn sweep_cell(
     // any recovery rungs taken back to the runtime; without one the same
     // loop writes no snapshot and has no rollback rung, but still
     // heartbeats, audits and repairs, and honors the budget.
-    let store = opts.store_for(&format!("gamma={gamma:.4}"))?;
+    let cell = format!("gamma={gamma:.4}");
+    let store = opts.store_for(&cell)?;
     let job = ChainJob {
         steps: BURN_IN,
         every: opts.audit_every.unwrap_or(1_000_000),
@@ -75,29 +75,11 @@ fn sweep_cell(
         |_, _| ControlFlow::Continue(()),
     )?;
     let resumed_at = run.resumed_from;
-    if let Some(step) = run.resumed_from {
-        eprintln!("gamma={gamma:.4}: resumed burn-in from step {step}");
-    }
-    for path in &run.rejected {
-        eprintln!(
-            "gamma={gamma:.4}: skipped corrupt snapshot {}",
-            path.display()
-        );
-    }
-    for path in &run.reaped {
-        eprintln!(
-            "gamma={gamma:.4}: reaped orphaned temp file {}",
-            path.display()
-        );
-    }
-    for event in &run.events {
-        eprintln!("gamma={gamma:.4}: {event:?}");
-    }
+    sops_bench::log_recovery(&cell, &run);
 
     // Telemetry counts only this process's steps; a resumed burn-in
     // anchors the stream at the snapshot step it continued from.
     let t0 = resumed_at.unwrap_or(0);
-    let cell = format!("gamma={gamma:.4}");
     let manifest = RunManifest {
         run: format!("separation/{cell}"),
         seed: seed_hash_attempt("separation", gamma.to_bits(), ctx.attempt),
@@ -118,40 +100,35 @@ fn sweep_cell(
         sink.record_metrics(t0, &chain.report())?;
     }
 
-    // An incomplete burn-in (budget trip or cancellation) is already
-    // marked degraded on `ctx`; skip sampling and report what exists.
+    // Sampling: one sample per SAMPLE_GAP chunk of a storeless run through
+    // the same loop, so it heartbeats, audits at `--audit-every`'s cadence,
+    // repairs a drifted counter in place and honors the budget. A cell
+    // that degrades here still names the burn-in's durable snapshot. An
+    // incomplete burn-in (budget trip or cancellation) is already marked
+    // degraded on `ctx`; skip sampling and report what exists.
     let mut separated = 0usize;
     let mut hetero: Vec<f64> = Vec::with_capacity(SAMPLES);
-    let mut since_audit = 0u64;
     if run.completed && ctx.degraded().is_none() {
-        for sample in 0..SAMPLES {
-            if ctx.heartbeat.is_cancelled() {
-                ctx.note_degraded(ctx.cancel_reason(), run.last_durable_step);
-                break;
-            }
-            if ctx.deadline_exceeded() {
-                ctx.note_degraded(DegradeReason::DeadlineExceeded, run.last_durable_step);
-                break;
-            }
-            chain.run(&mut config, SAMPLE_GAP, &mut rng);
-            ctx.heartbeat
-                .beat(BURN_IN + (sample as u64 + 1) * SAMPLE_GAP);
-            if let Some(every) = opts.audit_every {
-                since_audit += SAMPLE_GAP;
-                if since_audit >= every {
-                    since_audit = 0;
-                    let violations = config.audit_violations();
-                    if !violations.is_empty() {
-                        return Err(JobError::AuditFailed {
-                            step: BURN_IN + (sample as u64 + 1) * SAMPLE_GAP,
-                            violations,
-                        });
-                    }
-                }
-            }
-            separated += usize::from(is_separated(&config, 4.0, 0.2).is_some());
-            hetero.push(metrics::hetero_fraction(&config));
-        }
+        let job = ChainJob {
+            steps: SAMPLES as u64 * SAMPLE_GAP,
+            every: SAMPLE_GAP,
+            store: None,
+            audit_every: opts.audit_every,
+        };
+        let sampling = run_chain(
+            ctx,
+            &chain,
+            &mut config,
+            &mut rng,
+            job,
+            metrics::hetero_fraction,
+            |_, c| {
+                separated += usize::from(is_separated(c, 4.0, 0.2).is_some());
+                hetero.push(metrics::hetero_fraction(c));
+                ControlFlow::Continue(())
+            },
+        )?;
+        sops_bench::log_recovery(&cell, &sampling);
     }
     if let Some(sink) = &mut sink {
         let report = chain.report();

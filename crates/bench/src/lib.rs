@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use sops_chains::Instrumented;
+use sops_chains::{Instrumented, SupervisedRun};
 use sops_core::SeparationChain;
 
 // Seeding moved to `sops-runtime` with the rest of the supervision stack;
@@ -38,6 +38,24 @@ pub fn instrument_chain(chain: SeparationChain, enabled: bool) -> Instrumented<S
         .with_observable("hetero_edges", OBSERVABLE_EVERY, |c| {
             c.hetero_edge_count() as f64
         })
+}
+
+/// Reports on stderr, one `cell: …` line each, what a chain run recovered
+/// from: the snapshot step it resumed from, the corrupt snapshots it
+/// skipped, the orphaned temp files it reaped, and its ladder events.
+pub fn log_recovery(cell: &str, run: &SupervisedRun) {
+    if let Some(step) = run.resumed_from {
+        eprintln!("{cell}: resumed from step {step}");
+    }
+    for path in &run.rejected {
+        eprintln!("{cell}: skipped corrupt snapshot {}", path.display());
+    }
+    for path in &run.reaped {
+        eprintln!("{cell}: reaped orphaned temp file {}", path.display());
+    }
+    for event in &run.events {
+        eprintln!("{cell}: {event:?}");
+    }
 }
 
 /// A fixed-width text table, printed to stdout and embeddable in

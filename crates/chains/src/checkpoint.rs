@@ -33,8 +33,8 @@
 //! still resume bit-identically.
 //!
 //! [`run_supervised`](crate::recovery::run_supervised) persists a snapshot
-//! at every chunk boundary and resumes from the newest *valid* one on
-//! restart.
+//! at every chunk boundary but the one its `on_chunk` hook stops at, and
+//! resumes from the newest *valid* one on restart.
 //!
 //! # Determinism contract
 //!
@@ -822,8 +822,9 @@ pub struct Recovery<S> {
 impl CheckpointStore {
     /// Opens (creating if needed) a snapshot directory on the real
     /// filesystem, keeping at most `retain` snapshots; older ones are
-    /// pruned after each save. Orphaned temp files from a previous crash
-    /// are reaped best-effort.
+    /// pruned after each save. Opening reads nothing: orphaned temp files
+    /// from a previous crash stay until [`CheckpointStore::recover`] reaps
+    /// and reports them.
     ///
     /// # Errors
     ///
@@ -846,16 +847,12 @@ impl CheckpointStore {
     ) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         vfs.create_dir_all(&dir)?;
-        let store = CheckpointStore {
+        Ok(CheckpointStore {
             dir,
             retain: retain.max(1),
             vfs,
             cancel: None,
-        };
-        // A crash between temp-create and rename leaves orphans; clear
-        // them on open so they cannot accumulate across restarts.
-        let _ = store.reap_tmp();
-        Ok(store)
+        })
     }
 
     /// Attaches a cooperative-cancellation token, checked at operation
@@ -901,12 +898,7 @@ impl CheckpointStore {
             .vfs
             .list(&self.dir)?
             .into_iter()
-            .filter(|p| {
-                p.extension().is_some_and(|e| e == "ckpt")
-                    && p.file_stem()
-                        .and_then(|s| s.to_str())
-                        .is_some_and(|s| s.starts_with("step-"))
-            })
+            .filter(|p| is_snapshot(p))
             .collect();
         paths.sort();
         Ok(paths)
@@ -927,39 +919,6 @@ impl CheckpointStore {
             .iter()
             .filter_map(|p| step_from_filename(p))
             .max())
-    }
-
-    /// Orphaned `step-*.ckpt.tmp` files in the store directory — debris
-    /// of a save interrupted between temp-file creation and rename.
-    fn list_tmp(&self) -> Result<Vec<PathBuf>, CheckpointError> {
-        let mut paths: Vec<PathBuf> = self
-            .vfs
-            .list(&self.dir)?
-            .into_iter()
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|s| s.to_str())
-                    .is_some_and(|s| s.starts_with("step-") && s.ends_with(".ckpt.tmp"))
-            })
-            .collect();
-        paths.sort();
-        Ok(paths)
-    }
-
-    /// Deletes orphaned temp files, returning the paths removed.
-    fn reap_tmp(&self) -> Result<Vec<PathBuf>, CheckpointError> {
-        let mut reaped = Vec::new();
-        for path in self.list_tmp()? {
-            if self.vfs.remove(&path).is_ok() {
-                reaped.push(path);
-            }
-        }
-        if !reaped.is_empty() {
-            // Make the reaping durable too; best-effort, as resurrection
-            // after a crash is harmless — the next open reaps again.
-            let _ = self.vfs.sync_dir(&self.dir);
-        }
-        Ok(reaped)
     }
 
     /// Atomically persists a snapshot: the serialized form is written to a
@@ -1070,18 +1029,34 @@ impl CheckpointStore {
     }
 
     /// Scans newest-to-oldest for a valid snapshot, skipping (and
-    /// reporting) any that fail validation, and reaping orphaned temp
-    /// files left by a crash mid-save. Never panics on corrupt input; an
-    /// empty or fully-corrupt store yields `checkpoint: None`.
+    /// reporting) any that fail validation. The one directory listing it
+    /// scans also names the orphaned `step-*.ckpt.tmp` files a crash
+    /// mid-save left behind; this is the only place they are reaped, so
+    /// [`Recovery::reaped`] reports every one. Never panics on corrupt
+    /// input; an empty or fully-corrupt store yields `checkpoint: None`.
     ///
     /// # Errors
     ///
     /// Returns an error only for directory-level I/O failures.
     pub fn recover<S: StateCodec>(&self) -> Result<Recovery<S>, CheckpointError> {
         self.check_cancel()?;
-        let reaped = self.reap_tmp()?;
+        let (mut snapshots, mut reaped) = (Vec::new(), Vec::new());
+        for path in self.vfs.list(&self.dir)? {
+            if is_snapshot(&path) {
+                snapshots.push(path);
+            } else if is_orphan(&path) && self.vfs.remove(&path).is_ok() {
+                reaped.push(path);
+            }
+        }
+        if !reaped.is_empty() {
+            reaped.sort();
+            // Make the reaping durable too; best-effort, as a resurrected
+            // orphan is harmless: the next recovery reaps it again.
+            let _ = self.vfs.sync_dir(&self.dir);
+        }
+        snapshots.sort();
         let mut rejected = Vec::new();
-        for path in self.list()?.into_iter().rev() {
+        for path in snapshots.into_iter().rev() {
             match self.load::<S>(&path) {
                 Ok(ckpt) => {
                     return Ok(Recovery {
@@ -1101,6 +1076,23 @@ impl CheckpointStore {
     }
 }
 
+/// Whether `path` names a snapshot: `step-*.ckpt`.
+fn is_snapshot(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "ckpt")
+        && path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .is_some_and(|s| s.starts_with("step-"))
+}
+
+/// Whether `path` names the debris of a save interrupted between
+/// temp-file creation and rename: `step-*.ckpt.tmp`.
+fn is_orphan(path: &Path) -> bool {
+    path.file_name()
+        .and_then(|s| s.to_str())
+        .is_some_and(|s| s.starts_with("step-") && s.ends_with(".ckpt.tmp"))
+}
+
 /// Parses the step count out of a `step-<N>.ckpt` filename, if the path
 /// matches that shape.
 fn step_from_filename(path: &Path) -> Option<u64> {
@@ -1116,6 +1108,7 @@ mod tests {
     use super::*;
     use crate::chain::MarkovChain;
     use crate::recovery::{run_supervised, Heartbeat, SupervisedOptions};
+    use crate::vfs::{CrashStyle, FaultyVfs};
     use rand::rngs::StdRng;
     use rand::{Rng, RngExt as _, SeedableRng};
     use std::fs;
@@ -1607,12 +1600,34 @@ mod tests {
     }
 
     #[test]
-    fn open_reaps_orphaned_tmp_files() {
-        let scratch = Scratch::new("reap-open");
-        let orphan = scratch.0.join("step-00000000000000000007.ckpt.tmp");
-        fs::write(&orphan, "leftover").unwrap();
-        let _store = CheckpointStore::open(&scratch.0, 5).unwrap();
-        assert!(!orphan.exists(), "open must clear crash debris");
+    fn reopened_store_reports_a_crash_orphan_on_recover() {
+        let vfs = Arc::new(FaultyVfs::new());
+        let dir = PathBuf::from("/ckpt");
+        let snapshot = |step| Checkpoint {
+            step,
+            accepted: 1,
+            rng_state: vec![1; 32],
+            log: vec![],
+            state: step,
+            aux: Vec::new(),
+        };
+        let store = CheckpointStore::open_with(&dir, 5, vfs.clone()).unwrap();
+        store.save(&snapshot(10)).unwrap();
+        // Die after the next save fsyncs its temp file (create, write,
+        // sync), before the rename.
+        vfs.kill_after(vfs.op_count() + 3);
+        assert!(store.save(&snapshot(20)).is_err());
+        vfs.crash(CrashStyle::DropUnsynced);
+
+        // The restarted process opens the store, which leaves the orphan
+        // in place, and its recovery reaps and reports it.
+        let orphan = dir.join("step-00000000000000000020.ckpt.tmp");
+        let store = CheckpointStore::open_with(&dir, 5, vfs.clone()).unwrap();
+        assert!(vfs.peek(&orphan).is_some(), "open must not reap");
+        let rec: Recovery<u64> = store.recover().unwrap();
+        assert_eq!(rec.checkpoint.unwrap().step, 10);
+        assert_eq!(rec.reaped, vec![orphan.clone()]);
+        assert!(vfs.peek(&orphan).is_none(), "orphan must be deleted");
     }
 
     #[test]

@@ -980,9 +980,11 @@ const MONITOR_CODEC_VERSION: u8 = 1;
 ///
 /// Gating rules must *all* be satisfied (after `min_samples` observations)
 /// for the monitor to latch a convergence decision. Once latched, the
-/// decision — step and diagnostics snapshot — is immutable and rides in
-/// the serialized state, so a resumed run reports the identical
-/// `converged_at_step`.
+/// decision — step and diagnostics snapshot — is immutable and serializes
+/// with the rest of the state. The chunk loop does not persist the chunk
+/// at which the monitor stops a run, so its snapshots hold the monitor
+/// unlatched, and a resumed run re-observes the stopping chunk and
+/// latches at the identical step.
 pub struct ConvergenceMonitor {
     rules: Vec<Box<dyn StoppingRule + Send>>,
     min_samples: u64,

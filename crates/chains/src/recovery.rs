@@ -55,6 +55,11 @@ use crate::checkpoint::{
 /// chunk is persisted, whatever the hook accumulated at step `t` is
 /// captured in the step-`t` snapshot.
 ///
+/// A chunk at which [`SupervisedHooks::on_chunk`] breaks is audited but
+/// not persisted: the newest snapshot is the chunk before, so a resume
+/// replays the stopping chunk and the hook decides to stop again. A
+/// snapshot therefore never holds a run that has already stopped.
+///
 /// [`run_supervised`] adapts its plain `FnMut(u64, &mut S)` callback into
 /// this trait internally (with no sidecar); implement it directly when
 /// the run carries decision state that must survive kills and rollbacks.
@@ -78,15 +83,17 @@ pub trait SupervisedHooks<S> {
     }
 
     /// Restores sidecar state from a snapshot taken at `step`, on resume
-    /// and after every rollback. Empty bytes mean the snapshot carried no
-    /// sidecar (legacy or non-adaptive): reset, don't fail.
+    /// and after every rollback; `state` is the state restored with it.
+    /// Empty bytes mean the snapshot carried no sidecar (legacy or
+    /// non-adaptive): reset, don't fail. A hook whose history lives outside
+    /// the sidecar can rebuild it from `state`.
     ///
     /// # Errors
     ///
     /// Returns a description when non-empty bytes are malformed; the run
     /// surfaces it as a corrupt checkpoint.
-    fn restore_aux(&mut self, step: u64, bytes: &[u8]) -> Result<(), String> {
-        let _ = (step, bytes);
+    fn restore_aux(&mut self, step: u64, state: &S, bytes: &[u8]) -> Result<(), String> {
+        let _ = (step, state, bytes);
         Ok(())
     }
 }
@@ -363,7 +370,9 @@ impl SupervisedRun {
 /// audit — it is the hook for separation checks (return
 /// [`ControlFlow::Break`] to stop early, e.g. on hitting a target),
 /// telemetry emission, and fault injection in tests; state mutations it
-/// makes are subject to the same audit as chain steps.
+/// makes are subject to the same audit as chain steps. The chunk it
+/// breaks at is audited but not persisted, so a later invocation on the
+/// same store replays that chunk and stops at the same step.
 ///
 /// Resumes from the newest valid snapshot in `store` when one exists: the
 /// state, RNG stream and acceptance count then match an uninterrupted run
@@ -416,7 +425,8 @@ where
 ///
 /// Each chunk goes: cancellation check, [`SupervisedHooks::before_chunk`],
 /// the chunk, heartbeat, [`SupervisedHooks::on_chunk`], audit (and ladder),
-/// `observe`, snapshot.
+/// `observe`, snapshot. A chunk at which `on_chunk` breaks skips the
+/// snapshot, so this loop alone decides what a resume point is.
 ///
 /// With a store, the ladder and the determinism contract are
 /// [`run_supervised`]'s, and the sidecar ([`SupervisedHooks::encode_aux`])
@@ -481,7 +491,9 @@ where
         if let Some(ckpt) = rec.checkpoint.filter(|c| c.step <= opts.steps) {
             *state = ckpt.state;
             rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
-            hooks.restore_aux(ckpt.step, &ckpt.aux).map_err(corrupt)?;
+            hooks
+                .restore_aux(ckpt.step, state, &ckpt.aux)
+                .map_err(corrupt)?;
             (run.steps, run.accepted) = (ckpt.step, ckpt.accepted);
             run.resumed_from = Some(ckpt.step);
             run.last_durable_step = run.resumed_from;
@@ -572,7 +584,9 @@ where
                         // The sidecar rolls back with the state, so the
                         // replayed span feeds the hooks the same stream a
                         // fault-free run would have.
-                        hooks.restore_aux(ckpt.step, &ckpt.aux).map_err(corrupt)?;
+                        hooks
+                            .restore_aux(ckpt.step, state, &ckpt.aux)
+                            .map_err(corrupt)?;
                         run.accepted = ckpt.accepted;
                         run.last_durable_step = Some(ckpt.step);
                         ckpt.step
@@ -580,7 +594,9 @@ where
                     None => {
                         *state = C::State::decode_state(&entry.state).map_err(corrupt)?;
                         rng.restore_rng_state(&entry.rng_state).map_err(corrupt)?;
-                        hooks.restore_aux(entry.step, &entry.aux).map_err(corrupt)?;
+                        hooks
+                            .restore_aux(entry.step, state, &entry.aux)
+                            .map_err(corrupt)?;
                         run.accepted = entry.accepted;
                         entry.step
                     }
@@ -600,6 +616,11 @@ where
         }
 
         run.log.push((t, observe(state)));
+        // A stopping chunk is not a resume point: a resume replays it, so
+        // the hooks make their stop decision again instead of inheriting it.
+        if flow.is_break() {
+            break;
+        }
         if let Some(store) = store {
             let aux = hooks.encode_aux();
             match store.save_parts_aux(t, run.accepted, &rng.rng_state(), &[], state, &aux) {
@@ -618,10 +639,6 @@ where
                 }
                 Err(e) => return Err(e),
             }
-        }
-
-        if flow.is_break() {
-            break;
         }
     }
     Ok(run)
@@ -1155,34 +1172,46 @@ mod tests {
     }
 
     #[test]
-    fn on_chunk_break_stops_early_after_persisting() {
+    fn on_chunk_break_is_not_persisted_and_replays_on_resume() {
         let scratch = Scratch::new("break");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
-        let mut state = Cached::new(0);
-        let mut rng = StdRng::seed_from_u64(42);
-        let run = run_supervised(
-            &CachedWalk(97),
-            &mut state,
-            &mut rng,
-            &store,
-            &OPTS,
-            &Heartbeat::new(),
-            |s| s.x as f64,
-            |t, _| {
-                if t >= 3_000 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )
-        .unwrap();
-        assert!(run.completed);
-        assert_eq!(run.steps, 3_000);
-        assert_eq!(run.last_durable_step, Some(3_000));
-        // The stopping state was checkpointed, so a later invocation
-        // resumes from exactly here.
-        let rec = store.recover::<Cached>().unwrap();
-        assert_eq!(rec.checkpoint.unwrap().step, 3_000);
+        let run = |seed| {
+            let mut state = Cached::new(0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let run = run_supervised(
+                &CachedWalk(97),
+                &mut state,
+                &mut rng,
+                &store,
+                &OPTS,
+                &Heartbeat::new(),
+                |s| s.x as f64,
+                |t, _| {
+                    if t >= 3_000 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            )
+            .unwrap();
+            (run, state, rng.to_state_bytes().to_vec())
+        };
+        let (first, state, rng) = run(42);
+        assert!(first.completed);
+        assert_eq!(first.steps, 3_000);
+        // The stopping chunk was not persisted: the resume point is the
+        // chunk before it.
+        assert_eq!(first.snapshots_written, 2);
+        assert_eq!(first.last_durable_step, Some(2_000));
+        assert_eq!(store.newest_step().unwrap(), Some(2_000));
+        // A later invocation replays the stopping chunk and stops exactly
+        // where the first did (the wrong seed is overwritten on resume).
+        let (second, resumed_state, resumed_rng) = run(999);
+        assert_eq!(second.resumed_from, Some(2_000));
+        assert_eq!(second.steps, 3_000);
+        assert_eq!(second.snapshots_written, 0);
+        assert_eq!(resumed_state, state);
+        assert_eq!(resumed_rng, rng);
     }
 }

@@ -51,15 +51,18 @@ pub struct ChainJob<'a> {
 /// (a job with a store also inside checkpoint I/O, through the store's
 /// cancel token); the step request is clamped to the budget's cap, and
 /// no chunk starts past the wall-clock deadline. Any budget trip or
-/// cancellation marks the cell degraded on `ctx` with the last durable
-/// checkpoint step; the partial [`SupervisedRun`] is still returned so
-/// the caller can report partial results. A repair or rollback marks the
-/// cell recovered.
+/// cancellation marks the cell degraded on `ctx` with the newest durable
+/// checkpoint step any run of the attempt reported (so a storeless run
+/// after a checkpointed one names the latter's snapshot); the partial
+/// [`SupervisedRun`] is still returned so the caller can report partial
+/// results. A repair or rollback marks the cell recovered.
 ///
 /// The `on_chunk` hook is the caller's early-exit and side-channel seam
 /// (telemetry flushes, hitting-time checks). It runs after each chunk,
 /// before the audit, and breaking out of it is a *successful* early
-/// exit, not a degradation.
+/// exit, not a degradation. The chunk it breaks at is not persisted, so
+/// the same job run again on the same store replays it and stops at the
+/// same step.
 ///
 /// # Errors
 ///
@@ -125,7 +128,17 @@ pub enum StopReason {
 /// sidecar: a killed run resumed against the same store replays to the
 /// *bit-identical* stop decision (same step, same diagnostics), and
 /// rollback restores the monitor alongside the chain state so replayed
-/// spans are not double-counted.
+/// spans are not double-counted. The chunk the monitor stops at is not
+/// persisted, so a run resumed on a finished store replays that chunk and
+/// latches again at the same step.
+///
+/// `certify` may keep history between calls (fig3's compares each
+/// classification with the previous one). That history lives in the
+/// closure, not in the sidecar, so on resume and after every rollback
+/// the restored state is passed to `certify` once and the result is
+/// discarded: the certificate restarts where the snapshot left it. (A
+/// rollback to a fresh run's step-0 entry state primes it too, though
+/// an uninterrupted run never certifies step 0.)
 ///
 /// The monitor is borrowed rather than constructed here so callers
 /// choose the rule stack; build a fresh monitor per attempt — retries
@@ -171,7 +184,8 @@ where
 /// The one [`SupervisedHooks`] impl behind both entry points: it stops
 /// the run before a chunk once the deadline has passed, feeds the
 /// optional [`ConvergenceMonitor`] (whose decision state is the
-/// checkpoint sidecar), then calls the caller's `on_chunk`.
+/// checkpoint sidecar, and whose certificate is re-primed with every
+/// restored state), then calls the caller's `on_chunk`.
 struct JobHooks<'a, 'ctx, F, P, G> {
     ctx: &'a JobContext<'ctx>,
     monitor: Option<&'a mut ConvergenceMonitor>,
@@ -213,9 +227,12 @@ where
             .map_or_else(Vec::new, AuxCodec::encode_aux)
     }
 
-    fn restore_aux(&mut self, step: u64, bytes: &[u8]) -> Result<(), String> {
+    fn restore_aux(&mut self, step: u64, state: &S, bytes: &[u8]) -> Result<(), String> {
         match self.monitor.as_deref_mut() {
-            Some(monitor) => monitor.restore_aux(step, bytes),
+            Some(monitor) => {
+                let _ = (self.certify)(state);
+                monitor.restore_aux(step, bytes)
+            }
             None => Ok(()),
         }
     }
@@ -293,9 +310,9 @@ where
         .as_deref()
         .and_then(ConvergenceMonitor::converged);
     if hooks.deadline_tripped {
-        ctx.note_degraded(DegradeReason::DeadlineExceeded, run.last_durable_step);
+        ctx.note_degraded(DegradeReason::DeadlineExceeded, ctx.last_durable_step());
     } else if steps < job.steps && run.completed && run.steps >= steps && converged.is_none() {
-        ctx.note_degraded(DegradeReason::StepBudgetExhausted, run.last_durable_step);
+        ctx.note_degraded(DegradeReason::StepBudgetExhausted, ctx.last_durable_step());
     }
     let stop = converged.map(|(step, diagnostics)| {
         ctx.emit(RuntimeEvent::Converged {
@@ -597,52 +614,144 @@ mod tests {
     }
 
     #[test]
-    fn monitored_supervised_run_emits_event_and_persists_sidecar() {
+    fn monitored_supervised_run_emits_event_and_replays_its_stop() {
         let scratch = Scratch::new("monitored");
         let store = CheckpointStore::open(&scratch.0, 3).unwrap();
-        let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+        let leg = || {
+            let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+                let mut state = Counter::default();
+                let mut rng = StdRng::seed_from_u64(11);
+                let job = ChainJob {
+                    steps: 1_000_000,
+                    every: 1_000,
+                    store: Some(&store),
+                    audit_every: None,
+                };
+                let mut monitor = tight_monitor();
+                let (_, stop) = run_chain_monitored(
+                    ctx,
+                    &Freezes,
+                    &mut state,
+                    &mut rng,
+                    job,
+                    &mut monitor,
+                    |s| s.x as f64,
+                    |s| s.x >= 5_000,
+                    |_, _| ControlFlow::Continue(()),
+                )?;
+                let Some(StopReason::Converged { step, .. }) = stop else {
+                    panic!("expected a convergence stop, got {stop:?}");
+                };
+                Ok(step)
+            });
+            assert_eq!(outcomes[0].status, CellStatus::Ok);
+            assert!(
+                outcomes[0].events.iter().any(|e| e.kind() == "converged"),
+                "converged event reaches the cell outcome: {:?}",
+                outcomes[0].events
+            );
+            outcomes[0].result.expect("cell result")
+        };
+        let stop = leg();
+        // The stopping chunk was not persisted: the newest snapshot is the
+        // chunk before it, and its sidecar holds the monitor unlatched.
+        let ckpt = store.recover::<Counter>().unwrap().checkpoint.unwrap();
+        assert_eq!(ckpt.step, stop - 1_000);
+        assert!(!ckpt.aux.is_empty(), "aux sidecar persisted");
+        let mut restored = tight_monitor();
+        restored.restore_aux(ckpt.step, &ckpt.aux).unwrap();
+        assert!(restored.converged().is_none());
+        // Run on the finished store, the job replays the stopping chunk and
+        // latches at the same step.
+        assert_eq!(leg(), stop);
+    }
+
+    #[test]
+    fn a_stopped_run_replays_to_the_same_stop_on_its_store() {
+        let scratch = Scratch::new("replay");
+        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        let leg = || {
+            let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+                let mut state = Counter::default();
+                let mut rng = StdRng::seed_from_u64(17);
+                let job = ChainJob {
+                    steps: 100_000,
+                    every: 1_000,
+                    store: Some(&store),
+                    audit_every: None,
+                };
+                let run = run_chain(
+                    ctx,
+                    &Walk,
+                    &mut state,
+                    &mut rng,
+                    job,
+                    |s| s.x as f64,
+                    |t, _| {
+                        if t >= 3_000 {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    },
+                )?;
+                Ok((run.steps, state.encode_state(), rng.rng_state()))
+            });
+            assert_eq!(outcomes[0].status, CellStatus::Ok);
+            outcomes.into_iter().next().unwrap().result.unwrap()
+        };
+        let first = leg();
+        assert_eq!(first.0, 3_000);
+        assert_eq!(leg(), first);
+    }
+
+    #[test]
+    fn a_storeless_run_degrades_with_an_earlier_runs_durable_step() {
+        let scratch = Scratch::new("two-runs");
+        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        let opts = SweepOptions {
+            budget: ResourceBudget {
+                deadline: Some(std::time::Duration::from_millis(300)),
+                ..ResourceBudget::default()
+            },
+            ..fast_opts()
+        };
+        let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
             let mut state = Counter::default();
-            let mut rng = StdRng::seed_from_u64(11);
+            let mut rng = StdRng::seed_from_u64(21);
             let job = ChainJob {
-                steps: 1_000_000,
+                steps: 2_000,
                 every: 1_000,
                 store: Some(&store),
                 audit_every: None,
             };
-            let mut monitor = tight_monitor();
-            let (_, stop) = run_chain_monitored(
-                ctx,
-                &Freezes,
-                &mut state,
-                &mut rng,
-                job,
-                &mut monitor,
-                |s| s.x as f64,
-                |s| s.x >= 5_000,
-                |_, _| ControlFlow::Continue(()),
-            )?;
-            let Some(StopReason::Converged { step, .. }) = stop else {
-                panic!("expected a convergence stop, got {stop:?}");
+            let walk = |state: &mut Counter, rng: &mut StdRng, job| {
+                run_chain(
+                    ctx,
+                    &Walk,
+                    state,
+                    rng,
+                    job,
+                    |s| s.x as f64,
+                    |_, _| ControlFlow::Continue(()),
+                )
             };
-            Ok(step)
+            walk(&mut state, &mut rng, job)?;
+            // The deadline passes before the storeless phase starts, so it
+            // stops before its first chunk.
+            while !ctx.deadline_exceeded() {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let run = walk(&mut state, &mut rng, ChainJob { store: None, ..job })?;
+            Ok(run.steps)
         });
-        assert_eq!(outcomes[0].status, CellStatus::Ok);
-        assert!(
-            outcomes[0].events.iter().any(|e| e.kind() == "converged"),
-            "converged event reaches the cell outcome: {:?}",
-            outcomes[0].events
-        );
-        // The monitor's decision state rode the checkpoint sidecar: a
-        // fresh monitor restored from the store replays to the same
-        // latched decision without seeing a single new sample.
-        let rec = store.recover::<Counter>().unwrap();
-        let ckpt = rec.checkpoint.unwrap();
-        assert!(!ckpt.aux.is_empty(), "aux sidecar persisted");
-        let mut restored = tight_monitor();
-        restored.restore_aux(ckpt.step, &ckpt.aux).unwrap();
+        assert_eq!(outcomes[0].result, Some(0));
         assert_eq!(
-            restored.converged().map(|(s, _)| s),
-            Some(outcomes[0].result.unwrap())
+            outcomes[0].status,
+            CellStatus::Degraded {
+                reason: crate::DegradeReason::DeadlineExceeded,
+                last_durable_step: Some(2_000),
+            }
         );
     }
 

@@ -93,6 +93,7 @@ pub struct JobContext<'a> {
     monitor_reason: &'a AtomicU8,
     recovered: AtomicBool,
     degraded: Mutex<Option<(DegradeReason, Option<u64>)>>,
+    durable: Mutex<Option<u64>>,
     events: Mutex<Vec<RuntimeEvent>>,
 }
 
@@ -113,6 +114,7 @@ impl<'a> JobContext<'a> {
             monitor_reason,
             recovered: AtomicBool::new(false),
             degraded: Mutex::new(None),
+            durable: Mutex::new(None),
             events: Mutex::new(pending),
         }
     }
@@ -192,13 +194,24 @@ impl<'a> JobContext<'a> {
         observed_cancel_reason(self.monitor_reason, self.heartbeat)
     }
 
+    /// The newest durable checkpoint step any run of this attempt
+    /// reported to [`JobContext::absorb`], if any.
+    pub(crate) fn last_durable_step(&self) -> Option<u64> {
+        *self.durable.lock().expect("durable lock")
+    }
+
     /// Folds a [`SupervisedRun`]'s ladder events into this cell's trace
-    /// and status flags: repairs/rollbacks mark the cell recovered, and a
-    /// run cut short by cancellation marks it degraded with the observed
-    /// reason and its last durable checkpoint. (A run the *caller* broke
-    /// out of via `on_chunk` is not degraded — that is the caller's
-    /// successful early exit.)
+    /// and status flags: repairs/rollbacks mark the cell recovered, the
+    /// context keeps the newest durable step of every run it absorbs, and
+    /// a run cut short by cancellation marks the cell degraded with the
+    /// observed reason and that step. (A run the *caller* broke out of via
+    /// `on_chunk` is not degraded — that is the caller's successful early
+    /// exit.)
     pub fn absorb(&self, run: &SupervisedRun) {
+        {
+            let mut durable = self.durable.lock().expect("durable lock");
+            *durable = (*durable).max(run.last_durable_step);
+        }
         for event in &run.events {
             match event {
                 RecoveryEvent::Repaired { step, .. } => {
@@ -222,7 +235,7 @@ impl<'a> JobContext<'a> {
             self.note_recovered();
         }
         if !run.completed && self.heartbeat.is_cancelled() {
-            self.note_degraded(self.cancel_reason(), run.last_durable_step);
+            self.note_degraded(self.cancel_reason(), self.last_durable_step());
         }
     }
 }

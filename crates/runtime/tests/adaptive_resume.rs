@@ -5,6 +5,10 @@
 //! state and RNG — as the same run left uninterrupted. Also drives a
 //! constant-observable chain through the full stopping path end to end
 //! (the regression for the estimator panics this PR fixed).
+//!
+//! A second run on a finished store, and a run whose certificate compares
+//! each state with the previous one (fig3's shape), end exactly as the
+//! uninterrupted run did.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -104,14 +108,14 @@ fn fast_opts() -> SweepOptions {
     }
 }
 
-/// One monitored leg against `store`, budgeted to `max_steps`. Returns
-/// (stop decision as (step, diagnostics-json), final state bytes, final
-/// RNG bytes, steps this leg ran).
-#[allow(clippy::type_complexity)]
-fn run_leg(
-    store: &CheckpointStore,
-    max_steps: Option<u64>,
-) -> (Option<(u64, String)>, Vec<u8>, Vec<u8>, u64) {
+/// What a leg ends with: the stop decision as (step, diagnostics JSON),
+/// the final state bytes, the final RNG bytes, and the steps it ran.
+type Leg = (Option<(u64, String)>, Vec<u8>, Vec<u8>, u64);
+
+/// One monitored leg against `store`, budgeted to `max_steps`. Its
+/// certificate is `x ≥ 40,000`, or with `history` fig3's shape: the
+/// certified value equals the one the previous call saw.
+fn run_leg(store: &CheckpointStore, max_steps: Option<u64>, history: bool) -> Leg {
     let opts = SweepOptions {
         budget: ResourceBudget {
             max_steps,
@@ -129,6 +133,7 @@ fn run_leg(
             audit_every: None,
         };
         let mut monitor = monitor();
+        let mut previous = None;
         let (run, stop) = run_chain_monitored(
             ctx,
             &Freezes,
@@ -137,7 +142,14 @@ fn run_leg(
             job,
             &mut monitor,
             |s| s.x as f64,
-            |s| s.x >= 40_000,
+            |s| {
+                if !history {
+                    return s.x >= 40_000;
+                }
+                let unchanged = previous == Some(s.x);
+                previous = Some(s.x);
+                unchanged
+            },
             |_, _| ControlFlow::Continue(()),
         )?;
         let stop =
@@ -157,7 +169,7 @@ fn interrupted_and_resumed_run_reaches_the_identical_stop_decision() {
     // Reference: one uninterrupted run.
     let scratch_a = Scratch::new("uninterrupted");
     let store_a = CheckpointStore::open(&scratch_a.0, 3).unwrap();
-    let (stop_a, state_a, rng_a, _) = run_leg(&store_a, None);
+    let (stop_a, state_a, rng_a, _) = run_leg(&store_a, None, false);
     let (step_a, diag_a) = stop_a.expect("uninterrupted run converges");
 
     // Interrupted: leg 1 is killed by its step budget before the monitor
@@ -165,11 +177,11 @@ fn interrupted_and_resumed_run_reaches_the_identical_stop_decision() {
     // from the same store.
     let scratch_b = Scratch::new("interrupted");
     let store_b = CheckpointStore::open(&scratch_b.0, 3).unwrap();
-    let (stop_b1, _, _, steps_b1) = run_leg(&store_b, Some(50_000));
+    let (stop_b1, _, _, steps_b1) = run_leg(&store_b, Some(50_000), false);
     assert!(stop_b1.is_none(), "leg 1 must be cut before convergence");
     assert_eq!(steps_b1, 50_000);
     assert!(step_a > 50_000, "interruption must precede the stop step");
-    let (stop_b2, state_b, rng_b, _) = run_leg(&store_b, None);
+    let (stop_b2, state_b, rng_b, _) = run_leg(&store_b, None, false);
     let (step_b, diag_b) = stop_b2.expect("resumed run converges");
 
     // Bit-identical stop decision and trajectory.
@@ -177,6 +189,40 @@ fn interrupted_and_resumed_run_reaches_the_identical_stop_decision() {
     assert_eq!(diag_a, diag_b, "diagnostics snapshot");
     assert_eq!(state_a, state_b, "final chain state bytes");
     assert_eq!(rng_a, rng_b, "final RNG state bytes");
+}
+
+#[test]
+fn a_resume_on_a_finished_store_ends_where_the_run_stopped() {
+    let scratch = Scratch::new("finished");
+    let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+    let first = run_leg(&store, None, false);
+    let (step, _) = first.0.clone().expect("the run converges");
+    assert_eq!(first.3, step, "a converged run stops at its stop step");
+    // The stopping chunk was never persisted, so the second leg replays it
+    // and stops there again.
+    let second = run_leg(&store, None, false);
+    assert_eq!(second, first);
+}
+
+#[test]
+fn a_history_keeping_certificate_resumes_to_the_uninterrupted_stop() {
+    let scratch_a = Scratch::new("history-uninterrupted");
+    let store_a = CheckpointStore::open(&scratch_a.0, 3).unwrap();
+    let uninterrupted = run_leg(&store_a, None, true);
+    let (step, _) = uninterrupted.0.clone().expect("the run converges");
+    // Cut two chunks before the stop, inside the certificate's streak: a
+    // certificate that restarted without history would fail the first
+    // check after the resume and push the stop back.
+    let cut = step - 2_000;
+    let scratch_b = Scratch::new("history-interrupted");
+    let store_b = CheckpointStore::open(&scratch_b.0, 3).unwrap();
+    let (stop, _, _, steps) = run_leg(&store_b, Some(cut), true);
+    assert!(stop.is_none(), "the cut must precede the stop");
+    assert_eq!(steps, cut);
+    let resumed = run_leg(&store_b, None, true);
+    assert_eq!(resumed.0, uninterrupted.0, "stop step and diagnostics");
+    assert_eq!(resumed.1, uninterrupted.1, "final state bytes");
+    assert_eq!(resumed.2, uninterrupted.2, "final RNG bytes");
 }
 
 /// A chain that never moves: every observable window is constant from

@@ -1,7 +1,7 @@
 //! The standard chain payload: wraps any [`MarkovChain`] into a
 //! [`JobPayload`] that checkpoints through the session's store, honors
-//! the job's budget and eviction signal, and resumes bit-identically
-//! after a crash or eviction.
+//! the job's eviction signal, and resumes bit-identically after a crash
+//! or eviction.
 //!
 //! Determinism contract: the RNG is seeded once per *session* (not per
 //! dispatch). On resume [`run_supervised`] restores the exact [`StdRng`]
@@ -16,12 +16,13 @@ use rand::SeedableRng as _;
 use sops_chains::checkpoint::StateCodec;
 use sops_chains::recovery::{run_supervised, SupervisedOptions};
 use sops_chains::{Auditable, MarkovChain, Repairable};
-use sops_runtime::{DegradeReason, JobError};
+use sops_runtime::{DegradeReason, JobError, ResourceBudget};
 
 use crate::service::{ExecCtx, JobOutcome, JobPayload};
 
-/// Builds a [`JobPayload`] that runs `chain` for `steps` steps (clamped
-/// by the job's budget), checkpointing every `every` steps. `on_done`
+/// Builds a [`JobPayload`] that runs `chain` for `steps` steps,
+/// checkpointing every `every` steps, with the default rollback budget
+/// ([`ResourceBudget::default`]'s `max_rollbacks`). `on_done`
 /// fires only on completion, with the final state and RNG — the
 /// bit-identity witness for tests and result collection.
 ///
@@ -45,13 +46,12 @@ where
     F: FnOnce(&C::State, &StdRng) + Send + 'static,
 {
     Box::new(move |ctx: &ExecCtx<'_>| {
-        let steps = ctx.budget().clamp_steps(steps);
         let mut state = initial;
         let mut rng = StdRng::seed_from_u64(seed);
         let opts = SupervisedOptions {
             steps,
             every: every.max(1),
-            max_rollbacks: ctx.budget().max_rollbacks,
+            max_rollbacks: ResourceBudget::default().max_rollbacks,
             audit_every: None,
         };
         let run = run_supervised(
@@ -265,7 +265,7 @@ mod tests {
         let mut expected = BTreeMap::from([
             (("read", "manifest"), 1),
             (("create_dir_all", "checkpoint"), 1),
-            (("list", "checkpoint"), 5),
+            (("list", "checkpoint"), 3),
         ]);
         for (class, atomic_writes) in [("manifest", 2), ("checkpoint", 1)] {
             for op in ["create", "write", "sync", "rename", "sync_dir"] {

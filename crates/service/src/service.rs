@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use sops_chains::checkpoint::CheckpointStore;
 use sops_chains::{CancelToken, RealVfs, Vfs};
-use sops_runtime::{DegradeReason, Heartbeat, JobError, ResourceBudget, RuntimeEvent};
+use sops_runtime::{DegradeReason, Heartbeat, JobError, RuntimeEvent};
 
 use crate::queue::{
     Admission, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, Removed, TerminalStatus,
@@ -51,7 +51,6 @@ pub enum JobOutcome {
 pub struct ExecCtx<'a> {
     pub(crate) heartbeat: &'a Heartbeat,
     pub(crate) store: &'a CheckpointStore,
-    pub(crate) budget: &'a ResourceBudget,
     pub(crate) session: &'a str,
     pub(crate) events: &'a dyn Fn(RuntimeEvent),
 }
@@ -69,12 +68,6 @@ impl ExecCtx<'_> {
     #[must_use]
     pub fn store(&self) -> &CheckpointStore {
         self.store
-    }
-
-    /// The resource budget this job runs under.
-    #[must_use]
-    pub fn budget(&self) -> &ResourceBudget {
-        self.budget
     }
 
     /// Whether eviction has been signalled (drain, shutdown, or per-job
@@ -134,15 +127,13 @@ impl JobSpec {
     }
 }
 
-/// Service shape: pool size, queue knobs, per-job budget, durability.
+/// Service shape: pool size, queue knobs, durability.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads in the pool.
     pub workers: usize,
     /// Queue capacity, quotas, and scheduling knobs.
     pub queue: QueueConfig,
-    /// The resource budget every job runs under.
-    pub budget: ResourceBudget,
     /// Checkpoints retained per session.
     pub retain: usize,
     /// Poll bound for blocked admissions — the worst-case latency of a
@@ -157,7 +148,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             queue: QueueConfig::default(),
-            budget: ResourceBudget::default(),
             retain: 2,
             admission_poll: Duration::from_millis(25),
             gauge_every: 16,
@@ -440,7 +430,6 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
     let ctx = ExecCtx {
         heartbeat: &heartbeat,
         store: &store,
-        budget: &shared.cfg.budget,
         session: &session,
         events: &emit,
     };
