@@ -9,9 +9,9 @@
 //!
 //! Besides the console table, the run writes a machine-readable perf
 //! baseline to `BENCH_chain.json` at the repo root — per-size chain-step
-//! throughput plus the overhead of the disabled telemetry wrapper — and a
-//! demonstration telemetry stream to
-//! `results/logs/microbench-n100.telemetry.jsonl`.
+//! throughput, the overhead of the disabled telemetry wrapper, and the
+//! heap bytes of one configuration — and a demonstration telemetry stream
+//! to `results/logs/microbench-n100.telemetry.jsonl`.
 //!
 //! Pass `--smoke` (or set `SOPS_BENCH_SMOKE=1`) to shrink the warmup and
 //! time budgets ~10×; CI uses this to validate the emission paths without
@@ -309,7 +309,11 @@ fn emit_demo_telemetry() -> std::io::Result<()> {
 }
 
 /// Renders and writes the `BENCH_chain.json` perf baseline at the repo root.
-fn write_bench_chain_json(throughput: &[Throughput], overhead: &OverheadBaseline) {
+fn write_bench_chain_json(
+    throughput: &[Throughput],
+    overhead: &OverheadBaseline,
+    heap: &[(String, usize)],
+) {
     let mut json = String::from("{\n  \"bench\": \"chain\",\n");
     json.push_str(&format!("  \"smoke\": {},\n", smoke()));
     json.push_str("  \"throughput\": [\n");
@@ -336,13 +340,19 @@ fn write_bench_chain_json(throughput: &[Throughput], overhead: &OverheadBaseline
     let overhead_pct = disabled_delta_ns / overhead.bare_ns * 100.0;
     json.push_str(&format!(
         "  \"instrumented_overhead\": {{\"bare_ns\": {}, \"disabled_ns\": {}, \
-         \"enabled_ns\": {}, \"disabled_delta_ns\": {}, \"disabled_overhead_pct\": {}}}\n",
+         \"enabled_ns\": {}, \"disabled_delta_ns\": {}, \"disabled_overhead_pct\": {}}},\n",
         json_f64(overhead.bare_ns),
         json_f64(overhead.disabled_ns),
         json_f64(overhead.enabled_ns),
         json_f64(disabled_delta_ns),
         json_f64(overhead_pct),
     ));
+    // One line, so `perf_guard` reads each count with its line scan.
+    let counts: Vec<String> = heap
+        .iter()
+        .map(|(name, bytes)| format!("\"{name}\": {bytes}"))
+        .collect();
+    json.push_str(&format!("  \"memory\": {{{}}}\n", counts.join(", ")));
     json.push_str("}\n");
     save_at_root("BENCH_chain.json", &json);
 }
@@ -420,17 +430,19 @@ fn random_blob_particles(n: usize) -> Vec<(Node, Color)> {
 
 /// What one configuration holds on the heap, and what building one costs:
 /// from its particles, from its snapshot bytes, and its O(n) recount.
-fn bench_configuration_memory() {
+/// Returns the `(name, bytes)` heap counts, which are exact and repeat from
+/// run to run: the inputs are seeded and the allocator counts every byte.
+fn bench_configuration_memory() -> Vec<(String, usize)> {
+    let mut heap = Vec::new();
     for n in [100usize, 1000] {
         let particles = random_blob_particles(n);
         let before = LIVE_BYTES.load(Ordering::Relaxed);
         let config = Configuration::new(particles.iter().copied()).unwrap();
         let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
         black_box(&config);
-        println!(
-            "{:<44} {bytes:>12} bytes",
-            format!("config_heap_bytes_n{n}")
-        );
+        let name = format!("config_heap_bytes_n{n}");
+        println!("{name:<44} {bytes:>12} bytes");
+        heap.push((name, bytes));
     }
     let particles = random_blob_particles(1000);
     bench("configuration_new_n1000", || {
@@ -444,6 +456,7 @@ fn bench_configuration_memory() {
     bench("recount_n1000", || {
         black_box(config.recount());
     });
+    heap
 }
 
 /// What building an input costs: the blob alone, and at n = 100 all that
@@ -578,7 +591,7 @@ fn main() {
     let overhead = bench_instrumented_overhead();
     bench_properties();
     bench_observables();
-    bench_configuration_memory();
+    let heap = bench_configuration_memory();
     bench_construction();
     bench_separation_certificate();
     bench_enumeration();
@@ -586,7 +599,7 @@ fn main() {
     bench_node_map_vs_std();
     bench_amoebot();
     bench_figures_reduced();
-    write_bench_chain_json(&throughput, &overhead);
+    write_bench_chain_json(&throughput, &overhead, &heap);
     if let Err(e) = emit_demo_telemetry() {
         eprintln!("telemetry demo stream failed: {e}");
     }

@@ -19,8 +19,7 @@
 use std::ops::ControlFlow;
 
 use sops_analysis::is_separated;
-use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, Table};
-use sops_chains::telemetry::series_record_json;
+use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, CellTelemetry, Table};
 use sops_chains::RunManifest;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
@@ -58,13 +57,6 @@ fn time_to_separation(
 
     let cell = format!("swaps={swaps}-r{replicate}");
     let store = opts.store_for(&cell)?;
-    // Telemetry counts only this process's steps, so the newest snapshot's
-    // step, where a resume picks up, anchors every metrics record and the
-    // stream stays contiguous.
-    let t0 = match &store {
-        Some(store) => store.newest_step()?.unwrap_or(0),
-        None => 0,
-    };
     let mut chain = instrument_chain(chain, opts.telemetry);
     if let Some(cap) = opts.ring_capacity() {
         chain = chain.with_ring_capacity(cap);
@@ -81,13 +73,14 @@ fn time_to_separation(
         n: N as u64,
         steps: CAP,
     };
-    let mut sink = opts.telemetry_sink(
-        &sops_bench::logs_dir(),
+    let mut telemetry = CellTelemetry::new(
+        opts,
+        sops_bench::logs_dir(),
         "ablate_swaps",
         &cell,
-        &manifest,
-        (t0 > 0).then_some(t0),
-    )?;
+        manifest,
+        METRICS_EVERY,
+    );
 
     let job = ChainJob {
         steps: CAP,
@@ -95,7 +88,6 @@ fn time_to_separation(
         store: store.as_ref(),
         audit_every: opts.audit_every,
     };
-    let mut sink_err = None;
     let mut hit = None;
     let run = run_chain(
         ctx,
@@ -105,16 +97,7 @@ fn time_to_separation(
         job,
         |c| c.perimeter() as f64,
         |t, c| {
-            if let Some(sink) = &mut sink {
-                // `abs_diff`: behind a corrupt newest snapshot the run
-                // resumes before `t0`.
-                if t.abs_diff(t0) % METRICS_EVERY == 0 {
-                    if let Err(e) = sink.record_metrics(t0, &chain.report()) {
-                        sink_err = Some(e);
-                        return ControlFlow::Break(());
-                    }
-                }
-            }
+            telemetry.on_chunk(t, &chain)?;
             if is_separated(c, 4.0, 0.2).is_some() {
                 hit = Some(t);
                 return ControlFlow::Break(());
@@ -123,20 +106,9 @@ fn time_to_separation(
         },
     )?;
     sops_bench::log_recovery(&cell, &run);
-    if let Some(e) = sink_err {
-        return Err(e.into());
-    }
     // A cancelled or budget-tripped run is already marked degraded on
-    // `ctx`; report the partial result (no hit yet) below.
-
-    if let Some(sink) = &mut sink {
-        let report = chain.report();
-        sink.record_metrics(t0, &report)?;
-        sink.record_line(&series_record_json(t0, &report))?;
-        for line in ctx.event_lines() {
-            sink.record_line(&line)?;
-        }
-    }
+    // `ctx`; report the partial result (no hit yet).
+    telemetry.finish(&run, &chain, ctx)?;
     Ok(hit)
 }
 

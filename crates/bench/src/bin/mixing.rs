@@ -35,8 +35,7 @@
 use std::ops::ControlFlow;
 
 use sops_analysis::is_separated;
-use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, Table};
-use sops_chains::telemetry::series_record_json;
+use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, CellTelemetry, Table};
 use sops_chains::{RunManifest, TransitionMatrix};
 use sops_core::enumerate::ExactSeparationChain;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
@@ -88,15 +87,7 @@ fn hitting_cell(
 
     let cell = format!("n={n}");
     let store = opts.store_for(&cell)?;
-    // Telemetry: the report counts steps taken by *this* process, so the
-    // newest snapshot's step, where a resume picks up, becomes the base
-    // step of every metrics record and the stream stays contiguous across
-    // restarts. The budget's memory ceiling sizes the instrument's ring
-    // buffers.
-    let t0 = match &store {
-        Some(store) => store.newest_step()?.unwrap_or(0),
-        None => 0,
-    };
+    // The budget's memory ceiling sizes the instrument's ring buffers.
     let mut chain = instrument_chain(chain, opts.telemetry);
     if let Some(cap) = opts.ring_capacity() {
         chain = chain.with_ring_capacity(cap);
@@ -109,35 +100,20 @@ fn hitting_cell(
         n: n as u64,
         steps: cap,
     };
-    let mut sink = opts.telemetry_sink(
-        &sops_bench::logs_dir(),
+    let mut telemetry = CellTelemetry::new(
+        opts,
+        sops_bench::logs_dir(),
         "mixing",
         &cell,
-        &manifest,
-        (t0 > 0).then_some(t0),
-    )?;
+        manifest,
+        metrics_every,
+    );
 
     let job = ChainJob {
         steps: cap,
         every: chunk,
         store: store.as_ref(),
         audit_every: opts.audit_every,
-    };
-    // Sink failures inside the chunk hook can't propagate through the
-    // ControlFlow seam; stash and rethrow after the run.
-    let mut sink_err = None;
-    let mut metrics = |t: u64| {
-        if let Some(sink) = &mut sink {
-            // `abs_diff`: behind a corrupt newest snapshot the run resumes
-            // before `t0`.
-            if t.abs_diff(t0) % metrics_every == 0 {
-                if let Err(e) = sink.record_metrics(t0, &chain.report()) {
-                    sink_err = Some(e);
-                    return ControlFlow::Break(());
-                }
-            }
-        }
-        ControlFlow::Continue(())
     };
     let mut hit = None;
     let run = if opts.adaptive {
@@ -154,7 +130,7 @@ fn hitting_cell(
             &mut monitor,
             |c| c.perimeter() as f64,
             |c| is_separated(c, 4.0, 0.2).is_some(),
-            |t, _| metrics(t),
+            |t, _| telemetry.on_chunk(t, &chain),
         )?;
         if let Some(StopReason::Converged { step, diagnostics }) = stop {
             eprintln!(
@@ -177,7 +153,7 @@ fn hitting_cell(
             job,
             |c| c.perimeter() as f64,
             |t, c| {
-                metrics(t)?;
+                telemetry.on_chunk(t, &chain)?;
                 if is_separated(c, 4.0, 0.2).is_some() {
                     hit = Some(t);
                     return ControlFlow::Break(());
@@ -187,19 +163,9 @@ fn hitting_cell(
         )?
     };
     sops_bench::log_recovery(&cell, &run);
-    if let Some(e) = sink_err {
-        return Err(e.into());
-    }
     // A cancelled or budget-tripped run is already marked degraded on
     // `ctx`; report the partial result (no hit yet).
-    if let Some(sink) = &mut sink {
-        let report = chain.report();
-        sink.record_metrics(t0, &report)?;
-        sink.record_line(&series_record_json(t0, &report))?;
-        for line in ctx.event_lines() {
-            sink.record_line(&line)?;
-        }
-    }
+    telemetry.finish(&run, &chain, ctx)?;
     Ok(hit)
 }
 

@@ -10,10 +10,13 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
-use sops_chains::{Instrumented, SupervisedRun};
+use sops_chains::telemetry::series_record_json;
+use sops_chains::{Instrumented, JsonlSink, RunManifest, SupervisedRun};
 use sops_core::SeparationChain;
+use sops_runtime::{JobContext, SweepOptions};
 
 // Seeding moved to `sops-runtime` with the rest of the supervision stack;
 // re-exported here so experiment code keeps one import path.
@@ -55,6 +58,139 @@ pub fn log_recovery(cell: &str, run: &SupervisedRun) {
     }
     for event in &run.events {
         eprintln!("{cell}: {event:?}");
+    }
+}
+
+/// A cell's step-telemetry stream, the file
+/// [`SweepOptions::telemetry_sink`] opens, on the run's own step axis.
+///
+/// The instrument counts only this process's steps, so every record is
+/// offset by `t0`, the step the run resumed from (0 for a fresh run), and a
+/// resumed stream continues where the last one stopped. `t0` is read off
+/// the run: at its first chunk it is the chunk's step less the steps the
+/// instrument counted, since no rollback can have replayed steps by then,
+/// and a run that ends before its first chunk reports it as
+/// [`SupervisedRun::resumed_from`]. The stream opens there, so behind a
+/// corrupt newest snapshot its `resumed` marker and every `metrics` step
+/// follow the older snapshot the run really resumed from.
+pub struct CellTelemetry<'a> {
+    opts: &'a SweepOptions,
+    logs_dir: PathBuf,
+    bin: &'a str,
+    cell: &'a str,
+    manifest: RunManifest,
+    metrics_every: u64,
+    /// `t0`, once the stream is open.
+    t0: Option<u64>,
+    /// The open stream; `None` with telemetry off.
+    sink: Option<JsonlSink>,
+    /// The write error that stopped the run.
+    error: Option<std::io::Error>,
+}
+
+impl<'a> CellTelemetry<'a> {
+    /// A stream that opens under `logs_dir` at the run's first chunk and
+    /// records metrics every `metrics_every` steps from `t0`. With
+    /// telemetry off it never opens.
+    #[must_use]
+    pub fn new(
+        opts: &'a SweepOptions,
+        logs_dir: PathBuf,
+        bin: &'a str,
+        cell: &'a str,
+        manifest: RunManifest,
+        metrics_every: u64,
+    ) -> Self {
+        CellTelemetry {
+            opts,
+            logs_dir,
+            bin,
+            cell,
+            manifest,
+            metrics_every,
+            t0: None,
+            sink: None,
+            error: None,
+        }
+    }
+
+    /// The chunk hook's half: opens the stream at the first chunk, and
+    /// writes a `metrics` record whenever `t − t0` is a multiple of
+    /// `metrics_every`. A write error breaks the run;
+    /// [`CellTelemetry::finish`] returns it.
+    pub fn on_chunk(&mut self, t: u64, chain: &Instrumented<SeparationChain>) -> ControlFlow<()> {
+        if !self.opts.telemetry {
+            return ControlFlow::Continue(());
+        }
+        match self.record_chunk(t, chain) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => {
+                self.error = Some(e);
+                ControlFlow::Break(())
+            }
+        }
+    }
+
+    fn record_chunk(
+        &mut self,
+        t: u64,
+        chain: &Instrumented<SeparationChain>,
+    ) -> std::io::Result<()> {
+        let t0 = match self.t0 {
+            Some(t0) => t0,
+            None => self.open(t - chain.report().steps)?,
+        };
+        if let Some(sink) = &mut self.sink {
+            if (t - t0) % self.metrics_every == 0 {
+                sink.record_metrics(t0, &chain.report())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens the stream at `t0`, with a `resumed` marker when `t0 > 0` and
+    /// the sweep resumes, and returns `t0`.
+    fn open(&mut self, t0: u64) -> std::io::Result<u64> {
+        self.sink = self.opts.telemetry_sink(
+            &self.logs_dir,
+            self.bin,
+            self.cell,
+            &self.manifest,
+            (t0 > 0).then_some(t0),
+        )?;
+        self.t0 = Some(t0);
+        Ok(t0)
+    }
+
+    /// Ends the stream after `run`: the write error that stopped it, if
+    /// any; otherwise the final `metrics` and `series` records and the
+    /// cell's runtime events, opening the stream first if no chunk did.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write error.
+    pub fn finish(
+        mut self,
+        run: &SupervisedRun,
+        chain: &Instrumented<SeparationChain>,
+        ctx: &JobContext<'_>,
+    ) -> std::io::Result<()> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let t0 = match self.t0 {
+            Some(t0) => t0,
+            None => self.open(run.resumed_from.unwrap_or(0))?,
+        };
+        if let Some(sink) = &mut self.sink {
+            let report = chain.report();
+            sink.record_metrics(t0, &report)?;
+            sink.record_line(&series_record_json(t0, &report))?;
+            for line in ctx.event_lines() {
+                sink.record_line(&line)?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -10,16 +10,16 @@
 //! uninterrupted one.
 
 use std::ops::ControlFlow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use sops_amoebot::schedule::UniformScheduler;
 use sops_amoebot::{AmoebotSystem, FaultPlan, FaultySchedule};
-use sops_bench::seeded_attempt;
+use sops_bench::{instrument_chain, seeded_attempt, CellTelemetry};
 use sops_chains::{Auditable as _, MarkovChain as _, StateCodec as _};
-use sops_chains::{CheckpointStore, CrashStyle, FaultyVfs};
+use sops_chains::{CheckpointStore, CrashStyle, FaultyVfs, RunManifest};
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
     run_cells, run_chain, write_cell_report, BackoffPolicy, CellStatus, ChainJob, DegradeReason,
@@ -423,6 +423,141 @@ fn step_budget_interruption_resumes_bitwise_identically() {
         "resumed state diverged from the uninterrupted run"
     );
     assert_eq!(rng_bytes, &ref_rng, "resumed rng stream diverged");
+}
+
+/// The cell of the corrupt-snapshot telemetry test: `budgeted_cell`'s
+/// job (12,000 steps, a chunk every 1,000), instrumented and streamed
+/// through `CellTelemetry` as `mixing` and `ablate_swaps` stream theirs,
+/// with a metrics record every two chunks.
+fn telemetry_cell(
+    ctx: &JobContext<'_>,
+    opts: &SweepOptions,
+    logs: &Path,
+) -> Result<SupervisedRun, JobError> {
+    let mut rng = seeded_attempt("chaos-telemetry", 0, 1);
+    let mut config = seed_config()?;
+    let chain = instrument_chain(chain(), opts.telemetry);
+    let store = opts.store_for("telemetry")?;
+    let manifest = RunManifest {
+        run: "chaos/telemetry".to_string(),
+        seed: 0,
+        lambda: 4.0,
+        gamma: 4.0,
+        n: 20,
+        steps: RESUME_STEPS,
+    };
+    let mut telemetry = CellTelemetry::new(
+        opts,
+        logs.to_path_buf(),
+        "chaos",
+        "telemetry",
+        manifest,
+        2 * EVERY,
+    );
+    let run = run_chain(
+        ctx,
+        &chain,
+        &mut config,
+        &mut rng,
+        ChainJob {
+            steps: RESUME_STEPS,
+            every: EVERY,
+            store: store.as_ref(),
+            audit_every: None,
+        },
+        |c| c.perimeter() as f64,
+        |t, _| telemetry.on_chunk(t, &chain),
+    )?;
+    telemetry.finish(&run, &chain, ctx)?;
+    Ok(run)
+}
+
+/// The `step` of every telemetry record of `kind`, in file order.
+fn record_steps(lines: &[String], kind: &str) -> Vec<u64> {
+    let tag = format!("{{\"kind\":\"{kind}\",\"step\":");
+    lines
+        .iter()
+        .filter_map(|line| line.strip_prefix(&tag))
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("a step")
+        })
+        .collect()
+}
+
+#[test]
+fn telemetry_resumes_from_the_snapshot_the_run_resumed_from() {
+    // Leg 1 stops at the 6,000-step budget. Its step-6,000 snapshot is
+    // then torn, so leg 2 resumes from step 5,000. The stream must say so:
+    // its `resumed` marker names step 5,000, and its metrics records land
+    // 2,000 steps apart from there and end at the run's last step.
+    let scratch = Scratch::new("telemetry");
+    let logs = scratch.0.join("logs");
+    let capped = SweepOptions {
+        checkpoint_dir: Some(scratch.0.join("ckpt")),
+        telemetry: true,
+        budget: ResourceBudget {
+            max_steps: Some(6_000),
+            max_retries: 0,
+            ..ResourceBudget::default()
+        },
+        ..fast_opts()
+    };
+    let first = run_cells(vec!["telemetry"], &capped, |_, ctx| {
+        telemetry_cell(ctx, &capped, &logs)
+    });
+    assert_eq!(first[0].result.as_ref().unwrap().steps, 6_000);
+    let stream = logs.join("chaos-telemetry.telemetry.jsonl");
+    let read = || -> Vec<String> {
+        std::fs::read_to_string(&stream)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(
+        record_steps(&read(), "metrics"),
+        [2_000, 4_000, 6_000, 6_000]
+    );
+
+    let resumed = SweepOptions {
+        resume: true,
+        budget: ResourceBudget {
+            max_retries: 0,
+            ..ResourceBudget::default()
+        },
+        ..capped.clone()
+    };
+    let store = resumed.store_for("telemetry").unwrap().unwrap();
+    let newest = store.list().unwrap().pop().unwrap();
+    assert!(
+        newest.ends_with("step-00000000000000006000.ckpt"),
+        "{newest:?}"
+    );
+    let bytes = std::fs::read(&newest).unwrap();
+    std::fs::write(&newest, &bytes[..50]).unwrap();
+    let second = run_cells(vec!["telemetry"], &resumed, |_, ctx| {
+        telemetry_cell(ctx, &resumed, &logs)
+    });
+    assert_eq!(second[0].status, CellStatus::Ok, "{:?}", second[0].status);
+    let run = second[0].result.as_ref().unwrap();
+    assert_eq!((run.resumed_from, run.steps), (Some(5_000), RESUME_STEPS));
+    assert_eq!(run.rejected, [newest]);
+    let lines = read();
+    assert_eq!(record_steps(&lines, "resumed"), [5_000]);
+    let metrics = record_steps(&lines, "metrics");
+    assert_eq!(metrics[4..], [7_000, 9_000, 11_000, RESUME_STEPS]);
+
+    // Leg 3 resumes the finished store and runs no chunk: the stream
+    // opens after the run, at the step it resumed from.
+    let third = run_cells(vec!["telemetry"], &resumed, |_, ctx| {
+        telemetry_cell(ctx, &resumed, &logs)
+    });
+    let run = third[0].result.as_ref().unwrap();
+    assert_eq!(run.resumed_from, Some(RESUME_STEPS));
+    let lines = read();
+    assert_eq!(record_steps(&lines, "resumed"), [5_000, RESUME_STEPS]);
+    assert_eq!(record_steps(&lines, "metrics").last(), Some(&RESUME_STEPS));
 }
 
 #[test]

@@ -738,9 +738,11 @@ impl ClassifiedChain for CompressionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{construct, Color};
+    use crate::enumerate::ExactSeparationChain;
+    use crate::{construct, CanonicalForm, Color};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sops_chains::{EnumerableChain, TransitionMatrix};
 
     fn run_invariant_check(chain: &SeparationChain, steps: u64, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1483,6 +1485,136 @@ mod tests {
             }
         }
         assert!(rebuilt > 0, "no run crossed its raster's border");
+    }
+
+    /// Chain `M` as the kernel implements it on one kind of node index, on
+    /// the state space of an [`ExactSeparationChain`]: every state is
+    /// re-indexed by [`Configuration::reraster_for_test`] with `index` (a
+    /// raster with that border, or a map for `None`), and every transition
+    /// probability is read off [`SeparationChain::propose`] alone.
+    struct KernelLaw {
+        exact: ExactSeparationChain,
+        index: Option<i64>,
+    }
+
+    impl KernelLaw {
+        /// `propose(p, dir)` on a copy of `config`, its one possible draw
+        /// answered with `word`: the state it leaves, whether it accepted,
+        /// and whether it drew.
+        fn probe(
+            &self,
+            config: &Configuration,
+            p: usize,
+            dir: Direction,
+            word: u64,
+        ) -> (Configuration, bool, bool) {
+            let mut next = config.clone();
+            let mut rng = ScriptedRng(vec![word]);
+            let outcome = self.exact.chain().propose(&mut next, p, dir, &mut rng);
+            (next, outcome.accepted(), rng.0.is_empty())
+        }
+
+        /// The probability that `propose(p, dir)` accepts on `config`, given
+        /// that word 0 accepts. A proposal that draws no word accepts
+        /// surely. Otherwise the filter accepts iff `(word >> 11) < T`, so
+        /// bisecting over the words `k << 11` finds the least rejected `k`,
+        /// which is `T`, and the probability is `T / 2⁵³`.
+        fn acceptance(&self, config: &Configuration, p: usize, dir: Direction, drew: bool) -> f64 {
+            if !drew {
+                return 1.0;
+            }
+            let (mut lo, mut hi) = (1u64, 1u64 << 53);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.probe(config, p, dir, mid << 11).1 {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    impl EnumerableChain for KernelLaw {
+        type State = CanonicalForm;
+
+        fn states(&self) -> Vec<CanonicalForm> {
+            self.exact.states()
+        }
+
+        fn transitions(&self, state: &CanonicalForm) -> Vec<(CanonicalForm, f64)> {
+            let mut config = state.to_configuration();
+            config.reraster_for_test(self.index);
+            // `run` draws the particle and the direction uniformly.
+            let per_proposal = 1.0 / (6.0 * config.len() as f64);
+            let mut out = Vec::new();
+            for p in 0..config.len() {
+                for dir in DIRECTIONS {
+                    // Word 0 passes every filter that can pass: a proposal it
+                    // does not accept has probability 0.
+                    let (next, accepted, drew) = self.probe(&config, p, dir, 0);
+                    if accepted {
+                        let probability = self.acceptance(&config, p, dir, drew);
+                        out.push((next.canonical_form(), per_proposal * probability));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn fused_kernel_law_is_the_exact_chain_on_every_small_bicolored_space() {
+        // On every node index the kernel can hold: the 4-cell border a new
+        // raster gets (the interior flat-offset path), borders of 0–3 cells
+        // (particles in the edge band take the per-node probes, and outward
+        // moves rebuild the raster), and a map. Release builds cover n ≤ 5;
+        // debug builds, which also run the kernel's internal assertions,
+        // stop at n ≤ 4.
+        let max_n = if cfg!(debug_assertions) { 4 } else { 5 };
+        let indexes = [Some(4), Some(0), Some(1), Some(2), Some(3), None];
+        for (lambda, gamma) in [(2.0, 3.0), (4.0, 0.7), (1.1, 0.9)] {
+            let bias = Bias::new(lambda, gamma).unwrap();
+            for chain in [
+                SeparationChain::new(bias),
+                SeparationChain::without_swaps(bias),
+            ] {
+                let swaps = chain.swaps_enabled();
+                for n in 2..=max_n {
+                    for n1 in 1..n {
+                        let exact = ExactSeparationChain::new(chain, n, n1);
+                        let reference = TransitionMatrix::build(&exact);
+                        let pi = exact.lemma9_distribution(reference.states());
+                        for index in indexes {
+                            let at = format!(
+                                "λ={lambda} γ={gamma} swaps={swaps} n={n} n1={n1} index {index:?}"
+                            );
+                            let kernel = TransitionMatrix::build(&KernelLaw {
+                                exact: exact.clone(),
+                                index,
+                            });
+                            assert_eq!(kernel.states(), reference.states(), "{at}");
+                            let size = kernel.len();
+                            for i in 0..size {
+                                for j in 0..size {
+                                    let (got, want) = (kernel.prob(i, j), reference.prob(i, j));
+                                    assert!(
+                                        (got - want).abs() <= 1e-15,
+                                        "{at}: P({i}→{j}) is {got} from the kernel, {want} exactly"
+                                    );
+                                }
+                            }
+                            let residual = kernel.detailed_balance_violation(&pi);
+                            assert!(
+                                residual <= 1e-15,
+                                "{at}: detailed-balance residual {residual}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

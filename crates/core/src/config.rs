@@ -4,7 +4,8 @@
 //! in particle-index order — plus two tracked counters and one node index
 //! over the table. The index is the two-plane raster of [`crate::grid`]
 //! for every system whose bounding box fits it, and a [`NodeMap`] only for
-//! systems too spread out to rasterize; a configuration never holds both.
+//! systems too spread out or too large to rasterize; a configuration never
+//! holds both.
 
 use core::fmt;
 
@@ -33,8 +34,9 @@ struct Slot {
 enum NodeIndex {
     /// The two-plane raster of [`crate::grid`].
     Raster(ColorGrid),
-    /// The index of a system whose raster would exceed the cell cap, or
-    /// that holds the unencodable color index `u8::MAX`.
+    /// The index of a system whose raster would exceed the cell cap, that
+    /// holds more than 65,535 particles, or that holds the unencodable
+    /// color index `u8::MAX`.
     Map(NodeMap<Slot>),
 }
 

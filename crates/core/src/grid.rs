@@ -14,15 +14,16 @@
 //! loads at flat offsets `dy·width + dx` the raster precomputes per
 //! direction whenever it is built.
 //!
-//! The raster has two planes over the same cells. The *color plane*
-//! (`u8`) is all the proposal kernel reads: cell `0` means unoccupied,
-//! cell `c > 0` a particle of color index `c − 1`. The *index plane*
-//! (`u32`) names the particle: `0` for unoccupied, `i + 1` for particle
-//! `i`. A cell is empty in both planes or occupied in both, and the
-//! occupied cells are in one-to-one correspondence with the particle table
-//! — the bijection [`crate::Configuration::audit`] checks. Colors get their
-//! own plane so that the probes keep one byte per cell: an expanded
-//! n = 1000 raster of packed `u32` cells would outgrow L1.
+//! The raster has two planes over the same cells, three bytes a cell. The
+//! *color plane* (`u8`) is all the proposal kernel reads: cell `0` means
+//! unoccupied, cell `c > 0` a particle of color index `c − 1`. The *index
+//! plane* (`u16`) names the particle: `0` for unoccupied, `i + 1` for
+//! particle `i`, so a raster indexes at most [`MAX_PARTICLES`] particles. A
+//! cell is empty in both planes or occupied in both, and the occupied cells
+//! are in one-to-one correspondence with the particle table — the bijection
+//! [`crate::Configuration::audit`] checks. Colors get their own plane so
+//! that the probes keep one byte per cell: an expanded n = 1000 raster of
+//! packed `u32` cells would outgrow L1.
 //!
 //! A new raster covers the configuration's bounding box plus a
 //! [`MARGIN`]-cell border, so a particle must step `MARGIN + 1` cells
@@ -30,20 +31,25 @@
 //! rebuild (see [`ColorGrid::rebuild_grown`]) widens the border to at
 //! least [`MIN_GROWN_MARGIN`] and doubles it on every later one, so a
 //! drifting configuration pays a logarithmic number of them. A system whose
-//! raster would exceed [`MAX_CELLS`] is indexed by a `NodeMap` instead;
-//! a configuration holds exactly one of the two.
+//! raster would exceed [`MAX_CELLS`], or that holds more than
+//! [`MAX_PARTICLES`] particles, is indexed by a `NodeMap` instead; a
+//! configuration holds exactly one of the two.
 
 use sops_lattice::{ring_offsets, Direction, Node};
 
 use crate::config::bounding_box;
 use crate::Color;
 
-/// Hard cap on raster cells (five bytes each across the two planes):
-/// beyond this the raster costs more in memory traffic and clone time than
-/// its probes save, and the configuration is indexed by a map.
-/// [`crate::construct::random_blob`]'s membership window (one bit a cell)
-/// is capped by it too.
+/// Hard cap on raster cells (three bytes each across the two planes, so
+/// 12 MiB at the cap): beyond this the raster costs more in memory traffic
+/// and clone time than its probes save, and the configuration is indexed
+/// by a map. [`crate::construct::random_blob`]'s membership window (one
+/// bit a cell) is capped by it too.
 pub(crate) const MAX_CELLS: u64 = 1 << 22;
+
+/// The most particles a raster indexes: the largest entry `i + 1` its
+/// `u16` index plane holds. A larger system is indexed by a map.
+pub(crate) const MAX_PARTICLES: usize = u16::MAX as usize;
 
 /// Unoccupied border a new raster keeps around the bounding box. With
 /// four cells, a particle takes the flat-offset path of
@@ -83,7 +89,7 @@ pub(crate) struct ColorGrid {
     /// The color plane: `0` or `color index + 1` per cell.
     cells: Vec<u8>,
     /// The index plane: `0` or `particle index + 1` per cell.
-    owners: Vec<u32>,
+    owners: Vec<u16>,
 }
 
 /// The cell encoding of an occupying color.
@@ -119,9 +125,10 @@ pub(crate) type Extent = (i64, i64, i64, i64);
 impl ColorGrid {
     /// Rasterizes the particle table, filling both planes in table order.
     ///
-    /// `Ok(None)` when the system cannot be rasterized: an empty table, a
-    /// color index of `u8::MAX` (unencodable), a bounding box beyond
-    /// [`MAX_CELLS`], or a border that would leave `i32` coordinate range.
+    /// `Ok(None)` when the system cannot be rasterized: an empty table, more
+    /// than [`MAX_PARTICLES`] particles, a color index of `u8::MAX`
+    /// (unencodable), a bounding box beyond [`MAX_CELLS`], or a border that
+    /// would leave `i32` coordinate range.
     /// `Err(node)` names the first node in table order that an earlier
     /// particle already owns.
     pub(crate) fn build(positions: &[Node], colors: &[Color]) -> Result<Option<Self>, Node> {
@@ -144,7 +151,10 @@ impl ColorGrid {
         margin: i64,
         keep_covering: Option<Extent>,
     ) -> Option<Self> {
-        if positions.is_empty() || colors.iter().any(|c| c.index() == u8::MAX) {
+        if positions.is_empty()
+            || positions.len() > MAX_PARTICLES
+            || colors.iter().any(|c| c.index() == u8::MAX)
+        {
             return None;
         }
         let (min_x, max_x, min_y, max_y) = bounding_box(positions.iter().copied());
@@ -188,7 +198,7 @@ impl ColorGrid {
     /// that was already owned when its particle came to it.
     fn fill(&mut self, positions: &[Node], colors: &[Color]) -> Result<(), Node> {
         let mut duplicate = None;
-        for (i, (&node, &color)) in positions.iter().zip(colors).enumerate() {
+        for (i, (&node, &color)) in (0..).zip(positions.iter().zip(colors)) {
             let cell = self
                 .index(node)
                 .expect("the raster covers its particles' bounding box");
@@ -196,7 +206,7 @@ impl ColorGrid {
                 duplicate.get_or_insert(node);
             }
             self.cells[cell] = encode(color);
-            self.owners[cell] = owner_entry(i as u32);
+            self.owners[cell] = owner_entry(i);
         }
         duplicate.map_or(Ok(()), Err)
     }
@@ -286,21 +296,26 @@ impl ColorGrid {
     pub(crate) fn particle(&self, node: Node) -> Option<(u32, u8)> {
         let i = self.index(node)?;
         let (owner, code) = (self.owners[i], self.cells[i]);
-        (owner != 0 && code != 0).then(|| (owner - 1, code))
+        (owner != 0 && code != 0).then(|| (u32::from(owner) - 1, code))
     }
 
     /// The index plane at `node`: the particle there, if any.
     #[inline]
     pub(crate) fn owner(&self, node: Node) -> Option<u32> {
-        self.index(node).and_then(|i| self.owners[i].checked_sub(1))
+        self.index(node).and_then(|i| self.owner_at(i))
     }
 
     /// Both planes at `node` — the color plane's raw code and the index
     /// plane's particle — or `None` outside the raster.
     #[inline]
     pub(crate) fn planes(&self, node: Node) -> Option<(u8, Option<u32>)> {
-        self.index(node)
-            .map(|i| (self.cells[i], self.owners[i].checked_sub(1)))
+        self.index(node).map(|i| (self.cells[i], self.owner_at(i)))
+    }
+
+    /// The particle the index plane names at cell `i`, if any.
+    #[inline]
+    fn owner_at(&self, i: usize) -> Option<u32> {
+        self.owners[i].checked_sub(1).map(u32::from)
     }
 
     /// Places `particle`, of color code `code`, at `node` in both planes;
@@ -422,7 +437,7 @@ impl ColorGrid {
     ///
     /// Panics if `node` lies outside the raster.
     #[cfg(test)]
-    pub(crate) fn owner_mut(&mut self, node: Node) -> &mut u32 {
+    pub(crate) fn owner_mut(&mut self, node: Node) -> &mut u16 {
         let i = self.index(node).expect("node inside the raster");
         &mut self.owners[i]
     }
@@ -507,9 +522,16 @@ impl ColorGrid {
 const FLAT_REACH: u32 = sops_lattice::FOOTPRINT_REACH as u32;
 
 /// The index plane's entry for `particle`.
+///
+/// # Panics
+///
+/// Panics if `particle` is [`MAX_PARTICLES`] or more, which no raster holds.
 #[inline]
-fn owner_entry(particle: u32) -> u32 {
-    particle + 1
+fn owner_entry(particle: u32) -> u16 {
+    u16::try_from(particle)
+        .ok()
+        .and_then(|p| p.checked_add(1))
+        .expect("a raster indexes at most MAX_PARTICLES particles")
 }
 
 /// [`ColorGrid`]'s `neighbor_offsets` for a raster of row stride `width`.
@@ -619,6 +641,29 @@ mod tests {
         );
         let past = [diagonal[0], (Node::new(side, side - 1), Color::C2)];
         assert!(build(&past).is_none());
+    }
+
+    #[test]
+    fn build_indexes_at_most_max_particles() {
+        // The index plane's largest entry is `u16::MAX`: a compact system
+        // of MAX_PARTICLES particles rasterizes, one particle more does not
+        // (its bounding box is far below the cell cap), and the last
+        // particle's entry reads back as its index.
+        let spiral = |n| {
+            let nodes = crate::construct::hexagonal_spiral(n);
+            table(&crate::construct::bicolor_alternating(nodes))
+        };
+        let (positions, colors) = spiral(MAX_PARTICLES);
+        let grid = ColorGrid::build(&positions, &colors)
+            .expect("distinct nodes")
+            .expect("MAX_PARTICLES particles rasterize");
+        let last = MAX_PARTICLES - 1;
+        assert_eq!(grid.owner(positions[last]), Some(last as u32));
+        assert_eq!(grid.owned_cells(), MAX_PARTICLES);
+        let (positions, colors) = spiral(MAX_PARTICLES + 1);
+        assert!(ColorGrid::build(&positions, &colors)
+            .expect("distinct nodes")
+            .is_none());
     }
 
     #[test]
