@@ -57,10 +57,7 @@ fn time_to_separation(
 
     let cell = format!("swaps={swaps}-r{replicate}");
     let store = opts.store_for(&cell)?;
-    let mut chain = instrument_chain(chain, opts.telemetry);
-    if let Some(cap) = opts.ring_capacity() {
-        chain = chain.with_ring_capacity(cap);
-    }
+    let chain = instrument_chain(chain, opts.telemetry);
     let manifest = RunManifest {
         run: format!("ablate_swaps/{cell}"),
         seed: seed_hash_attempt(

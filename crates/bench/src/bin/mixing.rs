@@ -87,11 +87,7 @@ fn hitting_cell(
 
     let cell = format!("n={n}");
     let store = opts.store_for(&cell)?;
-    // The budget's memory ceiling sizes the instrument's ring buffers.
-    let mut chain = instrument_chain(chain, opts.telemetry);
-    if let Some(cap) = opts.ring_capacity() {
-        chain = chain.with_ring_capacity(cap);
-    }
+    let chain = instrument_chain(chain, opts.telemetry);
     let manifest = RunManifest {
         run: format!("mixing/{cell}"),
         seed: seed_hash_attempt("mixing-hit", n as u64, ctx.attempt),

@@ -47,10 +47,7 @@ fn sweep_cell(
     let mut config =
         Configuration::new(construct::bicolor_random(nodes, N / 2, &mut rng)).expect("valid seed");
     let chain = SeparationChain::new(Bias::new(LAMBDA, gamma).expect("valid bias"));
-    let mut chain = instrument_chain(chain, opts.telemetry);
-    if let Some(cap) = opts.ring_capacity() {
-        chain = chain.with_ring_capacity(cap);
-    }
+    let chain = instrument_chain(chain, opts.telemetry);
 
     // Burn-in. With a checkpoint store the run goes through the full
     // escalation ladder (audit → in-place repair → rollback) and reports

@@ -7,8 +7,9 @@
 //! - **queue-depth percentiles** — p50/p90/p99 of the depth observed at
 //!   each admission (the backpressure profile);
 //! - **fairness** — min/max ratio of per-tenant *completed* jobs at the
-//!   mid-flight drain point. Deficit-round-robin should hold this near
-//!   1.0; a FIFO queue under one tenant's flood would drive it to 0;
+//!   mid-flight drain point. Round-robin over tenant lanes should hold
+//!   this near 1.0; a FIFO queue under one tenant's flood would drive it
+//!   to 0;
 //! - **unclassified jobs** — submitted jobs whose ticket never reached a
 //!   terminal state. The invariant value is exactly 0, always.
 //!
@@ -165,8 +166,7 @@ fn main() {
             workers: opts.workers,
             queue: QueueConfig {
                 capacity: opts.capacity,
-                tenant_quota: opts.capacity, // fairness comes from DRR, not quotas
-                ..QueueConfig::default()
+                tenant_quota: opts.capacity, // fairness comes from the round-robin, not quotas
             },
             ..ServiceConfig::default()
         },

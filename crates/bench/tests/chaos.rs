@@ -64,10 +64,7 @@ fn chain() -> SeparationChain {
 fn fast_opts() -> SweepOptions {
     SweepOptions {
         telemetry: false,
-        backoff: BackoffPolicy {
-            base_ms: 0,
-            cap_ms: 0,
-        },
+        backoff: BackoffPolicy { base_ms: 0 },
         budget: ResourceBudget {
             max_retries: 0,
             ..ResourceBudget::default()

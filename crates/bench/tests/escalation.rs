@@ -45,10 +45,7 @@ fn test_opts(scratch: &Scratch) -> SweepOptions {
     SweepOptions {
         checkpoint_dir: Some(scratch.0.clone()),
         telemetry: false,
-        backoff: BackoffPolicy {
-            base_ms: 0,
-            cap_ms: 0,
-        },
+        backoff: BackoffPolicy { base_ms: 0 },
         budget: ResourceBudget {
             max_retries: 0,
             ..ResourceBudget::default()

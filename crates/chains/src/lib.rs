@@ -82,9 +82,7 @@ pub use convergence::{
     StoppingRule, StreamingAcf,
 };
 pub use exact::{EnumerableChain, TransitionMatrix};
-pub use metropolis::{
-    ExponentOverflow, PowerRatio, PowerTable, WeightAccumulator, POWER_TABLE_EXPONENT_MAX,
-};
+pub use metropolis::{PowerRatio, PowerTable, POWER_TABLE_EXPONENT_MAX};
 pub use recovery::{
     run_supervised, run_supervised_hooked, CancelKind, Heartbeat, RecoveryEvent, Repairable,
     SupervisedHooks, SupervisedOptions, SupervisedRun,

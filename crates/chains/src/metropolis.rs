@@ -204,117 +204,6 @@ impl PowerTable {
     }
 }
 
-/// A symbolic-exponent accumulation overflowed its `i64` counter.
-///
-/// Follows the `ChainStateError::CounterCorruption` convention from
-/// `sops-core`: the accumulator is left untouched and the caller decides
-/// whether to degrade, audit, or abort — nothing silently wraps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExponentOverflow {
-    /// Index of the base whose exponent overflowed.
-    pub base: usize,
-    /// The accumulated exponent before the failing update.
-    pub accumulated: i64,
-    /// The delta whose application would have wrapped.
-    pub delta: i64,
-}
-
-impl core::fmt::Display for ExponentOverflow {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "symbolic exponent overflow on base {}: accumulated {} + delta {} \
-             exceeds i64 range",
-            self.base, self.accumulated, self.delta
-        )
-    }
-}
-
-impl std::error::Error for ExponentOverflow {}
-
-/// A running product `Π bases[k]^{E_k}` kept in symbolic-exponent form,
-/// accumulated across steps with **checked** arithmetic.
-///
-/// Long runs accumulate per-step [`PowerRatio`] exponents (e.g. the
-/// trajectory's cumulative stationary-weight drift
-/// `Δlog π = Σ e_k · ln(base_k)`); the per-step deltas are small `i32`s, but
-/// summing them across `10⁹⁺` steps can leave `i32` range entirely. The
-/// accumulator therefore widens to `i64` and refuses to wrap: an overflow
-/// returns a typed [`ExponentOverflow`] and leaves the accumulator
-/// untouched, matching the `CounterCorruption` convention used by the
-/// configuration counters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WeightAccumulator<const K: usize> {
-    bases: [f64; K],
-    exponents: [i64; K],
-}
-
-impl<const K: usize> WeightAccumulator<K> {
-    /// Creates an accumulator with all exponents zero (weight 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any base is not strictly positive (as [`PowerRatio::new`]).
-    #[must_use]
-    pub fn new(bases: [f64; K]) -> Self {
-        assert!(
-            bases.iter().all(|b| *b > 0.0),
-            "bias parameters must be positive, got {bases:?}"
-        );
-        WeightAccumulator {
-            bases,
-            exponents: [0; K],
-        }
-    }
-
-    /// Restores an accumulator from previously recorded exponents (for
-    /// checkpoint resume and for tests pinning the overflow behavior).
-    #[must_use]
-    pub fn from_parts(bases: [f64; K], exponents: [i64; K]) -> Self {
-        let mut acc = Self::new(bases);
-        acc.exponents = exponents;
-        acc
-    }
-
-    /// The accumulated exponents.
-    #[must_use]
-    pub fn exponents(&self) -> [i64; K] {
-        self.exponents
-    }
-
-    /// Adds one step's symbolic exponents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExponentOverflow`] — leaving the accumulator unchanged —
-    /// if any exponent update would leave `i64` range. No partial update is
-    /// applied: either every exponent advances or none does.
-    pub fn record(&mut self, deltas: [i32; K]) -> Result<(), ExponentOverflow> {
-        let mut updated = self.exponents;
-        for k in 0..K {
-            updated[k] =
-                self.exponents[k]
-                    .checked_add(i64::from(deltas[k]))
-                    .ok_or(ExponentOverflow {
-                        base: k,
-                        accumulated: self.exponents[k],
-                        delta: i64::from(deltas[k]),
-                    })?;
-        }
-        self.exponents = updated;
-        Ok(())
-    }
-
-    /// The natural log of the accumulated weight, `Σ E_k · ln(base_k)` —
-    /// evaluable without under/overflow for any reachable exponents.
-    #[must_use]
-    pub fn ln_weight(&self) -> f64 {
-        (0..K)
-            .map(|k| self.exponents[k] as f64 * self.bases[k].ln())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,55 +339,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn power_table_rejects_nonpositive_base() {
         let _ = PowerTable::new(0.0);
-    }
-
-    #[test]
-    fn weight_accumulator_tracks_ratio_exponents() {
-        let mut acc = WeightAccumulator::new([4.0, 2.0]);
-        acc.record([1, -2]).unwrap();
-        acc.record([3, 5]).unwrap();
-        assert_eq!(acc.exponents(), [4, 3]);
-        let expected = 4.0 * 4.0f64.ln() + 3.0 * 2.0f64.ln();
-        assert!((acc.ln_weight() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weight_accumulator_overflow_is_typed_and_leaves_state_untouched() {
-        let mut acc = WeightAccumulator::from_parts([4.0], [i64::MAX - 2]);
-        let err = acc.record([5]).unwrap_err();
-        assert_eq!(
-            err,
-            ExponentOverflow {
-                base: 0,
-                accumulated: i64::MAX - 2,
-                delta: 5,
-            }
-        );
-        // Untouched: the failing record applied nothing.
-        assert_eq!(acc.exponents(), [i64::MAX - 2]);
-        // And a fitting delta still works afterwards.
-        acc.record([2]).unwrap();
-        assert_eq!(acc.exponents(), [i64::MAX]);
-    }
-
-    #[test]
-    fn weight_accumulator_overflow_applies_no_partial_update() {
-        // First exponent would fit; second overflows — neither may move.
-        let mut acc = WeightAccumulator::from_parts([4.0, 2.0], [0, i64::MIN + 1]);
-        let err = acc.record([7, -3]).unwrap_err();
-        assert_eq!(err.base, 1);
-        assert_eq!(acc.exponents(), [0, i64::MIN + 1]);
-    }
-
-    #[test]
-    fn weight_accumulator_survives_billion_step_scale() {
-        // The i32 wrap this type exists to prevent: 2^31 steps of +2 per
-        // step exceeds i32 range but accumulates exactly in i64.
-        let per_step = 2i64;
-        let steps = 2_000_000_000i64;
-        let mut acc = WeightAccumulator::from_parts([4.0], [per_step * (steps - 1)]);
-        acc.record([2]).unwrap();
-        assert_eq!(acc.exponents()[0], per_step * steps);
-        assert!(i32::try_from(acc.exponents()[0]).is_err());
     }
 }

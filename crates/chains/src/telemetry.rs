@@ -163,37 +163,33 @@ struct Accumulator<S> {
     counts: Vec<u64>,
     steps: u64,
     accepted: u64,
-    window: u64,
     window_steps: u64,
     window_accepted: u64,
     window_rates: RingBuffer<(u64, f64)>,
     started: Option<Instant>,
     observers: Vec<Observer<S>>,
-    ring_capacity: usize,
 }
 
 impl<S> Accumulator<S> {
-    fn new(classes: usize, window: u64) -> Self {
+    fn new(classes: usize) -> Self {
         Accumulator {
             counts: vec![0; classes],
             steps: 0,
             accepted: 0,
-            window: window.max(1),
             window_steps: 0,
             window_accepted: 0,
-            window_rates: RingBuffer::new(DEFAULT_RING_CAPACITY),
+            window_rates: RingBuffer::new(RING_CAPACITY),
             started: None,
             observers: Vec::new(),
-            ring_capacity: DEFAULT_RING_CAPACITY,
         }
     }
 }
 
-/// Default retention for windowed acceptance rates and observable series.
-const DEFAULT_RING_CAPACITY: usize = 256;
+/// Retention for windowed acceptance rates and observable series.
+const RING_CAPACITY: usize = 256;
 
-/// Default acceptance-rate window width, in steps.
-const DEFAULT_WINDOW: u64 = 10_000;
+/// Acceptance-rate window width, in steps.
+const WINDOW: u64 = 10_000;
 
 /// A [`MarkovChain`] wrapper that accumulates step-level telemetry.
 ///
@@ -260,7 +256,7 @@ impl<C: ClassifiedChain> Instrumented<C> {
     #[must_use]
     pub fn new(inner: C) -> Self {
         Instrumented {
-            acc: RefCell::new(Accumulator::new(C::Outcome::CLASSES, DEFAULT_WINDOW)),
+            acc: RefCell::new(Accumulator::new(C::Outcome::CLASSES)),
             inner,
             enabled: true,
         }
@@ -273,33 +269,6 @@ impl<C: ClassifiedChain> Instrumented<C> {
         let mut this = Self::new(inner);
         this.enabled = false;
         this
-    }
-
-    /// Sets the acceptance-rate window width in steps (default 10 000).
-    #[must_use]
-    pub fn with_window(self, window: u64) -> Self {
-        self.acc.borrow_mut().window = window.max(1);
-        self
-    }
-
-    /// Bounds every retention ring (windowed acceptance rates and all
-    /// observables registered so far or later) to `cap` entries — the
-    /// memory-ceiling knob: telemetry retention is the only unbounded-ish
-    /// buffer in a long run, so capping the rings caps the footprint.
-    ///
-    /// Call before recording; resizing discards already-retained samples.
-    #[must_use]
-    pub fn with_ring_capacity(self, cap: usize) -> Self {
-        let cap = cap.max(1);
-        {
-            let mut acc = self.acc.borrow_mut();
-            acc.window_rates = RingBuffer::new(cap);
-            for o in &mut acc.observers {
-                o.ring = RingBuffer::new(cap);
-            }
-            acc.ring_capacity = cap;
-        }
-        self
     }
 
     /// Registers a named observable sampled every `every` steps into a
@@ -316,16 +285,12 @@ impl<C: ClassifiedChain> Instrumented<C> {
         observe: impl Fn(&C::State) -> f64 + Send + 'static,
     ) -> Self {
         assert!(every > 0, "observable sampling interval must be positive");
-        {
-            let mut acc = self.acc.borrow_mut();
-            let cap = acc.ring_capacity;
-            acc.observers.push(Observer {
-                name: name.into(),
-                every,
-                ring: RingBuffer::new(cap),
-                observe: Box::new(observe),
-            });
-        }
+        self.acc.borrow_mut().observers.push(Observer {
+            name: name.into(),
+            every,
+            ring: RingBuffer::new(RING_CAPACITY),
+            observe: Box::new(observe),
+        });
         self
     }
 
@@ -339,7 +304,7 @@ impl<C: ClassifiedChain> Instrumented<C> {
             counts: (0..C::Outcome::CLASSES)
                 .map(|i| (C::Outcome::label(i), acc.counts[i]))
                 .collect(),
-            window: acc.window,
+            window: WINDOW,
             window_rates: acc.window_rates.iter().copied().collect(),
             steps_per_sec: acc.started.and_then(|t| {
                 let secs = t.elapsed().as_secs_f64();
@@ -370,7 +335,7 @@ impl<C: ClassifiedChain> Instrumented<C> {
         acc.accepted += accepted;
         acc.window_steps += 1;
         acc.window_accepted += accepted;
-        if acc.window_steps >= acc.window {
+        if acc.window_steps >= WINDOW {
             let rate = acc.window_accepted as f64 / acc.window_steps as f64;
             acc.window_rates.push((acc.steps, rate));
             acc.window_steps = 0;
@@ -796,14 +761,14 @@ mod tests {
 
     #[test]
     fn counters_sum_to_steps_and_match_bare_chain() {
-        let steps = 10_000u64;
+        let steps = 100_000u64;
         let mut rng_bare = StdRng::seed_from_u64(9);
         let mut rng_inst = StdRng::seed_from_u64(9);
         let mut s_bare = 0u64;
         let mut s_inst = 0u64;
 
         let accepted_bare = Biased.run(&mut s_bare, steps, &mut rng_bare);
-        let inst = Instrumented::new(Biased).with_window(1_000);
+        let inst = Instrumented::new(Biased);
         let accepted_inst = inst.run(&mut s_inst, steps, &mut rng_inst);
 
         assert_eq!(s_bare, s_inst, "instrumentation perturbed the state");
@@ -815,7 +780,8 @@ mod tests {
         assert_eq!(report.count("stepped"), accepted_inst);
         assert!(report.count("hold_high") > report.count("hold_low"));
         assert_eq!(report.count("no_such_label"), 0);
-        // 10 complete windows of 1 000 steps.
+        // 10 complete windows of 10 000 steps.
+        assert_eq!(report.window, 10_000);
         assert_eq!(report.window_rates.len(), 10);
         assert!(report
             .window_rates
@@ -940,14 +906,14 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(3);
         let mut s = 0u64;
-        let inst = Instrumented::new(Biased).with_window(50);
+        let inst = Instrumented::new(Biased);
         let mut sink = JsonlSink::create(&path, &manifest).unwrap();
         inst.run(&mut s, 100, &mut rng);
         sink.record_metrics(0, &inst.report()).unwrap();
 
         // Resume appends (manifest already present), new process offset 100.
         let mut sink = JsonlSink::resume(&path, &manifest, 100).unwrap();
-        let inst = Instrumented::new(Biased).with_window(50);
+        let inst = Instrumented::new(Biased);
         inst.run(&mut s, 50, &mut rng);
         sink.record_metrics(100, &inst.report()).unwrap();
         sink.record_line(&series_record_json(100, &inst.report()))
@@ -978,9 +944,7 @@ mod tests {
     fn metrics_record_offsets_steps_by_base() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut s = 0u64;
-        let inst = Instrumented::new(Biased)
-            .with_window(25)
-            .with_observable("state", 10, |s| *s as f64);
+        let inst = Instrumented::new(Biased).with_observable("state", 10, |s| *s as f64);
         inst.run(&mut s, 50, &mut rng);
         let json = metrics_record_json(1_000, &inst.report());
         assert!(json.contains("\"step\":1050"), "{json}");

@@ -1,6 +1,5 @@
 //! Property tests for [`PowerTable`] (satellite: power-table
-//! underflow/overflow semantics) and [`WeightAccumulator`] (satellite:
-//! checked symbolic-exponent accumulation).
+//! underflow/overflow semantics).
 //!
 //! The kernels replace `powi` with table lookups on the accept path, so the
 //! contract under test is:
@@ -11,13 +10,11 @@
 //!    positive-normal range and the entry is the documented clamp;
 //! 2. entries are always positive and finite, whatever the base;
 //! 3. the `λ^a·γ^b` product computed from two tables is bit-identical to
-//!    `PowerRatio::value()` for in-range exponents;
-//! 4. `WeightAccumulator` equals the wide-integer sum of its deltas, and
-//!    overflow is an error, never a wrap.
+//!    `PowerRatio::value()` for in-range exponents.
 
 use proptest::prelude::*;
 use sops_chains::metropolis::PowerRatio;
-use sops_chains::{PowerTable, WeightAccumulator, POWER_TABLE_EXPONENT_MAX};
+use sops_chains::{PowerTable, POWER_TABLE_EXPONENT_MAX};
 
 /// Biases the experiment sweeps actually use: λ, γ ∈ (0.1, 16]. Within this
 /// domain `powi` stays normal over the whole ±12 range, so lookups must be
@@ -84,41 +81,5 @@ proptest! {
         let via_table = tl.pow(a) * tg.pow(b);
         let via_ratio = PowerRatio::new([lambda, gamma], [a, b]).value();
         prop_assert_eq!(via_table.to_bits(), via_ratio.to_bits());
-    }
-
-    /// The accumulator is the exact i64 sum of its deltas, and `ln_weight`
-    /// matches the symbolic form.
-    #[test]
-    fn accumulator_sums_exactly(
-        lambda in sweep_bias(),
-        deltas in prop::collection::vec(-10i32..11, 0..200),
-    ) {
-        let mut acc = WeightAccumulator::new([lambda]);
-        let mut expected = 0i64;
-        for d in &deltas {
-            acc.record([*d]).unwrap();
-            expected += i64::from(*d);
-        }
-        prop_assert_eq!(acc.exponents(), [expected]);
-        let ln = expected as f64 * lambda.ln();
-        prop_assert!((acc.ln_weight() - ln).abs() <= 1e-9 * ln.abs().max(1.0));
-    }
-
-    /// Near-saturation accumulators error instead of wrapping, and the
-    /// failing record leaves the state untouched.
-    #[test]
-    fn accumulator_never_wraps(start_gap in 0i64..5, delta in 1i32..11) {
-        let start = i64::MAX - start_gap;
-        let mut acc = WeightAccumulator::from_parts([4.0], [start]);
-        let result = acc.record([delta]);
-        if i64::from(delta) > start_gap {
-            let err = result.unwrap_err();
-            prop_assert_eq!(err.accumulated, start);
-            prop_assert_eq!(err.delta, i64::from(delta));
-            prop_assert_eq!(acc.exponents(), [start]);
-        } else {
-            prop_assert!(result.is_ok());
-            prop_assert_eq!(acc.exponents(), [start + i64::from(delta)]);
-        }
     }
 }

@@ -20,9 +20,11 @@ fn seeded_config(n: usize, seed: u64) -> Configuration {
 fn instrumented_chain_matches_bare_chain_bit_for_bit() {
     let bias = Bias::new(4.0, 4.0).unwrap();
     let bare = SeparationChain::new(bias);
-    let inst = Instrumented::new(SeparationChain::new(bias))
-        .with_window(1_000)
-        .with_observable("perimeter", 5_000, |c: &Configuration| c.perimeter() as f64);
+    let inst = Instrumented::new(SeparationChain::new(bias)).with_observable(
+        "perimeter",
+        5_000,
+        |c: &Configuration| c.perimeter() as f64,
+    );
 
     let mut config_bare = seeded_config(30, 7);
     let mut config_inst = seeded_config(30, 7);

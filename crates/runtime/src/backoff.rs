@@ -15,30 +15,29 @@ use crate::seeds::seed_hash;
 /// Guarantees, property-tested in `tests/backoff_props.rs`:
 ///
 /// * delays are monotone non-decreasing in the attempt number until they
-///   pin at `cap_ms`;
-/// * every delay (jitter included) is ≤ `cap_ms`;
-/// * the delay is a pure function of `(policy, cell, attempt)`;
-/// * [`BackoffPolicy::schedule_within`] never schedules sleeps whose sum
-///   exceeds a wall-clock budget.
+///   pin at [`BackoffPolicy::CAP_MS`];
+/// * every delay (jitter included) is ≤ [`BackoffPolicy::CAP_MS`];
+/// * the delay is a pure function of `(policy, cell, attempt)`.
+///
+/// The runner keeps the sleeps inside a job's deadline itself: it
+/// degrades the cell instead of sleeping past it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry, in milliseconds; doubles per attempt.
     /// 0 disables backoff entirely (used by fast tests).
     pub base_ms: u64,
-    /// Upper bound on any single delay, jitter included.
-    pub cap_ms: u64,
 }
 
 impl Default for BackoffPolicy {
     fn default() -> Self {
-        BackoffPolicy {
-            base_ms: 200,
-            cap_ms: 10_000,
-        }
+        BackoffPolicy { base_ms: 200 }
     }
 }
 
 impl BackoffPolicy {
+    /// Upper bound on any single delay, jitter included, in milliseconds.
+    pub const CAP_MS: u64 = 10_000;
+
     /// The jitter-free exponential envelope for `attempt`:
     /// `min(base · 2^(attempt−2), cap)`, saturating instead of wrapping.
     ///
@@ -53,7 +52,7 @@ impl BackoffPolicy {
         } else {
             1u64 << doublings
         };
-        self.base_ms.saturating_mul(factor).min(self.cap_ms)
+        self.base_ms.saturating_mul(factor).min(Self::CAP_MS)
     }
 
     /// The delay to wait before `attempt` (attempts are 1-based; the
@@ -73,35 +72,7 @@ impl BackoffPolicy {
         } else {
             0
         };
-        Duration::from_millis(exp.saturating_add(jitter).min(self.cap_ms))
-    }
-
-    /// The prefix of the retry-delay schedule (attempts 2, 3, …,
-    /// `max_attempts`) whose *cumulative* sleep fits within `budget`.
-    /// This is how total backoff respects a wall-clock budget: the
-    /// runtime stops retrying — and degrades the job — rather than sleep
-    /// past the deadline.
-    #[must_use]
-    pub fn schedule_within(
-        &self,
-        cell: &str,
-        max_attempts: u32,
-        budget: Duration,
-    ) -> Vec<Duration> {
-        let mut spent = Duration::ZERO;
-        let mut out = Vec::new();
-        for attempt in 2..=max_attempts {
-            let delay = self.delay(cell, attempt);
-            let Some(total) = spent.checked_add(delay) else {
-                break;
-            };
-            if total > budget {
-                break;
-            }
-            spent = total;
-            out.push(delay);
-        }
-        out
+        Duration::from_millis(exp.saturating_add(jitter).min(Self::CAP_MS))
     }
 }
 
@@ -111,10 +82,7 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_bounded_and_deterministic() {
-        let policy = BackoffPolicy {
-            base_ms: 100,
-            cap_ms: 1_000,
-        };
+        let policy = BackoffPolicy { base_ms: 100 };
         // No delay before the first attempt.
         assert_eq!(policy.delay("cell", 1), Duration::ZERO);
         let d2 = policy.delay("cell", 2);
@@ -129,8 +97,9 @@ mod tests {
             d3 >= Duration::from_millis(200) && d3 < Duration::from_millis(300),
             "{d3:?}"
         );
-        // The cap bounds everything, jitter included.
-        assert!(d9 <= Duration::from_millis(1_000), "{d9:?}");
+        // The cap bounds everything, jitter included: 100 · 2^7 ms is
+        // past it.
+        assert_eq!(d9, Duration::from_millis(BackoffPolicy::CAP_MS));
         // Deterministic: same (cell, attempt) → same delay, no wall-clock.
         assert_eq!(d2, policy.delay("cell", 2));
         // Different cells jitter differently (checked below the cap,
@@ -138,41 +107,26 @@ mod tests {
         // differ).
         assert_ne!(policy.delay("gamma=2.0", 3), policy.delay("gamma=4.0", 3));
         // Disabled policy never sleeps.
-        let off = BackoffPolicy {
-            base_ms: 0,
-            cap_ms: 0,
-        };
+        let off = BackoffPolicy { base_ms: 0 };
         assert_eq!(off.delay("cell", 7), Duration::ZERO);
     }
 
     #[test]
-    fn deep_attempts_stay_monotone_below_a_large_cap() {
-        // Regression: the old 2^16 doubling freeze made the envelope flat
-        // from attempt 18 on, so jitter alone could order delays
-        // backwards below a large cap.
-        let policy = BackoffPolicy {
-            base_ms: 1,
-            cap_ms: u64::MAX,
-        };
+    fn deep_attempts_stay_monotone_and_pin_at_the_cap() {
+        // Past 63 doublings the factor saturates instead of wrapping, so
+        // the smallest base climbs to the cap and stays there.
+        let policy = BackoffPolicy { base_ms: 1 };
         let mut prev = Duration::ZERO;
         for attempt in 2..80 {
             let d = policy.delay("deep", attempt);
             assert!(d >= prev, "attempt {attempt}: {d:?} < {prev:?}");
             prev = d;
         }
-    }
-
-    #[test]
-    fn schedule_within_respects_the_budget() {
-        let policy = BackoffPolicy {
-            base_ms: 100,
-            cap_ms: 10_000,
-        };
-        let schedule = policy.schedule_within("cell", 10, Duration::from_millis(500));
-        let total: Duration = schedule.iter().sum();
-        assert!(total <= Duration::from_millis(500), "{schedule:?}");
-        // And an ample budget admits every retry.
-        let all = policy.schedule_within("cell", 5, Duration::from_secs(3600));
-        assert_eq!(all.len(), 4);
+        assert_eq!(prev, Duration::from_millis(BackoffPolicy::CAP_MS));
+        let huge = BackoffPolicy { base_ms: u64::MAX };
+        assert_eq!(
+            huge.delay("deep", 79),
+            Duration::from_millis(BackoffPolicy::CAP_MS)
+        );
     }
 }

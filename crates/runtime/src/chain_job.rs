@@ -422,10 +422,7 @@ mod tests {
 
     fn fast_opts() -> SweepOptions {
         SweepOptions {
-            backoff: BackoffPolicy {
-                base_ms: 0,
-                cap_ms: 0,
-            },
+            backoff: BackoffPolicy { base_ms: 0 },
             ..SweepOptions::default()
         }
     }

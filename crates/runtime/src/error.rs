@@ -177,7 +177,7 @@ impl std::error::Error for JobError {}
 
 /// A rejected configuration: a flag value or combination that would make
 /// a run silently meaningless (zero budgets, retries that can never
-/// replay, ceilings too small to hold one snapshot).
+/// replay).
 ///
 /// Returned by `crate::SweepOptions::try_parse` and
 /// `crate::ResourceBudget::validate` so bins fail loudly at parse time
@@ -193,14 +193,6 @@ pub enum ConfigError {
     RetriesWithoutRollbacks {
         /// The configured retry count.
         retries: u32,
-    },
-    /// `--memory-mb` below the size of a single checkpoint snapshot: the
-    /// store could never retain even one durable resume point.
-    MemoryCeilingTooSmall {
-        /// The configured ceiling, in bytes.
-        ceiling_bytes: u64,
-        /// The minimum viable ceiling (one snapshot), in bytes.
-        min_bytes: u64,
     },
     /// A flag was given with no value following it.
     MissingValue {
@@ -223,7 +215,6 @@ impl ConfigError {
         match self {
             ConfigError::ZeroDeadline => "zero_deadline",
             ConfigError::RetriesWithoutRollbacks { .. } => "retries_without_rollbacks",
-            ConfigError::MemoryCeilingTooSmall { .. } => "memory_ceiling_too_small",
             ConfigError::MissingValue { .. } => "missing_value",
             ConfigError::InvalidValue { .. } => "invalid_value",
         }
@@ -240,14 +231,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "--retries {retries} with --max-rollbacks 0 can never make progress: \
                  retries replay through the rollback ladder"
-            ),
-            ConfigError::MemoryCeilingTooSmall {
-                ceiling_bytes,
-                min_bytes,
-            } => write!(
-                f,
-                "memory ceiling of {ceiling_bytes} bytes cannot hold one checkpoint \
-                 snapshot (~{min_bytes} bytes); raise --memory-mb"
             ),
             ConfigError::MissingValue { flag } => write!(f, "flag {flag} expects a value"),
             ConfigError::InvalidValue { flag, value } => {

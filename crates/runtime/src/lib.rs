@@ -3,11 +3,10 @@
 //! The paper's algorithm is fully local and asynchronous — progress under
 //! arbitrary activation schedules. This crate holds the *host* to the same
 //! standard: every experiment job runs under an explicit [`ResourceBudget`]
-//! (wall-clock deadline, step cap, retry/rollback budgets, approximate
-//! memory ceiling) with first-class cooperative cancellation
-//! ([`CancelToken`], checked at chunk boundaries and inside checkpoint
-//! I/O), per-job panic isolation, and deterministic graceful degradation:
-//! when a budget trips, the job ends as
+//! (wall-clock deadline, step cap, retry/rollback budgets) with
+//! first-class cooperative cancellation ([`CancelToken`], checked at chunk
+//! boundaries and inside checkpoint I/O), per-job panic isolation, and
+//! deterministic graceful degradation: when a budget trips, the job ends as
 //! [`CellStatus::Degraded`]`{ reason, last_durable_step }` with a valid
 //! durable checkpoint — never a wedge, never a lost sweep.
 //!

@@ -13,8 +13,7 @@
 //! shrinks grids and budgets for CI, and the [`crate::ResourceBudget`]
 //! flags: `--deadline-ms D` caps the sweep's wall-clock time,
 //! `--max-steps N` caps chain steps per cell, `--max-rollbacks R` bounds
-//! the recovery ladder, `--memory-mb M` sets the approximate memory
-//! ceiling that sizes checkpoint retention and telemetry rings.
+//! the recovery ladder.
 
 use std::path::{Path, PathBuf};
 
@@ -34,9 +33,7 @@ pub struct SweepOptions {
     pub resume: bool,
     /// Re-audit configuration invariants every this many steps.
     pub audit_every: Option<u64>,
-    /// How many snapshots each cell retains (further reduced by the
-    /// budget's memory ceiling — see
-    /// [`ResourceBudget::checkpoint_retention`]).
+    /// How many snapshots each cell retains (at least 1).
     pub retain: usize,
     /// Whether to emit per-cell JSONL telemetry streams.
     pub telemetry: bool,
@@ -98,10 +95,9 @@ impl SweepOptions {
 
     /// Parses an argument list into options, rejecting malformed values
     /// and nonsensical budget combinations with a typed [`ConfigError`]
-    /// instead of letting them pass through silently: `--deadline-ms 0`,
-    /// `--retries N` with `--max-rollbacks 0`, and a `--memory-mb`
-    /// ceiling smaller than one checkpoint snapshot are all configuration
-    /// bugs, not requests. Unknown flags are still reported to stderr and
+    /// instead of letting them pass through silently: `--deadline-ms 0`
+    /// and `--retries N` with `--max-rollbacks 0` are configuration bugs,
+    /// not requests. Unknown flags are still reported to stderr and
     /// ignored. Combination checks run after the whole list is consumed,
     /// so flag order never matters.
     ///
@@ -158,11 +154,6 @@ impl SweepOptions {
                     let v = take_value("--max-rollbacks")?;
                     opts.budget.max_rollbacks = parsed("--max-rollbacks", &v)?;
                 }
-                "--memory-mb" => {
-                    let v = take_value("--memory-mb")?;
-                    let mb: u64 = parsed("--memory-mb", &v)?;
-                    opts.budget.memory_ceiling_bytes = Some(mb * 1024 * 1024);
-                }
                 "--adaptive" => opts.adaptive = true,
                 "--smoke" => opts.smoke = true,
                 "--no-telemetry" => opts.telemetry = false,
@@ -181,7 +172,7 @@ impl SweepOptions {
     /// Opens the checkpoint store for one named sweep cell, or `None` when
     /// checkpointing is disabled. Without `--resume`, any stale snapshots
     /// for the cell are cleared first so the run starts from scratch. The
-    /// retention count is `retain` clamped by the budget's memory ceiling.
+    /// store retains `retain` snapshots (at least one).
     ///
     /// # Errors
     ///
@@ -194,8 +185,7 @@ impl SweepOptions {
         if !self.resume && cell_dir.exists() {
             std::fs::remove_dir_all(&cell_dir)?;
         }
-        let retain = self.budget.checkpoint_retention(self.retain);
-        CheckpointStore::open(cell_dir, retain).map(Some)
+        CheckpointStore::open(cell_dir, self.retain).map(Some)
     }
 
     /// Opens the JSONL telemetry sink for one sweep cell at
@@ -227,13 +217,6 @@ impl SweepOptions {
             _ => JsonlSink::create(&path, manifest)?,
         };
         Ok(Some(sink))
-    }
-
-    /// The telemetry ring capacity implied by the budget's memory ceiling,
-    /// or `None` to keep the instrument's default.
-    #[must_use]
-    pub fn ring_capacity(&self) -> Option<usize> {
-        self.budget.ring_capacity()
     }
 }
 
@@ -277,8 +260,6 @@ mod tests {
                 "1000000",
                 "--max-rollbacks",
                 "5",
-                "--memory-mb",
-                "64",
                 "--adaptive",
                 "--smoke",
                 "--no-telemetry",
@@ -301,7 +282,6 @@ mod tests {
         assert_eq!(opts.budget.deadline, Some(Duration::from_millis(90_000)));
         assert_eq!(opts.budget.max_steps, Some(1_000_000));
         assert_eq!(opts.budget.max_rollbacks, 5);
-        assert_eq!(opts.budget.memory_ceiling_bytes, Some(64 * 1024 * 1024));
         assert!(opts.adaptive);
         assert!(opts.smoke);
         assert!(!opts.telemetry);
@@ -334,20 +314,6 @@ mod tests {
         // Explicitly disabling retries alongside rollbacks is fail-fast
         // mode, not a configuration bug.
         assert!(try_parse(&["--retries", "0", "--max-rollbacks", "0"]).is_ok());
-    }
-
-    #[test]
-    fn try_parse_rejects_memory_ceiling_below_one_snapshot() {
-        // 0 MiB cannot hold the ~64 KiB snapshot the retention math
-        // assumes; 1 MiB can.
-        assert_eq!(
-            try_parse(&["--memory-mb", "0"]),
-            Err(ConfigError::MemoryCeilingTooSmall {
-                ceiling_bytes: 0,
-                min_bytes: 64 * 1024,
-            })
-        );
-        assert!(try_parse(&["--memory-mb", "1"]).is_ok());
     }
 
     #[test]
@@ -409,6 +375,7 @@ mod tests {
             ..SweepOptions::default()
         };
         let store = opts.store_for("gamma=4.0").unwrap().unwrap();
+        assert_eq!(store.retain(), 3);
         let stale = store.dir().join("step-00000000000000000001.ckpt");
         std::fs::write(&stale, "junk").unwrap();
         // Fresh run: stale snapshot is cleared.
@@ -422,24 +389,12 @@ mod tests {
         };
         let store = resume.store_for("gamma=4.0").unwrap().unwrap();
         assert_eq!(store.list().unwrap().len(), 1);
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn memory_ceiling_clamps_store_retention() {
-        let base = std::env::temp_dir().join(format!("sops-runtime-retain-{}", std::process::id()));
-        let opts = SweepOptions {
-            checkpoint_dir: Some(base.clone()),
-            retain: 5,
-            budget: ResourceBudget {
-                // Half of 128 KiB holds one ~64 KiB snapshot.
-                memory_ceiling_bytes: Some(128 * 1024),
-                ..ResourceBudget::default()
-            },
-            ..SweepOptions::default()
+        // Resumability is never traded away: a store keeps at least one.
+        let none = SweepOptions {
+            retain: 0,
+            ..resume
         };
-        let store = opts.store_for("cell").unwrap().unwrap();
-        assert_eq!(store.retain(), 1);
+        assert_eq!(none.store_for("gamma=4.0").unwrap().unwrap().retain(), 1);
         let _ = std::fs::remove_dir_all(&base);
     }
 

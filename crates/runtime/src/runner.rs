@@ -638,10 +638,7 @@ mod tests {
     /// Options with zero backoff so retry tests don't sleep.
     fn fast_opts(retries: u32) -> SweepOptions {
         SweepOptions {
-            backoff: BackoffPolicy {
-                base_ms: 0,
-                cap_ms: 0,
-            },
+            backoff: BackoffPolicy { base_ms: 0 },
             budget: ResourceBudget {
                 max_retries: retries,
                 ..ResourceBudget::default()
@@ -815,10 +812,7 @@ mod tests {
         // Backoff of ~4s against a 50ms deadline: the retry is refused
         // and the cell degrades instead of sleeping through the budget.
         let opts = SweepOptions {
-            backoff: BackoffPolicy {
-                base_ms: 4_000,
-                cap_ms: 10_000,
-            },
+            backoff: BackoffPolicy { base_ms: 4_000 },
             budget: ResourceBudget {
                 deadline: Some(Duration::from_millis(50)),
                 max_retries: 5,

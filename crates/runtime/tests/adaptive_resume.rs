@@ -100,10 +100,7 @@ fn monitor() -> ConvergenceMonitor {
 
 fn fast_opts() -> SweepOptions {
     SweepOptions {
-        backoff: BackoffPolicy {
-            base_ms: 0,
-            cap_ms: 0,
-        },
+        backoff: BackoffPolicy { base_ms: 0 },
         ..SweepOptions::default()
     }
 }

@@ -1,16 +1,16 @@
 //! Property tests for [`BackoffPolicy`] (satellite: retry-backoff
 //! guarantees).
 //!
-//! The policy promises three things the runtime leans on:
+//! The policy promises two things the runtime leans on:
 //!
 //! 1. delays are monotone non-decreasing in the attempt number until they
 //!    pin at the cap — a retry never waits *less* than the previous one;
 //! 2. the delay is a pure function of `(policy, cell, attempt)` — jitter
 //!    is deterministic, never wall-clock-derived, so resumed sweeps
-//!    reproduce their retry schedules exactly;
-//! 3. [`BackoffPolicy::schedule_within`] bounds the *cumulative* sleep by
-//!    a wall-clock budget, which is how total backoff respects the
-//!    job deadline.
+//!    reproduce their retry schedules exactly.
+//!
+//! That no retry sleeps past the job deadline is the runner's own check,
+//! covered by its `retries_never_sleep_past_the_deadline` unit test.
 
 use std::time::Duration;
 
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use sops_runtime::BackoffPolicy;
 
 fn policy_strategy() -> impl Strategy<Value = BackoffPolicy> {
-    (1u64..5_000, 1u64..120_000).prop_map(|(base_ms, cap_ms)| BackoffPolicy { base_ms, cap_ms })
+    (1u64..5_000).prop_map(|base_ms| BackoffPolicy { base_ms })
 }
 
 fn cell_strategy() -> impl Strategy<Value = String> {
@@ -41,7 +41,7 @@ proptest! {
         attempts in 4u32..40,
     ) {
         let mut prev = Duration::ZERO;
-        let cap = Duration::from_millis(policy.cap_ms);
+        let cap = Duration::from_millis(BackoffPolicy::CAP_MS);
         for attempt in 1..=attempts {
             let d = policy.delay(&cell, attempt);
             prop_assert!(
@@ -65,7 +65,7 @@ proptest! {
         attempt in 1u32..64,
     ) {
         prop_assert_eq!(policy.delay(&cell, 1), Duration::ZERO);
-        prop_assert!(policy.delay(&cell, attempt) <= Duration::from_millis(policy.cap_ms));
+        prop_assert!(policy.delay(&cell, attempt) <= Duration::from_millis(BackoffPolicy::CAP_MS));
     }
 
     /// The delay is a pure function of `(policy, cell, attempt)`:
@@ -79,36 +79,9 @@ proptest! {
     ) {
         let d = policy.delay(&cell, attempt);
         prop_assert_eq!(d, policy.delay(&cell, attempt));
-        let rebuilt = BackoffPolicy { base_ms: policy.base_ms, cap_ms: policy.cap_ms };
+        let rebuilt = BackoffPolicy { base_ms: policy.base_ms };
         prop_assert_eq!(d, rebuilt.delay(&cell, attempt));
-        let off = BackoffPolicy { base_ms: 0, cap_ms: policy.cap_ms };
+        let off = BackoffPolicy { base_ms: 0 };
         prop_assert_eq!(off.delay(&cell, attempt), Duration::ZERO);
-    }
-
-    /// The cumulative sum of the admitted schedule never exceeds the
-    /// budget, the schedule is a prefix of the full delay sequence, and an
-    /// ample budget admits every retry.
-    #[test]
-    fn schedule_within_respects_the_wall_clock_budget(
-        policy in policy_strategy(),
-        cell in cell_strategy(),
-        max_attempts in 2u32..20,
-        budget_ms in 0u64..60_000,
-    ) {
-        let budget = Duration::from_millis(budget_ms);
-        let schedule = policy.schedule_within(&cell, max_attempts, budget);
-        let total: Duration = schedule.iter().sum();
-        prop_assert!(total <= budget, "{:?} sums past {:?}", schedule, budget);
-        prop_assert!(schedule.len() <= (max_attempts - 1) as usize);
-        for (i, d) in schedule.iter().enumerate() {
-            let attempt = u32::try_from(i).unwrap() + 2;
-            prop_assert_eq!(*d, policy.delay(&cell, attempt));
-        }
-        // A budget that covers the worst case admits the whole schedule.
-        let ample = Duration::from_millis(
-            policy.cap_ms.saturating_mul(u64::from(max_attempts)),
-        );
-        let full = policy.schedule_within(&cell, max_attempts, ample);
-        prop_assert_eq!(full.len(), (max_attempts - 1) as usize);
     }
 }

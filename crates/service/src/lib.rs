@@ -1,6 +1,6 @@
 //! Multi-tenant job service over the `sops` runtime: bounded admission
-//! control, deficit-round-robin fair scheduling, a supervised worker
-//! pool, and crash-safe durable session recovery — hand-rolled on std
+//! control, round-robin fair scheduling, a supervised worker pool, and
+//! crash-safe durable session recovery — hand-rolled on std
 //! threads, channels-free condvar scheduling, and the workspace's
 //! fault-injectable [`sops_chains::Vfs`]. No async runtime.
 //!
@@ -12,9 +12,9 @@
 //!   (`queue_full`, `tenant_quota_exceeded`, `draining`). Blocking
 //!   submission ([`JobService::submit_wait`]) applies backpressure and
 //!   unblocks promptly on cancellation.
-//! - **Fairness.** Tenants are scheduled by deficit round-robin with
-//!   priority aging: one tenant's 10,000 queued jobs cannot starve
-//!   another tenant's single job.
+//! - **Fairness.** Tenants are scheduled round-robin over per-tenant
+//!   lanes, with priority aging inside a lane: one tenant's 10,000 queued
+//!   jobs cannot starve another tenant's single job.
 //! - **Isolation.** Payload panics are caught per job, classified as
 //!   [`sops_runtime::JobError::Panic`], and the poisoned worker slot is
 //!   respawned — never leaked, never fatal to the pool.

@@ -1,7 +1,7 @@
 //! The bounded job queue: typed admission control, per-tenant quotas,
-//! deficit-round-robin fair scheduling with priority aging, overload
-//! shedding, and the terminal-state tickets that make "every submitted
-//! job classifies exactly once" checkable.
+//! round-robin fair scheduling over per-tenant lanes with priority aging,
+//! overload shedding, and the terminal-state tickets that make "every
+//! submitted job classifies exactly once" checkable.
 //!
 //! Everything here is condvar-and-mutex concurrency — no async runtime,
 //! consistent with the workspace's vendored-offline dependency policy.
@@ -9,6 +9,7 @@
 //! condvar when idle (never spin), blocked submitters park on `space`,
 //! and drain waiters park on `idle`.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -214,20 +215,13 @@ impl JobTicket {
     }
 }
 
-/// Queue shape and scheduling knobs.
+/// Queue shape: how many jobs may wait, in all and per tenant.
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
     /// Maximum queued (not yet dispatched) jobs across all tenants.
     pub capacity: usize,
     /// Maximum queued jobs per tenant.
     pub tenant_quota: usize,
-    /// Deficit added to a tenant's lane per scheduling visit. Larger
-    /// quanta let one tenant burst longer before rotation.
-    pub quantum: u64,
-    /// Scheduling rounds a job must wait per +1 of effective priority.
-    /// This is the aging that prevents priority livelock: any queued job
-    /// eventually outranks a stream of fresh higher-priority arrivals.
-    pub age_boost_every: u64,
 }
 
 impl Default for QueueConfig {
@@ -235,22 +229,25 @@ impl Default for QueueConfig {
         QueueConfig {
             capacity: 64,
             tenant_quota: 32,
-            quantum: 1,
-            age_boost_every: 4,
         }
     }
 }
 
-/// Job cost is clamped to this many quanta so a deficit-round-robin
-/// rotation always pops within a bounded number of visits.
-const MAX_COST: u64 = 64;
+/// Scheduling rounds a job must wait per +1 of effective priority. This
+/// is the aging that prevents priority livelock: any queued job
+/// eventually outranks a stream of fresh higher-priority arrivals.
+const AGE_BOOST_EVERY: u64 = 4;
+
+/// Upper bound on each park of a blocked admission. Because
+/// [`CancelToken`] is a bare atomic flag with no wakeup channel, this
+/// bound *is* the worst-case cancellation latency.
+const ADMISSION_POLL: Duration = Duration::from_millis(25);
 
 pub(crate) struct QueuedJob {
     pub(crate) seq: u64,
     pub(crate) tenant: String,
     pub(crate) session: String,
     pub(crate) priority: u8,
-    pub(crate) cost: u64,
     pub(crate) enqueued_round: u64,
     pub(crate) payload: JobPayload,
     pub(crate) ticket: JobTicket,
@@ -263,24 +260,18 @@ impl std::fmt::Debug for QueuedJob {
             .field("tenant", &self.tenant)
             .field("session", &self.session)
             .field("priority", &self.priority)
-            .field("cost", &self.cost)
             .finish_non_exhaustive()
     }
 }
 
-fn effective_priority(job: &QueuedJob, round: u64, cfg: &QueueConfig) -> u64 {
+fn effective_priority(job: &QueuedJob, round: u64) -> u64 {
     let waited = round.saturating_sub(job.enqueued_round);
-    u64::from(job.priority) + waited / cfg.age_boost_every.max(1)
-}
-
-#[derive(Default)]
-struct Lane {
-    pending: VecDeque<QueuedJob>,
-    deficit: u64,
+    u64::from(job.priority) + waited / AGE_BOOST_EVERY
 }
 
 struct SchedState {
-    lanes: BTreeMap<String, Lane>,
+    /// Each tenant's queued jobs, in submission order.
+    lanes: BTreeMap<String, VecDeque<QueuedJob>>,
     /// Round-robin rotation of tenants with pending work.
     active: VecDeque<String>,
     /// Queued (not yet dispatched) jobs across all lanes.
@@ -327,21 +318,6 @@ pub(crate) enum WaitError {
     Cancelled,
 }
 
-/// The pure decision core of the blocking admission wait, factored out
-/// of the condvar loop so the cancel-vs-slot race is testable with a
-/// fake clock (the PR 5 `MonitorState` pattern).
-///
-/// The ordering is the regression contract: **cancellation is checked
-/// before space**, so a cancelled submitter unblocks with a cancel
-/// verdict even on the exact poll where a slot opened.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct AdmissionWait {
-    /// Upper bound on each park, in milliseconds. Because
-    /// [`CancelToken`] is a bare atomic flag with no wakeup channel,
-    /// this bound *is* the worst-case cancellation latency.
-    pub poll_ms: u64,
-}
-
 /// What one poll of a blocked admission decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WaitVerdict {
@@ -351,26 +327,26 @@ pub(crate) enum WaitVerdict {
     Cancelled,
     /// Admission is permanently closed (draining); unblock rejected.
     Rejected(RejectReason),
-    /// No space yet; park for at most `ms` milliseconds and poll again.
-    Park {
-        /// Park bound in milliseconds.
-        ms: u64,
-    },
+    /// No space yet; park for at most [`ADMISSION_POLL`] and poll again.
+    Park,
 }
 
-impl AdmissionWait {
-    /// Decides what a blocked submission does this poll.
-    #[must_use]
-    pub(crate) fn verdict(&self, cancelled: bool, draining: bool, would_fit: bool) -> WaitVerdict {
-        if cancelled {
-            WaitVerdict::Cancelled
-        } else if draining {
-            WaitVerdict::Rejected(RejectReason::Draining)
-        } else if would_fit {
-            WaitVerdict::Admit
-        } else {
-            WaitVerdict::Park { ms: self.poll_ms }
-        }
+/// The pure decision core of the blocking admission wait, factored out
+/// of the condvar loop so the cancel-vs-slot race is testable with a
+/// fake clock (the PR 5 `MonitorState` pattern).
+///
+/// The ordering is the regression contract: **cancellation is checked
+/// before space**, so a cancelled submitter unblocks with a cancel
+/// verdict even on the exact poll where a slot opened.
+fn wait_verdict(cancelled: bool, draining: bool, would_fit: bool) -> WaitVerdict {
+    if cancelled {
+        WaitVerdict::Cancelled
+    } else if draining {
+        WaitVerdict::Rejected(RejectReason::Draining)
+    } else if would_fit {
+        WaitVerdict::Admit
+    } else {
+        WaitVerdict::Park
     }
 }
 
@@ -392,8 +368,6 @@ impl JobQueue {
     pub(crate) fn new(mut cfg: QueueConfig) -> Self {
         cfg.capacity = cfg.capacity.max(1);
         cfg.tenant_quota = cfg.tenant_quota.max(1);
-        cfg.quantum = cfg.quantum.max(1);
-        cfg.age_boost_every = cfg.age_boost_every.max(1);
         JobQueue {
             cfg,
             state: Mutex::new(SchedState {
@@ -419,8 +393,8 @@ impl JobQueue {
         job.enqueued_round = st.round;
         let tenant = job.tenant.clone();
         let lane = st.lanes.entry(tenant.clone()).or_default();
-        let newly_active = lane.pending.is_empty();
-        lane.pending.push_back(job);
+        let newly_active = lane.is_empty();
+        lane.push_back(job);
         if newly_active {
             st.active.push_back(tenant);
         }
@@ -432,16 +406,12 @@ impl JobQueue {
     /// priority, newest-first among ties. Returns `None` when nothing
     /// queued ranks strictly below `incoming_priority` — deterministic
     /// overload degradation, never displacement among equals.
-    fn shed_victim_locked(
-        st: &mut SchedState,
-        cfg: &QueueConfig,
-        incoming_priority: u8,
-    ) -> Option<QueuedJob> {
+    fn shed_victim_locked(st: &mut SchedState, incoming_priority: u8) -> Option<QueuedJob> {
         let round = st.round;
         let mut best: Option<(String, usize, u64, u64)> = None;
         for (tenant, lane) in &st.lanes {
-            for (idx, job) in lane.pending.iter().enumerate() {
-                let eff = effective_priority(job, round, cfg);
+            for (idx, job) in lane.iter().enumerate() {
+                let eff = effective_priority(job, round);
                 let better = match &best {
                     None => true,
                     Some((_, _, best_eff, best_seq)) => {
@@ -458,13 +428,22 @@ impl JobQueue {
             return None;
         }
         let lane = st.lanes.get_mut(&tenant).expect("victim lane exists");
-        let victim = lane.pending.remove(idx).expect("victim index valid");
-        if lane.pending.is_empty() {
-            lane.deficit = 0;
+        let victim = lane.remove(idx).expect("victim index valid");
+        if lane.is_empty() {
             st.active.retain(|t| t != &tenant);
         }
         st.depth -= 1;
         Some(victim)
+    }
+
+    /// Whether `tenant`'s lane is at its quota, and whether the queue is
+    /// at capacity: the two bounds a new job of `tenant` must fit.
+    fn full_locked(&self, st: &SchedState, tenant: &str) -> (bool, bool) {
+        let lane_len = st.lanes.get(tenant).map_or(0, VecDeque::len);
+        (
+            lane_len >= self.cfg.tenant_quota,
+            st.depth >= self.cfg.capacity,
+        )
     }
 
     /// Non-blocking typed admission. At capacity, a submission may
@@ -477,16 +456,13 @@ impl JobQueue {
         if st.draining || st.stopped {
             return Err((job, RejectReason::Draining));
         }
-        let lane_len = st
-            .lanes
-            .get(&job.tenant)
-            .map_or(0, |lane| lane.pending.len());
-        if lane_len >= self.cfg.tenant_quota {
+        let (lane_full, queue_full) = self.full_locked(st, &job.tenant);
+        if lane_full {
             return Err((job, RejectReason::TenantQuotaExceeded));
         }
         let mut shed = None;
-        if st.depth >= self.cfg.capacity {
-            match Self::shed_victim_locked(st, &self.cfg, job.priority) {
+        if queue_full {
+            match Self::shed_victim_locked(st, job.priority) {
                 Some(victim) => shed = Some(Self::remove_locked(st, victim)),
                 None => return Err((job, RejectReason::QueueFull)),
             }
@@ -499,28 +475,20 @@ impl JobQueue {
 
     /// Blocking admission with backpressure: parks while the queue (or
     /// the tenant's quota) is full, polling `cancel` at least every
-    /// `poll` so a cancelled submitter unblocks promptly instead of
-    /// waiting for a slot. Never sheds — a waiting submitter applies
-    /// backpressure, it does not displace queued work.
+    /// [`ADMISSION_POLL`] so a cancelled submitter unblocks promptly
+    /// instead of waiting for a slot. Never sheds — a waiting submitter
+    /// applies backpressure, it does not displace queued work.
     pub(crate) fn admit_wait(
         &self,
         job: QueuedJob,
         cancel: &CancelToken,
-        poll: Duration,
     ) -> Result<Admitted, (QueuedJob, WaitError)> {
-        let core = AdmissionWait {
-            poll_ms: u64::try_from(poll.as_millis()).unwrap_or(u64::MAX).max(1),
-        };
         let mut guard = self.state.lock().expect("queue mutex");
         loop {
             let st = &mut *guard;
             let draining = st.draining || st.stopped;
-            let lane_len = st
-                .lanes
-                .get(&job.tenant)
-                .map_or(0, |lane| lane.pending.len());
-            let would_fit = st.depth < self.cfg.capacity && lane_len < self.cfg.tenant_quota;
-            match core.verdict(cancel.is_cancelled(), draining, would_fit) {
+            let (lane_full, queue_full) = self.full_locked(st, &job.tenant);
+            match wait_verdict(cancel.is_cancelled(), draining, !lane_full && !queue_full) {
                 WaitVerdict::Cancelled => return Err((job, WaitError::Cancelled)),
                 WaitVerdict::Rejected(reason) => return Err((job, WaitError::Rejected(reason))),
                 WaitVerdict::Admit => {
@@ -529,10 +497,10 @@ impl JobQueue {
                     self.work.notify_one();
                     return Ok(Admitted { depth, shed: None });
                 }
-                WaitVerdict::Park { ms } => {
+                WaitVerdict::Park => {
                     let (g, _) = self
                         .space
-                        .wait_timeout(guard, Duration::from_millis(ms))
+                        .wait_timeout(guard, ADMISSION_POLL)
                         .expect("queue mutex");
                     guard = g;
                 }
@@ -550,17 +518,16 @@ impl JobQueue {
         }
     }
 
-    /// Deficit-round-robin pop under the lock. Each visit adds the
-    /// quantum to the lane's deficit and pops the lane's best affordable
-    /// job (highest effective priority, oldest among ties) whose session
-    /// is not busy. Costs are clamped to [`MAX_COST`] quanta, so the
-    /// rotation pops within a bounded number of visits whenever any
-    /// queued job's session is free.
-    fn pop_locked(st: &mut SchedState, cfg: &QueueConfig) -> Option<QueuedJob> {
+    /// Round-robin pop under the lock. Each visit takes the next tenant
+    /// in the rotation and pops its lane's best job (highest effective
+    /// priority, oldest among ties) whose session is not busy; a lane
+    /// with none goes to the back. The rotation pops within one pass
+    /// whenever any queued job's session is free.
+    fn pop_locked(st: &mut SchedState) -> Option<QueuedJob> {
         let free = st
             .lanes
             .values()
-            .flat_map(|lane| &lane.pending)
+            .flatten()
             .any(|job| !st.busy.contains(&job.session));
         if !free {
             return None;
@@ -569,31 +536,15 @@ impl JobQueue {
         loop {
             let tenant = st.active.pop_front()?;
             let lane = st.lanes.get_mut(&tenant).expect("active lane exists");
-            lane.deficit = lane.deficit.saturating_add(cfg.quantum).min(
-                MAX_COST.saturating_mul(cfg.quantum).max(MAX_COST), // cap: no unbounded burst credit
-            );
-            let mut best: Option<(usize, u64, u64)> = None;
-            for (idx, job) in lane.pending.iter().enumerate() {
-                if job.cost > lane.deficit || st.busy.contains(&job.session) {
-                    continue;
-                }
-                let eff = effective_priority(job, st.round, cfg);
-                let better = match best {
-                    None => true,
-                    Some((_, best_eff, best_seq)) => {
-                        eff > best_eff || (eff == best_eff && job.seq < best_seq)
-                    }
-                };
-                if better {
-                    best = Some((idx, eff, job.seq));
-                }
-            }
-            if let Some((idx, _, _)) = best {
-                let job = lane.pending.remove(idx).expect("picked index valid");
-                lane.deficit = lane.deficit.saturating_sub(job.cost);
-                if lane.pending.is_empty() {
-                    lane.deficit = 0;
-                } else {
+            let best = lane
+                .iter()
+                .enumerate()
+                .filter(|(_, job)| !st.busy.contains(&job.session))
+                .max_by_key(|(_, job)| (effective_priority(job, st.round), Reverse(job.seq)))
+                .map(|(idx, _)| idx);
+            if let Some(idx) = best {
+                let job = lane.remove(idx).expect("picked index valid");
+                if !lane.is_empty() {
                     st.active.push_back(tenant);
                 }
                 st.depth -= 1;
@@ -615,7 +566,7 @@ impl JobQueue {
             if guard.stopped {
                 return Popped::Exit;
             }
-            if let Some(job) = Self::pop_locked(&mut guard, &self.cfg) {
+            if let Some(job) = Self::pop_locked(&mut guard) {
                 let token = CancelToken::new();
                 if guard.draining {
                     // Raced with drain: the job still dispatches, but
@@ -671,8 +622,7 @@ impl JobQueue {
         st.draining = true;
         let mut queued = Vec::new();
         for lane in st.lanes.values_mut() {
-            queued.extend(lane.pending.drain(..));
-            lane.deficit = 0;
+            queued.extend(lane.drain(..));
         }
         queued.sort_by_key(|job| job.seq);
         let evicted = queued
@@ -740,7 +690,6 @@ mod tests {
             tenant: tenant.to_string(),
             session: session.to_string(),
             priority,
-            cost: 1,
             enqueued_round: 0,
             payload: payload(),
             ticket: JobTicket::new(tenant, session),
@@ -759,7 +708,6 @@ mod tests {
         let queue = JobQueue::new(QueueConfig {
             capacity: 2,
             tenant_quota: 1,
-            ..QueueConfig::default()
         });
         queue.try_admit(job("a", "a/0", 0)).unwrap();
         // Tenant quota before queue capacity.
@@ -776,11 +724,10 @@ mod tests {
     }
 
     #[test]
-    fn deficit_round_robin_interleaves_tenants() {
+    fn round_robin_interleaves_tenants() {
         let queue = JobQueue::new(QueueConfig {
             capacity: 64,
             tenant_quota: 64,
-            ..QueueConfig::default()
         });
         for i in 0..6 {
             queue.try_admit(job("hog", &format!("hog/{i}"), 0)).unwrap();
@@ -797,6 +744,49 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_order_is_pinned_across_tenants_priorities_and_busy_sessions() {
+        // Rounds count pops; a job's effective priority is its priority
+        // plus one per 4 rounds queued.
+        let queue = JobQueue::new(QueueConfig::default());
+        let admit = |tenant: &str, session: &str, priority: u8| {
+            queue.try_admit(job(tenant, session, priority)).unwrap();
+        };
+        let mut order = Vec::new();
+        let mut take = || {
+            let popped = pop(&queue);
+            order.push(popped.session.clone());
+            popped
+        };
+        admit("a", "a/1", 0);
+        admit("b", "b/1", 1);
+        admit("c", "c/0", 0);
+        admit("c", "c/1", 2);
+        // Round 1 visits lane a. `a/1` then stays busy while a second,
+        // higher-priority job of it queues.
+        let a1 = take();
+        admit("a", "a/1", 2);
+        admit("a", "a/2", 0);
+        let b1 = take(); // round 2: lane b
+        take(); // round 3: lane c, priority 2 before 0
+        take(); // round 4: lane a skips busy `a/1` for `a/2`
+        admit("b", "b/2", 0);
+        admit("c", "c/2", 1);
+        admit("c", "c/3", 2);
+        take(); // round 5: lane c, priority 2 first
+        queue.finish_inflight(b1.seq, &b1.session);
+        take(); // round 6: lane a holds only busy `a/1`, so lane b
+        queue.finish_inflight(a1.seq, &a1.session);
+        take(); // round 7: `c/0` has aged to 1 and ties `c/2`; older wins
+        take(); // round 8: lane a, `a/1` is free again
+        take(); // round 9: lane c
+        assert_eq!(
+            order,
+            ["a/1", "b/1", "c/1", "a/2", "c/3", "b/2", "c/0", "a/1", "c/2"]
+        );
+        assert_eq!(queue.depth_inflight().0, 0);
+    }
+
+    #[test]
     fn a_busy_sessions_jobs_wait_for_it_to_finish() {
         let queue = JobQueue::new(QueueConfig::default());
         queue.try_admit(job("a", "s", 0)).unwrap();
@@ -807,7 +797,7 @@ mod tests {
         // The second job of `s` is skipped while the first runs.
         assert_eq!(pop(&queue).session, "other");
         let mut st = queue.state.lock().unwrap();
-        assert!(JobQueue::pop_locked(&mut st, &queue.cfg).is_none());
+        assert!(JobQueue::pop_locked(&mut st).is_none());
         drop(st);
         queue.finish_inflight(first.seq, &first.session);
         assert_eq!(pop(&queue).session, "s");
@@ -815,18 +805,12 @@ mod tests {
 
     #[test]
     fn priority_aging_prevents_livelock() {
-        let cfg = QueueConfig {
-            capacity: 64,
-            tenant_quota: 64,
-            quantum: 1,
-            age_boost_every: 2,
-        };
-        let queue = JobQueue::new(cfg);
+        let queue = JobQueue::new(QueueConfig::default());
         queue.try_admit(job("t", "t/low", 0)).unwrap();
         // Fresh higher-priority work keeps arriving; the aged job must
         // still dispatch once its boost catches up.
         let mut low_dispatched_at = None;
-        for round in 0..12 {
+        for round in 0..16 {
             queue
                 .try_admit(job("t", &format!("t/high{round}"), 3))
                 .unwrap();
@@ -836,9 +820,12 @@ mod tests {
                 break;
             }
         }
-        assert!(
-            low_dispatched_at.is_some(),
-            "aged low-priority job never dispatched"
+        // Pop 12 ages it by 12 / 4 = 3, tying the fresh priority-3 job,
+        // and the older job wins the tie.
+        assert_eq!(
+            low_dispatched_at,
+            Some(11),
+            "aged low-priority job dispatched off schedule"
         );
     }
 
@@ -847,7 +834,6 @@ mod tests {
         let queue = JobQueue::new(QueueConfig {
             capacity: 2,
             tenant_quota: 8,
-            ..QueueConfig::default()
         });
         queue.try_admit(job("t", "t/old-low", 1)).unwrap();
         queue.try_admit(job("t", "t/new-low", 1)).unwrap();
@@ -870,20 +856,16 @@ mod tests {
 
     #[test]
     fn admission_wait_verdict_prefers_cancel_over_open_slot() {
-        let core = AdmissionWait { poll_ms: 10 };
         // The regression contract: cancelled wins even when a slot is
         // simultaneously free.
-        assert_eq!(core.verdict(true, false, true), WaitVerdict::Cancelled);
-        assert_eq!(core.verdict(true, true, false), WaitVerdict::Cancelled);
+        assert_eq!(wait_verdict(true, false, true), WaitVerdict::Cancelled);
+        assert_eq!(wait_verdict(true, true, false), WaitVerdict::Cancelled);
         assert_eq!(
-            core.verdict(false, true, true),
+            wait_verdict(false, true, true),
             WaitVerdict::Rejected(RejectReason::Draining)
         );
-        assert_eq!(core.verdict(false, false, true), WaitVerdict::Admit);
-        assert_eq!(
-            core.verdict(false, false, false),
-            WaitVerdict::Park { ms: 10 }
-        );
+        assert_eq!(wait_verdict(false, false, true), WaitVerdict::Admit);
+        assert_eq!(wait_verdict(false, false, false), WaitVerdict::Park);
     }
 
     #[test]
@@ -892,20 +874,23 @@ mod tests {
         // 5 polls, then the token cancels. Total simulated wait is the
         // sum of park bounds — the latency bound the real condvar loop
         // inherits — and the final verdict is Cancelled, not Admit.
-        let core = AdmissionWait { poll_ms: 25 };
-        let mut fake_clock_ms = 0u64;
+        let mut fake_clock = Duration::ZERO;
         let mut verdicts = Vec::new();
         for poll in 0..8 {
             let cancelled = poll >= 5;
-            let verdict = core.verdict(cancelled, false, false);
+            let verdict = wait_verdict(cancelled, false, false);
             verdicts.push(verdict);
             match verdict {
-                WaitVerdict::Park { ms } => fake_clock_ms += ms,
+                WaitVerdict::Park => fake_clock += ADMISSION_POLL,
                 _ => break,
             }
         }
         assert_eq!(verdicts.last(), Some(&WaitVerdict::Cancelled));
-        assert_eq!(fake_clock_ms, 5 * 25, "five bounded parks then cancel");
+        assert_eq!(
+            fake_clock,
+            Duration::from_millis(5 * 25),
+            "five bounded parks then cancel"
+        );
     }
 
     #[test]

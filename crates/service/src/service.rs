@@ -2,13 +2,13 @@
 //! [`JobQueue`], wired to the durable [`SessionStore`] and the runtime
 //! telemetry schema.
 //!
-//! Life of a job: `submit` → typed admission ([`Admission`]) → DRR
-//! dispatch to a worker → the payload runs under a [`Heartbeat`] with a
-//! per-session [`CheckpointStore`] → exactly one [`TerminalStatus`] on
-//! the ticket, mirrored best-effort into the session manifest. Panics
-//! are caught per job; the poisoned worker slot retires and a fresh
-//! thread replaces it, so a panicking payload costs one job, never a
-//! worker.
+//! Life of a job: `submit` → typed admission ([`Admission`]) →
+//! round-robin dispatch to a worker → the payload runs under a
+//! [`Heartbeat`] with a per-session [`CheckpointStore`] → exactly one
+//! [`TerminalStatus`] on the ticket, mirrored best-effort into the
+//! session manifest. Panics are caught per job; the poisoned worker slot
+//! retires and a fresh thread replaces it, so a panicking payload costs
+//! one job, never a worker.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,40 +107,46 @@ pub struct JobSpec {
     /// Scheduling priority (higher dispatches sooner; ages upward while
     /// queued).
     pub priority: u8,
-    /// Relative cost in scheduler quanta (clamped to `1..=64`).
-    pub cost: u64,
     /// The work itself.
     pub payload: JobPayload,
 }
 
 impl JobSpec {
-    /// A unit-cost, priority-0 job.
+    /// A priority-0 job.
     #[must_use]
     pub fn new(tenant: &str, session: &str, payload: JobPayload) -> Self {
         JobSpec {
             tenant: tenant.to_string(),
             session: session.to_string(),
             priority: 0,
-            cost: 1,
             payload,
+        }
+    }
+
+    /// The queue entry for this submission; the queue assigns its
+    /// sequence number and enqueue round.
+    fn into_queued(self) -> QueuedJob {
+        QueuedJob {
+            seq: 0,
+            ticket: JobTicket::new(&self.tenant, &self.session),
+            tenant: self.tenant,
+            session: self.session,
+            priority: self.priority,
+            enqueued_round: 0,
+            payload: self.payload,
         }
     }
 }
 
-/// Service shape: pool size, queue knobs, durability.
+/// Service shape: pool size, queue bounds, durability.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Queue capacity, quotas, and scheduling knobs.
+    /// Queue capacity and per-tenant quota.
     pub queue: QueueConfig,
     /// Checkpoints retained per session.
     pub retain: usize,
-    /// Poll bound for blocked admissions — the worst-case latency of a
-    /// cancelled submitter unblocking.
-    pub admission_poll: Duration,
-    /// Emit a queue-depth/in-flight gauge record every this many events.
-    pub gauge_every: u64,
 }
 
 impl Default for ServiceConfig {
@@ -149,11 +155,12 @@ impl Default for ServiceConfig {
             workers: 2,
             queue: QueueConfig::default(),
             retain: 2,
-            admission_poll: Duration::from_millis(25),
-            gauge_every: 16,
         }
     }
 }
+
+/// A queue-depth/in-flight gauge record follows every this many events.
+const GAUGE_EVERY: u64 = 16;
 
 /// A point-in-time snapshot of the service counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -191,7 +198,6 @@ pub struct DrainReport {
 type TelemetrySink = Box<dyn FnMut(&str) + Send>;
 
 struct Shared {
-    cfg: ServiceConfig,
     queue: JobQueue,
     sessions: SessionStore,
     telemetry: Mutex<Option<TelemetrySink>>,
@@ -213,7 +219,7 @@ impl Shared {
         let Some(sink) = sink.as_mut() else { return };
         sink(&event.telemetry_line());
         let n = self.events_emitted.fetch_add(1, Ordering::SeqCst) + 1;
-        if n % self.cfg.gauge_every.max(1) == 0 {
+        if n % GAUGE_EVERY == 0 {
             sink(&self.gauge_line());
         }
     }
@@ -231,6 +237,27 @@ impl Shared {
             self.evicted.load(Ordering::SeqCst),
             self.shed.load(Ordering::SeqCst),
         )
+    }
+
+    /// Counts an admission and emits its event.
+    fn record_admitted(&self, ticket: &JobTicket, depth: usize) {
+        self.admitted.fetch_add(1, Ordering::SeqCst);
+        self.emit_event(RuntimeEvent::Admitted {
+            tenant: ticket.tenant().to_string(),
+            session: ticket.session().to_string(),
+            queue_depth: depth as u64,
+        });
+    }
+
+    /// Counts a refused submission and emits its event with `reason`'s
+    /// stable code.
+    fn record_rejected(&self, job: &QueuedJob, reason: &'static str) {
+        self.rejected.fetch_add(1, Ordering::SeqCst);
+        self.emit_event(RuntimeEvent::Rejected {
+            tenant: job.tenant.clone(),
+            session: job.session.clone(),
+            reason,
+        });
     }
 
     /// Classifies a job: counter, eviction telemetry, then the ticket
@@ -509,8 +536,7 @@ impl JobService {
         let sessions = SessionStore::open_with(root, cfg.retain, vfs)?;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
-            queue: JobQueue::new(cfg.queue.clone()),
-            cfg,
+            queue: JobQueue::new(cfg.queue),
             sessions,
             telemetry: Mutex::new(None),
             handles: Mutex::new(Vec::new()),
@@ -559,25 +585,11 @@ impl JobService {
     /// the lowest-priority newest queued job, which classifies as
     /// [`TerminalStatus::Shed`] on its own ticket.
     pub fn submit(&self, spec: JobSpec) -> Admission {
-        let ticket = JobTicket::new(&spec.tenant, &spec.session);
-        let job = QueuedJob {
-            seq: 0,
-            tenant: spec.tenant,
-            session: spec.session,
-            priority: spec.priority,
-            cost: spec.cost.clamp(1, 64),
-            enqueued_round: 0,
-            payload: spec.payload,
-            ticket: ticket.clone(),
-        };
+        let job = spec.into_queued();
+        let ticket = job.ticket.clone();
         match self.shared.queue.try_admit(job) {
             Ok(admitted) => {
-                self.shared.admitted.fetch_add(1, Ordering::SeqCst);
-                self.shared.emit_event(RuntimeEvent::Admitted {
-                    tenant: ticket.tenant().to_string(),
-                    session: ticket.session().to_string(),
-                    queue_depth: admitted.depth as u64,
-                });
+                self.shared.record_admitted(&ticket, admitted.depth);
                 if let Some(victim) = admitted.shed {
                     let status = TerminalStatus::Shed {
                         priority: victim.job.priority,
@@ -588,21 +600,16 @@ impl JobService {
                 Admission::Admitted(ticket)
             }
             Err((job, reason)) => {
-                self.shared.rejected.fetch_add(1, Ordering::SeqCst);
-                self.shared.emit_event(RuntimeEvent::Rejected {
-                    tenant: job.tenant.clone(),
-                    session: job.session.clone(),
-                    reason: reason.code(),
-                });
+                self.shared.record_rejected(&job, reason.code());
                 Admission::Rejected { reason }
             }
         }
     }
 
     /// Blocking admission with backpressure: parks while the queue is
-    /// full. A cancelled submitter unblocks within the configured
-    /// admission poll bound with [`JobError::Cancelled`] — it never
-    /// waits for a slot that may not come.
+    /// full. A cancelled submitter unblocks within the queue's 25 ms
+    /// admission poll with [`JobError::Cancelled`] — it never waits for a
+    /// slot that may not come.
     ///
     /// # Errors
     ///
@@ -610,50 +617,22 @@ impl JobService {
     /// [`JobError::App`] with the typed reason code when admission
     /// closes (draining).
     pub fn submit_wait(&self, spec: JobSpec, cancel: &CancelToken) -> Result<JobTicket, JobError> {
-        let ticket = JobTicket::new(&spec.tenant, &spec.session);
-        let job = QueuedJob {
-            seq: 0,
-            tenant: spec.tenant,
-            session: spec.session,
-            priority: spec.priority,
-            cost: spec.cost.clamp(1, 64),
-            enqueued_round: 0,
-            payload: spec.payload,
-            ticket: ticket.clone(),
-        };
-        match self
-            .shared
-            .queue
-            .admit_wait(job, cancel, self.shared.cfg.admission_poll)
-        {
+        let job = spec.into_queued();
+        let ticket = job.ticket.clone();
+        match self.shared.queue.admit_wait(job, cancel) {
             Ok(admitted) => {
-                self.shared.admitted.fetch_add(1, Ordering::SeqCst);
-                self.shared.emit_event(RuntimeEvent::Admitted {
-                    tenant: ticket.tenant().to_string(),
-                    session: ticket.session().to_string(),
-                    queue_depth: admitted.depth as u64,
-                });
+                self.shared.record_admitted(&ticket, admitted.depth);
                 Ok(ticket)
             }
             Err((job, WaitError::Cancelled)) => {
-                self.shared.rejected.fetch_add(1, Ordering::SeqCst);
-                self.shared.emit_event(RuntimeEvent::Rejected {
-                    tenant: job.tenant.clone(),
-                    session: job.session.clone(),
-                    reason: "cancelled",
-                });
+                self.shared.record_rejected(&job, "cancelled");
                 Err(JobError::Cancelled {
                     reason: DegradeReason::ExternalCancel,
                     step: 0,
                 })
             }
             Err((job, WaitError::Rejected(reason))) => {
-                self.shared.rejected.fetch_add(1, Ordering::SeqCst);
-                self.shared.emit_event(RuntimeEvent::Rejected {
-                    tenant: job.tenant.clone(),
-                    session: job.session.clone(),
-                    reason: reason.code(),
-                });
+                self.shared.record_rejected(&job, reason.code());
                 Err(JobError::app(format!(
                     "admission rejected: {}",
                     reason.code()
@@ -938,7 +917,6 @@ mod tests {
             Path::new("/svc"),
             ServiceConfig {
                 workers: 1,
-                gauge_every: 2,
                 ..ServiceConfig::default()
             },
             vfs,
@@ -947,7 +925,8 @@ mod tests {
         let lines = Arc::new(Mutex::new(Vec::<String>::new()));
         let sink_lines = Arc::clone(&lines);
         svc.set_telemetry(move |line| sink_lines.lock().unwrap().push(line.to_string()));
-        for i in 0..4 {
+        // One `admitted` event each: the last one is followed by a gauge.
+        for i in 0..GAUGE_EVERY {
             let Admission::Admitted(t) =
                 svc.submit(JobSpec::new("t", &format!("t/{i}"), ok_payload(1)))
             else {
@@ -960,11 +939,12 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains("\"event\": \"admitted\"") && l.contains("\"queue_depth\"")));
-        assert!(
+        assert_eq!(
             lines
                 .iter()
-                .any(|l| l.starts_with("{\"kind\": \"service_gauge\"")),
-            "periodic gauge records missing: {lines:?}"
+                .position(|l| l.starts_with("{\"kind\": \"service_gauge\"")),
+            Some(16),
+            "a gauge record must follow the 16th event: {lines:?}"
         );
     }
 }

@@ -172,7 +172,6 @@ fn every_job_classifies_exactly_once_under_combined_chaos() {
             queue: QueueConfig {
                 capacity: 8,
                 tenant_quota: 6,
-                ..QueueConfig::default()
             },
             ..ServiceConfig::default()
         },
@@ -259,9 +258,7 @@ fn overflow_rejects_typed_and_submit_wait_backpressures() {
                 queue: QueueConfig {
                     capacity: 2,
                     tenant_quota: 8,
-                    ..QueueConfig::default()
                 },
-                admission_poll: Duration::from_millis(5),
                 ..ServiceConfig::default()
             },
         )
@@ -310,8 +307,8 @@ fn overflow_rejects_typed_and_submit_wait_backpressures() {
 /// The satellite-3 regression: a tenant blocked on a full queue whose
 /// cancel token fires must unblock promptly with `JobError::Cancelled`,
 /// not wait for a slot that may never come. (The deterministic
-/// cancel-vs-slot ordering is unit-tested with a fake clock in
-/// `AdmissionWait`; this covers the real condvar path end to end.)
+/// cancel-vs-slot ordering is unit-tested with a fake clock on the
+/// queue's `wait_verdict`; this covers the real condvar path end to end.)
 #[test]
 fn cancelled_submitter_on_full_queue_unblocks_promptly() {
     let scratch = Scratch::new("cancel-wait");
@@ -323,9 +320,7 @@ fn cancelled_submitter_on_full_queue_unblocks_promptly() {
                 queue: QueueConfig {
                     capacity: 1,
                     tenant_quota: 8,
-                    ..QueueConfig::default()
                 },
-                admission_poll: Duration::from_millis(10),
                 ..ServiceConfig::default()
             },
         )
@@ -379,7 +374,6 @@ fn single_job_tenant_is_not_starved_by_a_flood() {
             queue: QueueConfig {
                 capacity: 128,
                 tenant_quota: 64,
-                ..QueueConfig::default()
             },
             ..ServiceConfig::default()
         },
