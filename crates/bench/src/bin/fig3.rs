@@ -24,9 +24,8 @@ use sops_bench::{seed_hash, seeded_attempt, Table};
 use sops_core::{construct, thresholds, Bias, Color, Configuration, SeparationChain};
 use sops_lattice::Node;
 use sops_runtime::{
-    run_chain, run_chain_monitored, write_cell_report, CellOutcome, CertificateRule, ChainJob,
-    ConvergenceMonitor, EssRule, JobContext, JobError, PlateauRule, RHatRule, Runtime, StopReason,
-    SweepOptions,
+    run_chain, run_chain_monitored, write_cell_report, CellOutcome, ChainJob, ConvergenceMonitor,
+    JobContext, JobError, Runtime, StopReason, SweepOptions,
 };
 
 const LAMBDAS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 6.0];
@@ -70,18 +69,6 @@ fn phase_tag(phase: Phase) -> &'static str {
     }
 }
 
-/// The adaptive rule stack for phase-diagram cells: perimeter plateau,
-/// windowed ESS, split-R̂ agreement, and a streak of *stable phase
-/// classifications* as the certificate — a cell may stop early only when
-/// its statistics and its phase label agree it has settled.
-fn fig3_monitor() -> ConvergenceMonitor {
-    ConvergenceMonitor::new(48)
-        .with_rule(Box::new(PlateauRule::new(16, 0.05)))
-        .with_rule(Box::new(EssRule::new(12.0, 48, 24)))
-        .with_rule(Box::new(RHatRule::new(1.05, 24)))
-        .with_rule(Box::new(CertificateRule::new(8)))
-}
-
 #[allow(clippy::too_many_lines)]
 fn phase_cell(
     cell: &Cell,
@@ -114,11 +101,12 @@ fn phase_cell(
 
     let mut converged_at = None;
     let run = if opts.adaptive {
-        let mut monitor = fig3_monitor();
-        // The certificate: this chunk's classification matches the
-        // previous chunk's (a phase-label stability streak). On resume the
-        // restored state is certified once first, so `prev_phase` starts
-        // where the snapshot left it.
+        // A cell may stop early only when its perimeter statistics and
+        // its phase label agree it has settled. The certificate: this
+        // chunk's classification matches the previous chunk's, eight
+        // times in a row. On resume the restored state is certified once
+        // first, so `prev_phase` starts where the snapshot left it.
+        let mut monitor = ConvergenceMonitor::new(8);
         let mut prev_phase: Option<Phase> = None;
         let (run, stop) = run_chain_monitored(
             ctx,
@@ -263,8 +251,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .flat_map(|&lambda| GAMMAS.iter().map(move |&gamma| Cell { lambda, gamma }))
         .collect();
 
+    // The committed pictures are the full run's; a smoke run draws none.
+    let svg = !rt.options().smoke;
     let outcomes = rt.run_cells(cells, |cell, ctx| {
-        phase_cell(cell, iterations, &seed_particles, rt.options(), ctx, true)
+        phase_cell(cell, iterations, &seed_particles, rt.options(), ctx, svg)
     });
     let results: Vec<CellResult> = outcomes.iter().filter_map(|o| o.result).collect();
 

@@ -40,9 +40,8 @@ use sops_chains::{RunManifest, TransitionMatrix};
 use sops_core::enumerate::ExactSeparationChain;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
-    run_chain, run_chain_monitored, write_cell_report, CertificateRule, ChainJob,
-    ConvergenceMonitor, EssRule, JobContext, JobError, PlateauRule, RHatRule, Runtime, StopReason,
-    SweepOptions,
+    run_chain, run_chain_monitored, write_cell_report, ChainJob, ConvergenceMonitor, JobContext,
+    JobError, Runtime, StopReason, SweepOptions,
 };
 
 const HIT_CHUNK: u64 = 25_000;
@@ -53,19 +52,6 @@ const METRICS_EVERY: u64 = 1_000_000;
 const SMOKE_CHUNK: u64 = 2_000;
 const SMOKE_CAP: u64 = 4_000_000;
 const SMOKE_METRICS_EVERY: u64 = 500_000;
-
-/// The adaptive rule stack for the hitting sweep (ROADMAP item 5). All
-/// four rules gate, so budget is released only when the *behavior* (a
-/// streak of separation certificates) and the *statistics* (perimeter
-/// plateau, window ESS, split-R̂) agree the cell is done. Windows are in
-/// chunk samples, so the stack serves both smoke and full chunk sizes.
-fn mixing_monitor() -> ConvergenceMonitor {
-    ConvergenceMonitor::new(48)
-        .with_rule(Box::new(PlateauRule::new(16, 0.05)))
-        .with_rule(Box::new(EssRule::new(12.0, 48, 24)))
-        .with_rule(Box::new(RHatRule::new(1.05, 24)))
-        .with_rule(Box::new(CertificateRule::new(3)))
-}
 
 fn hitting_cell(
     n: usize,
@@ -114,9 +100,12 @@ fn hitting_cell(
     let mut hit = None;
     let run = if opts.adaptive {
         // Adaptive: no first-hit break — the convergence monitor owns the
-        // stop decision, and the hitting time is read back from the
-        // certificate rule's serialized first-hit record.
-        let mut monitor = mixing_monitor();
+        // stop decision, releasing budget only when the *behavior* (three
+        // separation certificates in a row) and the *statistics* (the
+        // perimeter's plateau, ESS and split-R̂) agree the cell is done.
+        // The hitting time is read back from the monitor's serialized
+        // first-certificate record.
+        let mut monitor = ConvergenceMonitor::new(3);
         let (run, stop) = run_chain_monitored(
             ctx,
             &chain,

@@ -13,9 +13,9 @@
 //! # Layout
 //!
 //! The store writes the v2 layout: ASCII header lines, then the
-//! [`StateCodec`] bytes and the [`AuxCodec`] sidecar as raw,
-//! length-prefixed sections, then a fixed 26-byte checksum line over
-//! everything before it:
+//! [`StateCodec`] bytes and the hooks' sidecar as raw, length-prefixed
+//! sections, then a fixed 26-byte checksum line over everything before
+//! it:
 //!
 //! ```text
 //! sops-checkpoint v2
@@ -227,30 +227,6 @@ macro_rules! trivial_state_impls {
 
 trivial_state_impls!(u8, u16, u32, u64, i64);
 
-/// Sidecar decision state that rides inside checkpoints alongside the
-/// chain state — e.g. a [`crate::convergence::ConvergenceMonitor`], whose
-/// serialized stopping-rule state must travel with the snapshot so a
-/// resumed run makes bit-identical stop decisions.
-///
-/// Unlike [`StateCodec`], restore receives the snapshot's step count and
-/// may be handed *empty* bytes when the snapshot predates the sidecar
-/// (written by an older run or a non-adaptive one); implementations must
-/// treat that as "start fresh", not as corruption.
-pub trait AuxCodec {
-    /// Encodes the sidecar state into bytes.
-    fn encode_aux(&self) -> Vec<u8>;
-
-    /// Restores state captured by [`AuxCodec::encode_aux`] from a snapshot
-    /// taken at `step`. Empty `bytes` means the snapshot carried no
-    /// sidecar and the implementation should reset itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformation on invalid non-empty
-    /// input; decoding untrusted bytes must never panic.
-    fn restore_aux(&mut self, step: u64, bytes: &[u8]) -> Result<(), String>;
-}
-
 /// A point-in-time snapshot of a checkpointed run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint<S> {
@@ -267,9 +243,12 @@ pub struct Checkpoint<S> {
     pub log: Vec<(u64, f64)>,
     /// The chain state.
     pub state: S,
-    /// Opaque sidecar payload ([`AuxCodec`]): convergence-monitor decision
-    /// state in adaptive runs, empty otherwise. An empty sidecar is
-    /// serialized as *no* `aux` section.
+    /// Opaque sidecar payload ([`SupervisedHooks::encode_aux`]): the
+    /// [`ConvergenceMonitor`]'s decision state in adaptive runs, empty
+    /// otherwise. An empty sidecar is serialized as *no* `aux` section.
+    ///
+    /// [`SupervisedHooks::encode_aux`]: crate::recovery::SupervisedHooks::encode_aux
+    /// [`ConvergenceMonitor`]: crate::convergence::ConvergenceMonitor
     pub aux: Vec<u8>,
 }
 
@@ -959,8 +938,8 @@ impl CheckpointStore {
         self.save_parts_aux(step, accepted, rng_state, log, state, &[])
     }
 
-    /// [`CheckpointStore::save_parts`] with an [`AuxCodec`] sidecar
-    /// payload. Empty `aux` writes no `aux` section.
+    /// [`CheckpointStore::save_parts`] with a sidecar payload. Empty `aux`
+    /// writes no `aux` section.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
-//! Streaming convergence detection: single-pass estimators and composable
-//! stopping rules for the adaptive experiment engine.
+//! Streaming convergence detection: single-pass estimators and the stop
+//! decision of the adaptive experiment engine.
 //!
 //! The paper's separation/integration claims are statements about the
 //! *stationary* distribution of chain `M`, but every sweep bin used to burn
@@ -16,12 +16,10 @@
 //! * `split_r_hat` / [`r_hat`] — the Gelman–Rubin potential scale
 //!   reduction factor, over window halves or across replica chains (the
 //!   per-attempt RNG streams `seeded_attempt` provides);
-//! * [`StoppingRule`] — the composable rule trait, with the concrete
-//!   rules [`PlateauRule`], [`EssRule`], [`RHatRule`], and
-//!   [`CertificateRule`];
-//! * [`ConvergenceMonitor`] — the conjunction of rules evaluated at chunk
-//!   boundaries, whose full decision state serializes into checkpoints
-//!   (via [`crate::checkpoint::AuxCodec`]) so a killed-and-resumed run
+//! * [`ConvergenceMonitor`] — the stop decision evaluated at chunk
+//!   boundaries: a certificate streak plus plateau, windowed-ESS and
+//!   split-R̂ tests over one trailing window. Its whole decision state
+//!   serializes into the checkpoint sidecar, so a killed-and-resumed run
 //!   makes *bit-identical* stop decisions.
 //!
 //! Every estimator here is total: constant and too-short series produce
@@ -30,7 +28,6 @@
 
 use std::collections::VecDeque;
 
-use crate::checkpoint::AuxCodec;
 use crate::stats::Summary;
 use crate::telemetry::json_f64;
 
@@ -51,6 +48,23 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+fn put_f64s<'a>(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = &'a f64>) {
+    put_u64(out, values.len() as u64);
+    for &x in values {
+        put_f64(out, x);
+    }
+}
+
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        Some(v) => {
+            out.push(1);
+            put_u64(out, v);
+        }
+        None => out.push(0),
+    }
+}
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -59,6 +73,28 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
+    }
+
+    fn take_u8(&mut self) -> Result<u8, String> {
+        let byte = *self.bytes.get(self.pos).ok_or("truncated u8 field")?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    fn take_flag(&mut self) -> Result<bool, String> {
+        match self.take_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("flag byte {b} is neither 0 nor 1")),
+        }
+    }
+
+    fn take_opt_u64(&mut self) -> Result<Option<u64>, String> {
+        if self.take_flag()? {
+            self.take_u64().map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     fn take_u64(&mut self) -> Result<u64, String> {
@@ -85,6 +121,28 @@ impl<'a> Reader<'a> {
             .ok_or("truncated byte field")?;
         self.pos = end;
         Ok(chunk)
+    }
+
+    /// Reads at most `max` values written by `put_f64s`.
+    fn take_f64s(&mut self, max: usize) -> Result<Vec<f64>, String> {
+        let len = self.take_usize()?;
+        if len > max {
+            return Err(format!("{len} values where at most {max} fit"));
+        }
+        (0..len).map(|_| self.take_f64()).collect()
+    }
+
+    /// Reads a `bytes(name) bytes(body)` section, checking its name, and
+    /// returns a reader over its body.
+    fn section(&mut self, name: &str) -> Result<Reader<'a>, String> {
+        let got = self.take_bytes()?;
+        if got != name.as_bytes() {
+            return Err(format!(
+                "monitor section {:?} where {name:?} belongs",
+                String::from_utf8_lossy(got)
+            ));
+        }
+        Ok(Reader::new(self.take_bytes()?))
     }
 
     fn finish(&self) -> Result<(), String> {
@@ -328,18 +386,9 @@ impl StreamingAcf {
         put_u64(out, self.max_lag as u64);
         put_u64(out, self.count);
         put_f64(out, self.sum);
-        put_u64(out, self.head.len() as u64);
-        for &x in &self.head {
-            put_f64(out, x);
-        }
-        put_u64(out, self.tail.len() as u64);
-        for &x in &self.tail {
-            put_f64(out, x);
-        }
-        put_u64(out, self.cross.len() as u64);
-        for &x in &self.cross {
-            put_f64(out, x);
-        }
+        put_f64s(out, self.head.iter());
+        put_f64s(out, self.tail.iter());
+        put_f64s(out, self.cross.iter());
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, String> {
@@ -349,29 +398,11 @@ impl StreamingAcf {
         }
         let count = r.take_u64()?;
         let sum = r.take_f64()?;
-        let head_len = r.take_usize()?;
-        if head_len > max_lag {
-            return Err("StreamingAcf head longer than max_lag".into());
-        }
-        let mut head = Vec::with_capacity(head_len);
-        for _ in 0..head_len {
-            head.push(r.take_f64()?);
-        }
-        let tail_len = r.take_usize()?;
-        if tail_len > max_lag {
-            return Err("StreamingAcf tail longer than max_lag".into());
-        }
-        let mut tail = VecDeque::with_capacity(max_lag + 1);
-        for _ in 0..tail_len {
-            tail.push_back(r.take_f64()?);
-        }
-        let cross_len = r.take_usize()?;
-        if cross_len != max_lag + 1 {
+        let head = r.take_f64s(max_lag)?;
+        let tail = r.take_f64s(max_lag)?.into();
+        let cross = r.take_f64s(max_lag + 1)?;
+        if cross.len() != max_lag + 1 {
             return Err("StreamingAcf cross length mismatch".into());
-        }
-        let mut cross = Vec::with_capacity(cross_len);
-        for _ in 0..cross_len {
-            cross.push(r.take_f64()?);
         }
         Ok(StreamingAcf {
             max_lag,
@@ -445,8 +476,8 @@ pub(crate) fn split_r_hat(series: &[f64]) -> f64 {
 pub struct Diagnostics {
     /// Observable samples folded in when the snapshot was taken.
     pub samples: u64,
-    /// Named estimator values (`tau_int`, `ess`, `r_hat`, …), in rule
-    /// order.
+    /// Named estimator values (`tau_int`, `ess`, `r_hat`, …), in the
+    /// order of the monitor's tests.
     pub entries: Vec<(String, f64)>,
 }
 
@@ -498,561 +529,115 @@ impl Diagnostics {
 }
 
 // ---------------------------------------------------------------------------
-// Stopping rules.
-
-/// One composable convergence criterion.
-///
-/// Rules are fed every observable sample (plus the separation-certificate
-/// flag) at chunk boundaries and asked whether they are currently
-/// satisfied; the [`ConvergenceMonitor`] declares convergence when *all*
-/// its gating rules agree. Rule state must serialize exactly
-/// ([`StoppingRule::encode_state`]/[`StoppingRule::restore_state`]) so a
-/// resumed run replays the same decisions bit for bit.
-pub trait StoppingRule {
-    /// Stable rule name, used to match serialized state on restore.
-    fn name(&self) -> &'static str;
-    /// Folds in the observable sample taken at `step`. `certified` is the
-    /// separation-certificate flag evaluated on the same state.
-    fn observe(&mut self, step: u64, value: f64, certified: bool);
-    /// Whether the criterion currently holds.
-    fn satisfied(&self) -> bool;
-    /// Appends this rule's diagnostic estimator values.
-    fn diagnostics(&self, out: &mut Vec<(String, f64)>);
-    /// Serializes the rule's full decision state.
-    fn encode_state(&self) -> Vec<u8>;
-    /// Restores state produced by [`StoppingRule::encode_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the bytes are malformed or were written
-    /// by a rule with different configuration.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String>;
-    /// Drops all accumulated state, as after construction.
-    fn reset(&mut self);
-}
-
-/// Windowed-mean plateau: satisfied when the means of the two most recent
-/// `window`-sample halves agree within `rel_tol` (relative to the larger
-/// of the means' magnitudes and 1). A constant window has delta 0 and is
-/// trivially satisfied.
-#[derive(Clone, Debug)]
-pub struct PlateauRule {
-    window: usize,
-    rel_tol: f64,
-    ring: VecDeque<f64>,
-    delta: f64,
-    ok: bool,
-}
-
-impl PlateauRule {
-    /// Creates a plateau rule over `2 × window` recent samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0 or `rel_tol` is not positive.
-    #[must_use]
-    pub fn new(window: usize, rel_tol: f64) -> Self {
-        assert!(window > 0, "plateau window must be positive");
-        assert!(rel_tol > 0.0, "plateau tolerance must be positive");
-        PlateauRule {
-            window,
-            rel_tol,
-            ring: VecDeque::with_capacity(2 * window + 1),
-            delta: f64::INFINITY,
-            ok: false,
-        }
-    }
-}
-
-impl StoppingRule for PlateauRule {
-    fn name(&self) -> &'static str {
-        "plateau"
-    }
-
-    fn observe(&mut self, _step: u64, value: f64, _certified: bool) {
-        self.ring.push_back(value);
-        if self.ring.len() > 2 * self.window {
-            self.ring.pop_front();
-        }
-        if self.ring.len() == 2 * self.window {
-            let w = self.window as f64;
-            let m1 = self.ring.iter().take(self.window).sum::<f64>() / w;
-            let m2 = self.ring.iter().skip(self.window).sum::<f64>() / w;
-            let scale = m1.abs().max(m2.abs()).max(1.0);
-            self.delta = (m2 - m1).abs() / scale;
-            self.ok = self.delta <= self.rel_tol;
-        }
-    }
-
-    fn satisfied(&self) -> bool {
-        self.ok
-    }
-
-    fn diagnostics(&self, out: &mut Vec<(String, f64)>) {
-        out.push(("plateau_delta".into(), self.delta));
-    }
-
-    fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.window as u64);
-        put_f64(&mut out, self.rel_tol);
-        put_u64(&mut out, self.ring.len() as u64);
-        for &x in &self.ring {
-            put_f64(&mut out, x);
-        }
-        put_f64(&mut out, self.delta);
-        out.push(u8::from(self.ok));
-        out
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(bytes);
-        let window = r.take_usize()?;
-        let rel_tol = r.take_f64()?;
-        if window != self.window || rel_tol.to_bits() != self.rel_tol.to_bits() {
-            return Err("plateau rule configuration changed since snapshot".into());
-        }
-        let len = r.take_usize()?;
-        if len > 2 * window {
-            return Err("plateau ring longer than window".into());
-        }
-        let mut ring = VecDeque::with_capacity(2 * window + 1);
-        for _ in 0..len {
-            ring.push_back(r.take_f64()?);
-        }
-        let delta = r.take_f64()?;
-        let ok = match r.bytes.get(r.pos) {
-            Some(&b) if b <= 1 => b == 1,
-            _ => return Err("plateau flag malformed".into()),
-        };
-        r.pos += 1;
-        r.finish()?;
-        self.ring = ring;
-        self.delta = delta;
-        self.ok = ok;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.ring.clear();
-        self.delta = f64::INFINITY;
-        self.ok = false;
-    }
-}
-
-/// Effective-sample-size threshold over a recent window, with full-stream
-/// moments (`Welford`) and an incremental full-stream `τ_int`
-/// ([`StreamingAcf`]) carried for diagnostics.
-///
-/// The *gate* evaluates the batch ESS of the last `window` samples, so an
-/// early non-stationary transient cannot poison the estimate forever. A
-/// zero-variance (frozen) window counts as satisfied once full: a frozen
-/// observable is settled by definition, and
-/// [`crate::stats::effective_sample_size`] pins its ESS to 1, which no
-/// threshold above 1 would ever pass.
-#[derive(Clone, Debug)]
-pub struct EssRule {
-    min_ess: f64,
-    window: usize,
-    ring: VecDeque<f64>,
-    moments: Welford,
-    acf: StreamingAcf,
-}
-
-impl EssRule {
-    /// Creates an ESS rule gating on the last `window` samples, tracking
-    /// full-stream `τ_int` up to `max_lag`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0, `max_lag` is 0, or `min_ess` is not
-    /// positive.
-    #[must_use]
-    pub fn new(min_ess: f64, window: usize, max_lag: usize) -> Self {
-        assert!(window > 0, "ESS window must be positive");
-        assert!(min_ess > 0.0, "ESS threshold must be positive");
-        EssRule {
-            min_ess,
-            window,
-            ring: VecDeque::with_capacity(window + 1),
-            moments: Welford::new(),
-            acf: StreamingAcf::new(max_lag),
-        }
-    }
-
-    fn window_series(&self) -> Vec<f64> {
-        self.ring.iter().copied().collect()
-    }
-
-    fn window_ess(&self) -> f64 {
-        crate::stats::effective_sample_size(&self.window_series())
-    }
-
-    fn window_is_constant(&self) -> bool {
-        let mut it = self.ring.iter();
-        match it.next() {
-            None => true,
-            Some(first) => it.all(|x| x.to_bits() == first.to_bits()),
-        }
-    }
-}
-
-impl StoppingRule for EssRule {
-    fn name(&self) -> &'static str {
-        "ess"
-    }
-
-    fn observe(&mut self, _step: u64, value: f64, _certified: bool) {
-        self.ring.push_back(value);
-        if self.ring.len() > self.window {
-            self.ring.pop_front();
-        }
-        self.moments.push(value);
-        self.acf.push(value);
-    }
-
-    fn satisfied(&self) -> bool {
-        if self.ring.len() < self.window {
-            return false;
-        }
-        self.window_is_constant() || self.window_ess() >= self.min_ess
-    }
-
-    fn diagnostics(&self, out: &mut Vec<(String, f64)>) {
-        out.push(("mean".into(), self.moments.mean()));
-        out.push(("tau_int".into(), self.acf.tau_int()));
-        out.push(("ess".into(), self.window_ess()));
-        // The ESS-adjusted confidence interval: the convergence engine
-        // always reports the autocorrelation-aware width, never the
-        // too-narrow i.i.d. one.
-        let ci = self
-            .moments
-            .summary()
-            .map_or(f64::INFINITY, |s| s.ci95_half_width_ess(self.acf.ess()));
-        out.push(("ci95_ess".into(), ci));
-    }
-
-    fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_f64(&mut out, self.min_ess);
-        put_u64(&mut out, self.window as u64);
-        put_u64(&mut out, self.ring.len() as u64);
-        for &x in &self.ring {
-            put_f64(&mut out, x);
-        }
-        self.moments.encode_into(&mut out);
-        self.acf.encode_into(&mut out);
-        out
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(bytes);
-        let min_ess = r.take_f64()?;
-        let window = r.take_usize()?;
-        if window != self.window || min_ess.to_bits() != self.min_ess.to_bits() {
-            return Err("ESS rule configuration changed since snapshot".into());
-        }
-        let len = r.take_usize()?;
-        if len > window {
-            return Err("ESS ring longer than window".into());
-        }
-        let mut ring = VecDeque::with_capacity(window + 1);
-        for _ in 0..len {
-            ring.push_back(r.take_f64()?);
-        }
-        let moments = Welford::decode_from(&mut r)?;
-        let acf = StreamingAcf::decode_from(&mut r)?;
-        if acf.max_lag() != self.acf.max_lag() {
-            return Err("ESS rule max_lag changed since snapshot".into());
-        }
-        r.finish()?;
-        self.ring = ring;
-        self.moments = moments;
-        self.acf = acf;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.ring.clear();
-        self.moments = Welford::new();
-        self.acf = StreamingAcf::new(self.acf.max_lag());
-    }
-}
-
-/// Split-`R̂` threshold over the `2 × window` most recent samples:
-/// satisfied when the window halves agree to `R̂ ≤ threshold`. Frozen
-/// windows have `R̂ = 1` and pass; trending windows push `R̂` up through
-/// the between-half variance.
-#[derive(Clone, Debug)]
-pub struct RHatRule {
-    threshold: f64,
-    window: usize,
-    ring: VecDeque<f64>,
-}
-
-impl RHatRule {
-    /// Creates a split-`R̂` rule (the conventional threshold is 1.05).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0 or `threshold < 1`.
-    #[must_use]
-    pub fn new(threshold: f64, window: usize) -> Self {
-        assert!(window > 0, "R-hat window must be positive");
-        assert!(threshold >= 1.0, "R-hat threshold must be at least 1");
-        RHatRule {
-            threshold,
-            window,
-            ring: VecDeque::with_capacity(2 * window + 1),
-        }
-    }
-
-    fn current(&self) -> f64 {
-        if self.ring.len() < 2 * self.window {
-            return f64::INFINITY;
-        }
-        let series: Vec<f64> = self.ring.iter().copied().collect();
-        split_r_hat(&series)
-    }
-}
-
-impl StoppingRule for RHatRule {
-    fn name(&self) -> &'static str {
-        "r_hat"
-    }
-
-    fn observe(&mut self, _step: u64, value: f64, _certified: bool) {
-        self.ring.push_back(value);
-        if self.ring.len() > 2 * self.window {
-            self.ring.pop_front();
-        }
-    }
-
-    fn satisfied(&self) -> bool {
-        self.current() <= self.threshold
-    }
-
-    fn diagnostics(&self, out: &mut Vec<(String, f64)>) {
-        out.push(("r_hat".into(), self.current()));
-    }
-
-    fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_f64(&mut out, self.threshold);
-        put_u64(&mut out, self.window as u64);
-        put_u64(&mut out, self.ring.len() as u64);
-        for &x in &self.ring {
-            put_f64(&mut out, x);
-        }
-        out
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(bytes);
-        let threshold = r.take_f64()?;
-        let window = r.take_usize()?;
-        if window != self.window || threshold.to_bits() != self.threshold.to_bits() {
-            return Err("R-hat rule configuration changed since snapshot".into());
-        }
-        let len = r.take_usize()?;
-        if len > 2 * window {
-            return Err("R-hat ring longer than window".into());
-        }
-        let mut ring = VecDeque::with_capacity(2 * window + 1);
-        for _ in 0..len {
-            ring.push_back(r.take_f64()?);
-        }
-        r.finish()?;
-        self.ring = ring;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.ring.clear();
-    }
-}
-
-/// Separation-certificate check: satisfied after `need` consecutive
-/// samples whose certificate flag held. Also records the first step the
-/// certificate was ever observed (`first_certified_step` in diagnostics),
-/// which survives kill-and-resume because it rides in the serialized
-/// state — the hitting-time experiments read it from here.
-#[derive(Clone, Debug)]
-pub struct CertificateRule {
-    need: u64,
-    streak: u64,
-    first_certified_step: Option<u64>,
-}
-
-impl CertificateRule {
-    /// Creates a certificate rule requiring `need` consecutive certified
-    /// samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `need` is 0.
-    #[must_use]
-    pub fn new(need: u64) -> Self {
-        assert!(need > 0, "certificate streak must be positive");
-        CertificateRule {
-            need,
-            streak: 0,
-            first_certified_step: None,
-        }
-    }
-}
-
-impl StoppingRule for CertificateRule {
-    fn name(&self) -> &'static str {
-        "certificate"
-    }
-
-    fn observe(&mut self, step: u64, _value: f64, certified: bool) {
-        if certified {
-            self.streak += 1;
-            if self.first_certified_step.is_none() {
-                self.first_certified_step = Some(step);
-            }
-        } else {
-            self.streak = 0;
-        }
-    }
-
-    fn satisfied(&self) -> bool {
-        self.streak >= self.need
-    }
-
-    fn diagnostics(&self, out: &mut Vec<(String, f64)>) {
-        out.push(("certificate_streak".into(), self.streak as f64));
-        if let Some(step) = self.first_certified_step {
-            out.push(("first_certified_step".into(), step as f64));
-        }
-    }
-
-    fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.need);
-        put_u64(&mut out, self.streak);
-        match self.first_certified_step {
-            Some(step) => {
-                out.push(1);
-                put_u64(&mut out, step);
-            }
-            None => out.push(0),
-        }
-        out
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(bytes);
-        let need = r.take_u64()?;
-        if need != self.need {
-            return Err("certificate rule configuration changed since snapshot".into());
-        }
-        let streak = r.take_u64()?;
-        let tag = *r.bytes.get(r.pos).ok_or("certificate flag truncated")?;
-        r.pos += 1;
-        let first = match tag {
-            0 => None,
-            1 => Some(r.take_u64()?),
-            _ => return Err("certificate flag malformed".into()),
-        };
-        r.finish()?;
-        self.streak = streak;
-        self.first_certified_step = first;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.streak = 0;
-        self.first_certified_step = None;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The monitor.
 
 /// Version tag leading every serialized monitor payload.
 const MONITOR_CODEC_VERSION: u8 = 1;
 
-/// The conjunction of stopping rules a supervised run evaluates at chunk
-/// boundaries.
+/// Samples the monitor observes before it may latch, and the length of the
+/// trailing window its statistical tests read.
+const WINDOW: usize = 48;
+/// Length of each of the two trailing halves the plateau test compares.
+const PLATEAU_HALF: usize = 16;
+/// Largest relative gap between the plateau halves' means.
+const PLATEAU_TOL: f64 = 0.05;
+/// Smallest effective sample size of the window.
+const MIN_ESS: f64 = 12.0;
+/// Lag cap of the full-stream `τ_int` the diagnostics report.
+const MAX_LAG: usize = 24;
+/// Largest split-`R̂` of the window's two halves.
+const MAX_R_HAT: f64 = 1.05;
+
+/// The stop decision of an adaptive run, evaluated at chunk boundaries.
 ///
-/// Gating rules must *all* be satisfied (after `min_samples` observations)
-/// for the monitor to latch a convergence decision. Once latched, the
-/// decision — step and diagnostics snapshot — is immutable and serializes
-/// with the rest of the state. The chunk loop does not persist the chunk
-/// at which the monitor stops a run, so its snapshots hold the monitor
-/// unlatched, and a resumed run re-observes the stopping chunk and
-/// latches at the identical step.
+/// From its 48th sample on, the monitor latches at the first sample at
+/// which four tests hold together:
+///
+/// * **plateau** — the means of the last two 16-sample halves agree
+///   within 5% of the larger mean's magnitude (or of 1, if larger);
+/// * **ESS** — the last 48 samples carry an effective sample size of at
+///   least 12, or are all equal: a frozen observable has settled, though
+///   [`crate::stats::effective_sample_size`] pins its ESS to 1;
+/// * **split-`R̂`** — the two 24-sample halves of the last 48 samples
+///   agree to `R̂ ≤ 1.05`, so a trending window fails;
+/// * **certificate** — the certificate flag held for the last
+///   `certificate_streak` samples.
+///
+/// The three statistical tests read one trailing 48-sample window. The
+/// diagnostics add full-stream moments and `τ_int` (to lag 24), and the
+/// step of the first certified sample (`first_certified_step`), which the
+/// hitting-time experiments read.
+///
+/// Once latched, the decision (step and diagnostics) is immutable. The
+/// chunk loop does not persist the chunk at which the monitor stops a
+/// run, so its snapshots hold the monitor unlatched, and a resumed run
+/// re-observes the stopping chunk and latches at the identical step.
+#[derive(Debug)]
 pub struct ConvergenceMonitor {
-    rules: Vec<Box<dyn StoppingRule + Send>>,
-    min_samples: u64,
+    certificate_streak: u64,
     samples: u64,
     last_step: Option<u64>,
+    /// The last 48 samples, oldest first.
+    window: VecDeque<f64>,
+    moments: Welford,
+    acf: StreamingAcf,
+    /// Consecutive certified samples, ending at the newest.
+    streak: u64,
+    first_certified_step: Option<u64>,
     converged: Option<(u64, Diagnostics)>,
 }
 
-impl std::fmt::Debug for ConvergenceMonitor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConvergenceMonitor")
-            .field(
-                "rules",
-                &self.rules.iter().map(|r| r.name()).collect::<Vec<_>>(),
-            )
-            .field("min_samples", &self.min_samples)
-            .field("samples", &self.samples)
-            .field("converged", &self.converged)
-            .finish()
-    }
-}
-
-use std::fmt;
-
 impl ConvergenceMonitor {
-    /// Creates an empty monitor that starts checking its rules after
-    /// `min_samples` observations.
+    /// Creates a monitor whose certificate test needs `certificate_streak`
+    /// consecutive certified samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `certificate_streak` is 0.
     #[must_use]
-    pub fn new(min_samples: u64) -> Self {
+    pub fn new(certificate_streak: u64) -> Self {
+        assert!(
+            certificate_streak > 0,
+            "certificate streak must be positive"
+        );
         ConvergenceMonitor {
-            rules: Vec::new(),
-            min_samples,
+            certificate_streak,
             samples: 0,
             last_step: None,
+            window: VecDeque::with_capacity(WINDOW),
+            moments: Welford::new(),
+            acf: StreamingAcf::new(MAX_LAG),
+            streak: 0,
+            first_certified_step: None,
             converged: None,
         }
     }
 
-    /// Adds a gating rule (builder style).
-    #[must_use]
-    pub fn with_rule(mut self, rule: Box<dyn StoppingRule + Send>) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
     /// Folds in the observable sample (and certificate flag) taken at
-    /// `step`, then evaluates the conjunction. Steps must be strictly
+    /// `step`, then evaluates the stop decision. Steps must be strictly
     /// increasing: replayed or duplicate steps (a rollback replays the
     /// same chunk) are ignored, so recovery cannot double-count. Once
     /// converged, the monitor latches and further samples are ignored.
     pub fn observe(&mut self, step: u64, value: f64, certified: bool) {
-        if self.converged.is_some() {
-            return;
-        }
-        if self.last_step.is_some_and(|last| step <= last) {
+        if self.converged.is_some() || self.last_step.is_some_and(|last| step <= last) {
             return;
         }
         self.last_step = Some(step);
-        for rule in &mut self.rules {
-            rule.observe(step, value, certified);
+        if self.window.len() == WINDOW {
+            self.window.pop_front();
+        }
+        self.window.push_back(value);
+        self.moments.push(value);
+        self.acf.push(value);
+        if certified {
+            self.streak += 1;
+            self.first_certified_step.get_or_insert(step);
+        } else {
+            self.streak = 0;
         }
         self.samples += 1;
-        if self.samples >= self.min_samples
-            && !self.rules.is_empty()
-            && self.rules.iter().all(|r| r.satisfied())
-        {
-            let diagnostics = self.diagnostics();
-            self.converged = Some((step, diagnostics));
+        if self.samples >= WINDOW as u64 && self.settled() {
+            self.converged = Some((step, self.diagnostics()));
         }
     }
 
@@ -1062,14 +647,71 @@ impl ConvergenceMonitor {
         self.converged.as_ref().map(|(step, diag)| (*step, diag))
     }
 
-    /// A diagnostics snapshot of the current estimator values (the
-    /// latched snapshot, frozen at decision time, once converged is
-    /// reported by [`ConvergenceMonitor::converged`]).
-    #[must_use]
-    pub fn diagnostics(&self) -> Diagnostics {
-        let mut entries = Vec::new();
-        for rule in &self.rules {
-            rule.diagnostics(&mut entries);
+    /// Whether all four tests hold; called once the window is full.
+    fn settled(&self) -> bool {
+        self.streak >= self.certificate_streak
+            && self.plateau_delta() <= PLATEAU_TOL
+            && self.window_r_hat() <= MAX_R_HAT
+            && (self.window_is_constant() || self.window_ess() >= MIN_ESS)
+    }
+
+    /// The plateau test's relative gap between the means of the last two
+    /// 16-sample halves; infinite until there are 32 samples.
+    fn plateau_delta(&self) -> f64 {
+        let Some(start) = self.window.len().checked_sub(2 * PLATEAU_HALF) else {
+            return f64::INFINITY;
+        };
+        let half = PLATEAU_HALF as f64;
+        let m1 = self.window.range(start..start + PLATEAU_HALF).sum::<f64>() / half;
+        let m2 = self.window.range(start + PLATEAU_HALF..).sum::<f64>() / half;
+        let scale = m1.abs().max(m2.abs()).max(1.0);
+        (m2 - m1).abs() / scale
+    }
+
+    fn window_series(&self) -> Vec<f64> {
+        self.window.iter().copied().collect()
+    }
+
+    /// The batch effective sample size of the window.
+    fn window_ess(&self) -> f64 {
+        crate::stats::effective_sample_size(&self.window_series())
+    }
+
+    fn window_is_constant(&self) -> bool {
+        let mut it = self.window.iter();
+        it.next()
+            .is_none_or(|first| it.all(|x| x.to_bits() == first.to_bits()))
+    }
+
+    /// Split-`R̂` of the window; infinite until it is full.
+    fn window_r_hat(&self) -> f64 {
+        if self.window.len() < WINDOW {
+            return f64::INFINITY;
+        }
+        split_r_hat(&self.window_series())
+    }
+
+    /// The current estimator values, in the order the sidecar's sections
+    /// name them.
+    fn diagnostics(&self) -> Diagnostics {
+        // The ESS-adjusted confidence interval: the convergence engine
+        // always reports the autocorrelation-aware width, never the
+        // too-narrow i.i.d. one.
+        let ci95_ess = self
+            .moments
+            .summary()
+            .map_or(f64::INFINITY, |s| s.ci95_half_width_ess(self.acf.ess()));
+        let mut entries = vec![
+            ("plateau_delta".to_string(), self.plateau_delta()),
+            ("mean".to_string(), self.moments.mean()),
+            ("tau_int".to_string(), self.acf.tau_int()),
+            ("ess".to_string(), self.window_ess()),
+            ("ci95_ess".to_string(), ci95_ess),
+            ("r_hat".to_string(), self.window_r_hat()),
+            ("certificate_streak".to_string(), self.streak as f64),
+        ];
+        if let Some(step) = self.first_certified_step {
+            entries.push(("first_certified_step".to_string(), step as f64));
         }
         Diagnostics {
             samples: self.samples,
@@ -1077,28 +719,51 @@ impl ConvergenceMonitor {
         }
     }
 
-    fn reset(&mut self) {
-        self.samples = 0;
-        self.last_step = None;
-        self.converged = None;
-        for rule in &mut self.rules {
-            rule.reset();
+    /// The sidecar: the monitor's whole decision state, persisted in every
+    /// snapshot of an adaptive run.
+    ///
+    /// Layout, codec version 1. Every field is a little-endian `u64`
+    /// unless marked; `f64` is the value's IEEE bits as a `u64`;
+    /// `bytes(x)` is a length, then `x`; `f64s(..)` is a count, then that
+    /// many `f64`; and `opt(x)` is `u8 0`, or `u8 1` then `x`:
+    ///
+    /// ```text
+    /// u8 1                       codec version
+    /// 48                         samples before the monitor may latch
+    /// samples
+    /// opt(last_step)
+    /// opt(step diagnostics)      the latched decision; diagnostics are
+    ///                            samples, a count, then per entry
+    ///                            bytes(name) f64
+    /// 4                          sections, each bytes(name) bytes(body):
+    ///   "plateau"      16, f64 0.05, f64s(the last ≤ 32 samples),
+    ///                  f64 delta, u8 (delta ≤ 0.05)
+    ///   "ess"          f64 12, 48, f64s(the last ≤ 48 samples),
+    ///                  moments: count, f64 mean, f64 m2, f64 min, f64 max,
+    ///                  τ_int: 24, count, f64 sum, f64s(the first ≤ 24
+    ///                  samples), f64s(the last ≤ 24), f64s(the 25 lag
+    ///                  cross-products)
+    ///   "r_hat"        f64 1.05, 24, f64s(the last ≤ 48 samples)
+    ///   "certificate"  certificate_streak, streak,
+    ///                  opt(first_certified_step)
+    /// 0                          an always-empty second section group
+    /// ```
+    ///
+    /// The three sample lists are views of the one trailing window, and
+    /// the plateau's `delta` follows from it.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        fn section(out: &mut Vec<u8>, name: &str, body: impl FnOnce(&mut Vec<u8>)) {
+            let mut bytes = Vec::new();
+            body(&mut bytes);
+            put_bytes(out, name.as_bytes());
+            put_bytes(out, &bytes);
         }
-    }
-}
-
-impl AuxCodec for ConvergenceMonitor {
-    fn encode_aux(&self) -> Vec<u8> {
+        let plateau_start = self.window.len().saturating_sub(2 * PLATEAU_HALF);
         let mut out = vec![MONITOR_CODEC_VERSION];
-        put_u64(&mut out, self.min_samples);
+        put_u64(&mut out, WINDOW as u64);
         put_u64(&mut out, self.samples);
-        match self.last_step {
-            Some(step) => {
-                out.push(1);
-                put_u64(&mut out, step);
-            }
-            None => out.push(0),
-        }
+        put_opt_u64(&mut out, self.last_step);
         match &self.converged {
             Some((step, diag)) => {
                 out.push(1);
@@ -1107,88 +772,136 @@ impl AuxCodec for ConvergenceMonitor {
             }
             None => out.push(0),
         }
-        put_u64(&mut out, self.rules.len() as u64);
-        for rule in &self.rules {
-            put_bytes(&mut out, rule.name().as_bytes());
-            put_bytes(&mut out, &rule.encode_state());
-        }
-        // Codec version 1's second rule group, for rules that were fed but
-        // did not gate; no monitor has any, so it is always empty.
+        put_u64(&mut out, 4);
+        section(&mut out, "plateau", |b| {
+            let delta = self.plateau_delta();
+            put_u64(b, PLATEAU_HALF as u64);
+            put_f64(b, PLATEAU_TOL);
+            put_f64s(b, self.window.range(plateau_start..));
+            put_f64(b, delta);
+            b.push(u8::from(delta <= PLATEAU_TOL));
+        });
+        section(&mut out, "ess", |b| {
+            put_f64(b, MIN_ESS);
+            put_u64(b, WINDOW as u64);
+            put_f64s(b, self.window.iter());
+            self.moments.encode_into(b);
+            self.acf.encode_into(b);
+        });
+        section(&mut out, "r_hat", |b| {
+            put_f64(b, MAX_R_HAT);
+            put_u64(b, (WINDOW / 2) as u64);
+            put_f64s(b, self.window.iter());
+        });
+        section(&mut out, "certificate", |b| {
+            put_u64(b, self.certificate_streak);
+            put_u64(b, self.streak);
+            put_opt_u64(b, self.first_certified_step);
+        });
         put_u64(&mut out, 0);
         out
     }
 
-    fn restore_aux(&mut self, _step: u64, bytes: &[u8]) -> Result<(), String> {
-        if bytes.is_empty() {
-            // The snapshot predates convergence monitoring (or was written
-            // by a non-adaptive run): start the decision state fresh.
-            self.reset();
-            return Ok(());
+    /// Restores the state [`ConvergenceMonitor::encode`] wrote, on resume
+    /// and after every rollback. Empty bytes (a snapshot without a
+    /// sidecar, from a non-adaptive run) reset the monitor to fresh.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the bytes are malformed, were written
+    /// under another certificate streak or other criteria, or hold sample
+    /// lists that are not views of one window. The monitor is then
+    /// unchanged: every field is parsed and checked before any is
+    /// assigned.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+        *self = if bytes.is_empty() {
+            ConvergenceMonitor::new(self.certificate_streak)
+        } else {
+            self.decode(bytes)?
+        };
+        Ok(())
+    }
+
+    /// Parses a non-empty sidecar into a monitor with this one's streak.
+    fn decode(&self, bytes: &[u8]) -> Result<Self, String> {
+        fn same(what: &str, got: u64, want: u64) -> Result<(), String> {
+            if got == want {
+                Ok(())
+            } else {
+                Err(format!(
+                    "monitor {what} changed since snapshot ({got} != {want})"
+                ))
+            }
         }
         let mut r = Reader::new(bytes);
-        match r.bytes.first() {
-            Some(&MONITOR_CODEC_VERSION) => r.pos = 1,
-            Some(v) => return Err(format!("unknown monitor codec version {v}")),
-            None => return Err("empty monitor payload".into()),
+        let version = r.take_u8()?;
+        if version != MONITOR_CODEC_VERSION {
+            return Err(format!("unknown monitor codec version {version}"));
         }
-        let min_samples = r.take_u64()?;
-        if min_samples != self.min_samples {
-            return Err("monitor min_samples changed since snapshot".into());
-        }
+        same("gate", r.take_u64()?, WINDOW as u64)?;
         let samples = r.take_u64()?;
-        let tag = *r.bytes.get(r.pos).ok_or("last_step flag truncated")?;
-        r.pos += 1;
-        let last_step = match tag {
-            0 => None,
-            1 => Some(r.take_u64()?),
-            _ => return Err("last_step flag malformed".into()),
+        let last_step = r.take_opt_u64()?;
+        let converged = if r.take_flag()? {
+            Some((r.take_u64()?, Diagnostics::decode_from(&mut r)?))
+        } else {
+            None
         };
-        let tag = *r.bytes.get(r.pos).ok_or("converged flag truncated")?;
-        r.pos += 1;
-        let converged = match tag {
-            0 => None,
-            1 => {
-                let step = r.take_u64()?;
-                Some((step, Diagnostics::decode_from(&mut r)?))
-            }
-            _ => return Err("converged flag malformed".into()),
-        };
-        // Rule states are matched by position and verified by name, so a
-        // monitor built with a different rule set fails loudly instead of
-        // silently misapplying state.
-        let mut restored: Vec<(String, Vec<u8>)> = Vec::new();
-        // The second group is codec version 1's always-empty one (see
-        // `encode_aux`).
-        for group_len in [self.rules.len(), 0] {
-            let len = r.take_usize()?;
-            if len != group_len {
-                return Err(format!(
-                    "monitor rule count changed since snapshot ({len} != {group_len})"
-                ));
-            }
-            for _ in 0..len {
-                let name = String::from_utf8(r.take_bytes()?.to_vec())
-                    .map_err(|_| "rule name not UTF-8".to_string())?;
-                let state = r.take_bytes()?.to_vec();
-                restored.push((name, state));
-            }
-        }
+        same("section count", r.take_u64()?, 4)?;
+
+        let mut b = r.section("plateau")?;
+        same("plateau half", b.take_u64()?, PLATEAU_HALF as u64)?;
+        same("plateau tolerance", b.take_u64()?, PLATEAU_TOL.to_bits())?;
+        let plateau = b.take_f64s(2 * PLATEAU_HALF)?;
+        let delta = b.take_f64()?;
+        let passed = b.take_flag()?;
+        b.finish()?;
+
+        let mut b = r.section("ess")?;
+        same("ESS threshold", b.take_u64()?, MIN_ESS.to_bits())?;
+        same("ESS window", b.take_u64()?, WINDOW as u64)?;
+        let window = b.take_f64s(WINDOW)?;
+        let moments = Welford::decode_from(&mut b)?;
+        let acf = StreamingAcf::decode_from(&mut b)?;
+        same("tau_int lag cap", acf.max_lag() as u64, MAX_LAG as u64)?;
+        b.finish()?;
+
+        let mut b = r.section("r_hat")?;
+        same("R-hat threshold", b.take_u64()?, MAX_R_HAT.to_bits())?;
+        same("R-hat half", b.take_u64()?, (WINDOW / 2) as u64)?;
+        let r_hat_window = b.take_f64s(WINDOW)?;
+        b.finish()?;
+
+        let mut b = r.section("certificate")?;
+        same("certificate streak", b.take_u64()?, self.certificate_streak)?;
+        let streak = b.take_u64()?;
+        let first_certified_step = b.take_opt_u64()?;
+        b.finish()?;
+
+        same("second section group", r.take_u64()?, 0)?;
         r.finish()?;
-        let mut it = restored.into_iter();
-        for rule in &mut self.rules {
-            let (name, state) = it.next().expect("counts verified above");
-            if name != rule.name() {
-                return Err(format!(
-                    "monitor rule order changed since snapshot ({name} != {})",
-                    rule.name()
-                ));
-            }
-            rule.restore_state(&state)?;
+
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let monitor = ConvergenceMonitor {
+            certificate_streak: self.certificate_streak,
+            samples,
+            last_step,
+            window: window.iter().copied().collect(),
+            moments,
+            acf,
+            streak,
+            first_certified_step,
+            converged,
+        };
+        let derived = monitor.plateau_delta();
+        let views_agree = window.len() as u64 == samples.min(WINDOW as u64)
+            && bits(&r_hat_window) == bits(&window)
+            && bits(&plateau) == bits(&window[window.len().saturating_sub(2 * PLATEAU_HALF)..])
+            && delta.to_bits() == derived.to_bits()
+            && passed == (derived <= PLATEAU_TOL);
+        if !views_agree {
+            return Err("monitor sample lists are not views of one window".into());
         }
-        self.samples = samples;
-        self.last_step = last_step;
-        self.converged = converged;
-        Ok(())
+        Ok(monitor)
     }
 }
 
@@ -1296,25 +1009,18 @@ mod tests {
         assert!(split_r_hat(&shifted) > 1.5);
     }
 
-    fn test_monitor() -> ConvergenceMonitor {
-        ConvergenceMonitor::new(16)
-            .with_rule(Box::new(PlateauRule::new(8, 0.05)))
-            .with_rule(Box::new(EssRule::new(4.0, 16, 32)))
-            .with_rule(Box::new(RHatRule::new(1.1, 8)))
-    }
-
     #[test]
     fn constant_windows_pass_the_full_stopping_path_without_panicking() {
         // Regression: a frozen (fully converged) chain feeds constant
         // windows through plateau + ESS + R-hat; this used to panic inside
         // the autocorrelation estimator and must now converge cleanly.
-        let mut monitor = test_monitor();
+        let mut monitor = ConvergenceMonitor::new(3);
         for i in 0..64u64 {
-            monitor.observe(i + 1, 42.0, false);
+            monitor.observe(i + 1, 42.0, true);
             let _ = monitor.diagnostics();
         }
         let (step, diag) = monitor.converged().expect("frozen observable converges");
-        assert_eq!(step, 16);
+        assert_eq!(step, 48, "the gate opens at the 48th sample");
         assert_eq!(diag.get("plateau_delta"), Some(0.0));
         assert_eq!(diag.get("r_hat"), Some(1.0));
         assert!(diag.get("ess").is_some());
@@ -1323,25 +1029,25 @@ mod tests {
 
     #[test]
     fn trending_observable_does_not_converge() {
-        let mut monitor = test_monitor();
+        let mut monitor = ConvergenceMonitor::new(3);
         for i in 0..200u64 {
-            monitor.observe(i + 1, i as f64 * 10.0, false);
+            monitor.observe(i + 1, i as f64 * 10.0, true);
         }
         assert!(monitor.converged().is_none());
     }
 
     #[test]
     fn settled_noisy_observable_converges_and_latches() {
-        let mut monitor = test_monitor();
+        let mut monitor = ConvergenceMonitor::new(3);
         let series = noisy_series(400, 77);
         for (i, &x) in series.iter().enumerate() {
-            monitor.observe(i as u64 + 1, x, false);
+            monitor.observe(i as u64 + 1, x, true);
         }
         let (step, diag) = monitor.converged().expect("noisy stationary converges");
         let latched = diag.clone();
         // Further samples must not move the latched decision.
         for i in 400..500u64 {
-            monitor.observe(i + 1, 1e9, false);
+            monitor.observe(i + 1, 1e9, true);
         }
         let (step2, diag2) = monitor.converged().unwrap();
         assert_eq!(step, step2);
@@ -1350,76 +1056,167 @@ mod tests {
 
     #[test]
     fn monitor_state_roundtrips_and_resumes_to_identical_decision() {
+        // Certified from sample 61 on, so the cut falls after the gate
+        // opened but before the stop.
         let series = noisy_series(400, 123);
+        let certified = |i: usize| i >= 60 && i % 7 != 0;
         // Uninterrupted run.
-        let mut full = test_monitor();
+        let mut full = ConvergenceMonitor::new(3);
         for (i, &x) in series.iter().enumerate() {
-            full.observe(i as u64 + 1, x, i % 3 == 0);
+            full.observe(i as u64 + 1, x, certified(i));
         }
         // Interrupted at an arbitrary point, serialized, restored into a
         // freshly built monitor, and resumed.
-        let cut = 133;
-        let mut first = test_monitor();
+        let cut = 53;
+        let mut first = ConvergenceMonitor::new(3);
         for (i, &x) in series[..cut].iter().enumerate() {
-            first.observe(i as u64 + 1, x, i % 3 == 0);
+            first.observe(i as u64 + 1, x, certified(i));
         }
-        let bytes = first.encode_aux();
-        let mut resumed = test_monitor();
-        resumed.restore_aux(cut as u64, &bytes).unwrap();
+        assert!(first.converged().is_none(), "the cut precedes the stop");
+        let bytes = first.encode();
+        let mut resumed = ConvergenceMonitor::new(3);
+        resumed.restore(&bytes).unwrap();
         for (i, &x) in series.iter().enumerate().skip(cut) {
-            resumed.observe(i as u64 + 1, x, i % 3 == 0);
+            resumed.observe(i as u64 + 1, x, certified(i));
         }
         let (s1, d1) = full.converged().expect("converges");
         let (s2, d2) = resumed.converged().expect("converges after resume");
         assert_eq!(s1, s2, "stop step must be bit-identical across resume");
         assert_eq!(d1, d2, "diagnostics must be identical across resume");
-        assert_eq!(full.encode_aux(), resumed.encode_aux());
+        assert_eq!(full.encode(), resumed.encode());
     }
 
     #[test]
     fn monitor_ignores_replayed_steps() {
-        let mut monitor = test_monitor();
+        let mut monitor = ConvergenceMonitor::new(3);
         monitor.observe(10, 1.0, false);
         monitor.observe(10, 2.0, false); // rollback replay: ignored
         monitor.observe(5, 3.0, false); // regression: ignored
         assert_eq!(monitor.samples, 1);
     }
 
+    /// A monitor fed `n` noisy, certified samples.
+    fn fed(streak: u64, n: usize) -> ConvergenceMonitor {
+        let mut monitor = ConvergenceMonitor::new(streak);
+        for (i, &x) in noisy_series(n, 9).iter().enumerate() {
+            monitor.observe(i as u64 + 1, x, true);
+        }
+        monitor
+    }
+
     #[test]
     fn restore_rejects_mismatched_configuration() {
-        let bytes = test_monitor().encode_aux();
-        let mut other = ConvergenceMonitor::new(16).with_rule(Box::new(PlateauRule::new(8, 0.05)));
-        assert!(other.restore_aux(0, &bytes).is_err());
-        let mut different_window = ConvergenceMonitor::new(16)
-            .with_rule(Box::new(PlateauRule::new(9, 0.05)))
-            .with_rule(Box::new(EssRule::new(4.0, 16, 32)))
-            .with_rule(Box::new(RHatRule::new(1.1, 8)));
-        assert!(different_window.restore_aux(0, &bytes).is_err());
+        let bytes = fed(3, 40).encode();
+        assert!(ConvergenceMonitor::new(4).restore(&bytes).is_err());
+        // A forged window: the R-hat section's newest sample, the last
+        // f64 before the certificate section's name, no longer matches
+        // the ESS section's.
+        let name = bytes.windows(11).position(|w| w == b"certificate").unwrap();
+        let mut forged = bytes.clone();
+        forged[name - 9] ^= 0x01;
+        let err = ConvergenceMonitor::new(3).restore(&forged).unwrap_err();
+        assert!(err.contains("views of one window"), "{err}");
         // Empty payload (legacy snapshot): resets to fresh.
-        let mut fresh = test_monitor();
-        fresh.observe(1, 1.0, false);
-        fresh.restore_aux(0, &[]).unwrap();
+        let mut fresh = fed(3, 1);
+        fresh.restore(&[]).unwrap();
         assert_eq!(fresh.samples, 0);
     }
 
     #[test]
+    fn a_failed_restore_leaves_the_monitor_unchanged() {
+        let mut monitor = fed(3, 40);
+        let before = monitor.encode();
+        // Each payload parses its leading fields (samples, window, ...)
+        // cleanly and fails later: under another streak, truncated, or
+        // with a trailing byte.
+        let other = fed(4, 20).encode();
+        let mut trailing = fed(3, 20).encode();
+        trailing.push(0);
+        let truncated = &trailing[..trailing.len() - 2];
+        for bad in [&other[..], truncated, &trailing] {
+            assert!(monitor.restore(bad).is_err());
+            assert_eq!(monitor.encode(), before);
+        }
+    }
+
+    #[test]
     fn certificate_tracker_records_first_hit_across_resume() {
-        // min_samples above the sample count keeps the gate from latching,
-        // so the certificate rule keeps observing through all ten samples.
-        let make = || {
-            ConvergenceMonitor::new(100)
-                .with_rule(Box::new(PlateauRule::new(2, 0.5)))
-                .with_rule(Box::new(CertificateRule::new(2)))
-        };
-        let mut monitor = make();
+        // Ten samples keep the gate shut, so the certificate keeps
+        // observing through all of them.
+        let mut monitor = ConvergenceMonitor::new(2);
         for i in 0..10u64 {
             monitor.observe(i + 1, 1.0, i >= 6);
         }
         assert_eq!(monitor.diagnostics().get("first_certified_step"), Some(7.0));
-        let bytes = monitor.encode_aux();
-        let mut resumed = make();
-        resumed.restore_aux(10, &bytes).unwrap();
+        let bytes = monitor.encode();
+        let mut resumed = ConvergenceMonitor::new(2);
+        resumed.restore(&bytes).unwrap();
         assert_eq!(resumed.diagnostics().get("first_certified_step"), Some(7.0));
+    }
+
+    /// A perimeter-like feed in 2,000-step chunks: a falling transient
+    /// over the first 24 samples, then noise on a plateau. The certificate
+    /// holds from sample 31 on, but breaks at every eleventh sample.
+    fn pinned_feed() -> Vec<(u64, f64, bool)> {
+        let noise = noisy_series(300, 2024);
+        (0..300)
+            .map(|i| {
+                let base = if i < 24 {
+                    300.0 - 5.0 * i as f64
+                } else {
+                    180.0
+                };
+                let certified = i >= 30 && i % 11 != 0;
+                ((i as u64 + 1) * 2_000, base + noise[i], certified)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn production_sidecars_are_pinned_and_resume_to_the_same_stop() {
+        // `mixing`'s monitor (streak 3) and `fig3`'s (streak 8). Per
+        // streak: the sidecar after 40 samples (the gate is still shut)
+        // and after the latch, as (length, checksum), and the latch step.
+        // The numbers were recorded from the monitor of earlier builds, so
+        // stores those builds wrote resume under this one and back.
+        for (streak, pre_gate_pin, latch_pin, latched_pin) in [
+            (
+                3,
+                (1807, 10_438_511_521_705_092_143),
+                140_000,
+                (2165, 4_896_694_755_711_549_432),
+            ),
+            (
+                8,
+                (1807, 13_465_381_510_614_923_011),
+                150_000,
+                (2165, 13_830_038_000_710_782_447),
+            ),
+        ] {
+            let pin = |bytes: &[u8]| (bytes.len(), crate::checkpoint::snapshot_checksum(bytes));
+            let feed = pinned_feed();
+            let mut monitor = ConvergenceMonitor::new(streak);
+            for &(step, value, certified) in &feed[..40] {
+                monitor.observe(step, value, certified);
+            }
+            let pre_gate = monitor.encode();
+            for &(step, value, certified) in &feed[40..] {
+                monitor.observe(step, value, certified);
+            }
+            let (step, diagnostics) = monitor.converged().expect("the feed converges");
+            let latched = monitor.encode();
+            assert_eq!(pin(&pre_gate), pre_gate_pin, "streak {streak}");
+            assert_eq!(step, latch_pin, "streak {streak}");
+            assert_eq!(pin(&latched), latched_pin, "streak {streak}");
+
+            let mut resumed = ConvergenceMonitor::new(streak);
+            resumed.restore(&pre_gate).unwrap();
+            for &(step, value, certified) in &feed[40..] {
+                resumed.observe(step, value, certified);
+            }
+            assert_eq!(resumed.converged(), Some((step, diagnostics)));
+            assert_eq!(resumed.encode(), latched);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   time-series summaries for simulation output;
 //! * [`convergence`] — streaming convergence detection for the adaptive
 //!   experiment engine: single-pass Welford/τ_int/ESS/split-R̂ estimators
-//!   and composable [`StoppingRule`]s whose decision state serializes
+//!   and the one [`ConvergenceMonitor`], whose decision state serializes
 //!   into checkpoints, so resumed runs make bit-identical stop decisions;
 //! * [`telemetry`] — step-level observability: typed per-step outcome
 //!   classification ([`ClassifiedChain`]), an [`Instrumented`] wrapper
@@ -74,13 +74,10 @@ pub mod vfs;
 pub use cancel::CancelToken;
 pub use chain::MarkovChain;
 pub use checkpoint::{
-    fnv1a64, Auditable, AuxCodec, Checkpoint, CheckpointError, CheckpointStore, Recovery,
-    SnapshotRng, StateCodec,
+    fnv1a64, Auditable, Checkpoint, CheckpointError, CheckpointStore, Recovery, SnapshotRng,
+    StateCodec,
 };
-pub use convergence::{
-    r_hat, CertificateRule, ConvergenceMonitor, Diagnostics, EssRule, PlateauRule, RHatRule,
-    StoppingRule, StreamingAcf,
-};
+pub use convergence::{r_hat, ConvergenceMonitor, Diagnostics, StreamingAcf};
 pub use exact::{EnumerableChain, TransitionMatrix};
 pub use metropolis::{PowerRatio, PowerTable, POWER_TABLE_EXPONENT_MAX};
 pub use recovery::{

@@ -82,18 +82,18 @@ pub trait SupervisedHooks<S> {
         Vec::new()
     }
 
-    /// Restores sidecar state from a snapshot taken at `step`, on resume
-    /// and after every rollback; `state` is the state restored with it.
-    /// Empty bytes mean the snapshot carried no sidecar (legacy or
-    /// non-adaptive): reset, don't fail. A hook whose history lives outside
-    /// the sidecar can rebuild it from `state`.
+    /// Restores sidecar state from a snapshot, on resume and after every
+    /// rollback; `state` is the state restored with it. Empty bytes mean
+    /// the snapshot carried no sidecar (legacy or non-adaptive): reset,
+    /// don't fail. A hook whose history lives outside the sidecar can
+    /// rebuild it from `state`.
     ///
     /// # Errors
     ///
     /// Returns a description when non-empty bytes are malformed; the run
     /// surfaces it as a corrupt checkpoint.
-    fn restore_aux(&mut self, step: u64, state: &S, bytes: &[u8]) -> Result<(), String> {
-        let _ = (step, state, bytes);
+    fn restore_aux(&mut self, state: &S, bytes: &[u8]) -> Result<(), String> {
+        let _ = (state, bytes);
         Ok(())
     }
 }
@@ -491,9 +491,7 @@ where
         if let Some(ckpt) = rec.checkpoint.filter(|c| c.step <= opts.steps) {
             *state = ckpt.state;
             rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
-            hooks
-                .restore_aux(ckpt.step, state, &ckpt.aux)
-                .map_err(corrupt)?;
+            hooks.restore_aux(state, &ckpt.aux).map_err(corrupt)?;
             (run.steps, run.accepted) = (ckpt.step, ckpt.accepted);
             run.resumed_from = Some(ckpt.step);
             run.last_durable_step = run.resumed_from;
@@ -584,9 +582,7 @@ where
                         // The sidecar rolls back with the state, so the
                         // replayed span feeds the hooks the same stream a
                         // fault-free run would have.
-                        hooks
-                            .restore_aux(ckpt.step, state, &ckpt.aux)
-                            .map_err(corrupt)?;
+                        hooks.restore_aux(state, &ckpt.aux).map_err(corrupt)?;
                         run.accepted = ckpt.accepted;
                         run.last_durable_step = Some(ckpt.step);
                         ckpt.step
@@ -594,9 +590,7 @@ where
                     None => {
                         *state = C::State::decode_state(&entry.state).map_err(corrupt)?;
                         rng.restore_rng_state(&entry.rng_state).map_err(corrupt)?;
-                        hooks
-                            .restore_aux(entry.step, state, &entry.aux)
-                            .map_err(corrupt)?;
+                        hooks.restore_aux(state, &entry.aux).map_err(corrupt)?;
                         run.accepted = entry.accepted;
                         entry.step
                     }

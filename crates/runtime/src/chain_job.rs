@@ -19,9 +19,9 @@ use std::ops::ControlFlow;
 
 use rand::Rng;
 use sops_chains::{
-    run_supervised_hooked, Auditable, AuxCodec, CheckpointError, CheckpointStore,
-    ConvergenceMonitor, Diagnostics, MarkovChain, Repairable, SnapshotRng, StateCodec,
-    SupervisedHooks, SupervisedOptions, SupervisedRun,
+    run_supervised_hooked, Auditable, CheckpointError, CheckpointStore, ConvergenceMonitor,
+    Diagnostics, MarkovChain, Repairable, SnapshotRng, StateCodec, SupervisedHooks,
+    SupervisedOptions, SupervisedRun,
 };
 
 use crate::error::{DegradeReason, JobError};
@@ -105,7 +105,7 @@ where
 /// trips and cancellations).
 #[derive(Clone, Debug, PartialEq)]
 pub enum StopReason {
-    /// Every gating stopping rule held: the chain is statistically
+    /// Every test of the monitor held: the chain is statistically
     /// converged and the rest of the step budget was left unspent.
     Converged {
         /// Step count at which the monitor latched its decision.
@@ -119,7 +119,7 @@ pub enum StopReason {
 /// Runs a chain job like [`run_chain`], but under a
 /// [`ConvergenceMonitor`]: after every chunk, before the caller's
 /// `on_chunk`, the monitor observes `sample(state)` and `certify(state)`,
-/// and once its stopping rules all hold the job ends early with `Ok`
+/// and once its tests all hold the job ends early with `Ok`
 /// status, a [`RuntimeEvent::Converged`] on the context, and
 /// [`StopReason::Converged`] in the returned pair. `sample` is also the
 /// run's observable.
@@ -141,9 +141,9 @@ pub enum StopReason {
 /// an uninterrupted run never certifies step 0.)
 ///
 /// The monitor is borrowed rather than constructed here so callers
-/// choose the rule stack; build a fresh monitor per attempt — retries
-/// resume it from the store's sidecar (with a store) or must start clean
-/// (storeless).
+/// choose its certificate streak; build a fresh monitor per attempt —
+/// retries resume it from the store's sidecar (with a store) or must
+/// start clean (storeless).
 ///
 /// # Errors
 ///
@@ -224,14 +224,14 @@ where
     fn encode_aux(&self) -> Vec<u8> {
         self.monitor
             .as_deref()
-            .map_or_else(Vec::new, AuxCodec::encode_aux)
+            .map_or_else(Vec::new, ConvergenceMonitor::encode)
     }
 
-    fn restore_aux(&mut self, step: u64, state: &S, bytes: &[u8]) -> Result<(), String> {
+    fn restore_aux(&mut self, state: &S, bytes: &[u8]) -> Result<(), String> {
         match self.monitor.as_deref_mut() {
             Some(monitor) => {
                 let _ = (self.certify)(state);
-                monitor.restore_aux(step, bytes)
+                monitor.restore(bytes)
             }
             None => Ok(()),
         }
@@ -542,14 +542,6 @@ mod tests {
         assert_eq!(rec.checkpoint.unwrap().step, 4_000);
     }
 
-    /// A monitor stack tuned for the frozen `Frozen` chain below: plateau
-    /// plus certificate, gating after a handful of samples.
-    fn tight_monitor() -> ConvergenceMonitor {
-        ConvergenceMonitor::new(6)
-            .with_rule(Box::new(sops_chains::PlateauRule::new(3, 0.05)))
-            .with_rule(Box::new(sops_chains::CertificateRule::new(2)))
-    }
-
     /// A chain that stops moving after 5000 accepted steps, so its
     /// observable plateaus and the separation certificate holds.
     struct Freezes;
@@ -584,7 +576,7 @@ mod tests {
                 store: None,
                 audit_every: None,
             };
-            let mut monitor = tight_monitor();
+            let mut monitor = ConvergenceMonitor::new(2);
             let (run, stop) = run_chain_monitored(
                 ctx,
                 &Freezes,
@@ -624,7 +616,7 @@ mod tests {
                     store: Some(&store),
                     audit_every: None,
                 };
-                let mut monitor = tight_monitor();
+                let mut monitor = ConvergenceMonitor::new(2);
                 let (_, stop) = run_chain_monitored(
                     ctx,
                     &Freezes,
@@ -655,8 +647,8 @@ mod tests {
         let ckpt = store.recover::<Counter>().unwrap().checkpoint.unwrap();
         assert_eq!(ckpt.step, stop - 1_000);
         assert!(!ckpt.aux.is_empty(), "aux sidecar persisted");
-        let mut restored = tight_monitor();
-        restored.restore_aux(ckpt.step, &ckpt.aux).unwrap();
+        let mut restored = ConvergenceMonitor::new(2);
+        restored.restore(&ckpt.aux).unwrap();
         assert!(restored.converged().is_none());
         // Run on the finished store, the job replays the stopping chunk and
         // latches at the same step.
@@ -897,7 +889,7 @@ mod tests {
             let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(13);
             let job = ChainJob {
-                steps: 40_000,
+                steps: 100_000,
                 every: 1_000,
                 store,
                 audit_every: Some(1_000),
@@ -909,7 +901,7 @@ mod tests {
                     &mut state,
                     &mut rng,
                     job,
-                    &mut tight_monitor(),
+                    &mut ConvergenceMonitor::new(2),
                     |s| s.x as f64,
                     |s| s.x >= 5_000,
                     |_, _| ControlFlow::Continue(()),
@@ -951,7 +943,7 @@ mod tests {
             // The monitored job stops on convergence, the plain one runs
             // its whole budget.
             assert_eq!(storeless.5.is_some(), monitored);
-            assert_eq!(storeless.2 < 40_000, monitored);
+            assert_eq!(storeless.2 < 100_000, monitored);
         }
     }
 }

@@ -51,7 +51,7 @@ pub enum RuntimeEvent {
     /// The convergence monitor latched a stop decision and the job ended
     /// early with its budget unspent.
     Converged {
-        /// Step count at which the stopping rules all held.
+        /// Step count at which the monitor's tests all held.
         step: u64,
         /// The monitor's diagnostics snapshot at decision time, pre-
         /// rendered as a JSON object (kept as a string so the event stays

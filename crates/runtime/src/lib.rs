@@ -33,7 +33,7 @@
 //!   checks either way;
 //! * [`run_chain_monitored`] — the same loop under a
 //!   [`ConvergenceMonitor`]: stops early with
-//!   [`StopReason::Converged`] once the stopping rules hold, and
+//!   [`StopReason::Converged`] once the monitor's tests hold, and
 //!   serializes the monitor's decision state into the checkpoint sidecar
 //!   so resumed runs replay to bit-identical stop decisions.
 //!
@@ -75,7 +75,5 @@ pub use sops_chains::{
 };
 
 // The convergence engine, re-exported for the same reason: sweep bins
-// build their monitor rule stacks against `sops-runtime` alone.
-pub use sops_chains::{
-    CertificateRule, ConvergenceMonitor, Diagnostics, EssRule, PlateauRule, RHatRule, StoppingRule,
-};
+// build their monitors against `sops-runtime` alone.
+pub use sops_chains::{ConvergenceMonitor, Diagnostics};

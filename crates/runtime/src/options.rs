@@ -44,7 +44,7 @@ pub struct SweepOptions {
     /// The resource envelope every cell runs within.
     pub budget: ResourceBudget,
     /// Whether to run cells under the adaptive convergence engine
-    /// (`--adaptive`): streaming stopping rules end a cell as soon as its
+    /// (`--adaptive`): a streaming convergence monitor ends a cell once its
     /// observable has demonstrably settled instead of burning the full
     /// step budget, and convergence diagnostics land in the cells report.
     pub adaptive: bool,
@@ -72,14 +72,20 @@ impl Default for SweepOptions {
 
 impl SweepOptions {
     /// Parses the process arguments. Unknown flags are reported to stderr
-    /// and ignored, so binaries stay usable from wrapper scripts that pass
-    /// extra context. A rejected value or combination (see
-    /// `SweepOptions::try_parse`) prints the typed error and exits with
-    /// status 2 — a sweep that could never produce a result must not start.
+    /// (one line each, with the value that follows one) and ignored, so
+    /// binaries stay usable from wrapper scripts that pass extra context.
+    /// A rejected value or combination (see `SweepOptions::try_parse`)
+    /// prints the typed error and exits with status 2 — a sweep that could
+    /// never produce a result must not start.
     #[must_use]
     pub fn from_args() -> Self {
         let mut opts = match Self::try_parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
+            Ok((opts, ignored)) => {
+                for arg in ignored {
+                    eprintln!("ignoring unknown flag {arg:?}");
+                }
+                opts
+            }
             Err(e) => {
                 eprintln!("invalid configuration ({}): {e}", e.code());
                 std::process::exit(2);
@@ -97,14 +103,19 @@ impl SweepOptions {
     /// and nonsensical budget combinations with a typed [`ConfigError`]
     /// instead of letting them pass through silently: `--deadline-ms 0`
     /// and `--retries N` with `--max-rollbacks 0` are configuration bugs,
-    /// not requests. Unknown flags are still reported to stderr and
-    /// ignored. Combination checks run after the whole list is consumed,
-    /// so flag order never matters.
+    /// not requests. Unknown arguments are ignored and returned, for the
+    /// caller to report. No sweep bin takes positional arguments, so a
+    /// token after an unknown `--flag` that does not start with `-` is
+    /// that flag's value, and is returned with it (`"--flag value"`).
+    /// Combination checks run after the whole list is consumed, so flag
+    /// order never matters.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] encountered.
-    pub(crate) fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, ConfigError> {
+    pub(crate) fn try_parse(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), ConfigError> {
         fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ConfigError> {
             value.parse().map_err(|_| ConfigError::InvalidValue {
                 flag: flag.to_string(),
@@ -112,7 +123,8 @@ impl SweepOptions {
             })
         }
         let mut opts = SweepOptions::default();
-        let mut args = args.into_iter();
+        let mut ignored = Vec::new();
+        let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
             let mut take_value = |flag: &str| {
                 args.next().ok_or_else(|| ConfigError::MissingValue {
@@ -157,16 +169,26 @@ impl SweepOptions {
                 "--adaptive" => opts.adaptive = true,
                 "--smoke" => opts.smoke = true,
                 "--no-telemetry" => opts.telemetry = false,
-                other => eprintln!("ignoring unknown flag {other:?}"),
+                other => {
+                    let value = if other.starts_with("--") {
+                        args.next_if(|v| !v.starts_with('-'))
+                    } else {
+                        None
+                    };
+                    ignored.push(match value {
+                        Some(value) => format!("{other} {value}"),
+                        None => other.to_string(),
+                    });
+                }
             }
         }
         opts.budget.validate()?;
-        Ok(opts)
+        Ok((opts, ignored))
     }
 
     #[cfg(test)]
     pub(crate) fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        Self::try_parse(args).expect("valid test flags")
+        Self::try_parse(args).expect("valid test flags").0
     }
 
     /// Opens the checkpoint store for one named sweep cell, or `None` when
@@ -288,7 +310,16 @@ mod tests {
     }
 
     fn try_parse(args: &[&str]) -> Result<SweepOptions, ConfigError> {
-        SweepOptions::try_parse(args.iter().map(|s| (*s).to_string()))
+        SweepOptions::try_parse(args.iter().map(|s| (*s).to_string())).map(|(opts, _)| opts)
+    }
+
+    #[test]
+    fn try_parse_ignores_an_unknown_flag_with_its_value() {
+        let (opts, ignored) =
+            SweepOptions::try_parse(["--memory-mb", "0", "--quick", "--resume"].map(String::from))
+                .unwrap();
+        assert!(opts.resume);
+        assert_eq!(ignored, ["--memory-mb 0", "--quick"]);
     }
 
     #[test]
