@@ -11,8 +11,9 @@
 //! `--deadline-ms`/`--max-steps` budget flags degrade the sweep gracefully
 //! instead of wedging it. Per-cell outcomes land in
 //! `results/ablate_swaps-cells.json`; each arm additionally streams step
-//! telemetry to `results/logs/ablate_swaps-*.telemetry.jsonl` unless
-//! `--no-telemetry` is passed — the outcome counters there show *why* the
+//! telemetry to `results/logs/ablate_swaps-*.telemetry.jsonl` (in
+//! `target/smoke-logs/` in smoke mode) unless `--no-telemetry` is
+//! passed — the outcome counters there show *why* the
 //! no-swap arm is slower (its `target_occupied_hold` count replaces the
 //! swap outcomes entirely).
 
@@ -72,7 +73,7 @@ fn time_to_separation(
     };
     let mut telemetry = CellTelemetry::new(
         opts,
-        sops_bench::logs_dir(),
+        sops_bench::telemetry_dir(opts),
         "ablate_swaps",
         &cell,
         manifest,

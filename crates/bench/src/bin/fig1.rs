@@ -7,7 +7,8 @@
 //! stateless, so only the retry/deadline supervision applies here. The
 //! cell outcome is recorded in `results/fig1-cells.json`, and a minimal
 //! telemetry stream (manifest + one render event) lands in
-//! `results/logs/fig1-fig1.telemetry.jsonl`.
+//! `results/logs/fig1-fig1.telemetry.jsonl` (in `target/smoke-logs/` in
+//! smoke mode).
 
 use std::fmt::Write as _;
 
@@ -148,10 +149,13 @@ fn main() {
             n: 0,
             steps: 0,
         };
-        if let Some(mut sink) =
-            rt.options()
-                .telemetry_sink(&sops_bench::logs_dir(), "fig1", "fig1", &manifest, None)?
-        {
+        if let Some(mut sink) = rt.options().telemetry_sink(
+            &sops_bench::telemetry_dir(rt.options()),
+            "fig1",
+            "fig1",
+            &manifest,
+            None,
+        )? {
             sink.record_line(&format!(
                 "{{\"kind\":\"event\",\"event\":\"rendered\",\"svg_bytes\":{}}}",
                 svg.len()

@@ -145,7 +145,8 @@ fn phase_cell(
     };
     sops_bench::log_recovery(&cell.to_string(), &run);
 
-    if svg {
+    // A cell cut short by its budget is not the picture of its phase.
+    if svg && ctx.degraded().is_none() {
         sops_bench::save(
             &format!("fig3_l{lambda}_g{gamma:.3}.svg"),
             &render::svg(&config),
@@ -230,8 +231,12 @@ fn boundary_pairs(results: &[CellResult]) -> Vec<BoundaryPair> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rt = Runtime::from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
+    // `--quick` is this bin's own flag; the runtime parses the rest.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let rt = Runtime::new(SweepOptions::from_arg_list(
+        args.into_iter().filter(|a| a != "--quick"),
+    ));
     let iterations: u64 = if rt.options().smoke {
         500_000
     } else if quick {

@@ -19,8 +19,8 @@
 //! reasons) are recorded in `results/mixing-cells.json`, and each cell
 //! streams step telemetry (outcome counters, acceptance windows, perimeter
 //! and hetero-edge series, runtime events) to
-//! `results/logs/mixing-n-N.telemetry.jsonl` unless `--no-telemetry` is
-//! passed.
+//! `results/logs/mixing-n-N.telemetry.jsonl` (in `target/smoke-logs/` in
+//! smoke mode) unless `--no-telemetry` is passed.
 //!
 //! With `--adaptive` the hitting loop runs under the convergence engine
 //! instead of breaking at the first certificate: each cell stops once the
@@ -84,7 +84,7 @@ fn hitting_cell(
     };
     let mut telemetry = CellTelemetry::new(
         opts,
-        sops_bench::logs_dir(),
+        sops_bench::telemetry_dir(opts),
         "mixing",
         &cell,
         manifest,

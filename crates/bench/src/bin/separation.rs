@@ -14,8 +14,8 @@
 //! averages instead of wedging it. Per-cell outcomes are recorded in
 //! `results/separation-cells.json`, and each γ-cell streams step telemetry
 //! (outcome counters, acceptance windows, observable series, runtime
-//! events) to `results/logs/separation-gamma-G.telemetry.jsonl` unless
-//! `--no-telemetry` is passed.
+//! events) to `results/logs/separation-gamma-G.telemetry.jsonl` (in
+//! `target/smoke-logs/` in smoke mode) unless `--no-telemetry` is passed.
 
 use std::ops::ControlFlow;
 
@@ -86,7 +86,7 @@ fn sweep_cell(
         steps: BURN_IN + SAMPLES as u64 * SAMPLE_GAP,
     };
     let mut sink = opts.telemetry_sink(
-        &sops_bench::logs_dir(),
+        &sops_bench::telemetry_dir(opts),
         "separation",
         &cell,
         &manifest,

@@ -285,6 +285,24 @@ pub fn logs_dir() -> PathBuf {
     dir
 }
 
+/// Where a sweep bin writes its JSONL telemetry streams: [`logs_dir`],
+/// or, in smoke mode, `target/smoke-logs/` under the workspace root, which
+/// git ignores. A smoke run's streams are no committed result, and their
+/// wall-clock fields differ from run to run.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be created.
+#[must_use]
+pub fn telemetry_dir(opts: &SweepOptions) -> PathBuf {
+    if !opts.smoke {
+        return logs_dir();
+    }
+    let dir = workspace_root().join("target").join("smoke-logs");
+    std::fs::create_dir_all(&dir).expect("cannot create target/smoke-logs directory");
+    dir
+}
+
 /// The workspace root directory (where `Cargo.toml`, `BENCH_chain.json`,
 /// and the top-level docs live).
 #[must_use]
@@ -369,6 +387,18 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("perimeter"));
         assert!(lines[3].ends_with("38"));
+    }
+
+    #[test]
+    fn smoke_runs_stream_telemetry_outside_the_committed_results() {
+        assert_eq!(telemetry_dir(&SweepOptions::default()), logs_dir());
+        let smoke = SweepOptions {
+            smoke: true,
+            ..SweepOptions::default()
+        };
+        let dir = telemetry_dir(&smoke);
+        assert!(dir.ends_with("target/smoke-logs"), "{}", dir.display());
+        assert!(!dir.starts_with(out_dir()), "{}", dir.display());
     }
 
     #[test]

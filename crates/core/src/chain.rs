@@ -738,6 +738,7 @@ impl ClassifiedChain for CompressionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TestIndex;
     use crate::enumerate::ExactSeparationChain;
     use crate::{construct, CanonicalForm, Color};
     use rand::rngs::StdRng;
@@ -1312,14 +1313,26 @@ mod tests {
         assert_eq!(ref_config.color_at(Node::new(1, 0)), Some(Color::C2));
     }
 
+    /// The node indexes of the edge-band tests: borders of 0–3 cells, the
+    /// 0-cell border on the wide index plane, and a map.
+    const EDGE_BAND_INDEXES: [TestIndex; 6] = [
+        TestIndex::Raster(0),
+        TestIndex::Raster(1),
+        TestIndex::Raster(2),
+        TestIndex::Raster(3),
+        TestIndex::WideRaster(0),
+        TestIndex::Map,
+    ];
+
     #[test]
     fn fused_kernel_matches_reference_in_the_edge_band_and_without_a_raster() {
         // Every other equivalence state sits a full margin inside its
         // raster, where only the flat-offset path runs. Here the border is
         // 0–3 cells, so particles on the bounding box sit in the 2-cell
         // edge band (per-node probes; outward moves rebuild the raster)
-        // next to particles on the flat path, or there is no raster at all.
-        // Every proposal, under forced-accept and forced-reject draws.
+        // next to particles on the flat path, on either index plane, or
+        // there is no raster at all. Every proposal, under forced-accept
+        // and forced-reject draws.
         let mut rng = StdRng::seed_from_u64(8);
         let nodes = construct::random_blob(40, &mut rng);
         let base = Configuration::new(construct::bicolor_random(nodes, 20, &mut rng)).unwrap();
@@ -1329,10 +1342,10 @@ mod tests {
             SeparationChain::new(Bias::new(0.5, 2.0).unwrap()),
         ];
         let (mut flat, mut per_node) = (0, 0);
-        for margin in [Some(0), Some(1), Some(2), Some(3), None] {
+        for index in EDGE_BAND_INDEXES {
             let mut config = base.clone();
-            config.reraster_for_test(margin);
-            assert_eq!(config.raster().is_some(), margin.is_some());
+            config.reraster_for_test(index);
+            assert_eq!(config.is_rasterized(), !matches!(index, TestIndex::Map));
             for p in 0..config.len() {
                 let from = config.position_of(p);
                 match config.raster().and_then(|g| g.interior_index(from)) {
@@ -1346,7 +1359,7 @@ mod tests {
                             let mut reference = config.clone();
                             let mut fused_rng = ScriptedRng(vec![draw]);
                             let mut ref_rng = ScriptedRng(vec![draw]);
-                            let at = format!("margin {margin:?}, particle {p}, {dir}, draw {draw}");
+                            let at = format!("{index:?}, particle {p}, {dir}, draw {draw}");
                             let outcome = chain.propose(&mut fused, p, dir, &mut fused_rng);
                             let expected =
                                 chain.propose_reference(&mut reference, p, dir, &mut ref_rng);
@@ -1446,11 +1459,11 @@ mod tests {
             SeparationChain::new(Bias::new(0.5, 2.0).unwrap()),
         ];
         let mut rebuilt = 0;
-        for margin in [Some(0), Some(1), Some(2), Some(3), None] {
+        for index in EDGE_BAND_INDEXES {
             for (k, chain) in chains.iter().enumerate() {
                 let mut config = base.clone();
-                config.reraster_for_test(margin);
-                let at = format!("margin {margin:?}, chain {k}");
+                config.reraster_for_test(index);
+                let at = format!("{index:?}, chain {k}");
                 let mut step_config = config.clone();
                 let mut run_rng = StdRng::seed_from_u64(60 + k as u64);
                 let mut step_rng = run_rng.clone();
@@ -1489,12 +1502,12 @@ mod tests {
 
     /// Chain `M` as the kernel implements it on one kind of node index, on
     /// the state space of an [`ExactSeparationChain`]: every state is
-    /// re-indexed by [`Configuration::reraster_for_test`] with `index` (a
-    /// raster with that border, or a map for `None`), and every transition
-    /// probability is read off [`SeparationChain::propose`] alone.
+    /// re-indexed by [`Configuration::reraster_for_test`] with `index`, and
+    /// every transition probability is read off [`SeparationChain::propose`]
+    /// alone.
     struct KernelLaw {
         exact: ExactSeparationChain,
-        index: Option<i64>,
+        index: TestIndex,
     }
 
     impl KernelLaw {
@@ -1567,13 +1580,23 @@ mod tests {
     #[test]
     fn fused_kernel_law_is_the_exact_chain_on_every_small_bicolored_space() {
         // On every node index the kernel can hold: the 4-cell border a new
-        // raster gets (the interior flat-offset path), borders of 0–3 cells
-        // (particles in the edge band take the per-node probes, and outward
-        // moves rebuild the raster), and a map. Release builds cover n ≤ 5;
-        // debug builds, which also run the kernel's internal assertions,
-        // stop at n ≤ 4.
+        // raster gets (the interior flat-offset path), on the narrow index
+        // plane every state here is built with and on the wide one, borders
+        // of 0–3 cells (particles in the edge band take the per-node
+        // probes, and outward moves rebuild the raster), and a map. Release
+        // builds cover n ≤ 5; debug builds, which also run the kernel's
+        // internal assertions, stop at n ≤ 4.
         let max_n = if cfg!(debug_assertions) { 4 } else { 5 };
-        let indexes = [Some(4), Some(0), Some(1), Some(2), Some(3), None];
+        let indexes = [
+            TestIndex::Raster(4),
+            TestIndex::WideRaster(4),
+            TestIndex::Raster(0),
+            TestIndex::Raster(1),
+            TestIndex::Raster(2),
+            TestIndex::Raster(3),
+            TestIndex::WideRaster(0),
+            TestIndex::Map,
+        ];
         for (lambda, gamma) in [(2.0, 3.0), (4.0, 0.7), (1.1, 0.9)] {
             let bias = Bias::new(lambda, gamma).unwrap();
             for chain in [
@@ -1588,7 +1611,7 @@ mod tests {
                         let pi = exact.lemma9_distribution(reference.states());
                         for index in indexes {
                             let at = format!(
-                                "λ={lambda} γ={gamma} swaps={swaps} n={n} n1={n1} index {index:?}"
+                                "λ={lambda} γ={gamma} swaps={swaps} n={n} n1={n1} {index:?}"
                             );
                             let kernel = TransitionMatrix::build(&KernelLaw {
                                 exact: exact.clone(),

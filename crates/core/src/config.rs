@@ -32,7 +32,8 @@ struct Slot {
 /// A configuration's node index: exactly one of the raster and the map.
 #[derive(Clone)]
 enum NodeIndex {
-    /// The two-plane raster of [`crate::grid`].
+    /// The two-plane raster of [`crate::grid`]: two bytes a cell up to 255
+    /// particles (a one-byte index plane), three up to 65,535.
     Raster(ColorGrid),
     /// The index of a system whose raster would exceed the cell cap, that
     /// holds more than 65,535 particles, or that holds the unencodable
@@ -1271,18 +1272,40 @@ impl Configuration {
         self.hetero = hetero;
     }
 
-    /// Test-only: re-rasterizes with a `margin`-cell border (particles on
-    /// the bounding box then sit in the raster's edge band), or indexes the
-    /// configuration by a map for `None`, so the kernel's per-node and map
-    /// fallbacks run.
-    pub(crate) fn reraster_for_test(&mut self, margin: Option<i64>) {
-        let grid =
-            margin.and_then(|m| ColorGrid::build_with_margin(&self.positions, &self.colors, m));
+    /// Test-only: re-indexes the configuration by `index`, so the kernel's
+    /// per-node and map fallbacks and the wide index plane run on any
+    /// system.
+    pub(crate) fn reraster_for_test(&mut self, index: TestIndex) {
+        let grid = match index {
+            TestIndex::Raster(margin) => {
+                ColorGrid::build_with_margin(&self.positions, &self.colors, margin)
+            }
+            TestIndex::WideRaster(margin) => {
+                ColorGrid::build_with_margin(&self.positions, &self.colors, margin)
+                    .map(ColorGrid::widened)
+            }
+            TestIndex::Map => None,
+        };
         self.index = match grid {
             Some(grid) => NodeIndex::Raster(grid),
             None => NodeIndex::Map(map_index(&self.positions, &self.colors).0),
         };
     }
+}
+
+/// A node index [`Configuration::reraster_for_test`] can put on a
+/// configuration.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum TestIndex {
+    /// A raster with a border of this many cells, its index plane as
+    /// narrow as the particle count allows. With a border under 2 cells,
+    /// particles on the bounding box sit in the raster's edge band.
+    Raster(i64),
+    /// The same raster with the wide (`u16`) index plane.
+    WideRaster(i64),
+    /// A map.
+    Map,
 }
 
 impl fmt::Debug for Configuration {
@@ -1658,9 +1681,24 @@ mod tests {
 
     /// The configuration re-indexed by a map.
     fn mapped(mut c: Configuration) -> Configuration {
-        c.reraster_for_test(None);
+        c.reraster_for_test(TestIndex::Map);
         assert!(!c.is_rasterized());
         c
+    }
+
+    /// The configuration re-rasterized with the wide index plane and the
+    /// border of a new raster.
+    fn widened(mut c: Configuration) -> Configuration {
+        c.reraster_for_test(TestIndex::WideRaster(MARGIN_CELLS.into()));
+        assert_eq!(c.raster().map(ColorGrid::index_entry_bytes), Some(2));
+        c
+    }
+
+    /// `tri()` on each index-plane width: as built (narrow), and widened.
+    fn tris() -> [Configuration; 2] {
+        let narrow = tri();
+        assert_eq!(narrow.raster().map(ColorGrid::index_entry_bytes), Some(1));
+        [narrow, widened(tri())]
     }
 
     fn raster(c: &mut Configuration) -> &mut ColorGrid {
@@ -1737,7 +1775,8 @@ mod tests {
 
     #[test]
     fn audit_detects_occupancy_desync() {
-        for mut c in [tri(), mapped(tri())] {
+        let [narrow, wide] = tris();
+        for mut c in [narrow, wide, mapped(tri())] {
             // Corrupt the position table behind the index's back.
             c.positions.swap(0, 1);
             let report = c.audit();
@@ -1875,17 +1914,17 @@ mod tests {
                 |g| *g.code_mut(Node::new(1, 1)) = grid::encode(Color::C2),
                 1,
             ),
-            ("stale index", |g| *g.owner_mut(Node::new(1, 1)) = 3, 1),
+            ("stale index", |g| g.set_owner(Node::new(1, 1), Some(2)), 1),
             // Cleared: a particle's cell, and so the plane's count.
             ("cleared color", |g| *g.code_mut(Node::new(0, 1)) = 0, 2),
-            ("cleared index", |g| *g.owner_mut(Node::new(0, 1)) = 0, 2),
+            ("cleared index", |g| g.set_owner(Node::new(0, 1), None), 2),
             // Wrong: another color, another particle.
             (
                 "wrong color",
                 |g| *g.code_mut(Node::new(1, 0)) = grid::encode(Color::C3),
                 1,
             ),
-            ("wrong index", |g| *g.owner_mut(Node::new(1, 0)) = 3, 1),
+            ("wrong index", |g| g.set_owner(Node::new(1, 0), Some(2)), 1),
             // Stale cells in the border, outside the particles' box: a
             // whole phantom particle, in both planes.
             (
@@ -1897,38 +1936,40 @@ mod tests {
             ("vacated cell", |g| g.vacate(Node::new(1, 0)), 4),
         ];
         for (what, corrupt, findings) in cases {
-            let mut c = tri();
-            corrupt(raster(&mut c));
-            let report = assert_desync_audit(&c, &[]);
-            assert_eq!(report.violations.len(), findings, "{what}");
-            assert_eq!(report.holes, 0, "{what}");
+            for mut c in tris() {
+                corrupt(raster(&mut c));
+                let report = assert_desync_audit(&c, &[]);
+                assert_eq!(report.violations.len(), findings, "{what}");
+                assert_eq!(report.holes, 0, "{what}");
+            }
         }
 
-        // Table findings and plane findings at once: the swapped table puts
-        // particles 0 and 1 on each other's index cells, and particle 2's
-        // cleared color cell adds its own two.
-        let mut c = tri();
-        c.positions.swap(0, 1);
-        *raster(&mut c).code_mut(Node::new(0, 1)) = 0;
-        assert_eq!(assert_desync_audit(&c, &[]).violations.len(), 4);
+        for mut c in tris() {
+            // Table findings and plane findings at once: the swapped table
+            // puts particles 0 and 1 on each other's index cells, and
+            // particle 2's cleared color cell adds its own two.
+            let mut swapped = c.clone();
+            swapped.positions.swap(0, 1);
+            *raster(&mut swapped).code_mut(Node::new(0, 1)) = 0;
+            assert_eq!(assert_desync_audit(&swapped, &[]).violations.len(), 4);
 
-        // A table entry outside the raster, with the counts that follow.
-        let mut c = tri();
-        c.positions[2] = Node::new(40, 40);
-        assert_desync_audit(
-            &c,
-            &[
-                AuditViolation::EdgeCountDrift {
-                    tracked: 3,
-                    recomputed: 1,
-                },
-                AuditViolation::HeteroCountDrift {
-                    tracked: 2,
-                    recomputed: 0,
-                },
-                AuditViolation::Disconnected,
-            ],
-        );
+            // A table entry outside the raster, with the counts that follow.
+            c.positions[2] = Node::new(40, 40);
+            assert_desync_audit(
+                &c,
+                &[
+                    AuditViolation::EdgeCountDrift {
+                        tracked: 3,
+                        recomputed: 1,
+                    },
+                    AuditViolation::HeteroCountDrift {
+                        tracked: 2,
+                        recomputed: 0,
+                    },
+                    AuditViolation::Disconnected,
+                ],
+            );
+        }
     }
 
     /// Cells a new raster keeps around the bounding box.

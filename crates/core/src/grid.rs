@@ -14,16 +14,17 @@
 //! loads at flat offsets `dy·width + dx` the raster precomputes per
 //! direction whenever it is built.
 //!
-//! The raster has two planes over the same cells, three bytes a cell. The
-//! *color plane* (`u8`) is all the proposal kernel reads: cell `0` means
-//! unoccupied, cell `c > 0` a particle of color index `c − 1`. The *index
-//! plane* (`u16`) names the particle: `0` for unoccupied, `i + 1` for
-//! particle `i`, so a raster indexes at most [`MAX_PARTICLES`] particles. A
-//! cell is empty in both planes or occupied in both, and the occupied cells
-//! are in one-to-one correspondence with the particle table — the bijection
-//! [`crate::Configuration::audit`] checks. Colors get their own plane so
-//! that the probes keep one byte per cell: an expanded n = 1000 raster of
-//! packed `u32` cells would outgrow L1.
+//! The raster has two planes over the same cells. The *color plane* (`u8`)
+//! is all the proposal kernel reads: cell `0` means unoccupied, cell
+//! `c > 0` a particle of color index `c − 1`. The *index plane* names the
+//! particle: `0` for unoccupied, `i + 1` for particle `i`. Its entries are
+//! as narrow as the system allows: `u8` for at most 255 particles, `u16`
+//! up to [`MAX_PARTICLES`], so a cell costs two bytes up to 255 particles
+//! and three above. A cell is empty in both planes or occupied in both,
+//! and the occupied cells are in one-to-one correspondence with the
+//! particle table — the bijection [`crate::Configuration::audit`] checks.
+//! Colors get their own plane so that the probes keep one byte per cell:
+//! an expanded n = 1000 raster of packed `u32` cells would outgrow L1.
 //!
 //! A new raster covers the configuration's bounding box plus a
 //! [`MARGIN`]-cell border, so a particle must step `MARGIN + 1` cells
@@ -40,15 +41,16 @@ use sops_lattice::{ring_offsets, Direction, Node};
 use crate::config::bounding_box;
 use crate::Color;
 
-/// Hard cap on raster cells (three bytes each across the two planes, so
-/// 12 MiB at the cap): beyond this the raster costs more in memory traffic
-/// and clone time than its probes save, and the configuration is indexed
-/// by a map. [`crate::construct::random_blob`]'s membership window (one
-/// bit a cell) is capped by it too.
+/// Hard cap on raster cells (two bytes each across the two planes up to
+/// 255 particles, three above, so at most 12 MiB at the cap): beyond this
+/// the raster costs more in memory traffic and clone time than its probes
+/// save, and the configuration is indexed by a map.
+/// [`crate::construct::random_blob`]'s membership window (one bit a cell)
+/// is capped by it too.
 pub(crate) const MAX_CELLS: u64 = 1 << 22;
 
 /// The most particles a raster indexes: the largest entry `i + 1` its
-/// `u16` index plane holds. A larger system is indexed by a map.
+/// widest (`u16`) index plane holds. A larger system is indexed by a map.
 pub(crate) const MAX_PARTICLES: usize = u16::MAX as usize;
 
 /// Unoccupied border a new raster keeps around the bounding box. With
@@ -89,7 +91,57 @@ pub(crate) struct ColorGrid {
     /// The color plane: `0` or `color index + 1` per cell.
     cells: Vec<u8>,
     /// The index plane: `0` or `particle index + 1` per cell.
-    owners: Vec<u16>,
+    owners: IndexPlane,
+}
+
+/// The index plane, in the narrowest entry type that holds `n`, the
+/// largest entry of an `n`-particle system.
+#[derive(Clone, Debug)]
+enum IndexPlane {
+    /// One byte a cell, for at most 255 particles.
+    Narrow(Vec<u8>),
+    /// Two bytes a cell, for at most [`MAX_PARTICLES`] particles.
+    Wide(Vec<u16>),
+}
+
+impl IndexPlane {
+    /// An empty plane of `cells` cells for `n` particles; `None` when `n`
+    /// exceeds [`MAX_PARTICLES`].
+    fn for_particles(n: usize, cells: usize) -> Option<Self> {
+        if n <= usize::from(u8::MAX) {
+            Some(IndexPlane::Narrow(vec![0; cells]))
+        } else if n <= MAX_PARTICLES {
+            Some(IndexPlane::Wide(vec![0; cells]))
+        } else {
+            None
+        }
+    }
+
+    /// The particle the plane names at cell `i`, if any.
+    #[inline]
+    fn get(&self, i: usize) -> Option<u32> {
+        match self {
+            IndexPlane::Narrow(plane) => plane[i].checked_sub(1).map(u32::from),
+            IndexPlane::Wide(plane) => plane[i].checked_sub(1).map(u32::from),
+        }
+    }
+
+    /// Names `particle` at cell `i`, or empties the cell for `None`.
+    #[inline]
+    fn set(&mut self, i: usize, particle: Option<u32>) {
+        match self {
+            IndexPlane::Narrow(plane) => plane[i] = owner_entry(particle),
+            IndexPlane::Wide(plane) => plane[i] = owner_entry(particle),
+        }
+    }
+
+    /// Number of occupied cells.
+    fn count(&self) -> usize {
+        match self {
+            IndexPlane::Narrow(plane) => nonzero_cells(plane),
+            IndexPlane::Wide(plane) => plane.iter().filter(|&&o| o != 0).count(),
+        }
+    }
 }
 
 /// The cell encoding of an occupying color.
@@ -151,10 +203,7 @@ impl ColorGrid {
         margin: i64,
         keep_covering: Option<Extent>,
     ) -> Option<Self> {
-        if positions.is_empty()
-            || positions.len() > MAX_PARTICLES
-            || colors.iter().any(|c| c.index() == u8::MAX)
-        {
+        if positions.is_empty() || colors.iter().any(|c| c.index() == u8::MAX) {
             return None;
         }
         let (min_x, max_x, min_y, max_y) = bounding_box(positions.iter().copied());
@@ -181,6 +230,7 @@ impl ColorGrid {
             return None;
         }
         let cells = (width * height) as usize;
+        let owners = IndexPlane::for_particles(positions.len(), cells)?;
         Some(ColorGrid {
             min_x: min_x as i32,
             min_y: min_y as i32,
@@ -189,7 +239,7 @@ impl ColorGrid {
             margin,
             neighbor_offsets: neighbor_offsets(width as u32),
             cells: vec![0; cells],
-            owners: vec![0; cells],
+            owners,
         })
     }
 
@@ -202,11 +252,11 @@ impl ColorGrid {
             let cell = self
                 .index(node)
                 .expect("the raster covers its particles' bounding box");
-            if self.owners[cell] != 0 {
+            if self.owners.get(cell).is_some() {
                 duplicate.get_or_insert(node);
             }
             self.cells[cell] = encode(color);
-            self.owners[cell] = owner_entry(i);
+            self.owners.set(cell, Some(i));
         }
         duplicate.map_or(Ok(()), Err)
     }
@@ -295,27 +345,22 @@ impl ColorGrid {
     #[inline]
     pub(crate) fn particle(&self, node: Node) -> Option<(u32, u8)> {
         let i = self.index(node)?;
-        let (owner, code) = (self.owners[i], self.cells[i]);
-        (owner != 0 && code != 0).then(|| (u32::from(owner) - 1, code))
+        let (owner, code) = (self.owners.get(i)?, self.cells[i]);
+        (code != 0).then_some((owner, code))
     }
 
     /// The index plane at `node`: the particle there, if any.
     #[inline]
     pub(crate) fn owner(&self, node: Node) -> Option<u32> {
-        self.index(node).and_then(|i| self.owner_at(i))
+        self.index(node).and_then(|i| self.owners.get(i))
     }
 
     /// Both planes at `node` — the color plane's raw code and the index
     /// plane's particle — or `None` outside the raster.
     #[inline]
     pub(crate) fn planes(&self, node: Node) -> Option<(u8, Option<u32>)> {
-        self.index(node).map(|i| (self.cells[i], self.owner_at(i)))
-    }
-
-    /// The particle the index plane names at cell `i`, if any.
-    #[inline]
-    fn owner_at(&self, i: usize) -> Option<u32> {
-        self.owners[i].checked_sub(1).map(u32::from)
+        self.index(node)
+            .map(|i| (self.cells[i], self.owners.get(i)))
     }
 
     /// Places `particle`, of color code `code`, at `node` in both planes;
@@ -326,7 +371,7 @@ impl ColorGrid {
         match self.index(node) {
             Some(i) => {
                 self.cells[i] = code;
-                self.owners[i] = owner_entry(particle);
+                self.owners.set(i, Some(particle));
                 true
             }
             None => false,
@@ -339,27 +384,18 @@ impl ColorGrid {
     pub(crate) fn vacate(&mut self, node: Node) {
         if let Some(i) = self.index(node) {
             self.cells[i] = 0;
-            self.owners[i] = 0;
+            self.owners.set(i, None);
         }
     }
 
-    /// Number of occupied cells in the color plane, counted eight cells at
-    /// a time.
+    /// Number of occupied cells in the color plane.
     pub(crate) fn occupied_cells(&self) -> usize {
-        let words = self.cells.chunks_exact(8);
-        let tail = words.remainder().iter().filter(|&&c| c != 0).count();
-        words
-            .map(|w| {
-                let word = u64::from_le_bytes(w.try_into().expect("chunks are 8 bytes"));
-                nonzero_bytes(word).count_ones() as usize
-            })
-            .sum::<usize>()
-            + tail
+        nonzero_cells(&self.cells)
     }
 
     /// Number of occupied cells in the index plane.
     pub(crate) fn owned_cells(&self) -> usize {
-        self.owners.iter().filter(|&&o| o != 0).count()
+        self.owners.count()
     }
 
     /// `(e(σ), h(σ))` of the color plane, enumerated from the particles at
@@ -431,15 +467,37 @@ impl ColorGrid {
         &mut self.cells[i]
     }
 
-    /// The raw index-plane cell at `node` (`particle + 1`, or `0`).
+    /// Names `particle` at `node` in the index plane alone, or empties the
+    /// cell there for `None`, so tests can corrupt one plane.
     ///
     /// # Panics
     ///
-    /// Panics if `node` lies outside the raster.
+    /// Panics if `node` lies outside the raster, or if the plane's entry
+    /// type cannot hold `particle + 1`.
     #[cfg(test)]
-    pub(crate) fn owner_mut(&mut self, node: Node) -> &mut u16 {
+    pub(crate) fn set_owner(&mut self, node: Node, particle: Option<u32>) {
         let i = self.index(node).expect("node inside the raster");
-        &mut self.owners[i]
+        self.owners.set(i, particle);
+    }
+
+    /// Bytes an index-plane entry takes: 1 or 2.
+    #[cfg(test)]
+    pub(crate) fn index_entry_bytes(&self) -> usize {
+        match self.owners {
+            IndexPlane::Narrow(_) => 1,
+            IndexPlane::Wide(_) => 2,
+        }
+    }
+
+    /// This raster with its index plane widened to `u16` entries, whatever
+    /// its particle count, so tests can run the wide plane on small
+    /// systems.
+    #[cfg(test)]
+    pub(crate) fn widened(mut self) -> Self {
+        if let IndexPlane::Narrow(plane) = &self.owners {
+            self.owners = IndexPlane::Wide(plane.iter().map(|&o| u16::from(o)).collect());
+        }
+        self
     }
 
     /// The eight ring cell codes of the pair `{from, from + dir}`, in ring
@@ -521,17 +579,33 @@ impl ColorGrid {
 /// (`sops_lattice::FOOTPRINT_REACH`).
 const FLAT_REACH: u32 = sops_lattice::FOOTPRINT_REACH as u32;
 
-/// The index plane's entry for `particle`.
+/// The index plane's entry `particle + 1` in entry type `T`, or `0` for
+/// `None`.
 ///
 /// # Panics
 ///
-/// Panics if `particle` is [`MAX_PARTICLES`] or more, which no raster holds.
+/// Panics if `T` cannot hold `particle + 1`, which no particle of a raster
+/// whose plane [`IndexPlane::for_particles`] chose needs.
 #[inline]
-fn owner_entry(particle: u32) -> u16 {
-    u16::try_from(particle)
-        .ok()
-        .and_then(|p| p.checked_add(1))
-        .expect("a raster indexes at most MAX_PARTICLES particles")
+fn owner_entry<T: TryFrom<u32> + Default>(particle: Option<u32>) -> T {
+    particle.map_or_else(T::default, |p| {
+        p.checked_add(1)
+            .and_then(|entry| T::try_from(entry).ok())
+            .expect("the index plane's entry type holds every particle of its raster")
+    })
+}
+
+/// Number of non-zero bytes in `plane`, counted eight at a time.
+fn nonzero_cells(plane: &[u8]) -> usize {
+    let words = plane.chunks_exact(8);
+    let tail = words.remainder().iter().filter(|&&c| c != 0).count();
+    words
+        .map(|w| {
+            let word = u64::from_le_bytes(w.try_into().expect("chunks are 8 bytes"));
+            nonzero_bytes(word).count_ones() as usize
+        })
+        .sum::<usize>()
+        + tail
 }
 
 /// [`ColorGrid`]'s `neighbor_offsets` for a raster of row stride `width`.
@@ -643,16 +717,57 @@ mod tests {
         assert!(build(&past).is_none());
     }
 
+    /// A compact alternating system of `n` particles.
+    fn spiral(n: usize) -> (Vec<Node>, Vec<Color>) {
+        let nodes = crate::construct::hexagonal_spiral(n);
+        table(&crate::construct::bicolor_alternating(nodes))
+    }
+
+    #[test]
+    fn index_plane_is_as_narrow_as_the_particle_count_allows() {
+        // One byte an entry up to 255 particles, two from 256; on each
+        // width the last particle's entry reads back as its index, and the
+        // largest entry the width holds round-trips.
+        for (n, bytes, largest) in [(255, 1, u32::from(u8::MAX)), (256, 2, u32::from(u16::MAX))] {
+            let (positions, colors) = spiral(n);
+            let mut grid = ColorGrid::build(&positions, &colors)
+                .expect("distinct nodes")
+                .expect("a compact system rasterizes");
+            assert_eq!(grid.index_entry_bytes(), bytes, "n = {n}");
+            let last = positions[n - 1];
+            assert_eq!(grid.owner(last), Some(n as u32 - 1), "n = {n}");
+            assert_eq!(grid.owned_cells(), n, "n = {n}");
+            grid.set_owner(last, Some(largest - 1));
+            assert_eq!(grid.owner(last), Some(largest - 1), "n = {n}");
+            assert_eq!(
+                grid.particle(last),
+                Some((largest - 1, grid.code(last))),
+                "n = {n}"
+            );
+            // A rebuild picks the width from the particle count again, and
+            // widening keeps every entry at two bytes each.
+            let grown = grid.rebuild_grown(&positions, &colors).expect("fits");
+            assert_eq!(grown.index_entry_bytes(), bytes, "n = {n}");
+            let wide = grid.widened();
+            assert_eq!(wide.index_entry_bytes(), 2, "n = {n}");
+            assert_eq!(wide.owner(last), Some(largest - 1), "n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry type holds every particle")]
+    fn a_narrow_plane_has_no_entry_past_255() {
+        let (positions, colors) = spiral(255);
+        let mut grid = ColorGrid::build(&positions, &colors).unwrap().unwrap();
+        grid.set_owner(positions[0], Some(255));
+    }
+
     #[test]
     fn build_indexes_at_most_max_particles() {
         // The index plane's largest entry is `u16::MAX`: a compact system
         // of MAX_PARTICLES particles rasterizes, one particle more does not
         // (its bounding box is far below the cell cap), and the last
         // particle's entry reads back as its index.
-        let spiral = |n| {
-            let nodes = crate::construct::hexagonal_spiral(n);
-            table(&crate::construct::bicolor_alternating(nodes))
-        };
         let (positions, colors) = spiral(MAX_PARTICLES);
         let grid = ColorGrid::build(&positions, &colors)
             .expect("distinct nodes")

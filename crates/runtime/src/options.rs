@@ -49,7 +49,7 @@ pub struct SweepOptions {
     /// step budget, and convergence diagnostics land in the cells report.
     pub adaptive: bool,
     /// Smoke mode (`--smoke` or `SOPS_BENCH_SMOKE=1` via
-    /// [`SweepOptions::from_args`]): shrink grids and budgets for CI.
+    /// [`SweepOptions::from_arg_list`]): shrink grids and budgets for CI.
     pub smoke: bool,
 }
 
@@ -71,15 +71,24 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    /// Parses the process arguments. Unknown flags are reported to stderr
-    /// (one line each, with the value that follows one) and ignored, so
-    /// binaries stay usable from wrapper scripts that pass extra context.
-    /// A rejected value or combination (see `SweepOptions::try_parse`)
-    /// prints the typed error and exits with status 2 — a sweep that could
-    /// never produce a result must not start.
+    /// Parses the process arguments ([`SweepOptions::from_arg_list`] on
+    /// every argument after the program name).
     #[must_use]
     pub fn from_args() -> Self {
-        let mut opts = match Self::try_parse(std::env::args().skip(1)) {
+        Self::from_arg_list(std::env::args().skip(1))
+    }
+
+    /// Parses `args`, a binary's arguments without the program name, so a
+    /// binary can take out the flags it handles itself first. Unknown flags
+    /// are reported to stderr (one line each, with the value that follows
+    /// one) and ignored, so binaries stay usable from wrapper scripts that
+    /// pass extra context. A rejected value or combination (see
+    /// `SweepOptions::try_parse`) prints the typed error and exits with
+    /// status 2 — a sweep that could never produce a result must not start.
+    /// `SOPS_BENCH_SMOKE=1` in the environment sets smoke mode.
+    #[must_use]
+    pub fn from_arg_list(args: impl IntoIterator<Item = String>) -> Self {
+        let mut opts = match Self::try_parse(args) {
             Ok((opts, ignored)) => {
                 for arg in ignored {
                     eprintln!("ignoring unknown flag {arg:?}");
@@ -311,6 +320,15 @@ mod tests {
 
     fn try_parse(args: &[&str]) -> Result<SweepOptions, ConfigError> {
         SweepOptions::try_parse(args.iter().map(|s| (*s).to_string())).map(|(opts, _)| opts)
+    }
+
+    #[test]
+    fn from_arg_list_parses_the_list_it_is_given() {
+        // Not the process arguments: `fig3` passes its own without
+        // `--quick`.
+        let opts = SweepOptions::from_arg_list(["--resume", "--max-steps", "7"].map(String::from));
+        assert!(opts.resume);
+        assert_eq!(opts.budget.max_steps, Some(7));
     }
 
     #[test]

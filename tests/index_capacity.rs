@@ -1,14 +1,17 @@
-//! The largest system a configuration's raster indexes. The raster's index
-//! plane holds `i + 1` for particle `i` in 16 bits, so a system of 65,535
-//! particles is rasterized and one of 65,536 is indexed by a map. Both
-//! sides of that boundary must be the same chain: a clean audit, a
-//! snapshot that decodes to the same index kind, and a `run` that is the
-//! `step` loop.
+//! The widths of a configuration's node index. The raster's index plane
+//! holds `i + 1` for particle `i` in 8 bits up to 255 particles and in 16
+//! bits above, so a system of 65,535 particles is rasterized and one of
+//! 65,536 is indexed by a map. Both sides of each boundary must be the same
+//! chain: a clean audit, a snapshot that decodes to the same index kind,
+//! and a `run` that is the `step` loop.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sops::chains::{MarkovChain, StateCodec};
 use sops::core::{construct, Bias, Configuration, SeparationChain};
+
+/// The most particles a raster's one-byte index plane indexes.
+const NARROW_CAPACITY: usize = 255;
 
 /// The most particles a raster indexes.
 const RASTER_CAPACITY: usize = 65_535;
@@ -19,7 +22,12 @@ fn the_raster_indexes_65535_particles_and_a_map_indexes_more() {
     // swap, so `run` rewrites index entries all through the table, and the
     // audit after it checks every entry against the table.
     let chain = SeparationChain::new(Bias::new(1.0, 1.0).unwrap());
-    for n in [RASTER_CAPACITY, RASTER_CAPACITY + 1] {
+    for n in [
+        NARROW_CAPACITY,
+        NARROW_CAPACITY + 1,
+        RASTER_CAPACITY,
+        RASTER_CAPACITY + 1,
+    ] {
         let nodes = construct::hexagonal_spiral(n);
         let config = Configuration::new(construct::bicolor_alternating(nodes)).unwrap();
         assert_eq!(config.is_rasterized(), n <= RASTER_CAPACITY, "n = {n}");
