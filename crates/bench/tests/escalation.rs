@@ -1,20 +1,17 @@
 //! End-to-end escalation-ladder tests: a sweep cell whose configuration
 //! state is corrupted mid-run must *complete* — healed by in-place repair
-//! or rollback and reported `recovered` — rather than fail, and a hung
-//! cell must be cancelled by the stall watchdog and reported `degraded`
-//! (with `DegradeReason::Stalled`) instead of wedging the sweep.
+//! or rollback and reported `recovered` — rather than fail.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use sops_bench::seeded_attempt;
 use sops_chains::{run_supervised, RecoveryEvent, SupervisedOptions};
 use sops_core::{construct, Bias, SeparationChain};
 use sops_runtime::{
-    run_cells, write_cell_report, BackoffPolicy, CellStatus, DegradeReason, JobContext, JobError,
-    ResourceBudget, StallPolicy, SweepOptions,
+    run_cells, write_cell_report, BackoffPolicy, CellStatus, JobContext, JobError, ResourceBudget,
+    SweepOptions,
 };
 
 /// A fresh scratch directory per test, removed on drop.
@@ -175,52 +172,4 @@ fn repeated_corruption_is_healed_every_chunk() {
     assert_eq!(outcomes[0].status, CellStatus::Recovered);
     // Repairs are unbounded (unlike rollbacks): one per corrupted chunk.
     assert_eq!(outcomes[0].result, Some((STEPS / EVERY) as usize));
-}
-
-#[test]
-fn hung_cell_is_cancelled_and_reported_degraded() {
-    let scratch = Scratch::new("stall");
-    let opts = SweepOptions {
-        stall: Some(StallPolicy {
-            poll_ms: 10,
-            stall_after: 3,
-        }),
-        ..test_opts(&scratch)
-    };
-    let outcomes = run_cells(vec!["healthy", "hung"], &opts, |label, ctx| {
-        if *label == "healthy" {
-            return chain_cell(label, &opts, ctx, None);
-        }
-        // A wedged cell: never beats, polls for cancellation the way
-        // run_supervised does at chunk boundaries.
-        loop {
-            if ctx.heartbeat.is_cancelled() {
-                return Err(JobError::Cancelled {
-                    reason: ctx.cancel_reason(),
-                    step: ctx.heartbeat.steps(),
-                });
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    });
-    let by_cell = |name: &str| outcomes.iter().find(|o| o.cell == name).unwrap();
-    assert_eq!(by_cell("healthy").status, CellStatus::Ok);
-    let hung = by_cell("hung");
-    assert!(
-        matches!(
-            hung.status,
-            CellStatus::Degraded {
-                reason: DegradeReason::Stalled,
-                ..
-            }
-        ),
-        "{hung:?}"
-    );
-    assert!(hung.result.is_none());
-    assert_eq!(hung.attempts, 1, "a stalled cell must not be retried");
-    let json = write_cell_report(&sops_bench::out_dir(), "escalation-stall-test", &outcomes);
-    assert!(json.contains("\"cells_degraded\": 1"), "{json}");
-    assert!(json.contains("\"status\": \"degraded\""), "{json}");
-    assert!(json.contains("\"degrade_reason\": \"stalled\""), "{json}");
-    let _ = std::fs::remove_file(sops_bench::out_dir().join("escalation-stall-test-cells.json"));
 }

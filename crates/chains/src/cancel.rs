@@ -41,14 +41,18 @@ impl CancelToken {
     }
 
     /// Requests cancellation. Idempotent; never blocks.
+    ///
+    /// Release, paired with the acquire in [`CancelToken::is_cancelled`]:
+    /// whatever the canceller wrote before cancelling (such as why it
+    /// cancelled) is visible to code that has observed the cancel.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
+        self.flag.store(true, Ordering::Release);
     }
 
     /// Whether cancellation has been requested on any clone of this token.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Acquire)
     }
 }
 

@@ -23,10 +23,10 @@
 //! to roll back to), and it audits at [`SupervisedOptions::audit_every`]'s
 //! cadence instead of before every snapshot.
 //!
-//! The driver also feeds a [`Heartbeat`] — a shared step counter a
-//! watchdog thread can poll to detect stalled cells and cancel them
-//! cooperatively (the run notices at the next chunk boundary and returns
-//! with `completed: false` instead of wedging the sweep).
+//! The loop also feeds a [`Heartbeat`]: a shared step counter, recording
+//! how far the run got, and the cancellation token the run checks at the
+//! top of every chunk (a cancelled run returns with `completed: false` at
+//! the next chunk boundary instead of wedging the sweep).
 //!
 //! Everything here lives *outside* the proposal kernel: the ladder runs
 //! once per chunk (typically 10⁴–10⁶ steps), so the hot path is untouched.
@@ -131,92 +131,43 @@ pub trait Repairable {
     fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>>;
 }
 
-/// Why a heartbeat reports itself cancelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CancelKind {
-    /// The caller cancelled via the heartbeat's [`CancelToken`].
-    External,
-    /// A stall watchdog marked the cell frozen and the mark is still
-    /// valid (no progress since it was placed).
-    Stalled,
-}
-
-/// Sentinel for "no stall mark pending".
-const NO_STALL: u64 = u64::MAX;
-
 /// A shared step-counter heartbeat with cooperative cancellation.
 ///
-/// The supervised runner bumps the counter at every chunk boundary; a
-/// watchdog that sees the counter frozen across consecutive polls can
-/// place a *conditional* stall mark via [`Heartbeat::cancel_if_stalled_at`],
-/// and the runner exits cleanly at its next boundary. All methods take
-/// `&self`; share via `Arc`.
-///
-/// # The poll/cancel race
-///
-/// A naive watchdog (poll the counter, decide, then set an unconditional
-/// cancelled flag) has a window in which the cell advances *between* the
-/// poll and the cancel decision and is killed anyway. Stall cancellation
-/// here is therefore validity-at-read-time: the watchdog records the step
-/// count it judged frozen, and the mark only counts as a cancellation
-/// while the counter still equals that step. Any [`Heartbeat::beat`] past
-/// the marked step revokes the mark — a cell that made progress is never
-/// killed for stalling. External cancellation via the [`CancelToken`] is
-/// unconditional and unaffected by beats.
-#[derive(Debug)]
+/// The chunk loop bumps the counter at every chunk boundary, so a run that
+/// is cancelled can report how far it got; it checks the token at the top
+/// of every chunk and exits cleanly there. All methods take `&self`.
+#[derive(Debug, Default)]
 pub struct Heartbeat {
     steps: AtomicU64,
-    /// Pending stall mark: the step count the watchdog judged frozen, or
-    /// [`NO_STALL`]. Initialized to `NO_STALL` by [`Heartbeat::new`].
-    stall_step: AtomicU64,
     token: CancelToken,
-}
-
-impl Default for Heartbeat {
-    fn default() -> Self {
-        Heartbeat::new()
-    }
 }
 
 impl Heartbeat {
     /// A fresh heartbeat at step 0, not cancelled.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_token(CancelToken::new())
+        Self::default()
     }
 
-    /// A fresh heartbeat whose external-cancellation flag is the given
-    /// token — lets one token fan out to many cells.
+    /// A fresh heartbeat whose cancellation flag is the given token — lets
+    /// one token fan out to many cells.
     #[must_use]
     pub fn with_token(token: CancelToken) -> Self {
         Heartbeat {
             steps: AtomicU64::new(0),
-            stall_step: AtomicU64::new(NO_STALL),
             token,
         }
     }
 
-    /// A clone of the external-cancellation token for this heartbeat.
+    /// A clone of the cancellation token for this heartbeat.
     #[must_use]
     pub fn token(&self) -> CancelToken {
         self.token.clone()
     }
 
     /// Records progress: the run has completed `steps` total steps.
-    ///
-    /// Progress past a pending stall mark revokes it (see the type-level
-    /// docs on the poll/cancel race).
     pub fn beat(&self, steps: u64) {
         self.steps.store(steps, Ordering::Relaxed);
-        let pending = self.stall_step.load(Ordering::Relaxed);
-        if pending != NO_STALL && pending != steps {
-            let _ = self.stall_step.compare_exchange(
-                pending,
-                NO_STALL,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-        }
     }
 
     /// The last step count reported by [`Heartbeat::beat`].
@@ -225,47 +176,10 @@ impl Heartbeat {
         self.steps.load(Ordering::Relaxed)
     }
 
-    /// Places a stall mark at `expected`, but only if the counter still
-    /// reads `expected`. Returns whether the mark stuck: `false` means the
-    /// cell advanced between the watchdog's poll and this call, so the
-    /// stall verdict was stale and has been withdrawn.
-    pub fn cancel_if_stalled_at(&self, expected: u64) -> bool {
-        if self.steps.load(Ordering::Relaxed) != expected {
-            return false;
-        }
-        self.stall_step.store(expected, Ordering::Relaxed);
-        if self.steps.load(Ordering::Relaxed) != expected {
-            // The cell beat between the check and the mark; withdraw.
-            let _ = self.stall_step.compare_exchange(
-                expected,
-                NO_STALL,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            return false;
-        }
-        true
-    }
-
-    /// Whether cancellation is in effect *right now*: the external token
-    /// fired, or a stall mark is pending and the counter has not advanced
-    /// past it.
+    /// Whether the heartbeat's token has been cancelled.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.cancel_kind().is_some()
-    }
-
-    /// Why the heartbeat is cancelled, or `None` when it is not.
-    #[must_use]
-    pub fn cancel_kind(&self) -> Option<CancelKind> {
-        if self.token.is_cancelled() {
-            return Some(CancelKind::External);
-        }
-        let pending = self.stall_step.load(Ordering::Relaxed);
-        if pending != NO_STALL && pending == self.steps.load(Ordering::Relaxed) {
-            return Some(CancelKind::Stalled);
-        }
-        None
+        self.token.is_cancelled()
     }
 }
 
@@ -289,7 +203,7 @@ pub enum RecoveryEvent {
         /// The violations that forced the rollback.
         violations: Vec<String>,
     },
-    /// The watchdog (or caller) cancelled the run mid-flight.
+    /// The caller cancelled the run mid-flight.
     Cancelled {
         /// Step count reached when cancellation was observed.
         step: u64,
@@ -1095,26 +1009,12 @@ mod tests {
     }
 
     #[test]
-    fn stall_mark_is_revoked_by_progress() {
-        let hb = Heartbeat::new();
-        hb.beat(100);
-        assert!(hb.cancel_if_stalled_at(100));
-        assert_eq!(hb.cancel_kind(), Some(CancelKind::Stalled));
-        // Progress past the marked step revokes the stall verdict.
-        hb.beat(200);
-        assert_eq!(hb.cancel_kind(), None);
-        // A verdict formed against an already-stale counter never sticks.
-        assert!(!hb.cancel_if_stalled_at(100));
-        assert!(!hb.is_cancelled());
-    }
-
-    #[test]
     fn external_cancel_survives_beats() {
         let hb = Heartbeat::new();
         hb.token().cancel();
         hb.beat(500);
-        assert_eq!(hb.cancel_kind(), Some(CancelKind::External));
         assert!(hb.is_cancelled());
+        assert_eq!(hb.steps(), 500);
     }
 
     #[test]

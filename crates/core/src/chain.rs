@@ -723,18 +723,6 @@ impl MarkovChain for CompressionChain {
     }
 }
 
-impl ClassifiedChain for CompressionChain {
-    type Outcome = StepOutcome;
-
-    fn step_classified<R: Rng + ?Sized>(
-        &self,
-        config: &mut Configuration,
-        rng: &mut R,
-    ) -> StepOutcome {
-        self.inner.step_detailed(config, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

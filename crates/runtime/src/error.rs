@@ -13,9 +13,6 @@ use sops_chains::CheckpointError;
 /// checkpoint and a partial result, rather than wedging or dying.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// The stall watchdog found the heartbeat frozen and the cell exited
-    /// cooperatively.
-    Stalled,
     /// The wall-clock deadline of the [`crate::ResourceBudget`] elapsed.
     DeadlineExceeded,
     /// The step cap of the [`crate::ResourceBudget`] was reached before
@@ -30,7 +27,6 @@ impl DegradeReason {
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
-            DegradeReason::Stalled => "stalled",
             DegradeReason::DeadlineExceeded => "deadline_exceeded",
             DegradeReason::StepBudgetExhausted => "step_budget_exhausted",
             DegradeReason::ExternalCancel => "external_cancel",
@@ -295,7 +291,7 @@ mod tests {
             .kind(),
             "panic"
         );
-        assert_eq!(DegradeReason::Stalled.code(), "stalled");
+        assert_eq!(DegradeReason::DeadlineExceeded.code(), "deadline_exceeded");
         assert_eq!(
             DegradeReason::StepBudgetExhausted.code(),
             "step_budget_exhausted"

@@ -8,7 +8,7 @@
 
 use crate::error::DegradeReason;
 use sops_chains::telemetry::json_escape;
-use sops_chains::CancelKind;
+use sops_chains::RecoveryEvent;
 
 /// One supervision decision taken while running a job.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,10 +38,8 @@ pub enum RuntimeEvent {
     Cancelled {
         /// Step count reached when cancellation was observed.
         step: u64,
-        /// Whether the cancel was external or a stall verdict.
-        kind: CancelKind,
     },
-    /// The job ended degraded (budget trip, stall, or external cancel).
+    /// The job ended degraded (budget trip or external cancel).
     Degraded {
         /// Why the job degraded.
         reason: DegradeReason,
@@ -74,7 +72,8 @@ pub enum RuntimeEvent {
         /// The session the job would have run under.
         session: String,
         /// Stable rejection code: `queue_full`, `tenant_quota_exceeded`,
-        /// or `draining`.
+        /// `draining`, or `cancelled` (the submitter's cancel token fired
+        /// while it was parked in a blocking submission).
         reason: &'static str,
     },
     /// A queued or in-flight job was evicted (drain deadline, shutdown,
@@ -135,14 +134,8 @@ impl RuntimeEvent {
                 "{{\"event\": \"rolled_back\", \"from_step\": {from_step}, \
                  \"to_step\": {to_step}}}"
             ),
-            RuntimeEvent::Cancelled { step, kind } => {
-                let kind = match kind {
-                    CancelKind::External => "external",
-                    CancelKind::Stalled => "stalled",
-                };
-                format!(
-                    "{{\"event\": \"cancelled\", \"step\": {step}, \"cancel_kind\": \"{kind}\"}}"
-                )
+            RuntimeEvent::Cancelled { step } => {
+                format!("{{\"event\": \"cancelled\", \"step\": {step}}}")
             }
             RuntimeEvent::Degraded {
                 reason,
@@ -212,6 +205,22 @@ impl RuntimeEvent {
     }
 }
 
+/// The one mapping from a ladder rung of `sops-chains` to the event that
+/// reports it, shared by sweep cells ([`crate::JobContext::absorb`]) and
+/// service jobs. The repair actions and rollback violations stay on the
+/// [`RecoveryEvent`]; the event carries the steps.
+impl From<&RecoveryEvent> for RuntimeEvent {
+    fn from(event: &RecoveryEvent) -> Self {
+        match *event {
+            RecoveryEvent::Repaired { step, .. } => RuntimeEvent::Repaired { step },
+            RecoveryEvent::RolledBack {
+                from_step, to_step, ..
+            } => RuntimeEvent::RolledBack { from_step, to_step },
+            RecoveryEvent::Cancelled { step } => RuntimeEvent::Cancelled { step },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,14 +242,11 @@ mod tests {
             last_durable_step: None,
         };
         assert!(e.to_json().contains("\"last_durable_step\": null"));
-        let e = RuntimeEvent::Cancelled {
-            step: 9,
-            kind: CancelKind::Stalled,
-        };
-        assert!(e
-            .telemetry_line()
-            .starts_with("{\"kind\": \"runtime_event\""));
-        assert!(e.telemetry_line().contains("\"cancel_kind\": \"stalled\""));
+        let e = RuntimeEvent::Cancelled { step: 9 };
+        assert_eq!(
+            e.telemetry_line(),
+            "{\"kind\": \"runtime_event\", \"payload\": {\"event\": \"cancelled\", \"step\": 9}}"
+        );
         let e = RuntimeEvent::Converged {
             step: 50_000,
             diagnostics: "{\"samples\": 12, \"r_hat\": 1.01}".to_string(),

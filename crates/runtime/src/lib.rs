@@ -18,14 +18,12 @@
 //!   rendered into the per-cell JSONL telemetry stream;
 //! * [`BackoffPolicy`] — exponential retry delays, monotone non-decreasing
 //!   up to the cap, with jitter deterministic per `(cell, attempt)`;
-//! * [`StallPolicy`] + [`MonitorState`] — the stall watchdog's pure
-//!   decision core (poll counting lives here so the poll/cancel race is
-//!   testable with a fake clock) and the deadline enforcer;
 //! * [`ResourceBudget`] — the budget a job runs under;
 //! * [`SweepOptions`] — CLI parsing and per-cell checkpoint/telemetry
 //!   plumbing shared by every sweep binary;
 //! * [`Runtime`] / [`run_cells`] — parallel cell execution with
-//!   `catch_unwind` isolation, retries, the watchdog, and typed outcomes;
+//!   `catch_unwind` isolation, retries, the deadline monitor, and typed
+//!   outcomes;
 //! * [`run_chain`] — how every chain-driving bin runs a chain under its
 //!   budget: through `sops-chains`' one chunk loop, checkpointed and
 //!   self-healing (audit → repair → rollback) when a store is configured,
@@ -50,7 +48,6 @@ mod budget;
 mod chain_job;
 mod error;
 mod events;
-mod monitor;
 mod options;
 mod report;
 mod runner;
@@ -61,7 +58,6 @@ pub use budget::ResourceBudget;
 pub use chain_job::{run_chain, run_chain_monitored, ChainJob, StopReason};
 pub use error::{ConfigError, DegradeReason, JobError};
 pub use events::RuntimeEvent;
-pub use monitor::{MonitorState, StallPolicy};
 pub use options::SweepOptions;
 pub use report::write_cell_report;
 pub use runner::{run_cells, CellOutcome, CellStatus, JobContext, Runtime};
@@ -70,8 +66,8 @@ pub use seeds::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
 // The recovery primitives this runtime builds on, re-exported so callers
 // need only `sops-runtime`.
 pub use sops_chains::{
-    run_supervised, CancelKind, CancelToken, CheckpointError, CheckpointStore, Heartbeat,
-    RecoveryEvent, Repairable, SupervisedOptions, SupervisedRun,
+    run_supervised, CancelToken, CheckpointError, CheckpointStore, Heartbeat, RecoveryEvent,
+    Repairable, SupervisedOptions, SupervisedRun,
 };
 
 // The convergence engine, re-exported for the same reason: sweep bins

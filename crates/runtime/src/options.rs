@@ -6,14 +6,14 @@
 //! fresh run clears stale cell state), `--audit-every N` re-verifies
 //! configuration invariants from scratch every `N` steps, `--retries K`
 //! bounds per-cell retry attempts, `--backoff-ms B` sets the base retry
-//! backoff, `--stall-ms S` arms the stall watchdog, `--no-telemetry`
-//! suppresses the per-cell JSONL metric streams, `--adaptive` runs cells
-//! under the streaming convergence engine (stop when mixed instead of
-//! burning the full budget), `--smoke` (or env `SOPS_BENCH_SMOKE=1`)
-//! shrinks grids and budgets for CI, and the [`crate::ResourceBudget`]
-//! flags: `--deadline-ms D` caps the sweep's wall-clock time,
-//! `--max-steps N` caps chain steps per cell, `--max-rollbacks R` bounds
-//! the recovery ladder.
+//! backoff, `--no-telemetry` suppresses the per-cell JSONL metric
+//! streams, `--adaptive` runs cells under the streaming convergence
+//! engine (stop when mixed instead of burning the full budget), `--smoke`
+//! (or env `SOPS_BENCH_SMOKE=1`) shrinks grids and budgets for CI, and the
+//! [`crate::ResourceBudget`] flags: `--deadline-ms D` caps the sweep's
+//! wall-clock time (and is the only flag that starts the runner's monitor
+//! thread), `--max-steps N` caps chain steps per cell, `--max-rollbacks R`
+//! bounds the recovery ladder.
 
 use std::path::{Path, PathBuf};
 
@@ -22,7 +22,6 @@ use sops_chains::{CheckpointError, CheckpointStore, JsonlSink, RunManifest};
 use crate::backoff::BackoffPolicy;
 use crate::budget::ResourceBudget;
 use crate::error::ConfigError;
-use crate::monitor::StallPolicy;
 
 /// Runtime options shared by every sweep binary.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,8 +38,6 @@ pub struct SweepOptions {
     pub telemetry: bool,
     /// Delay schedule between retry attempts.
     pub backoff: BackoffPolicy,
-    /// Stall watchdog configuration; `None` disables the watchdog.
-    pub stall: Option<StallPolicy>,
     /// The resource envelope every cell runs within.
     pub budget: ResourceBudget,
     /// Whether to run cells under the adaptive convergence engine
@@ -62,7 +59,6 @@ impl Default for SweepOptions {
             retain: 3,
             telemetry: true,
             backoff: BackoffPolicy::default(),
-            stall: None,
             budget: ResourceBudget::default(),
             adaptive: false,
             smoke: false,
@@ -156,11 +152,6 @@ impl SweepOptions {
                 "--backoff-ms" => {
                     let v = take_value("--backoff-ms")?;
                     opts.backoff.base_ms = parsed("--backoff-ms", &v)?;
-                }
-                "--stall-ms" => {
-                    let v = take_value("--stall-ms")?;
-                    let total: u64 = parsed("--stall-ms", &v)?;
-                    opts.stall = Some(StallPolicy::with_timeout_ms(total));
                 }
                 "--deadline-ms" => {
                     let v = take_value("--deadline-ms")?;
@@ -283,8 +274,6 @@ mod tests {
                 "2",
                 "--backoff-ms",
                 "50",
-                "--stall-ms",
-                "8000",
                 "--deadline-ms",
                 "90000",
                 "--max-steps",
@@ -303,13 +292,6 @@ mod tests {
         assert_eq!(opts.audit_every, Some(50_000));
         assert_eq!(opts.budget.max_retries, 2);
         assert_eq!(opts.backoff.base_ms, 50);
-        assert_eq!(
-            opts.stall,
-            Some(StallPolicy {
-                poll_ms: 2_000,
-                stall_after: 4
-            })
-        );
         assert_eq!(opts.budget.deadline, Some(Duration::from_millis(90_000)));
         assert_eq!(opts.budget.max_steps, Some(1_000_000));
         assert_eq!(opts.budget.max_rollbacks, 5);
@@ -386,7 +368,6 @@ mod tests {
     fn parse_defaults_without_flags() {
         let opts = SweepOptions::parse(std::iter::empty());
         assert_eq!(opts, SweepOptions::default());
-        assert!(opts.stall.is_none());
         assert_eq!(opts.budget, ResourceBudget::default());
     }
 

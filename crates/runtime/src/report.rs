@@ -137,12 +137,12 @@ mod tests {
                 cell: "slow".to_string(),
                 attempts: 1,
                 status: CellStatus::Degraded {
-                    reason: DegradeReason::Stalled,
+                    reason: DegradeReason::DeadlineExceeded,
                     last_durable_step: Some(9_000),
                 },
                 result: None,
                 error: Some(JobError::Cancelled {
-                    reason: DegradeReason::Stalled,
+                    reason: DegradeReason::DeadlineExceeded,
                     step: 9_500,
                 }),
                 events: Vec::new(),
@@ -161,7 +161,7 @@ mod tests {
         assert!(json.contains("\"cells_degraded\": 1"));
         assert!(json.contains("\"cells_recovered\": 1"));
         assert!(json.contains("\"status\": \"degraded\""));
-        assert!(json.contains("\"degrade_reason\": \"stalled\""));
+        assert!(json.contains("\"degrade_reason\": \"deadline_exceeded\""));
         assert!(json.contains("\"last_durable_step\": 9000"));
         assert!(json.contains("\"status\": \"recovered\""));
         assert!(json.contains("ok\\\"cell"));

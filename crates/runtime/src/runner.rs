@@ -3,24 +3,23 @@
 //!
 //! [`Runtime::run_cells`] runs one labelled cell per job in parallel,
 //! isolating each behind `catch_unwind`, retrying typed failures with
-//! [`crate::BackoffPolicy`] delays, and — when configured — running a
-//! monitor thread that enforces the stall watchdog and the sweep-wide
-//! wall-clock deadline of the [`ResourceBudget`]. Every cell ends in a
+//! [`crate::BackoffPolicy`] delays, and — when the [`ResourceBudget`] sets
+//! a sweep-wide wall-clock deadline — running a monitor thread that
+//! cancels every live cell once it passes. Every cell ends in a
 //! classified [`CellStatus`]; a budget trip degrades the cell
 //! deterministically instead of wedging or killing the sweep.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sops_chains::{CancelKind, CancelToken, Heartbeat, RecoveryEvent, SupervisedRun};
+use sops_chains::{CancelToken, Heartbeat, SupervisedRun};
 
 use crate::budget::ResourceBudget;
 use crate::error::{DegradeReason, JobError};
 use crate::events::RuntimeEvent;
-use crate::monitor::{MonitorState, StallPolicy};
 use crate::options::SweepOptions;
 
 /// Per-cell status in the sweep report.
@@ -30,8 +29,8 @@ pub enum CellStatus {
     Ok,
     /// Succeeded, but only after repair, rollback, or a retry attempt.
     Recovered,
-    /// A budget tripped, the watchdog fired, or the caller cancelled; the
-    /// cell exited at a safe point, a partial result may be present, and
+    /// A budget tripped or the caller cancelled; the cell exited at a
+    /// safe point, a partial result may be present, and
     /// `last_durable_step` names the newest valid checkpoint (if any).
     Degraded {
         /// Why the cell degraded.
@@ -56,22 +55,14 @@ impl CellStatus {
     }
 }
 
-/// Monitor-reason encoding shared between the monitor thread and the
-/// workers via [`CellSlot::reason`]: the monitor records *why* it
-/// cancelled before it flips any token, so workers can classify the
-/// degradation without guessing.
-const REASON_NONE: u8 = 0;
-const REASON_STALLED: u8 = 1;
-const REASON_DEADLINE: u8 = 2;
-
-fn observed_cancel_reason(reason: &AtomicU8, heartbeat: &Heartbeat) -> DegradeReason {
-    match reason.load(Ordering::SeqCst) {
-        REASON_STALLED => DegradeReason::Stalled,
-        REASON_DEADLINE => DegradeReason::DeadlineExceeded,
-        _ => match heartbeat.cancel_kind() {
-            Some(CancelKind::Stalled) => DegradeReason::Stalled,
-            _ => DegradeReason::ExternalCancel,
-        },
+/// Why a cell was cancelled. The deadline monitor sets `deadline_hit`
+/// before it cancels the root token, so a worker that observes the
+/// cancel can tell a deadline from an external cancel.
+fn observed_cancel_reason(deadline_hit: &AtomicBool) -> DegradeReason {
+    if deadline_hit.load(Ordering::SeqCst) {
+        DegradeReason::DeadlineExceeded
+    } else {
+        DegradeReason::ExternalCancel
     }
 }
 
@@ -79,18 +70,18 @@ fn observed_cancel_reason(reason: &AtomicU8, heartbeat: &Heartbeat) -> DegradeRe
 /// [`Runtime::run_cells`].
 ///
 /// Carries the attempt number (for `seeded_attempt` seed derivation), the
-/// cell's shared [`Heartbeat`] (beat it from long loops so the stall
-/// watchdog sees progress; check `is_cancelled` to exit early), the
+/// cell's shared [`Heartbeat`] (beat it from long loops so a cancelled
+/// cell reports how far it got; check `is_cancelled` to exit early), the
 /// [`ResourceBudget`] the cell runs under, and the channels through which
 /// the cell reports recovery, degradation, and [`RuntimeEvent`]s.
 pub struct JobContext<'a> {
     /// 1-based attempt number (1 = first try).
     pub attempt: u32,
-    /// The cell's heartbeat, shared with the monitor thread.
+    /// The cell's heartbeat, whose token is the sweep's root token.
     pub heartbeat: &'a Heartbeat,
     budget: ResourceBudget,
     started: Instant,
-    monitor_reason: &'a AtomicU8,
+    deadline_hit: &'a AtomicBool,
     recovered: AtomicBool,
     degraded: Mutex<Option<(DegradeReason, Option<u64>)>>,
     durable: Mutex<Option<u64>>,
@@ -103,7 +94,7 @@ impl<'a> JobContext<'a> {
         heartbeat: &'a Heartbeat,
         budget: ResourceBudget,
         started: Instant,
-        monitor_reason: &'a AtomicU8,
+        deadline_hit: &'a AtomicBool,
         pending: Vec<RuntimeEvent>,
     ) -> Self {
         JobContext {
@@ -111,7 +102,7 @@ impl<'a> JobContext<'a> {
             heartbeat,
             budget,
             started,
-            monitor_reason,
+            deadline_hit,
             recovered: AtomicBool::new(false),
             degraded: Mutex::new(None),
             durable: Mutex::new(None),
@@ -187,11 +178,11 @@ impl<'a> JobContext<'a> {
         std::mem::take(&mut *self.events.lock().expect("events lock"))
     }
 
-    /// Why this cell was cancelled: the monitor's recorded reason when it
-    /// made the call, otherwise inferred from the heartbeat's cancel kind.
+    /// Why this cell was cancelled: the deadline when the monitor made
+    /// the call, otherwise an external cancel.
     #[must_use]
-    pub fn cancel_reason(&self) -> DegradeReason {
-        observed_cancel_reason(self.monitor_reason, self.heartbeat)
+    pub(crate) fn cancel_reason(&self) -> DegradeReason {
+        observed_cancel_reason(self.deadline_hit)
     }
 
     /// The newest durable checkpoint step any run of this attempt
@@ -213,23 +204,7 @@ impl<'a> JobContext<'a> {
             *durable = (*durable).max(run.last_durable_step);
         }
         for event in &run.events {
-            match event {
-                RecoveryEvent::Repaired { step, .. } => {
-                    self.emit(RuntimeEvent::Repaired { step: *step });
-                }
-                RecoveryEvent::RolledBack {
-                    from_step, to_step, ..
-                } => {
-                    self.emit(RuntimeEvent::RolledBack {
-                        from_step: *from_step,
-                        to_step: *to_step,
-                    });
-                }
-                RecoveryEvent::Cancelled { step } => {
-                    let kind = self.heartbeat.cancel_kind().unwrap_or(CancelKind::External);
-                    self.emit(RuntimeEvent::Cancelled { step: *step, kind });
-                }
-            }
+            self.emit(event.into());
         }
         if run.recovered() {
             self.note_recovered();
@@ -279,13 +254,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 struct CellSlot {
     heartbeat: Heartbeat,
     done: AtomicBool,
-    reason: AtomicU8,
 }
 
 /// The supervision runtime: executes labelled jobs under a shared
-/// [`ResourceBudget`] with panic isolation, typed failures, retries, the
-/// stall watchdog, a sweep-wide deadline, and a root [`CancelToken`] for
-/// external cancellation.
+/// [`ResourceBudget`] with panic isolation, typed failures, retries, a
+/// sweep-wide deadline, and a root [`CancelToken`] for external
+/// cancellation.
 pub struct Runtime {
     opts: SweepOptions,
     root: CancelToken,
@@ -326,17 +300,16 @@ impl Runtime {
     /// Runs one labelled cell per job in parallel, isolating each behind
     /// `catch_unwind`, retrying typed failures up to
     /// `budget.max_retries` extra times with [`crate::BackoffPolicy`]
-    /// delays, and — when a stall policy or deadline is configured —
-    /// monitoring every cell's [`Heartbeat`].
+    /// delays, and — when the budget sets a deadline — running a monitor
+    /// thread that enforces it.
     ///
     /// A cell fails by returning `Err` *or* by panicking; either way the
     /// other cells are unaffected and the failure lands typed in the
-    /// outcome rather than propagating. A stalled cell is cancelled
-    /// cooperatively and reported degraded — it is not retried, since a
-    /// hang would recur and hold the sweep hostage again. When the
-    /// budget's deadline elapses, every live cell is cancelled and
-    /// reported [`DegradeReason::DeadlineExceeded`]; retries whose
-    /// backoff would sleep past the deadline are skipped the same way.
+    /// outcome rather than propagating. A cancelled cell is reported
+    /// degraded and is not retried. When the budget's deadline elapses,
+    /// every live cell is cancelled and reported
+    /// [`DegradeReason::DeadlineExceeded`]; retries whose backoff would
+    /// sleep past the deadline are skipped the same way.
     pub fn run_cells<L, T, F>(&self, labels: Vec<L>, work: F) -> Vec<CellOutcome<T>>
     where
         L: fmt::Display + Send + Sync,
@@ -350,34 +323,33 @@ impl Runtime {
                 Arc::new(CellSlot {
                     heartbeat: Heartbeat::with_token(self.root.clone()),
                     done: AtomicBool::new(false),
-                    reason: AtomicU8::new(REASON_NONE),
                 })
             })
             .collect();
+        let deadline_hit = AtomicBool::new(false);
         let cells: Vec<String> = labels.iter().map(ToString::to_string).collect();
 
         let mut outcomes: Vec<Option<CellOutcome<T>>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let work = &work;
             let opts_ref = &self.opts;
+            let deadline_hit = &deadline_hit;
             let mut handles = Vec::new();
             for (i, label) in labels.iter().enumerate() {
                 let slot = Arc::clone(&slots[i]);
                 let cell = cells[i].clone();
                 handles.push(scope.spawn(move || {
-                    let outcome = run_one_cell(label, &cell, &slot, opts_ref, started, work);
+                    let outcome =
+                        run_one_cell(label, &cell, &slot, deadline_hit, opts_ref, started, work);
                     slot.done.store(true, Ordering::SeqCst);
                     (i, outcome)
                 }));
             }
 
-            if self.opts.stall.is_some() || self.opts.budget.deadline.is_some() {
+            if let Some(deadline) = self.opts.budget.deadline {
                 let slots = &slots;
-                let cells = &cells;
                 let root = &self.root;
-                let stall = self.opts.stall;
-                let deadline = self.opts.budget.deadline;
-                scope.spawn(move || monitor(slots, cells, root, stall, deadline, started));
+                scope.spawn(move || monitor(slots, root, deadline_hit, deadline, started));
             }
 
             for h in handles {
@@ -403,85 +375,31 @@ where
     Runtime::new(opts.clone()).run_cells(labels, work)
 }
 
-/// The monitor thread: enforces the sweep deadline and the stall
-/// watchdog over every live cell's heartbeat. Exits once every cell is
-/// done.
-///
-/// Stall detection is two-phase to close the poll/cancel race: the pure
-/// [`MonitorState`] counts frozen polls, and its verdict is confirmed
-/// against the live heartbeat with `cancel_if_stalled_at`, which refuses
-/// to kill a cell that advanced after the poll.
+/// The deadline monitor: once the sweep deadline passes, it cancels the
+/// root token, so every live cell stops at its next safe point. Exits
+/// then, or once every cell is done.
 fn monitor(
     slots: &[Arc<CellSlot>],
-    cells: &[String],
     root: &CancelToken,
-    stall: Option<StallPolicy>,
-    deadline: Option<Duration>,
+    deadline_hit: &AtomicBool,
+    deadline: Duration,
     started: Instant,
 ) {
-    // The deadline needs finer resolution than a typical stall poll, so
-    // the loop ticks fast when a deadline is armed and re-checks the
-    // stall counters only on the configured poll cadence.
-    let tick_ms = match (stall, deadline) {
-        (Some(s), None) => s.poll_ms,
-        (Some(s), Some(_)) => s.poll_ms.min(25),
-        (None, _) => 25,
-    };
-    let mut mon = stall.map(|s| MonitorState::new(slots.len(), s.stall_after));
-    let mut last_stall_poll = Instant::now();
     loop {
-        std::thread::sleep(Duration::from_millis(tick_ms));
+        std::thread::sleep(Duration::from_millis(25));
         if slots.iter().all(|s| s.done.load(Ordering::SeqCst)) {
             return;
         }
-        if let Some(d) = deadline {
-            if started.elapsed() >= d && !root.is_cancelled() {
-                // Record the reason on every live slot *before* flipping
-                // the token, so workers observing the cancel can already
-                // classify it.
-                for slot in slots {
-                    if !slot.done.load(Ordering::SeqCst) {
-                        let _ = slot.reason.compare_exchange(
-                            REASON_NONE,
-                            REASON_DEADLINE,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        );
-                    }
-                }
-                eprintln!("sweep deadline ({d:?}) elapsed; cancelling remaining cells");
+        if started.elapsed() >= deadline {
+            // An external cancel that came first keeps its reason.
+            if !root.is_cancelled() {
+                // Recorded before the token flips, so a worker that
+                // observes the cancel can already classify it.
+                deadline_hit.store(true, Ordering::SeqCst);
+                eprintln!("sweep deadline ({deadline:?}) elapsed; cancelling remaining cells");
                 root.cancel();
             }
-        }
-        if let (Some(policy), Some(mon)) = (stall, mon.as_mut()) {
-            if last_stall_poll.elapsed() >= Duration::from_millis(policy.poll_ms) {
-                last_stall_poll = Instant::now();
-                let observed: Vec<(u64, bool)> = slots
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.heartbeat.steps(),
-                            s.done.load(Ordering::SeqCst) || s.heartbeat.is_cancelled(),
-                        )
-                    })
-                    .collect();
-                for (i, expected) in mon.poll(&observed) {
-                    // Confirm against the live heartbeat: a cell that
-                    // advanced since the poll is spared.
-                    if slots[i].heartbeat.cancel_if_stalled_at(expected) {
-                        let _ = slots[i].reason.compare_exchange(
-                            REASON_NONE,
-                            REASON_STALLED,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        );
-                        eprintln!(
-                            "cell {}: no progress past step {expected}; cancelling as stalled",
-                            cells[i]
-                        );
-                    }
-                }
-            }
+            return;
         }
     }
 }
@@ -506,6 +424,7 @@ fn run_one_cell<L, T, F>(
     label: &L,
     cell: &str,
     slot: &CellSlot,
+    deadline_hit: &AtomicBool,
     opts: &SweepOptions,
     started: Instant,
     work: &F,
@@ -530,7 +449,7 @@ where
             &slot.heartbeat,
             opts.budget,
             started,
-            &slot.reason,
+            deadline_hit,
             std::mem::take(&mut pending),
         );
         let result = catch_unwind(AssertUnwindSafe(|| work(label, &ctx)));
@@ -542,9 +461,8 @@ where
         all_events.extend(ctx.take_events());
         match result {
             Ok(Ok(value)) => {
-                let degrade = degraded_any.or_else(|| {
-                    cancelled.then(|| (observed_cancel_reason(&slot.reason, &slot.heartbeat), None))
-                });
+                let degrade = degraded_any
+                    .or_else(|| cancelled.then(|| (observed_cancel_reason(deadline_hit), None)));
                 let status = match degrade {
                     Some((reason, last_durable_step)) => {
                         ensure_degraded_event(&mut all_events, reason, last_durable_step);
@@ -599,7 +517,7 @@ where
     let degrade = degraded_any.or_else(|| {
         slot.heartbeat
             .is_cancelled()
-            .then(|| (observed_cancel_reason(&slot.reason, &slot.heartbeat), None))
+            .then(|| (observed_cancel_reason(deadline_hit), None))
     });
     match degrade {
         Some((reason, last_durable_step)) => {
@@ -698,55 +616,6 @@ mod tests {
         });
         assert_eq!(outcomes[0].status, CellStatus::Recovered);
         assert_eq!(outcomes[0].attempts, 1);
-    }
-
-    #[test]
-    fn watchdog_cancels_stalled_cells_and_marks_them_degraded() {
-        let opts = SweepOptions {
-            stall: Some(StallPolicy {
-                poll_ms: 10,
-                stall_after: 3,
-            }),
-            ..fast_opts(2)
-        };
-        let outcomes = run_cells(vec!["healthy", "stuck"], &opts, |label, ctx| {
-            if *label == "healthy" {
-                for step in 0..20u64 {
-                    ctx.heartbeat.beat(step);
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return Ok("done".to_string());
-            }
-            // The stuck cell never beats; it cooperatively polls for
-            // cancellation like run_supervised does at chunk boundaries.
-            loop {
-                if ctx.heartbeat.is_cancelled() {
-                    return Err(JobError::Cancelled {
-                        reason: ctx.cancel_reason(),
-                        step: ctx.heartbeat.steps(),
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        });
-        let by_cell = |name: &str| outcomes.iter().find(|o| o.cell == name).unwrap();
-        assert_eq!(by_cell("healthy").status, CellStatus::Ok);
-        let stuck = by_cell("stuck");
-        assert_eq!(
-            stuck.status,
-            CellStatus::Degraded {
-                reason: DegradeReason::Stalled,
-                last_durable_step: None,
-            }
-        );
-        // A stall is not retried: retries were 2, but one attempt ran.
-        assert_eq!(stuck.attempts, 1);
-        assert_eq!(stuck.error.as_ref().unwrap().kind(), "cancelled");
-        // The degradation is on the event trace too.
-        assert!(stuck
-            .events
-            .iter()
-            .any(|e| matches!(e, RuntimeEvent::Degraded { .. })));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng as _;
 use sops_chains::checkpoint::StateCodec;
 use sops_chains::recovery::{run_supervised, SupervisedOptions};
-use sops_chains::{Auditable, MarkovChain, Repairable};
+use sops_chains::{Auditable, MarkovChain, RecoveryEvent, Repairable};
 use sops_runtime::{DegradeReason, JobError, ResourceBudget};
 
 use crate::service::{ExecCtx, JobOutcome, JobPayload};
@@ -31,7 +31,9 @@ use crate::service::{ExecCtx, JobOutcome, JobPayload};
 /// starting over, and `initial`/the seed are ignored in favor of the
 /// recovered state. The store is recovered once per dispatch, by the
 /// supervised runner; [`sops_runtime::RuntimeEvent::Resumed`] is emitted
-/// from its report when the run returns.
+/// from its report when the run returns, followed by one event per repair
+/// or rollback. A cancelled run emits no `cancelled` event: the service
+/// reports the eviction itself.
 pub fn chain_payload<C, F>(
     chain: C,
     initial: C::State,
@@ -74,6 +76,11 @@ where
         if let Some(step) = run.resumed_from {
             ctx.note_resumed(step);
         }
+        for event in &run.events {
+            if !matches!(event, RecoveryEvent::Cancelled { .. }) {
+                ctx.emit(event.into());
+            }
+        }
         if run.completed {
             on_done(&state, &rng);
             Ok(JobOutcome::Completed { steps: run.steps })
@@ -92,6 +99,7 @@ mod tests {
     use std::collections::BTreeMap;
     use std::io;
     use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
 
     use rand::{Rng, RngExt as _};
@@ -174,26 +182,37 @@ mod tests {
         }
     }
 
-    struct Counter(u64);
+    /// A walk position; `stale` stands for a drifted cache, which the
+    /// audit reports and repair rebuilds. It is not encoded.
+    #[derive(Default)]
+    struct Counter {
+        x: u64,
+        stale: bool,
+    }
 
     impl StateCodec for Counter {
         fn encode_state(&self) -> Vec<u8> {
-            self.0.encode_state()
+            self.x.encode_state()
         }
         fn decode_state(bytes: &[u8]) -> Result<Self, String> {
-            u64::decode_state(bytes).map(Counter)
+            u64::decode_state(bytes).map(|x| Counter { x, stale: false })
         }
     }
 
     impl Auditable for Counter {
         fn audit_violations(&self) -> Vec<String> {
-            Vec::new()
+            if self.stale {
+                vec!["stale cache".to_string()]
+            } else {
+                Vec::new()
+            }
         }
     }
 
     impl Repairable for Counter {
         fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>> {
-            Ok(Vec::new())
+            self.stale = false;
+            Ok(vec!["rebuilt cache".to_string()])
         }
     }
 
@@ -202,13 +221,29 @@ mod tests {
     impl MarkovChain for Walk {
         type State = Counter;
         fn step<R: Rng + ?Sized>(&self, s: &mut Counter, rng: &mut R) -> bool {
-            s.0 = s.0.wrapping_add(u64::from(rng.random_range(0..3u8)));
+            s.x = s.x.wrapping_add(u64::from(rng.random_range(0..3u8)));
             true
         }
     }
 
-    fn run(svc: &JobService, steps: u64) -> TerminalStatus {
-        let payload = chain_payload(Walk, Counter(0), 5, steps, 1_000, |_, _| {});
+    /// [`Walk`] that drifts the cache on its first step only.
+    struct DriftOnce(AtomicBool);
+
+    impl MarkovChain for DriftOnce {
+        type State = Counter;
+        fn step<R: Rng + ?Sized>(&self, s: &mut Counter, rng: &mut R) -> bool {
+            if !self.0.swap(true, Ordering::Relaxed) {
+                s.stale = true;
+            }
+            Walk.step(s, rng)
+        }
+    }
+
+    fn run<C>(svc: &JobService, chain: C, steps: u64) -> TerminalStatus
+    where
+        C: MarkovChain<State = Counter> + Send + 'static,
+    {
+        let payload = chain_payload(chain, Counter::default(), 5, steps, 1_000, |_, _| {});
         let Admission::Admitted(ticket) = svc.submit(JobSpec::new("t", "t/s", payload)) else {
             panic!("rejected")
         };
@@ -231,13 +266,19 @@ mod tests {
     fn resumed_dispatch_recovers_once_and_reports_one_resume() {
         let vfs = Arc::new(CountingVfs::new());
         let svc = service(&vfs);
-        assert_eq!(run(&svc, 3_000), TerminalStatus::Completed { steps: 3_000 });
+        assert_eq!(
+            run(&svc, Walk, 3_000),
+            TerminalStatus::Completed { steps: 3_000 }
+        );
 
         let lines = Arc::new(Mutex::new(Vec::<String>::new()));
         let sink = Arc::clone(&lines);
         svc.set_telemetry(move |line| sink.lock().unwrap().push(line.to_string()));
         vfs.take();
-        assert_eq!(run(&svc, 6_000), TerminalStatus::Completed { steps: 6_000 });
+        assert_eq!(
+            run(&svc, Walk, 6_000),
+            TerminalStatus::Completed { steps: 6_000 }
+        );
         svc.shutdown(std::time::Duration::from_secs(5));
 
         let lines = lines.lock().unwrap();
@@ -260,7 +301,10 @@ mod tests {
         let vfs = Arc::new(CountingVfs::new());
         let svc = service(&vfs);
         vfs.take();
-        assert_eq!(run(&svc, 1_000), TerminalStatus::Completed { steps: 1_000 });
+        assert_eq!(
+            run(&svc, Walk, 1_000),
+            TerminalStatus::Completed { steps: 1_000 }
+        );
         svc.shutdown(std::time::Duration::from_secs(5));
         let mut expected = BTreeMap::from([
             (("read", "manifest"), 1),
@@ -273,5 +317,29 @@ mod tests {
             }
         }
         assert_eq!(vfs.take(), expected);
+    }
+
+    /// A repair inside a service job reaches the service telemetry stream,
+    /// as a sweep cell's reaches its cell telemetry.
+    #[test]
+    fn a_repaired_drift_reaches_the_service_telemetry() {
+        let vfs = Arc::new(CountingVfs::new());
+        let svc = service(&vfs);
+        let lines = Arc::new(Mutex::new(Vec::<String>::new()));
+        let sink = Arc::clone(&lines);
+        svc.set_telemetry(move |line| sink.lock().unwrap().push(line.to_string()));
+        assert_eq!(
+            run(&svc, DriftOnce(AtomicBool::new(false)), 3_000),
+            TerminalStatus::Completed { steps: 3_000 }
+        );
+        svc.shutdown(std::time::Duration::from_secs(5));
+
+        let lines = lines.lock().unwrap();
+        let repaired: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains("\"event\": \"repaired\""))
+            .collect();
+        assert_eq!(repaired.len(), 1, "{lines:?}");
+        assert!(repaired[0].contains("\"step\": 1000"), "{}", repaired[0]);
     }
 }

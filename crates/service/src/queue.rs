@@ -333,7 +333,7 @@ pub(crate) enum WaitVerdict {
 
 /// The pure decision core of the blocking admission wait, factored out
 /// of the condvar loop so the cancel-vs-slot race is testable with a
-/// fake clock (the PR 5 `MonitorState` pattern).
+/// fake clock.
 ///
 /// The ordering is the regression contract: **cancellation is checked
 /// before space**, so a cancelled submitter unblocks with a cancel

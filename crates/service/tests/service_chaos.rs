@@ -362,8 +362,8 @@ fn cancelled_submitter_on_full_queue_unblocks_promptly() {
 }
 
 /// Fairness: one tenant floods the queue, another submits a single job.
-/// Deficit round-robin must dispatch the single job within the first
-/// rotation — the flood cannot starve it to the back of the line.
+/// Round-robin over tenant lanes must dispatch the single job within the
+/// first rotation — the flood cannot starve it to the back of the line.
 #[test]
 fn single_job_tenant_is_not_starved_by_a_flood() {
     let scratch = Scratch::new("fairness");
