@@ -14,7 +14,7 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 use sops_chains::telemetry::series_record_json;
-use sops_chains::{Instrumented, JsonlSink, RunManifest, SupervisedRun};
+use sops_chains::{Instrumented, JsonlSink, RecoveryEvent, RunManifest, SupervisedRun};
 use sops_core::SeparationChain;
 use sops_runtime::{JobContext, SweepOptions};
 
@@ -57,7 +57,26 @@ pub fn log_recovery(cell: &str, run: &SupervisedRun) {
         eprintln!("{cell}: reaped orphaned temp file {}", path.display());
     }
     for event in &run.events {
-        eprintln!("{cell}: {event:?}");
+        eprintln!("{}", recovery_line(cell, event));
+    }
+}
+
+/// One ladder event as a plain `cell: …` line, naming the repair actions
+/// or the violations that forced a rollback.
+fn recovery_line(cell: &str, event: &RecoveryEvent) -> String {
+    match event {
+        RecoveryEvent::Repaired { step, actions } => {
+            format!("{cell}: repaired at step {step}: {}", actions.join("; "))
+        }
+        RecoveryEvent::RolledBack {
+            from_step,
+            to_step,
+            violations,
+        } => format!(
+            "{cell}: rolled back from step {from_step} to step {to_step}: {}",
+            violations.join("; ")
+        ),
+        RecoveryEvent::Cancelled { step } => format!("{cell}: cancelled at step {step}"),
     }
 }
 
@@ -387,6 +406,31 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("perimeter"));
         assert!(lines[3].ends_with("38"));
+    }
+
+    #[test]
+    fn recovery_events_print_as_plain_lines() {
+        let line = |event| recovery_line("gamma=4.0000", &event);
+        assert_eq!(
+            line(RecoveryEvent::Repaired {
+                step: 4_000_000,
+                actions: vec!["rebuilt edges 7 → 5".into(), "rebuilt hetero 3 → 2".into()],
+            }),
+            "gamma=4.0000: repaired at step 4000000: rebuilt edges 7 → 5; rebuilt hetero 3 → 2"
+        );
+        assert_eq!(
+            line(RecoveryEvent::RolledBack {
+                from_step: 3_000_000,
+                to_step: 2_000_000,
+                violations: vec!["occupancy desync".into(), "disconnected".into()],
+            }),
+            "gamma=4.0000: rolled back from step 3000000 to step 2000000: \
+             occupancy desync; disconnected"
+        );
+        assert_eq!(
+            line(RecoveryEvent::Cancelled { step: 4_000_000 }),
+            "gamma=4.0000: cancelled at step 4000000"
+        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn chain_cell(
         &mut rng,
         &store,
         &sup,
-        ctx.heartbeat,
+        &ctx.cancel_token(),
         |c| c.perimeter() as f64,
         |t, c| {
             if poison_at == Some(t) {
@@ -158,7 +158,7 @@ fn repeated_corruption_is_healed_every_chunk() {
             &mut rng,
             &store,
             &sup,
-            ctx.heartbeat,
+            &ctx.cancel_token(),
             |c| c.perimeter() as f64,
             |_, c| {
                 let (e, h) = (c.edge_count(), c.hetero_edge_count());

@@ -43,8 +43,9 @@ impl CancelToken {
     /// Requests cancellation. Idempotent; never blocks.
     ///
     /// Release, paired with the acquire in [`CancelToken::is_cancelled`]:
-    /// whatever the canceller wrote before cancelling (such as why it
-    /// cancelled) is visible to code that has observed the cancel.
+    /// whatever the canceller wrote before cancelling is visible to code
+    /// that has observed the cancel, so the flag is a safe hand-off point
+    /// for any state that goes with it.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }

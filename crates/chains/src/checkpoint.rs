@@ -1085,8 +1085,9 @@ fn step_from_filename(path: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::chain::MarkovChain;
-    use crate::recovery::{run_supervised, Heartbeat, SupervisedOptions};
+    use crate::recovery::{run_supervised, SupervisedOptions};
     use crate::vfs::{CrashStyle, FaultyVfs};
     use rand::rngs::StdRng;
     use rand::{Rng, RngExt as _, SeedableRng};
@@ -1696,7 +1697,7 @@ mod tests {
                 rng,
                 store,
                 &opts,
-                &Heartbeat::new(),
+                &CancelToken::new(),
                 |s| *s as f64,
                 |_, _| ControlFlow::Continue(()),
             )
@@ -1777,7 +1778,7 @@ mod tests {
             &mut rng,
             &store,
             &opts,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.0 as f64,
             |_, _| ControlFlow::Continue(()),
         )

@@ -19,8 +19,8 @@
 //!   renames) for the crash-point fuzzer;
 //! * [`recovery`] — the self-healing escalation ladder for supervised
 //!   runs: audit violation → in-place [`Repairable::repair_state`] →
-//!   rollback to the last good checkpoint, with a step-counter heartbeat
-//!   that carries the run's cancellation token;
+//!   rollback to the last good checkpoint, and a [`CancelToken`] checked
+//!   at the top of every chunk;
 //! * [`metropolis`] — the Metropolis filter (Metropolis–Hastings acceptance
 //!   rule) used by Algorithm 1;
 //! * [`stats`] — empirical distributions, total-variation distance, and
@@ -81,7 +81,7 @@ pub use convergence::{r_hat, ConvergenceMonitor, Diagnostics, StreamingAcf};
 pub use exact::{EnumerableChain, TransitionMatrix};
 pub use metropolis::{PowerRatio, PowerTable, POWER_TABLE_EXPONENT_MAX};
 pub use recovery::{
-    run_supervised, run_supervised_hooked, Heartbeat, RecoveryEvent, Repairable, SupervisedHooks,
+    run_supervised, run_supervised_hooked, RecoveryEvent, Repairable, SupervisedHooks,
     SupervisedOptions, SupervisedRun,
 };
 pub use telemetry::{

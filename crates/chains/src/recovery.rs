@@ -23,17 +23,15 @@
 //! to roll back to), and it audits at [`SupervisedOptions::audit_every`]'s
 //! cadence instead of before every snapshot.
 //!
-//! The loop also feeds a [`Heartbeat`]: a shared step counter, recording
-//! how far the run got, and the cancellation token the run checks at the
-//! top of every chunk (a cancelled run returns with `completed: false` at
-//! the next chunk boundary instead of wedging the sweep).
+//! The loop checks a [`CancelToken`] at the top of every chunk: a
+//! cancelled run returns with `completed: false` at the next chunk
+//! boundary instead of wedging the sweep.
 //!
 //! Everything here lives *outside* the proposal kernel: the ladder runs
 //! once per chunk (typically 10⁴–10⁶ steps), so the hot path is untouched.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 
@@ -131,58 +129,6 @@ pub trait Repairable {
     fn repair_state(&mut self) -> Result<Vec<String>, Vec<String>>;
 }
 
-/// A shared step-counter heartbeat with cooperative cancellation.
-///
-/// The chunk loop bumps the counter at every chunk boundary, so a run that
-/// is cancelled can report how far it got; it checks the token at the top
-/// of every chunk and exits cleanly there. All methods take `&self`.
-#[derive(Debug, Default)]
-pub struct Heartbeat {
-    steps: AtomicU64,
-    token: CancelToken,
-}
-
-impl Heartbeat {
-    /// A fresh heartbeat at step 0, not cancelled.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh heartbeat whose cancellation flag is the given token — lets
-    /// one token fan out to many cells.
-    #[must_use]
-    pub fn with_token(token: CancelToken) -> Self {
-        Heartbeat {
-            steps: AtomicU64::new(0),
-            token,
-        }
-    }
-
-    /// A clone of the cancellation token for this heartbeat.
-    #[must_use]
-    pub fn token(&self) -> CancelToken {
-        self.token.clone()
-    }
-
-    /// Records progress: the run has completed `steps` total steps.
-    pub fn beat(&self, steps: u64) {
-        self.steps.store(steps, Ordering::Relaxed);
-    }
-
-    /// The last step count reported by [`Heartbeat::beat`].
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
-
-    /// Whether the heartbeat's token has been cancelled.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.token.is_cancelled()
-    }
-}
-
 /// One rung taken on the escalation ladder during a supervised run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecoveryEvent {
@@ -215,7 +161,7 @@ pub enum RecoveryEvent {
 pub struct SupervisedOptions {
     /// Total steps to run.
     pub steps: u64,
-    /// Chunk length: audit/checkpoint/heartbeat interval. Must be > 0.
+    /// Chunk length: audit/checkpoint/cancellation interval. Must be > 0.
     pub every: u64,
     /// Maximum rollbacks before the run gives up. Repairs are not
     /// counted — only full rollbacks consume budget.
@@ -273,9 +219,9 @@ impl SupervisedRun {
     }
 }
 
-/// Runs a chain under the full escalation ladder: chunked execution with
-/// heartbeats, audit → repair → rollback on invariant violations, and
-/// checkpoint persistence after every clean chunk.
+/// Runs a chain under the full escalation ladder: chunked execution that
+/// stops once `cancel` fires, audit → repair → rollback on invariant
+/// violations, and checkpoint persistence after every clean chunk.
 ///
 /// `observe` samples the observable at the entry step and at every chunk
 /// boundary, into [`SupervisedRun::log`]; when it is a pure function of
@@ -311,7 +257,7 @@ pub fn run_supervised<C, R, F, G>(
     rng: &mut R,
     store: &CheckpointStore,
     opts: &SupervisedOptions,
-    heartbeat: &Heartbeat,
+    cancel: &CancelToken,
     observe: F,
     on_chunk: G,
 ) -> Result<SupervisedRun, CheckpointError>
@@ -328,7 +274,7 @@ where
         rng,
         Some(store),
         opts,
-        heartbeat,
+        cancel,
         observe,
         &mut ClosureHooks(on_chunk),
     )
@@ -338,8 +284,8 @@ where
 /// and an optional store.
 ///
 /// Each chunk goes: cancellation check, [`SupervisedHooks::before_chunk`],
-/// the chunk, heartbeat, [`SupervisedHooks::on_chunk`], audit (and ladder),
-/// `observe`, snapshot. A chunk at which `on_chunk` breaks skips the
+/// the chunk, [`SupervisedHooks::on_chunk`], audit (and ladder), `observe`,
+/// snapshot. A chunk at which `on_chunk` breaks skips the
 /// snapshot, so this loop alone decides what a resume point is.
 ///
 /// With a store, the ladder and the determinism contract are
@@ -369,7 +315,7 @@ pub fn run_supervised_hooked<C, R, F, H>(
     rng: &mut R,
     store: Option<&CheckpointStore>,
     opts: &SupervisedOptions,
-    heartbeat: &Heartbeat,
+    cancel: &CancelToken,
     mut observe: F,
     hooks: &mut H,
 ) -> Result<SupervisedRun, CheckpointError>
@@ -429,7 +375,7 @@ where
     let mut rollbacks = 0u32;
     let mut since_audit = 0u64;
     while run.steps < opts.steps {
-        if heartbeat.is_cancelled() {
+        if cancel.is_cancelled() {
             run.events
                 .push(RecoveryEvent::Cancelled { step: run.steps });
             run.completed = false;
@@ -444,7 +390,6 @@ where
         run.accepted += chain.run(state, burst, rng);
         run.steps += burst;
         let t = run.steps;
-        heartbeat.beat(t);
         let flow = hooks.on_chunk(t, state);
 
         // The escalation ladder. A chunk about to be persisted is always
@@ -518,7 +463,6 @@ where
                     to_step,
                     violations,
                 });
-                heartbeat.beat(to_step);
                 continue;
             }
         }
@@ -698,7 +642,7 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |_, _| ControlFlow::Continue(()),
         )
@@ -725,7 +669,7 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 3_000 && !injected {
@@ -766,7 +710,7 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 4_000 && !injected {
@@ -812,7 +756,7 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 4_000 && !injected {
@@ -860,7 +804,7 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 1_000 && !injected {
@@ -921,7 +865,7 @@ mod tests {
             &mut rng,
             &store,
             &opts,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |_, _| ControlFlow::Continue(()),
         )
@@ -956,7 +900,7 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             // Poison every chunk: repair can never help, rollback budget
             // drains, and the run must fail rather than spin forever.
@@ -973,7 +917,7 @@ mod tests {
     fn cancellation_stops_at_chunk_boundary() {
         let scratch = Scratch::new("cancel");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
-        let heartbeat = Heartbeat::new();
+        let token = CancelToken::new();
         let mut state = Cached::new(0);
         let mut rng = StdRng::seed_from_u64(42);
         let run = run_supervised(
@@ -982,11 +926,11 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &heartbeat,
+            &token,
             |s| s.x as f64,
             |t, _| {
                 if t == 2_000 {
-                    heartbeat.token.cancel();
+                    token.cancel();
                 }
                 ControlFlow::Continue(())
             },
@@ -1002,19 +946,9 @@ mod tests {
             "{:?}",
             run.events
         );
-        assert_eq!(heartbeat.steps(), 2_000);
         // The chunk that observed the cancel was still persisted (cancel
         // is only checked at the loop top), so resume starts from here.
         assert_eq!(run.last_durable_step, Some(2_000));
-    }
-
-    #[test]
-    fn external_cancel_survives_beats() {
-        let hb = Heartbeat::new();
-        hb.token().cancel();
-        hb.beat(500);
-        assert!(hb.is_cancelled());
-        assert_eq!(hb.steps(), 500);
     }
 
     #[test]
@@ -1032,10 +966,10 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |s| s.x as f64,
             |t, _| {
-                // Cancel only the *store's* token: the heartbeat stays
+                // Cancel only the *store's* token: the run's token stays
                 // live, so the exit must come from the checkpoint-I/O
                 // cancel check, not the chunk-boundary one.
                 if t == 2_000 {
@@ -1078,7 +1012,7 @@ mod tests {
                 &mut rng,
                 &store,
                 &OPTS,
-                &Heartbeat::new(),
+                &CancelToken::new(),
                 |s| s.x as f64,
                 |t, _| {
                     if t >= 3_000 {

@@ -6,13 +6,15 @@
 //! [`SupervisedHooks`] impl. With a checkpoint store the loop resumes from
 //! it, walks the full escalation ladder (audit → repair → rollback) and
 //! persists every chunk; without one it writes nothing and has no
-//! rollback rung, but still beats the heartbeat, honors cancellation, and
-//! audits and repairs at the job's `audit_every` cadence. The driver adds
-//! the budget of the [`crate::ResourceBudget`]: requested steps are
-//! clamped to the step cap, the wall-clock deadline is checked before
-//! every chunk (cancellation also inside checkpoint I/O, via the store's
-//! cancel token), and any budget trip ends the job degraded — with its
-//! last durable checkpoint step on record — instead of wedged or failed.
+//! rollback rung, but still honors cancellation, and audits and repairs at
+//! the job's `audit_every` cadence. The driver adds the budget of the
+//! [`crate::ResourceBudget`]: requested steps are clamped to the step cap,
+//! the wall-clock deadline is checked before every chunk (cancellation
+//! also inside checkpoint I/O, via the store's cancel token), and any
+//! budget trip ends the job degraded — with its last durable checkpoint
+//! step on record — instead of wedged or failed. The deadline never cuts
+//! a chunk short: the chunk in flight when it passes runs to its end (and,
+//! with a store, is persisted), and the job stops before the next one.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -33,11 +35,11 @@ use crate::runner::JobContext;
 pub struct ChainJob<'a> {
     /// Requested steps (clamped to the budget's step cap).
     pub steps: u64,
-    /// Chunk length: audit/checkpoint/heartbeat/cancellation interval.
+    /// Chunk length: audit/checkpoint/cancellation interval.
     pub every: u64,
     /// Checkpoint store to resume from and persist into; `None` runs
-    /// storeless (no snapshot and no rollback rung, but still heartbeats,
-    /// audits, repairs, and budget checks).
+    /// storeless (no snapshot and no rollback rung, but still audits,
+    /// repairs, and checks the budget).
     pub store: Option<&'a CheckpointStore>,
     /// Storeless audit interval (a job with a store audits every chunk
     /// regardless).
@@ -47,13 +49,13 @@ pub struct ChainJob<'a> {
 /// Runs a chain job under the cell's [`JobContext`]: checkpointed when
 /// the job has a store, storeless otherwise.
 ///
-/// Every chunk beats the heartbeat and honors cooperative cancellation
-/// (a job with a store also inside checkpoint I/O, through the store's
-/// cancel token); the step request is clamped to the budget's cap, and
-/// no chunk starts past the wall-clock deadline. Any budget trip or
-/// cancellation marks the cell degraded on `ctx` with the newest durable
-/// checkpoint step any run of the attempt reported (so a storeless run
-/// after a checkpointed one names the latter's snapshot); the partial
+/// Every chunk honors cooperative cancellation (a job with a store also
+/// inside checkpoint I/O, through the store's cancel token); the step
+/// request is clamped to the budget's cap, and no chunk starts past the
+/// wall-clock deadline. Any budget trip or cancellation marks the cell
+/// degraded on `ctx` with the newest durable checkpoint step any run of
+/// the attempt reported (so a storeless run after a checkpointed one
+/// names the latter's snapshot); the partial
 /// [`SupervisedRun`] is still returned so the caller can report partial
 /// results. A repair or rollback marks the cell recovered.
 ///
@@ -288,15 +290,11 @@ where
         rng,
         store.as_ref(),
         &opts,
-        ctx.heartbeat,
+        ctx.cancel,
         |s| (sample.borrow_mut())(s),
         &mut hooks,
     )
     .map_err(|e| match e {
-        CheckpointError::Cancelled => JobError::Cancelled {
-            reason: ctx.cancel_reason(),
-            step: ctx.heartbeat.steps(),
-        },
         // Without a store there is no rollback rung, so no rollback
         // budget was spent: the audit itself failed.
         CheckpointError::AuditFailed { step, violations } if store.is_none() => {
@@ -945,5 +943,105 @@ mod tests {
             assert_eq!(storeless.5.is_some(), monitored);
             assert_eq!(storeless.2 < 100_000, monitored);
         }
+    }
+
+    /// [`Walk`] whose every chunk first sleeps 60 ms.
+    struct SlowWalk;
+
+    impl MarkovChain for SlowWalk {
+        type State = Counter;
+        fn step<R: Rng + ?Sized>(&self, s: &mut Counter, rng: &mut R) -> bool {
+            Walk.step(s, rng)
+        }
+        fn run<R: Rng + ?Sized>(&self, s: &mut Counter, steps: u64, rng: &mut R) -> u64 {
+            std::thread::sleep(std::time::Duration::from_millis(60));
+            Walk.run(s, steps, rng)
+        }
+    }
+
+    fn deadline_opts(ms: u64) -> SweepOptions {
+        SweepOptions {
+            budget: ResourceBudget {
+                deadline: Some(std::time::Duration::from_millis(ms)),
+                ..ResourceBudget::default()
+            },
+            ..fast_opts()
+        }
+    }
+
+    #[test]
+    fn a_cell_whose_chain_finished_before_the_deadline_ends_ok() {
+        let scratch = Scratch::new("epilogue");
+        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        let outcomes = run_cells(vec!["cell"], &deadline_opts(100), |_, ctx| {
+            let mut state = Counter::default();
+            let mut rng = StdRng::seed_from_u64(23);
+            let job = ChainJob {
+                steps: 5_000,
+                every: 1_000,
+                store: Some(&store),
+                audit_every: None,
+            };
+            let run = run_chain(
+                ctx,
+                &Walk,
+                &mut state,
+                &mut rng,
+                job,
+                |s| s.x as f64,
+                |_, _| ControlFlow::Continue(()),
+            )?;
+            // Assembling the result outlasts the deadline; the chain is
+            // already done, so nothing is left for the deadline to stop.
+            std::thread::sleep(std::time::Duration::from_millis(300));
+            Ok((run.steps, run.completed))
+        });
+        assert_eq!(outcomes[0].status, CellStatus::Ok, "{:?}", outcomes[0]);
+        assert_eq!(outcomes[0].result, Some((5_000, true)));
+        assert_eq!(store.newest_step().unwrap(), Some(5_000));
+    }
+
+    #[test]
+    fn a_deadline_trip_persists_the_chunk_in_flight() {
+        let scratch = Scratch::new("in-flight");
+        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        let outcomes = run_cells(vec!["cell"], &deadline_opts(100), |_, ctx| {
+            let mut state = Counter::default();
+            let mut rng = StdRng::seed_from_u64(29);
+            let job = ChainJob {
+                steps: 1_000_000,
+                every: 1_000,
+                store: Some(&store),
+                audit_every: None,
+            };
+            let run = run_chain(
+                ctx,
+                &SlowWalk,
+                &mut state,
+                &mut rng,
+                job,
+                |s| s.x as f64,
+                |_, _| ControlFlow::Continue(()),
+            )?;
+            Ok(run.steps)
+        });
+        let outcome = &outcomes[0];
+        let steps = outcome.result.expect("a degraded cell keeps its result");
+        // The chunk that straddles the deadline ran to its end and was
+        // persisted; the cell stopped before the next one.
+        assert_eq!(
+            outcome.status,
+            CellStatus::Degraded {
+                reason: crate::DegradeReason::DeadlineExceeded,
+                last_durable_step: Some(steps),
+            },
+            "{outcome:?}"
+        );
+        assert_eq!(store.newest_step().unwrap(), Some(steps));
+        assert!(
+            outcome.events.iter().all(|e| e.kind() != "cancelled"),
+            "{:?}",
+            outcome.events
+        );
     }
 }

@@ -267,8 +267,9 @@ impl From<CheckpointError> for JobError {
                 // rollback ladder is spent, so that is what the code says.
                 JobError::RollbackBudgetExhausted { step, violations }
             }
-            // Lossy fallback: callers that know the real reason and step
-            // (e.g. run_chain) intercept Cancelled before converting.
+            // The chunk loop never returns Cancelled (it ends the run with
+            // `completed: false`), so this is a caller's own I/O on a
+            // cancel-wired store, at a step unknown here.
             CheckpointError::Cancelled => JobError::Cancelled {
                 reason: DegradeReason::ExternalCancel,
                 step: 0,

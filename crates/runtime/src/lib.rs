@@ -21,24 +21,24 @@
 //! * [`ResourceBudget`] — the budget a job runs under;
 //! * [`SweepOptions`] — CLI parsing and per-cell checkpoint/telemetry
 //!   plumbing shared by every sweep binary;
-//! * [`Runtime`] / [`run_cells`] — parallel cell execution with
-//!   `catch_unwind` isolation, retries, the deadline monitor, and typed
-//!   outcomes;
+//! * [`Runtime`] / [`run_cells`] — parallel cell execution, one thread a
+//!   cell, with `catch_unwind` isolation, retries, and typed outcomes;
 //! * [`run_chain`] — how every chain-driving bin runs a chain under its
 //!   budget: through `sops-chains`' one chunk loop, checkpointed and
 //!   self-healing (audit → repair → rollback) when a store is configured,
 //!   storeless otherwise (audit → repair, no rollback rung), with budget
-//!   checks either way;
+//!   checks either way: the cancel token and the deadline are read before
+//!   every chunk;
 //! * [`run_chain_monitored`] — the same loop under a
 //!   [`ConvergenceMonitor`]: stops early with
 //!   [`StopReason::Converged`] once the monitor's tests hold, and
 //!   serializes the monitor's decision state into the checkpoint sidecar
 //!   so resumed runs replay to bit-identical stop decisions.
 //!
-//! The recovery ladder itself ([`run_supervised`], [`Heartbeat`],
-//! [`Repairable`]) lives in `sops-chains`; this crate re-exports it so
-//! sweep code needs only one runtime dependency. How far a store durably
-//! got, from file names alone, is [`CheckpointStore::newest_step`].
+//! The recovery ladder itself ([`run_supervised`], [`Repairable`]) lives
+//! in `sops-chains`; this crate re-exports it so sweep code needs only one
+//! runtime dependency. How far a store durably got, from file names alone,
+//! is [`CheckpointStore::newest_step`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,8 +66,8 @@ pub use seeds::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
 // The recovery primitives this runtime builds on, re-exported so callers
 // need only `sops-runtime`.
 pub use sops_chains::{
-    run_supervised, CancelToken, CheckpointError, CheckpointStore, Heartbeat, RecoveryEvent,
-    Repairable, SupervisedOptions, SupervisedRun,
+    run_supervised, CancelToken, CheckpointError, CheckpointStore, RecoveryEvent, Repairable,
+    SupervisedOptions, SupervisedRun,
 };
 
 // The convergence engine, re-exported for the same reason: sweep bins

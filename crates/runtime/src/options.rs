@@ -11,9 +11,10 @@
 //! engine (stop when mixed instead of burning the full budget), `--smoke`
 //! (or env `SOPS_BENCH_SMOKE=1`) shrinks grids and budgets for CI, and the
 //! [`crate::ResourceBudget`] flags: `--deadline-ms D` caps the sweep's
-//! wall-clock time (and is the only flag that starts the runner's monitor
-//! thread), `--max-steps N` caps chain steps per cell, `--max-rollbacks R`
-//! bounds the recovery ladder.
+//! wall-clock time (each cell checks it before every chunk, so the chunk
+//! in flight when it passes is finished and, with `--checkpoint-dir`,
+//! persisted), `--max-steps N` caps chain steps per cell,
+//! `--max-rollbacks R` bounds the recovery ladder.
 
 use std::path::{Path, PathBuf};
 

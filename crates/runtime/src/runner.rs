@@ -1,21 +1,23 @@
 //! The cell runner: parallel, panic-isolated, budget-bounded execution
 //! of labelled sweep cells.
 //!
-//! [`Runtime::run_cells`] runs one labelled cell per job in parallel,
-//! isolating each behind `catch_unwind`, retrying typed failures with
-//! [`crate::BackoffPolicy`] delays, and — when the [`ResourceBudget`] sets
-//! a sweep-wide wall-clock deadline — running a monitor thread that
-//! cancels every live cell once it passes. Every cell ends in a
-//! classified [`CellStatus`]; a budget trip degrades the cell
-//! deterministically instead of wedging or killing the sweep.
+//! [`Runtime::run_cells`] runs one labelled cell per job, each on a thread
+//! of its own, isolating each behind `catch_unwind` and retrying typed
+//! failures with [`crate::BackoffPolicy`] delays. No other thread watches
+//! the cells: a cell stops only at checks made on its own thread — the
+//! root [`CancelToken`] at the top of every chunk and inside checkpoint
+//! I/O, and the [`ResourceBudget`]'s wall-clock deadline before every
+//! chunk of [`crate::run_chain`]. Every cell ends in a classified
+//! [`CellStatus`]; a budget trip degrades the cell deterministically
+//! instead of wedging or killing the sweep.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
-use sops_chains::{CancelToken, Heartbeat, SupervisedRun};
+use sops_chains::{CancelToken, SupervisedRun};
 
 use crate::budget::ResourceBudget;
 use crate::error::{DegradeReason, JobError};
@@ -55,33 +57,19 @@ impl CellStatus {
     }
 }
 
-/// Why a cell was cancelled. The deadline monitor sets `deadline_hit`
-/// before it cancels the root token, so a worker that observes the
-/// cancel can tell a deadline from an external cancel.
-fn observed_cancel_reason(deadline_hit: &AtomicBool) -> DegradeReason {
-    if deadline_hit.load(Ordering::SeqCst) {
-        DegradeReason::DeadlineExceeded
-    } else {
-        DegradeReason::ExternalCancel
-    }
-}
-
 /// Per-attempt context handed to a cell's work function by
 /// [`Runtime::run_cells`].
 ///
 /// Carries the attempt number (for `seeded_attempt` seed derivation), the
-/// cell's shared [`Heartbeat`] (beat it from long loops so a cancelled
-/// cell reports how far it got; check `is_cancelled` to exit early), the
+/// sweep's root [`CancelToken`] (see [`JobContext::cancel_token`]), the
 /// [`ResourceBudget`] the cell runs under, and the channels through which
 /// the cell reports recovery, degradation, and [`RuntimeEvent`]s.
 pub struct JobContext<'a> {
     /// 1-based attempt number (1 = first try).
     pub attempt: u32,
-    /// The cell's heartbeat, whose token is the sweep's root token.
-    pub heartbeat: &'a Heartbeat,
+    pub(crate) cancel: &'a CancelToken,
     budget: ResourceBudget,
     started: Instant,
-    deadline_hit: &'a AtomicBool,
     recovered: AtomicBool,
     degraded: Mutex<Option<(DegradeReason, Option<u64>)>>,
     durable: Mutex<Option<u64>>,
@@ -91,18 +79,16 @@ pub struct JobContext<'a> {
 impl<'a> JobContext<'a> {
     fn new(
         attempt: u32,
-        heartbeat: &'a Heartbeat,
+        cancel: &'a CancelToken,
         budget: ResourceBudget,
         started: Instant,
-        deadline_hit: &'a AtomicBool,
         pending: Vec<RuntimeEvent>,
     ) -> Self {
         JobContext {
             attempt,
-            heartbeat,
+            cancel,
             budget,
             started,
-            deadline_hit,
             recovered: AtomicBool::new(false),
             degraded: Mutex::new(None),
             durable: Mutex::new(None),
@@ -116,18 +102,18 @@ impl<'a> JobContext<'a> {
         self.budget
     }
 
-    /// A clone of the cell's cancellation token, for threading into
-    /// checkpoint stores (`CheckpointStore::with_cancel`) or other
-    /// cooperative consumers.
+    /// A clone of the sweep's root cancellation token, for polling from
+    /// long loops, threading into checkpoint stores
+    /// (`CheckpointStore::with_cancel`) or other cooperative consumers.
     #[must_use]
     pub fn cancel_token(&self) -> CancelToken {
-        self.heartbeat.token()
+        self.cancel.clone()
     }
 
     /// Whether the budget's wall-clock deadline (measured from
     /// [`Runtime::run_cells`] start) has elapsed.
     #[must_use]
-    pub fn deadline_exceeded(&self) -> bool {
+    pub(crate) fn deadline_exceeded(&self) -> bool {
         self.budget.deadline_exceeded(self.started.elapsed())
     }
 
@@ -178,13 +164,6 @@ impl<'a> JobContext<'a> {
         std::mem::take(&mut *self.events.lock().expect("events lock"))
     }
 
-    /// Why this cell was cancelled: the deadline when the monitor made
-    /// the call, otherwise an external cancel.
-    #[must_use]
-    pub(crate) fn cancel_reason(&self) -> DegradeReason {
-        observed_cancel_reason(self.deadline_hit)
-    }
-
     /// The newest durable checkpoint step any run of this attempt
     /// reported to [`JobContext::absorb`], if any.
     pub(crate) fn last_durable_step(&self) -> Option<u64> {
@@ -194,8 +173,8 @@ impl<'a> JobContext<'a> {
     /// Folds a [`SupervisedRun`]'s ladder events into this cell's trace
     /// and status flags: repairs/rollbacks mark the cell recovered, the
     /// context keeps the newest durable step of every run it absorbs, and
-    /// a run cut short by cancellation marks the cell degraded with the
-    /// observed reason and that step. (A run the *caller* broke out of via
+    /// a run cut short by cancellation marks the cell degraded as an
+    /// external cancel with that step. (A run the *caller* broke out of via
     /// `on_chunk` is not degraded — that is the caller's successful early
     /// exit.)
     pub fn absorb(&self, run: &SupervisedRun) {
@@ -209,8 +188,8 @@ impl<'a> JobContext<'a> {
         if run.recovered() {
             self.note_recovered();
         }
-        if !run.completed && self.heartbeat.is_cancelled() {
-            self.note_degraded(self.cancel_reason(), self.last_durable_step());
+        if !run.completed && self.cancel.is_cancelled() {
+            self.note_degraded(DegradeReason::ExternalCancel, self.last_durable_step());
         }
     }
 }
@@ -250,12 +229,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Book-keeping shared between a cell's worker thread and the monitor.
-struct CellSlot {
-    heartbeat: Heartbeat,
-    done: AtomicBool,
-}
-
 /// The supervision runtime: executes labelled jobs under a shared
 /// [`ResourceBudget`] with panic isolation, typed failures, retries, a
 /// sweep-wide deadline, and a root [`CancelToken`] for external
@@ -288,7 +261,7 @@ impl Runtime {
         &self.opts
     }
 
-    /// The root cancellation token every cell's heartbeat shares.
+    /// The root cancellation token every cell shares.
     /// Cancelling it stops the whole sweep cooperatively: each cell exits
     /// at its next safe point and reports
     /// [`CellStatus::Degraded`] with [`DegradeReason::ExternalCancel`].
@@ -297,19 +270,19 @@ impl Runtime {
         self.root.clone()
     }
 
-    /// Runs one labelled cell per job in parallel, isolating each behind
-    /// `catch_unwind`, retrying typed failures up to
-    /// `budget.max_retries` extra times with [`crate::BackoffPolicy`]
-    /// delays, and — when the budget sets a deadline — running a monitor
-    /// thread that enforces it.
+    /// Runs one labelled cell per job in parallel, one thread each,
+    /// isolating each behind `catch_unwind` and retrying typed failures up
+    /// to `budget.max_retries` extra times with [`crate::BackoffPolicy`]
+    /// delays.
     ///
     /// A cell fails by returning `Err` *or* by panicking; either way the
     /// other cells are unaffected and the failure lands typed in the
     /// outcome rather than propagating. A cancelled cell is reported
-    /// degraded and is not retried. When the budget's deadline elapses,
-    /// every live cell is cancelled and reported
-    /// [`DegradeReason::DeadlineExceeded`]; retries whose backoff would
-    /// sleep past the deadline are skipped the same way.
+    /// degraded and is not retried. Each cell checks the budget's deadline
+    /// on its own thread: [`crate::run_chain`] starts no chunk past it,
+    /// and a retry whose backoff would sleep past it is skipped. Either
+    /// way the cell is reported [`DegradeReason::DeadlineExceeded`]; a cell
+    /// whose work returns before the deadline is never cut short by it.
     pub fn run_cells<L, T, F>(&self, labels: Vec<L>, work: F) -> Vec<CellOutcome<T>>
     where
         L: fmt::Display + Send + Sync,
@@ -317,50 +290,19 @@ impl Runtime {
         F: Fn(&L, &JobContext<'_>) -> Result<T, JobError> + Sync,
     {
         let started = Instant::now();
-        let n = labels.len();
-        let slots: Vec<Arc<CellSlot>> = (0..n)
-            .map(|_| {
-                Arc::new(CellSlot {
-                    heartbeat: Heartbeat::with_token(self.root.clone()),
-                    done: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        let deadline_hit = AtomicBool::new(false);
-        let cells: Vec<String> = labels.iter().map(ToString::to_string).collect();
-
-        let mut outcomes: Vec<Option<CellOutcome<T>>> = (0..n).map(|_| None).collect();
+        let work = &work;
         std::thread::scope(|scope| {
-            let work = &work;
-            let opts_ref = &self.opts;
-            let deadline_hit = &deadline_hit;
-            let mut handles = Vec::new();
-            for (i, label) in labels.iter().enumerate() {
-                let slot = Arc::clone(&slots[i]);
-                let cell = cells[i].clone();
-                handles.push(scope.spawn(move || {
-                    let outcome =
-                        run_one_cell(label, &cell, &slot, deadline_hit, opts_ref, started, work);
-                    slot.done.store(true, Ordering::SeqCst);
-                    (i, outcome)
-                }));
-            }
-
-            if let Some(deadline) = self.opts.budget.deadline {
-                let slots = &slots;
-                let root = &self.root;
-                scope.spawn(move || monitor(slots, root, deadline_hit, deadline, started));
-            }
-
-            for h in handles {
-                let (i, outcome) = h.join().expect("cell worker panicked outside catch_unwind");
-                outcomes[i] = Some(outcome);
-            }
-        });
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every cell reports an outcome"))
-            .collect()
+            let handles: Vec<_> = labels
+                .iter()
+                .map(|label| {
+                    scope.spawn(move || run_one_cell(label, &self.root, &self.opts, started, work))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("cell worker panicked outside catch_unwind"))
+                .collect()
+        })
     }
 }
 
@@ -375,56 +317,9 @@ where
     Runtime::new(opts.clone()).run_cells(labels, work)
 }
 
-/// The deadline monitor: once the sweep deadline passes, it cancels the
-/// root token, so every live cell stops at its next safe point. Exits
-/// then, or once every cell is done.
-fn monitor(
-    slots: &[Arc<CellSlot>],
-    root: &CancelToken,
-    deadline_hit: &AtomicBool,
-    deadline: Duration,
-    started: Instant,
-) {
-    loop {
-        std::thread::sleep(Duration::from_millis(25));
-        if slots.iter().all(|s| s.done.load(Ordering::SeqCst)) {
-            return;
-        }
-        if started.elapsed() >= deadline {
-            // An external cancel that came first keeps its reason.
-            if !root.is_cancelled() {
-                // Recorded before the token flips, so a worker that
-                // observes the cancel can already classify it.
-                deadline_hit.store(true, Ordering::SeqCst);
-                eprintln!("sweep deadline ({deadline:?}) elapsed; cancelling remaining cells");
-                root.cancel();
-            }
-            return;
-        }
-    }
-}
-
-fn ensure_degraded_event(
-    events: &mut Vec<RuntimeEvent>,
-    reason: DegradeReason,
-    last_durable_step: Option<u64>,
-) {
-    if !events
-        .iter()
-        .any(|e| matches!(e, RuntimeEvent::Degraded { .. }))
-    {
-        events.push(RuntimeEvent::Degraded {
-            reason,
-            last_durable_step,
-        });
-    }
-}
-
 fn run_one_cell<L, T, F>(
     label: &L,
-    cell: &str,
-    slot: &CellSlot,
-    deadline_hit: &AtomicBool,
+    cancel: &CancelToken,
     opts: &SweepOptions,
     started: Instant,
     work: &F,
@@ -433,23 +328,22 @@ where
     L: fmt::Display,
     F: Fn(&L, &JobContext<'_>) -> Result<T, JobError>,
 {
+    let cell = label.to_string();
     let max_attempts = opts.budget.max_retries.saturating_add(1);
     let mut attempts: u32 = 0;
-    // Assigned on every loop iteration before it is read; no initializer
-    // keeps the flow analysis honest about that.
-    let mut last_error: Option<JobError>;
     let mut recovered_any = false;
     let mut degraded_any: Option<(DegradeReason, Option<u64>)> = None;
     let mut all_events: Vec<RuntimeEvent> = Vec::new();
     let mut pending: Vec<RuntimeEvent> = Vec::new();
-    loop {
+    // The last attempt's result, and whether the sweep was cancelled by
+    // the time it returned.
+    let (result, cancelled) = loop {
         attempts += 1;
         let ctx = JobContext::new(
             attempts,
-            &slot.heartbeat,
+            cancel,
             opts.budget,
             started,
-            deadline_hit,
             std::mem::take(&mut pending),
         );
         let result = catch_unwind(AssertUnwindSafe(|| work(label, &ctx)));
@@ -457,101 +351,82 @@ where
         if degraded_any.is_none() {
             degraded_any = ctx.degraded();
         }
-        let cancelled = slot.heartbeat.is_cancelled();
+        let cancelled = cancel.is_cancelled();
         all_events.extend(ctx.take_events());
-        match result {
-            Ok(Ok(value)) => {
-                let degrade = degraded_any
-                    .or_else(|| cancelled.then(|| (observed_cancel_reason(deadline_hit), None)));
-                let status = match degrade {
-                    Some((reason, last_durable_step)) => {
-                        ensure_degraded_event(&mut all_events, reason, last_durable_step);
-                        CellStatus::Degraded {
-                            reason,
-                            last_durable_step,
-                        }
-                    }
-                    None if recovered_any || attempts > 1 => CellStatus::Recovered,
-                    None => CellStatus::Ok,
-                };
-                return CellOutcome {
-                    cell: cell.to_string(),
-                    attempts,
-                    status,
-                    result: Some(value),
-                    error: None,
-                    events: all_events,
-                };
-            }
-            Ok(Err(e)) => last_error = Some(e),
-            Err(payload) => {
-                last_error = Some(JobError::Panic {
-                    message: panic_message(payload),
-                });
-            }
-        }
-        if let Some(e) = &last_error {
-            eprintln!("cell {cell}: attempt {attempts} failed: {e}");
-        }
+        let error = match result {
+            Ok(Ok(value)) => break (Ok(value), cancelled),
+            Ok(Err(e)) => e,
+            Err(payload) => JobError::Panic {
+                message: panic_message(payload),
+            },
+        };
+        eprintln!("cell {cell}: attempt {attempts} failed: {error}");
         if cancelled || degraded_any.is_some() || attempts >= max_attempts {
-            break;
+            break (Err(error), cancelled);
         }
         let next = attempts + 1;
-        let delay = opts.backoff.delay(cell, next);
+        let delay = opts.backoff.delay(&cell, next);
         if let Some(deadline) = opts.budget.deadline {
             // Never sleep past the deadline: degrade instead of retrying.
             if started.elapsed().saturating_add(delay) >= deadline {
                 degraded_any.get_or_insert((DegradeReason::DeadlineExceeded, None));
-                break;
+                break (Err(error), cancelled);
             }
         }
         pending.push(RuntimeEvent::Retry {
             attempt: next,
             delay_ms: u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
-            error_kind: last_error.as_ref().map_or("app", JobError::kind),
+            error_kind: error.kind(),
         });
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-    }
-    let degrade = degraded_any.or_else(|| {
-        slot.heartbeat
-            .is_cancelled()
-            .then(|| (observed_cancel_reason(deadline_hit), None))
-    });
-    match degrade {
+    };
+    let degrade =
+        degraded_any.or_else(|| cancelled.then_some((DegradeReason::ExternalCancel, None)));
+    let status = match degrade {
         Some((reason, last_durable_step)) => {
-            ensure_degraded_event(&mut all_events, reason, last_durable_step);
-            CellOutcome {
-                cell: cell.to_string(),
-                attempts,
-                status: CellStatus::Degraded {
+            if !all_events
+                .iter()
+                .any(|e| matches!(e, RuntimeEvent::Degraded { .. }))
+            {
+                all_events.push(RuntimeEvent::Degraded {
                     reason,
                     last_durable_step,
-                },
-                result: None,
-                error: Some(last_error.unwrap_or(JobError::Cancelled {
-                    reason,
-                    step: slot.heartbeat.steps(),
-                })),
-                events: all_events,
+                });
+            }
+            CellStatus::Degraded {
+                reason,
+                last_durable_step,
             }
         }
-        None => CellOutcome {
-            cell: cell.to_string(),
-            attempts,
-            status: CellStatus::Failed,
-            result: None,
-            error: Some(last_error.unwrap_or_else(|| JobError::app("unknown failure"))),
-            events: all_events,
-        },
+        None if result.is_err() => CellStatus::Failed,
+        None if recovered_any || attempts > 1 => CellStatus::Recovered,
+        None => CellStatus::Ok,
+    };
+    let (result, error) = match result {
+        Ok(value) => (Some(value), None),
+        Err(error) => (None, Some(error)),
+    };
+    CellOutcome {
+        cell,
+        attempts,
+        status,
+        result,
+        error,
+        events: all_events,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackoffPolicy;
+    use crate::{run_chain, BackoffPolicy, ChainJob};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sops_chains::MarkovChain;
+    use std::ops::ControlFlow;
+    use std::time::Duration;
 
     /// Options with zero backoff so retry tests don't sleep.
     fn fast_opts(retries: u32) -> SweepOptions {
@@ -623,7 +498,7 @@ mod tests {
         let rt = Runtime::new(fast_opts(3));
         rt.cancel_token().cancel();
         let outcomes: Vec<CellOutcome<u32>> = rt.run_cells(vec!["cell"], |_, ctx| {
-            assert!(ctx.heartbeat.is_cancelled());
+            assert!(ctx.cancel_token().is_cancelled());
             Ok(7)
         });
         assert_eq!(outcomes[0].attempts, 1);
@@ -635,6 +510,22 @@ mod tests {
                 last_durable_step: None,
             }
         );
+    }
+
+    /// A counter whose every chunk first sleeps 2 ms.
+    struct Sleepy;
+
+    impl MarkovChain for Sleepy {
+        type State = u64;
+        fn step<R: Rng + ?Sized>(&self, s: &mut u64, _: &mut R) -> bool {
+            *s += 1;
+            true
+        }
+        fn run<R: Rng + ?Sized>(&self, s: &mut u64, steps: u64, _: &mut R) -> u64 {
+            std::thread::sleep(Duration::from_millis(2));
+            *s += steps;
+            steps
+        }
     }
 
     #[test]
@@ -650,14 +541,22 @@ mod tests {
             if *label == "quick" {
                 return Ok(0u64);
             }
-            for step in 0..5_000u64 {
-                ctx.heartbeat.beat(step);
-                if ctx.heartbeat.is_cancelled() {
-                    return Ok(step);
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Ok(5_000)
+            let job = ChainJob {
+                steps: 5_000,
+                every: 1,
+                store: None,
+                audit_every: None,
+            };
+            let run = run_chain(
+                ctx,
+                &Sleepy,
+                &mut 0,
+                &mut StdRng::seed_from_u64(0),
+                job,
+                |&s| s as f64,
+                |_, _| ControlFlow::Continue(()),
+            )?;
+            Ok(run.steps)
         });
         let by_cell = |name: &str| outcomes.iter().find(|o| o.cell == name).unwrap();
         assert_eq!(by_cell("quick").status, CellStatus::Ok);

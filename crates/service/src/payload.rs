@@ -16,7 +16,7 @@ use rand::SeedableRng as _;
 use sops_chains::checkpoint::StateCodec;
 use sops_chains::recovery::{run_supervised, SupervisedOptions};
 use sops_chains::{Auditable, MarkovChain, RecoveryEvent, Repairable};
-use sops_runtime::{DegradeReason, JobError, ResourceBudget};
+use sops_runtime::ResourceBudget;
 
 use crate::service::{ExecCtx, JobOutcome, JobPayload};
 
@@ -62,17 +62,10 @@ where
             &mut rng,
             ctx.store(),
             &opts,
-            ctx.heartbeat(),
+            ctx.cancel,
             |_| 0.0,
             |_, _| ControlFlow::Continue(()),
-        )
-        .map_err(|e| match e {
-            sops_chains::CheckpointError::Cancelled => JobError::Cancelled {
-                reason: DegradeReason::ExternalCancel,
-                step: ctx.heartbeat().steps(),
-            },
-            other => other.into(),
-        })?;
+        )?;
         if let Some(step) = run.resumed_from {
             ctx.note_resumed(step);
         }

@@ -3,8 +3,8 @@
 //! telemetry schema.
 //!
 //! Life of a job: `submit` → typed admission ([`Admission`]) →
-//! round-robin dispatch to a worker → the payload runs under a
-//! [`Heartbeat`] with a per-session [`CheckpointStore`] → exactly one
+//! round-robin dispatch to a worker → the payload runs under the job's
+//! [`CancelToken`] with a per-session [`CheckpointStore`] → exactly one
 //! [`TerminalStatus`] on the ticket, mirrored best-effort into the
 //! session manifest. Panics are caught per job; the poisoned worker slot
 //! retires and a fresh thread replaces it, so a panicking payload costs
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use sops_chains::checkpoint::CheckpointStore;
 use sops_chains::{CancelToken, RealVfs, Vfs};
-use sops_runtime::{DegradeReason, Heartbeat, JobError, RuntimeEvent};
+use sops_runtime::{DegradeReason, JobError, RuntimeEvent};
 
 use crate::queue::{
     Admission, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, Removed, TerminalStatus,
@@ -49,20 +49,13 @@ pub enum JobOutcome {
 /// and checkpoint through [`ExecCtx::store`] get crash-safe eviction for
 /// free.
 pub struct ExecCtx<'a> {
-    pub(crate) heartbeat: &'a Heartbeat,
+    pub(crate) cancel: &'a CancelToken,
     pub(crate) store: &'a CheckpointStore,
     pub(crate) session: &'a str,
     pub(crate) events: &'a dyn Fn(RuntimeEvent),
 }
 
 impl ExecCtx<'_> {
-    /// The job's heartbeat — beat it per chunk; its token is the
-    /// eviction signal.
-    #[must_use]
-    pub fn heartbeat(&self) -> &Heartbeat {
-        self.heartbeat
-    }
-
     /// The session's durable checkpoint store (cancel-wired: checkpoint
     /// I/O aborts promptly once eviction is signalled).
     #[must_use]
@@ -75,7 +68,7 @@ impl ExecCtx<'_> {
     /// return [`JobOutcome::Yielded`].
     #[must_use]
     pub fn evicting(&self) -> bool {
-        self.heartbeat.is_cancelled()
+        self.cancel.is_cancelled()
     }
 
     /// Records that this job resumed its session from a durable
@@ -452,10 +445,9 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
         shared.finish(&ticket, TerminalStatus::Failed { error: e.into() }, None);
         return false;
     }
-    let heartbeat = Heartbeat::with_token(token.clone());
     let emit = |event: RuntimeEvent| shared.emit_event(event);
     let ctx = ExecCtx {
-        heartbeat: &heartbeat,
+        cancel: token,
         store: &store,
         session: &session,
         events: &emit,

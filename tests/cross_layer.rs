@@ -146,7 +146,7 @@ fn enumerated_minimum_perimeter_matches_spiral() {
 #[test]
 fn checkpointed_run_survives_kill_and_corrupt_resume() {
     use sops::chains::{
-        run_supervised, CheckpointStore, Heartbeat, StateCodec as _, SupervisedOptions,
+        run_supervised, CancelToken, CheckpointStore, StateCodec as _, SupervisedOptions,
     };
     use std::io::Write as _;
     use std::ops::ControlFlow;
@@ -176,7 +176,7 @@ fn checkpointed_run_survives_kill_and_corrupt_resume() {
             rng,
             store,
             &opts,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             sops::analysis::metrics::hetero_fraction,
             |_, _| ControlFlow::Continue(()),
         )

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sops::chains::checkpoint::snapshot_checksum;
 use sops::chains::{
-    run_supervised, Checkpoint, CheckpointStore, Heartbeat, MarkovChain, SnapshotRng as _,
+    run_supervised, CancelToken, Checkpoint, CheckpointStore, MarkovChain, SnapshotRng as _,
     StateCodec, SupervisedOptions,
 };
 use sops::core::{construct, properties, Bias, Color, Configuration, SeparationChain};
@@ -226,7 +226,7 @@ fn v1_snapshot_resumes_bit_identically_and_is_followed_by_v2() {
             rng,
             store,
             &opts,
-            &Heartbeat::new(),
+            &CancelToken::new(),
             |_| 0.0,
             |_, _| ControlFlow::Continue(()),
         )
