@@ -7,7 +7,9 @@
 //!
 //! The sweep runs under `sops-runtime`: every cell honors the
 //! `--deadline-ms`/`--max-steps` budget and `--checkpoint-dir`/`--resume`
-//! plumbing, and per-cell outcomes land in `results/fig3-cells.json`.
+//! plumbing. Per-cell outcomes land in `fig3-cells.json`: under `results/`
+//! for an `--adaptive --smoke` run, whose report is committed, and under
+//! the git-ignored `target/smoke-logs/` for every other mode.
 //! With `--adaptive` each cell runs under the convergence engine — it
 //! stops once its perimeter series plateaus with enough effective
 //! samples, split-R̂ agrees, and the phase classification has been stable
@@ -386,6 +388,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         all_outcomes.extend(refined);
     }
 
-    write_cell_report(&sops_bench::out_dir(), "fig3", &all_outcomes);
+    write_cell_report(&sops_bench::report_dir(rt.options()), "fig3", &all_outcomes);
     Ok(())
 }

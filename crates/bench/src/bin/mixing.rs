@@ -16,7 +16,9 @@
 //! configuration invariants from scratch mid-run, and the
 //! `--deadline-ms`/`--max-steps` budget flags degrade the sweep gracefully
 //! instead of wedging it. Per-cell outcomes (with typed errors and degrade
-//! reasons) are recorded in `results/mixing-cells.json`, and each cell
+//! reasons) are recorded in `mixing-cells.json` (under `results/` for an
+//! `--adaptive --smoke` run, whose report is committed, and under the
+//! git-ignored `target/smoke-logs/` for every other mode), and each cell
 //! streams step telemetry (outcome counters, acceptance windows, perimeter
 //! and hetero-edge series, runtime events) to
 //! `results/logs/mixing-n-N.telemetry.jsonl` (in `target/smoke-logs/` in
@@ -204,7 +206,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             outcomes.len()
         );
     }
-    write_cell_report(&sops_bench::out_dir(), "mixing", &outcomes);
+    write_cell_report(&sops_bench::report_dir(rt.options()), "mixing", &outcomes);
     println!(
         "\nexpected shape: hitting times grow polynomially and gently in n —\n\
          the behavioral guarantee arrives \"fairly quickly\" (§5) even though\n\

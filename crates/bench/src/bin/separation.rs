@@ -17,6 +17,7 @@
 //! events) to `results/logs/separation-gamma-G.telemetry.jsonl` (in
 //! `target/smoke-logs/` in smoke mode) unless `--no-telemetry` is passed.
 
+use std::fmt;
 use std::ops::ControlFlow;
 
 use sops_analysis::{is_separated, metrics};
@@ -35,11 +36,22 @@ const BURN_IN: u64 = 10_000_000;
 const SAMPLES: usize = 100;
 const SAMPLE_GAP: u64 = 100_000;
 
-fn sweep_cell(
-    gamma: f64,
-    opts: &SweepOptions,
-    ctx: &JobContext<'_>,
-) -> Result<(f64, f64, f64), JobError> {
+/// A cell's estimate over the samples it took: the separated frequency,
+/// the mean heterogeneous fraction and its ESS-adjusted 95% half-width;
+/// `None` when the cell took no sample. It lands in the cells report
+/// through its `Debug` form, which for a sampled cell is the tuple's.
+struct Estimate(Option<(f64, f64, f64)>);
+
+impl fmt::Debug for Estimate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(sampled) => fmt::Debug::fmt(sampled, f),
+            None => f.write_str("no samples"),
+        }
+    }
+}
+
+fn sweep_cell(gamma: f64, opts: &SweepOptions, ctx: &JobContext<'_>) -> Result<Estimate, JobError> {
     // Attempt 1 reproduces the published seed; a retry draws a fresh
     // stream so a seed-dependent fault is not re-hit verbatim.
     let mut rng = seeded_attempt("separation", gamma.to_bits(), ctx.attempt);
@@ -136,21 +148,20 @@ fn sweep_cell(
         }
     }
     // Partial averages over the samples actually taken: a degraded cell
-    // still reports a value, classified degraded in the cells report.
-    // The confidence half-width is ESS-adjusted: samples SAMPLE_GAP steps
-    // apart are still autocorrelated, so the i.i.d. width would overstate
-    // the precision (see `Summary::ci95_half_width`'s caveat).
-    let denom = hetero.len().max(1) as f64;
-    let (mean, ci) = if hetero.is_empty() {
-        (0.0, f64::INFINITY)
-    } else {
-        let summary = Summary::of(&hetero);
-        (
-            summary.mean,
-            summary.ci95_half_width_ess(effective_sample_size(&hetero)),
-        )
-    };
-    Ok((separated as f64 / denom, mean, ci))
+    // still reports a value, classified degraded in the cells report, and
+    // a cell that took no sample reports none. The confidence half-width
+    // is ESS-adjusted: samples SAMPLE_GAP steps apart are still
+    // autocorrelated, so the i.i.d. width would overstate the precision
+    // (see `Summary::ci95_half_width`'s caveat).
+    if hetero.is_empty() {
+        return Ok(Estimate(None));
+    }
+    let summary = Summary::of(&hetero);
+    Ok(Estimate(Some((
+        separated as f64 / hetero.len() as f64,
+        summary.mean,
+        summary.ci95_half_width_ess(effective_sample_size(&hetero)),
+    ))))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -192,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ""
         };
         match &outcome.result {
-            Some((p_sep, hf, ci)) => table.row([
+            Some(Estimate(Some((p_sep, hf, ci)))) => table.row([
                 format!("{gamma:.4}"),
                 format!("{p_sep:.2}"),
                 format!("{hf:.3}"),
@@ -201,6 +212,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 } else {
                     "—".to_string()
                 },
+                regime.to_string(),
+            ]),
+            Some(Estimate(None)) => table.row([
+                format!("{gamma:.4}"),
+                "—".to_string(),
+                "—".to_string(),
+                "—".to_string(),
                 regime.to_string(),
             ]),
             None => table.row([

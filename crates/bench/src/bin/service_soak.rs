@@ -234,7 +234,6 @@ fn main() {
     let mut completed = 0u64;
     let mut evicted = 0u64;
     let mut failed = 0u64;
-    let mut shed = 0u64;
     let mut unclassified = 0u64;
     for ticket in &tickets {
         match ticket.wait_timeout(Duration::from_secs(5)) {
@@ -245,9 +244,8 @@ fn main() {
                     .entry(ticket.tenant().to_string())
                     .or_default() += 1;
             }
-            Some(TerminalStatus::Evicted { .. }) => evicted += 1,
+            Some(TerminalStatus::Evicted) => evicted += 1,
             Some(TerminalStatus::Failed { .. }) => failed += 1,
-            Some(TerminalStatus::Shed { .. }) => shed += 1,
         }
     }
     let min_completed = (0..opts.tenants)
@@ -278,7 +276,6 @@ fn main() {
     table.row(["completed", &completed.to_string()]);
     table.row(["evicted (resumable at drain)", &evicted.to_string()]);
     table.row(["failed", &failed.to_string()]);
-    table.row(["shed", &shed.to_string()]);
     table.row(["unclassified (MUST be 0)", &unclassified.to_string()]);
     table.row(["throughput (jobs/s)", &format!("{throughput:.1}")]);
     table.row(["queue depth p50/p90/p99", &format!("{p50}/{p90}/{p99}")]);
@@ -292,7 +289,7 @@ fn main() {
     let json = format!(
         "{{\n  \"tenants\": {},\n  \"sessions_per_tenant\": {},\n  \"workers\": {},\n  \
          \"capacity\": {},\n  \"steps\": {},\n  \"submitted\": {},\n  \"completed\": {},\n  \
-         \"evicted\": {},\n  \"failed\": {},\n  \"shed\": {},\n  \"unclassified_jobs\": {},\n  \
+         \"evicted\": {},\n  \"failed\": {},\n  \"unclassified_jobs\": {},\n  \
          \"throughput_jobs_per_s\": {},\n  \"queue_depth_p50\": {p50},\n  \
          \"queue_depth_p90\": {p90},\n  \"queue_depth_p99\": {p99},\n  \
          \"fairness_ratio\": {},\n  \"drained_clean\": {},\n  \"smoke\": {}\n}}",
@@ -305,7 +302,6 @@ fn main() {
         completed,
         evicted,
         failed,
-        shed,
         unclassified,
         json_f64(throughput),
         json_f64(fairness),

@@ -314,9 +314,33 @@ pub fn logs_dir() -> PathBuf {
 /// Panics if the directory cannot be created.
 #[must_use]
 pub fn telemetry_dir(opts: &SweepOptions) -> PathBuf {
-    if !opts.smoke {
-        return logs_dir();
+    if opts.smoke {
+        uncommitted_dir()
+    } else {
+        logs_dir()
     }
+}
+
+/// Where `fig3` and `mixing` write their cells report: [`out_dir`] for an
+/// `--adaptive --smoke` run, the mode whose report is committed (CI diffs
+/// it), and `target/smoke-logs/`, beside smoke telemetry, for every other
+/// mode.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be created.
+#[must_use]
+pub fn report_dir(opts: &SweepOptions) -> PathBuf {
+    if opts.adaptive && opts.smoke {
+        out_dir()
+    } else {
+        uncommitted_dir()
+    }
+}
+
+/// `target/smoke-logs/` under the workspace root, which git ignores: where
+/// a run writes what is no committed result. Created on first use.
+fn uncommitted_dir() -> PathBuf {
     let dir = workspace_root().join("target").join("smoke-logs");
     std::fs::create_dir_all(&dir).expect("cannot create target/smoke-logs directory");
     dir
@@ -443,6 +467,24 @@ mod tests {
         let dir = telemetry_dir(&smoke);
         assert!(dir.ends_with("target/smoke-logs"), "{}", dir.display());
         assert!(!dir.starts_with(out_dir()), "{}", dir.display());
+    }
+
+    #[test]
+    fn only_adaptive_smoke_reports_land_in_the_committed_results() {
+        let adaptive_smoke = SweepOptions {
+            adaptive: true,
+            smoke: true,
+            ..SweepOptions::default()
+        };
+        assert_eq!(report_dir(&adaptive_smoke), out_dir());
+        for (adaptive, smoke) in [(false, false), (true, false), (false, true)] {
+            let opts = SweepOptions {
+                adaptive,
+                smoke,
+                ..SweepOptions::default()
+            };
+            assert_eq!(report_dir(&opts), uncommitted_dir());
+        }
     }
 
     #[test]

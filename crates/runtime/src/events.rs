@@ -76,13 +76,12 @@ pub enum RuntimeEvent {
         /// while it was parked in a blocking submission).
         reason: &'static str,
     },
-    /// A queued or in-flight job was evicted (drain deadline, shutdown,
-    /// or overload shedding).
+    /// A queued or in-flight job was evicted (drain, shutdown, or per-job
+    /// cancel). Its session resumes from its durable checkpoints when
+    /// resubmitted.
     Evicted {
         /// The session the job ran under.
         session: String,
-        /// Whether the session can resume from a durable checkpoint.
-        resumable: bool,
         /// The newest durable checkpoint step, if any was persisted.
         last_durable_step: Option<u64>,
     },
@@ -176,13 +175,12 @@ impl RuntimeEvent {
             ),
             RuntimeEvent::Evicted {
                 session,
-                resumable,
                 last_durable_step,
             } => {
                 let durable =
                     last_durable_step.map_or_else(|| "null".to_string(), |s| s.to_string());
                 format!(
-                    "{{\"event\": \"evicted\", \"session\": \"{}\", \"resumable\": {resumable}, \
+                    "{{\"event\": \"evicted\", \"session\": \"{}\", \
                      \"last_durable_step\": {durable}}}",
                     json_escape(session)
                 )
@@ -284,17 +282,15 @@ mod tests {
         );
         let e = RuntimeEvent::Evicted {
             session: "acme/s-1".to_string(),
-            resumable: true,
             last_durable_step: Some(4_000),
         };
         assert_eq!(
             e.to_json(),
-            "{\"event\": \"evicted\", \"session\": \"acme/s-1\", \"resumable\": true, \
+            "{\"event\": \"evicted\", \"session\": \"acme/s-1\", \
              \"last_durable_step\": 4000}"
         );
         let e = RuntimeEvent::Evicted {
             session: "x".to_string(),
-            resumable: false,
             last_durable_step: None,
         };
         assert!(e.to_json().contains("\"last_durable_step\": null"));

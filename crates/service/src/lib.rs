@@ -13,7 +13,7 @@
 //!   submission ([`JobService::submit_wait`]) applies backpressure and
 //!   unblocks promptly on cancellation.
 //! - **Fairness.** Tenants are scheduled round-robin over per-tenant
-//!   lanes, with priority aging inside a lane: one tenant's 10,000 queued
+//!   lanes, each dispatched in arrival order: one tenant's 10,000 queued
 //!   jobs cannot starve another tenant's single job.
 //! - **Isolation.** Payload panics are caught per job, classified as
 //!   [`sops_runtime::JobError::Panic`], and the poisoned worker slot is
@@ -23,8 +23,8 @@
 //!   from the session's checkpoints; each session has one manifest
 //!   writer at a time.
 //! - **Exactly-once classification.** Every admitted job terminates in
-//!   exactly one [`TerminalStatus`] (`Completed`, `Failed`, `Evicted`,
-//!   `Shed`); [`JobTicket::finish_count`] makes the invariant countable.
+//!   exactly one [`TerminalStatus`] (`Completed`, `Failed`, `Evicted`);
+//!   [`JobTicket::finish_count`] makes the invariant countable.
 //! - **Durability.** Session state (manifest + checkpoints) persists
 //!   with tmp+rename+fsync discipline and checksum-validated loads;
 //!   restart recovers the session table, reaps orphaned temp state, and

@@ -23,7 +23,7 @@ use sops_chains::{CancelToken, RealVfs, Vfs};
 use sops_runtime::{DegradeReason, JobError, RuntimeEvent};
 
 use crate::queue::{
-    Admission, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, Removed, TerminalStatus,
+    Admission, Drained, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, TerminalStatus,
     WaitError,
 };
 use crate::session::{SessionManifest, SessionRecovery, SessionStatus, SessionStore};
@@ -90,42 +90,36 @@ impl ExecCtx<'_> {
 /// returning is classification, panicking is classified *for* it.
 pub type JobPayload = Box<dyn FnOnce(&ExecCtx<'_>) -> Result<JobOutcome, JobError> + Send>;
 
-/// One submission: who, which session, how urgent, and what to run.
+/// One submission: who, which session, and what to run.
 pub struct JobSpec {
     /// Submitting tenant (quota and fairness key).
     pub tenant: String,
     /// Session id — the durable identity; resubmitting the same session
     /// resumes its checkpoints.
     pub session: String,
-    /// Scheduling priority (higher dispatches sooner; ages upward while
-    /// queued).
-    pub priority: u8,
     /// The work itself.
     pub payload: JobPayload,
 }
 
 impl JobSpec {
-    /// A priority-0 job.
+    /// A job of `tenant` that runs `payload` under `session`.
     #[must_use]
     pub fn new(tenant: &str, session: &str, payload: JobPayload) -> Self {
         JobSpec {
             tenant: tenant.to_string(),
             session: session.to_string(),
-            priority: 0,
             payload,
         }
     }
 
     /// The queue entry for this submission; the queue assigns its
-    /// sequence number and enqueue round.
+    /// sequence number.
     fn into_queued(self) -> QueuedJob {
         QueuedJob {
             seq: 0,
             ticket: JobTicket::new(&self.tenant, &self.session),
             tenant: self.tenant,
             session: self.session,
-            priority: self.priority,
-            enqueued_round: 0,
             payload: self.payload,
         }
     }
@@ -168,8 +162,6 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Jobs that classified `Evicted`.
     pub evicted: u64,
-    /// Jobs that classified `Shed`.
-    pub shed: u64,
     /// Worker threads respawned after a poisoning panic.
     pub respawns: u64,
     /// Worker threads currently alive.
@@ -203,7 +195,6 @@ struct Shared {
     completed: AtomicU64,
     failed: AtomicU64,
     evicted: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl Shared {
@@ -222,13 +213,12 @@ impl Shared {
         format!(
             "{{\"kind\": \"service_gauge\", \"queue_depth\": {depth}, \"inflight\": {inflight}, \
              \"admitted\": {}, \"rejected\": {}, \"completed\": {}, \"failed\": {}, \
-             \"evicted\": {}, \"shed\": {}}}",
+             \"evicted\": {}}}",
             self.admitted.load(Ordering::SeqCst),
             self.rejected.load(Ordering::SeqCst),
             self.completed.load(Ordering::SeqCst),
             self.failed.load(Ordering::SeqCst),
             self.evicted.load(Ordering::SeqCst),
-            self.shed.load(Ordering::SeqCst),
         )
     }
 
@@ -260,22 +250,14 @@ impl Shared {
         let counter = match &status {
             TerminalStatus::Completed { .. } => &self.completed,
             TerminalStatus::Failed { .. } => &self.failed,
-            TerminalStatus::Evicted { .. } => &self.evicted,
-            TerminalStatus::Shed { .. } => &self.shed,
+            TerminalStatus::Evicted => {
+                self.emit_event(RuntimeEvent::Evicted {
+                    session: ticket.session().to_string(),
+                    last_durable_step: durable,
+                });
+                &self.evicted
+            }
         };
-        let evicted_resumable = match &status {
-            TerminalStatus::Evicted { resumable } => Some(*resumable),
-            // Shed jobs never dispatched; they carry no automatic resume.
-            TerminalStatus::Shed { .. } => Some(false),
-            _ => None,
-        };
-        if let Some(resumable) = evicted_resumable {
-            self.emit_event(RuntimeEvent::Evicted {
-                session: ticket.session().to_string(),
-                resumable,
-                last_durable_step: durable,
-            });
-        }
         if ticket.finish(status) {
             counter.fetch_add(1, Ordering::SeqCst);
         }
@@ -306,7 +288,6 @@ impl Shared {
         &self,
         session: &str,
         tenant: &str,
-        priority: u8,
         status: SessionStatus,
         durable: Option<u64>,
         error_kind: Option<String>,
@@ -314,39 +295,9 @@ impl Shared {
         let mut manifest = self
             .sessions
             .load(session)
-            .unwrap_or_else(|_| SessionManifest::new(session, tenant, priority));
+            .unwrap_or_else(|_| SessionManifest::new(session, tenant, 0));
         manifest.tenant = tenant.to_string();
-        manifest.priority = priority;
         self.save_terminal(&mut manifest, status, durable, error_kind);
-    }
-
-    /// Classifies a job taken off the queue before dispatch. Its terminal
-    /// manifest is written only when the queue reserved the session for
-    /// it; otherwise a job of that session is running, and that job's
-    /// worker owns the manifest.
-    fn classify_removed(
-        &self,
-        removed: Removed,
-        status: TerminalStatus,
-        session_status: SessionStatus,
-        durable: Option<u64>,
-    ) {
-        let Removed {
-            job,
-            writes_manifest,
-        } = removed;
-        if writes_manifest {
-            self.save_terminal_manifest(
-                &job.session,
-                &job.tenant,
-                job.priority,
-                session_status,
-                durable,
-                None,
-            );
-            self.queue.release_session(&job.session);
-        }
-        self.finish(&job.ticket, status, durable);
     }
 }
 
@@ -408,7 +359,6 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
     let QueuedJob {
         tenant,
         session,
-        priority,
         payload,
         ticket,
         ..
@@ -422,7 +372,6 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
             shared.save_terminal_manifest(
                 &session,
                 &tenant,
-                priority,
                 SessionStatus::Failed,
                 None,
                 Some("io".to_string()),
@@ -436,9 +385,8 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
     let mut manifest = shared
         .sessions
         .load(&session)
-        .unwrap_or_else(|_| SessionManifest::new(&session, &tenant, priority));
+        .unwrap_or_else(|_| SessionManifest::new(&session, &tenant, 0));
     manifest.tenant = tenant.clone();
-    manifest.priority = priority;
     manifest.status = SessionStatus::Running;
     manifest.runs += 1;
     if let Err(e) = shared.sessions.save(&manifest) {
@@ -478,18 +426,9 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
         ),
         // The store is re-listed below for the durable step, so the
         // outcome's own hint is redundant here.
-        Ok(Ok(JobOutcome::Yielded { .. })) => (
-            TerminalStatus::Evicted { resumable: true },
-            SessionStatus::Evicted,
-            None,
-            false,
-        ),
-        Ok(Err(JobError::Cancelled { .. })) => (
-            TerminalStatus::Evicted { resumable: true },
-            SessionStatus::Evicted,
-            None,
-            false,
-        ),
+        Ok(Ok(JobOutcome::Yielded { .. }) | Err(JobError::Cancelled { .. })) => {
+            (TerminalStatus::Evicted, SessionStatus::Evicted, None, false)
+        }
         Ok(Err(error)) => {
             let kind = error.kind().to_string();
             (
@@ -540,7 +479,6 @@ impl JobService {
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         });
         for slot in 0..workers {
             spawn_worker(&shared, slot);
@@ -573,22 +511,12 @@ impl JobService {
 
     /// Non-blocking typed admission. A rejected submission *is* its
     /// classification — nothing was enqueued and nothing will run.
-    /// Under overload a strictly higher-priority submission displaces
-    /// the lowest-priority newest queued job, which classifies as
-    /// [`TerminalStatus::Shed`] on its own ticket.
     pub fn submit(&self, spec: JobSpec) -> Admission {
         let job = spec.into_queued();
         let ticket = job.ticket.clone();
         match self.shared.queue.try_admit(job) {
-            Ok(admitted) => {
-                self.shared.record_admitted(&ticket, admitted.depth);
-                if let Some(victim) = admitted.shed {
-                    let status = TerminalStatus::Shed {
-                        priority: victim.job.priority,
-                    };
-                    self.shared
-                        .classify_removed(victim, status, SessionStatus::Shed, None);
-                }
+            Ok(depth) => {
+                self.shared.record_admitted(&ticket, depth);
                 Admission::Admitted(ticket)
             }
             Err((job, reason)) => {
@@ -612,8 +540,8 @@ impl JobService {
         let job = spec.into_queued();
         let ticket = job.ticket.clone();
         match self.shared.queue.admit_wait(job, cancel) {
-            Ok(admitted) => {
-                self.shared.record_admitted(&ticket, admitted.depth);
+            Ok(depth) => {
+                self.shared.record_admitted(&ticket, depth);
                 Ok(ticket)
             }
             Err((job, WaitError::Cancelled)) => {
@@ -645,19 +573,32 @@ impl JobService {
             token.cancel();
         }
         let evicted_queued = queued.len();
-        for removed in queued {
+        for Drained {
+            job,
+            writes_manifest,
+        } in queued
+        {
             let durable = self
                 .shared
                 .sessions
-                .load(&removed.job.session)
+                .load(&job.session)
                 .ok()
                 .and_then(|m| m.last_durable_step);
-            self.shared.classify_removed(
-                removed,
-                TerminalStatus::Evicted { resumable: true },
-                SessionStatus::Evicted,
-                durable,
-            );
+            // The terminal manifest is written only when the queue reserved
+            // the session for it; otherwise a job of that session is
+            // running, and that job's worker owns the manifest.
+            if writes_manifest {
+                self.shared.save_terminal_manifest(
+                    &job.session,
+                    &job.tenant,
+                    SessionStatus::Evicted,
+                    durable,
+                    None,
+                );
+                self.shared.queue.release_session(&job.session);
+            }
+            self.shared
+                .finish(&job.ticket, TerminalStatus::Evicted, durable);
         }
         let drained_clean = self.shared.queue.wait_idle(deadline);
         let (_, inflight_at_deadline) = self.shared.queue.depth_inflight();
@@ -707,7 +648,6 @@ impl JobService {
             completed: self.shared.completed.load(Ordering::SeqCst),
             failed: self.shared.failed.load(Ordering::SeqCst),
             evicted: self.shared.evicted.load(Ordering::SeqCst),
-            shed: self.shared.shed.load(Ordering::SeqCst),
             respawns: self.shared.respawns.load(Ordering::SeqCst),
             live_workers: self.shared.live_workers.load(Ordering::SeqCst),
         }
@@ -805,7 +745,7 @@ mod tests {
     #[test]
     fn drain_evicts_queued_jobs_as_resumable() {
         // One worker pinned on a slow job; everything queued behind it
-        // must classify Evicted{resumable} at drain, never hang.
+        // must classify Evicted at drain, never hang.
         let svc = service(1);
         let release = Arc::new(AtomicBool::new(false));
         let gate = Arc::clone(&release);
@@ -841,31 +781,21 @@ mod tests {
         assert!(report.drained_clean, "in-flight job ignored eviction");
         assert_eq!(report.evicted_queued, 3);
         for t in &queued {
-            assert_eq!(t.wait(), TerminalStatus::Evicted { resumable: true });
+            assert_eq!(t.wait(), TerminalStatus::Evicted);
             assert_eq!(t.finish_count(), 1);
         }
-        assert_eq!(slow.wait(), TerminalStatus::Evicted { resumable: true });
+        assert_eq!(slow.wait(), TerminalStatus::Evicted);
         release.store(true, Ordering::SeqCst);
         svc.shutdown(Duration::from_secs(5));
     }
 
     #[test]
-    fn shedding_a_waiting_job_leaves_its_running_sessions_manifest_alone() {
-        let svc = JobService::open_with(
-            Path::new("/svc"),
-            ServiceConfig {
-                workers: 1,
-                queue: QueueConfig {
-                    capacity: 1,
-                    ..QueueConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
-            Arc::new(FaultyVfs::new()),
-        )
-        .unwrap();
+    fn draining_a_waiting_job_leaves_its_running_sessions_manifest_alone() {
+        let svc = service(1);
         let release = Arc::new(AtomicBool::new(false));
         let gate = Arc::clone(&release);
+        // The running job ignores the drain's eviction signal until
+        // released, so its session has a writer throughout the drain.
         let Admission::Admitted(running) = svc.submit(JobSpec::new(
             "t",
             "t/s",
@@ -878,24 +808,28 @@ mod tests {
         )) else {
             panic!("rejected")
         };
-        while svc.inflight() == 0 {
+        // The worker writes the durable `running` manifest after it takes
+        // the job off the queue; wait for that write, not for the pop.
+        while !svc
+            .session_store()
+            .load("t/s")
+            .is_ok_and(|m| m.status == SessionStatus::Running)
+        {
             std::thread::sleep(Duration::from_millis(1));
         }
         let Admission::Admitted(waiting) = svc.submit(JobSpec::new("t", "t/s", ok_payload(1)))
         else {
             panic!("rejected")
         };
-        let mut urgent = JobSpec::new("u", "u/s", ok_payload(1));
-        urgent.priority = 5;
-        let Admission::Admitted(urgent) = svc.submit(urgent) else {
-            panic!("rejected")
-        };
-        assert_eq!(waiting.wait(), TerminalStatus::Shed { priority: 0 });
+        let report = svc.drain(Duration::ZERO);
+        assert_eq!(report.evicted_queued, 1);
+        assert!(!report.drained_clean);
+        assert_eq!(waiting.wait(), TerminalStatus::Evicted);
+        // The evicted job wrote no manifest: the running job owns it.
         let manifest = svc.session_store().load("t/s").unwrap();
         assert_eq!(manifest.status, SessionStatus::Running);
         release.store(true, Ordering::SeqCst);
         assert_eq!(running.wait(), TerminalStatus::Completed { steps: 3 });
-        assert_eq!(urgent.wait(), TerminalStatus::Completed { steps: 1 });
         let manifest = svc.session_store().load("t/s").unwrap();
         assert_eq!(manifest.status, SessionStatus::Completed);
         assert_eq!(manifest.runs, 1);

@@ -1,5 +1,5 @@
-//! Durable session state: per-session manifests (tenant, priority,
-//! status, durable progress) persisted next to the session's checkpoint
+//! Durable session state: per-session manifests (tenant, status, durable
+//! progress) persisted next to the session's checkpoint
 //! directory, written with the tmp+rename+fsync discipline and validated
 //! with a checksum on every load.
 //!
@@ -33,8 +33,6 @@ pub enum SessionStatus {
     Failed,
     /// Evicted by drain, shutdown, or cancellation; resumable.
     Evicted,
-    /// Displaced by overload shedding before dispatch.
-    Shed,
 }
 
 impl SessionStatus {
@@ -47,7 +45,6 @@ impl SessionStatus {
             SessionStatus::Completed => "completed",
             SessionStatus::Failed => "failed",
             SessionStatus::Evicted => "evicted",
-            SessionStatus::Shed => "shed",
         }
     }
 
@@ -58,7 +55,6 @@ impl SessionStatus {
             "completed" => SessionStatus::Completed,
             "failed" => SessionStatus::Failed,
             "evicted" => SessionStatus::Evicted,
-            "shed" => SessionStatus::Shed,
             _ => return None,
         })
     }
@@ -82,7 +78,9 @@ pub struct SessionManifest {
     pub session: String,
     /// Owning tenant.
     pub tenant: String,
-    /// Scheduling priority at last submission.
+    /// The v1 layout's `priority` line. The service neither sets nor
+    /// reads it: a new manifest holds what [`SessionManifest::new`] was
+    /// given, and a loaded one keeps its value, so its bytes round-trip.
     pub priority: u8,
     /// Lifecycle state at last durable write.
     pub status: SessionStatus,
@@ -98,7 +96,8 @@ pub struct SessionManifest {
 const MANIFEST_MAGIC: &str = "sops-session v1";
 
 impl SessionManifest {
-    /// A fresh manifest for a session that has never run.
+    /// A fresh manifest for a session that has never run; `priority` is
+    /// written to the `priority` line as is.
     #[must_use]
     pub fn new(session: &str, tenant: &str, priority: u8) -> Self {
         SessionManifest {
@@ -493,6 +492,35 @@ mod tests {
             "sops-session v1\nchecksum 8254af2eefbcbf7b\nsession acme/s-1\ntenant acme\n\
              priority 3\nstatus evicted\nlast_durable_step 4096\nruns 2\nerror_kind none\n"
         );
+    }
+
+    #[test]
+    fn a_v1_manifest_with_status_shed_is_rejected_and_never_resumed() {
+        // `shed` was a v1 status of overload shedding, which is gone: a
+        // manifest that still carries it is reported, not resumed.
+        let vfs = Arc::new(FaultyVfs::new());
+        let store = SessionStore::open_with(Path::new("/svc"), 2, Arc::clone(&vfs) as _).unwrap();
+        store.save(&manifest()).unwrap();
+        let body = "session acme/s-2\ntenant acme\npriority 0\nstatus shed\n\
+                    last_durable_step none\nruns 0\nerror_kind none\n";
+        let text = format!(
+            "{MANIFEST_MAGIC}\nchecksum {:016x}\n{body}",
+            fnv1a64(body.as_bytes())
+        );
+        let shed = store.manifest_path("acme/s-2");
+        vfs.create(&shed).unwrap();
+        vfs.write(&shed, text.as_bytes()).unwrap();
+        let recovery = store.recover().unwrap();
+        assert_eq!(recovery.manifests, vec![manifest()]);
+        assert_eq!(recovery.rejected.len(), 1);
+        assert_eq!(recovery.rejected[0].0, shed);
+        assert!(
+            recovery.rejected[0].1.contains("unknown status \"shed\""),
+            "got {}",
+            recovery.rejected[0].1
+        );
+        let resumable: Vec<&str> = recovery.resumable().map(|m| m.session.as_str()).collect();
+        assert_eq!(resumable, ["acme/s-1"]);
     }
 
     #[test]

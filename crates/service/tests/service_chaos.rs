@@ -4,7 +4,7 @@
 //! resumes bit-identically.**
 //!
 //! Faults exercised: payload panics mid-job (worker poisoning), queue
-//! overflow and typed shedding, cancellation while parked on a full
+//! overflow and typed rejection, cancellation while parked on a full
 //! queue, drain-deadline eviction of in-flight work, a simulated crash
 //! at *every* checkpoint/manifest I/O operation followed by
 //! restart-and-recover, and torn manifests planted on disk.
@@ -159,7 +159,7 @@ fn gated_payload(release: &Arc<AtomicBool>) -> JobPayload {
 }
 
 /// The headline invariant under combined chaos: worker-killing panics,
-/// queue overflow, shedding, and a drain, all at once — and still every
+/// queue overflow, and a drain, all at once — and still every
 /// admitted job classifies exactly once, rejections are typed, and no
 /// worker slot leaks.
 #[test]
@@ -191,12 +191,9 @@ fn every_job_classifies_exactly_once_under_combined_chaos() {
                 Admission::Admitted(ticket) => tickets.push(ticket),
                 Admission::Rejected { .. } => rejected += 1,
             }
-            // ...plus clean jobs, some with priority (exercises shedding).
+            // ...plus clean jobs.
             for i in 0..3 {
-                let spec = JobSpec {
-                    priority: (i % 3) as u8,
-                    ..JobSpec::new(t, &format!("{t}/ok-{round}-{i}"), ok_payload())
-                };
+                let spec = JobSpec::new(t, &format!("{t}/ok-{round}-{i}"), ok_payload());
                 match svc.submit(spec) {
                     Admission::Admitted(ticket) => tickets.push(ticket),
                     Admission::Rejected { .. } => rejected += 1,
@@ -239,7 +236,7 @@ fn every_job_classifies_exactly_once_under_combined_chaos() {
     assert_eq!(stats.admitted as usize, tickets.len());
     assert_eq!(stats.rejected as usize, rejected);
     assert_eq!(
-        stats.completed + stats.failed + stats.evicted + stats.shed,
+        stats.completed + stats.failed + stats.evicted,
         stats.admitted,
         "classification counters must partition admissions: {stats:?} ({by_code:?})"
     );
@@ -272,7 +269,7 @@ fn overflow_rejects_typed_and_submit_wait_backpressures() {
     let queued: Vec<_> = (0..2)
         .map(|i| admit(&svc, JobSpec::new("t", &format!("t/q{i}"), ok_payload())))
         .collect();
-    // Queue full, equal priority: typed rejection, not a hang or a drop.
+    // Queue full: typed rejection, not a hang or a drop.
     match svc.submit(JobSpec::new("t", "t/extra", ok_payload())) {
         Admission::Rejected { reason } => {
             assert_eq!(reason, sops_service::RejectReason::QueueFull);
@@ -459,9 +456,8 @@ fn run_session_once(
 }
 
 /// Drain mid-run, then resume: the evicted session must classify
-/// `Evicted { resumable: true }`, and the resumed run's final state and
-/// RNG must be byte-identical to an uninterrupted run of the same
-/// session.
+/// `Evicted`, and the resumed run's final state and RNG must be
+/// byte-identical to an uninterrupted run of the same session.
 #[test]
 fn drain_evicts_inflight_resumable_and_resume_is_bit_identical() {
     const SEED: u64 = 99;
@@ -504,7 +500,7 @@ fn drain_evicts_inflight_resumable_and_resume_is_bit_identical() {
     assert!(report.drained_clean);
     assert_eq!(
         ticket.wait(),
-        TerminalStatus::Evicted { resumable: true },
+        TerminalStatus::Evicted,
         "mid-run drain must evict resumable"
     );
     assert!(
