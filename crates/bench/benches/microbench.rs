@@ -9,7 +9,8 @@
 //!
 //! Besides the console table, the run writes a machine-readable perf
 //! baseline to `BENCH_chain.json` at the repo root — per-size chain-step
-//! throughput, the overhead of the disabled telemetry wrapper, and the
+//! throughput, the cost of `run` through the disabled and the enabled
+//! telemetry wrapper against the bare kernel and its RNG draws, and the
 //! heap bytes of one configuration — and a demonstration telemetry stream
 //! to `results/logs/microbench-n100.telemetry.jsonl`.
 //!
@@ -21,7 +22,7 @@
 //! rows can report what one `Configuration` holds on the heap.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{PreparedRange, RngExt as _, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,8 +33,10 @@ use sops_amoebot::AmoebotSystem;
 use sops_analysis::{is_separated, separation_profile};
 use sops_bench::{instrument_chain, logs_dir, save_at_root, seed_hash};
 use sops_chains::telemetry::{json_f64, series_record_json};
-use sops_chains::{Instrumented, JsonlSink, MarkovChain, RunManifest, StateCodec};
-use sops_core::{construct, enumerate, properties, Bias, Color, Configuration, SeparationChain};
+use sops_chains::{JsonlSink, MarkovChain, RunManifest, StateCodec};
+use sops_core::{
+    construct, enumerate, properties, Bias, Color, Configuration, Instrumented, SeparationChain,
+};
 use sops_lattice::region::Region;
 use sops_lattice::{Edge, Node, DIRECTIONS};
 use sops_polymer::partition::even_partition_function;
@@ -176,99 +179,116 @@ fn bench_chain_step() -> Vec<Throughput> {
     rows
 }
 
-/// The tentpole acceptance measurement: stepping through a disabled
-/// `Instrumented` wrapper must cost (near) nothing relative to the bare
-/// chain; the enabled wrapper's bookkeeping cost is recorded for context.
-struct OverheadBaseline {
+/// One row of the `instrumented_overhead` block of `BENCH_chain.json`:
+/// the per-step cost of a bare `SeparationChain::run`, of `run` through a
+/// disabled and an enabled `Instrumented` (the experiment bins' wrapper,
+/// [`instrument_chain`]), and of the two RNG draws a step makes, timed in
+/// interleaved batches on one relaxed state of `n` particles.
+struct Overhead {
+    n: usize,
+    swaps: bool,
+    draws_ns: f64,
     bare_ns: f64,
     disabled_ns: f64,
     enabled_ns: f64,
-    /// Median over rounds of the *paired* per-round difference
-    /// `disabled − bare`, in ns/step; see [`bench_instrumented_overhead`].
-    disabled_delta_ns: f64,
+    /// Median over rounds of the paired `bare / draws`: what `perf_guard`
+    /// compares with the committed figure.
+    kernel_over_draws: f64,
+    /// Median over rounds of the paired `enabled / bare`: what
+    /// `perf_guard` bounds.
+    enabled_over_bare: f64,
 }
 
-fn bench_instrumented_overhead() -> OverheadBaseline {
-    let n = 100usize;
+fn bench_instrumented_overhead() -> Vec<Overhead> {
     let bias = Bias::new(4.0, 4.0).unwrap();
-    let samples = if smoke() { 7 } else { 21 };
-    let batch: u64 = if smoke() { 50_000 } else { 400_000 };
-
-    // Per-step cost depends on how compressed the state is, so burn each
-    // variant's configuration to quasi-steady state first; then interleave
-    // the timed batches round-robin across the three variants so machine
-    // drift (frequency scaling, background load) cancels instead of
-    // landing wholesale on whichever variant ran during the bad window.
-    let steady_config = || {
-        let chain = SeparationChain::new(bias);
-        let mut config = seeded_config(n);
-        let mut rng = StdRng::seed_from_u64(99);
-        chain.run(
-            &mut config,
-            if smoke() { 100_000 } else { 2_000_000 },
-            &mut rng,
-        );
-        config
-    };
-
-    let bare = SeparationChain::new(bias);
-    let disabled = instrument_chain(SeparationChain::new(bias), false);
-    let enabled = instrument_chain(SeparationChain::new(bias), true);
-    let mut states: Vec<(Configuration, StdRng)> = (0..3)
-        .map(|_| (steady_config(), StdRng::seed_from_u64(1)))
-        .collect();
-
-    let mut timed: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for _ in 0..samples {
-        for (variant, timings) in timed.iter_mut().enumerate() {
-            let (config, rng) = &mut states[variant];
-            let t = Instant::now();
-            for _ in 0..batch {
-                match variant {
-                    0 => black_box(bare.step(config, rng)),
-                    1 => black_box(disabled.step(config, rng)),
-                    _ => black_box(enabled.step(config, rng)),
-                };
+    let samples = if smoke() { 15 } else { 21 };
+    let batch: u64 = if smoke() { 100_000 } else { 400_000 };
+    let mut rows = Vec::new();
+    for n in [100usize, 1000] {
+        for swaps in [true, false] {
+            let chain = if swaps {
+                SeparationChain::new(bias)
+            } else {
+                SeparationChain::without_swaps(bias)
+            };
+            // Per-step cost depends on how compressed the state is, so burn
+            // the configuration to quasi-steady state first, the same in
+            // smoke and full runs, so that both time the same state; then
+            // interleave the timed batches round-robin across the variants,
+            // each on its own copy, so machine drift (frequency scaling,
+            // background load) lands on every variant of a round alike.
+            let mut steady = seeded_config(n);
+            chain.run(
+                &mut steady,
+                20_000 * n as u64,
+                &mut StdRng::seed_from_u64(99),
+            );
+            let disabled = instrument_chain(chain, false);
+            let enabled = instrument_chain(chain, true);
+            let draws = PreparedRange::new(n as u64);
+            let mut states: Vec<(Configuration, StdRng)> = (0..4)
+                .map(|_| (steady.clone(), StdRng::seed_from_u64(1)))
+                .collect();
+            let mut timed: [Vec<f64>; 4] = Default::default();
+            for _ in 0..samples {
+                for (variant, timings) in timed.iter_mut().enumerate() {
+                    let (config, rng) = &mut states[variant];
+                    let t = Instant::now();
+                    black_box(match variant {
+                        0 => {
+                            for _ in 0..batch {
+                                black_box((draws.sample(rng), rng.random_range(0..6usize)));
+                            }
+                            0
+                        }
+                        1 => chain.run(config, batch, rng),
+                        2 => disabled.run(config, batch, rng),
+                        _ => enabled.run(config, batch, rng),
+                    });
+                    timings.push(t.elapsed().as_nanos() as f64 / batch as f64);
+                }
             }
-            timings.push(t.elapsed().as_nanos() as f64 / batch as f64);
+            // A ratio pairs the batches of one round, taken back to back
+            // under the same machine conditions, before the median, so slow
+            // drift cancels per pair.
+            let ratio = |a: usize, b: usize| {
+                median(timed[a].iter().zip(&timed[b]).map(|(x, y)| x / y).collect())
+            };
+            let row = Overhead {
+                n,
+                swaps,
+                draws_ns: median(timed[0].clone()),
+                bare_ns: median(timed[1].clone()),
+                disabled_ns: median(timed[2].clone()),
+                enabled_ns: median(timed[3].clone()),
+                kernel_over_draws: ratio(1, 0),
+                enabled_over_bare: ratio(3, 1),
+            };
+            let label = if swaps { "with_swaps" } else { "without_swaps" };
+            for (variant, ns) in [
+                ("draws", row.draws_ns),
+                ("bare", row.bare_ns),
+                ("disabled", row.disabled_ns),
+                ("enabled", row.enabled_ns),
+            ] {
+                let name = format!("instrumented/{label}/{variant}/{n}");
+                println!("{name:<44} {ns:>12.1} ns/step  (interleaved, batch {batch})");
+            }
+            println!(
+                "{:<44} {:>12.3} (median paired enabled/bare)",
+                format!("instrumented/{label}/enabled_over_bare/{n}"),
+                row.enabled_over_bare
+            );
+            rows.push(row);
         }
     }
-    let median = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    // The overhead estimate pairs measurements *within* each round before
-    // taking a median: round r contributes `disabled_r − bare_r`, taken
-    // back-to-back under the same machine conditions, so slow drift cancels
-    // per-pair. Dividing independent medians instead lets the two variants'
-    // medians land in different drift regimes and can report an impossible
-    // negative overhead for a wrapper that is strictly bare-plus-a-branch.
-    let deltas: Vec<f64> = timed[1].iter().zip(&timed[0]).map(|(d, b)| d - b).collect();
-    let disabled_delta_ns = median(deltas);
-    let [bare_ns, disabled_ns, enabled_ns]: [f64; 3] = timed
-        .into_iter()
-        .map(median)
-        .collect::<Vec<_>>()
-        .try_into()
-        .unwrap();
-    for (name, ns) in [
-        ("instrumented/bare/100", bare_ns),
-        ("instrumented/disabled/100", disabled_ns),
-        ("instrumented/enabled/100", enabled_ns),
-    ] {
-        println!("{name:<44} {ns:>12.1} ns/iter  (interleaved, batch {batch})");
-    }
-    println!(
-        "{:<44} {disabled_delta_ns:>12.2} ns/iter  (median paired disabled−bare)",
-        "instrumented/disabled_delta/100"
-    );
+    rows
+}
 
-    OverheadBaseline {
-        bare_ns,
-        disabled_ns,
-        enabled_ns,
-        disabled_delta_ns,
-    }
+/// The median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// Emits a short real telemetry stream so the JSONL path is exercised (and
@@ -311,7 +331,7 @@ fn emit_demo_telemetry() -> std::io::Result<()> {
 /// Renders and writes the `BENCH_chain.json` perf baseline at the repo root.
 fn write_bench_chain_json(
     throughput: &[Throughput],
-    overhead: &OverheadBaseline,
+    overhead: &[Overhead],
     heap: &[(String, usize)],
 ) {
     let mut json = String::from("{\n  \"bench\": \"chain\",\n");
@@ -329,24 +349,25 @@ fn write_bench_chain_json(
         ));
     }
     json.push_str("  ],\n");
-    // A wrapper that forwards to the bare chain cannot be faster than it;
-    // clamp residual paired noise at zero so the recorded overhead is a
-    // physically meaningful bound rather than an artifact like "−0.34%".
-    // The clamp must cover the delta *and* the derived pct: an earlier
-    // baseline recorded `"disabled_delta_ns": -0.42` next to
-    // `"disabled_overhead_pct": 0.0`, an internally inconsistent pair that
-    // downstream tooling (reasonably) flagged as corruption.
-    let disabled_delta_ns = overhead.disabled_delta_ns.max(0.0);
-    let overhead_pct = disabled_delta_ns / overhead.bare_ns * 100.0;
-    json.push_str(&format!(
-        "  \"instrumented_overhead\": {{\"bare_ns\": {}, \"disabled_ns\": {}, \
-         \"enabled_ns\": {}, \"disabled_delta_ns\": {}, \"disabled_overhead_pct\": {}}},\n",
-        json_f64(overhead.bare_ns),
-        json_f64(overhead.disabled_ns),
-        json_f64(overhead.enabled_ns),
-        json_f64(disabled_delta_ns),
-        json_f64(overhead_pct),
-    ));
+    // One line a row, so `perf_guard` reads each figure with its line scan.
+    json.push_str("  \"instrumented_overhead\": [\n");
+    for (i, row) in overhead.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"n\": {}, \"swaps\": {}, \"draws_ns\": {}, \"bare_ns\": {}, \
+             \"disabled_ns\": {}, \"enabled_ns\": {}, \"kernel_over_draws\": {}, \
+             \"enabled_over_bare\": {}}}{}\n",
+            row.n,
+            row.swaps,
+            json_f64(row.draws_ns),
+            json_f64(row.bare_ns),
+            json_f64(row.disabled_ns),
+            json_f64(row.enabled_ns),
+            json_f64(row.kernel_over_draws),
+            json_f64(row.enabled_over_bare),
+            if i + 1 < overhead.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("  ],\n");
     // One line, so `perf_guard` reads each count with its line scan.
     let counts: Vec<String> = heap
         .iter()

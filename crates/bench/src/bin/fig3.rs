@@ -3,7 +3,8 @@
 //! parameter pair, then classified into the four phases of §3.2.
 //!
 //! Pass `--quick` to run a 5,000,000-iteration version (~10× faster, same
-//! phase structure), `--smoke` for a CI-scale grid.
+//! phase structure), `--smoke` for a CI-scale grid. Only a full run draws
+//! the per-cell `results/fig3_*.svg` pictures, which are committed.
 //!
 //! The sweep runs under `sops-runtime`: every cell honors the
 //! `--deadline-ms`/`--max-steps` budget and `--checkpoint-dir`/`--resume`
@@ -258,8 +259,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .flat_map(|&lambda| GAMMAS.iter().map(move |&gamma| Cell { lambda, gamma }))
         .collect();
 
-    // The committed pictures are the full run's; a smoke run draws none.
-    let svg = !rt.options().smoke;
+    // The committed pictures are the full run's; a smoke or quick run
+    // draws none.
+    let svg = !rt.options().smoke && !quick;
     let outcomes = rt.run_cells(cells, |cell, ctx| {
         phase_cell(cell, iterations, &seed_particles, rt.options(), ctx, svg)
     });

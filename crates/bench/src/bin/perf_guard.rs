@@ -1,11 +1,19 @@
 //! CI perf-regression guard over the `BENCH_chain.json` baseline.
 //!
 //! Compares a fresh microbench run against the committed baseline and fails
-//! (exit code 1) when either of two figures regresses:
+//! (exit code 1) when any of three figures regresses:
 //!
-//! * the chain-step throughput of the reference row — `n = 100` with swaps
-//!   enabled, the paper's Figure 2 working point — falls by more than the
-//!   tolerance;
+//! * the kernel's cost relative to its own RNG draws — the
+//!   `kernel_over_draws` of the `instrumented_overhead` row `n = 100` with
+//!   swaps enabled, the paper's Figure 2 working point — rises by more than
+//!   the tolerance over the committed figure. The microbench times the bare
+//!   `run` and a loop of the two draws a step makes in interleaved batches
+//!   of one process, so a host running slower or faster moves both and
+//!   cancels in the ratio, where an absolute steps/sec figure swings with
+//!   it;
+//! * any fresh `instrumented_overhead` row's `enabled_over_bare` — `run`
+//!   through the experiment bins' enabled telemetry wrapper over the bare
+//!   `run`, timed the same way — exceeds [`ENABLED_OVER_BARE_MAX`];
 //! * a `memory` block heap count (`config_heap_bytes_n100`, `_n1000`: the
 //!   bytes one seeded `Configuration` holds) exceeds the committed one.
 //!   These are exact counting-allocator counts that repeat from run to run,
@@ -24,30 +32,36 @@
 
 use std::process::ExitCode;
 
-/// The guarded row: `n = 100`, swaps enabled.
+/// The guarded `kernel_over_draws` row: `n = 100`, swaps enabled.
 const GUARD_N: u64 = 100;
+
+/// The largest fresh `enabled_over_bare` that passes.
+const ENABLED_OVER_BARE_MAX: f64 = 1.3;
 
 /// The guarded heap counts of the `memory` block.
 const HEAP_COUNTS: [&str; 2] = ["config_heap_bytes_n100", "config_heap_bytes_n1000"];
 
 /// The guarded figures of one `BENCH_chain.json`.
 struct Baseline {
-    steps_per_sec: f64,
+    /// The guarded row's `kernel_over_draws`.
+    kernel_over_draws: f64,
+    /// `(n, swaps, enabled_over_bare)` of every `instrumented_overhead` row.
+    enabled_over_bare: Vec<(u64, bool, f64)>,
     heap: [u64; HEAP_COUNTS.len()],
 }
 
-/// Extracts `steps_per_sec` of the guarded row from `BENCH_chain.json`
-/// text. The file is written line-per-row by the microbench harness, so a
-/// line-oriented scan is exact for its own output (and tolerant of
-/// reformatting, since it keys on the `"n"`/`"swaps"` fields, not
-/// position).
-fn guarded_throughput(json: &str) -> Option<f64> {
-    json.lines()
-        .filter(|line| {
-            field(line, "\"n\":").and_then(|n| n.parse().ok()) == Some(GUARD_N)
-                && field(line, "\"swaps\":") == Some("true")
-        })
-        .find_map(|line| field(line, "\"steps_per_sec\":")?.parse().ok())
+/// Reads `(n, swaps, kernel_over_draws, enabled_over_bare)` off one
+/// `instrumented_overhead` row. The microbench harness writes the file
+/// line-per-row, so a line-oriented scan is exact for its own output (and
+/// tolerant of reformatting, since it keys on field names, not position).
+fn overhead_row(line: &str) -> Option<(u64, bool, f64, f64)> {
+    let value = |key: &str| field(line, &format!("\"{key}\":"));
+    Some((
+        value("n")?.parse().ok()?,
+        value("swaps")?.parse().ok()?,
+        value("kernel_over_draws")?.parse().ok()?,
+        value("enabled_over_bare")?.parse().ok()?,
+    ))
 }
 
 /// Extracts the heap count `name` from `BENCH_chain.json` text, by the same
@@ -68,14 +82,21 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 
 fn load(path: &str) -> Result<Baseline, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let steps_per_sec = guarded_throughput(&text)
-        .ok_or_else(|| format!("{path}: no throughput row with n={GUARD_N}, swaps=true"))?;
+    let rows: Vec<_> = text.lines().filter_map(overhead_row).collect();
+    let kernel_over_draws = rows
+        .iter()
+        .find(|(n, swaps, ..)| *n == GUARD_N && *swaps)
+        .map(|row| row.2)
+        .ok_or_else(|| {
+            format!("{path}: no instrumented_overhead row with n={GUARD_N}, swaps=true")
+        })?;
     let mut heap = [0; HEAP_COUNTS.len()];
     for (count, name) in heap.iter_mut().zip(HEAP_COUNTS) {
         *count = heap_count(&text, name).ok_or_else(|| format!("{path}: no {name} count"))?;
     }
     Ok(Baseline {
-        steps_per_sec,
+        kernel_over_draws,
+        enabled_over_bare: rows.iter().map(|&(n, swaps, _, r)| (n, swaps, r)).collect(),
         heap,
     })
 }
@@ -114,18 +135,31 @@ fn main() -> ExitCode {
     };
 
     let mut passed = true;
-    let (committed, measured) = (baseline.steps_per_sec, fresh.steps_per_sec);
+    let (committed, measured) = (baseline.kernel_over_draws, fresh.kernel_over_draws);
     let change_pct = (measured / committed - 1.0) * 100.0;
-    println!("perf guard: chain_step n={GUARD_N} swaps=true");
-    println!("  baseline  {committed:>14.0} steps/sec  ({baseline_path})");
-    println!("  fresh     {measured:>14.0} steps/sec  ({fresh_path})");
-    println!("  change    {change_pct:>+13.1}%   (tolerance −{tolerance_pct}%)");
-    if measured < committed * (1.0 - tolerance_pct / 100.0) {
+    println!("perf guard: kernel run over its RNG draws, n={GUARD_N} swaps=true");
+    println!("  baseline  {committed:>8.3}×  ({baseline_path})");
+    println!("  fresh     {measured:>8.3}×  ({fresh_path})");
+    println!("  change    {change_pct:>+7.1}%   (tolerance +{tolerance_pct}%)");
+    if measured > committed * (1.0 + tolerance_pct / 100.0) {
         eprintln!(
-            "perf_guard: FAIL — throughput regressed {:.1}% (> {tolerance_pct}% allowed)",
-            -change_pct
+            "perf_guard: FAIL — the kernel's cost over its draws rose {change_pct:.1}% \
+             (> {tolerance_pct}% allowed)"
         );
         passed = false;
+    }
+    println!(
+        "perf guard: enabled telemetry over the bare run (fresh, at most {ENABLED_OVER_BARE_MAX}×)"
+    );
+    for &(n, swaps, ratio) in &fresh.enabled_over_bare {
+        println!("  n={n:<5} swaps={swaps:<5} {ratio:>8.3}×");
+        if ratio > ENABLED_OVER_BARE_MAX {
+            eprintln!(
+                "perf_guard: FAIL — enabled telemetry costs {ratio:.3}× the bare run at \
+                 n={n}, swaps={swaps} (> {ENABLED_OVER_BARE_MAX}× allowed)"
+            );
+            passed = false;
+        }
     }
     println!("perf guard: heap bytes (fresh must not exceed baseline)");
     for ((name, committed), measured) in HEAP_COUNTS.iter().zip(baseline.heap).zip(fresh.heap) {

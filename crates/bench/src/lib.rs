@@ -14,8 +14,8 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 use sops_chains::telemetry::series_record_json;
-use sops_chains::{Instrumented, JsonlSink, RecoveryEvent, RunManifest, SupervisedRun};
-use sops_core::SeparationChain;
+use sops_chains::{JsonlSink, RecoveryEvent, RunManifest, SupervisedRun};
+use sops_core::{Instrumented, SeparationChain};
 use sops_runtime::{JobContext, SweepOptions};
 
 // Seeding moved to `sops-runtime` with the rest of the supervision stack;
@@ -29,10 +29,10 @@ const OBSERVABLE_EVERY: u64 = 25_000;
 /// Wraps a separation chain in the standard experiment instrument: outcome
 /// counters, acceptance-rate windows, and perimeter / heterogeneous-edge
 /// observable series sampled every `OBSERVABLE_EVERY` (25,000) steps. With
-/// `enabled = false` the wrapper records nothing and forwards steps at
-/// (measured) near-zero overhead — see `BENCH_chain.json`.
+/// `enabled = false` the wrapper records nothing and its `run` is the
+/// chain's own; `BENCH_chain.json` times both against the bare chain.
 #[must_use]
-pub fn instrument_chain(chain: SeparationChain, enabled: bool) -> Instrumented<SeparationChain> {
+pub fn instrument_chain(chain: SeparationChain, enabled: bool) -> Instrumented {
     if !enabled {
         return Instrumented::disabled(chain);
     }
@@ -137,7 +137,7 @@ impl<'a> CellTelemetry<'a> {
     /// writes a `metrics` record whenever `t − t0` is a multiple of
     /// `metrics_every`. A write error breaks the run;
     /// [`CellTelemetry::finish`] returns it.
-    pub fn on_chunk(&mut self, t: u64, chain: &Instrumented<SeparationChain>) -> ControlFlow<()> {
+    pub fn on_chunk(&mut self, t: u64, chain: &Instrumented) -> ControlFlow<()> {
         if !self.opts.telemetry {
             return ControlFlow::Continue(());
         }
@@ -150,11 +150,7 @@ impl<'a> CellTelemetry<'a> {
         }
     }
 
-    fn record_chunk(
-        &mut self,
-        t: u64,
-        chain: &Instrumented<SeparationChain>,
-    ) -> std::io::Result<()> {
+    fn record_chunk(&mut self, t: u64, chain: &Instrumented) -> std::io::Result<()> {
         let t0 = match self.t0 {
             Some(t0) => t0,
             None => self.open(t - chain.report().steps)?,
@@ -191,7 +187,7 @@ impl<'a> CellTelemetry<'a> {
     pub fn finish(
         mut self,
         run: &SupervisedRun,
-        chain: &Instrumented<SeparationChain>,
+        chain: &Instrumented,
         ctx: &JobContext<'_>,
     ) -> std::io::Result<()> {
         if let Some(e) = self.error {

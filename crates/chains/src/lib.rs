@@ -29,10 +29,11 @@
 //!   experiment engine: single-pass Welford/τ_int/ESS/split-R̂ estimators
 //!   and the one [`ConvergenceMonitor`], whose decision state serializes
 //!   into checkpoints, so resumed runs make bit-identical stop decisions;
-//! * [`telemetry`] — step-level observability: typed per-step outcome
-//!   classification ([`ClassifiedChain`]), an [`Instrumented`] wrapper
-//!   accumulating outcome counters / acceptance-rate windows / throughput /
-//!   observable time series, and a JSONL metrics sink with run manifests.
+//! * [`telemetry`] — run telemetry records: the [`TelemetryReport`] of
+//!   outcome counters, acceptance-rate windows, throughput and observable
+//!   time series that `sops-core`'s `Instrumented` accumulates, a JSONL
+//!   metrics sink with run manifests, and the JSON helpers every record
+//!   shares.
 //!
 //! # Example: verifying a two-state chain
 //!
@@ -84,7 +85,5 @@ pub use recovery::{
     run_supervised, run_supervised_hooked, RecoveryEvent, Repairable, SupervisedHooks,
     SupervisedOptions, SupervisedRun,
 };
-pub use telemetry::{
-    ClassifiedChain, Instrumented, JsonlSink, OutcomeClass, RunManifest, TelemetryReport,
-};
+pub use telemetry::{JsonlSink, RunManifest, TelemetryReport};
 pub use vfs::{reap_tmp_files, write_atomic, CrashStyle, FaultyVfs, RealVfs, Vfs};

@@ -3,7 +3,6 @@
 use rand::{PreparedRange, Rng, RngExt as _};
 
 use sops_chains::metropolis::{self, PowerRatio, PowerTable};
-use sops_chains::telemetry::ClassifiedChain;
 use sops_chains::MarkovChain;
 use sops_lattice::{Direction, Node, DIRECTIONS, RING_FROM_SIDE};
 
@@ -255,7 +254,7 @@ impl SeparationChain {
     /// This is the real transition function; [`MarkovChain::step`] is a thin
     /// wrapper returning [`StepOutcome::accepted`]. Both consume the exact
     /// same RNG stream (particle index, direction, then lazily the filter's
-    /// uniform draw), so instrumenting a run cannot perturb it.
+    /// uniform draw).
     pub(crate) fn step_detailed<R: Rng + ?Sized>(
         &self,
         config: &mut Configuration,
@@ -521,6 +520,129 @@ impl SeparationChain {
             }
         }
     }
+
+    /// [`MarkovChain::run`] that also adds one to `counts[o as usize]` for
+    /// each step's [`StepOutcome`] `o`: the same loop, the same state,
+    /// accepted count and RNG stream. Each step's outcome is the one
+    /// `step_detailed` would report, so the counts are those of the step
+    /// loop (pinned by `kernel_equivalence`).
+    ///
+    /// The loop's hold branch counts only its
+    /// [`StepOutcome::TargetOccupiedHold`]s. Its
+    /// [`StepOutcome::SameColorHold`]s, the bulk of all steps on a
+    /// compressed configuration, are the steps no class counted, so they
+    /// cost the loop nothing.
+    pub fn run_counted<R: Rng + ?Sized>(
+        &self,
+        config: &mut Configuration,
+        steps: u64,
+        rng: &mut R,
+        counts: &mut [u64; StepOutcome::ALL.len()],
+    ) -> u64 {
+        let mut tally = [0; StepOutcome::ALL.len()];
+        let accepted = self.run_loop::<true, R>(config, steps, rng, &mut tally);
+        tally[StepOutcome::SameColorHold as usize] += steps - tally.iter().sum::<u64>();
+        for (count, n) in counts.iter_mut().zip(tally) {
+            *count += n;
+        }
+        accepted
+    }
+
+    /// `steps` calls of [`MarkovChain::step`], in a loop of its own around
+    /// the decision and commit that [`SeparationChain::propose`] makes,
+    /// counting outcomes into `counts` only when `COUNT`, every class but
+    /// the same-color holds of the hold branch.
+    ///
+    /// * `n` cannot change during a run, so [`PreparedRange`] hoists
+    ///   `random_range(0..n)`'s two divisions out of the loop while drawing
+    ///   exactly the same indices from exactly the same words.
+    /// * A run-local `CellTable` holds each particle's flat raster cell,
+    ///   so a step reads its cell from the table and probes the target at
+    ///   a flat offset. Both holds return on one predicate over that probe
+    ///   and the particle's own cell, without reading its position or its
+    ///   entry in the particle table; a counting loop counts the
+    ///   target-occupied ones. Every other proposal gathers its ring inline
+    ///   and goes through the shared decision and commit. A particle the
+    ///   table marks `PER_NODE` takes the RNG-free out-of-line probe
+    ///   instead, and the decision stays inline, so nothing out of line
+    ///   ever holds the RNG.
+    /// * After an accepted commit the table re-derives the entries of the
+    ///   particles it moved, or is rebuilt when the commit rebuilt the
+    ///   raster or switched the configuration to a map.
+    ///
+    /// The state, accepted count and RNG stream are exactly those of the
+    /// `step` loop (pinned by `kernel_equivalence` and this module's tests).
+    fn run_loop<const COUNT: bool, R: Rng + ?Sized>(
+        &self,
+        config: &mut Configuration,
+        steps: u64,
+        rng: &mut R,
+        counts: &mut [u64; StepOutcome::ALL.len()],
+    ) -> u64 {
+        let particle = PreparedRange::new(config.len() as u64);
+        let mut cells = CellTable::build(config);
+        let mut rebuilds = config.raster_rebuild_count();
+        let (mut accepted, mut occupied_holds) = (0, 0);
+        for _ in 0..steps {
+            let p = particle.sample(rng) as usize;
+            let dir = DIRECTIONS[rng.random_range(0..6usize)];
+            let cell = cells.0[p];
+            let verdict = match config.raster() {
+                Some(g) if cell != PER_NODE => {
+                    let i = cell as usize;
+                    let (own, t) = (g.code_at(i), g.target_code(i, dir));
+                    debug_assert_eq!(own, grid::encode(config.color_of(p)));
+                    if t != 0 && (t == own || !self.swaps) {
+                        if COUNT {
+                            occupied_holds += u64::from(t != own);
+                        }
+                        continue;
+                    }
+                    self.decide(
+                        config.color_of(p),
+                        (t != 0).then(|| grid::decode(t)),
+                        #[inline(always)]
+                        || RingGather::from_codes(g.ring_codes_at(i, dir)),
+                        rng,
+                    )
+                }
+                _ => {
+                    let (target, ring) = self.probe_per_node(config, p, dir);
+                    self.decide(config.color_of(p), target, || ring, rng)
+                }
+            };
+            if let Verdict::Hold(outcome) = verdict {
+                if COUNT {
+                    counts[outcome as usize] += 1;
+                }
+                continue;
+            }
+            let from = config.position_of(p);
+            let to = from.neighbor(dir);
+            let outcome = Self::commit(config, p, from, to, verdict);
+            if COUNT {
+                counts[outcome as usize] += 1;
+            }
+            if !outcome.accepted() {
+                continue;
+            }
+            accepted += 1;
+            if config.raster_rebuild_count() != rebuilds {
+                // A rebuild, or the switch to a map, which counts as one.
+                rebuilds = config.raster_rebuild_count();
+                cells = CellTable::build(config);
+            } else if let Verdict::Swap { .. } = verdict {
+                cells.refresh(config, [from, to].map(|node| config.index_at(node)));
+            } else {
+                cells.refresh(config, [Some(p), None]);
+            }
+        }
+        debug_assert_eq!(cells, CellTable::build(config), "stale cell table");
+        if COUNT {
+            counts[StepOutcome::TargetOccupiedHold as usize] += occupied_holds;
+        }
+        accepted
+    }
 }
 
 /// What [`SeparationChain::propose`] decided before touching the state: a
@@ -540,79 +662,12 @@ impl MarkovChain for SeparationChain {
         self.step_detailed(config, rng).accepted()
     }
 
-    /// `steps` calls of [`MarkovChain::step`], in a loop of its own around
-    /// the decision and commit that [`SeparationChain::propose`] makes.
-    ///
-    /// * `n` cannot change during a run, so [`PreparedRange`] hoists
-    ///   `random_range(0..n)`'s two divisions out of the loop while drawing
-    ///   exactly the same indices from exactly the same words.
-    /// * A run-local `CellTable` holds each particle's flat raster cell,
-    ///   so a step reads its cell from the table and probes the target at
-    ///   a flat offset. Both holds return on one predicate over that probe
-    ///   and the particle's own cell, without reading its position or its
-    ///   entry in the particle table: `run` reports only the accepted
-    ///   count, so it never tells the two holds apart. Every other
-    ///   proposal gathers its ring inline and goes through the shared
-    ///   decision and commit. A particle the table marks `PER_NODE` takes
-    ///   the RNG-free out-of-line probe instead, and the decision stays
-    ///   inline, so nothing out of line ever holds the RNG.
-    /// * After an accepted commit the table re-derives the entries of the
-    ///   particles it moved, or is rebuilt when the commit rebuilt the
-    ///   raster or switched the configuration to a map.
-    ///
-    /// The state, accepted count and RNG stream are exactly those of the
-    /// `step` loop (pinned by `kernel_equivalence` and this module's tests).
+    /// `steps` calls of [`MarkovChain::step`] in one loop that counts
+    /// nothing (see `SeparationChain::run_loop`);
+    /// [`SeparationChain::run_counted`] is the same loop with outcome
+    /// counts.
     fn run<R: Rng + ?Sized>(&self, config: &mut Configuration, steps: u64, rng: &mut R) -> u64 {
-        let particle = PreparedRange::new(config.len() as u64);
-        let mut cells = CellTable::build(config);
-        let mut rebuilds = config.raster_rebuild_count();
-        let mut accepted = 0;
-        for _ in 0..steps {
-            let p = particle.sample(rng) as usize;
-            let dir = DIRECTIONS[rng.random_range(0..6usize)];
-            let cell = cells.0[p];
-            let verdict = match config.raster() {
-                Some(g) if cell != PER_NODE => {
-                    let i = cell as usize;
-                    let (own, t) = (g.code_at(i), g.target_code(i, dir));
-                    debug_assert_eq!(own, grid::encode(config.color_of(p)));
-                    if t != 0 && (t == own || !self.swaps) {
-                        continue;
-                    }
-                    self.decide(
-                        config.color_of(p),
-                        (t != 0).then(|| grid::decode(t)),
-                        #[inline(always)]
-                        || RingGather::from_codes(g.ring_codes_at(i, dir)),
-                        rng,
-                    )
-                }
-                _ => {
-                    let (target, ring) = self.probe_per_node(config, p, dir);
-                    self.decide(config.color_of(p), target, || ring, rng)
-                }
-            };
-            if let Verdict::Hold(_) = verdict {
-                continue;
-            }
-            let from = config.position_of(p);
-            let to = from.neighbor(dir);
-            if !Self::commit(config, p, from, to, verdict).accepted() {
-                continue;
-            }
-            accepted += 1;
-            if config.raster_rebuild_count() != rebuilds {
-                // A rebuild, or the switch to a map, which counts as one.
-                rebuilds = config.raster_rebuild_count();
-                cells = CellTable::build(config);
-            } else if let Verdict::Swap { .. } = verdict {
-                cells.refresh(config, [from, to].map(|node| config.index_at(node)));
-            } else {
-                cells.refresh(config, [Some(p), None]);
-            }
-        }
-        debug_assert_eq!(cells, CellTable::build(config), "stale cell table");
-        accepted
+        self.run_loop::<false, R>(config, steps, rng, &mut [0; StepOutcome::ALL.len()])
     }
 }
 
@@ -655,18 +710,6 @@ fn cell_of(raster: Option<&ColorGrid>, node: Node) -> u32 {
     raster
         .and_then(|g| g.interior_index(node))
         .map_or(PER_NODE, |i| i as u32)
-}
-
-impl ClassifiedChain for SeparationChain {
-    type Outcome = StepOutcome;
-
-    fn step_classified<R: Rng + ?Sized>(
-        &self,
-        config: &mut Configuration,
-        rng: &mut R,
-    ) -> StepOutcome {
-        self.step_detailed(config, rng)
-    }
 }
 
 /// The PODC '16 compression chain: the monochromatic special case of
@@ -1437,7 +1480,8 @@ mod tests {
         // and every particle of a map-indexed configuration for the
         // per-node probes, and is rebuilt whenever an outward move rebuilds
         // the raster (λ < 1). `run` must still be the `step` loop: state,
-        // counters, accepted count, index and RNG state.
+        // counters, accepted count, index and RNG state; and `run_counted`
+        // the `step_detailed` loop, with every outcome class counted.
         let mut rng = StdRng::seed_from_u64(8);
         let nodes = construct::random_blob(40, &mut rng);
         let base = Configuration::new(construct::bicolor_random(nodes, 20, &mut rng)).unwrap();
@@ -1453,13 +1497,32 @@ mod tests {
                 config.reraster_for_test(index);
                 let at = format!("{index:?}, chain {k}");
                 let mut step_config = config.clone();
+                let mut counted_config = config.clone();
                 let mut run_rng = StdRng::seed_from_u64(60 + k as u64);
                 let mut step_rng = run_rng.clone();
+                let mut counted_rng = run_rng.clone();
                 let accepted = chain.run(&mut config, 20_000, &mut run_rng);
-                let expected = (0..20_000)
-                    .filter(|_| chain.step(&mut step_config, &mut step_rng))
-                    .count() as u64;
+                let mut expected_counts = [0; StepOutcome::ALL.len()];
+                for _ in 0..20_000 {
+                    let outcome = chain.step_detailed(&mut step_config, &mut step_rng);
+                    expected_counts[outcome as usize] += 1;
+                }
+                let expected = expected_counts[StepOutcome::MoveAccepted as usize]
+                    + expected_counts[StepOutcome::SwapAccepted as usize];
                 assert_eq!(accepted, expected, "accepted: {at}");
+                let mut counts = [0; StepOutcome::ALL.len()];
+                let counted =
+                    chain.run_counted(&mut counted_config, 20_000, &mut counted_rng, &mut counts);
+                assert_eq!(
+                    (counted, counts),
+                    (expected, expected_counts),
+                    "counts: {at}"
+                );
+                assert!(
+                    counted_config.particles().eq(config.particles())
+                        && counted_rng.to_state_bytes() == run_rng.to_state_bytes(),
+                    "counted run: {at}"
+                );
                 assert!(
                     config.particles().eq(step_config.particles()),
                     "state: {at}"

@@ -16,6 +16,10 @@
 //!   including the optional swap moves of §2.3;
 //! * [`CompressionChain`] — the PODC '16 compression chain recovered as the
 //!   `γ = 1` special case;
+//! * [`Instrumented`] — a [`SeparationChain`] that counts every step's
+//!   [`StepOutcome`] through the kernel's own run loop
+//!   ([`SeparationChain::run_counted`]), with acceptance-rate windows and
+//!   observable series, reported as a `sops_chains` `TelemetryReport`;
 //! * [`construct`] — initial configurations (hexagons per Lemma 2, lines,
 //!   random blobs) and color assignments;
 //! * [`enumerate`] — exhaustive enumeration of connected hole-free
@@ -66,6 +70,7 @@ pub mod enumerate;
 mod error;
 mod flood;
 mod grid;
+mod instrumented;
 mod outcome;
 mod params;
 pub mod properties;
@@ -76,5 +81,6 @@ pub use chain::{CompressionChain, SeparationChain};
 pub use color::Color;
 pub use config::{CanonicalForm, Configuration};
 pub use error::{AuditReport, AuditViolation, ConfigError, RepairOutcome};
+pub use instrumented::Instrumented;
 pub use outcome::StepOutcome;
 pub use params::{thresholds, Bias};

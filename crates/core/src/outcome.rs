@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use sops_chains::telemetry::OutcomeClass;
-
 /// What one activation of chain `M` did, and if it held, why.
 ///
 /// Move proposals (target location unoccupied) fall into the first four
@@ -56,7 +54,9 @@ pub enum StepOutcome {
 }
 
 impl StepOutcome {
-    /// All outcome classes, in [`OutcomeClass::index`] order.
+    /// All outcome classes, each at its own index (`outcome as usize`):
+    /// the order of [`SeparationChain::run_counted`](crate::SeparationChain::run_counted)'s
+    /// counts.
     pub const ALL: [StepOutcome; 9] = [
         StepOutcome::MoveAccepted,
         StepOutcome::MoveRejectedFiveNeighbors,
@@ -69,8 +69,8 @@ impl StepOutcome {
         StepOutcome::InvalidStateHold,
     ];
 
-    /// Stable snake_case labels, indexed by [`OutcomeClass::index`]; used
-    /// as JSON keys in telemetry records.
+    /// Stable snake_case labels, indexed as [`StepOutcome::ALL`]; used as
+    /// JSON keys in telemetry records.
     pub(crate) const LABELS: [&'static str; 9] = [
         "move_accepted",
         "move_rejected_five_neighbors",
@@ -102,22 +102,6 @@ impl fmt::Display for StepOutcome {
     }
 }
 
-impl OutcomeClass for StepOutcome {
-    const CLASSES: usize = 9;
-
-    fn index(self) -> usize {
-        self as usize
-    }
-
-    fn label(index: usize) -> &'static str {
-        Self::LABELS[index]
-    }
-
-    fn accepted(self) -> bool {
-        StepOutcome::accepted(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +109,10 @@ mod tests {
     #[test]
     fn indices_are_dense_and_labels_stable() {
         for (i, outcome) in StepOutcome::ALL.iter().enumerate() {
-            assert_eq!(OutcomeClass::index(*outcome), i);
+            assert_eq!(*outcome as usize, i);
             assert_eq!(outcome.label_of(), StepOutcome::LABELS[i]);
-            assert_eq!(<StepOutcome as OutcomeClass>::label(i), outcome.label_of());
             assert_eq!(format!("{outcome}"), outcome.label_of());
         }
-        assert_eq!(
-            StepOutcome::ALL.len(),
-            <StepOutcome as OutcomeClass>::CLASSES
-        );
     }
 
     #[test]
@@ -144,7 +123,6 @@ mod tests {
                 StepOutcome::MoveAccepted | StepOutcome::SwapAccepted
             );
             assert_eq!(outcome.accepted(), expect);
-            assert_eq!(OutcomeClass::accepted(outcome), expect);
         }
     }
 }

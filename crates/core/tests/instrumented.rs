@@ -1,19 +1,167 @@
 //! Cross-layer guarantee for the telemetry wrapper: driving a
-//! `SeparationChain` through `sops_chains::Instrumented` must produce the
+//! `SeparationChain` through `sops_core::Instrumented` must produce the
 //! exact same state evolution as the bare chain — same configurations,
-//! same RNG stream — while its outcome counters account for every step.
+//! same RNG stream — while its report is the one a step-by-step recorder
+//! of `step_detailed`'s outcomes would build: the same counts, windowed
+//! acceptance rates and observable samples, on the same steps.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sops_chains::{Instrumented, MarkovChain};
-use sops_core::{construct, Bias, Configuration, SeparationChain, StepOutcome};
+use rand::{Rng, RngExt as _, SeedableRng};
+use sops_chains::MarkovChain;
+use sops_core::{construct, Bias, Configuration, Instrumented, SeparationChain, StepOutcome};
+use sops_lattice::DIRECTIONS;
 
 const STEPS: u64 = 50_000;
+
+/// The acceptance-rate window, and the retention of every ring.
+const WINDOW: u64 = 10_000;
+const RING: usize = 256;
 
 fn seeded_config(n: usize, seed: u64) -> Configuration {
     let mut rng = StdRng::seed_from_u64(seed);
     let nodes = construct::hexagonal_spiral(n);
     Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng)).unwrap()
+}
+
+/// One step as `SeparationChain::step_detailed` takes it: a uniform
+/// particle, a uniform direction, then `propose`.
+fn step_detailed(
+    chain: &SeparationChain,
+    config: &mut Configuration,
+    rng: &mut StdRng,
+) -> StepOutcome {
+    let p = rng.random_range(0..config.len());
+    let dir = DIRECTIONS[rng.random_range(0..6usize)];
+    chain.propose(config, p, dir, rng)
+}
+
+/// An observable's name, sampling interval and value.
+type Observable = (&'static str, u64, fn(&Configuration) -> f64);
+
+/// The observables of the reference test: an interval that divides the
+/// window, one that does not, and one short enough that its ring evicts.
+const OBSERVABLES: [Observable; 3] = [
+    ("perimeter", 5_000, |c| c.perimeter() as f64),
+    ("hetero_edges", 3_001, |c| c.hetero_edge_count() as f64),
+    ("edges", 7, |c| c.edge_count() as f64),
+];
+
+/// What a recorder that sees every step's outcome accumulates.
+#[derive(Default)]
+struct Reference {
+    counts: [u64; StepOutcome::ALL.len()],
+    steps: u64,
+    accepted: u64,
+    window_steps: u64,
+    window_accepted: u64,
+    window_rates: Vec<(u64, f64)>,
+    samples: [Vec<(u64, f64)>; OBSERVABLES.len()],
+}
+
+impl Reference {
+    /// Takes `steps` steps one by one and records each, returning how many
+    /// were accepted.
+    fn run(
+        &mut self,
+        chain: &SeparationChain,
+        config: &mut Configuration,
+        steps: u64,
+        rng: &mut StdRng,
+    ) -> u64 {
+        let mut accepted = 0;
+        for _ in 0..steps {
+            let outcome = step_detailed(chain, config, rng);
+            let a = u64::from(outcome.accepted());
+            self.counts[outcome as usize] += 1;
+            self.steps += 1;
+            self.accepted += a;
+            self.window_steps += 1;
+            self.window_accepted += a;
+            if self.window_steps >= WINDOW {
+                let rate = self.window_accepted as f64 / self.window_steps as f64;
+                self.window_rates.push((self.steps, rate));
+                self.window_steps = 0;
+                self.window_accepted = 0;
+            }
+            for ((_, every, observe), samples) in OBSERVABLES.iter().zip(&mut self.samples) {
+                if self.steps % every == 0 {
+                    samples.push((self.steps, observe(config)));
+                }
+            }
+            accepted += a;
+        }
+        accepted
+    }
+
+    /// Asserts that `inst`'s report is this recorder's, ring retention
+    /// applied; the wall-clock `steps_per_sec` aside.
+    fn assert_reported_by(&self, inst: &Instrumented, at: &str) {
+        let newest = |v: &[(u64, f64)]| v[v.len().saturating_sub(RING)..].to_vec();
+        let report = inst.report();
+        assert_eq!(report.steps, self.steps, "steps: {at}");
+        assert_eq!(report.accepted, self.accepted, "accepted: {at}");
+        let counts: Vec<_> = StepOutcome::ALL
+            .iter()
+            .map(|o| (o.label_of(), self.counts[*o as usize]))
+            .collect();
+        assert_eq!(report.counts, counts, "counts: {at}");
+        assert_eq!(report.window, WINDOW);
+        assert_eq!(
+            report.window_rates,
+            newest(&self.window_rates),
+            "window rates: {at}"
+        );
+        assert_eq!(report.series.len(), OBSERVABLES.len());
+        for ((series, (name, every, _)), samples) in
+            report.series.iter().zip(OBSERVABLES).zip(&self.samples)
+        {
+            assert_eq!((series.name.as_str(), series.every), (name, every));
+            assert_eq!(series.samples, newest(samples), "{name} samples: {at}");
+            assert_eq!(
+                series.total_samples,
+                samples.len() as u64,
+                "{name} total: {at}"
+            );
+        }
+    }
+}
+
+#[test]
+fn segmented_report_equals_a_per_step_reference() {
+    // Successive `run` calls on one instrument, of lengths that do and do
+    // not divide the window or the sampling intervals, and that end on,
+    // just before and just after their edges.
+    const RUNS: [u64; 12] = [
+        0, 1, 6, 9_993, 10_000, 12_345, 5_000, 3_001, 25_000, 7, 19_999, 40_000,
+    ];
+    let bias = Bias::new(4.0, 4.0).unwrap();
+    for chain in [
+        SeparationChain::new(bias),
+        SeparationChain::without_swaps(bias),
+    ] {
+        let inst = OBSERVABLES
+            .iter()
+            .fold(Instrumented::new(chain), |inst, &(name, every, observe)| {
+                inst.with_observable(name, every, observe)
+            });
+        let mut config = seeded_config(40, 3);
+        let mut ref_config = config.clone();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut ref_rng = rng.clone();
+        let mut reference = Reference::default();
+        for (k, steps) in RUNS.into_iter().enumerate() {
+            let at = format!("swaps={}, run {k} of {steps} steps", chain.swaps_enabled());
+            let accepted = inst.run(&mut config, steps, &mut rng);
+            let expected = reference.run(&chain, &mut ref_config, steps, &mut ref_rng);
+            assert_eq!(accepted, expected, "accepted: {at}");
+            assert!(config.particles().eq(ref_config.particles()), "state: {at}");
+            assert_eq!(rng.to_state_bytes(), ref_rng.to_state_bytes(), "RNG: {at}");
+            reference.assert_reported_by(&inst, &at);
+        }
+        // The short interval's ring evicted, and the runs closed windows.
+        assert!(reference.samples[2].len() > RING);
+        assert!(reference.window_rates.len() > 10);
+    }
 }
 
 #[test]

@@ -20,7 +20,12 @@
 //!    map index and audits clean.
 //!
 //! `run`, which prepares the particle draw once per call, must equal the
-//! `step` loop it replaces in state, accepted count and RNG state.
+//! `step` loop it replaces in state, accepted count and RNG state, and
+//! `run_counted`, the same loop counting outcomes, must equal a
+//! `step_detailed` loop in state, RNG state and every class count, on
+//! interior, rebuilt and map-indexed states (the edge band is a unit test
+//! of `sops-core`'s `chain` module, which can re-index with crate-private
+//! borders).
 //!
 //! The kernel's exact law (its transition matrix read off `propose`
 //! against `ExactSeparationChain`'s, on every bicolored space of `n ≤ 5`
@@ -346,10 +351,70 @@ where
     run_config
 }
 
+/// `chain.run_counted(config, k, counts)` must equal `k` steps of
+/// `step_detailed` — a uniform particle, a uniform direction, then
+/// `propose` — in state, index, RNG state and the count of every outcome
+/// class; its accepted count must be the accepted classes' and
+/// `MarkovChain::run`'s. Returns the run's final state and its counts.
+fn assert_counted_run_matches_step_detailed_loop(
+    chain: &SeparationChain,
+    config: &Configuration,
+    seed: u64,
+    steps: u64,
+) -> (Configuration, [u64; StepOutcome::ALL.len()]) {
+    let mut counted = config.clone();
+    let mut stepped = config.clone();
+    let mut counted_rng = StdRng::seed_from_u64(seed);
+    let mut step_rng = counted_rng.clone();
+    let mut counts = [0; StepOutcome::ALL.len()];
+    let accepted = chain.run_counted(&mut counted, steps, &mut counted_rng, &mut counts);
+    let mut expected = [0; StepOutcome::ALL.len()];
+    for _ in 0..steps {
+        let p = step_rng.random_range(0..stepped.len());
+        let d = DIRECTIONS[step_rng.random_range(0..6usize)];
+        expected[chain.propose(&mut stepped, p, d, &mut step_rng) as usize] += 1;
+    }
+    let at = format!("n={}, swaps={}", config.len(), chain.swaps_enabled());
+    assert_eq!(counts, expected, "outcome counts differ at {at}");
+    let accepted_classes = [StepOutcome::MoveAccepted, StepOutcome::SwapAccepted];
+    assert_eq!(
+        accepted,
+        accepted_classes.map(|o| counts[o as usize]).iter().sum(),
+        "accepted count is not the accepted classes' at {at}"
+    );
+    let mut plain = config.clone();
+    let plain_accepted = chain.run(&mut plain, steps, &mut StdRng::seed_from_u64(seed));
+    assert_eq!(
+        accepted, plain_accepted,
+        "run's accepted count differs at {at}"
+    );
+    assert!(
+        counted.particles().eq(stepped.particles()) && counted.particles().eq(plain.particles()),
+        "states differ at {at}"
+    );
+    assert_eq!(
+        (counted.edge_count(), counted.hetero_edge_count()),
+        (stepped.edge_count(), stepped.hetero_edge_count()),
+        "counters differ at {at}"
+    );
+    assert_eq!(
+        (counted.is_rasterized(), counted.raster_rebuild_count()),
+        (stepped.is_rasterized(), stepped.raster_rebuild_count()),
+        "indexes differ at {at}"
+    );
+    assert_eq!(
+        counted_rng.to_state_bytes(),
+        step_rng.to_state_bytes(),
+        "RNG streams differ at {at}"
+    );
+    (counted, counts)
+}
+
 #[test]
 fn run_is_the_step_loop_with_a_prepared_particle_draw() {
     // n = 1, 2 and 64 include the power-of-two (mask) draws; 100 and
     // 1000 the Barrett reductions, including the benchmark's size.
+    let mut seen = [0; StepOutcome::ALL.len()];
     for (i, n) in [1usize, 2, 64, 100, 1000].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let nodes = construct::random_blob(n, &mut rng);
@@ -357,8 +422,22 @@ fn run_is_the_step_loop_with_a_prepared_particle_draw() {
         let steps = if n == 1000 { 200_000 } else { 50_000 };
         let bias = Bias::new(4.0, 4.0).unwrap();
         let seed = 40 + i as u64;
-        assert_run_matches_step_loop(&SeparationChain::new(bias), &config, seed, steps);
-        assert_run_matches_step_loop(&SeparationChain::without_swaps(bias), &config, seed, steps);
+        for chain in [
+            SeparationChain::new(bias),
+            SeparationChain::without_swaps(bias),
+        ] {
+            assert_run_matches_step_loop(&chain, &config, seed, steps);
+            let (_, counts) =
+                assert_counted_run_matches_step_detailed_loop(&chain, &config, seed, steps);
+            for (total, count) in seen.iter_mut().zip(counts) {
+                *total += count;
+            }
+        }
+    }
+    // Every class but the invalid-state hold was counted.
+    for outcome in StepOutcome::ALL {
+        let expect_some = outcome != StepOutcome::InvalidStateHold;
+        assert_eq!(seen[outcome as usize] > 0, expect_some, "{outcome}");
     }
 }
 
@@ -386,6 +465,7 @@ fn run_continues_identically_across_a_raster_rebuild() {
         let end = assert_run_matches_step_loop(&chain, &config, 51, 200_000);
         assert!(end.is_rasterized());
         assert!(end.raster_rebuild_count() >= 1, "the blob stayed inside");
+        assert_counted_run_matches_step_detailed_loop(&chain, &config, 51, 200_000);
     }
 }
 
@@ -418,11 +498,18 @@ fn run_continues_identically_across_the_raster_to_map_switch() {
         );
     }
     for call in 0..100 {
+        let counted =
+            assert_counted_run_matches_step_detailed_loop(&chain, &config, 70 + call, 20_000).0;
         config = assert_run_matches_step_loop(&chain, &config, 70 + call, 20_000);
+        assert!(counted.particles().eq(config.particles()));
         if !config.is_rasterized() {
             assert_eq!(config.raster_rebuild_count(), 1);
             let report = config.audit();
             assert!(report.is_consistent(), "{report}");
+            // On the map, with swaps and without.
+            for chain in [chain, SeparationChain::without_swaps(chain.bias())] {
+                assert_counted_run_matches_step_detailed_loop(&chain, &config, 90, 20_000);
+            }
             return;
         }
     }
