@@ -37,7 +37,7 @@ pub struct ObservableSeries {
 /// (`sops-core`'s `Instrumented::report`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetryReport {
-    /// Steps recorded since construction (or the last reset).
+    /// Steps recorded since construction.
     pub steps: u64,
     /// Accepted (state-changing) steps.
     pub accepted: u64,
