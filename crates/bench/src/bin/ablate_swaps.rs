@@ -20,7 +20,7 @@
 use std::ops::ControlFlow;
 
 use sops_analysis::is_separated;
-use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, CellTelemetry, Table};
+use sops_bench::{instrument_chain, seed_hash, seeded, CellTelemetry, Table};
 use sops_chains::RunManifest;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
@@ -39,13 +39,7 @@ fn time_to_separation(
     opts: &SweepOptions,
     ctx: &JobContext<'_>,
 ) -> Result<Option<u64>, JobError> {
-    // Attempt 1 reproduces the published seed; a retry draws a fresh
-    // stream so a seed-dependent fault is not re-hit verbatim.
-    let mut rng = seeded_attempt(
-        "ablate-swaps",
-        replicate * 2 + u64::from(swaps),
-        ctx.attempt,
-    );
+    let mut rng = seeded("ablate-swaps", replicate * 2 + u64::from(swaps));
     let nodes = construct::hexagonal_spiral(N);
     let mut config =
         Configuration::new(construct::bicolor_random(nodes, N / 2, &mut rng)).expect("valid seed");
@@ -61,11 +55,7 @@ fn time_to_separation(
     let chain = instrument_chain(chain, opts.telemetry);
     let manifest = RunManifest {
         run: format!("ablate_swaps/{cell}"),
-        seed: seed_hash_attempt(
-            "ablate-swaps",
-            replicate * 2 + u64::from(swaps),
-            ctx.attempt,
-        ),
+        seed: seed_hash("ablate-swaps", replicate * 2 + u64::from(swaps)),
         lambda: 4.0,
         gamma: 4.0,
         n: N as u64,

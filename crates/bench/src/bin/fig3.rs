@@ -23,7 +23,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 
 use sops_analysis::{alpha_ratio, classify, metrics, render, Phase, PhaseThresholds};
-use sops_bench::{seed_hash, seeded_attempt, Table};
+use sops_bench::{seed_hash, seeded, Table};
 use sops_core::{construct, thresholds, Bias, Color, Configuration, SeparationChain};
 use sops_lattice::Node;
 use sops_runtime::{
@@ -82,12 +82,11 @@ fn phase_cell(
     svg: bool,
 ) -> Result<CellResult, JobError> {
     let Cell { lambda, gamma } = *cell;
-    // Attempt 1 reproduces the published stream; retries draw fresh ones.
     let key = seed_hash(
         "fig3-cell",
         lambda.to_bits() ^ gamma.to_bits().rotate_left(17),
     );
-    let mut rng = seeded_attempt("fig3", key, ctx.attempt);
+    let mut rng = seeded("fig3", key);
     let mut config = Configuration::new(seed_particles.to_vec()).expect("seed is valid");
     let chain =
         SeparationChain::new(Bias::new(lambda, gamma).map_err(|e| JobError::app(e.to_string()))?);

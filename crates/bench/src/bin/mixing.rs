@@ -37,7 +37,7 @@
 use std::ops::ControlFlow;
 
 use sops_analysis::is_separated;
-use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, CellTelemetry, Table};
+use sops_bench::{instrument_chain, seed_hash, seeded, CellTelemetry, Table};
 use sops_chains::{RunManifest, TransitionMatrix};
 use sops_core::enumerate::ExactSeparationChain;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
@@ -60,14 +60,12 @@ fn hitting_cell(
     opts: &SweepOptions,
     ctx: &JobContext<'_>,
 ) -> Result<Option<u64>, JobError> {
-    // Attempt 1 reproduces the published seed; a retry draws a fresh
-    // stream so a seed-dependent fault is not re-hit verbatim.
     let (chunk, cap, metrics_every) = if opts.smoke {
         (SMOKE_CHUNK, SMOKE_CAP, SMOKE_METRICS_EVERY)
     } else {
         (HIT_CHUNK, HIT_CAP, METRICS_EVERY)
     };
-    let mut rng = seeded_attempt("mixing-hit", n as u64, ctx.attempt);
+    let mut rng = seeded("mixing-hit", n as u64);
     let nodes = construct::hexagonal_spiral(n);
     let mut config = Configuration::new(construct::bicolor_random(nodes, n / 2, &mut rng))
         .map_err(|e| JobError::app(e.to_string()))?;
@@ -78,7 +76,7 @@ fn hitting_cell(
     let chain = instrument_chain(chain, opts.telemetry);
     let manifest = RunManifest {
         run: format!("mixing/{cell}"),
-        seed: seed_hash_attempt("mixing-hit", n as u64, ctx.attempt),
+        seed: seed_hash("mixing-hit", n as u64),
         lambda: 4.0,
         gamma: 4.0,
         n: n as u64,

@@ -8,20 +8,22 @@
 //! Runtime flags (see `sops_runtime::SweepOptions`): `--checkpoint-dir
 //! DIR` snapshots each γ-cell's burn-in every `--audit-every` steps (with
 //! a from-scratch invariant audit before each snapshot), `--resume`
-//! continues an interrupted sweep from those snapshots, `--retries K`
-//! bounds retry attempts per cell, and the `--deadline-ms`/`--max-steps`
+//! continues an interrupted sweep from those snapshots (a cell that failed
+//! continues from its last one), and the `--deadline-ms`/`--max-steps`
 //! budget flags end the sweep as a classified degradation with partial
 //! averages instead of wedging it. Per-cell outcomes are recorded in
 //! `results/separation-cells.json`, and each γ-cell streams step telemetry
 //! (outcome counters, acceptance windows, observable series, runtime
-//! events) to `results/logs/separation-gamma-G.telemetry.jsonl` (in
-//! `target/smoke-logs/` in smoke mode) unless `--no-telemetry` is passed.
+//! events) to `target/smoke-logs/separation-gamma-G.telemetry.jsonl`
+//! unless `--no-telemetry` is passed. The streams are no committed result
+//! (their wall-clock rates differ from run to run), so a plain run leaves
+//! `results/` as committed.
 
 use std::fmt;
 use std::ops::ControlFlow;
 
 use sops_analysis::{is_separated, metrics};
-use sops_bench::{instrument_chain, seed_hash_attempt, seeded_attempt, Table};
+use sops_bench::{instrument_chain, seed_hash, seeded, Table};
 use sops_chains::stats::{effective_sample_size, Summary};
 use sops_chains::telemetry::series_record_json;
 use sops_chains::RunManifest;
@@ -52,9 +54,7 @@ impl fmt::Debug for Estimate {
 }
 
 fn sweep_cell(gamma: f64, opts: &SweepOptions, ctx: &JobContext<'_>) -> Result<Estimate, JobError> {
-    // Attempt 1 reproduces the published seed; a retry draws a fresh
-    // stream so a seed-dependent fault is not re-hit verbatim.
-    let mut rng = seeded_attempt("separation", gamma.to_bits(), ctx.attempt);
+    let mut rng = seeded("separation", gamma.to_bits());
     let nodes = construct::hexagonal_spiral(N);
     let mut config =
         Configuration::new(construct::bicolor_random(nodes, N / 2, &mut rng)).expect("valid seed");
@@ -91,14 +91,14 @@ fn sweep_cell(gamma: f64, opts: &SweepOptions, ctx: &JobContext<'_>) -> Result<E
     let t0 = resumed_at.unwrap_or(0);
     let manifest = RunManifest {
         run: format!("separation/{cell}"),
-        seed: seed_hash_attempt("separation", gamma.to_bits(), ctx.attempt),
+        seed: seed_hash("separation", gamma.to_bits()),
         lambda: LAMBDA,
         gamma,
         n: N as u64,
         steps: BURN_IN + SAMPLES as u64 * SAMPLE_GAP,
     };
     let mut sink = opts.telemetry_sink(
-        &sops_bench::telemetry_dir(opts),
+        &sops_bench::uncommitted_dir(),
         "separation",
         &cell,
         &manifest,

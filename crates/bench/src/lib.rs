@@ -20,7 +20,7 @@ use sops_runtime::{JobContext, SweepOptions};
 
 // Seeding moved to `sops-runtime` with the rest of the supervision stack;
 // re-exported here so experiment code keeps one import path.
-pub use sops_runtime::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
+pub use sops_runtime::{seed_hash, seeded};
 
 /// How often the instrumented experiment chains sample their observable
 /// series (perimeter, heterogeneous edges), in steps.
@@ -335,8 +335,14 @@ pub fn report_dir(opts: &SweepOptions) -> PathBuf {
 }
 
 /// `target/smoke-logs/` under the workspace root, which git ignores: where
-/// a run writes what is no committed result. Created on first use.
-fn uncommitted_dir() -> PathBuf {
+/// a run writes what is no committed result, such as `separation`'s
+/// telemetry streams in every mode. Created on first use.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be created.
+#[must_use]
+pub fn uncommitted_dir() -> PathBuf {
     let dir = workspace_root().join("target").join("smoke-logs");
     std::fs::create_dir_all(&dir).expect("cannot create target/smoke-logs directory");
     dir

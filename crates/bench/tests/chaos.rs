@@ -17,13 +17,13 @@ use std::time::Duration;
 
 use sops_amoebot::schedule::UniformScheduler;
 use sops_amoebot::{AmoebotSystem, FaultPlan, FaultySchedule};
-use sops_bench::{instrument_chain, seeded_attempt, CellTelemetry};
+use sops_bench::{instrument_chain, seeded, CellTelemetry};
 use sops_chains::{Auditable as _, MarkovChain as _, StateCodec as _};
 use sops_chains::{CheckpointStore, CrashStyle, FaultyVfs, RunManifest};
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
-    run_cells, run_chain, write_cell_report, BackoffPolicy, CellStatus, ChainJob, DegradeReason,
-    JobContext, JobError, ResourceBudget, Runtime, SupervisedRun, SweepOptions,
+    run_cells, run_chain, write_cell_report, CellStatus, ChainJob, DegradeReason, JobContext,
+    JobError, ResourceBudget, Runtime, SupervisedRun, SweepOptions,
 };
 
 const STEPS: u64 = 6_000;
@@ -59,31 +59,31 @@ fn chain() -> SeparationChain {
     SeparationChain::new(Bias::new(4.0, 4.0).expect("valid bias"))
 }
 
-/// Zero-sleep options: no backoff delays, no telemetry, no retries
-/// unless a test opts back in.
-fn fast_opts() -> SweepOptions {
+/// Options without telemetry streams.
+fn quiet_opts() -> SweepOptions {
     SweepOptions {
         telemetry: false,
-        backoff: BackoffPolicy { base_ms: 0 },
-        budget: ResourceBudget {
-            max_retries: 0,
-            ..ResourceBudget::default()
-        },
         ..SweepOptions::default()
     }
 }
 
+/// What a short chain run ends with: the run, the final state encoding,
+/// and the final RNG state bytes.
+type ShortRun = (SupervisedRun, Vec<u8>, Vec<u8>);
+
 /// One short supervised (or storeless) chain run under the cell's
-/// context, seeded per attempt like the real bins.
+/// context, seeded per cell like the real bins, calling `on_chunk` after
+/// every chunk.
 fn run_short_chain(
     cell: &str,
     ctx: &JobContext<'_>,
     store: Option<&CheckpointStore>,
-) -> Result<SupervisedRun, JobError> {
-    let mut rng = seeded_attempt(cell, 0, ctx.attempt);
+    on_chunk: impl FnMut(u64, &mut Configuration) -> ControlFlow<()>,
+) -> Result<ShortRun, JobError> {
+    let mut rng = seeded(cell, 0);
     let mut config = seed_config()?;
     let chain = chain();
-    run_chain(
+    let run = run_chain(
         ctx,
         &chain,
         &mut config,
@@ -95,16 +95,22 @@ fn run_short_chain(
             audit_every: Some(EVERY),
         },
         |c| c.perimeter() as f64,
-        |_, _| ControlFlow::Continue(()),
-    )
+        on_chunk,
+    )?;
+    Ok((run, config.encode_state(), rng.to_state_bytes().to_vec()))
+}
+
+/// An `on_chunk` hook that never stops the run.
+fn keep_going(_: u64, _: &mut Configuration) -> ControlFlow<()> {
+    ControlFlow::Continue(())
 }
 
 /// A cell driving the amoebot layer under a particle-fault plan: one
 /// crash-stop, one starvation window, random drops and forced aborts.
 /// The surviving particles must still leave a structurally valid
 /// configuration.
-fn particle_fault_cell(ctx: &JobContext<'_>) -> Result<u64, JobError> {
-    let mut rng = seeded_attempt("particle-faults", 0, ctx.attempt);
+fn particle_fault_cell() -> Result<u64, JobError> {
+    let mut rng = seeded("particle-faults", 0);
     let config = seed_config()?;
     let mut system = AmoebotSystem::new(&config, Bias::new(4.0, 4.0).expect("valid bias"), true);
     let plan = FaultPlan::none()
@@ -134,96 +140,134 @@ fn particle_fault_cell(ctx: &JobContext<'_>) -> Result<u64, JobError> {
     Ok(changed)
 }
 
+/// The step at which the faulted cells of the combined sweep fail: their
+/// snapshots of steps 1,000 and 2,000 are durable by then, and the chunk
+/// they fail in is never persisted.
+const FAULT_AT: u64 = 3_000;
+
 #[test]
-fn combined_fault_sweep_classifies_every_cell() {
+fn combined_fault_sweep_runs_each_cell_once_then_resumes_the_failed_ones() {
     let scratch = Scratch::new("combined");
     let opts = SweepOptions {
         checkpoint_dir: Some(scratch.0.clone()),
-        budget: ResourceBudget {
-            max_retries: 1,
-            ..ResourceBudget::default()
-        },
-        ..fast_opts()
+        ..quiet_opts()
     };
 
     // The storage-crash cell's store rides a FaultyVfs whose kill-point
-    // is armed right after open: every subsequent I/O op fails, so both
-    // the first attempt and its retry hit the same persistent fault.
+    // is armed right after open: every subsequent I/O op fails.
     let vfs = Arc::new(FaultyVfs::new());
     let faulty_store = CheckpointStore::open_with(PathBuf::from("/chaos"), 2, vfs.clone()).unwrap();
     vfs.kill_after(vfs.op_count());
 
-    let cells = vec![
+    let cells = [
         "clean",
-        "panic-once",
-        "panic-always",
+        "panic-mid-run",
+        "error-mid-run",
         "particle-faults",
         "storage-crash",
     ];
-    let outcomes = run_cells(cells, &opts, |label, ctx| match *label {
-        "clean" => {
-            let store = opts.store_for(label)?.expect("checkpoint dir set");
-            run_short_chain(label, ctx, Some(&store)).map(|run| run.steps)
-        }
-        "panic-once" => {
-            if ctx.attempt == 1 {
-                panic!("chaos: injected panic (attempt 1)");
+    let calls = cells.map(|_| AtomicU64::new(0));
+    let outcomes = run_cells(cells.to_vec(), &opts, |label, ctx| {
+        let cell = cells.iter().position(|c| c == label).unwrap();
+        calls[cell].fetch_add(1, Ordering::SeqCst);
+        match *label {
+            "clean" => {
+                let store = opts.store_for(label)?;
+                run_short_chain(label, ctx, store.as_ref(), keep_going).map(|(run, ..)| run.steps)
             }
-            run_short_chain(label, ctx, None).map(|run| run.steps)
+            "panic-mid-run" => {
+                let store = opts.store_for(label)?;
+                run_short_chain(label, ctx, store.as_ref(), |t, _| {
+                    if t == FAULT_AT {
+                        panic!("chaos: injected panic at step {t}");
+                    }
+                    ControlFlow::Continue(())
+                })
+                .map(|(run, ..)| run.steps)
+            }
+            "error-mid-run" => {
+                let store = opts.store_for(label)?;
+                let (run, ..) = run_short_chain(label, ctx, store.as_ref(), |t, _| {
+                    if t == FAULT_AT {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })?;
+                Err(JobError::app(format!(
+                    "chaos: injected error at step {}",
+                    run.steps
+                )))
+            }
+            "particle-faults" => particle_fault_cell(),
+            "storage-crash" => run_short_chain(label, ctx, Some(&faulty_store), keep_going)
+                .map(|(run, ..)| run.steps),
+            other => unreachable!("unknown cell {other}"),
         }
-        "panic-always" => panic!("chaos: injected panic (every attempt)"),
-        "particle-faults" => particle_fault_cell(ctx),
-        "storage-crash" => run_short_chain(label, ctx, Some(&faulty_store)).map(|run| run.steps),
-        other => unreachable!("unknown cell {other}"),
     });
     let by = |name: &str| outcomes.iter().find(|o| o.cell == name).unwrap();
 
+    // Every cell's work ran exactly once, failed or not.
+    for (cell, calls) in cells.iter().zip(&calls) {
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "{cell}");
+    }
+
     assert_eq!(by("clean").status, CellStatus::Ok);
     assert_eq!(by("clean").result, Some(STEPS));
-
-    let once = by("panic-once");
-    assert_eq!(once.status, CellStatus::Recovered, "{once:?}");
-    assert_eq!(once.attempts, 2);
-    assert_eq!(once.result, Some(STEPS));
-
-    let always = by("panic-always");
-    assert_eq!(always.status, CellStatus::Failed, "{always:?}");
-    assert_eq!(always.attempts, 2, "budget allows exactly one retry");
-    assert!(
-        matches!(always.error, Some(JobError::Panic { .. })),
-        "{:?}",
-        always.error
-    );
-
     let particles = by("particle-faults");
     assert_eq!(particles.status, CellStatus::Ok, "{particles:?}");
     assert!(particles.result.unwrap() > 0);
 
-    let storage = by("storage-crash");
-    assert_eq!(storage.status, CellStatus::Failed, "{storage:?}");
-    assert_eq!(
-        storage.attempts, 2,
-        "a persistent storage fault is retried once, then classified"
-    );
-    assert_eq!(storage.error.as_ref().unwrap().kind(), "io");
+    for (cell, kind, message) in [
+        ("panic-mid-run", "panic", "injected panic at step 3000"),
+        ("error-mid-run", "app", "injected error at step 3000"),
+        ("storage-crash", "io", ""),
+    ] {
+        let outcome = by(cell);
+        assert_eq!(outcome.status, CellStatus::Failed, "{outcome:?}");
+        let error = outcome.error.as_ref().unwrap();
+        assert_eq!(error.kind(), kind, "{cell}: {error}");
+        assert!(error.to_string().contains(message), "{cell}: {error}");
+    }
 
     // The report classifies every cell — no blanks, no wedges.
     let json = write_cell_report(&scratch.0, "chaos-combined", &outcomes);
-    assert!(json.contains("\"cells_failed\": 2"), "{json}");
+    assert!(json.contains("\"cells_failed\": 3"), "{json}");
     assert!(json.contains("\"cells_degraded\": 0"), "{json}");
-    assert!(json.contains("\"cells_recovered\": 1"), "{json}");
-    assert!(json.contains("\"event\": \"retry\""), "{json}");
-    assert!(json.contains("\"error_kind\": \"io\""), "{json}");
-    for cell in [
-        "clean",
-        "panic-once",
-        "panic-always",
-        "particle-faults",
-        "storage-crash",
-    ] {
+    assert!(json.contains("\"cells_recovered\": 0"), "{json}");
+    assert!(json.contains("\"error\": {\"kind\": \"io\""), "{json}");
+    for cell in cells {
         assert!(json.contains(&format!("\"cell\": \"{cell}\"")), "{json}");
     }
     assert_eq!(json.matches("\"status\": ").count(), 5, "{json}");
+
+    // A `--resume` run continues each failed cell from its last snapshot
+    // and ends bitwise-identical to an uninterrupted run of the cell.
+    let resume = SweepOptions {
+        resume: true,
+        ..opts.clone()
+    };
+    let faulted = vec!["panic-mid-run", "error-mid-run"];
+    let resumed = run_cells(faulted, &resume, |label, ctx| {
+        let store = resume.store_for(label)?;
+        run_short_chain(label, ctx, store.as_ref(), keep_going)
+    });
+    for outcome in &resumed {
+        assert_eq!(outcome.status, CellStatus::Ok, "{outcome:?}");
+        let (run, state, rng_bytes) = outcome.result.as_ref().unwrap();
+        assert_eq!(run.resumed_from, Some(FAULT_AT - EVERY), "{}", outcome.cell);
+        assert_eq!(run.steps, STEPS);
+        let mut rng = seeded(&outcome.cell, 0);
+        let mut config = seed_config().unwrap();
+        chain().run(&mut config, STEPS, &mut rng);
+        assert_eq!(state, &config.encode_state(), "{}: state", outcome.cell);
+        assert_eq!(
+            rng_bytes,
+            &rng.to_state_bytes().to_vec(),
+            "{}: rng stream",
+            outcome.cell
+        );
+    }
 }
 
 #[test]
@@ -233,13 +277,12 @@ fn deadline_trip_ends_degraded_with_a_durable_audited_checkpoint() {
         checkpoint_dir: Some(scratch.0.clone()),
         budget: ResourceBudget {
             deadline: Some(Duration::from_millis(80)),
-            max_retries: 0,
             ..ResourceBudget::default()
         },
-        ..fast_opts()
+        ..quiet_opts()
     };
     let outcomes = run_cells(vec!["deadline"], &opts, |label, ctx| {
-        let mut rng = seeded_attempt(label, 0, ctx.attempt);
+        let mut rng = seeded(label, 0);
         let mut config = seed_config()?;
         let chain = chain();
         let store = opts.store_for(label)?.expect("checkpoint dir set");
@@ -297,10 +340,10 @@ const RESUME_STEPS: u64 = 12_000;
 /// from, the final state encoding, and the final RNG state bytes.
 type LegResult = (u64, Option<u64>, Vec<u8>, Vec<u8>);
 
-/// The budgeted/resumed cell of the bitwise-identity test. The attempt
-/// index is pinned so every invocation draws the same rng stream.
+/// The budgeted/resumed cell of the bitwise-identity test. Every
+/// invocation draws the same rng stream.
 fn budgeted_cell(ctx: &JobContext<'_>, store: &CheckpointStore) -> Result<LegResult, JobError> {
-    let mut rng = seeded_attempt("chaos-resume", 0, 1);
+    let mut rng = seeded("chaos-resume", 0);
     let mut config = seed_config()?;
     let chain = chain();
     let run = run_chain(
@@ -328,7 +371,7 @@ fn budgeted_cell(ctx: &JobContext<'_>, store: &CheckpointStore) -> Result<LegRes
 #[test]
 fn step_budget_interruption_resumes_bitwise_identically() {
     // Uninterrupted reference: one unsupervised run on the same seed.
-    let mut rng = seeded_attempt("chaos-resume", 0, 1);
+    let mut rng = seeded("chaos-resume", 0);
     let mut config = construct::hexagonal_bicolored(20, 10).unwrap();
     chain().run(&mut config, RESUME_STEPS, &mut rng);
     let (ref_state, ref_rng) = (config.encode_state(), rng.to_state_bytes().to_vec());
@@ -338,10 +381,9 @@ fn step_budget_interruption_resumes_bitwise_identically() {
         checkpoint_dir: Some(scratch.0.clone()),
         budget: ResourceBudget {
             max_steps: Some(6_000),
-            max_retries: 0,
             ..ResourceBudget::default()
         },
-        ..fast_opts()
+        ..quiet_opts()
     };
     let store = capped.store_for("resume").unwrap().unwrap();
 
@@ -366,10 +408,7 @@ fn step_budget_interruption_resumes_bitwise_identically() {
     // Leg 2: a fresh run with the cap lifted resumes from the budget
     // trip's checkpoint and lands bitwise-identical to the reference.
     let full = SweepOptions {
-        budget: ResourceBudget {
-            max_retries: 0,
-            ..ResourceBudget::default()
-        },
+        budget: ResourceBudget::default(),
         ..capped.clone()
     };
     let second = run_cells(vec!["resume"], &full, |_, ctx| budgeted_cell(ctx, &store));
@@ -393,7 +432,7 @@ fn telemetry_cell(
     opts: &SweepOptions,
     logs: &Path,
 ) -> Result<SupervisedRun, JobError> {
-    let mut rng = seeded_attempt("chaos-telemetry", 0, 1);
+    let mut rng = seeded("chaos-telemetry", 0);
     let mut config = seed_config()?;
     let chain = instrument_chain(chain(), opts.telemetry);
     let store = opts.store_for("telemetry")?;
@@ -457,10 +496,9 @@ fn telemetry_resumes_from_the_snapshot_the_run_resumed_from() {
         telemetry: true,
         budget: ResourceBudget {
             max_steps: Some(6_000),
-            max_retries: 0,
             ..ResourceBudget::default()
         },
-        ..fast_opts()
+        ..quiet_opts()
     };
     let first = run_cells(vec!["telemetry"], &capped, |_, ctx| {
         telemetry_cell(ctx, &capped, &logs)
@@ -481,10 +519,7 @@ fn telemetry_resumes_from_the_snapshot_the_run_resumed_from() {
 
     let resumed = SweepOptions {
         resume: true,
-        budget: ResourceBudget {
-            max_retries: 0,
-            ..ResourceBudget::default()
-        },
+        budget: ResourceBudget::default(),
         ..capped.clone()
     };
     let store = resumed.store_for("telemetry").unwrap().unwrap();
@@ -524,12 +559,12 @@ fn external_cancel_degrades_and_preserves_a_valid_checkpoint() {
     let scratch = Scratch::new("cancel");
     let opts = SweepOptions {
         checkpoint_dir: Some(scratch.0.clone()),
-        ..fast_opts()
+        ..quiet_opts()
     };
     let rt = Runtime::new(opts.clone());
     let token = rt.cancel_token();
     let outcomes = rt.run_cells(vec!["cancel"], |label, ctx| {
-        let mut rng = seeded_attempt(label, 0, ctx.attempt);
+        let mut rng = seeded(label, 0);
         let mut config = seed_config()?;
         let chain = chain();
         let store = opts.store_for(label)?.expect("checkpoint dir set");
@@ -586,7 +621,7 @@ fn external_cancel_degrades_and_preserves_a_valid_checkpoint() {
 
 #[test]
 fn storage_crashes_recover_valid_checkpoints_and_resume_identically() {
-    let opts = fast_opts();
+    let opts = quiet_opts();
 
     // Reference: a fault-free supervised run on a pristine in-memory
     // store, recording the state at every chunk boundary plus the total
@@ -595,7 +630,7 @@ fn storage_crashes_recover_valid_checkpoints_and_resume_identically() {
     let probe_store =
         CheckpointStore::open_with(PathBuf::from("/chaos-ref"), 2, probe.clone()).unwrap();
     let reference = run_cells(vec!["crash"], &opts, |_, ctx| {
-        let mut rng = seeded_attempt("chaos-crash", 0, 1);
+        let mut rng = seeded("chaos-crash", 0);
         let mut config = seed_config()?;
         let chain = chain();
         let mut states: Vec<(u64, Vec<u8>)> = vec![(0, config.encode_state())];
@@ -642,7 +677,7 @@ fn storage_crashes_recover_valid_checkpoints_and_resume_identically() {
             // The killed run terminates classified — io failure, not a
             // wedge or a panic.
             let crashed = run_cells(vec!["crash"], &opts, |_, ctx| {
-                let mut rng = seeded_attempt("chaos-crash", 0, 1);
+                let mut rng = seeded("chaos-crash", 0);
                 let mut config = seed_config()?;
                 let chain = chain();
                 run_chain(
@@ -703,7 +738,7 @@ fn storage_crashes_recover_valid_checkpoints_and_resume_identically() {
             // Resuming on the crashed store completes and lands
             // bitwise-identical to the uninterrupted reference.
             let resumed = run_cells(vec!["crash"], &opts, |_, ctx| {
-                let mut rng = seeded_attempt("chaos-crash", 0, 1);
+                let mut rng = seeded("chaos-crash", 0);
                 let mut config = seed_config()?;
                 let chain = chain();
                 let run = run_chain(

@@ -6,13 +6,10 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sops_bench::seeded_attempt;
+use sops_bench::seeded;
 use sops_chains::{run_supervised, RecoveryEvent, SupervisedOptions};
 use sops_core::{construct, Bias, SeparationChain};
-use sops_runtime::{
-    run_cells, write_cell_report, BackoffPolicy, CellStatus, JobContext, JobError, ResourceBudget,
-    SweepOptions,
-};
+use sops_runtime::{run_cells, write_cell_report, CellStatus, JobContext, JobError, SweepOptions};
 
 /// A fresh scratch directory per test, removed on drop.
 struct Scratch(PathBuf);
@@ -36,17 +33,11 @@ impl Drop for Scratch {
     }
 }
 
-/// Sweep options pointed at a scratch checkpoint dir, with no telemetry,
-/// no retries, and no backoff sleeps.
+/// Sweep options pointed at a scratch checkpoint dir, with no telemetry.
 fn test_opts(scratch: &Scratch) -> SweepOptions {
     SweepOptions {
         checkpoint_dir: Some(scratch.0.clone()),
         telemetry: false,
-        backoff: BackoffPolicy { base_ms: 0 },
-        budget: ResourceBudget {
-            max_retries: 0,
-            ..ResourceBudget::default()
-        },
         ..SweepOptions::default()
     }
 }
@@ -63,7 +54,7 @@ fn chain_cell(
     ctx: &JobContext<'_>,
     poison_at: Option<u64>,
 ) -> Result<(u64, Vec<RecoveryEvent>), JobError> {
-    let mut rng = seeded_attempt(cell, 0, ctx.attempt);
+    let mut rng = seeded(cell, 0);
     let mut config =
         construct::hexagonal_bicolored(20, 10).map_err(|e| JobError::app(e.to_string()))?;
     let chain = SeparationChain::new(Bias::new(4.0, 4.0).expect("valid bias"));
@@ -112,11 +103,10 @@ fn corrupted_cell_completes_as_recovered_not_failed() {
     assert_eq!(*steps, STEPS);
     assert!(events.is_empty(), "{events:?}");
 
-    // The poisoned cell completed the full run on its first attempt — the
-    // ladder healed it in place instead of killing the cell.
+    // The poisoned cell completed the full run — the ladder healed it in
+    // place instead of killing the cell.
     let poisoned = by_cell("poisoned");
     assert_eq!(poisoned.status, CellStatus::Recovered, "{poisoned:?}");
-    assert_eq!(poisoned.attempts, 1, "repair must not consume a retry");
     let (steps, events) = poisoned.result.as_ref().unwrap();
     assert_eq!(*steps, STEPS);
     assert!(
@@ -141,7 +131,7 @@ fn repeated_corruption_is_healed_every_chunk() {
     let scratch = Scratch::new("repeat");
     let opts = test_opts(&scratch);
     let outcomes = run_cells(vec!["relapsing"], &opts, |label, ctx| {
-        let mut rng = seeded_attempt(label, 1, ctx.attempt);
+        let mut rng = seeded(label, 1);
         let mut config =
             construct::hexagonal_bicolored(20, 10).map_err(|e| JobError::app(e.to_string()))?;
         let chain = SeparationChain::new(Bias::new(4.0, 4.0).expect("valid bias"));

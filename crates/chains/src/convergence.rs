@@ -14,8 +14,8 @@
 //!   ([`crate::stats::integrated_autocorrelation_time`]) on non-degenerate
 //!   series whose truncation lag fits the window;
 //! * `split_r_hat` / [`r_hat`] — the Gelman–Rubin potential scale
-//!   reduction factor, over window halves or across replica chains (the
-//!   per-attempt RNG streams `seeded_attempt` provides);
+//!   reduction factor, over window halves or across replica chains (one
+//!   seeded stream per replicate);
 //! * [`ConvergenceMonitor`] — the stop decision evaluated at chunk
 //!   boundaries: a certificate streak plus plateau, windowed-ESS and
 //!   split-R̂ tests over one trailing window. Its whole decision state

@@ -6,23 +6,19 @@ use crate::error::ConfigError;
 
 /// The resource envelope one sweep job executes within.
 ///
-/// Every bound is enforced at safe points (chunk boundaries, attempt
-/// boundaries, checkpoint-I/O boundaries) and trips *deterministically
-/// gracefully*: the job ends [`crate::CellStatus::Degraded`] with a valid
+/// Every bound is enforced at safe points (chunk boundaries and
+/// checkpoint-I/O boundaries) and trips *deterministically gracefully*: the job ends [`crate::CellStatus::Degraded`] with a valid
 /// durable checkpoint rather than being killed mid-state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResourceBudget {
-    /// Wall-clock deadline for the whole job (attempts + backoff
-    /// included), measured from the moment [`crate::Runtime::run_cells`]
-    /// starts. `None` means unbounded.
+    /// Wall-clock deadline for the whole job, measured from the moment
+    /// [`crate::Runtime::run_cells`] starts. `None` means unbounded.
     pub deadline: Option<Duration>,
     /// Hard cap on chain steps a job may execute via [`crate::run_chain`];
     /// requests beyond it are clamped and the job ends
     /// [`crate::DegradeReason::StepBudgetExhausted`]. `None` means
     /// unbounded.
     pub max_steps: Option<u64>,
-    /// Extra attempts after a cell's first failure.
-    pub max_retries: u32,
     /// Maximum rollbacks the recovery ladder may take per supervised run
     /// before it gives up.
     pub max_rollbacks: u32,
@@ -33,7 +29,6 @@ impl Default for ResourceBudget {
         ResourceBudget {
             deadline: None,
             max_steps: None,
-            max_retries: 1,
             max_rollbacks: 3,
         }
     }
@@ -60,10 +55,9 @@ impl ResourceBudget {
         default_retain.max(1)
     }
 
-    /// Rejects nonsensical budgets that would otherwise pass through
+    /// Rejects a nonsensical budget that would otherwise pass through
     /// silently and waste a whole run: a zero deadline (every job
-    /// degrades before its first step) and retries with the rollback
-    /// ladder disabled (every retry replays into the same failure).
+    /// degrades before its first step).
     ///
     /// Called by [`crate::SweepOptions::try_parse`] so bins reject these
     /// at flag-parse time; programmatic construction stays unvalidated
@@ -72,15 +66,10 @@ impl ResourceBudget {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] the budget violates.
+    /// Returns [`ConfigError::ZeroDeadline`] for a zero deadline.
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.deadline == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroDeadline);
-        }
-        if self.max_retries > 0 && self.max_rollbacks == 0 {
-            return Err(ConfigError::RetriesWithoutRollbacks {
-                retries: self.max_retries,
-            });
         }
         Ok(())
     }
@@ -91,11 +80,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_budget_is_unbounded_except_retries_and_rollbacks() {
+    fn default_budget_is_unbounded_except_rollbacks() {
         let b = ResourceBudget::default();
         assert_eq!(b.deadline, None);
         assert_eq!(b.max_steps, None);
-        assert_eq!(b.max_retries, 1);
         assert_eq!(b.max_rollbacks, 3);
         assert_eq!(b.clamp_steps(u64::MAX), u64::MAX);
         assert!(!b.deadline_exceeded(Duration::from_secs(3600)));
@@ -112,7 +100,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_each_nonsensical_budget() {
+    fn validate_rejects_a_zero_deadline() {
         assert_eq!(
             ResourceBudget {
                 deadline: Some(Duration::ZERO),
@@ -121,20 +109,9 @@ mod tests {
             .validate(),
             Err(ConfigError::ZeroDeadline)
         );
+        // Zero rollbacks is a legitimate fail-fast configuration.
         assert_eq!(
             ResourceBudget {
-                max_retries: 2,
-                max_rollbacks: 0,
-                ..ResourceBudget::default()
-            }
-            .validate(),
-            Err(ConfigError::RetriesWithoutRollbacks { retries: 2 })
-        );
-        // Zero retries with zero rollbacks is a legitimate fail-fast
-        // configuration.
-        assert_eq!(
-            ResourceBudget {
-                max_retries: 0,
                 max_rollbacks: 0,
                 ..ResourceBudget::default()
             }

@@ -54,7 +54,7 @@ pub struct ChainJob<'a> {
 /// request is clamped to the budget's cap, and no chunk starts past the
 /// wall-clock deadline. Any budget trip or cancellation marks the cell
 /// degraded on `ctx` with the newest durable checkpoint step any run of
-/// the attempt reported (so a storeless run after a checkpointed one
+/// the cell reported (so a storeless run after a checkpointed one
 /// names the latter's snapshot); the partial
 /// [`SupervisedRun`] is still returned so the caller can report partial
 /// results. A repair or rollback marks the cell recovered.
@@ -143,9 +143,8 @@ pub enum StopReason {
 /// an uninterrupted run never certifies step 0.)
 ///
 /// The monitor is borrowed rather than constructed here so callers
-/// choose its certificate streak; build a fresh monitor per attempt —
-/// retries resume it from the store's sidecar (with a store) or must
-/// start clean (storeless).
+/// choose its certificate streak; build a fresh monitor per run — with a
+/// store, a resumed run restores it from the snapshot's sidecar.
 ///
 /// # Errors
 ///
@@ -328,9 +327,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        run_cells, BackoffPolicy, CellStatus, RecoveryEvent, ResourceBudget, SweepOptions,
-    };
+    use crate::{run_cells, CellStatus, RecoveryEvent, ResourceBudget, SweepOptions};
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
     use std::path::PathBuf;
@@ -418,13 +415,6 @@ mod tests {
         }
     }
 
-    fn fast_opts() -> SweepOptions {
-        SweepOptions {
-            backoff: BackoffPolicy { base_ms: 0 },
-            ..SweepOptions::default()
-        }
-    }
-
     #[test]
     fn step_budget_clamps_and_degrades_storeless_runs() {
         let opts = SweepOptions {
@@ -432,7 +422,7 @@ mod tests {
                 max_steps: Some(6_000),
                 ..ResourceBudget::default()
             },
-            ..fast_opts()
+            ..SweepOptions::default()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
             let mut state = Counter::default();
@@ -466,7 +456,7 @@ mod tests {
 
     #[test]
     fn early_exit_via_on_chunk_is_not_degraded() {
-        let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+        let outcomes = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
             let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(7);
             let job = ChainJob {
@@ -505,7 +495,7 @@ mod tests {
                 max_steps: Some(4_000),
                 ..ResourceBudget::default()
             },
-            ..fast_opts()
+            ..SweepOptions::default()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
             let mut state = Counter::default();
@@ -563,7 +553,7 @@ mod tests {
                 max_steps: Some(400_000),
                 ..ResourceBudget::default()
             },
-            ..fast_opts()
+            ..SweepOptions::default()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
             let mut state = Counter::default();
@@ -605,7 +595,7 @@ mod tests {
         let scratch = Scratch::new("monitored");
         let store = CheckpointStore::open(&scratch.0, 3).unwrap();
         let leg = || {
-            let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+            let outcomes = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
                 let mut state = Counter::default();
                 let mut rng = StdRng::seed_from_u64(11);
                 let job = ChainJob {
@@ -658,7 +648,7 @@ mod tests {
         let scratch = Scratch::new("replay");
         let store = CheckpointStore::open(&scratch.0, 3).unwrap();
         let leg = || {
-            let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+            let outcomes = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
                 let mut state = Counter::default();
                 let mut rng = StdRng::seed_from_u64(17);
                 let job = ChainJob {
@@ -701,7 +691,7 @@ mod tests {
                 deadline: Some(std::time::Duration::from_millis(300)),
                 ..ResourceBudget::default()
             },
-            ..fast_opts()
+            ..SweepOptions::default()
         };
         let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
             let mut state = Counter::default();
@@ -749,7 +739,7 @@ mod tests {
                 deadline: Some(std::time::Duration::ZERO),
                 ..ResourceBudget::default()
             },
-            ..fast_opts()
+            ..SweepOptions::default()
         };
         for with_store in [false, true] {
             let scratch = Scratch::new("deadline");
@@ -824,7 +814,7 @@ mod tests {
 
     #[test]
     fn storeless_repairable_fault_is_repaired_at_the_audit_cadence() {
-        let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+        let outcomes = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
             faulted_cell(ctx, None, |t, s| {
                 if t == 3_000 {
                     s.drift = 7;
@@ -853,7 +843,7 @@ mod tests {
         // Poisoned after every chunk: repair never helps, and with a store
         // each rollback replays into the poison again.
         let poison = |_: u64, s: &mut Counter| s.poisoned = true;
-        let storeless = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+        let storeless = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
             faulted_cell(ctx, None, poison)
         });
         assert_eq!(storeless[0].status, CellStatus::Failed);
@@ -861,7 +851,7 @@ mod tests {
 
         let scratch = Scratch::new("poison");
         let store = CheckpointStore::open(&scratch.0, 3).unwrap();
-        let stored = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+        let stored = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
             faulted_cell(ctx, Some(&store), poison)
         });
         assert_eq!(stored[0].status, CellStatus::Failed);
@@ -883,7 +873,7 @@ mod tests {
     );
 
     fn parity_run(store: Option<&CheckpointStore>, monitored: bool) -> Ending {
-        let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+        let outcomes = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
             let mut state = Counter::default();
             let mut rng = StdRng::seed_from_u64(13);
             let job = ChainJob {
@@ -965,7 +955,7 @@ mod tests {
                 deadline: Some(std::time::Duration::from_millis(ms)),
                 ..ResourceBudget::default()
             },
-            ..fast_opts()
+            ..SweepOptions::default()
         }
     }
 

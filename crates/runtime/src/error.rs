@@ -171,9 +171,8 @@ impl fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// A rejected configuration: a flag value or combination that would make
-/// a run silently meaningless (zero budgets, retries that can never
-/// replay).
+/// A rejected configuration: a flag value that would make a run silently
+/// meaningless (a zero deadline) or that does not parse.
 ///
 /// Returned by `crate::SweepOptions::try_parse` and
 /// `crate::ResourceBudget::validate` so bins fail loudly at parse time
@@ -183,13 +182,6 @@ pub enum ConfigError {
     /// `--deadline-ms 0`: a zero wall-clock deadline degrades every job
     /// before its first step.
     ZeroDeadline,
-    /// `--retries N` (N > 0) combined with `--max-rollbacks 0`: retries
-    /// replay through the rollback ladder, so disabling rollbacks makes
-    /// every retry fail identically.
-    RetriesWithoutRollbacks {
-        /// The configured retry count.
-        retries: u32,
-    },
     /// A flag was given with no value following it.
     MissingValue {
         /// The flag name as typed.
@@ -210,7 +202,6 @@ impl ConfigError {
     pub fn code(&self) -> &'static str {
         match self {
             ConfigError::ZeroDeadline => "zero_deadline",
-            ConfigError::RetriesWithoutRollbacks { .. } => "retries_without_rollbacks",
             ConfigError::MissingValue { .. } => "missing_value",
             ConfigError::InvalidValue { .. } => "invalid_value",
         }
@@ -223,11 +214,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDeadline => {
                 f.write_str("--deadline-ms 0 would degrade every job before its first step")
             }
-            ConfigError::RetriesWithoutRollbacks { retries } => write!(
-                f,
-                "--retries {retries} with --max-rollbacks 0 can never make progress: \
-                 retries replay through the rollback ladder"
-            ),
             ConfigError::MissingValue { flag } => write!(f, "flag {flag} expects a value"),
             ConfigError::InvalidValue { flag, value } => {
                 write!(f, "invalid value for {flag}: {value:?}")

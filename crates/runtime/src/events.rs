@@ -1,6 +1,6 @@
 //! Runtime events: the observable trace of supervision decisions.
 //!
-//! Every retry, repair, rollback, cancellation, and degradation a job goes
+//! Every repair, rollback, cancellation, and degradation a job goes
 //! through becomes a [`RuntimeEvent`], collected on the job's
 //! [`crate::JobContext`] and rendered both into the cells report and —
 //! via [`RuntimeEvent::telemetry_line`] — into the per-cell JSONL
@@ -13,15 +13,6 @@ use sops_chains::RecoveryEvent;
 /// One supervision decision taken while running a job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RuntimeEvent {
-    /// A failed attempt is about to be retried after a backoff delay.
-    Retry {
-        /// The attempt about to run (2 = first retry).
-        attempt: u32,
-        /// The backoff delay slept before it, in milliseconds.
-        delay_ms: u64,
-        /// The failure kind that triggered the retry.
-        error_kind: &'static str,
-    },
     /// The recovery ladder repaired the state in place.
     Repaired {
         /// Step count at which the audit fired.
@@ -99,7 +90,6 @@ impl RuntimeEvent {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            RuntimeEvent::Retry { .. } => "retry",
             RuntimeEvent::Repaired { .. } => "repaired",
             RuntimeEvent::RolledBack { .. } => "rolled_back",
             RuntimeEvent::Cancelled { .. } => "cancelled",
@@ -117,15 +107,6 @@ impl RuntimeEvent {
     #[must_use]
     pub fn to_json(&self) -> String {
         match self {
-            RuntimeEvent::Retry {
-                attempt,
-                delay_ms,
-                error_kind,
-            } => format!(
-                "{{\"event\": \"retry\", \"attempt\": {attempt}, \"delay_ms\": {delay_ms}, \
-                 \"error_kind\": \"{}\"}}",
-                json_escape(error_kind)
-            ),
             RuntimeEvent::Repaired { step } => {
                 format!("{{\"event\": \"repaired\", \"step\": {step}}}")
             }
@@ -225,16 +206,8 @@ mod tests {
 
     #[test]
     fn events_render_stable_json() {
-        let e = RuntimeEvent::Retry {
-            attempt: 2,
-            delay_ms: 150,
-            error_kind: "panic",
-        };
-        assert_eq!(
-            e.to_json(),
-            "{\"event\": \"retry\", \"attempt\": 2, \"delay_ms\": 150, \
-             \"error_kind\": \"panic\"}"
-        );
+        let e = RuntimeEvent::Repaired { step: 4_000 };
+        assert_eq!(e.to_json(), "{\"event\": \"repaired\", \"step\": 4000}");
         let e = RuntimeEvent::Degraded {
             reason: DegradeReason::StepBudgetExhausted,
             last_durable_step: None,

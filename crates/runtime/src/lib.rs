@@ -3,7 +3,7 @@
 //! The paper's algorithm is fully local and asynchronous — progress under
 //! arbitrary activation schedules. This crate holds the *host* to the same
 //! standard: every experiment job runs under an explicit [`ResourceBudget`]
-//! (wall-clock deadline, step cap, retry/rollback budgets) with
+//! (wall-clock deadline, step cap, rollback budget) with
 //! first-class cooperative cancellation ([`CancelToken`], checked at chunk
 //! boundaries and inside checkpoint I/O), per-job panic isolation, and
 //! deterministic graceful degradation: when a budget trips, the job ends as
@@ -14,15 +14,14 @@
 //!
 //! * [`JobError`] / [`DegradeReason`] — the typed failure taxonomy that
 //!   replaces stringly statuses in `results/<bin>-cells.json`;
-//! * [`RuntimeEvent`] — retry/repair/rollback/cancel/degrade events,
+//! * [`RuntimeEvent`] — repair/rollback/cancel/degrade events,
 //!   rendered into the per-cell JSONL telemetry stream;
-//! * [`BackoffPolicy`] — exponential retry delays, monotone non-decreasing
-//!   up to the cap, with jitter deterministic per `(cell, attempt)`;
 //! * [`ResourceBudget`] — the budget a job runs under;
 //! * [`SweepOptions`] — CLI parsing and per-cell checkpoint/telemetry
 //!   plumbing shared by every sweep binary;
 //! * [`Runtime`] / [`run_cells`] — parallel cell execution, one thread a
-//!   cell, with `catch_unwind` isolation, retries, and typed outcomes;
+//!   cell, each cell's work run once under `catch_unwind`, with typed
+//!   outcomes;
 //! * [`run_chain`] — how every chain-driving bin runs a chain under its
 //!   budget: through `sops-chains`' one chunk loop, checkpointed and
 //!   self-healing (audit → repair → rollback) when a store is configured,
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backoff;
 mod budget;
 mod chain_job;
 mod error;
@@ -53,7 +51,6 @@ mod report;
 mod runner;
 mod seeds;
 
-pub use backoff::BackoffPolicy;
 pub use budget::ResourceBudget;
 pub use chain_job::{run_chain, run_chain_monitored, ChainJob, StopReason};
 pub use error::{ConfigError, DegradeReason, JobError};
@@ -61,7 +58,7 @@ pub use events::RuntimeEvent;
 pub use options::SweepOptions;
 pub use report::write_cell_report;
 pub use runner::{run_cells, CellOutcome, CellStatus, JobContext, Runtime};
-pub use seeds::{seed_hash, seed_hash_attempt, seeded, seeded_attempt};
+pub use seeds::{seed_hash, seeded};
 
 // The recovery primitives this runtime builds on, re-exported so callers
 // need only `sops-runtime`.

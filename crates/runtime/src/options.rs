@@ -4,12 +4,11 @@
 //! Flags ([`SweepOptions::from_args`]): `--checkpoint-dir DIR` persists
 //! per-cell snapshots there, `--resume` continues from them (without it a
 //! fresh run clears stale cell state), `--audit-every N` re-verifies
-//! configuration invariants from scratch every `N` steps, `--retries K`
-//! bounds per-cell retry attempts, `--backoff-ms B` sets the base retry
-//! backoff, `--no-telemetry` suppresses the per-cell JSONL metric
-//! streams, `--adaptive` runs cells under the streaming convergence
-//! engine (stop when mixed instead of burning the full budget), `--smoke`
-//! (or env `SOPS_BENCH_SMOKE=1`) shrinks grids and budgets for CI, and the
+//! configuration invariants from scratch every `N` steps,
+//! `--no-telemetry` suppresses the per-cell JSONL metric streams,
+//! `--adaptive` runs cells under the streaming convergence engine (stop
+//! when mixed instead of burning the full budget), `--smoke` (or env
+//! `SOPS_BENCH_SMOKE=1`) shrinks grids and budgets for CI, and the
 //! [`crate::ResourceBudget`] flags: `--deadline-ms D` caps the sweep's
 //! wall-clock time (each cell checks it before every chunk, so the chunk
 //! in flight when it passes is finished and, with `--checkpoint-dir`,
@@ -20,7 +19,6 @@ use std::path::{Path, PathBuf};
 
 use sops_chains::{CheckpointError, CheckpointStore, JsonlSink, RunManifest};
 
-use crate::backoff::BackoffPolicy;
 use crate::budget::ResourceBudget;
 use crate::error::ConfigError;
 
@@ -37,8 +35,6 @@ pub struct SweepOptions {
     pub retain: usize,
     /// Whether to emit per-cell JSONL telemetry streams.
     pub telemetry: bool,
-    /// Delay schedule between retry attempts.
-    pub backoff: BackoffPolicy,
     /// The resource envelope every cell runs within.
     pub budget: ResourceBudget,
     /// Whether to run cells under the adaptive convergence engine
@@ -59,7 +55,6 @@ impl Default for SweepOptions {
             audit_every: None,
             retain: 3,
             telemetry: true,
-            backoff: BackoffPolicy::default(),
             budget: ResourceBudget::default(),
             adaptive: false,
             smoke: false,
@@ -106,15 +101,13 @@ impl SweepOptions {
     }
 
     /// Parses an argument list into options, rejecting malformed values
-    /// and nonsensical budget combinations with a typed [`ConfigError`]
-    /// instead of letting them pass through silently: `--deadline-ms 0`
-    /// and `--retries N` with `--max-rollbacks 0` are configuration bugs,
-    /// not requests. Unknown arguments are ignored and returned, for the
-    /// caller to report. No sweep bin takes positional arguments, so a
-    /// token after an unknown `--flag` that does not start with `-` is
-    /// that flag's value, and is returned with it (`"--flag value"`).
-    /// Combination checks run after the whole list is consumed, so flag
-    /// order never matters.
+    /// and a nonsensical budget with a typed [`ConfigError`] instead of
+    /// letting them pass through silently: `--deadline-ms 0` is a
+    /// configuration bug, not a request. Unknown arguments are ignored and
+    /// returned, for the caller to report. No sweep bin takes positional
+    /// arguments, so a token after an unknown `--flag` that does not start
+    /// with `-` is that flag's value, and is returned with it
+    /// (`"--flag value"`).
     ///
     /// # Errors
     ///
@@ -145,14 +138,6 @@ impl SweepOptions {
                 "--audit-every" => {
                     let v = take_value("--audit-every")?;
                     opts.audit_every = Some(parsed("--audit-every", &v)?);
-                }
-                "--retries" => {
-                    let v = take_value("--retries")?;
-                    opts.budget.max_retries = parsed("--retries", &v)?;
-                }
-                "--backoff-ms" => {
-                    let v = take_value("--backoff-ms")?;
-                    opts.backoff.base_ms = parsed("--backoff-ms", &v)?;
                 }
                 "--deadline-ms" => {
                     let v = take_value("--deadline-ms")?;
@@ -271,10 +256,6 @@ mod tests {
                 "--resume",
                 "--audit-every",
                 "50000",
-                "--retries",
-                "2",
-                "--backoff-ms",
-                "50",
                 "--deadline-ms",
                 "90000",
                 "--max-steps",
@@ -291,8 +272,6 @@ mod tests {
         assert_eq!(opts.checkpoint_dir, Some(PathBuf::from("/tmp/ckpt")));
         assert!(opts.resume);
         assert_eq!(opts.audit_every, Some(50_000));
-        assert_eq!(opts.budget.max_retries, 2);
-        assert_eq!(opts.backoff.base_ms, 50);
         assert_eq!(opts.budget.deadline, Some(Duration::from_millis(90_000)));
         assert_eq!(opts.budget.max_steps, Some(1_000_000));
         assert_eq!(opts.budget.max_rollbacks, 5);
@@ -329,23 +308,6 @@ mod tests {
             try_parse(&["--deadline-ms", "0"]),
             Err(ConfigError::ZeroDeadline)
         );
-    }
-
-    #[test]
-    fn try_parse_rejects_retries_without_rollbacks() {
-        assert_eq!(
-            try_parse(&["--retries", "2", "--max-rollbacks", "0"]),
-            Err(ConfigError::RetriesWithoutRollbacks { retries: 2 })
-        );
-        // Order must not matter: the combination is checked after the
-        // whole argument list is consumed.
-        assert_eq!(
-            try_parse(&["--max-rollbacks", "0", "--retries", "2"]),
-            Err(ConfigError::RetriesWithoutRollbacks { retries: 2 })
-        );
-        // Explicitly disabling retries alongside rollbacks is fail-fast
-        // mode, not a configuration bug.
-        assert!(try_parse(&["--retries", "0", "--max-rollbacks", "0"]).is_ok());
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Every sweep bin writes one of these regardless of how its cells ended,
 //! so a partially failed sweep is visible in the artifact, not just the
-//! scrollback. Schema per cell: `cell`, `attempts`, `status`
+//! scrollback. Schema per cell: `cell`, `status`
 //! (`ok` / `recovered` / `degraded` / `failed`), `ok`; a `degraded` cell
 //! adds `degrade_reason` and `last_durable_step`; a failed cell carries a
 //! typed `error` object (`kind`, `message`, optional `step`); and every
-//! cell lists its runtime `events` (retries, repairs, rollbacks,
-//! cancellations, degradations).
+//! cell lists its runtime `events` (repairs, rollbacks, cancellations,
+//! degradations).
 
 use std::fmt;
 use std::path::Path;
@@ -68,7 +68,6 @@ pub(crate) fn render_cell_report<T: fmt::Debug>(bin: &str, outcomes: &[CellOutco
     for (i, o) in outcomes.iter().enumerate() {
         json.push_str("    {");
         json.push_str(&format!("\"cell\": \"{}\", ", json_escape(&o.cell)));
-        json.push_str(&format!("\"attempts\": {}, ", o.attempts));
         json.push_str(&format!("\"status\": \"{}\", ", o.status.as_str()));
         if let CellStatus::Degraded {
             reason,
@@ -113,7 +112,6 @@ mod tests {
         let outcomes = vec![
             CellOutcome {
                 cell: "ok\"cell".to_string(),
-                attempts: 1,
                 status: CellStatus::Ok,
                 result: Some(1.5f64),
                 error: None,
@@ -121,21 +119,15 @@ mod tests {
             },
             CellOutcome::<f64> {
                 cell: "bad".to_string(),
-                attempts: 3,
                 status: CellStatus::Failed,
                 result: None,
                 error: Some(JobError::Panic {
                     message: "\"boom\"\nline2".to_string(),
                 }),
-                events: vec![RuntimeEvent::Retry {
-                    attempt: 2,
-                    delay_ms: 0,
-                    error_kind: "panic",
-                }],
+                events: Vec::new(),
             },
             CellOutcome::<f64> {
                 cell: "slow".to_string(),
-                attempts: 1,
                 status: CellStatus::Degraded {
                     reason: DegradeReason::DeadlineExceeded,
                     last_durable_step: Some(9_000),
@@ -149,11 +141,10 @@ mod tests {
             },
             CellOutcome {
                 cell: "healed".to_string(),
-                attempts: 2,
                 status: CellStatus::Recovered,
                 result: Some(2.5f64),
                 error: None,
-                events: Vec::new(),
+                events: vec![RuntimeEvent::Repaired { step: 4_000 }],
             },
         ];
         let json = render_cell_report("test-report", &outcomes);
@@ -171,7 +162,6 @@ mod tests {
         assert!(json.contains("\"kind\": \"cancelled\""));
         assert!(json.contains("\"step\": 9500"));
         // Events are embedded per cell.
-        assert!(json.contains("\"event\": \"retry\""));
-        assert!(json.contains("\"attempts\": 3"));
+        assert!(json.contains("\"events\": [{\"event\": \"repaired\", \"step\": 4000}]"));
     }
 }

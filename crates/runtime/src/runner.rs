@@ -2,12 +2,11 @@
 //! of labelled sweep cells.
 //!
 //! [`Runtime::run_cells`] runs one labelled cell per job, each on a thread
-//! of its own, isolating each behind `catch_unwind` and retrying typed
-//! failures with [`crate::BackoffPolicy`] delays. No other thread watches
-//! the cells: a cell stops only at checks made on its own thread — the
-//! root [`CancelToken`] at the top of every chunk and inside checkpoint
-//! I/O, and the [`ResourceBudget`]'s wall-clock deadline before every
-//! chunk of [`crate::run_chain`]. Every cell ends in a classified
+//! of its own, calling each cell's work exactly once behind
+//! `catch_unwind`. No other thread watches the cells: a cell stops only at
+//! checks made on its own thread — the root [`CancelToken`] at the top of
+//! every chunk and inside checkpoint I/O, and the [`ResourceBudget`]'s
+//! wall-clock deadline before every chunk of [`crate::run_chain`]. Every cell ends in a classified
 //! [`CellStatus`]; a budget trip degrades the cell deterministically
 //! instead of wedging or killing the sweep.
 
@@ -27,9 +26,9 @@ use crate::options::SweepOptions;
 /// Per-cell status in the sweep report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellStatus {
-    /// Succeeded first try with no recovery events.
+    /// Succeeded with no recovery events.
     Ok,
-    /// Succeeded, but only after repair, rollback, or a retry attempt.
+    /// Succeeded, but only after an in-place repair or a rollback.
     Recovered,
     /// A budget tripped or the caller cancelled; the cell exited at a
     /// safe point, a partial result may be present, and
@@ -40,7 +39,9 @@ pub enum CellStatus {
         /// The newest durable checkpoint step, when one was persisted.
         last_durable_step: Option<u64>,
     },
-    /// Exhausted all attempts without producing a result.
+    /// The cell's work returned a typed error or panicked, and produced
+    /// no result. With a checkpoint store, the cell's directory keeps its
+    /// last audited snapshot, from which a `--resume` run continues.
     Failed,
 }
 
@@ -57,16 +58,14 @@ impl CellStatus {
     }
 }
 
-/// Per-attempt context handed to a cell's work function by
+/// The context handed to a cell's work function by
 /// [`Runtime::run_cells`].
 ///
-/// Carries the attempt number (for `seeded_attempt` seed derivation), the
-/// sweep's root [`CancelToken`] (see [`JobContext::cancel_token`]), the
-/// [`ResourceBudget`] the cell runs under, and the channels through which
-/// the cell reports recovery, degradation, and [`RuntimeEvent`]s.
+/// Carries the sweep's root [`CancelToken`] (see
+/// [`JobContext::cancel_token`]), the [`ResourceBudget`] the cell runs
+/// under, and the channels through which the cell reports recovery,
+/// degradation, and [`RuntimeEvent`]s.
 pub struct JobContext<'a> {
-    /// 1-based attempt number (1 = first try).
-    pub attempt: u32,
     pub(crate) cancel: &'a CancelToken,
     budget: ResourceBudget,
     started: Instant,
@@ -77,22 +76,15 @@ pub struct JobContext<'a> {
 }
 
 impl<'a> JobContext<'a> {
-    fn new(
-        attempt: u32,
-        cancel: &'a CancelToken,
-        budget: ResourceBudget,
-        started: Instant,
-        pending: Vec<RuntimeEvent>,
-    ) -> Self {
+    fn new(cancel: &'a CancelToken, budget: ResourceBudget, started: Instant) -> Self {
         JobContext {
-            attempt,
             cancel,
             budget,
             started,
             recovered: AtomicBool::new(false),
             degraded: Mutex::new(None),
             durable: Mutex::new(None),
-            events: Mutex::new(pending),
+            events: Mutex::new(Vec::new()),
         }
     }
 
@@ -160,12 +152,8 @@ impl<'a> JobContext<'a> {
             .collect()
     }
 
-    fn take_events(&self) -> Vec<RuntimeEvent> {
-        std::mem::take(&mut *self.events.lock().expect("events lock"))
-    }
-
-    /// The newest durable checkpoint step any run of this attempt
-    /// reported to [`JobContext::absorb`], if any.
+    /// The newest durable checkpoint step any run of this cell reported
+    /// to [`JobContext::absorb`], if any.
     pub(crate) fn last_durable_step(&self) -> Option<u64> {
         *self.durable.lock().expect("durable lock")
     }
@@ -199,15 +187,13 @@ impl<'a> JobContext<'a> {
 pub struct CellOutcome<T> {
     /// The cell's label (e.g. `"gamma=4.0"`).
     pub cell: String,
-    /// Attempts used (1 = first try succeeded).
-    pub attempts: u32,
     /// How the cell ended.
     pub status: CellStatus,
     /// The cell's value when it produced one.
     pub result: Option<T>,
-    /// The final typed failure otherwise.
+    /// The typed failure otherwise.
     pub error: Option<JobError>,
-    /// Every [`RuntimeEvent`] recorded across the cell's attempts.
+    /// Every [`RuntimeEvent`] the cell recorded.
     pub events: Vec<RuntimeEvent>,
 }
 
@@ -230,9 +216,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The supervision runtime: executes labelled jobs under a shared
-/// [`ResourceBudget`] with panic isolation, typed failures, retries, a
-/// sweep-wide deadline, and a root [`CancelToken`] for external
-/// cancellation.
+/// [`ResourceBudget`] with panic isolation, typed failures, a sweep-wide
+/// deadline, and a root [`CancelToken`] for external cancellation.
 pub struct Runtime {
     opts: SweepOptions,
     root: CancelToken,
@@ -271,18 +256,17 @@ impl Runtime {
     }
 
     /// Runs one labelled cell per job in parallel, one thread each,
-    /// isolating each behind `catch_unwind` and retrying typed failures up
-    /// to `budget.max_retries` extra times with [`crate::BackoffPolicy`]
-    /// delays.
+    /// calling each cell's work exactly once behind `catch_unwind`.
     ///
     /// A cell fails by returning `Err` *or* by panicking; either way the
     /// other cells are unaffected and the failure lands typed in the
-    /// outcome rather than propagating. A cancelled cell is reported
-    /// degraded and is not retried. Each cell checks the budget's deadline
-    /// on its own thread: [`crate::run_chain`] starts no chunk past it,
-    /// and a retry whose backoff would sleep past it is skipped. Either
-    /// way the cell is reported [`DegradeReason::DeadlineExceeded`]; a cell
-    /// whose work returns before the deadline is never cut short by it.
+    /// outcome rather than propagating. The cell is not run again: a
+    /// failed cell with a checkpoint store keeps its last audited
+    /// snapshot, and a `--resume` run continues from it. A cancelled cell
+    /// is reported degraded. Each cell checks the budget's deadline on its
+    /// own thread: [`crate::run_chain`] starts no chunk past it, and the
+    /// cell is reported [`DegradeReason::DeadlineExceeded`]; a cell whose
+    /// work returns before the deadline is never cut short by it.
     pub fn run_cells<L, T, F>(&self, labels: Vec<L>, work: F) -> Vec<CellOutcome<T>>
     where
         L: fmt::Display + Send + Sync,
@@ -295,7 +279,9 @@ impl Runtime {
             let handles: Vec<_> = labels
                 .iter()
                 .map(|label| {
-                    scope.spawn(move || run_one_cell(label, &self.root, &self.opts, started, work))
+                    scope.spawn(move || {
+                        run_one_cell(label, &self.root, self.opts.budget, started, work)
+                    })
                 })
                 .collect();
             handles
@@ -320,7 +306,7 @@ where
 fn run_one_cell<L, T, F>(
     label: &L,
     cancel: &CancelToken,
-    opts: &SweepOptions,
+    budget: ResourceBudget,
     started: Instant,
     work: &F,
 ) -> CellOutcome<T>
@@ -329,79 +315,27 @@ where
     F: Fn(&L, &JobContext<'_>) -> Result<T, JobError>,
 {
     let cell = label.to_string();
-    let max_attempts = opts.budget.max_retries.saturating_add(1);
-    let mut attempts: u32 = 0;
-    let mut recovered_any = false;
-    let mut degraded_any: Option<(DegradeReason, Option<u64>)> = None;
-    let mut all_events: Vec<RuntimeEvent> = Vec::new();
-    let mut pending: Vec<RuntimeEvent> = Vec::new();
-    // The last attempt's result, and whether the sweep was cancelled by
-    // the time it returned.
-    let (result, cancelled) = loop {
-        attempts += 1;
-        let ctx = JobContext::new(
-            attempts,
-            cancel,
-            opts.budget,
-            started,
-            std::mem::take(&mut pending),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| work(label, &ctx)));
-        recovered_any |= ctx.recovered.load(Ordering::Relaxed);
-        if degraded_any.is_none() {
-            degraded_any = ctx.degraded();
-        }
-        let cancelled = cancel.is_cancelled();
-        all_events.extend(ctx.take_events());
-        let error = match result {
-            Ok(Ok(value)) => break (Ok(value), cancelled),
-            Ok(Err(e)) => e,
-            Err(payload) => JobError::Panic {
-                message: panic_message(payload),
-            },
-        };
-        eprintln!("cell {cell}: attempt {attempts} failed: {error}");
-        if cancelled || degraded_any.is_some() || attempts >= max_attempts {
-            break (Err(error), cancelled);
-        }
-        let next = attempts + 1;
-        let delay = opts.backoff.delay(&cell, next);
-        if let Some(deadline) = opts.budget.deadline {
-            // Never sleep past the deadline: degrade instead of retrying.
-            if started.elapsed().saturating_add(delay) >= deadline {
-                degraded_any.get_or_insert((DegradeReason::DeadlineExceeded, None));
-                break (Err(error), cancelled);
-            }
-        }
-        pending.push(RuntimeEvent::Retry {
-            attempt: next,
-            delay_ms: u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
-            error_kind: error.kind(),
-        });
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-    };
-    let degrade =
-        degraded_any.or_else(|| cancelled.then_some((DegradeReason::ExternalCancel, None)));
-    let status = match degrade {
-        Some((reason, last_durable_step)) => {
-            if !all_events
-                .iter()
-                .any(|e| matches!(e, RuntimeEvent::Degraded { .. }))
-            {
-                all_events.push(RuntimeEvent::Degraded {
-                    reason,
-                    last_durable_step,
-                });
-            }
-            CellStatus::Degraded {
-                reason,
-                last_durable_step,
-            }
-        }
+    let ctx = JobContext::new(cancel, budget, started);
+    let result = catch_unwind(AssertUnwindSafe(|| work(label, &ctx))).unwrap_or_else(|payload| {
+        Err(JobError::Panic {
+            message: panic_message(payload),
+        })
+    });
+    if let Err(error) = &result {
+        eprintln!("cell {cell}: failed: {error}");
+    }
+    // A cell whose own runs noted no degradation still ends degraded when
+    // the sweep was cancelled by the time its work returned.
+    if cancel.is_cancelled() {
+        ctx.note_degraded(DegradeReason::ExternalCancel, None);
+    }
+    let status = match ctx.degraded() {
+        Some((reason, last_durable_step)) => CellStatus::Degraded {
+            reason,
+            last_durable_step,
+        },
         None if result.is_err() => CellStatus::Failed,
-        None if recovered_any || attempts > 1 => CellStatus::Recovered,
+        None if ctx.recovered.load(Ordering::Relaxed) => CellStatus::Recovered,
         None => CellStatus::Ok,
     };
     let (result, error) = match result {
@@ -410,98 +344,72 @@ where
     };
     CellOutcome {
         cell,
-        attempts,
         status,
         result,
         error,
-        events: all_events,
+        events: ctx.events.into_inner().expect("events lock"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_chain, BackoffPolicy, ChainJob};
+    use crate::{run_chain, ChainJob};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sops_chains::MarkovChain;
     use std::ops::ControlFlow;
     use std::time::Duration;
 
-    /// Options with zero backoff so retry tests don't sleep.
-    fn fast_opts(retries: u32) -> SweepOptions {
-        SweepOptions {
-            backoff: BackoffPolicy { base_ms: 0 },
-            budget: ResourceBudget {
-                max_retries: retries,
-                ..ResourceBudget::default()
-            },
-            ..SweepOptions::default()
-        }
-    }
-
     #[test]
-    fn run_cells_isolates_panics_and_retries() {
+    fn run_cells_runs_each_cell_once_and_isolates_failures() {
         use std::sync::atomic::AtomicU32;
-        let calls = AtomicU32::new(0);
-        let outcomes = run_cells(vec!["a", "b", "c"], &fast_opts(1), |label, ctx| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            match *label {
-                "a" => Ok(10),
-                // Fails once, succeeds on retry.
-                "b" if ctx.attempt == 1 => Err(JobError::app("transient")),
-                "b" => Ok(20),
-                _ => panic!("cell c always dies"),
+        let calls = [AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)];
+        let outcomes = run_cells(vec![0, 1, 2], &SweepOptions::default(), |&cell, _| {
+            calls[cell].fetch_add(1, Ordering::SeqCst);
+            match cell {
+                0 => Ok(10),
+                1 => Err(JobError::app("cell 1 errs")),
+                _ => panic!("cell 2 dies"),
             }
         });
-        let by_cell = |name: &str| outcomes.iter().find(|o| o.cell == name).unwrap();
-        assert_eq!(by_cell("a").result, Some(10));
-        assert_eq!(by_cell("a").attempts, 1);
-        assert_eq!(by_cell("a").status, CellStatus::Ok);
-        assert!(by_cell("a").events.is_empty());
-        assert_eq!(by_cell("b").result, Some(20));
-        assert_eq!(by_cell("b").attempts, 2);
-        assert_eq!(by_cell("b").status, CellStatus::Recovered);
-        // The retry is on the trace, with the typed trigger.
-        assert!(matches!(
-            by_cell("b").events[..],
-            [RuntimeEvent::Retry {
-                attempt: 2,
-                error_kind: "app",
-                ..
-            }]
-        ));
-        assert!(by_cell("c").result.is_none());
-        assert_eq!(by_cell("c").attempts, 2);
-        assert_eq!(by_cell("c").status, CellStatus::Failed);
-        let err = by_cell("c").error.as_ref().unwrap();
-        assert_eq!(err.kind(), "panic");
-        assert!(err.to_string().contains("always dies"));
-        // a(1) + b(2) + c(2)
-        assert_eq!(calls.load(Ordering::SeqCst), 5);
+        for (cell, calls) in calls.iter().enumerate() {
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "cell {cell}");
+        }
+        assert_eq!(outcomes[0].result, Some(10));
+        assert_eq!(outcomes[0].status, CellStatus::Ok);
+        for (outcome, kind, message) in [
+            (&outcomes[1], "app", "cell 1 errs"),
+            (&outcomes[2], "panic", "cell 2 dies"),
+        ] {
+            assert_eq!(outcome.status, CellStatus::Failed);
+            assert!(outcome.result.is_none());
+            let err = outcome.error.as_ref().unwrap();
+            assert_eq!(err.kind(), kind);
+            assert!(err.to_string().contains(message), "{err}");
+        }
+        assert!(outcomes.iter().all(|o| o.events.is_empty()));
     }
 
     #[test]
     fn ladder_recovery_reports_recovered_status() {
-        let outcomes = run_cells(vec!["x"], &fast_opts(0), |_, ctx| {
+        let outcomes = run_cells(vec!["x"], &SweepOptions::default(), |_, ctx| {
             // The cell repaired itself internally (as run_supervised
             // reports through JobContext::absorb).
             ctx.note_recovered();
             Ok(1)
         });
         assert_eq!(outcomes[0].status, CellStatus::Recovered);
-        assert_eq!(outcomes[0].attempts, 1);
     }
 
     #[test]
-    fn external_cancel_degrades_cells_without_retry() {
-        let rt = Runtime::new(fast_opts(3));
+    fn external_cancel_degrades_cells() {
+        let rt = Runtime::new(SweepOptions::default());
         rt.cancel_token().cancel();
         let outcomes: Vec<CellOutcome<u32>> = rt.run_cells(vec!["cell"], |_, ctx| {
             assert!(ctx.cancel_token().is_cancelled());
             Ok(7)
         });
-        assert_eq!(outcomes[0].attempts, 1);
         assert_eq!(outcomes[0].result, Some(7));
         assert_eq!(
             outcomes[0].status,
@@ -535,7 +443,7 @@ mod tests {
                 deadline: Some(Duration::from_millis(60)),
                 ..ResourceBudget::default()
             },
-            ..fast_opts(0)
+            ..SweepOptions::default()
         };
         let outcomes = run_cells(vec!["quick", "slow"], &opts, |label, ctx| {
             if *label == "quick" {
@@ -573,34 +481,5 @@ mod tests {
             "{:?}",
             slow.status
         );
-    }
-
-    #[test]
-    fn retries_never_sleep_past_the_deadline() {
-        // Backoff of ~4s against a 50ms deadline: the retry is refused
-        // and the cell degrades instead of sleeping through the budget.
-        let opts = SweepOptions {
-            backoff: BackoffPolicy { base_ms: 4_000 },
-            budget: ResourceBudget {
-                deadline: Some(Duration::from_millis(50)),
-                max_retries: 5,
-                ..ResourceBudget::default()
-            },
-            ..SweepOptions::default()
-        };
-        let started = Instant::now();
-        let outcomes: Vec<CellOutcome<u32>> =
-            run_cells(vec!["cell"], &opts, |_, _| Err(JobError::app("flaky")));
-        assert!(started.elapsed() < Duration::from_secs(2));
-        assert_eq!(outcomes[0].attempts, 1);
-        assert!(matches!(
-            outcomes[0].status,
-            CellStatus::Degraded {
-                reason: DegradeReason::DeadlineExceeded,
-                ..
-            }
-        ));
-        // The underlying app error is preserved as the terminal failure.
-        assert_eq!(outcomes[0].error.as_ref().unwrap().kind(), "app");
     }
 }

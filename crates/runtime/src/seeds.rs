@@ -1,9 +1,8 @@
-//! Deterministic seed derivation for sweep cells and retry attempts.
+//! Deterministic seed derivation for sweep cells.
 //!
-//! Moved here from `sops-bench` so the runtime (backoff jitter, retry
-//! streams) and the experiment binaries derive seeds identically. The
-//! hashes are frozen: attempt 1 must reproduce the legacy `(label,
-//! replicate)` seed bit for bit, or published sweeps stop resuming.
+//! Moved here from `sops-bench` so the runtime and the experiment binaries
+//! derive seeds identically. The hash is frozen: every committed result
+//! was drawn from it, so changing it moves every published number.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,32 +26,6 @@ pub fn seeded(label: &str, replicate: u64) -> StdRng {
     StdRng::seed_from_u64(seed_hash(label, replicate))
 }
 
-/// The seed for retry `attempt` of a cell (1-based; attempt 1 is the
-/// first try). Attempt 1 reproduces [`seed_hash`] exactly, so resuming
-/// and re-running published sweeps stays bitwise-stable; attempt ≥ 2
-/// mixes the attempt id through a SplitMix64-style finalizer so a cell
-/// that failed deterministically (e.g. a seed-dependent panic) draws a
-/// genuinely different stream on retry instead of re-hitting the same
-/// fault forever.
-#[must_use]
-pub fn seed_hash_attempt(label: &str, replicate: u64, attempt: u32) -> u64 {
-    let base = seed_hash(label, replicate);
-    if attempt <= 1 {
-        return base;
-    }
-    let mut z = base ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A deterministic RNG for retry `attempt` of a cell; see
-/// [`seed_hash_attempt`].
-#[must_use]
-pub fn seeded_attempt(label: &str, replicate: u64, attempt: u32) -> StdRng {
-    StdRng::seed_from_u64(seed_hash_attempt(label, replicate, attempt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,35 +38,5 @@ mod tests {
         let c: u64 = seeded("y", 0).random();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn attempt_one_reproduces_the_legacy_seed() {
-        assert_eq!(
-            seed_hash_attempt("mixing-hit", 40, 1),
-            seed_hash("mixing-hit", 40)
-        );
-        // Attempt 0 is treated as attempt 1 (defensive: attempts are
-        // 1-based everywhere, but a 0 must not invent a new stream).
-        assert_eq!(
-            seed_hash_attempt("mixing-hit", 40, 0),
-            seed_hash("mixing-hit", 40)
-        );
-    }
-
-    #[test]
-    fn retry_attempts_draw_a_different_stream() {
-        use rand::RngExt as _;
-        let draw = |attempt| -> Vec<u64> {
-            let mut rng = seeded_attempt("separation", 42, attempt);
-            (0..8).map(|_| rng.random()).collect()
-        };
-        let first = draw(1);
-        let second = draw(2);
-        let third = draw(3);
-        assert_ne!(first, second, "attempt 2 must not replay attempt 1");
-        assert_ne!(second, third, "every retry gets its own stream");
-        // And the derivation is stable run-to-run.
-        assert_eq!(second, draw(2));
     }
 }

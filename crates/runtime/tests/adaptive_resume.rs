@@ -18,8 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt as _, SeedableRng};
 use sops_chains::{Auditable, MarkovChain, Repairable, StateCodec};
 use sops_runtime::{
-    run_cells, run_chain_monitored, BackoffPolicy, CellStatus, ChainJob, CheckpointStore,
-    ConvergenceMonitor, ResourceBudget, StopReason, SweepOptions,
+    run_cells, run_chain_monitored, CellStatus, ChainJob, CheckpointStore, ConvergenceMonitor,
+    ResourceBudget, StopReason, SweepOptions,
 };
 
 /// A fresh scratch directory per test, removed on drop.
@@ -90,13 +90,6 @@ impl MarkovChain for Freezes {
     }
 }
 
-fn fast_opts() -> SweepOptions {
-    SweepOptions {
-        backoff: BackoffPolicy { base_ms: 0 },
-        ..SweepOptions::default()
-    }
-}
-
 /// What a leg ends with: the stop decision as (step, diagnostics JSON),
 /// the final state bytes, the final RNG bytes, and the steps it ran.
 type Leg = (Option<(u64, String)>, Vec<u8>, Vec<u8>, u64);
@@ -110,7 +103,7 @@ fn run_leg(store: &CheckpointStore, max_steps: Option<u64>, history: bool) -> Le
             max_steps,
             ..ResourceBudget::default()
         },
-        ..fast_opts()
+        ..SweepOptions::default()
     };
     let outcomes = run_cells(vec!["cell"], &opts, |_, ctx| {
         let mut state = Counter { x: 0 };
@@ -231,7 +224,7 @@ impl MarkovChain for Frozen {
 
 #[test]
 fn constant_observable_chain_converges_through_the_full_stopping_path() {
-    let outcomes = run_cells(vec!["cell"], &fast_opts(), |_, ctx| {
+    let outcomes = run_cells(vec!["cell"], &SweepOptions::default(), |_, ctx| {
         let mut state = Counter { x: 7 };
         let mut rng = StdRng::seed_from_u64(1);
         let job = ChainJob {

@@ -33,7 +33,9 @@ use crate::service::{ExecCtx, JobOutcome, JobPayload};
 /// supervised runner; [`sops_runtime::RuntimeEvent::Resumed`] is emitted
 /// from its report when the run returns, followed by one event per repair
 /// or rollback. A cancelled run emits no `cancelled` event: the service
-/// reports the eviction itself.
+/// reports the eviction itself. The run's newest durable step goes back to
+/// the service with the outcome, so the worker need not list the store
+/// again for the session manifest.
 pub fn chain_payload<C, F>(
     chain: C,
     initial: C::State,
@@ -66,6 +68,7 @@ where
             |_| 0.0,
             |_, _| ControlFlow::Continue(()),
         )?;
+        ctx.note_durable(run.last_durable_step);
         if let Some(step) = run.resumed_from {
             ctx.note_resumed(step);
         }
@@ -288,7 +291,8 @@ mod tests {
     /// Every storage operation of a fresh job with one snapshot, by kind
     /// and class: one manifest read, two atomic manifest writes (`Running`
     /// before the payload, the terminal status after), one atomic
-    /// snapshot write, and the checkpoint store's listings.
+    /// snapshot write, and two listings of the checkpoint store (recovery
+    /// and `prune`; the worker takes the durable step from the payload).
     #[test]
     fn a_fresh_job_makes_a_pinned_set_of_storage_operations() {
         let vfs = Arc::new(CountingVfs::new());
@@ -302,7 +306,7 @@ mod tests {
         let mut expected = BTreeMap::from([
             (("read", "manifest"), 1),
             (("create_dir_all", "checkpoint"), 1),
-            (("list", "checkpoint"), 3),
+            (("list", "checkpoint"), 2),
         ]);
         for (class, atomic_writes) in [("manifest", 2), ("checkpoint", 1)] {
             for op in ["create", "write", "sync", "rename", "sync_dir"] {

@@ -10,6 +10,7 @@
 //! retires and a fresh thread replaces it, so a panicking payload costs
 //! one job, never a worker.
 
+use std::cell::Cell;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -53,6 +54,9 @@ pub struct ExecCtx<'a> {
     pub(crate) store: &'a CheckpointStore,
     pub(crate) session: &'a str,
     pub(crate) events: &'a dyn Fn(RuntimeEvent),
+    /// The newest durable step the payload's run reported, once it
+    /// reported one ([`ExecCtx::note_durable`]).
+    pub(crate) durable: Cell<Option<Option<u64>>>,
 }
 
 impl ExecCtx<'_> {
@@ -69,6 +73,14 @@ impl ExecCtx<'_> {
     #[must_use]
     pub fn evicting(&self) -> bool {
         self.cancel.is_cancelled()
+    }
+
+    /// Records the newest durable checkpoint step of the payload's run
+    /// (`None` when nothing is durable), for the session manifest and the
+    /// `evicted` event. The run knows which snapshots its recovery
+    /// refused, so the worker takes this over a listing of the store.
+    pub(crate) fn note_durable(&self, step: Option<u64>) {
+        self.durable.set(Some(step));
     }
 
     /// Records that this job resumed its session from a durable
@@ -399,9 +411,17 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
         store: &store,
         session: &session,
         events: &emit,
+        durable: Cell::new(None),
     };
     let result = catch_unwind(AssertUnwindSafe(|| payload(&ctx)));
-    let durable = store.newest_step().unwrap_or(None);
+    // A payload that returned an outcome names its durable step; the store
+    // is listed only after a panic or an error, or for a completed payload
+    // that reported none.
+    let durable = match (&result, ctx.durable.get()) {
+        (Ok(Ok(_)), Some(step)) => step,
+        (Ok(Ok(JobOutcome::Yielded { last_durable_step })), None) => *last_durable_step,
+        _ => store.newest_step().unwrap_or(None),
+    };
     let (status, session_status, error_kind, poisoned) = match result {
         Err(panic) => {
             // Count the poisoning before the ticket resolves, so a waiter
@@ -424,8 +444,6 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
             None,
             false,
         ),
-        // The store is re-listed below for the durable step, so the
-        // outcome's own hint is redundant here.
         Ok(Ok(JobOutcome::Yielded { .. }) | Err(JobError::Cancelled { .. })) => {
             (TerminalStatus::Evicted, SessionStatus::Evicted, None, false)
         }
