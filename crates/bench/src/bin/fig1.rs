@@ -2,10 +2,9 @@
 //! and contracted particles on it. Regenerated as `results/fig1.svg`.
 //!
 //! Accepts the shared runtime flags (`--checkpoint-dir`, `--resume`,
-//! `--audit-every`, `--deadline-ms`, `--no-telemetry`, …) for
-//! uniformity across the experiment bins; figure generation is fast and
-//! stateless, so of the runtime's supervision only panic isolation
-//! applies here. The
+//! `--audit-every`, `--deadline-ms`, `--no-telemetry`, …) for uniformity
+//! across the experiment bins; figure generation is fast and stateless,
+//! so of the runtime's supervision only panic isolation applies here. The
 //! cell outcome is recorded in `results/fig1-cells.json`, and a minimal
 //! telemetry stream (manifest + one render event) lands in
 //! `results/logs/fig1-fig1.telemetry.jsonl` (in `target/smoke-logs/` in

@@ -2,13 +2,12 @@
 
 use std::time::Duration;
 
-use crate::error::ConfigError;
-
 /// The resource envelope one sweep job executes within.
 ///
 /// Every bound is enforced at safe points (chunk boundaries and
-/// checkpoint-I/O boundaries) and trips *deterministically gracefully*: the job ends [`crate::CellStatus::Degraded`] with a valid
-/// durable checkpoint rather than being killed mid-state.
+/// checkpoint-I/O boundaries) and trips *deterministically gracefully*:
+/// the job ends [`crate::CellStatus::Degraded`] with a valid durable
+/// checkpoint rather than being killed mid-state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResourceBudget {
     /// Wall-clock deadline for the whole job, measured from the moment
@@ -54,25 +53,6 @@ impl ResourceBudget {
     pub fn checkpoint_retention(&self, default_retain: usize) -> usize {
         default_retain.max(1)
     }
-
-    /// Rejects a nonsensical budget that would otherwise pass through
-    /// silently and waste a whole run: a zero deadline (every job
-    /// degrades before its first step).
-    ///
-    /// Called by [`crate::SweepOptions::try_parse`] so bins reject these
-    /// at flag-parse time; programmatic construction stays unvalidated
-    /// because tests legitimately use degenerate budgets (e.g. a zero
-    /// deadline to prove the trip path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroDeadline`] for a zero deadline.
-    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
-        if self.deadline == Some(Duration::ZERO) {
-            return Err(ConfigError::ZeroDeadline);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -97,28 +77,6 @@ mod tests {
         };
         assert_eq!(b.clamp_steps(1_000), 1_000);
         assert_eq!(b.clamp_steps(50_000), 5_000);
-    }
-
-    #[test]
-    fn validate_rejects_a_zero_deadline() {
-        assert_eq!(
-            ResourceBudget {
-                deadline: Some(Duration::ZERO),
-                ..ResourceBudget::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroDeadline)
-        );
-        // Zero rollbacks is a legitimate fail-fast configuration.
-        assert_eq!(
-            ResourceBudget {
-                max_rollbacks: 0,
-                ..ResourceBudget::default()
-            }
-            .validate(),
-            Ok(())
-        );
-        assert_eq!(ResourceBudget::default().validate(), Ok(()));
     }
 
     #[test]

@@ -174,9 +174,8 @@ impl std::error::Error for JobError {}
 /// A rejected configuration: a flag value that would make a run silently
 /// meaningless (a zero deadline) or that does not parse.
 ///
-/// Returned by `crate::SweepOptions::try_parse` and
-/// `crate::ResourceBudget::validate` so bins fail loudly at parse time
-/// instead of spending hours on a run that was never viable.
+/// Returned by `crate::SweepOptions::try_parse` so bins fail loudly at
+/// parse time instead of spending hours on a run that was never viable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `--deadline-ms 0`: a zero wall-clock deadline degrades every job

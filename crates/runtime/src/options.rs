@@ -142,6 +142,12 @@ impl SweepOptions {
                 "--deadline-ms" => {
                     let v = take_value("--deadline-ms")?;
                     let ms: u64 = parsed("--deadline-ms", &v)?;
+                    // Only the flag is checked: a budget built in code
+                    // may carry a zero deadline, as the tests of the trip
+                    // path do.
+                    if ms == 0 {
+                        return Err(ConfigError::ZeroDeadline);
+                    }
                     opts.budget.deadline = Some(std::time::Duration::from_millis(ms));
                 }
                 "--max-steps" => {
@@ -168,7 +174,6 @@ impl SweepOptions {
                 }
             }
         }
-        opts.budget.validate()?;
         Ok((opts, ignored))
     }
 
@@ -308,6 +313,9 @@ mod tests {
             try_parse(&["--deadline-ms", "0"]),
             Err(ConfigError::ZeroDeadline)
         );
+        // Zero rollbacks is a legitimate fail-fast configuration.
+        let opts = try_parse(&["--max-rollbacks", "0"]).unwrap();
+        assert_eq!(opts.budget.max_rollbacks, 0);
     }
 
     #[test]

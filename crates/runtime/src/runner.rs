@@ -6,9 +6,9 @@
 //! `catch_unwind`. No other thread watches the cells: a cell stops only at
 //! checks made on its own thread — the root [`CancelToken`] at the top of
 //! every chunk and inside checkpoint I/O, and the [`ResourceBudget`]'s
-//! wall-clock deadline before every chunk of [`crate::run_chain`]. Every cell ends in a classified
-//! [`CellStatus`]; a budget trip degrades the cell deterministically
-//! instead of wedging or killing the sweep.
+//! wall-clock deadline before every chunk of [`crate::run_chain`]. Every
+//! cell ends in a classified [`CellStatus`]; a budget trip degrades the
+//! cell deterministically instead of wedging or killing the sweep.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
