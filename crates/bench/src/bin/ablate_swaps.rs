@@ -11,11 +11,12 @@
 //! `--deadline-ms`/`--max-steps` budget flags degrade the sweep gracefully
 //! instead of wedging it. Per-cell outcomes land in
 //! `results/ablate_swaps-cells.json`; each arm additionally streams step
-//! telemetry to `results/logs/ablate_swaps-*.telemetry.jsonl` (in
-//! `target/smoke-logs/` in smoke mode) unless `--no-telemetry` is
-//! passed — the outcome counters there show *why* the
+//! telemetry to `target/smoke-logs/ablate_swaps-*.telemetry.jsonl` unless
+//! `--no-telemetry` is passed — the outcome counters there show *why* the
 //! no-swap arm is slower (its `target_occupied_hold` count replaces the
-//! swap outcomes entirely).
+//! swap outcomes entirely). The streams are no committed result (their
+//! wall-clock rates differ from run to run), so a plain run leaves
+//! `results/` as committed.
 
 use std::ops::ControlFlow;
 
@@ -24,7 +25,7 @@ use sops_bench::{instrument_chain, seed_hash, seeded, CellTelemetry, Table};
 use sops_chains::RunManifest;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
-    run_chain, write_cell_report, ChainJob, JobContext, JobError, Runtime, SweepOptions,
+    run_cells, run_chain, write_cell_report, ChainJob, JobContext, JobError, SweepOptions,
 };
 
 const N: usize = 100;
@@ -37,7 +38,7 @@ fn time_to_separation(
     swaps: bool,
     replicate: u64,
     opts: &SweepOptions,
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
 ) -> Result<Option<u64>, JobError> {
     let mut rng = seeded("ablate-swaps", replicate * 2 + u64::from(swaps));
     let nodes = construct::hexagonal_spiral(N);
@@ -63,7 +64,7 @@ fn time_to_separation(
     };
     let mut telemetry = CellTelemetry::new(
         opts,
-        sops_bench::telemetry_dir(opts),
+        sops_bench::uncommitted_dir(),
         "ablate_swaps",
         &cell,
         manifest,
@@ -94,14 +95,14 @@ fn time_to_separation(
         },
     )?;
     sops_bench::log_recovery(&cell, &run);
-    // A cancelled or budget-tripped run is already marked degraded on
-    // `ctx`; report the partial result (no hit yet).
+    // A budget-tripped run is already marked degraded on `ctx`; report
+    // the partial result (no hit yet).
     telemetry.finish(&run, &chain, ctx)?;
     Ok(hit)
 }
 
 fn main() {
-    let rt = Runtime::from_args();
+    let opts = SweepOptions::from_args();
     println!(
         "Swap-move ablation: first time a (4, 0.2)-separation certificate\n\
          appears (n = {N}, λ = γ = 4, cap {CAP} steps, {REPLICATES} replicates)\n"
@@ -116,8 +117,8 @@ fn main() {
         }
     }
     let cells: Vec<Cell> = jobs.iter().map(|&(s, r)| Cell(s, r)).collect();
-    let outcomes = rt.run_cells(cells, |cell, ctx| {
-        time_to_separation(cell.0, cell.1, rt.options(), ctx).map(|t| (cell.0, cell.1, t))
+    let outcomes = run_cells(cells, &opts, |cell, ctx| {
+        time_to_separation(cell.0, cell.1, &opts, ctx).map(|t| (cell.0, cell.1, t))
     });
 
     let mut table = Table::new(["swaps", "replicate", "first separation (steps)"]);

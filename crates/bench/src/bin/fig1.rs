@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use sops_chains::RunManifest;
 use sops_lattice::{Node, DIRECTIONS};
-use sops_runtime::{write_cell_report, Runtime};
+use sops_runtime::{run_cells, write_cell_report, SweepOptions};
 
 fn render_fig1() -> String {
     const SCALE: f64 = 36.0;
@@ -134,9 +134,9 @@ fn render_fig1() -> String {
 }
 
 fn main() {
-    let rt = Runtime::from_args();
+    let opts = SweepOptions::from_args();
     println!("Figure 1: lattice section (a) and contracted/expanded particles (b)");
-    let outcomes = rt.run_cells(vec!["fig1"], |_, ctx| {
+    let outcomes = run_cells(vec!["fig1"], &opts, |_, ctx| {
         let svg = render_fig1();
         sops_bench::save("fig1.svg", &svg);
         // Stateless render: the stream carries a manifest line plus one
@@ -149,8 +149,8 @@ fn main() {
             n: 0,
             steps: 0,
         };
-        if let Some(mut sink) = rt.options().telemetry_sink(
-            &sops_bench::telemetry_dir(rt.options()),
+        if let Some(mut sink) = opts.telemetry_sink(
+            &sops_bench::telemetry_dir(&opts),
             "fig1",
             "fig1",
             &manifest,

@@ -27,8 +27,8 @@ use sops_bench::{seed_hash, seeded, Table};
 use sops_core::{construct, thresholds, Bias, Color, Configuration, SeparationChain};
 use sops_lattice::Node;
 use sops_runtime::{
-    run_chain, run_chain_monitored, write_cell_report, CellOutcome, ChainJob, ConvergenceMonitor,
-    JobContext, JobError, Runtime, StopReason, SweepOptions,
+    run_cells, run_chain, run_chain_monitored, write_cell_report, CellOutcome, ChainJob,
+    ConvergenceMonitor, JobContext, JobError, StopReason, SweepOptions,
 };
 
 const LAMBDAS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 6.0];
@@ -78,7 +78,7 @@ fn phase_cell(
     iterations: u64,
     seed_particles: &[(Node, Color)],
     opts: &SweepOptions,
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     svg: bool,
 ) -> Result<CellResult, JobError> {
     let Cell { lambda, gamma } = *cell;
@@ -236,10 +236,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `--quick` is this bin's own flag; the runtime parses the rest.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let rt = Runtime::new(SweepOptions::from_arg_list(
-        args.into_iter().filter(|a| a != "--quick"),
-    ));
-    let iterations: u64 = if rt.options().smoke {
+    let opts = SweepOptions::from_arg_list(args.into_iter().filter(|a| a != "--quick"));
+    let iterations: u64 = if opts.smoke {
         500_000
     } else if quick {
         5_000_000
@@ -260,9 +258,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The committed pictures are the full run's; a smoke or quick run
     // draws none.
-    let svg = !rt.options().smoke && !quick;
-    let outcomes = rt.run_cells(cells, |cell, ctx| {
-        phase_cell(cell, iterations, &seed_particles, rt.options(), ctx, svg)
+    let svg = !opts.smoke && !quick;
+    let outcomes = run_cells(cells, &opts, |cell, ctx| {
+        phase_cell(cell, iterations, &seed_particles, &opts, ctx, svg)
     });
     let results: Vec<CellResult> = outcomes.iter().filter_map(|o| o.result).collect();
 
@@ -305,7 +303,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("with λ large (including γ = 81/79 > 1), expanded phases for λ ≤ 1.");
 
     let mut all_outcomes = outcomes;
-    if rt.options().adaptive {
+    if opts.adaptive {
         let converged = all_outcomes
             .iter()
             .filter(|o| o.events.iter().any(|e| e.kind() == "converged"))
@@ -318,7 +316,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Reinvest the saved budget: bisect each boundary-straddling pair
         // toward the phase transition. Two rounds halve the boundary's
         // bracket width twice (once under --smoke).
-        let rounds = if rt.options().smoke { 1 } else { 2 };
+        let rounds = if opts.smoke { 1 } else { 2 };
         let mut pairs = boundary_pairs(&results);
         let mut refined: Vec<CellOutcome<CellResult>> = Vec::new();
         for round in 1..=rounds {
@@ -337,8 +335,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "refine round {round}: bisecting {} boundary pairs",
                 mids.len()
             );
-            let round_outcomes = rt.run_cells(mids, |cell, ctx| {
-                phase_cell(cell, iterations, &seed_particles, rt.options(), ctx, false)
+            let round_outcomes = run_cells(mids, &opts, |cell, ctx| {
+                phase_cell(cell, iterations, &seed_particles, &opts, ctx, false)
             });
             // Keep, per pair, the half-bracket that still straddles the
             // boundary; a failed midpoint retires its pair.
@@ -389,6 +387,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         all_outcomes.extend(refined);
     }
 
-    write_cell_report(&sops_bench::report_dir(rt.options()), "fig3", &all_outcomes);
+    write_cell_report(&sops_bench::report_dir(&opts), "fig3", &all_outcomes);
     Ok(())
 }

@@ -21,8 +21,8 @@
 //! git-ignored `target/smoke-logs/` for every other mode), and each cell
 //! streams step telemetry (outcome counters, acceptance windows, perimeter
 //! and hetero-edge series, runtime events) to
-//! `results/logs/mixing-n-N.telemetry.jsonl` (in `target/smoke-logs/` in
-//! smoke mode) unless `--no-telemetry` is passed.
+//! `target/smoke-logs/mixing-n-N.telemetry.jsonl` in every mode unless
+//! `--no-telemetry` is passed: the streams are no committed result.
 //!
 //! With `--adaptive` the hitting loop runs under the convergence engine
 //! instead of breaking at the first certificate: each cell stops once the
@@ -42,8 +42,8 @@ use sops_chains::{RunManifest, TransitionMatrix};
 use sops_core::enumerate::ExactSeparationChain;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
-    run_chain, run_chain_monitored, write_cell_report, ChainJob, ConvergenceMonitor, JobContext,
-    JobError, Runtime, StopReason, SweepOptions,
+    run_cells, run_chain, run_chain_monitored, write_cell_report, ChainJob, ConvergenceMonitor,
+    JobContext, JobError, StopReason, SweepOptions,
 };
 
 const HIT_CHUNK: u64 = 25_000;
@@ -55,11 +55,7 @@ const SMOKE_CHUNK: u64 = 2_000;
 const SMOKE_CAP: u64 = 4_000_000;
 const SMOKE_METRICS_EVERY: u64 = 500_000;
 
-fn hitting_cell(
-    n: usize,
-    opts: &SweepOptions,
-    ctx: &JobContext<'_>,
-) -> Result<Option<u64>, JobError> {
+fn hitting_cell(n: usize, opts: &SweepOptions, ctx: &JobContext) -> Result<Option<u64>, JobError> {
     let (chunk, cap, metrics_every) = if opts.smoke {
         (SMOKE_CHUNK, SMOKE_CAP, SMOKE_METRICS_EVERY)
     } else {
@@ -84,7 +80,7 @@ fn hitting_cell(
     };
     let mut telemetry = CellTelemetry::new(
         opts,
-        sops_bench::telemetry_dir(opts),
+        sops_bench::uncommitted_dir(),
         "mixing",
         &cell,
         manifest,
@@ -148,28 +144,28 @@ fn hitting_cell(
         )?
     };
     sops_bench::log_recovery(&cell, &run);
-    // A cancelled or budget-tripped run is already marked degraded on
-    // `ctx`; report the partial result (no hit yet).
+    // A budget-tripped run is already marked degraded on `ctx`; report
+    // the partial result (no hit yet).
     telemetry.finish(&run, &chain, ctx)?;
     Ok(hit)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rt = Runtime::from_args();
-    if rt.options().smoke {
+    let opts = SweepOptions::from_args();
+    if opts.smoke {
         println!("1. Exact mixing times: skipped under --smoke.\n");
     } else {
         run_exact_mixing()?;
     }
 
     println!("\n2. Behavior arrives before stationarity: first (4, 0.2)-separation\n   certificate at λ = γ = 4 vs system size:\n");
-    let sizes: Vec<usize> = if rt.options().smoke {
+    let sizes: Vec<usize> = if opts.smoke {
         vec![20, 30, 40, 50]
     } else {
         vec![40, 70, 100, 130]
     };
-    let outcomes = rt.run_cells(sizes, |&n, ctx| {
-        hitting_cell(n, rt.options(), ctx).map(|hit| (n, hit))
+    let outcomes = run_cells(sizes, &opts, |&n, ctx| {
+        hitting_cell(n, &opts, ctx).map(|hit| (n, hit))
     });
     let mut t2 = Table::new(["n", "first separation (steps)", "steps per particle"]);
     for outcome in &outcomes {
@@ -193,7 +189,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     t2.print();
-    if rt.options().adaptive {
+    if opts.adaptive {
         let converged = outcomes
             .iter()
             .filter(|o| o.events.iter().any(|e| e.kind() == "converged"))
@@ -204,7 +200,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             outcomes.len()
         );
     }
-    write_cell_report(&sops_bench::report_dir(rt.options()), "mixing", &outcomes);
+    write_cell_report(&sops_bench::report_dir(&opts), "mixing", &outcomes);
     println!(
         "\nexpected shape: hitting times grow polynomially and gently in n —\n\
          the behavioral guarantee arrives \"fairly quickly\" (§5) even though\n\

@@ -29,7 +29,7 @@ use sops_chains::telemetry::series_record_json;
 use sops_chains::RunManifest;
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
-    run_chain, write_cell_report, ChainJob, JobContext, JobError, Runtime, SweepOptions,
+    run_cells, run_chain, write_cell_report, ChainJob, JobContext, JobError, SweepOptions,
 };
 
 const N: usize = 100;
@@ -53,7 +53,7 @@ impl fmt::Debug for Estimate {
     }
 }
 
-fn sweep_cell(gamma: f64, opts: &SweepOptions, ctx: &JobContext<'_>) -> Result<Estimate, JobError> {
+fn sweep_cell(gamma: f64, opts: &SweepOptions, ctx: &JobContext) -> Result<Estimate, JobError> {
     let mut rng = seeded("separation", gamma.to_bits());
     let nodes = construct::hexagonal_spiral(N);
     let mut config =
@@ -165,7 +165,7 @@ fn sweep_cell(gamma: f64, opts: &SweepOptions, ctx: &JobContext<'_>) -> Result<E
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rt = Runtime::from_args();
+    let opts = SweepOptions::from_args();
     let gammas: Vec<f64> = vec![
         0.8,
         79.0 / 81.0,
@@ -179,8 +179,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         8.0,
     ];
 
-    let outcomes = rt.run_cells(gammas.clone(), |&gamma, ctx| {
-        sweep_cell(gamma, rt.options(), ctx)
+    let outcomes = run_cells(gammas.clone(), &opts, |&gamma, ctx| {
+        sweep_cell(gamma, &opts, ctx)
     });
 
     println!(

@@ -76,7 +76,6 @@ fn recovery_line(cell: &str, event: &RecoveryEvent) -> String {
             "{cell}: rolled back from step {from_step} to step {to_step}: {}",
             violations.join("; ")
         ),
-        RecoveryEvent::Cancelled { step } => format!("{cell}: cancelled at step {step}"),
     }
 }
 
@@ -188,7 +187,7 @@ impl<'a> CellTelemetry<'a> {
         mut self,
         run: &SupervisedRun,
         chain: &Instrumented,
-        ctx: &JobContext<'_>,
+        ctx: &JobContext,
     ) -> std::io::Result<()> {
         if let Some(e) = self.error {
             return Err(e);
@@ -300,10 +299,10 @@ pub fn logs_dir() -> PathBuf {
     dir
 }
 
-/// Where a sweep bin writes its JSONL telemetry streams: [`logs_dir`],
-/// or, in smoke mode, `target/smoke-logs/` under the workspace root, which
-/// git ignores. A smoke run's streams are no committed result, and their
-/// wall-clock fields differ from run to run.
+/// Where `fig1` writes its JSONL telemetry stream: [`logs_dir`], or, in
+/// smoke mode, `target/smoke-logs/` under the workspace root, which git
+/// ignores. The chain sweeps write theirs under [`uncommitted_dir`] in
+/// every mode.
 ///
 /// # Panics
 ///
@@ -335,8 +334,9 @@ pub fn report_dir(opts: &SweepOptions) -> PathBuf {
 }
 
 /// `target/smoke-logs/` under the workspace root, which git ignores: where
-/// a run writes what is no committed result, such as `separation`'s
-/// telemetry streams in every mode. Created on first use.
+/// a run writes what is no committed result, such as the telemetry streams
+/// of `separation`, `mixing` and `ablate_swaps` in every mode (their
+/// wall-clock rates differ from run to run). Created on first use.
 ///
 /// # Panics
 ///
@@ -452,10 +452,6 @@ mod tests {
             }),
             "gamma=4.0000: rolled back from step 3000000 to step 2000000: \
              occupancy desync; disconnected"
-        );
-        assert_eq!(
-            line(RecoveryEvent::Cancelled { step: 4_000_000 }),
-            "gamma=4.0000: cancelled at step 4000000"
         );
     }
 

@@ -1,12 +1,11 @@
 //! Whole-stack chaos suite: end-to-end sweeps driven through the
 //! `sops-runtime` supervision stack under combined fault injection —
 //! storage crash-points ([`FaultyVfs`]), particle faults
-//! ([`FaultPlan`]), injected panics, budget exhaustion, and external
-//! cancellation. The contract under test is the runtime's
-//! degradation guarantee: every failure mode terminates with a
-//! classified [`CellStatus`] in the cells report, any durable
-//! checkpoint left behind is valid (audits clean, bitwise-equal to the
-//! fault-free reference), and a resumed run is bitwise-identical to an
+//! ([`FaultPlan`]), injected panics and budget exhaustion. The contract
+//! under test is the runtime's degradation guarantee: every failure mode
+//! terminates with a classified [`CellStatus`] in the cells report, any
+//! durable checkpoint left behind is valid (audits clean, bitwise-equal to
+//! the fault-free reference), and a resumed run is bitwise-identical to an
 //! uninterrupted one.
 
 use std::ops::ControlFlow;
@@ -23,7 +22,7 @@ use sops_chains::{CheckpointStore, CrashStyle, FaultyVfs, RunManifest};
 use sops_core::{construct, Bias, Configuration, SeparationChain};
 use sops_runtime::{
     run_cells, run_chain, write_cell_report, CellStatus, ChainJob, DegradeReason, JobContext,
-    JobError, ResourceBudget, Runtime, SupervisedRun, SweepOptions,
+    JobError, ResourceBudget, SupervisedRun, SweepOptions,
 };
 
 const STEPS: u64 = 6_000;
@@ -76,7 +75,7 @@ type ShortRun = (SupervisedRun, Vec<u8>, Vec<u8>);
 /// every chunk.
 fn run_short_chain(
     cell: &str,
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     store: Option<&CheckpointStore>,
     on_chunk: impl FnMut(u64, &mut Configuration) -> ControlFlow<()>,
 ) -> Result<ShortRun, JobError> {
@@ -342,7 +341,7 @@ type LegResult = (u64, Option<u64>, Vec<u8>, Vec<u8>);
 
 /// The budgeted/resumed cell of the bitwise-identity test. Every
 /// invocation draws the same rng stream.
-fn budgeted_cell(ctx: &JobContext<'_>, store: &CheckpointStore) -> Result<LegResult, JobError> {
+fn budgeted_cell(ctx: &JobContext, store: &CheckpointStore) -> Result<LegResult, JobError> {
     let mut rng = seeded("chaos-resume", 0);
     let mut config = seed_config()?;
     let chain = chain();
@@ -428,7 +427,7 @@ fn step_budget_interruption_resumes_bitwise_identically() {
 /// through `CellTelemetry` as `mixing` and `ablate_swaps` stream theirs,
 /// with a metrics record every two chunks.
 fn telemetry_cell(
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     opts: &SweepOptions,
     logs: &Path,
 ) -> Result<SupervisedRun, JobError> {
@@ -552,71 +551,6 @@ fn telemetry_resumes_from_the_snapshot_the_run_resumed_from() {
     let lines = read();
     assert_eq!(record_steps(&lines, "resumed"), [5_000, RESUME_STEPS]);
     assert_eq!(record_steps(&lines, "metrics").last(), Some(&RESUME_STEPS));
-}
-
-#[test]
-fn external_cancel_degrades_and_preserves_a_valid_checkpoint() {
-    let scratch = Scratch::new("cancel");
-    let opts = SweepOptions {
-        checkpoint_dir: Some(scratch.0.clone()),
-        ..quiet_opts()
-    };
-    let rt = Runtime::new(opts.clone());
-    let token = rt.cancel_token();
-    let outcomes = rt.run_cells(vec!["cancel"], |label, ctx| {
-        let mut rng = seeded(label, 0);
-        let mut config = seed_config()?;
-        let chain = chain();
-        let store = opts.store_for(label)?.expect("checkpoint dir set");
-        let run = run_chain(
-            ctx,
-            &chain,
-            &mut config,
-            &mut rng,
-            ChainJob {
-                steps: 1_000_000_000,
-                every: EVERY,
-                store: Some(&store),
-                audit_every: None,
-            },
-            |c| c.perimeter() as f64,
-            |t, _| {
-                if t >= 3_000 {
-                    // An operator pulling the plug mid-sweep.
-                    token.cancel();
-                }
-                ControlFlow::Continue(())
-            },
-        )?;
-        Ok(run.steps)
-    });
-
-    let outcome = &outcomes[0];
-    assert!(
-        matches!(
-            outcome.status,
-            CellStatus::Degraded {
-                reason: DegradeReason::ExternalCancel,
-                ..
-            }
-        ),
-        "{outcome:?}"
-    );
-
-    // Cancellation is cooperative: whatever was checkpointed before the
-    // cancel is durable, valid, and resumable. (The save at the cancel
-    // step itself is abandoned mid-I/O, so the durable snapshot is the
-    // chunk before it.) Reopen in resume mode — a non-resume open wipes
-    // the cell directory.
-    let resume_opts = SweepOptions {
-        resume: true,
-        ..opts.clone()
-    };
-    let store = resume_opts.store_for("cancel").unwrap().unwrap();
-    let rec = store.recover::<Configuration>().unwrap();
-    let ckpt = rec.checkpoint.expect("checkpoint survives cancellation");
-    assert!(ckpt.step >= 1_000, "no chunk became durable before cancel");
-    assert!(ckpt.state.audit_violations().is_empty());
 }
 
 #[test]

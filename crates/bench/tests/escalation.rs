@@ -51,7 +51,7 @@ const EVERY: u64 = 5_000;
 fn chain_cell(
     cell: &str,
     opts: &SweepOptions,
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     poison_at: Option<u64>,
 ) -> Result<(u64, Vec<RecoveryEvent>), JobError> {
     let mut rng = seeded(cell, 0);
@@ -73,7 +73,6 @@ fn chain_cell(
         &mut rng,
         &store,
         &sup,
-        &ctx.cancel_token(),
         |c| c.perimeter() as f64,
         |t, c| {
             if poison_at == Some(t) {
@@ -148,7 +147,6 @@ fn repeated_corruption_is_healed_every_chunk() {
             &mut rng,
             &store,
             &sup,
-            &ctx.cancel_token(),
             |c| c.perimeter() as f64,
             |_, c| {
                 let (e, h) = (c.edge_count(), c.hetero_edge_count());

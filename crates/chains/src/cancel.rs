@@ -4,8 +4,9 @@
 //! wants to stop a computation and the computation itself. Cancellation is
 //! *cooperative*: setting the token never interrupts anything by itself —
 //! the running code polls [`CancelToken::is_cancelled`] at its own safe
-//! points (chunk boundaries in supervised runs, operation boundaries in
-//! checkpoint I/O) and winds down from a consistent state. That is the only
+//! points (operation boundaries in checkpoint I/O, and whatever a chunk
+//! loop's `before_chunk` hook reads it at) and winds down from a
+//! consistent state. That is the only
 //! cancellation model compatible with the durability contract: a snapshot
 //! is either fully persisted or not persisted at all, never torn by an
 //! asynchronous kill.

@@ -1085,7 +1085,6 @@ fn step_from_filename(path: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::CancelToken;
     use crate::chain::MarkovChain;
     use crate::recovery::{run_supervised, SupervisedOptions};
     use crate::vfs::{CrashStyle, FaultyVfs};
@@ -1697,7 +1696,6 @@ mod tests {
                 rng,
                 store,
                 &opts,
-                &CancelToken::new(),
                 |s| *s as f64,
                 |_, _| ControlFlow::Continue(()),
             )
@@ -1778,7 +1776,6 @@ mod tests {
             &mut rng,
             &store,
             &opts,
-            &CancelToken::new(),
             |s| s.0 as f64,
             |_, _| ControlFlow::Continue(()),
         )

@@ -17,10 +17,12 @@
 //!   trait with a real backend and a deterministic [`FaultyVfs`] that
 //!   models crash consistency (torn writes, bit flips, `ENOSPC`, volatile
 //!   renames) for the crash-point fuzzer;
-//! * [`recovery`] — the self-healing escalation ladder for supervised
-//!   runs: audit violation → in-place [`Repairable::repair_state`] →
-//!   rollback to the last good checkpoint, and a [`CancelToken`] checked
-//!   at the top of every chunk;
+//! * [`recovery`] — the one chunk loop and its self-healing escalation
+//!   ladder: audit violation → in-place [`Repairable::repair_state`] →
+//!   rollback to the last good checkpoint; a run stops before a chunk
+//!   only when its [`SupervisedHooks::before_chunk`] says so;
+//! * [`cancel`] — the [`CancelToken`] a [`CheckpointStore`] checks inside
+//!   its I/O, so an evicted job abandons a save before its rename;
 //! * [`metropolis`] — the Metropolis filter (Metropolis–Hastings acceptance
 //!   rule) used by Algorithm 1;
 //! * [`stats`] — empirical distributions, total-variation distance, and

@@ -23,9 +23,9 @@
 //! to roll back to), and it audits at [`SupervisedOptions::audit_every`]'s
 //! cadence instead of before every snapshot.
 //!
-//! The loop checks a [`CancelToken`] at the top of every chunk: a
-//! cancelled run returns with `completed: false` at the next chunk
-//! boundary instead of wedging the sweep.
+//! A run stops before a chunk only when its hooks'
+//! [`SupervisedHooks::before_chunk`] breaks (a passed deadline, an evicted
+//! service job); it then returns with `completed: false`.
 //!
 //! Everything here lives *outside* the proposal kernel: the ladder runs
 //! once per chunk (typically 10⁴–10⁶ steps), so the hot path is untouched.
@@ -35,7 +35,6 @@ use std::path::PathBuf;
 
 use rand::Rng;
 
-use crate::cancel::CancelToken;
 use crate::chain::MarkovChain;
 use crate::checkpoint::{
     Auditable, Checkpoint, CheckpointError, CheckpointStore, SnapshotRng, StateCodec,
@@ -62,10 +61,9 @@ use crate::checkpoint::{
 /// this trait internally (with no sidecar); implement it directly when
 /// the run carries decision state that must survive kills and rollbacks.
 pub trait SupervisedHooks<S> {
-    /// Runs before each chunk, right after the cancellation check; return
-    /// [`ControlFlow::Break`] to stop without running it (a budget trip,
-    /// such as a passed deadline). The run then ends with
-    /// `completed: false`. The default never stops.
+    /// Runs before each chunk; return [`ControlFlow::Break`] to stop
+    /// without running it (a passed deadline, an evicted job). The run
+    /// then ends with `completed: false`. The default never stops.
     fn before_chunk(&mut self) -> ControlFlow<()> {
         ControlFlow::Continue(())
     }
@@ -149,11 +147,6 @@ pub enum RecoveryEvent {
         /// The violations that forced the rollback.
         violations: Vec<String>,
     },
-    /// The caller cancelled the run mid-flight.
-    Cancelled {
-        /// Step count reached when cancellation was observed.
-        step: u64,
-    },
 }
 
 /// Tuning for [`run_supervised`] and [`run_supervised_hooked`].
@@ -161,7 +154,8 @@ pub enum RecoveryEvent {
 pub struct SupervisedOptions {
     /// Total steps to run.
     pub steps: u64,
-    /// Chunk length: audit/checkpoint/cancellation interval. Must be > 0.
+    /// Chunk length: the audit, checkpoint and stop-check interval. Must
+    /// be > 0.
     pub every: u64,
     /// Maximum rollbacks before the run gives up. Repairs are not
     /// counted — only full rollbacks consume budget.
@@ -175,8 +169,8 @@ pub struct SupervisedOptions {
 /// The result of a supervised run.
 #[derive(Debug, Default)]
 pub struct SupervisedRun {
-    /// Steps actually completed (may be short of the request when the
-    /// run was cancelled or the `on_chunk` hook broke out early).
+    /// Steps actually completed (may be short of the request when a hook
+    /// stopped the run early).
     pub steps: u64,
     /// Accepted (state-changing) steps, including replayed spans.
     pub accepted: u64,
@@ -196,13 +190,14 @@ pub struct SupervisedRun {
     pub snapshots_written: usize,
     /// Ladder rungs taken, in order.
     pub events: Vec<RecoveryEvent>,
-    /// `false` when the run was cancelled, or stopped by
-    /// [`SupervisedHooks::before_chunk`], before finishing.
+    /// `false` when [`SupervisedHooks::before_chunk`] stopped the run, or
+    /// the store's cancel token fired inside checkpoint I/O, before it
+    /// finished.
     pub completed: bool,
     /// Step count of the newest snapshot known durable when the run
     /// returned: the resume point (or the last write) — `None` when
-    /// nothing was ever persisted. A cancelled or degraded run can hand
-    /// this to its caller as the guaranteed-recoverable position.
+    /// nothing was ever persisted. A stopped run can hand this to its
+    /// caller as the guaranteed-recoverable position.
     pub last_durable_step: Option<u64>,
 }
 
@@ -210,18 +205,13 @@ impl SupervisedRun {
     /// Whether any repair or rollback happened.
     #[must_use]
     pub fn recovered(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e,
-                RecoveryEvent::Repaired { .. } | RecoveryEvent::RolledBack { .. }
-            )
-        })
+        !self.events.is_empty()
     }
 }
 
-/// Runs a chain under the full escalation ladder: chunked execution that
-/// stops once `cancel` fires, audit → repair → rollback on invariant
-/// violations, and checkpoint persistence after every clean chunk.
+/// Runs a chain under the full escalation ladder: chunked execution,
+/// audit → repair → rollback on invariant violations, and checkpoint
+/// persistence after every clean chunk.
 ///
 /// `observe` samples the observable at the entry step and at every chunk
 /// boundary, into [`SupervisedRun::log`]; when it is a pure function of
@@ -250,14 +240,12 @@ impl SupervisedRun {
 /// # Panics
 ///
 /// Panics if `opts.every` is 0.
-#[allow(clippy::too_many_arguments)] // the ladder genuinely takes this many collaborators
 pub fn run_supervised<C, R, F, G>(
     chain: &C,
     state: &mut C::State,
     rng: &mut R,
     store: &CheckpointStore,
     opts: &SupervisedOptions,
-    cancel: &CancelToken,
     observe: F,
     on_chunk: G,
 ) -> Result<SupervisedRun, CheckpointError>
@@ -274,7 +262,6 @@ where
         rng,
         Some(store),
         opts,
-        cancel,
         observe,
         &mut ClosureHooks(on_chunk),
     )
@@ -283,14 +270,18 @@ where
 /// The one chunk loop: [`run_supervised`] with full [`SupervisedHooks`]
 /// and an optional store.
 ///
-/// Each chunk goes: cancellation check, [`SupervisedHooks::before_chunk`],
-/// the chunk, [`SupervisedHooks::on_chunk`], audit (and ladder), `observe`,
-/// snapshot. A chunk at which `on_chunk` breaks skips the
-/// snapshot, so this loop alone decides what a resume point is.
+/// Each chunk goes: [`SupervisedHooks::before_chunk`], the chunk,
+/// [`SupervisedHooks::on_chunk`], audit (and ladder), `observe`, snapshot.
+/// A chunk at which `on_chunk` breaks skips the snapshot, so this loop
+/// alone decides what a resume point is.
 ///
 /// With a store, the ladder and the determinism contract are
 /// [`run_supervised`]'s, and the sidecar ([`SupervisedHooks::encode_aux`])
 /// is persisted inside every snapshot and restored on resume and rollback.
+/// A store whose cancel token fires inside its I/O
+/// ([`CheckpointStore::with_cancel`]) ends the run like a `before_chunk`
+/// stop: `completed: false`, no event, the previous snapshot still the
+/// newest durable one.
 ///
 /// Without a store, the run starts at step 0 and writes no snapshot, and
 /// the ladder has no rollback rung: repair still runs, and an audit that
@@ -307,7 +298,6 @@ where
 /// # Panics
 ///
 /// Panics if `opts.every` is 0.
-#[allow(clippy::too_many_arguments)] // the ladder genuinely takes this many collaborators
 #[allow(clippy::too_many_lines)] // one straight-line ladder; splitting obscures the flow
 pub fn run_supervised_hooked<C, R, F, H>(
     chain: &C,
@@ -315,7 +305,6 @@ pub fn run_supervised_hooked<C, R, F, H>(
     rng: &mut R,
     store: Option<&CheckpointStore>,
     opts: &SupervisedOptions,
-    cancel: &CancelToken,
     mut observe: F,
     hooks: &mut H,
 ) -> Result<SupervisedRun, CheckpointError>
@@ -339,12 +328,8 @@ where
         let rec = match store.recover::<C::State>() {
             Ok(rec) => rec,
             // The store's cancel token fired before the run even started:
-            // nothing was touched, report a clean zero-step cancellation.
-            Err(CheckpointError::Cancelled) => {
-                run.events.push(RecoveryEvent::Cancelled { step: 0 });
-                run.completed = false;
-                return Ok(run);
-            }
+            // nothing was touched, so the run ends at step 0, unfinished.
+            Err(CheckpointError::Cancelled) => return Ok(SupervisedRun::default()),
             Err(e) => return Err(e),
         };
         (run.rejected, run.reaped) = (rec.rejected, rec.reaped);
@@ -375,12 +360,6 @@ where
     let mut rollbacks = 0u32;
     let mut since_audit = 0u64;
     while run.steps < opts.steps {
-        if cancel.is_cancelled() {
-            run.events
-                .push(RecoveryEvent::Cancelled { step: run.steps });
-            run.completed = false;
-            break;
-        }
         if hooks.before_chunk().is_break() {
             run.completed = false;
             break;
@@ -428,7 +407,6 @@ where
                 let rec = match store.recover::<C::State>() {
                     Ok(rec) => rec,
                     Err(CheckpointError::Cancelled) => {
-                        run.events.push(RecoveryEvent::Cancelled { step: t });
                         run.completed = false;
                         break;
                     }
@@ -480,12 +458,11 @@ where
                     run.snapshots_written += 1;
                     run.last_durable_step = Some(t);
                 }
-                // Cancellation observed inside checkpoint I/O: the save was
-                // abandoned before the atomic rename (at worst a tmp orphan
-                // remains, reaped on the next recovery), so the previous
-                // durable snapshot still stands. Exit cleanly.
+                // The store's token fired inside checkpoint I/O: the save
+                // was abandoned before the atomic rename (at worst a tmp
+                // orphan remains, reaped on the next recovery), so the
+                // previous durable snapshot still stands. Exit cleanly.
                 Err(CheckpointError::Cancelled) => {
-                    run.events.push(RecoveryEvent::Cancelled { step: t });
                     run.completed = false;
                     break;
                 }
@@ -499,6 +476,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::checkpoint::Checkpoint;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
@@ -642,7 +620,6 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             |_, _| ControlFlow::Continue(()),
         )
@@ -669,7 +646,6 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 3_000 && !injected {
@@ -710,7 +686,6 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 4_000 && !injected {
@@ -756,7 +731,6 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 4_000 && !injected {
@@ -804,7 +778,6 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             |t, s: &mut Cached| {
                 if t == 1_000 && !injected {
@@ -865,7 +838,6 @@ mod tests {
             &mut rng,
             &store,
             &opts,
-            &CancelToken::new(),
             |s| s.x as f64,
             |_, _| ControlFlow::Continue(()),
         )
@@ -900,7 +872,6 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             // Poison every chunk: repair can never help, rollback budget
             // drains, and the run must fail rather than spin forever.
@@ -913,42 +884,56 @@ mod tests {
         assert!(matches!(err, CheckpointError::AuditFailed { .. }), "{err}");
     }
 
+    /// Hooks whose `before_chunk` stops the run once a chunk at or past
+    /// `stop_after` has run.
+    struct StopAfter {
+        stop_after: u64,
+        step: u64,
+    }
+
+    impl SupervisedHooks<Cached> for StopAfter {
+        fn before_chunk(&mut self) -> ControlFlow<()> {
+            if self.step >= self.stop_after {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        }
+
+        fn on_chunk(&mut self, step: u64, _: &mut Cached) -> ControlFlow<()> {
+            self.step = step;
+            ControlFlow::Continue(())
+        }
+    }
+
     #[test]
-    fn cancellation_stops_at_chunk_boundary() {
-        let scratch = Scratch::new("cancel");
+    fn before_chunk_stops_at_a_chunk_boundary() {
+        let (_, _, _, ref_log) = reference();
+        let scratch = Scratch::new("before-chunk");
         let store = CheckpointStore::open(&scratch.0, 2).unwrap();
-        let token = CancelToken::new();
         let mut state = Cached::new(0);
         let mut rng = StdRng::seed_from_u64(42);
-        let run = run_supervised(
+        let run = run_supervised_hooked(
             &CachedWalk(97),
             &mut state,
             &mut rng,
-            &store,
+            Some(&store),
             &OPTS,
-            &token,
             |s| s.x as f64,
-            |t, _| {
-                if t == 2_000 {
-                    token.cancel();
-                }
-                ControlFlow::Continue(())
+            &mut StopAfter {
+                stop_after: 2_000,
+                step: 0,
             },
         )
         .unwrap();
         assert!(!run.completed);
         assert_eq!(run.steps, 2_000);
-        assert!(
-            matches!(
-                run.events.as_slice(),
-                [RecoveryEvent::Cancelled { step: 2_000 }]
-            ),
-            "{:?}",
-            run.events
-        );
-        // The chunk that observed the cancel was still persisted (cancel
-        // is only checked at the loop top), so resume starts from here.
+        assert!(run.events.is_empty(), "{:?}", run.events);
+        assert_eq!(bits(&run.log), bits(&ref_log[..3]));
+        // The hook runs only between chunks, so the chunk before the stop
+        // was persisted and a resume starts from it.
         assert_eq!(run.last_durable_step, Some(2_000));
+        assert_eq!(store.newest_step().unwrap(), Some(2_000));
     }
 
     #[test]
@@ -966,12 +951,10 @@ mod tests {
             &mut rng,
             &store,
             &OPTS,
-            &CancelToken::new(),
             |s| s.x as f64,
             |t, _| {
-                // Cancel only the *store's* token: the run's token stays
-                // live, so the exit must come from the checkpoint-I/O
-                // cancel check, not the chunk-boundary one.
+                // The token fires after chunk 2 has run, so the exit comes
+                // from the store's own check inside the step-2000 save.
                 if t == 2_000 {
                     token.cancel();
                 }
@@ -981,14 +964,7 @@ mod tests {
         .unwrap();
         assert!(!run.completed);
         assert_eq!(run.steps, 2_000);
-        assert!(
-            matches!(
-                run.events.as_slice(),
-                [RecoveryEvent::Cancelled { step: 2_000 }]
-            ),
-            "{:?}",
-            run.events
-        );
+        assert!(run.events.is_empty(), "{:?}", run.events);
         // The step-2000 save was abandoned before anything durable, so
         // the last durable snapshot is the previous chunk's.
         assert_eq!(run.last_durable_step, Some(1_000));
@@ -1012,7 +988,6 @@ mod tests {
                 &mut rng,
                 &store,
                 &OPTS,
-                &CancelToken::new(),
                 |s| s.x as f64,
                 |t, _| {
                     if t >= 3_000 {

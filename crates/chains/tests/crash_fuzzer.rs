@@ -27,7 +27,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt as _, SeedableRng};
 use sops_chains::{
-    run_supervised, CancelToken, Checkpoint, CheckpointStore, CrashStyle, FaultyVfs, MarkovChain,
+    run_supervised, Checkpoint, CheckpointStore, CrashStyle, FaultyVfs, MarkovChain,
     SnapshotRng as _, SupervisedOptions,
 };
 
@@ -224,7 +224,6 @@ fn every_kill_point_recovers_a_bitwise_correct_prior_snapshot() {
                 &mut rng,
                 &store,
                 &opts,
-                &CancelToken::new(),
                 observe,
                 |_, _| ControlFlow::Continue(()),
             )

@@ -4,14 +4,14 @@ use std::time::Duration;
 
 /// The resource envelope one sweep job executes within.
 ///
-/// Every bound is enforced at safe points (chunk boundaries and
-/// checkpoint-I/O boundaries) and trips *deterministically gracefully*:
-/// the job ends [`crate::CellStatus::Degraded`] with a valid durable
-/// checkpoint rather than being killed mid-state.
+/// Every bound is enforced at chunk boundaries and trips
+/// *deterministically gracefully*: the job ends
+/// [`crate::CellStatus::Degraded`] with a valid durable checkpoint rather
+/// than being killed mid-state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResourceBudget {
     /// Wall-clock deadline for the whole job, measured from the moment
-    /// [`crate::Runtime::run_cells`] starts. `None` means unbounded.
+    /// [`crate::run_cells`] starts. `None` means unbounded.
     pub deadline: Option<Duration>,
     /// Hard cap on chain steps a job may execute via [`crate::run_chain`];
     /// requests beyond it are clamped and the job ends

@@ -6,15 +6,14 @@
 //! [`SupervisedHooks`] impl. With a checkpoint store the loop resumes from
 //! it, walks the full escalation ladder (audit → repair → rollback) and
 //! persists every chunk; without one it writes nothing and has no
-//! rollback rung, but still honors cancellation, and audits and repairs at
-//! the job's `audit_every` cadence. The driver adds the budget of the
-//! [`crate::ResourceBudget`]: requested steps are clamped to the step cap,
-//! the wall-clock deadline is checked before every chunk (cancellation
-//! also inside checkpoint I/O, via the store's cancel token), and any
-//! budget trip ends the job degraded — with its last durable checkpoint
-//! step on record — instead of wedged or failed. The deadline never cuts
-//! a chunk short: the chunk in flight when it passes runs to its end (and,
-//! with a store, is persisted), and the job stops before the next one.
+//! rollback rung, but still audits and repairs at the job's `audit_every`
+//! cadence. The driver adds the budget of the [`crate::ResourceBudget`]:
+//! requested steps are clamped to the step cap, the hooks' `before_chunk`
+//! checks the wall-clock deadline before every chunk, and any budget trip
+//! ends the job degraded — with its last durable checkpoint step on record
+//! — instead of wedged or failed. The deadline never cuts a chunk short:
+//! the chunk in flight when it passes runs to its end (and, with a store,
+//! is persisted), and the job stops before the next one.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -35,7 +34,7 @@ use crate::runner::JobContext;
 pub struct ChainJob<'a> {
     /// Requested steps (clamped to the budget's step cap).
     pub steps: u64,
-    /// Chunk length: audit/checkpoint/cancellation interval.
+    /// Chunk length: the audit, checkpoint and deadline-check interval.
     pub every: u64,
     /// Checkpoint store to resume from and persist into; `None` runs
     /// storeless (no snapshot and no rollback rung, but still audits,
@@ -49,10 +48,8 @@ pub struct ChainJob<'a> {
 /// Runs a chain job under the cell's [`JobContext`]: checkpointed when
 /// the job has a store, storeless otherwise.
 ///
-/// Every chunk honors cooperative cancellation (a job with a store also
-/// inside checkpoint I/O, through the store's cancel token); the step
-/// request is clamped to the budget's cap, and no chunk starts past the
-/// wall-clock deadline. Any budget trip or cancellation marks the cell
+/// The step request is clamped to the budget's cap, and no chunk starts
+/// past the wall-clock deadline. Either budget trip marks the cell
 /// degraded on `ctx` with the newest durable checkpoint step any run of
 /// the cell reported (so a storeless run after a checkpointed one
 /// names the latter's snapshot); the partial
@@ -72,7 +69,7 @@ pub struct ChainJob<'a> {
 /// an audit that repair could not fix (`AuditFailed` without a store), or
 /// an exhausted rollback ladder (`RollbackBudgetExhausted` with one).
 pub fn run_chain<C, R, F, G>(
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     chain: &C,
     state: &mut C::State,
     rng: &mut R,
@@ -104,7 +101,7 @@ where
 
 /// Why a monitored chain job stopped short of its step request for a
 /// *good* reason (as opposed to a [`DegradeReason`], which records budget
-/// trips and cancellations).
+/// trips).
 #[derive(Clone, Debug, PartialEq)]
 pub enum StopReason {
     /// Every test of the monitor held: the chain is statistically
@@ -151,7 +148,7 @@ pub enum StopReason {
 /// Same failure surface as [`run_chain`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_chain_monitored<C, R, F, P, G>(
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     chain: &C,
     state: &mut C::State,
     rng: &mut R,
@@ -187,8 +184,8 @@ where
 /// optional [`ConvergenceMonitor`] (whose decision state is the
 /// checkpoint sidecar, and whose certificate is re-primed with every
 /// restored state), then calls the caller's `on_chunk`.
-struct JobHooks<'a, 'ctx, F, P, G> {
-    ctx: &'a JobContext<'ctx>,
+struct JobHooks<'a, F, P, G> {
+    ctx: &'a JobContext,
     monitor: Option<&'a mut ConvergenceMonitor>,
     sample: &'a RefCell<F>,
     certify: P,
@@ -196,7 +193,7 @@ struct JobHooks<'a, 'ctx, F, P, G> {
     deadline_tripped: bool,
 }
 
-impl<S, F, P, G> SupervisedHooks<S> for JobHooks<'_, '_, F, P, G>
+impl<S, F, P, G> SupervisedHooks<S> for JobHooks<'_, F, P, G>
 where
     F: FnMut(&S) -> f64,
     P: FnMut(&S) -> bool,
@@ -244,7 +241,7 @@ where
 /// and convergence records.
 #[allow(clippy::too_many_arguments)]
 fn drive<C, R, F, P, G>(
-    ctx: &JobContext<'_>,
+    ctx: &JobContext,
     chain: &C,
     state: &mut C::State,
     rng: &mut R,
@@ -263,9 +260,6 @@ where
     G: FnMut(u64, &mut C::State) -> ControlFlow<()>,
 {
     let steps = ctx.budget().clamp_steps(job.steps);
-    // Thread the cell's cancel token into the store so cancellation is
-    // honored inside checkpoint I/O too.
-    let store = job.store.map(|s| s.clone().with_cancel(ctx.cancel_token()));
     let opts = SupervisedOptions {
         steps,
         every: job.every,
@@ -287,16 +281,15 @@ where
         chain,
         state,
         rng,
-        store.as_ref(),
+        job.store,
         &opts,
-        ctx.cancel,
         |s| (sample.borrow_mut())(s),
         &mut hooks,
     )
     .map_err(|e| match e {
         // Without a store there is no rollback rung, so no rollback
         // budget was spent: the audit itself failed.
-        CheckpointError::AuditFailed { step, violations } if store.is_none() => {
+        CheckpointError::AuditFailed { step, violations } if job.store.is_none() => {
             JobError::AuditFailed { step, violations }
         }
         other => JobError::from(other),
@@ -785,7 +778,7 @@ mod tests {
     /// audit every 2,000 steps or with `store`, letting `inject` corrupt
     /// the state after each chunk. Returns the run's ladder events.
     fn faulted_cell(
-        ctx: &JobContext<'_>,
+        ctx: &JobContext,
         store: Option<&CheckpointStore>,
         inject: impl Fn(u64, &mut Counter),
     ) -> Result<Vec<RecoveryEvent>, JobError> {
@@ -1028,10 +1021,13 @@ mod tests {
             "{outcome:?}"
         );
         assert_eq!(store.newest_step().unwrap(), Some(steps));
-        assert!(
-            outcome.events.iter().all(|e| e.kind() != "cancelled"),
-            "{:?}",
-            outcome.events
+        // The degradation is the cell's only event.
+        assert_eq!(
+            outcome.events,
+            [RuntimeEvent::Degraded {
+                reason: crate::DegradeReason::DeadlineExceeded,
+                last_durable_step: Some(steps),
+            }]
         );
     }
 }

@@ -18,8 +18,6 @@ pub enum DegradeReason {
     /// The step cap of the [`crate::ResourceBudget`] was reached before
     /// the requested work finished.
     StepBudgetExhausted,
-    /// The caller cancelled via a [`crate::CancelToken`].
-    ExternalCancel,
 }
 
 impl DegradeReason {
@@ -29,7 +27,6 @@ impl DegradeReason {
         match self {
             DegradeReason::DeadlineExceeded => "deadline_exceeded",
             DegradeReason::StepBudgetExhausted => "step_budget_exhausted",
-            DegradeReason::ExternalCancel => "external_cancel",
         }
     }
 }
@@ -82,15 +79,10 @@ pub enum JobError {
         /// The violations that exhausted the ladder.
         violations: Vec<String>,
     },
-    /// The job was cancelled and produced no result at all. (A cancelled
-    /// job that *did* produce a partial result reports
-    /// [`crate::CellStatus::Degraded`] with a value instead.)
-    Cancelled {
-        /// Why the cancellation happened.
-        reason: DegradeReason,
-        /// Step count reached when the cancellation was observed.
-        step: u64,
-    },
+    /// A cancel token fired before the job produced anything: a blocking
+    /// submission whose submitter cancelled it, or the job's own I/O on a
+    /// cancel-wired checkpoint store.
+    Cancelled,
     /// An application-level failure reported by the cell itself.
     App {
         /// The cell's error message.
@@ -106,6 +98,20 @@ impl JobError {
         }
     }
 
+    /// The [`JobError::Panic`] for a payload caught by `catch_unwind`,
+    /// carrying the panic message when it was a string.
+    #[must_use]
+    pub fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        JobError::Panic { message }
+    }
+
     /// The stable machine-readable code serialized into cells reports.
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -115,7 +121,7 @@ impl JobError {
             JobError::CorruptCheckpoint { .. } => "corrupt_checkpoint",
             JobError::AuditFailed { .. } => "audit_failed",
             JobError::RollbackBudgetExhausted { .. } => "rollback_budget_exhausted",
-            JobError::Cancelled { .. } => "cancelled",
+            JobError::Cancelled => "cancelled",
             JobError::App { .. } => "app",
         }
     }
@@ -125,9 +131,9 @@ impl JobError {
     #[must_use]
     pub fn to_json(&self) -> String {
         let step = match self {
-            JobError::AuditFailed { step, .. }
-            | JobError::RollbackBudgetExhausted { step, .. }
-            | JobError::Cancelled { step, .. } => Some(*step),
+            JobError::AuditFailed { step, .. } | JobError::RollbackBudgetExhausted { step, .. } => {
+                Some(*step)
+            }
             _ => None,
         };
         let mut out = format!(
@@ -161,9 +167,7 @@ impl fmt::Display for JobError {
                 "rollback budget exhausted at step {step}: {}",
                 violations.join("; ")
             ),
-            JobError::Cancelled { reason, step } => {
-                write!(f, "cancelled ({reason}) at step {step}")
-            }
+            JobError::Cancelled => f.write_str("cancelled"),
             JobError::App { message } => f.write_str(message),
         }
     }
@@ -254,11 +258,8 @@ impl From<CheckpointError> for JobError {
             }
             // The chunk loop never returns Cancelled (it ends the run with
             // `completed: false`), so this is a caller's own I/O on a
-            // cancel-wired store, at a step unknown here.
-            CheckpointError::Cancelled => JobError::Cancelled {
-                reason: DegradeReason::ExternalCancel,
-                step: 0,
-            },
+            // cancel-wired store.
+            CheckpointError::Cancelled => JobError::Cancelled,
         }
     }
 }
@@ -286,15 +287,30 @@ mod tests {
 
     #[test]
     fn json_rendering_escapes_and_carries_step() {
-        let e = JobError::Cancelled {
-            reason: DegradeReason::DeadlineExceeded,
+        let e = JobError::AuditFailed {
             step: 4_000,
+            violations: vec!["drift".into()],
         };
         let json = e.to_json();
-        assert!(json.contains("\"kind\": \"cancelled\""));
+        assert!(json.contains("\"kind\": \"audit_failed\""));
         assert!(json.contains("\"step\": 4000"));
+        assert_eq!(
+            JobError::Cancelled.to_json(),
+            "{\"kind\": \"cancelled\", \"message\": \"cancelled\"}"
+        );
         let e = JobError::app("say \"hi\"");
         assert!(e.to_json().contains("say \\\"hi\\\""));
+    }
+
+    #[test]
+    fn panic_payloads_become_panic_errors() {
+        let message = |payload: Box<dyn std::any::Any + Send>| match JobError::from_panic(payload) {
+            JobError::Panic { message } => message,
+            other => panic!("not a panic error: {other:?}"),
+        };
+        assert_eq!(message(Box::new("literal")), "literal");
+        assert_eq!(message(Box::new(format!("formatted {}", 7))), "formatted 7");
+        assert_eq!(message(Box::new(7_u32)), "non-string panic payload");
     }
 
     #[test]

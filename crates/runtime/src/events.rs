@@ -1,6 +1,6 @@
 //! Runtime events: the observable trace of supervision decisions.
 //!
-//! Every repair, rollback, cancellation, and degradation a job goes
+//! Every repair, rollback, degradation and convergence stop a job goes
 //! through becomes a [`RuntimeEvent`], collected on the job's
 //! [`crate::JobContext`] and rendered both into the cells report and —
 //! via [`RuntimeEvent::telemetry_line`] — into the per-cell JSONL
@@ -25,12 +25,7 @@ pub enum RuntimeEvent {
         /// Step count of the restored checkpoint.
         to_step: u64,
     },
-    /// The job observed cancellation and exited at a safe point.
-    Cancelled {
-        /// Step count reached when cancellation was observed.
-        step: u64,
-    },
-    /// The job ended degraded (budget trip or external cancel).
+    /// The job ended degraded (a budget trip).
     Degraded {
         /// Why the job degraded.
         reason: DegradeReason,
@@ -92,7 +87,6 @@ impl RuntimeEvent {
         match self {
             RuntimeEvent::Repaired { .. } => "repaired",
             RuntimeEvent::RolledBack { .. } => "rolled_back",
-            RuntimeEvent::Cancelled { .. } => "cancelled",
             RuntimeEvent::Degraded { .. } => "degraded",
             RuntimeEvent::Converged { .. } => "converged",
             RuntimeEvent::Admitted { .. } => "admitted",
@@ -114,9 +108,6 @@ impl RuntimeEvent {
                 "{{\"event\": \"rolled_back\", \"from_step\": {from_step}, \
                  \"to_step\": {to_step}}}"
             ),
-            RuntimeEvent::Cancelled { step } => {
-                format!("{{\"event\": \"cancelled\", \"step\": {step}}}")
-            }
             RuntimeEvent::Degraded {
                 reason,
                 last_durable_step,
@@ -195,7 +186,6 @@ impl From<&RecoveryEvent> for RuntimeEvent {
             RecoveryEvent::RolledBack {
                 from_step, to_step, ..
             } => RuntimeEvent::RolledBack { from_step, to_step },
-            RecoveryEvent::Cancelled { step } => RuntimeEvent::Cancelled { step },
         }
     }
 }
@@ -213,10 +203,14 @@ mod tests {
             last_durable_step: None,
         };
         assert!(e.to_json().contains("\"last_durable_step\": null"));
-        let e = RuntimeEvent::Cancelled { step: 9 };
+        let e = RuntimeEvent::RolledBack {
+            from_step: 9,
+            to_step: 5,
+        };
         assert_eq!(
             e.telemetry_line(),
-            "{\"kind\": \"runtime_event\", \"payload\": {\"event\": \"cancelled\", \"step\": 9}}"
+            "{\"kind\": \"runtime_event\", \"payload\": {\"event\": \"rolled_back\", \
+             \"from_step\": 9, \"to_step\": 5}}"
         );
         let e = RuntimeEvent::Converged {
             step: 50_000,

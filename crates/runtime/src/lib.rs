@@ -3,10 +3,9 @@
 //! The paper's algorithm is fully local and asynchronous — progress under
 //! arbitrary activation schedules. This crate holds the *host* to the same
 //! standard: every experiment job runs under an explicit [`ResourceBudget`]
-//! (wall-clock deadline, step cap, rollback budget) with
-//! first-class cooperative cancellation ([`CancelToken`], checked at chunk
-//! boundaries and inside checkpoint I/O), per-job panic isolation, and
-//! deterministic graceful degradation: when a budget trips, the job ends as
+//! (wall-clock deadline, step cap, rollback budget) checked at chunk
+//! boundaries, with per-job panic isolation and deterministic graceful
+//! degradation: when a budget trips, the job ends as
 //! [`CellStatus::Degraded`]`{ reason, last_durable_step }` with a valid
 //! durable checkpoint — never a wedge, never a lost sweep.
 //!
@@ -14,20 +13,20 @@
 //!
 //! * [`JobError`] / [`DegradeReason`] — the typed failure taxonomy that
 //!   replaces stringly statuses in `results/<bin>-cells.json`;
-//! * [`RuntimeEvent`] — repair/rollback/cancel/degrade events,
-//!   rendered into the per-cell JSONL telemetry stream;
+//! * [`RuntimeEvent`] — repair/rollback/degrade/converge events (and the
+//!   job service's lifecycle events), rendered into the per-cell JSONL
+//!   telemetry stream;
 //! * [`ResourceBudget`] — the budget a job runs under;
 //! * [`SweepOptions`] — CLI parsing and per-cell checkpoint/telemetry
 //!   plumbing shared by every sweep binary;
-//! * [`Runtime`] / [`run_cells`] — parallel cell execution, one thread a
-//!   cell, each cell's work run once under `catch_unwind`, with typed
-//!   outcomes;
+//! * [`run_cells`] — parallel cell execution, one thread a cell, each
+//!   cell's work run once under `catch_unwind`, with typed outcomes;
 //! * [`run_chain`] — how every chain-driving bin runs a chain under its
 //!   budget: through `sops-chains`' one chunk loop, checkpointed and
 //!   self-healing (audit → repair → rollback) when a store is configured,
 //!   storeless otherwise (audit → repair, no rollback rung), with budget
-//!   checks either way: the cancel token and the deadline are read before
-//!   every chunk;
+//!   checks either way: the loop's `before_chunk` hook reads the deadline
+//!   before every chunk;
 //! * [`run_chain_monitored`] — the same loop under a
 //!   [`ConvergenceMonitor`]: stops early with
 //!   [`StopReason::Converged`] once the monitor's tests hold, and
@@ -57,14 +56,14 @@ pub use error::{ConfigError, DegradeReason, JobError};
 pub use events::RuntimeEvent;
 pub use options::SweepOptions;
 pub use report::write_cell_report;
-pub use runner::{run_cells, CellOutcome, CellStatus, JobContext, Runtime};
+pub use runner::{run_cells, CellOutcome, CellStatus, JobContext};
 pub use seeds::{seed_hash, seeded};
 
 // The recovery primitives this runtime builds on, re-exported so callers
 // need only `sops-runtime`.
 pub use sops_chains::{
-    run_supervised, CancelToken, CheckpointError, CheckpointStore, RecoveryEvent, Repairable,
-    SupervisedOptions, SupervisedRun,
+    run_supervised, CheckpointError, CheckpointStore, RecoveryEvent, Repairable, SupervisedOptions,
+    SupervisedRun,
 };
 
 // The convergence engine, re-exported for the same reason: sweep bins

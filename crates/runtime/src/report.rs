@@ -6,8 +6,8 @@
 //! (`ok` / `recovered` / `degraded` / `failed`), `ok`; a `degraded` cell
 //! adds `degrade_reason` and `last_durable_step`; a failed cell carries a
 //! typed `error` object (`kind`, `message`, optional `step`); and every
-//! cell lists its runtime `events` (repairs, rollbacks, cancellations,
-//! degradations).
+//! cell lists its runtime `events` (repairs, rollbacks, degradations,
+//! convergence stops).
 
 use std::fmt;
 use std::path::Path;
@@ -133,9 +133,9 @@ mod tests {
                     last_durable_step: Some(9_000),
                 },
                 result: None,
-                error: Some(JobError::Cancelled {
-                    reason: DegradeReason::DeadlineExceeded,
+                error: Some(JobError::AuditFailed {
                     step: 9_500,
+                    violations: vec!["drift".to_string()],
                 }),
                 events: Vec::new(),
             },
@@ -159,7 +159,7 @@ mod tests {
         // The typed error object carries kind, escaped message, and step.
         assert!(json.contains("\"error\": {\"kind\": \"panic\""));
         assert!(json.contains("\\\"boom\\\"\\nline2"));
-        assert!(json.contains("\"kind\": \"cancelled\""));
+        assert!(json.contains("\"kind\": \"audit_failed\""));
         assert!(json.contains("\"step\": 9500"));
         // Events are embedded per cell.
         assert!(json.contains("\"events\": [{\"event\": \"repaired\", \"step\": 4000}]"));

@@ -1,14 +1,14 @@
 //! The cell runner: parallel, panic-isolated, budget-bounded execution
 //! of labelled sweep cells.
 //!
-//! [`Runtime::run_cells`] runs one labelled cell per job, each on a thread
-//! of its own, calling each cell's work exactly once behind
-//! `catch_unwind`. No other thread watches the cells: a cell stops only at
-//! checks made on its own thread — the root [`CancelToken`] at the top of
-//! every chunk and inside checkpoint I/O, and the [`ResourceBudget`]'s
-//! wall-clock deadline before every chunk of [`crate::run_chain`]. Every
-//! cell ends in a classified [`CellStatus`]; a budget trip degrades the
-//! cell deterministically instead of wedging or killing the sweep.
+//! [`run_cells`] runs one labelled cell per job, each on a thread of its
+//! own, calling each cell's work exactly once behind `catch_unwind`. No
+//! other thread watches the cells: a cell stops only where its own chain
+//! run checks the [`ResourceBudget`] — the wall-clock deadline before
+//! every chunk of [`crate::run_chain`], and the step cap that run is
+//! clamped to. Every cell ends in a classified [`CellStatus`]; a budget
+//! trip degrades the cell deterministically instead of wedging or killing
+//! the sweep.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use sops_chains::{CancelToken, SupervisedRun};
+use sops_chains::SupervisedRun;
 
 use crate::budget::ResourceBudget;
 use crate::error::{DegradeReason, JobError};
@@ -30,9 +30,9 @@ pub enum CellStatus {
     Ok,
     /// Succeeded, but only after an in-place repair or a rollback.
     Recovered,
-    /// A budget tripped or the caller cancelled; the cell exited at a
-    /// safe point, a partial result may be present, and
-    /// `last_durable_step` names the newest valid checkpoint (if any).
+    /// A budget tripped; the cell exited at a chunk boundary, a partial
+    /// result may be present, and `last_durable_step` names the newest
+    /// valid checkpoint (if any).
     Degraded {
         /// Why the cell degraded.
         reason: DegradeReason,
@@ -58,15 +58,12 @@ impl CellStatus {
     }
 }
 
-/// The context handed to a cell's work function by
-/// [`Runtime::run_cells`].
+/// The context handed to a cell's work function by [`run_cells`].
 ///
-/// Carries the sweep's root [`CancelToken`] (see
-/// [`JobContext::cancel_token`]), the [`ResourceBudget`] the cell runs
-/// under, and the channels through which the cell reports recovery,
-/// degradation, and [`RuntimeEvent`]s.
-pub struct JobContext<'a> {
-    pub(crate) cancel: &'a CancelToken,
+/// Carries the [`ResourceBudget`] the cell runs under and the channels
+/// through which the cell reports recovery, degradation, and
+/// [`RuntimeEvent`]s.
+pub struct JobContext {
     budget: ResourceBudget,
     started: Instant,
     recovered: AtomicBool,
@@ -75,10 +72,9 @@ pub struct JobContext<'a> {
     events: Mutex<Vec<RuntimeEvent>>,
 }
 
-impl<'a> JobContext<'a> {
-    fn new(cancel: &'a CancelToken, budget: ResourceBudget, started: Instant) -> Self {
+impl JobContext {
+    fn new(budget: ResourceBudget, started: Instant) -> Self {
         JobContext {
-            cancel,
             budget,
             started,
             recovered: AtomicBool::new(false),
@@ -94,16 +90,8 @@ impl<'a> JobContext<'a> {
         self.budget
     }
 
-    /// A clone of the sweep's root cancellation token, for polling from
-    /// long loops, threading into checkpoint stores
-    /// (`CheckpointStore::with_cancel`) or other cooperative consumers.
-    #[must_use]
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Whether the budget's wall-clock deadline (measured from
-    /// [`Runtime::run_cells`] start) has elapsed.
+    /// [`run_cells`] start) has elapsed.
     #[must_use]
     pub(crate) fn deadline_exceeded(&self) -> bool {
         self.budget.deadline_exceeded(self.started.elapsed())
@@ -159,12 +147,10 @@ impl<'a> JobContext<'a> {
     }
 
     /// Folds a [`SupervisedRun`]'s ladder events into this cell's trace
-    /// and status flags: repairs/rollbacks mark the cell recovered, the
-    /// context keeps the newest durable step of every run it absorbs, and
-    /// a run cut short by cancellation marks the cell degraded as an
-    /// external cancel with that step. (A run the *caller* broke out of via
-    /// `on_chunk` is not degraded — that is the caller's successful early
-    /// exit.)
+    /// and status flags: repairs/rollbacks mark the cell recovered, and
+    /// the context keeps the newest durable step of every run it absorbs.
+    /// Degradation is not read off the run: [`crate::run_chain`] notes the
+    /// budget trip that stopped it.
     pub fn absorb(&self, run: &SupervisedRun) {
         {
             let mut durable = self.durable.lock().expect("durable lock");
@@ -175,9 +161,6 @@ impl<'a> JobContext<'a> {
         }
         if run.recovered() {
             self.note_recovered();
-        }
-        if !run.completed && self.cancel.is_cancelled() {
-            self.note_degraded(DegradeReason::ExternalCancel, self.last_durable_step());
         }
     }
 }
@@ -205,129 +188,53 @@ impl<T> CellOutcome<T> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string payload>".to_string()
-    }
-}
-
-/// The supervision runtime: executes labelled jobs under a shared
-/// [`ResourceBudget`] with panic isolation, typed failures, a sweep-wide
-/// deadline, and a root [`CancelToken`] for external cancellation.
-pub struct Runtime {
-    opts: SweepOptions,
-    root: CancelToken,
-}
-
-impl Runtime {
-    /// A runtime over explicit options.
-    #[must_use]
-    pub fn new(opts: SweepOptions) -> Self {
-        Runtime {
-            opts,
-            root: CancelToken::new(),
-        }
-    }
-
-    /// A runtime configured from the process arguments
-    /// ([`SweepOptions::from_args`]).
-    #[must_use]
-    pub fn from_args() -> Self {
-        Self::new(SweepOptions::from_args())
-    }
-
-    /// The options this runtime executes under.
-    #[must_use]
-    pub fn options(&self) -> &SweepOptions {
-        &self.opts
-    }
-
-    /// The root cancellation token every cell shares.
-    /// Cancelling it stops the whole sweep cooperatively: each cell exits
-    /// at its next safe point and reports
-    /// [`CellStatus::Degraded`] with [`DegradeReason::ExternalCancel`].
-    #[must_use]
-    pub fn cancel_token(&self) -> CancelToken {
-        self.root.clone()
-    }
-
-    /// Runs one labelled cell per job in parallel, one thread each,
-    /// calling each cell's work exactly once behind `catch_unwind`.
-    ///
-    /// A cell fails by returning `Err` *or* by panicking; either way the
-    /// other cells are unaffected and the failure lands typed in the
-    /// outcome rather than propagating. The cell is not run again: a
-    /// failed cell with a checkpoint store keeps its last audited
-    /// snapshot, and a `--resume` run continues from it. A cancelled cell
-    /// is reported degraded. Each cell checks the budget's deadline on its
-    /// own thread: [`crate::run_chain`] starts no chunk past it, and the
-    /// cell is reported [`DegradeReason::DeadlineExceeded`]; a cell whose
-    /// work returns before the deadline is never cut short by it.
-    pub fn run_cells<L, T, F>(&self, labels: Vec<L>, work: F) -> Vec<CellOutcome<T>>
-    where
-        L: fmt::Display + Send + Sync,
-        T: Send,
-        F: Fn(&L, &JobContext<'_>) -> Result<T, JobError> + Sync,
-    {
-        let started = Instant::now();
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = labels
-                .iter()
-                .map(|label| {
-                    scope.spawn(move || {
-                        run_one_cell(label, &self.root, self.opts.budget, started, work)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("cell worker panicked outside catch_unwind"))
-                .collect()
-        })
-    }
-}
-
-/// Runs labelled cells under a one-shot [`Runtime`]; the convenience
-/// entry point for binaries that never need the root token.
+/// Runs one labelled cell per job in parallel, one thread each, calling
+/// each cell's work exactly once behind `catch_unwind`.
+///
+/// A cell fails by returning `Err` *or* by panicking; either way the
+/// other cells are unaffected and the failure lands typed in the outcome
+/// rather than propagating. The cell is not run again: a failed cell with
+/// a checkpoint store keeps its last audited snapshot, and a `--resume`
+/// run continues from it. Each cell checks the budget's deadline on its
+/// own thread: [`crate::run_chain`] starts no chunk past it, and the cell
+/// is reported [`DegradeReason::DeadlineExceeded`]; a cell whose work
+/// returns before the deadline is never cut short by it.
 pub fn run_cells<L, T, F>(labels: Vec<L>, opts: &SweepOptions, work: F) -> Vec<CellOutcome<T>>
 where
     L: fmt::Display + Send + Sync,
     T: Send,
-    F: Fn(&L, &JobContext<'_>) -> Result<T, JobError> + Sync,
+    F: Fn(&L, &JobContext) -> Result<T, JobError> + Sync,
 {
-    Runtime::new(opts.clone()).run_cells(labels, work)
+    let started = Instant::now();
+    let (budget, work) = (opts.budget, &work);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = labels
+            .iter()
+            .map(|label| scope.spawn(move || run_one_cell(label, budget, started, work)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("cell worker panicked outside catch_unwind"))
+            .collect()
+    })
 }
 
 fn run_one_cell<L, T, F>(
     label: &L,
-    cancel: &CancelToken,
     budget: ResourceBudget,
     started: Instant,
     work: &F,
 ) -> CellOutcome<T>
 where
     L: fmt::Display,
-    F: Fn(&L, &JobContext<'_>) -> Result<T, JobError>,
+    F: Fn(&L, &JobContext) -> Result<T, JobError>,
 {
     let cell = label.to_string();
-    let ctx = JobContext::new(cancel, budget, started);
-    let result = catch_unwind(AssertUnwindSafe(|| work(label, &ctx))).unwrap_or_else(|payload| {
-        Err(JobError::Panic {
-            message: panic_message(payload),
-        })
-    });
+    let ctx = JobContext::new(budget, started);
+    let result = catch_unwind(AssertUnwindSafe(|| work(label, &ctx)))
+        .unwrap_or_else(|payload| Err(JobError::from_panic(payload)));
     if let Err(error) = &result {
         eprintln!("cell {cell}: failed: {error}");
-    }
-    // A cell whose own runs noted no degradation still ends degraded when
-    // the sweep was cancelled by the time its work returned.
-    if cancel.is_cancelled() {
-        ctx.note_degraded(DegradeReason::ExternalCancel, None);
     }
     let status = match ctx.degraded() {
         Some((reason, last_durable_step)) => CellStatus::Degraded {
@@ -400,24 +307,6 @@ mod tests {
             Ok(1)
         });
         assert_eq!(outcomes[0].status, CellStatus::Recovered);
-    }
-
-    #[test]
-    fn external_cancel_degrades_cells() {
-        let rt = Runtime::new(SweepOptions::default());
-        rt.cancel_token().cancel();
-        let outcomes: Vec<CellOutcome<u32>> = rt.run_cells(vec!["cell"], |_, ctx| {
-            assert!(ctx.cancel_token().is_cancelled());
-            Ok(7)
-        });
-        assert_eq!(outcomes[0].result, Some(7));
-        assert_eq!(
-            outcomes[0].status,
-            CellStatus::Degraded {
-                reason: DegradeReason::ExternalCancel,
-                last_durable_step: None,
-            }
-        );
     }
 
     /// A counter whose every chunk first sleeps 2 ms.

@@ -1,21 +1,22 @@
 //! The standard chain payload: wraps any [`MarkovChain`] into a
-//! [`JobPayload`] that checkpoints through the session's store, honors
-//! the job's eviction signal, and resumes bit-identically after a crash
-//! or eviction.
+//! [`JobPayload`] that checkpoints through the session's store, stops
+//! before its next chunk once the job is evicted, and resumes
+//! bit-identically after a crash or eviction.
 //!
 //! Determinism contract: the RNG is seeded once per *session* (not per
-//! dispatch). On resume [`run_supervised`] restores the exact [`StdRng`]
-//! stream from the snapshot's 32-byte state, so an interrupted-and-resumed
-//! run and an uninterrupted run of the same session produce
-//! byte-identical final states — the property the chaos suite checks.
+//! dispatch). On resume [`run_supervised_hooked`] restores the exact
+//! [`StdRng`] stream from the snapshot's 32-byte state, so an
+//! interrupted-and-resumed run and an uninterrupted run of the same
+//! session produce byte-identical final states — the property the chaos
+//! suite checks.
 
 use std::ops::ControlFlow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
 use sops_chains::checkpoint::StateCodec;
-use sops_chains::recovery::{run_supervised, SupervisedOptions};
-use sops_chains::{Auditable, MarkovChain, RecoveryEvent, Repairable};
+use sops_chains::recovery::{run_supervised_hooked, SupervisedHooks, SupervisedOptions};
+use sops_chains::{Auditable, MarkovChain, Repairable};
 use sops_runtime::ResourceBudget;
 
 use crate::service::{ExecCtx, JobOutcome, JobPayload};
@@ -32,10 +33,11 @@ use crate::service::{ExecCtx, JobOutcome, JobPayload};
 /// recovered state. The store is recovered once per dispatch, by the
 /// supervised runner; [`sops_runtime::RuntimeEvent::Resumed`] is emitted
 /// from its report when the run returns, followed by one event per repair
-/// or rollback. A cancelled run emits no `cancelled` event: the service
-/// reports the eviction itself. The run's newest durable step goes back to
-/// the service with the outcome, so the worker need not list the store
-/// again for the session manifest.
+/// or rollback. An evicted job stops before its next chunk (or, through
+/// the store's token, inside a save, which it abandons) and yields; it
+/// emits no event of its own, since the service reports the eviction. The
+/// run's newest durable step goes back to the service with the outcome, so
+/// the worker need not list the store again for the session manifest.
 pub fn chain_payload<C, F>(
     chain: C,
     initial: C::State,
@@ -58,31 +60,28 @@ where
             max_rollbacks: ResourceBudget::default().max_rollbacks,
             audit_every: None,
         };
-        let run = run_supervised(
+        let run = run_supervised_hooked(
             &chain,
             &mut state,
             &mut rng,
-            ctx.store(),
+            Some(ctx.store()),
             &opts,
-            ctx.cancel,
             |_| 0.0,
-            |_, _| ControlFlow::Continue(()),
+            &mut EvictionHooks(ctx),
         )?;
         ctx.note_durable(run.last_durable_step);
         if let Some(step) = run.resumed_from {
             ctx.note_resumed(step);
         }
         for event in &run.events {
-            if !matches!(event, RecoveryEvent::Cancelled { .. }) {
-                ctx.emit(event.into());
-            }
+            ctx.emit(event.into());
         }
         if run.completed {
             on_done(&state, &rng);
             Ok(JobOutcome::Completed { steps: run.steps })
         } else {
-            // Cancelled cooperatively mid-run (eviction): the newest
-            // durable snapshot is the resume point.
+            // Evicted mid-run: the newest durable snapshot is the resume
+            // point.
             Ok(JobOutcome::Yielded {
                 last_durable_step: run.last_durable_step,
             })
@@ -90,16 +89,36 @@ where
     })
 }
 
+/// The hooks of a [`chain_payload`] run: stop before a chunk once the job
+/// is evicted.
+struct EvictionHooks<'a, 'ctx>(&'a ExecCtx<'ctx>);
+
+impl<S> SupervisedHooks<S> for EvictionHooks<'_, '_> {
+    fn before_chunk(&mut self) -> ControlFlow<()> {
+        if self.0.evicting() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn on_chunk(&mut self, _: u64, _: &mut S) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
     use std::io;
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     use rand::{Rng, RngExt as _};
-    use sops_chains::{FaultyVfs, Vfs};
+    use sops_chains::{CancelToken, CheckpointStore, FaultyVfs, Vfs};
+    use sops_runtime::RuntimeEvent;
 
     use super::*;
     use crate::{Admission, JobService, JobSpec, ServiceConfig, TerminalStatus};
@@ -232,6 +251,75 @@ mod tests {
                 s.stale = true;
             }
             Walk.step(s, rng)
+        }
+    }
+
+    /// [`Walk`] that fires `token` while its second chunk runs and counts
+    /// the chunks it runs.
+    struct EvictInChunk2 {
+        token: CancelToken,
+        chunks: Arc<AtomicU64>,
+    }
+
+    impl MarkovChain for EvictInChunk2 {
+        type State = Counter;
+        fn step<R: Rng + ?Sized>(&self, s: &mut Counter, rng: &mut R) -> bool {
+            Walk.step(s, rng)
+        }
+        fn run<R: Rng + ?Sized>(&self, s: &mut Counter, steps: u64, rng: &mut R) -> u64 {
+            if self.chunks.fetch_add(1, Ordering::Relaxed) == 1 {
+                self.token.cancel();
+            }
+            (0..steps).map(|_| u64::from(self.step(s, rng))).sum()
+        }
+    }
+
+    /// An eviction that lands while chunk 2 runs lets that chunk finish,
+    /// starts no chunk after it, and yields at the newest durable
+    /// snapshot without an event of the payload's own. On a store that
+    /// does not read the token, `before_chunk` stops the run after chunk
+    /// 2's snapshot; on one that does, as the service's worker opens, the
+    /// store abandons chunk 2's save and chunk 1's snapshot is the newest.
+    #[test]
+    fn an_eviction_during_chunk_2_yields_before_chunk_3() {
+        for (store_reads_token, durable) in [(false, 2_000), (true, 1_000)] {
+            let token = CancelToken::new();
+            let chunks = Arc::new(AtomicU64::new(0));
+            let chain = EvictInChunk2 {
+                token: token.clone(),
+                chunks: Arc::clone(&chunks),
+            };
+            let payload = chain_payload(chain, Counter::default(), 5, 5_000, 1_000, |_, _| {
+                panic!("an evicted job does not complete")
+            });
+            let store = CheckpointStore::open_with("/ckpt", 2, Arc::new(FaultyVfs::new())).unwrap();
+            let store = if store_reads_token {
+                store.with_cancel(token.clone())
+            } else {
+                store
+            };
+            let events = RefCell::new(Vec::<RuntimeEvent>::new());
+            let emit = |event| events.borrow_mut().push(event);
+            let ctx = ExecCtx {
+                cancel: &token,
+                store: &store,
+                session: "t/s",
+                events: &emit,
+                durable: Cell::new(None),
+            };
+            let outcome = payload(&ctx).unwrap();
+            let label = format!("store reads the token: {store_reads_token}");
+            assert_eq!(
+                outcome,
+                JobOutcome::Yielded {
+                    last_durable_step: Some(durable)
+                },
+                "{label}"
+            );
+            assert_eq!(ctx.durable.get(), Some(Some(durable)), "{label}");
+            assert_eq!(store.newest_step().unwrap(), Some(durable), "{label}");
+            assert_eq!(chunks.load(Ordering::Relaxed), 2, "{label}");
+            assert!(events.borrow().is_empty(), "{label}: {:?}", events.borrow());
         }
     }
 

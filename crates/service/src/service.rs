@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use sops_chains::checkpoint::CheckpointStore;
 use sops_chains::{CancelToken, RealVfs, Vfs};
-use sops_runtime::{DegradeReason, JobError, RuntimeEvent};
+use sops_runtime::{JobError, RuntimeEvent};
 
 use crate::queue::{
     Admission, Drained, JobQueue, JobTicket, Popped, QueueConfig, QueuedJob, TerminalStatus,
@@ -320,16 +320,6 @@ pub struct JobService {
     shared: Arc<Shared>,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn spawn_worker(shared: &Arc<Shared>, slot: usize) {
     let worker = Arc::clone(shared);
     shared.live_workers.fetch_add(1, Ordering::SeqCst);
@@ -427,9 +417,7 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
             // Count the poisoning before the ticket resolves, so a waiter
             // that observed the classification never reads a stale count.
             shared.respawns.fetch_add(1, Ordering::SeqCst);
-            let error = JobError::Panic {
-                message: panic_message(panic),
-            };
+            let error = JobError::from_panic(panic);
             let kind = error.kind().to_string();
             (
                 TerminalStatus::Failed { error },
@@ -444,7 +432,7 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
             None,
             false,
         ),
-        Ok(Ok(JobOutcome::Yielded { .. }) | Err(JobError::Cancelled { .. })) => {
+        Ok(Ok(JobOutcome::Yielded { .. }) | Err(JobError::Cancelled)) => {
             (TerminalStatus::Evicted, SessionStatus::Evicted, None, false)
         }
         Ok(Err(error)) => {
@@ -564,10 +552,7 @@ impl JobService {
             }
             Err((job, WaitError::Cancelled)) => {
                 self.shared.record_rejected(&job, "cancelled");
-                Err(JobError::Cancelled {
-                    reason: DegradeReason::ExternalCancel,
-                    step: 0,
-                })
+                Err(JobError::Cancelled)
             }
             Err((job, WaitError::Rejected(reason))) => {
                 self.shared.record_rejected(&job, reason.code());

@@ -19,7 +19,7 @@
 //! | [`amoebot`] | `sops-amoebot` | the amoebot model and the fully local distributed translation of `M` |
 //! | [`polymer`] | `sops-polymer` | the cluster expansion, Kotecký–Preiss condition, Theorem 11's volume/surface split, Ising high-temperature expansion |
 //! | [`baselines`] | `sops-baselines` | Schelling segregation and Ising Glauber dynamics |
-//! | [`runtime`] | `sops-runtime` | resource-bounded supervision for long sweeps: budgets, cooperative cancellation, panic isolation, typed degradation |
+//! | [`runtime`] | `sops-runtime` | resource-bounded supervision for long sweeps: budgets checked at chunk boundaries, panic isolation, typed degradation |
 //!
 //! # Quickstart
 //!

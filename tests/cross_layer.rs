@@ -145,9 +145,7 @@ fn enumerated_minimum_perimeter_matches_spiral() {
 /// the same observable samples from the resume step on.
 #[test]
 fn checkpointed_run_survives_kill_and_corrupt_resume() {
-    use sops::chains::{
-        run_supervised, CancelToken, CheckpointStore, StateCodec as _, SupervisedOptions,
-    };
+    use sops::chains::{run_supervised, CheckpointStore, StateCodec as _, SupervisedOptions};
     use std::io::Write as _;
     use std::ops::ControlFlow;
 
@@ -176,7 +174,6 @@ fn checkpointed_run_survives_kill_and_corrupt_resume() {
             rng,
             store,
             &opts,
-            &CancelToken::new(),
             sops::analysis::metrics::hetero_fraction,
             |_, _| ControlFlow::Continue(()),
         )

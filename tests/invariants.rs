@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sops::chains::checkpoint::snapshot_checksum;
 use sops::chains::{
-    run_supervised, CancelToken, Checkpoint, CheckpointStore, MarkovChain, SnapshotRng as _,
-    StateCodec, SupervisedOptions,
+    run_supervised, Checkpoint, CheckpointStore, MarkovChain, SnapshotRng as _, StateCodec,
+    SupervisedOptions,
 };
 use sops::core::{construct, properties, Bias, Color, Configuration, SeparationChain};
 use sops::lattice::{Node, DIRECTIONS};
@@ -226,7 +226,6 @@ fn v1_snapshot_resumes_bit_identically_and_is_followed_by_v2() {
             rng,
             store,
             &opts,
-            &CancelToken::new(),
             |_| 0.0,
             |_, _| ControlFlow::Continue(()),
         )
