@@ -6,9 +6,9 @@
 //! across the experiment bins; figure generation is fast and stateless,
 //! so of the runtime's supervision only panic isolation applies here. The
 //! cell outcome is recorded in `results/fig1-cells.json`, and a minimal
-//! telemetry stream (manifest + one render event) lands in
-//! `results/logs/fig1-fig1.telemetry.jsonl` (in `target/smoke-logs/` in
-//! smoke mode).
+//! telemetry stream (manifest + one render event) lands in the
+//! git-ignored `target/smoke-logs/fig1-fig1.telemetry.jsonl` in every
+//! mode, as the chain sweeps' streams do.
 
 use std::fmt::Write as _;
 
@@ -150,7 +150,7 @@ fn main() {
             steps: 0,
         };
         if let Some(mut sink) = opts.telemetry_sink(
-            &sops_bench::telemetry_dir(&opts),
+            &sops_bench::uncommitted_dir(),
             "fig1",
             "fig1",
             &manifest,

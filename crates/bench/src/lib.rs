@@ -299,23 +299,6 @@ pub fn logs_dir() -> PathBuf {
     dir
 }
 
-/// Where `fig1` writes its JSONL telemetry stream: [`logs_dir`], or, in
-/// smoke mode, `target/smoke-logs/` under the workspace root, which git
-/// ignores. The chain sweeps write theirs under [`uncommitted_dir`] in
-/// every mode.
-///
-/// # Panics
-///
-/// Panics if the directory cannot be created.
-#[must_use]
-pub fn telemetry_dir(opts: &SweepOptions) -> PathBuf {
-    if opts.smoke {
-        uncommitted_dir()
-    } else {
-        logs_dir()
-    }
-}
-
 /// Where `fig3` and `mixing` write their cells report: [`out_dir`] for an
 /// `--adaptive --smoke` run, the mode whose report is committed (CI diffs
 /// it), and `target/smoke-logs/`, beside smoke telemetry, for every other
@@ -335,8 +318,9 @@ pub fn report_dir(opts: &SweepOptions) -> PathBuf {
 
 /// `target/smoke-logs/` under the workspace root, which git ignores: where
 /// a run writes what is no committed result, such as the telemetry streams
-/// of `separation`, `mixing` and `ablate_swaps` in every mode (their
-/// wall-clock rates differ from run to run). Created on first use.
+/// of `fig1`, `separation`, `mixing` and `ablate_swaps` in every mode (the
+/// chain sweeps' wall-clock rates differ from run to run). Created on
+/// first use.
 ///
 /// # Panics
 ///
@@ -453,18 +437,6 @@ mod tests {
             "gamma=4.0000: rolled back from step 3000000 to step 2000000: \
              occupancy desync; disconnected"
         );
-    }
-
-    #[test]
-    fn smoke_runs_stream_telemetry_outside_the_committed_results() {
-        assert_eq!(telemetry_dir(&SweepOptions::default()), logs_dir());
-        let smoke = SweepOptions {
-            smoke: true,
-            ..SweepOptions::default()
-        };
-        let dir = telemetry_dir(&smoke);
-        assert!(dir.ends_with("target/smoke-logs"), "{}", dir.display());
-        assert!(!dir.starts_with(out_dir()), "{}", dir.display());
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! wants to stop a computation and the computation itself. Cancellation is
 //! *cooperative*: setting the token never interrupts anything by itself —
 //! the running code polls [`CancelToken::is_cancelled`] at its own safe
-//! points (operation boundaries in checkpoint I/O, and whatever a chunk
-//! loop's `before_chunk` hook reads it at) and winds down from a
-//! consistent state. That is the only
-//! cancellation model compatible with the durability contract: a snapshot
-//! is either fully persisted or not persisted at all, never torn by an
-//! asynchronous kill.
+//! points and winds down from a consistent state. A chunked run reads it
+//! only in its hooks'
+//! [`before_chunk`](crate::recovery::SupervisedHooks::before_chunk), so a
+//! stop lets the chunk in flight finish and persist its snapshot whole;
+//! nothing reads a token inside checkpoint I/O. The service's eviction
+//! signal and a blocked submission's cancel are tokens.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

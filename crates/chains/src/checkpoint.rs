@@ -73,7 +73,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use crate::recovery::Repairable;
-use crate::vfs::{is_cancelled, write_atomic, RealVfs, Vfs};
+use crate::vfs::{write_atomic, RealVfs, Vfs};
 
 /// Errors from checkpoint persistence and recovery.
 #[derive(Debug)]
@@ -97,11 +97,6 @@ pub enum CheckpointError {
         /// Human-readable invariant violations.
         violations: Vec<String>,
     },
-    /// The store's [`crate::CancelToken`] fired at an operation boundary
-    /// and the operation was abandoned cleanly: nothing durable was
-    /// changed (an in-progress save leaves at most a tmp orphan, which
-    /// the next recovery reaps).
-    Cancelled,
 }
 
 impl fmt::Display for CheckpointError {
@@ -117,9 +112,6 @@ impl fmt::Display for CheckpointError {
                     "invariant audit failed at step {step}: {}",
                     violations.join("; ")
                 )
-            }
-            CheckpointError::Cancelled => {
-                write!(f, "checkpoint operation cancelled at an I/O boundary")
             }
         }
     }
@@ -772,7 +764,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     retain: usize,
     vfs: Arc<dyn Vfs>,
-    cancel: Option<crate::CancelToken>,
 }
 
 impl fmt::Debug for CheckpointStore {
@@ -830,28 +821,7 @@ impl CheckpointStore {
             dir,
             retain: retain.max(1),
             vfs,
-            cancel: None,
         })
-    }
-
-    /// Attaches a cooperative-cancellation token, checked at operation
-    /// boundaries inside [`CheckpointStore::save_parts`] and
-    /// [`CheckpointStore::recover`]. A cancelled store fails those calls
-    /// with [`CheckpointError::Cancelled`] *without* touching durable
-    /// state: checks sit before the first write and before the atomic
-    /// rename, never between rename and directory sync, so a snapshot is
-    /// either fully durable or not present at all.
-    #[must_use]
-    pub fn with_cancel(mut self, token: crate::CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    fn check_cancel(&self) -> Result<(), CheckpointError> {
-        match &self.cancel {
-            Some(token) if token.is_cancelled() => Err(CheckpointError::Cancelled),
-            _ => Ok(()),
-        }
     }
 
     /// The directory this store persists into.
@@ -953,18 +923,11 @@ impl CheckpointStore {
         state: &S,
         aux: &[u8],
     ) -> Result<PathBuf, CheckpointError> {
-        self.check_cancel()?;
         let path = self.dir.join(format!("step-{step:020}.ckpt"));
         let bytes = render(step, accepted, rng_state, log, state, aux);
         // Each snapshot has a name of its own, so the rename never
         // replaces a durable file.
-        write_atomic(self.vfs.as_ref(), &path, &bytes, self.cancel.as_ref()).map_err(|e| {
-            if is_cancelled(&e) {
-                CheckpointError::Cancelled
-            } else {
-                CheckpointError::Io(e)
-            }
-        })?;
+        write_atomic(self.vfs.as_ref(), &path, &bytes)?;
         self.prune()?;
         Ok(path)
     }
@@ -1018,7 +981,6 @@ impl CheckpointStore {
     ///
     /// Returns an error only for directory-level I/O failures.
     pub fn recover<S: StateCodec>(&self) -> Result<Recovery<S>, CheckpointError> {
-        self.check_cancel()?;
         let (mut snapshots, mut reaped) = (Vec::new(), Vec::new());
         for path in self.vfs.list(&self.dir)? {
             if is_snapshot(&path) {

@@ -21,8 +21,8 @@
 //!   ladder: audit violation → in-place [`Repairable::repair_state`] →
 //!   rollback to the last good checkpoint; a run stops before a chunk
 //!   only when its [`SupervisedHooks::before_chunk`] says so;
-//! * [`cancel`] — the [`CancelToken`] a [`CheckpointStore`] checks inside
-//!   its I/O, so an evicted job abandons a save before its rename;
+//! * [`cancel`] — the [`CancelToken`] a [`SupervisedHooks::before_chunk`]
+//!   can read, so an evicted service job stops between chunks;
 //! * [`metropolis`] — the Metropolis filter (Metropolis–Hastings acceptance
 //!   rule) used by Algorithm 1;
 //! * [`stats`] — empirical distributions, total-variation distance, and

@@ -23,9 +23,11 @@
 //! to roll back to), and it audits at [`SupervisedOptions::audit_every`]'s
 //! cadence instead of before every snapshot.
 //!
-//! A run stops before a chunk only when its hooks'
+//! A run stops only before a chunk, when its hooks'
 //! [`SupervisedHooks::before_chunk`] breaks (a passed deadline, an evicted
-//! service job); it then returns with `completed: false`.
+//! service job): a stop that lands mid-chunk lets that chunk finish and,
+//! with a store, be persisted. The run then returns with
+//! `completed: false`.
 //!
 //! Everything here lives *outside* the proposal kernel: the ladder runs
 //! once per chunk (typically 10⁴–10⁶ steps), so the hot path is untouched.
@@ -190,9 +192,8 @@ pub struct SupervisedRun {
     pub snapshots_written: usize,
     /// Ladder rungs taken, in order.
     pub events: Vec<RecoveryEvent>,
-    /// `false` when [`SupervisedHooks::before_chunk`] stopped the run, or
-    /// the store's cancel token fired inside checkpoint I/O, before it
-    /// finished.
+    /// `false` when [`SupervisedHooks::before_chunk`] stopped the run
+    /// before it finished.
     pub completed: bool,
     /// Step count of the newest snapshot known durable when the run
     /// returned: the resume point (or the last write) — `None` when
@@ -278,10 +279,6 @@ where
 /// With a store, the ladder and the determinism contract are
 /// [`run_supervised`]'s, and the sidecar ([`SupervisedHooks::encode_aux`])
 /// is persisted inside every snapshot and restored on resume and rollback.
-/// A store whose cancel token fires inside its I/O
-/// ([`CheckpointStore::with_cancel`]) ends the run like a `before_chunk`
-/// stop: `completed: false`, no event, the previous snapshot still the
-/// newest durable one.
 ///
 /// Without a store, the run starts at step 0 and writes no snapshot, and
 /// the ladder has no rollback rung: repair still runs, and an audit that
@@ -325,13 +322,7 @@ where
         reason,
     };
     if let Some(store) = store {
-        let rec = match store.recover::<C::State>() {
-            Ok(rec) => rec,
-            // The store's cancel token fired before the run even started:
-            // nothing was touched, so the run ends at step 0, unfinished.
-            Err(CheckpointError::Cancelled) => return Ok(SupervisedRun::default()),
-            Err(e) => return Err(e),
-        };
+        let rec = store.recover::<C::State>()?;
         (run.rejected, run.reaped) = (rec.rejected, rec.reaped);
         if let Some(ckpt) = rec.checkpoint.filter(|c| c.step <= opts.steps) {
             *state = ckpt.state;
@@ -404,15 +395,7 @@ where
                 // violating state is never persisted, so anything on disk
                 // is trustworthy. Fall back to the entry-point snapshot
                 // when nothing has been written yet.
-                let rec = match store.recover::<C::State>() {
-                    Ok(rec) => rec,
-                    Err(CheckpointError::Cancelled) => {
-                        run.completed = false;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                };
-                let to_step = match rec.checkpoint {
+                let to_step = match store.recover::<C::State>()?.checkpoint {
                     Some(ckpt) => {
                         *state = ckpt.state;
                         rng.restore_rng_state(&ckpt.rng_state).map_err(corrupt)?;
@@ -453,21 +436,9 @@ where
         }
         if let Some(store) = store {
             let aux = hooks.encode_aux();
-            match store.save_parts_aux(t, run.accepted, &rng.rng_state(), &[], state, &aux) {
-                Ok(_) => {
-                    run.snapshots_written += 1;
-                    run.last_durable_step = Some(t);
-                }
-                // The store's token fired inside checkpoint I/O: the save
-                // was abandoned before the atomic rename (at worst a tmp
-                // orphan remains, reaped on the next recovery), so the
-                // previous durable snapshot still stands. Exit cleanly.
-                Err(CheckpointError::Cancelled) => {
-                    run.completed = false;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
+            store.save_parts_aux(t, run.accepted, &rng.rng_state(), &[], state, &aux)?;
+            run.snapshots_written += 1;
+            run.last_durable_step = Some(t);
         }
     }
     Ok(run)
@@ -476,7 +447,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::CancelToken;
     use crate::checkpoint::Checkpoint;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
@@ -934,45 +904,6 @@ mod tests {
         // was persisted and a resume starts from it.
         assert_eq!(run.last_durable_step, Some(2_000));
         assert_eq!(store.newest_step().unwrap(), Some(2_000));
-    }
-
-    #[test]
-    fn store_cancellation_inside_checkpoint_io_exits_cleanly() {
-        let scratch = Scratch::new("store-cancel");
-        let token = CancelToken::new();
-        let store = CheckpointStore::open(&scratch.0, 2)
-            .unwrap()
-            .with_cancel(token.clone());
-        let mut state = Cached::new(0);
-        let mut rng = StdRng::seed_from_u64(42);
-        let run = run_supervised(
-            &CachedWalk(97),
-            &mut state,
-            &mut rng,
-            &store,
-            &OPTS,
-            |s| s.x as f64,
-            |t, _| {
-                // The token fires after chunk 2 has run, so the exit comes
-                // from the store's own check inside the step-2000 save.
-                if t == 2_000 {
-                    token.cancel();
-                }
-                ControlFlow::Continue(())
-            },
-        )
-        .unwrap();
-        assert!(!run.completed);
-        assert_eq!(run.steps, 2_000);
-        assert!(run.events.is_empty(), "{:?}", run.events);
-        // The step-2000 save was abandoned before anything durable, so
-        // the last durable snapshot is the previous chunk's.
-        assert_eq!(run.last_durable_step, Some(1_000));
-        let rec = CheckpointStore::open(&scratch.0, 2)
-            .unwrap()
-            .recover::<Cached>()
-            .unwrap();
-        assert_eq!(rec.checkpoint.unwrap().step, 1_000);
     }
 
     #[test]

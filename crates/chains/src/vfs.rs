@@ -47,8 +47,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::CancelToken;
-
 /// The filesystem operations the checkpoint store needs, abstracted so
 /// storage faults can be injected deterministically in tests.
 ///
@@ -444,23 +442,6 @@ impl Vfs for FaultyVfs {
     }
 }
 
-/// The error payload of a [`write_atomic`] abandoned by its cancel token.
-#[derive(Debug)]
-struct Cancelled;
-
-impl fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("write cancelled before its rename")
-    }
-}
-
-impl std::error::Error for Cancelled {}
-
-/// Whether `e` is a [`write_atomic`] abandoned by its cancel token.
-pub(crate) fn is_cancelled(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<Cancelled>())
-}
-
 /// Writes `data` to `path` with the crash-safe discipline: temp-file
 /// create → write → fsync → atomic rename → directory fsync. A crash at
 /// any intermediate operation leaves either the previous content of
@@ -469,11 +450,8 @@ pub(crate) fn is_cancelled(e: &io::Error) -> bool {
 ///
 /// This is the one persistence primitive: [`CheckpointStore`] writes
 /// every snapshot through it, and session manifests use it directly.
-/// When `cancel` has fired by the time the temp file is synced, the
-/// write is abandoned before the rename with an
-/// [`io::ErrorKind::Interrupted`] error: past the rename the directory
-/// must be fsynced unconditionally, or a cancel could strand a
-/// visible-but-volatile entry.
+/// Nothing stops a write part-way: once started, it runs the whole
+/// sequence or fails with the first failing operation.
 ///
 /// [`CheckpointStore`]: crate::CheckpointStore
 ///
@@ -481,12 +459,7 @@ pub(crate) fn is_cancelled(e: &io::Error) -> bool {
 ///
 /// Propagates the first failing [`Vfs`] operation; `path` must have a
 /// file name and a parent directory that already exists.
-pub fn write_atomic(
-    vfs: &dyn Vfs,
-    path: &Path,
-    data: &[u8],
-    cancel: Option<&CancelToken>,
-) -> io::Result<()> {
+pub fn write_atomic(vfs: &dyn Vfs, path: &Path, data: &[u8]) -> io::Result<()> {
     let mut tmp_name = path
         .file_name()
         .ok_or_else(|| {
@@ -501,9 +474,6 @@ pub fn write_atomic(
     vfs.create(&tmp)?;
     vfs.write(&tmp, data)?;
     vfs.sync(&tmp)?;
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Err(io::Error::new(io::ErrorKind::Interrupted, Cancelled));
-    }
     vfs.rename(&tmp, path)?;
     // The rename only becomes durable once the directory entry is
     // flushed; without this a crash can silently drop a write the caller
@@ -553,17 +523,17 @@ mod tests {
         // either the old or the new content, never a torn intermediate.
         let probe = FaultyVfs::new();
         probe.create_dir_all(&p("/d")).unwrap();
-        write_atomic(&probe, &p("/d/m"), b"old", None).unwrap();
+        write_atomic(&probe, &p("/d/m"), b"old").unwrap();
         let base = probe.op_count();
-        write_atomic(&probe, &p("/d/m"), b"newer", None).unwrap();
+        write_atomic(&probe, &p("/d/m"), b"newer").unwrap();
         let total = probe.op_count();
 
         for kill in base..total {
             let vfs = FaultyVfs::new();
             vfs.create_dir_all(&p("/d")).unwrap();
-            write_atomic(&vfs, &p("/d/m"), b"old", None).unwrap();
+            write_atomic(&vfs, &p("/d/m"), b"old").unwrap();
             vfs.kill_after(kill);
-            let err = write_atomic(&vfs, &p("/d/m"), b"newer", None).unwrap_err();
+            let err = write_atomic(&vfs, &p("/d/m"), b"newer").unwrap_err();
             assert!(err.to_string().contains("simulated crash"), "{err}");
             vfs.crash(CrashStyle::DropUnsynced);
             // Three recoverable outcomes, never a torn target: the old
@@ -594,30 +564,12 @@ mod tests {
     fn write_atomic_round_trips_and_reap_removes_only_tmp() {
         let vfs = FaultyVfs::new();
         vfs.create_dir_all(&p("/d")).unwrap();
-        write_atomic(&vfs, &p("/d/keep"), b"payload", None).unwrap();
+        write_atomic(&vfs, &p("/d/keep"), b"payload").unwrap();
         vfs.create(&p("/d/orphan.tmp")).unwrap();
         let reaped = reap_tmp_files(&vfs, &p("/d")).unwrap();
         assert_eq!(reaped, vec![p("/d/orphan.tmp")]);
         assert_eq!(vfs.read(&p("/d/keep")).unwrap(), b"payload");
         assert!(vfs.read(&p("/d/orphan.tmp")).is_err());
-    }
-
-    #[test]
-    fn cancelled_write_atomic_stops_before_the_rename() {
-        let vfs = FaultyVfs::new();
-        vfs.create_dir_all(&p("/d")).unwrap();
-        write_atomic(&vfs, &p("/d/m"), b"old", None).unwrap();
-        let base = vfs.op_count();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = write_atomic(&vfs, &p("/d/m"), b"newer", Some(&token)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert!(is_cancelled(&err), "{err}");
-        // create, write and sync of the temp file ran; the rename did not.
-        assert_eq!(vfs.op_count() - base, 3);
-        assert_eq!(vfs.read(&p("/d/m")).unwrap(), b"old");
-        assert_eq!(vfs.peek(&p("/d/m.tmp")).unwrap(), b"newer");
-        assert!(!is_cancelled(&io::Error::from(io::ErrorKind::Interrupted)));
     }
 
     #[test]

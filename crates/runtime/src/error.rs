@@ -79,9 +79,8 @@ pub enum JobError {
         /// The violations that exhausted the ladder.
         violations: Vec<String>,
     },
-    /// A cancel token fired before the job produced anything: a blocking
-    /// submission whose submitter cancelled it, or the job's own I/O on a
-    /// cancel-wired checkpoint store.
+    /// A blocking submission whose submitter cancelled it before the job
+    /// was admitted.
     Cancelled,
     /// An application-level failure reported by the cell itself.
     App {
@@ -256,10 +255,6 @@ impl From<CheckpointError> for JobError {
                 // rollback ladder is spent, so that is what the code says.
                 JobError::RollbackBudgetExhausted { step, violations }
             }
-            // The chunk loop never returns Cancelled (it ends the run with
-            // `completed: false`), so this is a caller's own I/O on a
-            // cancel-wired store.
-            CheckpointError::Cancelled => JobError::Cancelled,
         }
     }
 }

@@ -31,8 +31,8 @@
 //!   resumed sessions continue bit-identically from their newest
 //!   durable checkpoint.
 //! - **Graceful drain.** Shutdown stops admissions, evicts queued work
-//!   as resumable, signals in-flight jobs to checkpoint and park, and
-//!   never silently drops anything.
+//!   as resumable, signals in-flight jobs to stop before their next
+//!   chunk, and never silently drops anything.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,11 +33,11 @@ use crate::service::{ExecCtx, JobOutcome, JobPayload};
 /// recovered state. The store is recovered once per dispatch, by the
 /// supervised runner; [`sops_runtime::RuntimeEvent::Resumed`] is emitted
 /// from its report when the run returns, followed by one event per repair
-/// or rollback. An evicted job stops before its next chunk (or, through
-/// the store's token, inside a save, which it abandons) and yields; it
-/// emits no event of its own, since the service reports the eviction. The
-/// run's newest durable step goes back to the service with the outcome, so
-/// the worker need not list the store again for the session manifest.
+/// or rollback. An evicted job lets the chunk in flight finish and be
+/// persisted, stops before its next chunk and yields; it emits no event
+/// of its own, since the service reports the eviction. The run's newest
+/// durable step goes back to the service with the outcome, so the worker
+/// need not list the store again for the session manifest.
 pub fn chain_payload<C, F>(
     chain: C,
     initial: C::State,
@@ -254,73 +254,118 @@ mod tests {
         }
     }
 
-    /// [`Walk`] that fires `token` while its second chunk runs and counts
-    /// the chunks it runs.
-    struct EvictInChunk2 {
-        token: CancelToken,
+    /// [`Walk`] that counts the chunks it runs and fires `eviction` while
+    /// chunk `evict_in` runs (1-based; 0 never fires it).
+    struct Evicting {
+        eviction: CancelToken,
+        evict_in: u64,
         chunks: Arc<AtomicU64>,
     }
 
-    impl MarkovChain for EvictInChunk2 {
+    impl MarkovChain for Evicting {
         type State = Counter;
         fn step<R: Rng + ?Sized>(&self, s: &mut Counter, rng: &mut R) -> bool {
             Walk.step(s, rng)
         }
         fn run<R: Rng + ?Sized>(&self, s: &mut Counter, steps: u64, rng: &mut R) -> u64 {
-            if self.chunks.fetch_add(1, Ordering::Relaxed) == 1 {
-                self.token.cancel();
+            if self.chunks.fetch_add(1, Ordering::Relaxed) + 1 == self.evict_in {
+                self.eviction.cancel();
             }
             (0..steps).map(|_| u64::from(self.step(s, rng))).sum()
         }
     }
 
-    /// An eviction that lands while chunk 2 runs lets that chunk finish,
-    /// starts no chunk after it, and yields at the newest durable
-    /// snapshot without an event of the payload's own. On a store that
-    /// does not read the token, `before_chunk` stops the run after chunk
-    /// 2's snapshot; on one that does, as the service's worker opens, the
-    /// store abandons chunk 2's save and chunk 1's snapshot is the newest.
+    /// A 5,000-step [`chain_payload`] of [`Evicting`] in 1,000-step chunks,
+    /// which must not complete.
+    fn evicting_payload(
+        eviction: &CancelToken,
+        evict_in: u64,
+        chunks: &Arc<AtomicU64>,
+    ) -> JobPayload {
+        let chain = Evicting {
+            eviction: eviction.clone(),
+            evict_in,
+            chunks: Arc::clone(chunks),
+        };
+        chain_payload(chain, Counter::default(), 5, 5_000, 1_000, |_, _| {
+            panic!("an evicted job does not complete")
+        })
+    }
+
+    /// Runs `payload` on `store` under `eviction`, as the worker runs it.
+    /// Returns its outcome, the durable step it noted and the events it
+    /// emitted.
+    fn exec(
+        payload: JobPayload,
+        store: &CheckpointStore,
+        eviction: &CancelToken,
+    ) -> (JobOutcome, Option<Option<u64>>, Vec<RuntimeEvent>) {
+        let events = RefCell::new(Vec::new());
+        let emit = |event| events.borrow_mut().push(event);
+        let ctx = ExecCtx {
+            eviction,
+            store,
+            session: "t/s",
+            events: &emit,
+            durable: Cell::new(None),
+        };
+        let outcome = payload(&ctx).unwrap();
+        let durable = ctx.durable.get();
+        (outcome, durable, events.into_inner())
+    }
+
+    /// An eviction that lands while chunk 2 runs lets that chunk finish
+    /// and be persisted, starts no chunk after it, and yields at chunk 2's
+    /// step without an event of the payload's own.
     #[test]
     fn an_eviction_during_chunk_2_yields_before_chunk_3() {
-        for (store_reads_token, durable) in [(false, 2_000), (true, 1_000)] {
-            let token = CancelToken::new();
-            let chunks = Arc::new(AtomicU64::new(0));
-            let chain = EvictInChunk2 {
-                token: token.clone(),
-                chunks: Arc::clone(&chunks),
-            };
-            let payload = chain_payload(chain, Counter::default(), 5, 5_000, 1_000, |_, _| {
-                panic!("an evicted job does not complete")
-            });
-            let store = CheckpointStore::open_with("/ckpt", 2, Arc::new(FaultyVfs::new())).unwrap();
-            let store = if store_reads_token {
-                store.with_cancel(token.clone())
-            } else {
-                store
-            };
-            let events = RefCell::new(Vec::<RuntimeEvent>::new());
-            let emit = |event| events.borrow_mut().push(event);
-            let ctx = ExecCtx {
-                cancel: &token,
-                store: &store,
-                session: "t/s",
-                events: &emit,
-                durable: Cell::new(None),
-            };
-            let outcome = payload(&ctx).unwrap();
-            let label = format!("store reads the token: {store_reads_token}");
-            assert_eq!(
-                outcome,
-                JobOutcome::Yielded {
-                    last_durable_step: Some(durable)
-                },
-                "{label}"
-            );
-            assert_eq!(ctx.durable.get(), Some(Some(durable)), "{label}");
-            assert_eq!(store.newest_step().unwrap(), Some(durable), "{label}");
-            assert_eq!(chunks.load(Ordering::Relaxed), 2, "{label}");
-            assert!(events.borrow().is_empty(), "{label}: {:?}", events.borrow());
-        }
+        let store = CheckpointStore::open_with("/ckpt", 2, Arc::new(FaultyVfs::new())).unwrap();
+        let eviction = CancelToken::new();
+        let chunks = Arc::new(AtomicU64::new(0));
+        let (outcome, durable, events) =
+            exec(evicting_payload(&eviction, 2, &chunks), &store, &eviction);
+        assert_eq!(
+            outcome,
+            JobOutcome::Yielded {
+                last_durable_step: Some(2_000)
+            }
+        );
+        assert_eq!(durable, Some(Some(2_000)));
+        assert_eq!(store.newest_step().unwrap(), Some(2_000));
+        assert_eq!(chunks.load(Ordering::Relaxed), 2);
+        assert!(events.is_empty(), "{events:?}");
+    }
+
+    /// A job evicted before its first chunk still recovers its session: it
+    /// reports the resume, runs no chunk, and yields at the durable step.
+    #[test]
+    fn an_eviction_before_the_first_chunk_yields_at_the_durable_step() {
+        let store = CheckpointStore::open_with("/ckpt", 2, Arc::new(FaultyVfs::new())).unwrap();
+        let done = chain_payload(Walk, Counter::default(), 5, 1_000, 1_000, |_, _| {});
+        let (outcome, ..) = exec(done, &store, &CancelToken::new());
+        assert_eq!(outcome, JobOutcome::Completed { steps: 1_000 });
+
+        let eviction = CancelToken::new();
+        eviction.cancel();
+        let chunks = Arc::new(AtomicU64::new(0));
+        let (outcome, durable, events) =
+            exec(evicting_payload(&eviction, 0, &chunks), &store, &eviction);
+        assert_eq!(
+            outcome,
+            JobOutcome::Yielded {
+                last_durable_step: Some(1_000)
+            }
+        );
+        assert_eq!(durable, Some(Some(1_000)));
+        assert_eq!(chunks.load(Ordering::Relaxed), 0);
+        assert_eq!(store.newest_step().unwrap(), Some(1_000));
+        assert_eq!(
+            events,
+            [RuntimeEvent::Resumed {
+                session: "t/s".to_string(),
+                from_step: 1_000
+            }]
+        );
     }
 
     fn run<C>(svc: &JobService, chain: C, steps: u64) -> TerminalStatus

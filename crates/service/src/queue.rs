@@ -9,7 +9,7 @@
 //! condvar when idle (never spin), blocked submitters park on `space`,
 //! and drain waiters park on `idle`.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ pub enum TerminalStatus {
         /// The failure.
         error: sops_runtime::JobError,
     },
-    /// The job was evicted (drain, shutdown, or per-job cancel). The
+    /// The job was evicted by a drain (or the shutdown that drains). The
     /// session's durable checkpoints are intact, and a resubmission
     /// continues bit-identically from the newest one.
     Evicted,
@@ -250,10 +250,8 @@ struct SchedState {
     active: VecDeque<String>,
     /// Queued (not yet dispatched) jobs across all lanes.
     depth: usize,
-    /// Cancel tokens of dispatched jobs, keyed by seq; drain cancels
-    /// these. Registration happens under this same mutex as the drain
-    /// flag, so a job can never slip past a drain's cancel sweep.
-    inflight: HashMap<u64, CancelToken>,
+    /// Dispatched jobs that have not yet classified.
+    inflight: usize,
     /// Sessions with a manifest writer: a dispatched job, or a drained
     /// job whose terminal manifest write is pending. A queued job
     /// of a session in here is skipped by the scheduler, so each session
@@ -276,7 +274,7 @@ pub(crate) struct Drained {
 }
 
 pub(crate) enum Popped {
-    Job(QueuedJob, CancelToken),
+    Job(QueuedJob),
     Exit,
 }
 
@@ -329,6 +327,9 @@ pub(crate) struct JobQueue {
     space: Condvar,
     /// Drain waiters park here until the last in-flight job classifies.
     idle: Condvar,
+    /// The one eviction signal: [`JobQueue::drain`] fires it, and every
+    /// running job reads it before each chunk.
+    eviction: CancelToken,
 }
 
 impl JobQueue {
@@ -341,7 +342,7 @@ impl JobQueue {
                 lanes: BTreeMap::new(),
                 active: VecDeque::new(),
                 depth: 0,
-                inflight: HashMap::new(),
+                inflight: 0,
                 busy: HashSet::new(),
                 draining: false,
                 stopped: false,
@@ -350,7 +351,13 @@ impl JobQueue {
             work: Condvar::new(),
             space: Condvar::new(),
             idle: Condvar::new(),
+            eviction: CancelToken::new(),
         }
+    }
+
+    /// The token [`JobQueue::drain`] fires to evict every running job.
+    pub(crate) fn eviction(&self) -> &CancelToken {
+        &self.eviction
     }
 
     fn insert_locked(st: &mut SchedState, mut job: QueuedJob) -> usize {
@@ -466,8 +473,6 @@ impl JobQueue {
     /// Worker-side blocking pop. Parks on the `work` condvar while no
     /// queued job can dispatch (idle workers never spin); returns [`Popped::Exit`]
     /// once the service is draining or stopped with nothing left to pop.
-    /// A popped job's cancel token is registered in the in-flight table
-    /// under the same lock as the drain flag.
     pub(crate) fn pop_blocking(&self) -> Popped {
         let mut guard = self.state.lock().expect("queue mutex");
         loop {
@@ -475,17 +480,10 @@ impl JobQueue {
                 return Popped::Exit;
             }
             if let Some(job) = Self::pop_locked(&mut guard) {
-                let token = CancelToken::new();
-                if guard.draining {
-                    // Raced with drain: the job still dispatches, but
-                    // already cancelled so it evicts at the first safe
-                    // point.
-                    token.cancel();
-                }
-                guard.inflight.insert(job.seq, token.clone());
+                guard.inflight += 1;
                 drop(guard);
                 self.space.notify_all();
-                return Popped::Job(job, token);
+                return Popped::Job(job);
             }
             if guard.draining {
                 return Popped::Exit;
@@ -494,14 +492,14 @@ impl JobQueue {
         }
     }
 
-    /// Deregisters a dispatched job once it has classified, and frees its
+    /// Counts a dispatched job out once it has classified, and frees its
     /// session for the next queued job of that session. No worker needs
     /// waking: the caller pops next (or its replacement does).
-    pub(crate) fn finish_inflight(&self, seq: u64, session: &str) {
+    pub(crate) fn finish_inflight(&self, session: &str) {
         let mut st = self.state.lock().expect("queue mutex");
-        st.inflight.remove(&seq);
+        st.inflight -= 1;
         st.busy.remove(session);
-        let empty = st.inflight.is_empty();
+        let empty = st.inflight == 0;
         drop(st);
         if empty {
             self.idle.notify_all();
@@ -520,12 +518,12 @@ impl JobQueue {
         }
     }
 
-    /// Closes admissions, empties the queue, and snapshots the in-flight
-    /// cancel tokens. Returns the never-dispatched jobs (in submission
-    /// order) for the caller to classify as evicted, each reserving its
-    /// session for the terminal manifest write unless the session already
-    /// has a writer, and the tokens for the caller to cancel.
-    pub(crate) fn drain(&self) -> (Vec<Drained>, Vec<CancelToken>) {
+    /// Closes admissions, empties the queue, and fires the eviction token,
+    /// so every running job stops before its next chunk. Returns the
+    /// never-dispatched jobs (in submission order) for the caller to
+    /// classify as evicted, each reserving its session for the terminal
+    /// manifest write unless the session already has a writer.
+    pub(crate) fn drain(&self) -> Vec<Drained> {
         let mut guard = self.state.lock().expect("queue mutex");
         let st = &mut *guard;
         st.draining = true;
@@ -543,12 +541,12 @@ impl JobQueue {
             .collect();
         st.active.clear();
         st.depth = 0;
-        let tokens: Vec<CancelToken> = st.inflight.values().cloned().collect();
         drop(guard);
+        self.eviction.cancel();
         self.work.notify_all();
         self.space.notify_all();
         self.idle.notify_all();
-        (evicted, tokens)
+        evicted
     }
 
     /// Tells workers to exit unconditionally (after a drain).
@@ -566,7 +564,7 @@ impl JobQueue {
     pub(crate) fn wait_idle(&self, deadline: Duration) -> bool {
         let start = Instant::now();
         let mut st = self.state.lock().expect("queue mutex");
-        while !st.inflight.is_empty() {
+        while st.inflight > 0 {
             let Some(remaining) = deadline.checked_sub(start.elapsed()) else {
                 return false;
             };
@@ -578,7 +576,7 @@ impl JobQueue {
 
     pub(crate) fn depth_inflight(&self) -> (usize, usize) {
         let st = self.state.lock().expect("queue mutex");
-        (st.depth, st.inflight.len())
+        (st.depth, st.inflight)
     }
 
     pub(crate) fn is_stopping(&self) -> bool {
@@ -608,7 +606,7 @@ mod tests {
 
     fn pop(queue: &JobQueue) -> QueuedJob {
         match queue.pop_blocking() {
-            Popped::Job(job, _) => job,
+            Popped::Job(job) => job,
             Popped::Exit => panic!("queue unexpectedly stopped"),
         }
     }
@@ -681,9 +679,9 @@ mod tests {
         admit("c", "c/2");
         admit("c", "c/3");
         take(); // lane c
-        queue.finish_inflight(b1.seq, &b1.session);
+        queue.finish_inflight(&b1.session);
         take(); // lane a holds only busy `a/1`, so lane b
-        queue.finish_inflight(a1.seq, &a1.session);
+        queue.finish_inflight(&a1.session);
         take(); // lane c
         take(); // lane a, `a/1` is free again
         take(); // lane c
@@ -707,7 +705,7 @@ mod tests {
         let mut st = queue.state.lock().unwrap();
         assert!(JobQueue::pop_locked(&mut st).is_none());
         drop(st);
-        queue.finish_inflight(first.seq, &first.session);
+        queue.finish_inflight(&first.session);
         assert_eq!(pop(&queue).session, "s");
     }
 

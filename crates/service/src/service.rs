@@ -3,12 +3,13 @@
 //! telemetry schema.
 //!
 //! Life of a job: `submit` → typed admission ([`Admission`]) →
-//! round-robin dispatch to a worker → the payload runs under the job's
-//! [`CancelToken`] with a per-session [`CheckpointStore`] → exactly one
-//! [`TerminalStatus`] on the ticket, mirrored best-effort into the
-//! session manifest. Panics are caught per job; the poisoned worker slot
-//! retires and a fresh thread replaces it, so a panicking payload costs
-//! one job, never a worker.
+//! round-robin dispatch to a worker → the payload runs with a
+//! per-session [`CheckpointStore`] and reads the service's one eviction
+//! [`CancelToken`] before each chunk → exactly one [`TerminalStatus`] on
+//! the ticket, mirrored best-effort into the session manifest. Panics
+//! are caught per job; the poisoned worker slot retires and a fresh
+//! thread replaces it, so a panicking payload costs one job, never a
+//! worker.
 
 use std::cell::Cell;
 use std::io;
@@ -37,8 +38,9 @@ pub enum JobOutcome {
         /// Chain steps executed (for the terminal status and stats).
         steps: u64,
     },
-    /// The payload stopped early at a durable point (budget degradation
-    /// or cooperative eviction); the session resumes on resubmission.
+    /// The payload stopped early, before a chunk, because the job was
+    /// evicted; the session resumes from its durable step on
+    /// resubmission.
     Yielded {
         /// The newest durable checkpoint step the payload knows of.
         last_durable_step: Option<u64>,
@@ -50,7 +52,7 @@ pub enum JobOutcome {
 /// and checkpoint through [`ExecCtx::store`] get crash-safe eviction for
 /// free.
 pub struct ExecCtx<'a> {
-    pub(crate) cancel: &'a CancelToken,
+    pub(crate) eviction: &'a CancelToken,
     pub(crate) store: &'a CheckpointStore,
     pub(crate) session: &'a str,
     pub(crate) events: &'a dyn Fn(RuntimeEvent),
@@ -60,19 +62,21 @@ pub struct ExecCtx<'a> {
 }
 
 impl ExecCtx<'_> {
-    /// The session's durable checkpoint store (cancel-wired: checkpoint
-    /// I/O aborts promptly once eviction is signalled).
+    /// The session's durable checkpoint store. Its I/O always runs to
+    /// the end: an evicted job stops only before a chunk
+    /// ([`ExecCtx::evicting`]), so the chunk in flight is persisted.
     #[must_use]
     pub fn store(&self) -> &CheckpointStore {
         self.store
     }
 
-    /// Whether eviction has been signalled (drain, shutdown, or per-job
-    /// cancel). Payloads should stop at the next durable point and
+    /// Whether the service is evicting its running jobs: a drain (or the
+    /// shutdown that drains) has fired its one eviction token. Payloads
+    /// should read this before each chunk, stop once it is set, and
     /// return [`JobOutcome::Yielded`].
     #[must_use]
     pub fn evicting(&self) -> bool {
-        self.cancel.is_cancelled()
+        self.eviction.is_cancelled()
     }
 
     /// Records the newest durable checkpoint step of the payload's run
@@ -334,11 +338,10 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
     loop {
         match shared.queue.pop_blocking() {
             Popped::Exit => break,
-            Popped::Job(job, token) => {
-                let seq = job.seq;
+            Popped::Job(job) => {
                 let session = job.session.clone();
-                let poisoned = run_job(shared, job, &token);
-                shared.queue.finish_inflight(seq, &session);
+                let poisoned = run_job(shared, job);
+                shared.queue.finish_inflight(&session);
                 if poisoned {
                     // The panic was caught and classified (and counted in
                     // `respawns` before the ticket resolved), but a payload
@@ -357,7 +360,7 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
 
 /// Runs one job to its terminal classification. Returns whether the
 /// payload panicked (poisoning the worker slot).
-fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
+fn run_job(shared: &Arc<Shared>, job: QueuedJob) -> bool {
     let QueuedJob {
         tenant,
         session,
@@ -365,10 +368,7 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
         ticket,
         ..
     } = job;
-    let store = match shared
-        .sessions
-        .checkpoint_store(&session, Some(token.clone()))
-    {
+    let store = match shared.sessions.checkpoint_store(&session, None) {
         Ok(store) => store,
         Err(e) => {
             shared.save_terminal_manifest(
@@ -397,7 +397,7 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
     }
     let emit = |event: RuntimeEvent| shared.emit_event(event);
     let ctx = ExecCtx {
-        cancel: token,
+        eviction: shared.queue.eviction(),
         store: &store,
         session: &session,
         events: &emit,
@@ -432,7 +432,7 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob, token: &CancelToken) -> bool {
             None,
             false,
         ),
-        Ok(Ok(JobOutcome::Yielded { .. }) | Err(JobError::Cancelled)) => {
+        Ok(Ok(JobOutcome::Yielded { .. })) => {
             (TerminalStatus::Evicted, SessionStatus::Evicted, None, false)
         }
         Ok(Err(error)) => {
@@ -571,10 +571,7 @@ impl JobService {
     /// ticket resolves when it finally yields); nothing is silently
     /// dropped.
     pub fn drain(&self, deadline: Duration) -> DrainReport {
-        let (queued, tokens) = self.shared.queue.drain();
-        for token in &tokens {
-            token.cancel();
-        }
+        let queued = self.shared.queue.drain();
         let evicted_queued = queued.len();
         for Drained {
             job,

@@ -31,7 +31,7 @@ pub enum SessionStatus {
     Completed,
     /// Terminated with a typed error.
     Failed,
-    /// Evicted by drain, shutdown, or cancellation; resumable.
+    /// Evicted by a drain (or the shutdown that drains); resumable.
     Evicted,
 }
 
@@ -324,7 +324,6 @@ impl SessionStore {
             self.vfs.as_ref(),
             &self.manifest_path(&manifest.session),
             manifest.to_text().as_bytes(),
-            None,
         )
     }
 
@@ -347,8 +346,11 @@ impl SessionStore {
         })
     }
 
-    /// Opens the per-session [`CheckpointStore`], optionally wired to a
-    /// cancel token so in-flight checkpoint I/O aborts on eviction.
+    /// Opens the per-session [`CheckpointStore`].
+    ///
+    /// Nothing reads `_cancel`: checkpoint I/O always runs to the end,
+    /// and an evicted job stops before its next chunk instead. The
+    /// parameter stays only because the benchmark harness passes it.
     ///
     /// # Errors
     ///
@@ -356,17 +358,13 @@ impl SessionStore {
     pub fn checkpoint_store(
         &self,
         session: &str,
-        cancel: Option<CancelToken>,
+        _cancel: Option<CancelToken>,
     ) -> Result<CheckpointStore, CheckpointError> {
-        let store = CheckpointStore::open_with(
+        CheckpointStore::open_with(
             self.checkpoint_dir(session),
             self.retain,
             Arc::clone(&self.vfs),
-        )?;
-        Ok(match cancel {
-            Some(token) => store.with_cancel(token),
-            None => store,
-        })
+        )
     }
 
     /// Rebuilds the session table from disk after a restart: reaps
